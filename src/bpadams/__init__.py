@@ -16,11 +16,11 @@ The package computes, with exact rational arithmetic throughout:
 
 from .arith import (INFINITY, Prime, Rational, delta_p, find_q, gamma_p, gaussian,
                     gaussian_poly, is_p_local_int, is_p_local_unit, nu_p, val_p)
-from .polyring import GeneratorTable, GradedPoly, MuLinear, PolyError
+from .polyring import GeneratorTable, GradedPoly, PolyError
 from .fgl import (ArakiConstants, BPContext, TruncatedSeries, adams_on_coeff,
                   adams_log_transform_check, bp_log, formal_sum, generic_log,
                   log_exp_series)
-from .hopf import (ConstructionError, DiagonalAction, SpecialElement,
+from .hopf import (ConstructionError, DiagonalAction, MuLinear, SpecialElement,
                    diagonal_transform, right_unit_log, right_unit_v_monomial,
                    special_element, t_recursion_check, to_right_unit_basis,
                    v1_functional)
@@ -29,7 +29,7 @@ from .adamsk import (AdamsFamily, CongruenceVector, C_vector, adams_family,
                      family_action, ku_congruence_system, Phi_in_phi)
 from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, lattice_eq,
                       lattice_leq, sandwich_check, solve, triangularize)
-from .centre import (CentreVerificationError, adams_multiplicativity_check,
-                     bp_sample_scan, verify_basis_injections, verify_centre_bp)
+from .centre import (CentreVerificationError, bp_sample_scan, verify_basis_injections,
+                     verify_centre_bp)
 
 __version__ = "0.1.0"

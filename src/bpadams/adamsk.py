@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .arith import (delta_p, ensure_prime, find_q, format_rational, gamma_p, gaussian,
-                    is_p_local_int, is_primitive_mod_p2, multiplicative_order, val_p)
+                    is_p_local_int, val_p, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -65,6 +65,7 @@ def adams_family(kind: str, p: int, q: int | None = None) -> AdamsFamily:
     ensure_prime(p)
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family {kind!r}; choose from {FAMILY_KINDS}")
+    q = validate_q(p, q)
     if kind == "zeta_ku2":
         if p != 2:
             raise ValueError("the zeta family is the p = 2 basis")
@@ -73,11 +74,6 @@ def adams_family(kind: str, p: int, q: int | None = None) -> AdamsFamily:
         raise ValueError(f"family {kind!r} needs an odd prime")
     if q is None:
         q = find_q(p)
-    elif not is_primitive_mod_p2(q, p):
-        order = multiplicative_order(q, p * p) if q % p else 0
-        raise ValueError(
-            f"q={q} is not primitive modulo {p}^2 (multiplicative order "
-            f"{order}, need {p * (p - 1)})")
     return AdamsFamily(kind, p, q, q ** (p - 1))
 
 

@@ -173,6 +173,30 @@ def is_primitive_mod_p2(q: int, p: int) -> bool:
     return multiplicative_order(q, p * p) == p * (p - 1)
 
 
+def validate_q(p: int, q: int | None) -> int | None:
+    """Return an explicitly chosen generator q, or None, after checking it.
+
+    At p = 2 the generators are fixed as (3, -1), so any explicit q is
+    refused; for odd p, q must be prime to p and primitive modulo p^2.
+    Raises ``ValueError`` with the reason.
+    """
+    ensure_prime(p)
+    if q is None:
+        return None
+    if p == 2:
+        raise ValueError(f"q={q} cannot be chosen at p = 2: the 2-local "
+                         "generators are fixed as (3, -1)")
+    if q % p == 0:
+        raise ValueError(f"q={q} is divisible by p = {p}, so it is not a unit "
+                         f"modulo {p}^2")
+    order = multiplicative_order(q, p * p)
+    if order != p * (p - 1):
+        raise ValueError(
+            f"q={q} is not primitive modulo {p}^2 (its multiplicative order "
+            f"is {order}, need {p * (p - 1)})")
+    return q
+
+
 def find_q(p: int) -> int | tuple[int, int]:
     """Smallest positive q primitive modulo p^2 (p odd).
 

@@ -26,11 +26,11 @@ from .arith import delta_p, ensure_prime, find_q, format_rational, val_p
 from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congruence,
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
-from .fgl import BPContext, adams_on_coeff
-from .hopf import special_element, diagonal_transform
+from .fgl import BPContext
+from .hopf import MuLinear, special_element, diagonal_transform
 from .lattice import (CongruenceSystem, SolutionLattice, lattice_eq, sandwich_check,
                       solve)
-from .polyring import GradedPoly, MuLinear, monomials_up_to_weight
+from .polyring import GradedPoly, monomials_up_to_weight
 
 
 class CentreVerificationError(RuntimeError):
@@ -58,7 +58,7 @@ def sampled_integrality_rows(ctx: BPContext,
         exps = (0,) * nl + tuple(gamma)
         image = diagonal_transform(
             ctx, GradedPoly.monomial(ctx.lt_table, ctx.weight_bound, exps))
-        for delta, form in image.sorted_terms():
+        for delta, form in image.items():
             rows.append((tuple(gamma), delta, form))
     return rows
 
@@ -271,25 +271,6 @@ def verify_basis_injections(p: int, n_max: int, trials: int = 50,
         if failures:
             report["verdict"] = False
     return report
-
-
-def adams_multiplicativity_check(p: int, weight_bound: int = 10,
-                                 trials: int = 25, seed: int = 2026) -> dict:
-    """Composed diagonal actions equal the product operation's action."""
-    ensure_prime(p)
-    ctx = BPContext(p, 1)
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(trials):
-        alpha = _random_p_unit(rng, p)
-        beta = _random_p_unit(rng, p)
-        for w in range(weight_bound + 1):
-            lhs = adams_on_coeff(ctx, alpha, w) * adams_on_coeff(ctx, beta, w)
-            if lhs != adams_on_coeff(ctx, alpha * beta, w):
-                failures += 1
-                break
-    return {"p": p, "weight_bound": weight_bound, "trials": trials,
-            "failures": failures, "verdict": failures == 0}
 
 
 def lattice_realizability(p: int, n: int, lat: SolutionLattice,

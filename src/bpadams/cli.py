@@ -20,8 +20,7 @@ import time
 from fractions import Fraction
 
 from .arith import (delta_p, ensure_prime, find_q, format_rational,
-                    is_p_local_int, is_primitive_mod_p2, multiplicative_order,
-                    parse_rational, val_p)
+                    is_p_local_int, parse_rational, val_p, validate_q)
 from .adamsk import (FAMILY_KINDS, C_vector, adams_family, check_g_congruences,
                      expand_in_family, ku_congruence_system)
 from .centre import (bp_sample_scan, interleaved_g_report, verify_centre_bp)
@@ -113,15 +112,17 @@ def _emit(fmt: str, payload: dict, csv_rows: list[list[object]],
             sys.stdout.write(line + "\n")
 
 
-def _validated_q(p: int, q: int | None) -> int | None:
-    if q is None or p == 2:
-        return q
-    if not is_primitive_mod_p2(q, p):
-        order = multiplicative_order(q, p * p) if q % p else 0
-        raise InputError(
-            f"q={q} is not primitive modulo {p}^2 (its multiplicative order "
-            f"is {order}, need {p * (p - 1)})")
-    return q
+def _non_negative(text: str) -> int:
+    """argparse type for counts and weight bounds; argparse names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value}")
+    return value
 
 
 _MONOMIAL_RE = re.compile(r"^([A-Za-z]+\d+)(?:\^(\d+))?$")
@@ -148,7 +149,7 @@ def parse_monomial(text: str, prefix: str) -> dict[str, int]:
 
 def _cmd_congruences(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    q = _validated_q(p, args.q)
+    q = args.q
     if p != 2 and q is None:
         q = find_q(p)
     if p == 2:
@@ -196,9 +197,8 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
 
 def _cmd_basis_expand(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    q = _validated_q(p, args.q)
     try:
-        fam = adams_family(args.family, p, q)
+        fam = adams_family(args.family, p, args.q)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     lam = read_sequence(args.infile)
@@ -223,7 +223,7 @@ def _cmd_basis_expand(args: argparse.Namespace) -> int:
 def _cmd_bp_etar(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     alpha = parse_monomial(args.monomial, "v")
-    ctx = BPContext(p, args.weight, _validated_q(p, args.q))
+    ctx = BPContext(p, args.weight, args.q)
     for name in alpha:
         try:
             ctx.v_table.index(name)
@@ -269,7 +269,7 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
 def _cmd_bp_dn(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     weight = args.weight if args.weight is not None else delta_p(p, args.n)
-    ctx = BPContext(p, max(weight, delta_p(p, args.n)), _validated_q(p, args.q))
+    ctx = BPContext(p, max(weight, delta_p(p, args.n)), args.q)
     d = special_element(ctx, args.n)
     payload = {
         "command": "bp-dn",
@@ -292,7 +292,7 @@ def _cmd_bp_dn(args: argparse.Namespace) -> int:
 def _cmd_verify_centre(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     started = time.perf_counter()
-    report = verify_centre_bp(p, args.n, args.weight, _validated_q(p, args.q))
+    report = verify_centre_bp(p, args.n, args.weight, args.q)
     elapsed = time.perf_counter() - started
     report["command"] = "verify-centre"
     csv_rows = [["n", "pivots", "sandwich", "sample_included", "verdict"]]
@@ -345,7 +345,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    report = bp_sample_scan(p, args.n, args.max_weight, _validated_q(p, args.q))
+    report = bp_sample_scan(p, args.n, args.max_weight, args.q)
     report["command"] = "scan-stabilization"
     csv_rows = [["weight", "pivots", "equals_summand_lattice"]]
     for s in report["scan"]:
@@ -362,7 +362,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_interleave(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    report = interleaved_g_report(p, args.n, _validated_q(p, args.q))
+    report = interleaved_g_report(p, args.n, args.q)
     report["command"] = "interleave-scan"
     csv_rows = [["n", "interleaved_pivots", "ku_pivots", "equal"],
                 [args.n, "|".join(map(str, report["interleaved_pivots"])),
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "rings of p-local K-theory and Brown-Peterson cohomology.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, default_n=4):
+    def add_common(sp):
         sp.add_argument("--p", type=int, required=True, help="prime")
         sp.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="pretty")
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_common(sub.add_parser(
         "congruences", help="print the summand congruence rows, optionally "
                             "checking a sequence"))
-    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--n", type=_non_negative, default=4)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--check", metavar="SEQ_JSON", default=None)
     sp.set_defaults(func=_cmd_congruences)
@@ -405,22 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_common(sub.add_parser(
         "bp-etaR", help="right unit image of a v-monomial with its coefficients"))
-    sp.add_argument("--weight", type=int, required=True)
+    sp.add_argument("--weight", type=_non_negative, required=True)
     sp.add_argument("--monomial", required=True, help="e.g. v1^2*v2")
     sp.add_argument("--q", type=int, default=None)
     sp.set_defaults(func=_cmd_bp_etar)
 
     sp = add_common(sub.add_parser(
         "bp-dn", help="the special congruence element d_n and its row"))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--weight", type=int, default=None)
+    sp.add_argument("--n", type=_non_negative, required=True)
+    sp.add_argument("--weight", type=_non_negative, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.set_defaults(func=_cmd_bp_dn)
 
     sp = add_common(sub.add_parser(
         "verify-centre", help="verify the centre identification up to n"))
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--weight", type=int, default=None)
+    sp.add_argument("--n", type=_non_negative, default=4)
+    sp.add_argument("--weight", type=_non_negative, default=None)
     sp.add_argument("--q", type=int, default=None)
     sp.set_defaults(func=_cmd_verify_centre)
 
@@ -433,15 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_common(sub.add_parser(
         "scan-stabilization", help="scan sampled-lattice pivots as the weight "
                                    "bound grows"))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-weight", type=int, required=True)
+    sp.add_argument("--n", type=_non_negative, required=True)
+    sp.add_argument("--max-weight", type=_non_negative, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.set_defaults(func=_cmd_scan)
 
     sp = add_common(sub.add_parser(
         "interleave-scan", help="exploratory: interleaved summand rows vs the "
                                 "connective system (odd p)"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_non_negative, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.set_defaults(func=_cmd_interleave)
 
@@ -452,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "q", None) is not None:
+            validate_q(args.p, args.q)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

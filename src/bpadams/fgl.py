@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import delta_p, ensure_prime, find_q, is_primitive_mod_p2, multiplicative_order
+from .arith import delta_p, ensure_prime, find_q, validate_q
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
@@ -46,12 +46,15 @@ class ArakiConstants:
 
 
 class BPContext:
-    """Immutable computation context for one prime and weight bound.
+    """Computation context for one prime and weight bound.
 
     Holds the generator tables for the v, l and t families up to the
     largest index whose weight fits the bound, plus eagerly computed
-    conversion data between the v and l generators.  All cached values
-    are immutable, so a context may be shared freely across threads.
+    conversion data between the v and l generators.  It is not immutable:
+    ``_hopf_cache`` is filled on first use with the right-unit tables,
+    whose ``special_cache`` and ``v_of_t1_power`` grow as special elements
+    are built.  Entries never change once stored, but the filling is not
+    locked, so give each thread its own context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count", "constants",
@@ -64,15 +67,10 @@ class BPContext:
         if weight_bound < 0:
             raise ValueError("weight bound must be non-negative")
         self.weight_bound = weight_bound
+        q = validate_q(p, q)
         if q is None:
             found = find_q(p)
             q = found[0] if isinstance(found, tuple) else found
-        else:
-            if p != 2 and not is_primitive_mod_p2(q, p):
-                order = multiplicative_order(q, p * p) if q % p else 0
-                raise ValueError(
-                    f"q={q} is not primitive modulo {p}^2 "
-                    f"(multiplicative order {order}, need {p * (p - 1)})")
         self.q = q
         self.qhat = q ** (p - 1)
         self.constants = ArakiConstants(p)

@@ -5,8 +5,9 @@ generator table (computed rationally).  A diagonal operation acting on
 the weight-i coefficient group as multiplication by mu_i induces
 
 * ``diagonal_transform`` - the left-linear map sending each co-operation
-  to a v-polynomial whose coefficients are rational linear forms in the
-  mu_i (computed by rewriting in the right-unit basis), and
+  to its rows: for each v-monomial, a rational linear form in the mu_i
+  (a :class:`MuLinear`, computed by rewriting in the right-unit basis),
+  and
 * ``v1_functional`` - its scalar shadow obtained by sending v_1 to 1 and
   every higher v_n to 0.
 
@@ -20,11 +21,116 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .arith import delta_p, format_rational, is_p_local_int, val_p
 from .fgl import BPContext
-from .polyring import GradedPoly, MuLinear, PolyError
+from .polyring import GradedPoly, PolyError
+
+
+class MuLinear:
+    """A finite rational linear form sum_i c_i * mu_i: one congruence row."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
+        data: dict[int, Fraction] = {}
+        if coeffs:
+            for i, c in coeffs.items():
+                c = Fraction(c)
+                if c:
+                    if i < 0:
+                        raise PolyError("mu index must be non-negative")
+                    data[int(i)] = c
+        self.coeffs = data
+
+    @classmethod
+    def zero(cls) -> "MuLinear":
+        return cls()
+
+    @classmethod
+    def unit(cls, i: int, c: Fraction | int = 1) -> "MuLinear":
+        return cls({i: Fraction(c)})
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MuLinear):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other: "MuLinear") -> "MuLinear":
+        if not isinstance(other, MuLinear):
+            return NotImplemented
+        out = dict(self.coeffs)
+        for i, c in other.coeffs.items():
+            out[i] = out.get(i, Fraction(0)) + c
+        return MuLinear(out)
+
+    def __neg__(self) -> "MuLinear":
+        return MuLinear({i: -c for i, c in self.coeffs.items()})
+
+    def __sub__(self, other: "MuLinear") -> "MuLinear":
+        return self + (-other)
+
+    def __mul__(self, other: object) -> "MuLinear":
+        """Scalar multiple; forms do not multiply each other (see convolve)."""
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            return MuLinear({i: v * c for i, v in self.coeffs.items()})
+        return NotImplemented
+
+    def convolve(self, other: "MuLinear") -> "MuLinear":
+        """(sum a_i mu_i) * (sum b_j mu_j) -> sum a_i b_j mu_{i+j}."""
+        out: dict[int, Fraction] = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                k = i + j
+                out[k] = out.get(k, Fraction(0)) + a * b
+        return MuLinear(out)
+
+    def convolve_power(self, k: int) -> "MuLinear":
+        if k < 0:
+            raise PolyError("negative convolution power")
+        acc = MuLinear.unit(0)
+        for _ in range(k):
+            acc = acc.convolve(self)
+        return acc
+
+    def coefficient(self, i: int) -> Fraction:
+        return self.coeffs.get(i, Fraction(0))
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self.coeffs))
+
+    def top_index(self) -> int | None:
+        return max(self.coeffs) if self.coeffs else None
+
+    def evaluate(self, values: Iterable[Fraction]) -> Fraction:
+        vals = list(values)
+        acc = Fraction(0)
+        for i, c in self.coeffs.items():
+            if i >= len(vals):
+                raise PolyError(f"mu_{i} has no value in a length-{len(vals)} sequence")
+            acc += c * Fraction(vals[i])
+        return acc
+
+    def as_row(self, length: int) -> tuple[Fraction, ...]:
+        """Dense coefficient vector (c_0, ..., c_{length-1}); support must fit."""
+        top = self.top_index()
+        if top is not None and top >= length:
+            raise PolyError(f"support reaches mu_{top}, beyond length {length}")
+        return tuple(self.coeffs.get(i, Fraction(0)) for i in range(length))
+
+    def to_text(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = [f"{c}*mu{i}" for i, c in sorted(self.coeffs.items())]
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"MuLinear({self.to_text()})"
 
 
 class ConstructionError(RuntimeError):
@@ -170,32 +276,44 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
 
 
 def diagonal_transform(ctx: BPContext, x: GradedPoly,
-                       mu: DiagonalAction | None = None) -> GradedPoly:
+                       mu: DiagonalAction | None = None,
+                       ) -> dict[tuple[int, ...], MuLinear] | GradedPoly:
     """Image of a co-operation element under a diagonal operation.
 
     Each basis element l^a * prod eta_R(l_n)^{b_n} maps to
-    mu_w * l^a * l^b with w the weight of the e-part; the result is
-    converted to the v generators.  Symbolic by default; a concrete
-    :class:`DiagonalAction` evaluates the mu-linear coefficients.
+    mu_w * l^a * l^b with w the weight of the e-part.  The terms are
+    grouped by their l-monomial a + b, each distinct l-monomial is
+    converted to the v generators once, and its v-terms are scattered
+    into the rows.  Symbolically the result maps v-exponents to the
+    non-zero mu-linear forms, in graded-lexicographic order; a concrete
+    :class:`DiagonalAction` evaluates them to a polynomial over the v
+    generators.
     """
     y = to_right_unit_basis(ctx, x)
     nl = len(ctx.l_table)
-    acc: dict[tuple[int, ...], MuLinear] = {}
+    by_l: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for exps, c in y.terms.items():
         a, b = exps[:nl], exps[nl:]
+        form = by_l.setdefault(tuple(ai + bi for ai, bi in zip(a, b)), {})
         w = ctx.e_table.monomial_weight(b)
-        key = tuple(ai + bi for ai, bi in zip(a, b))
-        form = MuLinear({w: c})
-        prev = acc.get(key)
-        acc[key] = form if prev is None else prev + form
-    poly_l = GradedPoly(ctx.l_table, ctx.weight_bound, acc)
+        form[w] = form.get(w, 0) + c
     bindings = {f"l{n}": ctx.l_in_v(n) for n in range(1, ctx.gen_count + 1)}
-    if bindings:
-        out = poly_l.substitute(bindings)
-    else:
-        out = GradedPoly(ctx.v_table, ctx.weight_bound, dict(poly_l.terms))
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for key, form in by_l.items():
+        image = GradedPoly.monomial(ctx.l_table, ctx.weight_bound, key).substitute(bindings)
+        for delta, d in image.terms.items():
+            row = rows.setdefault(delta, {})
+            for w, c in form.items():
+                row[w] = row.get(w, 0) + c * d
+    weight = ctx.v_table.monomial_weight
+    out = {}
+    for delta in sorted(rows, key=lambda e: (weight(e), e)):
+        form = MuLinear(rows[delta])
+        if form:
+            out[delta] = form
     if mu is not None and mu.values is not None:
-        out = out.map_coefficients(mu.apply)
+        return GradedPoly(ctx.v_table, ctx.weight_bound,
+                          {delta: mu.apply(form) for delta, form in out.items()})
     return out
 
 
@@ -205,12 +323,10 @@ def v1_functional(ctx: BPContext, x: GradedPoly,
 
     Symbolically this is a finite rational linear form in the mu_i.
     """
-    image = diagonal_transform(ctx, x)
     total = MuLinear.zero()
-    for exps, c in image.terms.items():
-        if any(exps[1:]):
-            continue
-        total = total + c
+    for delta, form in diagonal_transform(ctx, x).items():
+        if not any(delta[1:]):
+            total = total + form
     if mu is not None:
         return mu.apply(total)
     return total

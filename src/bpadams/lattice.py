@@ -79,8 +79,9 @@ class CongruenceSystem:
         """For triangular systems: e_r with pivot p^-e_r at index r."""
         out = []
         for r, row in enumerate(self.rows):
-            v = val_p(self.p, row[r])
-            out.append(0 if v is None else int(-v))
+            if r > self.n or not row[r]:
+                raise LatticeError(f"row {r} has no non-zero pivot at index {r}")
+            out.append(-val_p(self.p, row[r]))
         return tuple(out)
 
     def to_jsonable(self) -> dict:

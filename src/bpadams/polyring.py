@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over exact rationals, graded by
 integer generator weights and truncated at a fixed weight bound.
 
-Coefficients are either :class:`fractions.Fraction` or :class:`MuLinear`
-(a finite rational linear form in the symbolic sequence mu_0, mu_1, ...).
-Truncation drops any monomial whose weight exceeds the bound; because the
-grading is by non-negative weights this commutes with all ring
-operations, so arithmetic "mod weight > W" is an honest quotient ring.
+Coefficients are :class:`fractions.Fraction` (ints are converted);
+anything else raises ``TypeError``.  Truncation drops any monomial whose
+weight exceeds the bound; because the grading is by non-negative weights
+this commutes with all ring operations, so arithmetic "mod weight > W"
+is an honest quotient ring.
 """
 
 from __future__ import annotations
@@ -18,129 +18,7 @@ class PolyError(ValueError):
     """Raised for incompatible tables/bounds or malformed inputs."""
 
 
-class MuLinear:
-    """A finite rational linear form sum_i c_i * mu_i."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        data: dict[int, Fraction] = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    if i < 0:
-                        raise PolyError("mu index must be non-negative")
-                    data[int(i)] = c
-        self.coeffs = data
-
-    @classmethod
-    def zero(cls) -> "MuLinear":
-        return cls()
-
-    @classmethod
-    def unit(cls, i: int, c: Fraction | int = 1) -> "MuLinear":
-        return cls({i: Fraction(c)})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MuLinear):
-            return self.coeffs == other.coeffs
-        if other == 0:
-            return not self.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "MuLinear | int") -> "MuLinear":
-        if isinstance(other, int) and other == 0:
-            return self
-        if not isinstance(other, MuLinear):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return MuLinear(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MuLinear":
-        return MuLinear({i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "MuLinear") -> "MuLinear":
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "MuLinear":
-        if isinstance(other, MuLinear):
-            raise TypeError("mu-linear forms do not multiply; use convolve()")
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return MuLinear({i: v * c for i, v in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def convolve(self, other: "MuLinear") -> "MuLinear":
-        """(sum a_i mu_i) * (sum b_j mu_j) -> sum a_i b_j mu_{i+j}."""
-        out: dict[int, Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return MuLinear(out)
-
-    def convolve_power(self, k: int) -> "MuLinear":
-        if k < 0:
-            raise PolyError("negative convolution power")
-        acc = MuLinear.unit(0)
-        for _ in range(k):
-            acc = acc.convolve(self)
-        return acc
-
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
-    def top_index(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
-
-    def evaluate(self, values: Iterable[Fraction]) -> Fraction:
-        vals = list(values)
-        acc = Fraction(0)
-        for i, c in self.coeffs.items():
-            if i >= len(vals):
-                raise PolyError(f"mu_{i} has no value in a length-{len(vals)} sequence")
-            acc += c * Fraction(vals[i])
-        return acc
-
-    def as_row(self, length: int) -> tuple[Fraction, ...]:
-        """Dense coefficient vector (c_0, ..., c_{length-1}); support must fit."""
-        top = self.top_index()
-        if top is not None and top >= length:
-            raise PolyError(f"support reaches mu_{top}, beyond length {length}")
-        return tuple(self.coeffs.get(i, Fraction(0)) for i in range(length))
-
-    def to_text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = [f"{c}*mu{i}" for i, c in sorted(self.coeffs.items())]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MuLinear({self.to_text()})"
-
-
-Coefficient = Fraction | MuLinear
-
-
-def _as_coeff(c: object) -> Coefficient:
-    if isinstance(c, MuLinear):
-        return c
+def _as_coeff(c: object) -> Fraction:
     if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
@@ -216,7 +94,7 @@ class GradedPoly:
                  terms: Mapping[tuple[int, ...], object] | None = None):
         if bound < 0:
             raise PolyError("weight bound must be non-negative")
-        store: dict[tuple[int, ...], Coefficient] = {}
+        store: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, c in terms.items():
                 exps = tuple(int(e) for e in exps)
@@ -302,8 +180,7 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             self._check_compat(other)
             table, bound = self.table, self.bound
-            weights = table.weights
-            out: dict[tuple[int, ...], Coefficient] = {}
+            out: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self.terms.items():
                 w1 = table.monomial_weight(e1)
                 for e2, c2 in other.terms.items():
@@ -317,7 +194,7 @@ class GradedPoly:
                     else:
                         out.pop(key, None)
             return GradedPoly(table, bound, out)
-        if isinstance(other, (int, Fraction, MuLinear)):
+        if isinstance(other, (int, Fraction)):
             c0 = _as_coeff(other)
             if not c0:
                 return GradedPoly.zero(self.table, self.bound)
@@ -344,7 +221,7 @@ class GradedPoly:
 
     # -- queries ---------------------------------------------------------
 
-    def coefficient_of(self, monomial: Mapping[str, int] | tuple[int, ...]) -> Coefficient:
+    def coefficient_of(self, monomial: Mapping[str, int] | tuple[int, ...]) -> Fraction:
         if isinstance(monomial, tuple):
             exps = monomial
         else:
@@ -364,14 +241,10 @@ class GradedPoly:
     def max_weight(self) -> int:
         return max((self.table.monomial_weight(e) for e in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coefficient]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in graded-lexicographic order (weight, then exponent tuple)."""
         return sorted(self.terms.items(),
                       key=lambda kv: (self.table.monomial_weight(kv[0]), kv[0]))
-
-    def map_coefficients(self, fn) -> "GradedPoly":
-        return GradedPoly(self.table, self.bound,
-                          {e: fn(c) for e, c in self.terms.items()})
 
     # -- substitution ------------------------------------------------------
 
@@ -440,7 +313,7 @@ class GradedPoly:
             if supertable.weights[idx] != w:
                 raise PolyError(f"weight of {name!r} differs in supertable")
             mapping.append(idx)
-        out: dict[tuple[int, ...], Coefficient] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         width = len(supertable)
         for exps, c in self.terms.items():
             vec = [0] * width
@@ -459,10 +332,7 @@ class GradedPoly:
         for exps, c in self.sorted_terms():
             factors = [f"{n}^{e}" if e > 1 else n
                        for n, e in zip(self.table.names, exps) if e]
-            if isinstance(c, MuLinear):
-                coeff = f"({c.to_text()})"
-            else:
-                coeff = str(c)
+            coeff = str(c)
             if factors:
                 if coeff == "1":
                     parts.append("*".join(factors))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bpadams.arith import (INFINITY, Prime, delta_p, find_q, format_rational, gamma_p,
                            gaussian, gaussian_poly, is_p_local_int, is_p_local_unit,
-                           is_prime, multiplicative_order, nu_p, parse_rational, val_p)
+                           is_prime, multiplicative_order, nu_p, parse_rational, val_p,
+                           validate_q)
 
 
 def test_prime_validation():
@@ -123,6 +124,19 @@ def test_find_q_examples():
     assert multiplicative_order(3, 49) == 42
     assert multiplicative_order(2, 49) == 21  # 2 is not primitive mod 49
     assert find_q(2) == (3, -1)
+
+
+def test_validate_q():
+    assert validate_q(3, None) is None and validate_q(2, None) is None
+    assert validate_q(3, 2) == 2 and validate_q(5, 2) == 2
+    with pytest.raises(ValueError, match="p = 2"):
+        validate_q(2, 7)  # the 2-local generators are fixed as (3, -1)
+    with pytest.raises(ValueError, match="divisible by p = 3"):
+        validate_q(3, 9)
+    with pytest.raises(ValueError, match="order is 4, need 20"):
+        validate_q(5, 7)
+    with pytest.raises(ValueError, match="not a prime"):
+        validate_q(4, 3)
 
 
 def test_find_q_order_invariant():

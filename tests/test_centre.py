@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from bpadams.adamsk import adams_family, family_action
-from bpadams.centre import (adams_multiplicativity_check, bp_sample_lattice,
-                            bp_sample_scan, interleaved_g_report, lattice_realizability,
-                            sampled_integrality_rows, summand_rows, verify_centre_bp,
-                            _lattice_of_rows)
+from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
+                            lattice_realizability, sampled_integrality_rows, summand_rows,
+                            verify_centre_bp, _lattice_of_rows)
 from bpadams.fgl import BPContext
 from bpadams.lattice import lattice_leq
 
@@ -84,18 +83,6 @@ def test_basis_injections():
     q = fam.q
     assert seq[0] == seq[1] == 0
     assert seq[2] == (q**2 - 1) * (q**2 - q)
-
-
-def test_adams_multiplicativity():
-    for p in (2, 3):
-        report = adams_multiplicativity_check(p, weight_bound=10, trials=15)
-        assert report["verdict"]
-    # alpha = q, beta = q^-1 composes to the identity sequence
-    ctx = BPContext(3, 1)
-    from bpadams.fgl import adams_on_coeff
-    q = Fraction(ctx.q)
-    for w in range(8):
-        assert adams_on_coeff(ctx, q, w) * adams_on_coeff(ctx, 1 / q, w) == 1
 
 
 def test_bp_sample_scan():

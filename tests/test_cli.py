@@ -137,6 +137,39 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "exact" in err
 
 
+def test_explicit_q_is_checked_once_for_every_prime(capsys):
+    # at p = 2 the generators are fixed, so an explicit q is an input error
+    code, out, err = run(capsys, "verify-centre", "--p", "2", "--q", "7",
+                         "--format", "json")
+    assert code == 2 and out == "" and "p = 2" in err
+    code, _, err = run(capsys, "basis-expand", "--family", "zeta_ku2", "--p", "2",
+                       "--q", "5", "--in", "unused.json")
+    assert code == 2 and "p = 2" in err
+    # a multiple of p is named as such, not given a multiplicative order
+    code, _, err = run(capsys, "verify-centre", "--p", "3", "--q", "9")
+    assert code == 2 and "divisible by p = 3" in err and "order" not in err
+    code, _, err = run(capsys, "bp-dn", "--p", "5", "--n", "1", "--q", "7")
+    assert code == 2 and "not primitive" in err and "order is 4" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["congruences", "--p", "3", "--n", "-1"], "--n"),
+    (["bp-dn", "--p", "3", "--n", "-2"], "--n"),
+    (["verify-centre", "--p", "3", "--n", "x"], "--n"),
+    (["bp-etaR", "--p", "3", "--weight", "-1", "--monomial", "v1"], "--weight"),
+    (["verify-centre", "--p", "3", "--weight", "-3"], "--weight"),
+    (["scan-stabilization", "--p", "3", "--n", "1", "--max-weight", "-1"],
+     "--max-weight"),
+])
+def test_negative_counts_exit_2_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}" in err and "non-negative integer" in err
+    assert "factorial" not in err
+
+
 def test_parse_monomial():
     assert parse_monomial("v1^2*v2", "v") == {"v1": 2, "v2": 1}
     assert parse_monomial("1", "v") == {}

@@ -120,6 +120,17 @@ def test_dimension_mismatch_rejected():
         CongruenceSystem(3, 2, ((Fraction(1), Fraction(1)),))
 
 
+def test_pivot_valuations_reject_a_zero_pivot():
+    sys = CongruenceSystem(3, 1, ((Fraction(1, 9), 0), (1, Fraction(1, 3))))
+    assert sys.pivot_valuations() == (2, 1)
+    zero = CongruenceSystem(3, 1, ((0, 0), (1, Fraction(1, 3))))
+    with pytest.raises(LatticeError, match="row 0"):
+        zero.pivot_valuations()
+    tall = CongruenceSystem(3, 0, ((1,), (Fraction(1, 3),)))
+    with pytest.raises(LatticeError, match="row 1"):
+        tall.pivot_valuations()
+
+
 def _conforming_row(rng, p, r):
     budget = delta_p(p, r)
     entries = []
