@@ -27,8 +27,8 @@ from .hopf import (ConstructionError, DiagonalAction, MuLinear, SpecialElement,
 from .adamsk import (AdamsFamily, CongruenceVector, C_vector, adams_family,
                      binomial_mu_congruence, check_g_congruences, expand_in_family,
                      family_action, ku_congruence_system, Phi_in_phi)
-from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, lattice_eq,
-                      lattice_leq, sandwich_check, solve, triangularize)
+from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, extend_lattice,
+                      lattice_eq, lattice_leq, sandwich_check, solve, triangularize)
 from .centre import (CentreVerificationError, bp_sample_scan, verify_basis_injections,
                      verify_centre_bp)
 

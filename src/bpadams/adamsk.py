@@ -249,6 +249,7 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
 def check_g_congruences(p: int, q: int, mu: Sequence[Fraction | int],
                         n: int) -> tuple[bool, ...]:
     """Per-index verdicts: does C_r . mu land in Z_(p) for r = 0..n?"""
+    validate_q(p, q)
     if len(mu) < n + 1:
         raise ValueError("sequence too short")
     return tuple(is_p_local_int(p, C_vector(p, q, r).dot(mu)) for r in range(n + 1))

@@ -19,17 +19,18 @@ instances of the centre theorem.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from .arith import delta_p, ensure_prime, find_q, format_rational, val_p
+from .arith import delta_p, ensure_prime, find_q, format_rational, val_p, validate_q
 from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congruence,
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
 from .hopf import MuLinear, special_element, diagonal_transform
-from .lattice import (CongruenceSystem, SolutionLattice, lattice_eq, sandwich_check,
-                      solve)
+from .lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
+                      sandwich_check, solve)
 from .polyring import GradedPoly, monomials_up_to_weight
 
 
@@ -69,7 +70,7 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
     Odd p: the Gaussian rows.  p = 2: the triangularized connective
     2-local K-theory rows (pivot budgets delta_2(r) = gamma_2(r)).
     """
-    ensure_prime(p)
+    q = validate_q(p, q)
     if p != 2:
         if q is None:
             q = find_q(p)
@@ -83,6 +84,30 @@ def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLa
     return solve(CongruenceSystem(p, n, tuple(r.padded(n + 1) for r in rows)))
 
 
+def _first_sample_failure(p: int, lat: SolutionLattice, forms: list[MuLinear],
+                          ) -> tuple[int, int] | None:
+    """(k, j) for the first form k, then column j, whose value on column j
+    of ``lat`` is not p-locally integral; None when every form holds.
+
+    The columns are integral, so a form holds on a column iff den * form,
+    den the common denominator of its coefficients, vanishes on it modulo
+    p^a, where p^-a is the lowest valuation of a coefficient.
+    """
+    columns = [[int(x) for x in col] for col in lat.columns()]
+    for k, form in enumerate(forms):
+        a = -min(val_p(p, c) for c in form.coeffs.values()) if form else 0
+        if a <= 0:
+            continue
+        modulus = p ** a
+        den = math.lcm(*(c.denominator for c in form.coeffs.values()))
+        scaled = [(i, c.numerator * (den // c.denominator) % modulus)
+                  for i, c in form.coeffs.items()]
+        for j, col in enumerate(columns):
+            if sum(r * col[i] for i, r in scaled) % modulus:
+                return k, j
+    return None
+
+
 def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
                      q: int | None = None, strict: bool = False) -> dict:
     """Run the centre verification for all n <= n_max.
@@ -93,6 +118,19 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     aborts the scan, recording the offending index, monomial and exact
     witness sequence; with ``strict=True`` it also raises
     :class:`CentreVerificationError`.
+
+    The Adams lattice at n is the one at n - 1 extended by the row c_n
+    (:func:`bpadams.lattice.extend_lattice`); the sandwich extends the
+    same lattice at n - 1 by c_n (its S) and by the special row (its T).
+    At index n only the sampled rows with top index n are tested; this is
+    exact for two reasons:
+
+    * c_0..c_{n-1} are supported on indices 0..n-1, so the Adams lattice
+      at n projects into the one at n - 1, and a row with top index
+      m < n that holds on the lattice at m holds on the lattice at n;
+    * the canonical columns are integral (p^e on the diagonal, residues
+      in [0, p^e_i) below it), so each row is tested as an integer sum
+      modulo a power of p.  A witness value is recomputed exactly.
     """
     ensure_prime(p)
     if n_max < 0:
@@ -103,6 +141,11 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, ctx.q if p != 2 else None)
     sample = sampled_integrality_rows(ctx)
+    # a zero form has no top index and holds everywhere: count it from n = 0
+    tops = [form.top_index() or 0 for _, _, form in sample]
+    by_top: dict[int, list[int]] = {}
+    for pos, top in enumerate(tops):
+        by_top.setdefault(top, []).append(pos)
 
     report: dict = {
         "p": p,
@@ -116,45 +159,47 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
         "verdict": True,
     }
 
+    # Each lattice extends the one before; the first comes from solve, so a
+    # run still reaches lattice.solve (bench/selftest.py expects a verify run
+    # to).  At n = 0 both give the same 1 x 1 basis.
+    base = SolutionLattice(p, ())
+    lat_g = _lattice_of_rows(p, 0, rows_g[:1])
+    usable = 0
     for n in range(n_max + 1):
+        if n:
+            base, lat_g = lat_g, extend_lattice(lat_g, rows_g[n].entries)
         entry: dict = {"n": n}
-        lat_g = _lattice_of_rows(p, n, rows_g[: n + 1])
         entry["pivots"] = list(lat_g.pivots())
 
         d = special_element(ctx, n)
         c_bp = CongruenceVector(p, n, d.c, delta_p(p, n))
         entry["c_bp"] = [format_rational(x) for x in d.c]
 
-        sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp)
+        sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp, base)
         entry["sandwich"] = sandwich.status
         entry["lattice_equal"] = sandwich.equal
 
-        included = True
+        positions = by_top.get(n, [])
+        usable += len(positions)
+        failed = _first_sample_failure(p, lat_g, [sample[pos][2] for pos in positions])
         witness = None
-        usable = 0
-        for gamma, delta, form in sample:
-            top = form.top_index()
-            if top is not None and top > n:
-                continue
-            usable += 1
-            row = form.as_row(n + 1)
-            for col in lat_g.columns():
-                value = sum((c * m for c, m in zip(row, col)), Fraction(0))
-                if val_p(p, value) < 0:
-                    included = False
-                    witness = {
-                        "gamma": list(gamma),
-                        "delta": list(delta),
-                        "mu": [format_rational(x) for x in col],
-                        "value": format_rational(value),
-                    }
-                    break
-            if not included:
-                break
+        if failed is not None:
+            pos, j = positions[failed[0]], failed[1]
+            gamma, delta, form = sample[pos]
+            col = lat_g.column(j)
+            value = sum((c * m for c, m in zip(form.as_row(n + 1), col)), Fraction(0))
+            witness = {
+                "gamma": list(gamma),
+                "delta": list(delta),
+                "mu": [format_rational(x) for x in col],
+                "value": format_rational(value),
+            }
+            # the scan stops at the witness: count the rows up to it
+            usable = sum(1 for top in tops[: pos + 1] if top <= n)
         entry["sample_rows_used"] = usable
-        entry["sample_included"] = included
+        entry["sample_included"] = witness is None
 
-        entry["verdict"] = bool(sandwich.equal and included)
+        entry["verdict"] = bool(sandwich.equal and witness is None)
         report["rows"].append(entry)
         if not entry["verdict"]:
             report["verdict"] = False

@@ -25,7 +25,7 @@ from .adamsk import (FAMILY_KINDS, C_vector, adams_family, check_g_congruences,
                      expand_in_family, ku_congruence_system)
 from .centre import (bp_sample_scan, interleaved_g_report, verify_centre_bp)
 from .fgl import BPContext
-from .hopf import right_unit_v_monomial, special_element
+from .hopf import ConstructionError, right_unit_v_monomial, special_element
 from .lattice import CongruenceSystem, solve
 
 
@@ -268,8 +268,11 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
 
 def _cmd_bp_dn(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    weight = args.weight if args.weight is not None else delta_p(p, args.n)
-    ctx = BPContext(p, max(weight, delta_p(p, args.n)), args.q)
+    needed = delta_p(p, args.n)
+    if args.weight is not None and args.weight < needed:
+        print(f"warning: requested weight bound {args.weight} raised to {needed} "
+              f"(the weight of d_{args.n})", file=sys.stderr)
+    ctx = BPContext(p, needed if args.weight is None else max(args.weight, needed), args.q)
     d = special_element(ctx, args.n)
     payload = {
         "command": "bp-dn",
@@ -461,6 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConstructionError as exc:
+        print(json.dumps({"error": str(exc), "details": exc.details}, sort_keys=True,
+                         default=str), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

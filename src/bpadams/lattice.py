@@ -46,6 +46,12 @@ def _residue_mod_power(p: int, x: Fraction, e: int) -> Fraction:
     return p_fractional_part(p, x * scale) / scale
 
 
+def _residue(x: Fraction, modulus: int) -> Fraction:
+    """The integer in [0, modulus) congruent to a p-integral x, where
+    modulus is a power of p (0 when modulus is 1)."""
+    return Fraction(x.numerator * pow(x.denominator, -1, modulus) % modulus)
+
+
 @dataclass(frozen=True)
 class CongruenceSystem:
     """Rows c_r of length n + 1, each read as "c_r . mu in Z_(p)"."""
@@ -221,16 +227,46 @@ def solve(sys: CongruenceSystem) -> SolutionLattice:
         col = cols[j]
         for i in range(j + 1, size):
             e_i = int(val_p(p, cols[i][i]))
-            modulus = p ** e_i
             val = col[i]
-            rep = Fraction(val.numerator * pow(val.denominator, -1, modulus) % modulus) \
-                if modulus > 1 else Fraction(0)
-            z = (val - rep) / cols[i][i]
+            z = (val - _residue(val, p ** e_i)) / cols[i][i]
             if z:
                 for k in range(i, size):
                     col[k] -= z * cols[i][k]
     basis = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
     return SolutionLattice(p, basis)
+
+
+def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> SolutionLattice:
+    """Canonical solution lattice of ``lat``'s system plus one row.
+
+    The row has length ``lat.size + 1``; its last entry c_n is the pivot
+    and c' are the others.  With e = max(0, -val_p(c_n)), each column b_j
+    of ``lat`` gains the entry -(c' . b_j)/c_n reduced into [0, p^e), and
+    the column p^e * e_n is appended.  The result is the basis
+    :func:`solve` returns for the whole system (the canonical basis is
+    unique), at one exact dot product per old column.  Raises
+    :class:`LatticeError` when c_n is zero or some -(c' . b_j)/c_n is not
+    p-locally integral; rows meeting the shape hypotheses of
+    :func:`sandwich_check` never do.
+    """
+    p, size = lat.p, lat.size
+    if len(row) != size + 1:
+        raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
+    row = [Fraction(x) for x in row]
+    pivot = row[size]
+    if not pivot:
+        raise LatticeError(f"row has a zero pivot at index {size}")
+    modulus = p ** max(0, -val_p(p, pivot))
+    last = []
+    for j in range(size):
+        t = -sum((row[i] * lat.basis[i][j] for i in range(j, size)), Fraction(0)) / pivot
+        if val_p(p, t) < 0:
+            raise LatticeError(f"column {j} extends by {format_rational(t)}, "
+                               f"which is not {p}-locally integral")
+        last.append(_residue(t, modulus))
+    last.append(Fraction(modulus))
+    zero = (Fraction(0),)
+    return SolutionLattice(p, tuple(r + zero for r in lat.basis) + (tuple(last),))
 
 
 def lattice_leq(first: SolutionLattice, second: SolutionLattice) -> bool:
@@ -257,14 +293,19 @@ class SandwichResult:
         return {"status": self.status, "equal": self.equal, "detail": self.detail}
 
 
-def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat) -> SandwichResult:
-    """Compare solve(base + cn) against solve(base + cn_hat).
+def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
+                   base: SolutionLattice | None = None) -> SandwichResult:
+    """Compare the lattice of base + cn (S) with that of base + cn_hat (T).
 
     All rows must satisfy the triangular shape hypotheses (entries in
     p^-budget Z_(p), unit pivot); under those hypotheses the two systems
     force lattices of equal index, so inclusion implies equality.  The
     rows are :class:`bpadams.adamsk.CongruenceVector` values; base_rows
-    holds the shared rows c_0..c_{n-1}.
+    holds the shared rows c_0..c_{n-1}.  ``base`` is their solution
+    lattice when the caller already holds it; otherwise it is built row
+    by row.  The shape hypotheses imply the precondition of
+    :func:`extend_lattice`, so S and T are each one extension of it, and
+    equal bases mean equal lattices.
     """
     ensure_prime(p)
     for r, vec in enumerate(list(base_rows) + [cn, cn_hat]):
@@ -279,11 +320,15 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat) -> SandwichResult:
     if cn_hat.n != n or any(vec.n != i for i, vec in enumerate(base_rows)):
         return SandwichResult("hypothesis_violation", False,
                               "rows are not indexed 0..n")
-    size = n + 1
-    base = [vec.padded(size) for vec in base_rows]
-    s_sys = CongruenceSystem(p, n, tuple(base + [cn.padded(size)]))
-    t_sys = CongruenceSystem(p, n, tuple(base + [cn_hat.padded(size)]))
-    s_lat, t_lat = solve(s_sys), solve(t_sys)
+    if base is None:
+        base = SolutionLattice(p, ())
+        for vec in base_rows:
+            base = extend_lattice(base, vec.entries)
+    elif base.p != p or base.size != n:
+        raise LatticeError(f"base lattice is not in Z_({p})^{n}")
+    s_lat, t_lat = extend_lattice(base, cn.entries), extend_lattice(base, cn_hat.entries)
+    if s_lat == t_lat:
+        return SandwichResult("equal", True)
     if not lattice_leq(s_lat, t_lat):
         return SandwichResult("inclusion_failed", False,
                               "S is not contained in T")

@@ -240,3 +240,10 @@ def test_congruence_vector_shape_guard():
     assert not weak.shape_ok()
     assert good.dot([1, 4]) == 1
     assert good.padded(4) == (Fraction(-1, 3), Fraction(1, 3), 0, 0)
+
+
+def test_check_g_congruences_checks_q():
+    with pytest.raises(ValueError, match="divisible by p = 3"):
+        check_g_congruences(3, 9, [0, 1, 0], 2)
+    with pytest.raises(ValueError, match="not primitive"):
+        check_g_congruences(5, 7, [0, 1, 0], 2)

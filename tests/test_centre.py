@@ -135,3 +135,81 @@ def test_failure_aborts_with_witness(monkeypatch):
         assert "mu" in report["failure"]["witness"]
     with pytest.raises(centre.CentreVerificationError):
         centre.verify_centre_bp(3, 2, strict=True)
+
+
+def test_summand_rows_and_scan_check_q():
+    # q = 9 is divisible by 3; before, both returned results computed from it
+    with pytest.raises(ValueError, match="divisible by p = 3"):
+        summand_rows(3, 2, q=9)
+    with pytest.raises(ValueError, match="divisible by p = 3"):
+        bp_sample_scan(3, 1, 0, q=9)
+    with pytest.raises(ValueError, match="p = 2"):
+        summand_rows(2, 2, q=3)
+    assert summand_rows(3, 2, q=2) == summand_rows(3, 2)
+
+
+def _brute_force_inclusion(p, n_max, sample):
+    """The inclusion scan as a direct loop: every n, every usable row, every
+    column of the solved Adams lattice, in exact Fractions."""
+    from bpadams.arith import format_rational, val_p
+
+    rows_g = summand_rows(p, n_max)
+    used = []
+    for n in range(n_max + 1):
+        lat = _lattice_of_rows(p, n, rows_g[: n + 1])
+        usable = 0
+        for gamma, delta, form in sample:
+            top = form.top_index()
+            if top is not None and top > n:
+                continue
+            usable += 1
+            row = form.as_row(n + 1)
+            for col in lat.columns():
+                value = sum((c * m for c, m in zip(row, col)), Fraction(0))
+                if val_p(p, value) < 0:
+                    used.append(usable)
+                    return used, {"n": n, "gamma": list(gamma), "delta": list(delta),
+                                  "mu": [format_rational(x) for x in col],
+                                  "value": format_rational(value)}
+        used.append(usable)
+    return used, None
+
+
+def test_inclusion_witness_matches_brute_force(monkeypatch):
+    import bpadams.centre as centre
+    from bpadams.hopf import MuLinear
+
+    real = centre.sampled_integrality_rows
+    seen = []
+
+    def with_bad_row(ctx):
+        rows = real(ctx)
+        # after the passing row with top index 1, and before a passing
+        # row with top index 2 that the failed scan must not count
+        k = next(k for k, (_, _, f) in enumerate(rows) if f.top_index() == 1)
+        assert any(f.top_index() == 2 for _, _, f in rows[k + 1:])
+        # holds on the first two Adams columns at n = 2, (1, 1, 1) and
+        # (0, 3, 6), and misses the third, (0, 0, 9), by one power of 3
+        bad = MuLinear({0: Fraction(1, 27), 1: Fraction(-2, 27), 2: Fraction(1, 27)})
+        rows.insert(k + 1, ((9, 9), (9,), bad))
+        seen.append(rows)
+        return rows
+
+    monkeypatch.setattr(centre, "sampled_integrality_rows", with_bad_row)
+    report = centre.verify_centre_bp(3, 4)
+    used, witness = _brute_force_inclusion(3, 4, seen[0])
+    assert witness is not None and witness["n"] == 2
+    failure = report["failure"]
+    assert {"n": failure["n"], **failure["witness"]} == witness
+    assert witness["mu"] == ["0", "0", "9"] and witness["value"] == "1/3"
+    assert [row["sample_rows_used"] for row in report["rows"]] == used
+    assert [row["sample_included"] for row in report["rows"]] == [True, True, False]
+
+
+def test_inclusion_counts_match_brute_force_on_passing_scans():
+    for p, n in ((3, 4), (2, 4), (5, 6)):
+        report = verify_centre_bp(p, n)
+        ctx = BPContext(p, report["weight_bound"])
+        used, witness = _brute_force_inclusion(p, n, sampled_integrality_rows(ctx))
+        assert witness is None and report["verdict"]
+        assert [row["sample_rows_used"] for row in report["rows"]] == used

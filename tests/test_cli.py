@@ -197,3 +197,33 @@ def test_csv_output_deterministic(capsys):
     _, out2, _ = run(capsys, "congruences", "--p", "3", "--n", "2", "--format", "csv")
     assert out1 == out2
     assert out1.splitlines()[0] == "r,mu0,mu1,mu2"
+
+
+def test_construction_error_exits_1_with_json_details(capsys, monkeypatch):
+    import bpadams.cli as cli
+    from bpadams.hopf import ConstructionError
+
+    def failing(ctx, n):
+        raise ConstructionError("correction coefficient is not integral",
+                                {"n": n, "m": 1, "coefficient": "1/3"})
+
+    monkeypatch.setattr(cli, "special_element", failing)
+    code, out, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "correction coefficient is not integral",
+        "details": {"n": 2, "m": 1, "coefficient": "1/3"}}
+
+
+def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):
+    _, plain, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
+    assert err == ""
+    code, out, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--weight", "1",
+                         "--format", "json")
+    assert code == 0 and out == plain
+    assert "requested weight bound 1 raised to 2" in err
+    _, out, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--weight", "3",
+                      "--format", "json")
+    assert err == "" and json.loads(out)["weight_bound"] == 3

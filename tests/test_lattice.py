@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpadams.arith import delta_p, val_p
 from bpadams.adamsk import CongruenceVector
 from bpadams.lattice import (CongruenceSystem, LatticeError, SolutionLattice,
-                             lattice_eq, lattice_leq, p_fractional_part,
+                             extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
                              sandwich_check, solve, triangularize)
 
 
@@ -178,3 +180,87 @@ def test_solution_lattice_serialization():
     js = lat.to_jsonable()
     assert js["pivots"] == [0, 1]
     assert js["basis_columns"] == [["1", "1"], ["0", "3"]]
+
+
+def _extended(p, rows):
+    lat = SolutionLattice(p, ())
+    for row in rows:
+        lat = extend_lattice(lat, row)
+    return lat
+
+
+def test_extend_lattice_equals_solve_at_every_index():
+    rng = random.Random(61)
+    for p in (2, 3, 5):
+        rows = [_conforming_row(rng, p, r).entries for r in range(8)]
+        lat = SolutionLattice(p, ())
+        for n, row in enumerate(rows):
+            lat = extend_lattice(lat, row)
+            padded = tuple(r + (0,) * (n + 1 - len(r)) for r in rows[: n + 1])
+            assert lat == solve(CongruenceSystem(p, n, padded)), (p, n)
+
+
+def test_extend_lattice_rejects_rows_off_the_shape():
+    unit = extend_lattice(SolutionLattice(3, ()), (1,))
+    assert unit.columns() == [(1,)]
+    with pytest.raises(LatticeError, match="zero pivot"):
+        extend_lattice(unit, (1, 0))
+    # -(1/3 * 1) / 1 is not 3-integral: the projection onto index 0 would shrink
+    with pytest.raises(LatticeError, match="column 0"):
+        extend_lattice(unit, (Fraction(1, 3), 1))
+    with pytest.raises(LatticeError, match="row length"):
+        extend_lattice(unit, (1,))
+
+
+def test_sandwich_with_a_held_base_lattice():
+    rng = random.Random(67)
+    p, n = 3, 4
+    base_rows = [_conforming_row(rng, p, r) for r in range(n)]
+    cn = _conforming_row(rng, p, n)
+    base = _extended(p, [vec.entries for vec in base_rows])
+    assert sandwich_check(p, base_rows, cn, cn, base) == sandwich_check(p, base_rows, cn, cn)
+    with pytest.raises(LatticeError, match="base lattice"):
+        sandwich_check(p, base_rows, cn, cn, SolutionLattice(p, ()))
+
+
+@st.composite
+def _small_systems(draw):
+    """(p, n, D, rows, triangular rows): entries in p^-D Z_(p), so every
+    pivot is at most D; the triangular rows meet the sandwich shape."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(0, 3))
+    D = draw(st.integers(0, 2 if p == 2 else 1))
+    numerators = st.integers(-2 * p, 2 * p)
+    rows = draw(st.lists(st.lists(numerators, min_size=n + 1, max_size=n + 1),
+                         max_size=3))
+    rows = [tuple(Fraction(x, p ** D) for x in row) for row in rows]
+    triangular = []
+    for r in range(n + 1):
+        budget = draw(st.integers(0, D))
+        entries = [Fraction(draw(numerators), p ** budget) for _ in range(r)]
+        unit = draw(st.integers(1, 2 * p).filter(lambda u: u % p))
+        triangular.append(tuple(entries) + (Fraction(unit, p ** budget),))
+    return p, n, D, rows, triangular
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_systems())
+def test_lattices_against_enumeration(system):
+    """Oracle independent of the Hermite reduction: a solution lattice
+    contains p^E Z_(p)^(n+1), so membership is decided on (Z/p^E)^(n+1)
+    and the count of solutions there is p^((n+1)E - sum of pivots)."""
+    p, n, D, rows, triangular = system
+    padded = tuple(r + (0,) * (n + 1 - len(r)) for r in triangular)
+    for lat, held in ((solve(CongruenceSystem(p, n, tuple(rows))), rows),
+                      (_extended(p, triangular), padded)):
+        assert lat.size == n + 1
+        E = max(lat.pivots())
+        assert E <= D
+        count = 0
+        for mu in itertools.product(range(p ** E), repeat=n + 1):
+            direct = all(val_p(p, sum(c * m for c, m in zip(row, mu))) >= 0
+                         for row in held)
+            assert lat.contains(mu) == direct, (p, mu)
+            count += direct
+        assert count == p ** ((n + 1) * E - sum(lat.pivots()))
+    assert _extended(p, triangular) == solve(CongruenceSystem(p, n, padded))
