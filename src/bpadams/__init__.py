@@ -17,9 +17,8 @@ The package computes, with exact rational arithmetic throughout:
 from .arith import (INFINITY, Prime, Rational, delta_p, find_q, gamma_p, gaussian,
                     gaussian_poly, is_p_local_int, is_p_local_unit, nu_p, val_p)
 from .polyring import GeneratorTable, GradedPoly, PolyError
-from .fgl import (ArakiConstants, BPContext, TruncatedSeries, adams_on_coeff,
-                  adams_log_transform_check, bp_log, formal_sum, generic_log,
-                  log_exp_series)
+from .fgl import (BPContext, TruncatedSeries, adams_on_coeff, adams_log_transform_check,
+                  bp_log, formal_sum, generic_log, log_exp_series)
 from .hopf import (ConstructionError, DiagonalAction, MuLinear, SpecialElement,
                    diagonal_transform, right_unit_log, right_unit_v_monomial,
                    special_element, t_recursion_check, to_right_unit_basis,

@@ -95,7 +95,7 @@ def _first_sample_failure(p: int, lat: SolutionLattice, forms: list[MuLinear],
     """
     columns = [[int(x) for x in col] for col in lat.columns()]
     for k, form in enumerate(forms):
-        a = -min(val_p(p, c) for c in form.coeffs.values()) if form else 0
+        a = -min(val_p(p, c) for c in form.coeffs.values())
         if a <= 0:
             continue
         modulus = p ** a
@@ -141,8 +141,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, ctx.q if p != 2 else None)
     sample = sampled_integrality_rows(ctx)
-    # a zero form has no top index and holds everywhere: count it from n = 0
-    tops = [form.top_index() or 0 for _, _, form in sample]
+    tops = [form.top_index() for _, _, form in sample]
     by_top: dict[int, list[int]] = {}
     for pos, top in enumerate(tops):
         by_top.setdefault(top, []).append(pos)
@@ -187,12 +186,11 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
             pos, j = positions[failed[0]], failed[1]
             gamma, delta, form = sample[pos]
             col = lat_g.column(j)
-            value = sum((c * m for c, m in zip(form.as_row(n + 1), col)), Fraction(0))
             witness = {
                 "gamma": list(gamma),
                 "delta": list(delta),
                 "mu": [format_rational(x) for x in col],
-                "value": format_rational(value),
+                "value": format_rational(form.evaluate(col)),
             }
             # the scan stops at the witness: count the rows up to it
             usable = sum(1 for top in tops[: pos + 1] if top <= n)
@@ -219,8 +217,7 @@ def bp_sample_lattice(ctx: BPContext, n: int) -> SolutionLattice:
     """Lattice cut out by all sampled rows with support inside 0..n."""
     rows = []
     for _, _, form in sampled_integrality_rows(ctx):
-        top = form.top_index()
-        if top is None or top <= n:
+        if form.top_index() <= n:
             rows.append(form.as_row(n + 1))
     return solve(CongruenceSystem(ctx.p, n, tuple(rows)))
 

@@ -20,10 +20,10 @@ import time
 from fractions import Fraction
 
 from .arith import (delta_p, ensure_prime, find_q, format_rational,
-                    is_p_local_int, parse_rational, val_p, validate_q)
-from .adamsk import (FAMILY_KINDS, C_vector, adams_family, check_g_congruences,
-                     expand_in_family, ku_congruence_system)
-from .centre import (bp_sample_scan, interleaved_g_report, verify_centre_bp)
+                    is_p_local_int, parse_rational, validate_q)
+from .adamsk import FAMILY_KINDS, adams_family, expand_in_family
+from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
+                     verify_centre_bp)
 from .fgl import BPContext
 from .hopf import ConstructionError, right_unit_v_monomial, special_element
 from .lattice import CongruenceSystem, solve
@@ -152,13 +152,9 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
     q = args.q
     if p != 2 and q is None:
         q = find_q(p)
-    if p == 2:
-        system = ku_congruence_system(2, args.n)
-        rows = [list(system.rows[r]) for r in range(args.n + 1)]
-        q_shown: object = [3, -1]
-    else:
-        rows = [list(C_vector(p, q, r).padded(args.n + 1)) for r in range(args.n + 1)]
-        q_shown = q
+    vecs = summand_rows(p, args.n, q)
+    rows = [vec.padded(args.n + 1) for vec in vecs]
+    q_shown = [3, -1] if p == 2 else q
     payload = {
         "command": "congruences",
         "p": p,
@@ -178,13 +174,7 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
         mu = read_sequence(args.check)
         if len(mu) < args.n + 1:
             raise InputError(f"{args.check}: need at least {args.n + 1} entries")
-        if p == 2:
-            verdicts = []
-            for r in range(args.n + 1):
-                value = sum((c * m for c, m in zip(system.rows[r], mu)), Fraction(0))
-                verdicts.append(val_p(2, value) >= 0)
-        else:
-            verdicts = list(check_g_congruences(p, q, mu, args.n))
+        verdicts = [is_p_local_int(p, vec.dot(mu)) for vec in vecs]
         payload["check"] = {"sequence": [format_rational(x) for x in mu],
                            "verdicts": verdicts}
         csv_rows.append(["verdicts"] + verdicts)

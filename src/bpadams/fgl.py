@@ -18,33 +18,6 @@ from .arith import delta_p, ensure_prime, find_q, validate_q
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
-class ArakiConstants:
-    """The scalars pi_n = p - p^(p^n), their unit parts, and products."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = ensure_prime(p)
-
-    def pi(self, n: int) -> Fraction:
-        if n < 1:
-            raise ValueError("pi_n needs n >= 1")
-        return Fraction(self.p - self.p ** (self.p ** n))
-
-    def pibar(self, n: int) -> Fraction:
-        """pi_n / p = 1 - p^(p^n - 1), a p-local unit."""
-        if n < 1:
-            raise ValueError("pibar_n needs n >= 1")
-        return Fraction(1 - self.p ** (self.p ** n - 1))
-
-    def alphabar(self, n: int) -> Fraction:
-        """Product pibar_1 * ... * pibar_n (empty product 1)."""
-        acc = Fraction(1)
-        for i in range(1, n + 1):
-            acc *= self.pibar(i)
-        return acc
-
-
 class BPContext:
     """Computation context for one prime and weight bound.
 
@@ -57,7 +30,7 @@ class BPContext:
     locked, so give each thread its own context.
     """
 
-    __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count", "constants",
+    __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",
                  "v_table", "l_table", "t_table", "e_table",
                  "lt_table", "vt_table", "le_table",
                  "_l_in_v", "_v_in_l", "_hopf_cache")
@@ -73,7 +46,6 @@ class BPContext:
             q = found[0] if isinstance(found, tuple) else found
         self.q = q
         self.qhat = q ** (p - 1)
-        self.constants = ArakiConstants(p)
 
         weights = []
         i = 1
@@ -115,7 +87,7 @@ class BPContext:
             for i in range(1, n):
                 acc = acc + out[i - 1] * GradedPoly.gen(
                     self.v_table, W, f"v{n - i}", self.p ** i)
-            out.append(acc * (Fraction(1) / self.constants.pi(n)))
+            out.append(acc * (Fraction(1) / self.pi(n)))
         return out
 
     def _build_v_in_l(self) -> list[GradedPoly]:
@@ -123,7 +95,7 @@ class BPContext:
         W = self.weight_bound
         out: list[GradedPoly] = []
         for n in range(1, self.gen_count + 1):
-            acc = GradedPoly.gen(self.l_table, W, f"l{n}") * self.constants.pi(n)
+            acc = GradedPoly.gen(self.l_table, W, f"l{n}") * self.pi(n)
             for i in range(1, n):
                 li = GradedPoly.gen(self.l_table, W, f"l{i}")
                 acc = acc - li * (out[n - i - 1] ** (self.p ** i))
@@ -144,13 +116,23 @@ class BPContext:
         return self._v_in_l[n - 1]
 
     def pi(self, n: int) -> Fraction:
-        return self.constants.pi(n)
+        """The Araki scalar pi_n = p - p^(p^n)."""
+        if n < 1:
+            raise ValueError("pi_n needs n >= 1")
+        return Fraction(self.p - self.p ** (self.p ** n))
 
     def pibar(self, n: int) -> Fraction:
-        return self.constants.pibar(n)
+        """pi_n / p = 1 - p^(p^n - 1), a p-local unit."""
+        if n < 1:
+            raise ValueError("pibar_n needs n >= 1")
+        return Fraction(1 - self.p ** (self.p ** n - 1))
 
     def alphabar(self, n: int) -> Fraction:
-        return self.constants.alphabar(n)
+        """Product pibar_1 * ... * pibar_n (empty product 1)."""
+        acc = Fraction(1)
+        for i in range(1, n + 1):
+            acc *= self.pibar(i)
+        return acc
 
     def __repr__(self) -> str:
         return (f"BPContext(p={self.p}, q={self.q}, W={self.weight_bound}, "

@@ -216,8 +216,6 @@ def right_unit_of_l_poly(ctx: BPContext, x: GradedPoly) -> GradedPoly:
     if x.table != ctx.l_table:
         raise PolyError("expected a polynomial over the l generators")
     bindings = {f"l{n}": right_unit_log(ctx, n) for n in range(1, ctx.gen_count + 1)}
-    if not bindings:
-        return x.embedded(ctx.lt_table)
     return x.substitute(bindings)
 
 
@@ -241,7 +239,7 @@ def right_unit_v_monomial(
     # convert the left-hand l factors back to v's
     bindings = {f"l{n}": ctx.l_in_v(n).embedded(ctx.vt_table)
                 for n in range(1, ctx.gen_count + 1)}
-    z = y.substitute(bindings) if bindings else y.embedded(ctx.vt_table)
+    z = y.substitute(bindings)
     nv = len(ctx.v_table)
     coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for exps, c in z.sorted_terms():
@@ -259,8 +257,6 @@ def to_right_unit_basis(ctx: BPContext, x: GradedPoly) -> GradedPoly:
         raise PolyError("expected a polynomial over the {l, t} generators")
     rud = _rud(ctx)
     bindings = {f"t{n}": rud.t_in_basis[n - 1] for n in range(1, ctx.gen_count + 1)}
-    if not bindings:
-        return x.embedded(ctx.le_table)
     return x.substitute(bindings)
 
 
@@ -270,8 +266,6 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
         raise PolyError("expected a polynomial over the {l, e} generators")
     rud = _rud(ctx)
     bindings = {f"e{n}": rud.etaR_l[n - 1] for n in range(1, ctx.gen_count + 1)}
-    if not bindings:
-        return y.embedded(ctx.lt_table)
     return y.substitute(bindings)
 
 

@@ -21,35 +21,31 @@ class LatticeError(ValueError):
     """Dimension mismatches and malformed systems."""
 
 
+def residue(p: int, x: Fraction, k: int) -> Fraction:
+    """Canonical representative of x modulo p^k Z_(p), for any integer k.
+
+    The unique r in [0, p^k) whose denominator is a power of p and with
+    x - r in p^k Z_(p): zero when x lies in p^k Z_(p), an integer when x
+    is p-locally integral and k >= 0.
+    """
+    num, den, v = x.numerator, x.denominator, 0
+    while den % p == 0:
+        den //= p
+        v += 1
+    if k + v <= 0:
+        return Fraction(0)
+    # x = num / (den * p^v) with gcd(den, p) = 1
+    modulus = p ** (k + v)
+    return Fraction(num * pow(den, -1, modulus) % modulus, p ** v)
+
+
 def p_fractional_part(p: int, x: Fraction) -> Fraction:
     """Canonical representative of x modulo Z_(p).
 
     Zero when x is p-locally integral; otherwise N'/p^v with
     0 < N' < p^v, where v = -val_p(x).
     """
-    x = Fraction(x)
-    v = val_p(p, x)
-    if v >= 0:
-        return Fraction(0)
-    pv = p ** (-v)
-    unit = x.denominator // pv
-    # x = num / (unit * p^v) with gcd(unit, p) = 1
-    num = x.numerator * pow(unit, -1, pv) % pv
-    return Fraction(num, pv)
-
-
-def _residue_mod_power(p: int, x: Fraction, e: int) -> Fraction:
-    """Canonical representative of x modulo p^-e Z_(p) (e >= 0)."""
-    if e == 0:
-        return p_fractional_part(p, x)
-    scale = Fraction(p) ** e
-    return p_fractional_part(p, x * scale) / scale
-
-
-def _residue(x: Fraction, modulus: int) -> Fraction:
-    """The integer in [0, modulus) congruent to a p-integral x, where
-    modulus is a power of p (0 when modulus is 1)."""
-    return Fraction(x.numerator * pow(x.denominator, -1, modulus) % modulus)
+    return residue(p, Fraction(x), 0)
 
 
 @dataclass(frozen=True)
@@ -100,26 +96,22 @@ class CongruenceSystem:
 
 def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
                  ) -> list[list[Fraction]]:
-    """Canonical triangular form of the row module spanned by the given
-    rows together with the identity (integral) rows.
+    """Triangular form of the row module spanned by the given rows
+    together with the identity (integral) rows.
 
     Returns T with T[j] supported on columns 0..j and pivot T[j][j] a
-    pure power p^-e_j, e_j >= 0; off-pivot entries are reduced to the
-    canonical residue modulo the lower pivot rows.
+    pure power p^-e_j, e_j >= 0.  Every column has a pivot: the identity
+    row e_j is untouched until column j.
     """
-    pool: list[list[Fraction]] = [
-        [Fraction(x) for x in row] for row in rows if any(row)]
+    pool = [list(row) for row in rows]
     for j in range(size):
         ident = [Fraction(0)] * size
         ident[j] = Fraction(1)
         pool.append(ident)
 
-    pivot_rows: list[list[Fraction] | None] = [None] * size
+    T: list[list[Fraction]] = []
     for col in range(size - 1, -1, -1):
-        candidates = [r for r in pool if r[col]]
-        if not candidates:
-            continue
-        pivot = min(candidates, key=lambda r: val_p(p, r[col]))
+        pivot = min((r for r in pool if r[col]), key=lambda r: val_p(p, r[col]))
         pool.remove(pivot)
         e = -val_p(p, pivot[col])
         unit = pivot[col] * Fraction(p) ** e
@@ -130,26 +122,25 @@ def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
                 for i in range(col + 1):
                     r[i] -= z * pivot[i]
         pool = [r for r in pool if any(r)]
-        pivot_rows[col] = pivot
-
-    T = [row if row is not None else [Fraction(0)] * size for row in pivot_rows]
-    # canonical pass: reduce entries left of each pivot modulo lower rows
-    for col in range(size):
-        row = T[col]
-        for i in range(col - 1, -1, -1):
-            e_i = -val_p(p, T[i][i])
-            rep = _residue_mod_power(p, row[i], int(e_i))
-            z = (row[i] - rep) / T[i][i]
-            if z:
-                for k in range(i + 1):
-                    row[k] -= z * T[i][k]
-    return T
+        T.append(pivot)
+    return T[::-1]
 
 
 def triangularize(sys: CongruenceSystem) -> CongruenceSystem:
-    """Equivalent canonical triangular system (one row per index)."""
-    T = _reduce_rows(sys.p, sys.rows, sys.n + 1)
-    return CongruenceSystem(sys.p, sys.n, tuple(tuple(r) for r in T))
+    """Equivalent canonical triangular system (one row per index).
+
+    Entries left of each pivot are reduced to their canonical residue
+    modulo the lower pivot rows.
+    """
+    p = sys.p
+    T = _reduce_rows(p, sys.rows, sys.n + 1)
+    for j, row in enumerate(T):
+        for i in range(j - 1, -1, -1):
+            z = (row[i] - residue(p, row[i], val_p(p, T[i][i]))) / T[i][i]
+            if z:
+                for k in range(i + 1):
+                    row[k] -= z * T[i][k]
+    return CongruenceSystem(p, sys.n, tuple(tuple(r) for r in T))
 
 
 @dataclass(frozen=True)
@@ -207,33 +198,18 @@ class SolutionLattice:
 
 
 def solve(sys: CongruenceSystem) -> SolutionLattice:
-    """Triangular basis of {mu in Z_(p)^(n+1) : every row lands in Z_(p)}."""
-    p = ensure_prime(sys.p)
-    size = sys.n + 1
-    T = _reduce_rows(p, sys.rows, size)
-    # solutions are T^-1 applied to integral vectors; invert column by column
-    cols: list[list[Fraction]] = []
-    for j in range(size):
-        x = [Fraction(0)] * size
-        for i in range(size):
-            acc = Fraction(1) if i == j else Fraction(0)
-            for k in range(i):
-                if x[k]:
-                    acc -= T[i][k] * x[k]
-            x[i] = acc / T[i][i]
-        cols.append(x)
-    # canonicalize: entries below the diagonal reduced modulo later pivots
-    for j in range(size):
-        col = cols[j]
-        for i in range(j + 1, size):
-            e_i = int(val_p(p, cols[i][i]))
-            val = col[i]
-            z = (val - _residue(val, p ** e_i)) / cols[i][i]
-            if z:
-                for k in range(i, size):
-                    col[k] -= z * cols[i][k]
-    basis = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
-    return SolutionLattice(p, basis)
+    """Canonical basis of {mu in Z_(p)^(n+1) : every row lands in Z_(p)}.
+
+    The rows are reduced to triangular rows T_0..T_n, T_j supported on
+    indices 0..j.  T_0..T_{j-1} span the part of the row module supported
+    on indices below j, so by duality the solutions of T_0..T_{j-1} are
+    the projection of the solutions of T_0..T_j: starting from the empty
+    lattice, each :func:`extend_lattice` by the next row succeeds.
+    """
+    lat = SolutionLattice(sys.p, ())
+    for j, row in enumerate(_reduce_rows(sys.p, sys.rows, sys.n + 1)):
+        lat = extend_lattice(lat, row[: j + 1])
+    return lat
 
 
 def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> SolutionLattice:
@@ -242,11 +218,11 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     The row has length ``lat.size + 1``; its last entry c_n is the pivot
     and c' are the others.  With e = max(0, -val_p(c_n)), each column b_j
     of ``lat`` gains the entry -(c' . b_j)/c_n reduced into [0, p^e), and
-    the column p^e * e_n is appended.  The result is the basis
-    :func:`solve` returns for the whole system (the canonical basis is
-    unique), at one exact dot product per old column.  Raises
-    :class:`LatticeError` when c_n is zero or some -(c' . b_j)/c_n is not
-    p-locally integral; rows meeting the shape hypotheses of
+    the column p^e * e_n is appended.  The result is the canonical basis
+    of the whole system (it is unique), at one exact dot product per old
+    column.  Raises :class:`LatticeError` when c_n is zero or some
+    -(c' . b_j)/c_n is not p-locally integral; the reduced rows of
+    :func:`solve` and rows meeting the shape hypotheses of
     :func:`sandwich_check` never do.
     """
     p, size = lat.p, lat.size
@@ -256,15 +232,15 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     pivot = row[size]
     if not pivot:
         raise LatticeError(f"row has a zero pivot at index {size}")
-    modulus = p ** max(0, -val_p(p, pivot))
+    e = max(0, -val_p(p, pivot))
     last = []
     for j in range(size):
         t = -sum((row[i] * lat.basis[i][j] for i in range(j, size)), Fraction(0)) / pivot
         if val_p(p, t) < 0:
             raise LatticeError(f"column {j} extends by {format_rational(t)}, "
                                f"which is not {p}-locally integral")
-        last.append(_residue(t, modulus))
-    last.append(Fraction(modulus))
+        last.append(residue(p, t, e))
+    last.append(Fraction(p ** e))
     zero = (Fraction(0),)
     return SolutionLattice(p, tuple(r + zero for r in lat.basis) + (tuple(last),))
 
@@ -297,15 +273,15 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
                    base: SolutionLattice | None = None) -> SandwichResult:
     """Compare the lattice of base + cn (S) with that of base + cn_hat (T).
 
-    All rows must satisfy the triangular shape hypotheses (entries in
-    p^-budget Z_(p), unit pivot); under those hypotheses the two systems
-    force lattices of equal index, so inclusion implies equality.  The
-    rows are :class:`bpadams.adamsk.CongruenceVector` values; base_rows
-    holds the shared rows c_0..c_{n-1}.  ``base`` is their solution
-    lattice when the caller already holds it; otherwise it is built row
+    The rows are :class:`bpadams.adamsk.CongruenceVector` values;
+    base_rows holds the shared rows c_0..c_{n-1}.  All must satisfy the
+    triangular shape hypotheses (entries in p^-budget Z_(p), unit pivot),
+    and cn and cn_hat must share a budget.  Then S and T have equal
+    index, so S in T implies S = T, that is, equal canonical bases; other
+    bases mean S is not in T.  ``base`` is the solution lattice of
+    base_rows when the caller already holds it; otherwise it is built row
     by row.  The shape hypotheses imply the precondition of
-    :func:`extend_lattice`, so S and T are each one extension of it, and
-    equal bases mean equal lattices.
+    :func:`extend_lattice`, so S and T are each one extension of it.
     """
     ensure_prime(p)
     for r, vec in enumerate(list(base_rows) + [cn, cn_hat]):
@@ -320,6 +296,9 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     if cn_hat.n != n or any(vec.n != i for i, vec in enumerate(base_rows)):
         return SandwichResult("hypothesis_violation", False,
                               "rows are not indexed 0..n")
+    if cn.budget != cn_hat.budget:
+        return SandwichResult("hypothesis_violation", False,
+                              f"top rows have budgets {cn.budget} and {cn_hat.budget}")
     if base is None:
         base = SolutionLattice(p, ())
         for vec in base_rows:
@@ -329,10 +308,4 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     s_lat, t_lat = extend_lattice(base, cn.entries), extend_lattice(base, cn_hat.entries)
     if s_lat == t_lat:
         return SandwichResult("equal", True)
-    if not lattice_leq(s_lat, t_lat):
-        return SandwichResult("inclusion_failed", False,
-                              "S is not contained in T")
-    equal = lattice_leq(t_lat, s_lat)
-    status = "equal" if equal else "inclusion_failed"
-    detail = "" if equal else "S strictly below T despite matching shapes"
-    return SandwichResult(status, equal, detail)
+    return SandwichResult("inclusion_failed", False, "S is not contained in T")

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from bpadams.adamsk import ku_congruence_system
+from bpadams.arith import val_p
 from bpadams.cli import main, parse_monomial, read_sequence, read_system, InputError
 
 
@@ -31,6 +33,20 @@ def test_congruences_json_and_check(tmp_path, capsys):
     code, out, _ = run(capsys, "congruences", "--p", "3", "--n", "2",
                        "--check", str(bad), "--format", "json")
     assert code == 1
+
+
+def test_congruences_check_at_p2_matches_brute_force(tmp_path, capsys):
+    n = 5
+    rows = ku_congruence_system(2, n).rows
+    for name, seq, expected_code in (("psi3", [3 ** i for i in range(n + 1)], 0),
+                                     ("e1", [0, 1, 0, 0, 0, 0], 1)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([str(x) for x in seq]))
+        code, out, _ = run(capsys, "congruences", "--p", "2", "--n", str(n),
+                           "--check", str(path), "--format", "json")
+        brute = [val_p(2, sum(c * m for c, m in zip(row, seq))) >= 0 for row in rows]
+        assert code == expected_code == (0 if all(brute) else 1), name
+        assert json.loads(out)["check"]["verdicts"] == brute, name
 
 
 def test_basis_expand_example(tmp_path, capsys):
@@ -90,6 +106,16 @@ def test_bp_etar(capsys):
     payload = json.loads(out)
     assert payload["image"] == "-24*t1 + v1"
     assert payload["all_integral"] is True
+
+
+def test_bp_etar_at_weight_zero(capsys):
+    code, out, _ = run(capsys, "bp-etaR", "--p", "3", "--weight", "0",
+                       "--monomial", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["image"] == "1" and payload["all_integral"] is True
+    assert payload["coefficients"] == [{"coefficient": "1", "integral": True,
+                                        "t_exponents": [], "v_exponents": []}]
 
 
 def test_lattice_command(tmp_path, capsys):

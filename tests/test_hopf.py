@@ -80,6 +80,19 @@ def test_rewrite_examples_and_round_trip():
         assert from_right_unit_basis(c, to_right_unit_basis(c, x)) == x
 
 
+def test_rewrite_round_trip_at_weight_zero():
+    # no generators fit W = 0: every table is empty and substitution embeds
+    for p in (2, 3, 5):
+        c = BPContext(p, 0)
+        assert c.gen_count == 0
+        x = GradedPoly.const(c.lt_table, 0, Fraction(-7, 4))
+        y = to_right_unit_basis(c, x)
+        assert y.table == c.le_table and y == GradedPoly.const(c.le_table, 0, Fraction(-7, 4))
+        assert from_right_unit_basis(c, y) == x
+        z, coeffs = right_unit_v_monomial(c, ())
+        assert z == GradedPoly.const(c.vt_table, 0, 1) and coeffs == {((), ()): 1}
+
+
 def _v_exps(c, **powers):
     return tuple(powers.get(name, 0) for name in c.v_table.names)
 

@@ -10,7 +10,7 @@ from bpadams.arith import delta_p, val_p
 from bpadams.adamsk import CongruenceVector
 from bpadams.lattice import (CongruenceSystem, LatticeError, SolutionLattice,
                              extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
-                             sandwich_check, solve, triangularize)
+                             residue, sandwich_check, solve, triangularize)
 
 
 def test_p_fractional_part():
@@ -19,6 +19,21 @@ def test_p_fractional_part():
     assert p_fractional_part(3, Fraction(7, 9)) == Fraction(7, 9)
     assert p_fractional_part(3, Fraction(5, 6)) == Fraction(1, 3)  # 5/6 = 1/3 + 1/2
     assert p_fractional_part(2, Fraction(5, 6)) == Fraction(1, 2)
+
+
+def test_residue_against_its_definition():
+    # r in [0, p^k) with a p-power denominator and x - r in p^k Z_(p)
+    rng = random.Random(17)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        k = rng.randint(-3, 3)
+        x = Fraction(rng.randint(-200, 200), p ** rng.randint(0, 4) * rng.choice((1, 7, 11)))
+        r = residue(p, x, k)
+        assert 0 <= r < Fraction(p) ** k, (p, x, k)
+        assert (r * p ** 4).denominator == 1, (p, x, k)  # x has at most p^4 there
+        assert x == r or val_p(p, x - r) >= k, (p, x, k)
+    assert residue(3, Fraction(7, 9), -1) == Fraction(1, 9)
+    assert residue(3, Fraction(5, 2), 2) == 7
 
 
 def test_solve_single_row_example():
@@ -173,6 +188,24 @@ def test_sandwich_hypothesis_violation_reported():
     weak = CongruenceVector(p, n, tuple(weak_entries), cn.budget)
     res = sandwich_check(p, base, cn, weak)
     assert res.status == "hypothesis_violation" and not res.equal
+
+
+def test_sandwich_inclusion_failure_and_budget_mismatch():
+    # equal budgets: cn_hat perturbs cn by the non-integral (1/3) mu_0
+    base = [CongruenceVector(3, 0, (Fraction(1),), 0)]
+    cn = CongruenceVector(3, 1, (Fraction(0), Fraction(1, 3)), 1)
+    cn_hat = CongruenceVector(3, 1, (Fraction(1, 3), Fraction(1, 3)), 1)
+    s_lat = solve(CongruenceSystem(3, 1, (base[0].padded(2), cn.entries)))
+    t_lat = solve(CongruenceSystem(3, 1, (base[0].padded(2), cn_hat.entries)))
+    assert not lattice_leq(s_lat, t_lat)
+    res = sandwich_check(3, base, cn, cn_hat)
+    assert (res.status, res.equal, res.detail) == (
+        "inclusion_failed", False, "S is not contained in T")
+    # budgets 2 and 1: the lattices have different indices
+    res = sandwich_check(3, [], CongruenceVector(3, 0, (Fraction(1, 9),), 2),
+                         CongruenceVector(3, 0, (Fraction(1, 3),), 1))
+    assert res.status == "hypothesis_violation" and not res.equal
+    assert "budgets 2 and 1" in res.detail
 
 
 def test_solution_lattice_serialization():
