@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import (delta_p, ensure_prime, find_q, format_rational, gamma_p, gaussian,
+from .arith import (delta_p, dot, ensure_prime, find_q, format_rational, gamma_p, gaussian,
                     is_p_local_int, val_p, validate_q)
 from . import lattice as _lattice
 
@@ -119,8 +119,12 @@ def _zeta_action(n: int, m: int) -> Fraction:
     return acc
 
 
+@lru_cache(maxsize=None)
 def family_action(fam: AdamsFamily, n: int, m: int) -> Fraction:
-    """Exact eigenvalue of the n-th family element on coefficient index m."""
+    """Exact eigenvalue of the n-th family element on coefficient index m.
+
+    Memoised: the value is a pure function of the frozen family and n, m.
+    """
     if n < 0:
         raise ValueError("family index must be non-negative")
     if fam.kind == "zeta_ku2":
@@ -215,8 +219,7 @@ class CongruenceVector:
     def dot(self, mu: Sequence[Fraction | int]) -> Fraction:
         if len(mu) < self.n + 1:
             raise ValueError("sequence too short for this row")
-        return sum((c * Fraction(m) for c, m in zip(self.entries, mu)),
-                   Fraction(0))
+        return dot(self.entries, map(Fraction, mu))
 
     def padded(self, length: int) -> tuple[Fraction, ...]:
         if length < self.n + 1:
@@ -227,11 +230,13 @@ class CongruenceVector:
         return {"n": self.n, "entries": [format_rational(e) for e in self.entries]}
 
 
+@lru_cache(maxsize=None)
 def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     """The Gaussian congruence row for the connective Adams summand.
 
     c_{n,i} = (-1)^{n-i} qhat^C(n-i,2) [n, i]_qhat / p^delta_p(n); the
     pivot is exactly p^-delta_p(n) and entries vanish for i > n.
+    Memoised: the frozen row is a pure function of (p, q, n).
     """
     ensure_prime(p)
     if p == 2:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+from typing import Iterable
 
 #: Exact rational scalar used throughout the package.
 Rational = Fraction
@@ -147,6 +149,11 @@ def gaussian(n: int, i: int, t: Fraction | int) -> Fraction:
             acc += c * power
         power *= t
     return acc
+
+
+def dot(xs: Iterable[Fraction | int], ys: Iterable[Fraction | int]) -> Fraction:
+    """Exact dot product sum_i x_i * y_i, over the shorter of the two inputs."""
+    return sum(map(mul, xs, ys), Fraction(0))
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

@@ -290,7 +290,8 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
         a, b = exps[:nl], exps[nl:]
         form = by_l.setdefault(tuple(ai + bi for ai, bi in zip(a, b)), {})
         w = ctx.e_table.monomial_weight(b)
-        form[w] = form.get(w, 0) + c
+        acc = form.get(w)
+        form[w] = c if acc is None else acc + c
     bindings = {f"l{n}": ctx.l_in_v(n) for n in range(1, ctx.gen_count + 1)}
     rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
     for key, form in by_l.items():
@@ -298,7 +299,8 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
         for delta, d in image.terms.items():
             row = rows.setdefault(delta, {})
             for w, c in form.items():
-                row[w] = row.get(w, 0) + c * d
+                acc = row.get(w)
+                row[w] = c * d if acc is None else acc + c * d
     weight = ctx.v_table.monomial_weight
     out = {}
     for delta in sorted(rows, key=lambda e: (weight(e), e)):

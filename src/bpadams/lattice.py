@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import ensure_prime, format_rational, val_p
+from .arith import dot, ensure_prime, format_rational, val_p
 
 
 class LatticeError(ValueError):
@@ -73,9 +73,7 @@ class CongruenceSystem:
         if len(mu) < self.n + 1:
             raise LatticeError("sequence too short for this system")
         vals = [Fraction(m) for m in mu[: self.n + 1]]
-        return all(
-            val_p(self.p, sum((c * m for c, m in zip(row, vals)), Fraction(0))) >= 0
-            for row in self.rows)
+        return all(val_p(self.p, dot(row, vals)) >= 0 for row in self.rows)
 
     def pivot_valuations(self) -> tuple[int, ...]:
         """For triangular systems: e_r with pivot p^-e_r at index r."""
@@ -235,7 +233,7 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     e = max(0, -val_p(p, pivot))
     last = []
     for j in range(size):
-        t = -sum((row[i] * lat.basis[i][j] for i in range(j, size)), Fraction(0)) / pivot
+        t = -dot(row[j:size], (lat.basis[i][j] for i in range(j, size))) / pivot
         if val_p(p, t) < 0:
             raise LatticeError(f"column {j} extends by {format_rational(t)}, "
                                f"which is not {p}-locally integral")

@@ -6,11 +6,19 @@ anything else raises ``TypeError``.  Truncation drops any monomial whose
 weight exceeds the bound; because the grading is by non-negative weights
 this commutes with all ring operations, so arithmetic "mod weight > W"
 is an honest quotient ring.
+
+Values never change once built.  The public constructor validates its
+input; arithmetic results satisfy the same invariants by construction
+and skip that check.  Each polynomial keeps the powers computed from it
+(``x ** k``) in a memo that fills lazily and without a lock, like the
+caches of :class:`bpadams.fgl.BPContext`: a race can only compute an
+equal power twice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 
@@ -22,6 +30,13 @@ def _as_coeff(c: object) -> Fraction:
     if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
+
+
+def _check_exps(table: "GeneratorTable", exps: tuple[int, ...]) -> None:
+    if len(exps) != len(table):
+        raise PolyError("exponent vector length does not match table")
+    if any(e < 0 for e in exps):
+        raise PolyError("negative exponent")
 
 
 class GeneratorTable:
@@ -64,7 +79,7 @@ class GeneratorTable:
         return self.weights[self.index(name)]
 
     def monomial_weight(self, exps: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+        return sum(map(mul, exps, self.weights))
 
     def union(self, other: "GeneratorTable") -> "GeneratorTable":
         pairs = list(zip(self.names, self.weights))
@@ -84,11 +99,13 @@ class GeneratorTable:
 class GradedPoly:
     """Sparse polynomial with dense exponent tuples, truncated at `bound`.
 
-    Immutable after construction; arithmetic returns new values, so
-    instances are safe to share.
+    The value never changes after construction; arithmetic returns new
+    values.  ``_powers`` memoises ``x ** k`` on the instance: it fills
+    lazily and unlocked, so share a polynomial across threads only as
+    freely as the :class:`bpadams.fgl.BPContext` it came from.
     """
 
-    __slots__ = ("table", "bound", "terms")
+    __slots__ = ("table", "bound", "terms", "_powers")
 
     def __init__(self, table: GeneratorTable, bound: int,
                  terms: Mapping[tuple[int, ...], object] | None = None):
@@ -98,10 +115,7 @@ class GradedPoly:
         if terms:
             for exps, c in terms.items():
                 exps = tuple(int(e) for e in exps)
-                if len(exps) != len(table):
-                    raise PolyError("exponent vector length does not match table")
-                if any(e < 0 for e in exps):
-                    raise PolyError("negative exponent")
+                _check_exps(table, exps)
                 c = _as_coeff(c)
                 if not c:
                     continue
@@ -111,6 +125,23 @@ class GradedPoly:
         self.table = table
         self.bound = bound
         self.terms = store
+        self._powers = None
+
+    @classmethod
+    def _trusted(cls, table: GeneratorTable, bound: int,
+                 terms: dict[tuple[int, ...], Fraction]) -> "GradedPoly":
+        """Wrap ``terms`` without a copy or a check.
+
+        The caller guarantees the invariants the public constructor
+        enforces: exponent tuples of the table's length with non-negative
+        ints, non-zero ``Fraction`` coefficients, weights within ``bound``.
+        """
+        poly = object.__new__(cls)
+        poly.table = table
+        poly.bound = bound
+        poly.terms = terms
+        poly._powers = None
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -162,16 +193,20 @@ class GradedPoly:
         self._check_compat(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            acc = out.get(exps, 0) + c
-            if acc:
-                out[exps] = acc
+            acc = out.get(exps)
+            if acc is None:
+                out[exps] = c
             else:
-                out.pop(exps, None)
-        return GradedPoly(self.table, self.bound, out)
+                acc += c
+                if acc:
+                    out[exps] = acc
+                else:
+                    del out[exps]
+        return GradedPoly._trusted(self.table, self.bound, out)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.table, self.bound,
-                          {e: -c for e, c in self.terms.items()})
+        return GradedPoly._trusted(self.table, self.bound,
+                                   {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -180,26 +215,32 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             self._check_compat(other)
             table, bound = self.table, self.bound
+            weigh = table.monomial_weight
+            # each term of `other` is weighed once; lightest first, so the
+            # inner loop stops at the first factor that overshoots
+            right = sorted(((weigh(e2), e2, c2) for e2, c2 in other.terms.items()),
+                           key=itemgetter(0))
             out: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self.terms.items():
-                w1 = table.monomial_weight(e1)
-                for e2, c2 in other.terms.items():
-                    if w1 + table.monomial_weight(e2) > bound:
-                        continue
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    prod = c1 * c2
-                    acc = out.get(key, 0) + prod
-                    if acc:
-                        out[key] = acc
+                room = bound - weigh(e1)
+                for w2, e2, c2 in right:
+                    if w2 > room:
+                        break
+                    key = tuple(map(add, e1, e2))
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = c1 * c2
                     else:
-                        out.pop(key, None)
-            return GradedPoly(table, bound, out)
+                        acc += c1 * c2
+                        if acc:
+                            out[key] = acc
+                        else:
+                            del out[key]
+            return GradedPoly._trusted(table, bound, out)
         if isinstance(other, (int, Fraction)):
             c0 = _as_coeff(other)
-            if not c0:
-                return GradedPoly.zero(self.table, self.bound)
-            return GradedPoly(self.table, self.bound,
-                              {e: c * c0 for e, c in self.terms.items()})
+            terms = {e: c * c0 for e, c in self.terms.items()} if c0 else {}
+            return GradedPoly._trusted(self.table, self.bound, terms)
         return NotImplemented
 
     def __rmul__(self, other: object) -> "GradedPoly":
@@ -208,15 +249,27 @@ class GradedPoly:
     def __pow__(self, k: int) -> "GradedPoly":
         if not isinstance(k, int) or k < 0:
             raise PolyError("polynomial powers must be non-negative integers")
-        result = GradedPoly.const(self.table, self.bound, 1)
+        if k == 1:
+            return self
+        powers = self._powers
+        if powers is None:
+            powers = self._powers = {}
+        elif k in powers:
+            return powers[k]
+        result = None
         base = self
         # square-and-multiply; truncation applies at every step
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
+        e = k
+        while e:
+            if e & 1:
+                result = base if result is None else result * base
+            e >>= 1
+            if e:
                 base = base * base
+        if result is None:
+            result = GradedPoly._trusted(self.table, self.bound,
+                                         {(0,) * len(self.table): Fraction(1)})
+        powers[k] = result
         return result
 
     # -- queries ---------------------------------------------------------
@@ -229,6 +282,7 @@ class GradedPoly:
             for name, e in monomial.items():
                 vec[self.table.index(name)] = int(e)
             exps = tuple(vec)
+        _check_exps(self.table, exps)
         return self.terms.get(exps, Fraction(0))
 
     def homogeneous_weight(self) -> int | None:
@@ -285,24 +339,28 @@ class GradedPoly:
                     raise PolyError(f"weight of {name!r} differs in target table")
                 images[name] = GradedPoly.gen(target_table, target_bound, name)
 
-        result = GradedPoly.zero(target_table, target_bound)
-        power_cache: dict[tuple[str, int], GradedPoly] = {}
-
-        def img_power(name: str, e: int) -> GradedPoly:
-            key = (name, e)
-            if key not in power_cache:
-                power_cache[key] = images[name] ** e
-            return power_cache[key]
-
+        # powers of the images are memoised on the images themselves
+        one = {(0,) * len(target_table): Fraction(1)}
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            acc = GradedPoly.const(target_table, target_bound, 1)
+            acc = None
             for name, e in zip(self.table.names, exps):
                 if e:
-                    acc = acc * img_power(name, e)
+                    factor = images[name] ** e
+                    acc = factor if acc is None else acc * factor
                     if acc.is_zero:
                         break
-            result = result + acc * c
-        return result
+            for key, d in (one if acc is None else acc.terms).items():
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = c * d
+                else:
+                    prev += c * d
+                    if prev:
+                        out[key] = prev
+                    else:
+                        del out[key]
+        return GradedPoly._trusted(target_table, target_bound, out)
 
     def embedded(self, supertable: GeneratorTable, bound: int | None = None) -> "GradedPoly":
         """Re-express over a table containing all of this table's generators."""

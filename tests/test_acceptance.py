@@ -5,11 +5,14 @@ tolerance and prints one pass/fail line; run with ``pytest -s`` to see
 the lines stream.
 """
 
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import bpadams
 from bpadams.arith import delta_p, gamma_p, is_p_local_int, val_p
 from bpadams.adamsk import (C_vector, CongruenceVector, Phi_in_phi, adams_family,
                             check_g_congruences, expand_in_family, family_action,
@@ -190,8 +193,12 @@ def test_criterion_11_sandwich_lemma():
 def test_criterion_12_cli_determinism():
     cmd = [sys.executable, "-m", "bpadams", "verify-centre", "--p", "3",
            "--n", "4", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child imports the package this test imported, however pytest found it
+    src = str(Path(bpadams.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     ok = first.stdout == second.stdout and first.returncode == 0
     _criterion(12, "two runs of verify-centre --p 3 --n 4 --format json are "
                    "byte-identical", ok)

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from bpadams.arith import delta_p, gamma_p, is_p_local_int, val_p
+from bpadams.arith import delta_p, find_q, gamma_p, gaussian, is_p_local_int, val_p
 from bpadams.adamsk import (C_vector, CongruenceVector, Phi_in_phi, adams_family,
                             basis_integrality_rows, binomial_mu_congruence,
                             check_g_congruences, expand_in_family, family_action,
@@ -122,6 +123,21 @@ def test_C_vector_examples():
             assert row.entries[n] == Fraction(1, p ** delta_p(p, n))
             assert row.shape_ok()
     assert C_vector(3, 2, 1).entries == (Fraction(-1, 3), Fraction(1, 3))
+
+
+def test_C_vector_memo_matches_fresh_rows():
+    q = find_q(3)
+    qhat = q ** 2
+    for n in range(9):
+        fresh = tuple(
+            Fraction((-1) ** (n - i) * qhat ** math.comb(n - i, 2))
+            * gaussian(n, i, qhat) / Fraction(3) ** delta_p(3, n)
+            for i in range(n + 1))
+        assert C_vector(3, q, n).entries == fresh
+        assert C_vector(3, q, n).entries == fresh  # from the memo
+    for _ in range(2):  # exceptions are not memoised
+        with pytest.raises(ValueError):
+            C_vector(2, 3, 1)
 
 
 def test_check_g_congruence_examples():

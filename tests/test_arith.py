@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpadams.arith import (INFINITY, Prime, delta_p, find_q, format_rational, gamma_p,
+from bpadams.arith import (INFINITY, Prime, delta_p, dot, find_q, format_rational, gamma_p,
                            gaussian, gaussian_poly, is_p_local_int, is_p_local_unit,
                            is_prime, multiplicative_order, nu_p, parse_rational, val_p,
                            validate_q)
@@ -170,3 +170,12 @@ def test_parse_and_format_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("abc")
+
+
+def test_dot_exact():
+    assert dot([1, Fraction(1, 2)], [Fraction(1, 3), 4]) == Fraction(7, 3)
+    assert dot([Fraction(2, 3)], [Fraction(3, 2)]) == 1
+    # the shorter input sets the length; the result is always a Fraction
+    assert dot([2, 3, 5], [1, 1]) == 5
+    assert type(dot([2], [3])) is Fraction
+    assert dot([], []) == 0 and type(dot([], [])) is Fraction

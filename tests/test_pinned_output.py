@@ -10,7 +10,7 @@ import json
 import pytest
 
 from bpadams.arith import format_rational
-from bpadams.centre import sampled_integrality_rows
+from bpadams.centre import sampled_integrality_rows, verify_centre_bp
 from bpadams.cli import main
 from bpadams.fgl import BPContext
 
@@ -32,6 +32,19 @@ def test_sampled_integrality_rows_pinned(p, W):
              [[i, format_rational(c)] for i, c in sorted(form.coeffs.items())]]
             for gamma, delta, form in sampled_integrality_rows(BPContext(p, W))]
     assert _sha256(json.dumps(rows)) == SAMPLED_ROWS[(p, W)]
+
+
+VERIFY_REPORTS = {
+    (2, 8): "6f1e9964a6c3917894d43f95d8a04b2b01e12e8724fe7bf40eec38f499062b1c",
+    (3, 10): "ad7b8f87483724626b99c9e5b920df3e8e734e58a59162051f144a7617b99826",
+    (5, 12): "a0ab1f88d88699d59d6bc76b87632d2da8bf7b799711086bc88cd395df46e36c",
+}
+
+
+@pytest.mark.parametrize("p,n", sorted(VERIFY_REPORTS))
+def test_verify_centre_report_pinned(p, n):
+    report = verify_centre_bp(p, n)
+    assert _sha256(json.dumps(report, sort_keys=True)) == VERIFY_REPORTS[(p, n)]
 
 
 # the README examples that need no input file, with their JSON stdout

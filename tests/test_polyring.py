@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bpadams.hopf import MuLinear
@@ -90,6 +90,16 @@ def test_coefficient_of_examples():
     assert GradedPoly.zero(T2, 4).coefficient_of({"t1": 1}) == 0
 
 
+def test_coefficient_of_rejects_malformed_exponents():
+    x = gen(LT, 4, "l1")
+    assert x.coefficient_of((1, 0)) == 1
+    for bad in ((1,), (1, 0, 0), (1, -1)):
+        with pytest.raises(PolyError):
+            x.coefficient_of(bad)
+    with pytest.raises(PolyError):
+        x.coefficient_of({"t1": -1})
+
+
 def test_mismatched_tables_rejected():
     with pytest.raises(PolyError):
         gen(T2, 4, "t1") + gen(LT, 4, "t1")
@@ -174,3 +184,125 @@ def test_monomials_up_to_weight():
     assert (2, 1) not in mons  # weight 6
     assert len(mons) == len(set(mons))
     assert mons == sorted(mons)
+
+
+# -- oracle: the kernel against untruncated dict arithmetic ---------------
+
+def _ref_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return out
+
+
+def _ref_pow(x, k, width):
+    out = {(0,) * width: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _ref_weight(table, exps):
+    return sum(e * w for e, w in zip(exps, table.weights))
+
+
+def _ref_truncate(table, bound, terms):
+    # truncation commutes with the ring operations, so cutting once at
+    # the end gives the truncated result
+    return {e: c for e, c in terms.items()
+            if c and _ref_weight(table, e) <= bound}
+
+
+def _assert_invariants(x):
+    for e, c in x.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == len(x.table)
+        assert all(type(v) is int and v >= 0 for v in e)
+        assert _ref_weight(x.table, e) <= x.bound
+
+
+_COEFFS = st.builds(Fraction, st.sampled_from([-2, -1, 1, 2]), st.sampled_from([1, 2]))
+
+
+def _poly_over(draw, table, bound, mons):
+    terms = {}
+    if not mons:
+        return GradedPoly(table, bound)
+    for exps in draw(st.lists(st.sampled_from(mons), max_size=4)):
+        terms[exps] = draw(_COEFFS)
+    return GradedPoly(table, bound, terms)
+
+
+@st.composite
+def _kernel_case(draw):
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    bound = draw(st.integers(0, 6))
+    table = GeneratorTable((f"g{i}", w) for i, w in enumerate(weights))
+    # monomials up to a little past the bound, so the constructor truncates too
+    mons = list(monomials_up_to_weight(table, bound + 2))
+    a, b = (_poly_over(draw, table, bound, mons) for _ in range(2))
+    c = draw(st.one_of(st.just(Fraction(0)), _COEFFS))
+    k = draw(st.integers(0, 4))
+    # over one weight-1 generator every image is a monomial, so distinct
+    # terms of `a` often land on one monomial and cancel
+    target_weights = draw(st.sampled_from([weights, [1]]))
+    target = GeneratorTable((f"h{i}", w) for i, w in enumerate(target_weights))
+    target_mons = list(monomials_up_to_weight(target, bound + 2))
+    images = {}
+    for name, w in zip(table.names, weights):
+        homogeneous = [e for e in target_mons if _ref_weight(target, e) == w]
+        images[name] = _poly_over(draw, target, bound, homogeneous)
+    return table, bound, a, b, c, k, target, images
+
+
+def _cancelling_case():
+    # g0 and g1 both go to h0 with opposite signs: substitution cancels
+    table = GeneratorTable([("g0", 1), ("g1", 1)])
+    target = GeneratorTable([("h0", 1)])
+    a = GradedPoly(table, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 2, (0, 2): 2})
+    b = GradedPoly(table, 3, {(1, 0): -1, (0, 1): 1})
+    h0 = GradedPoly.gen(target, 3, "h0")
+    return table, 3, a, b, Fraction(-1, 2), 3, target, {"g0": h0, "g1": -h0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_kernel_case())
+@example(case=_cancelling_case())
+def test_kernel_against_naive_oracle(case):
+    table, bound, a, b, c, k, target, images = case
+    width = len(table)
+
+    def check(result, ref_table, ref_terms):
+        _assert_invariants(result)
+        assert result.terms == _ref_truncate(ref_table, bound, ref_terms)
+
+    summed = dict(a.terms)
+    for e, v in b.terms.items():
+        summed[e] = summed.get(e, Fraction(0)) + v
+    check(a + b, table, summed)
+    check(a + (-a), table, {})
+    check(-a, table, {e: -v for e, v in a.terms.items()})
+    check(a * b, table, _ref_mul(a.terms, b.terms))
+    check(a * c, table, {e: v * c for e, v in a.terms.items()})
+
+    twin = GradedPoly(table, bound, a.terms)
+    digest = hash(a)
+    first = a ** k
+    check(first, table, _ref_pow(a.terms, k, width))
+    again = a ** k
+    check(again, table, _ref_pow(a.terms, k, width))
+    assert again == first
+    assert a == twin and hash(a) == digest
+
+    ref_sub = {}
+    for exps, v in a.terms.items():
+        term = {(0,) * len(target): v}
+        for name, e in zip(table.names, exps):
+            term = _ref_mul(term, _ref_pow(images[name].terms, e, len(target)))
+        for key, d in term.items():
+            ref_sub[key] = ref_sub.get(key, Fraction(0)) + d
+    check(a.substitute(images), target, ref_sub)
+    for img in images.values():
+        _assert_invariants(img)
