@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import (delta_p, dot, ensure_prime, find_q, format_rational, gamma_p, gaussian,
+from .arith import (delta_p, dot, ensure_prime, format_rational, gamma_p, gaussian,
                     is_p_local_int, val_p, validate_q)
 from . import lattice as _lattice
 
@@ -72,8 +72,6 @@ def adams_family(kind: str, p: int, q: int | None = None) -> AdamsFamily:
         return AdamsFamily(kind, 2, 3, 3)
     if p == 2:
         raise ValueError(f"family {kind!r} needs an odd prime")
-    if q is None:
-        q = find_q(p)
     return AdamsFamily(kind, p, q, q ** (p - 1))
 
 
@@ -311,8 +309,7 @@ def Phi_in_phi(p: int, q: int | None, n: int, top: int | None = None,
     ensure_prime(p)
     if p == 2:
         raise ValueError("the periodic comparison is the odd-prime statement")
-    if q is None:
-        q = find_q(p)
+    q = validate_q(p, q)
     if top is None:
         top = n + 8
     periodic = adams_family("Phi_KU", p, q)
@@ -331,7 +328,7 @@ def binomial_mu_congruence(p: int, j: int, k: int,
     i(p-1) + l carries C_{k,i} * (-1)^{j-l} C(j, l), giving a row with
     top index n = k(p-1) + j and pivot valuation -gamma_p(n).
     """
-    ensure_prime(p)
+    q = validate_q(p, q)
     if not 0 <= j <= p - 2:
         raise ValueError(f"offset j must satisfy 0 <= j <= p - 2, got {j}")
     if k < 0:
@@ -342,8 +339,6 @@ def binomial_mu_congruence(p: int, j: int, k: int,
         return CongruenceVector(p, n, tuple(binom), gamma_p(p, n))
     if p == 2:
         raise ValueError("p = 2 needs no interleaving (the block length is 1)")
-    if q is None:
-        q = find_q(p)
     g_row = C_vector(p, q, k)
     entries = [Fraction(0)] * (n + 1)
     for i in range(k + 1):

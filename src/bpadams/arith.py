@@ -180,8 +180,9 @@ def is_primitive_mod_p2(q: int, p: int) -> bool:
     return multiplicative_order(q, p * p) == p * (p - 1)
 
 
-def validate_q(p: int, q: int | None) -> int | None:
-    """Return an explicitly chosen generator q, or None, after checking it.
+def validate_q(p: int, q: int | None) -> int:
+    """The generator q in use: an explicit q after checking it, else the
+    default (:func:`find_q` for odd p, 3 at p = 2).
 
     At p = 2 the generators are fixed as (3, -1), so any explicit q is
     refused; for odd p, q must be prime to p and primitive modulo p^2.
@@ -189,7 +190,7 @@ def validate_q(p: int, q: int | None) -> int | None:
     """
     ensure_prime(p)
     if q is None:
-        return None
+        return 3 if p == 2 else find_q(p)
     if p == 2:
         raise ValueError(f"q={q} cannot be chosen at p = 2: the 2-local "
                          "generators are fixed as (3, -1)")

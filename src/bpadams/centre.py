@@ -23,7 +23,7 @@ import math
 import random
 from fractions import Fraction
 
-from .arith import delta_p, ensure_prime, find_q, format_rational, val_p, validate_q
+from .arith import delta_p, ensure_prime, format_rational, val_p, validate_q
 from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congruence,
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
@@ -72,8 +72,6 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
     """
     q = validate_q(p, q)
     if p != 2:
-        if q is None:
-            q = find_q(p)
         return [C_vector(p, q, r) for r in range(n_max + 1)]
     sys = ku_congruence_system(2, n_max)
     return [CongruenceVector(2, r, sys.rows[r][: r + 1], delta_p(2, r))
@@ -139,7 +137,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     requested = weight_bound
     weight_bound = needed if weight_bound is None else max(weight_bound, needed)
     ctx = BPContext(p, weight_bound, q)
-    rows_g = summand_rows(p, n_max, ctx.q if p != 2 else None)
+    rows_g = summand_rows(p, n_max, q)
     sample = sampled_integrality_rows(ctx)
     tops = [form.top_index() for _, _, form in sample]
     by_top: dict[int, list[int]] = {}
@@ -226,15 +224,21 @@ def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dic
     """How the sampled lattice tightens as the weight bound grows.
 
     Reports, for each bound W, the sampled lattice's pivot valuations and
-    whether it already equals the Adams-side lattice at index n.
+    whether it already equals the Adams-side lattice at index n.  The
+    image of t^gamma is homogeneous of weight |gamma|, so no bound
+    W >= |gamma| truncates it: the rows of a context at W are the rows of
+    one context at ``max_weight`` whose gamma has weight <= W, in order.
     """
     ensure_prime(p)
     rows_g = summand_rows(p, n, q)
     lat_g = _lattice_of_rows(p, n, rows_g)
+    ctx = BPContext(p, max_weight, q)
+    weigh = ctx.t_table.monomial_weight
+    sample = [(weigh(gamma), form.as_row(n + 1))
+              for gamma, _, form in sampled_integrality_rows(ctx) if form.top_index() <= n]
     out = {"p": p, "n": n, "target_pivots": list(lat_g.pivots()), "scan": []}
     for W in range(1, max_weight + 1):
-        ctx = BPContext(p, W, q)
-        lat = bp_sample_lattice(ctx, n)
+        lat = solve(CongruenceSystem(p, n, tuple(row for w, row in sample if w <= W)))
         out["scan"].append({
             "weight": W,
             "pivots": list(lat.pivots()),
@@ -253,8 +257,7 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
     ensure_prime(p)
     if p == 2:
         raise ValueError("interleaving is the odd-prime experiment")
-    if q is None:
-        q = find_q(p)
+    q = validate_q(p, q)
     rows = []
     for idx in range(n + 1):
         k, j = divmod(idx, p - 1)

@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import (delta_p, ensure_prime, find_q, format_rational,
+from .arith import (delta_p, ensure_prime, format_rational,
                     is_p_local_int, parse_rational, validate_q)
 from .adamsk import FAMILY_KINDS, adams_family, expand_in_family
 from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
@@ -149,12 +149,9 @@ def parse_monomial(text: str, prefix: str) -> dict[str, int]:
 
 def _cmd_congruences(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    q = args.q
-    if p != 2 and q is None:
-        q = find_q(p)
-    vecs = summand_rows(p, args.n, q)
+    vecs = summand_rows(p, args.n, args.q)
     rows = [vec.padded(args.n + 1) for vec in vecs]
-    q_shown = [3, -1] if p == 2 else q
+    q_shown = [3, -1] if p == 2 else validate_q(p, args.q)
     payload = {
         "command": "congruences",
         "p": p,

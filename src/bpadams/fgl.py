@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import delta_p, ensure_prime, find_q, validate_q
+from .arith import delta_p, ensure_prime, validate_q
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
@@ -23,16 +23,18 @@ class BPContext:
 
     Holds the generator tables for the v, l and t families up to the
     largest index whose weight fits the bound, plus eagerly computed
-    conversion data between the v and l generators.  It is not immutable:
-    ``_hopf_cache`` is filled on first use with the right-unit tables,
-    whose ``special_cache`` and ``v_of_t1_power`` grow as special elements
-    are built.  Entries never change once stored, but the filling is not
-    locked, so give each thread its own context.
+    conversion data between the v and l generators.  ``vu_table`` is the
+    v table with one more generator u of weight 0, the mu index of
+    :func:`bpadams.hopf.diagonal_transform`.  It is not immutable:
+    ``_hopf_cache`` is filled on first use with the images of the
+    diagonal transform, the right-unit tables and the special elements,
+    one by one as they are built.  Entries never change once stored, but
+    the filling is not locked, so give each thread its own context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",
                  "v_table", "l_table", "t_table", "e_table",
-                 "lt_table", "vt_table", "le_table",
+                 "lt_table", "vt_table", "le_table", "vu_table",
                  "_l_in_v", "_v_in_l", "_hopf_cache")
 
     def __init__(self, p: int, weight_bound: int, q: int | None = None):
@@ -40,12 +42,8 @@ class BPContext:
         if weight_bound < 0:
             raise ValueError("weight bound must be non-negative")
         self.weight_bound = weight_bound
-        q = validate_q(p, q)
-        if q is None:
-            found = find_q(p)
-            q = found[0] if isinstance(found, tuple) else found
-        self.q = q
-        self.qhat = q ** (p - 1)
+        self.q = validate_q(p, q)
+        self.qhat = self.q ** (p - 1)
 
         weights = []
         i = 1
@@ -67,6 +65,7 @@ class BPContext:
         self.lt_table = self.l_table.union(self.t_table)
         self.vt_table = self.v_table.union(self.t_table)
         self.le_table = self.l_table.union(self.e_table)
+        self.vu_table = self.v_table.union(GeneratorTable([("u", 0)]))
 
         self._l_in_v = self._build_l_in_v()
         self._v_in_l = self._build_v_in_l()

@@ -6,10 +6,16 @@ the weight-i coefficient group as multiplication by mu_i induces
 
 * ``diagonal_transform`` - the left-linear map sending each co-operation
   to its rows: for each v-monomial, a rational linear form in the mu_i
-  (a :class:`MuLinear`, computed by rewriting in the right-unit basis),
-  and
+  (a :class:`MuLinear`), and
 * ``v1_functional`` - its scalar shadow obtained by sending v_1 to 1 and
   every higher v_n to 0.
+
+Writing mu_i as u^i for a generator u of weight 0 makes the first a
+graded ring homomorphism theta: Q[l, t] -> Q[v][u].  On the right-unit
+basis, eta_R(l_n) goes to u^{w_n} l_n with w_n the weight of l_n, so
+l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
+- sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous,
+and theta is one substitution.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
@@ -171,7 +177,7 @@ class DiagonalAction:
 class _RightUnitData:
     """Per-context caches for the right unit and its triangular inverse."""
 
-    __slots__ = ("etaR_l", "t_in_basis", "special_cache", "v_of_t1_power")
+    __slots__ = ("etaR_l", "t_in_basis")
 
     def __init__(self, ctx: BPContext):
         W = ctx.weight_bound
@@ -193,8 +199,6 @@ class _RightUnitData:
                 acc = acc - (GradedPoly.gen(ctx.le_table, W, f"l{k}")
                              * (self.t_in_basis[n - k - 1] ** (p ** k)))
             self.t_in_basis.append(acc)
-        self.special_cache: dict[int, SpecialElement] = {}
-        self.v_of_t1_power: dict[int, MuLinear] = {}
 
 
 def _rud(ctx: BPContext) -> _RightUnitData:
@@ -269,44 +273,46 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
     return y.substitute(bindings)
 
 
+def _theta_images(ctx: BPContext) -> dict[str, GradedPoly]:
+    """theta of each {l, t} generator over ``ctx.vu_table``, built once per
+    context: l_k -> L_k = l_k(v), t_n -> T_n with
+    T_n = u^{w_n} L_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k}."""
+    cache = ctx._hopf_cache
+    if "theta" not in cache:
+        u = GradedPoly.gen(ctx.vu_table, ctx.weight_bound, "u")
+        images: dict[str, GradedPoly] = {}
+        for n in range(1, ctx.gen_count + 1):
+            L = images[f"l{n}"] = ctx.l_in_v(n).embedded(ctx.vu_table)
+            acc = (u ** ctx.l_table.weights[n - 1]) * L - L
+            for k in range(1, n):
+                acc = acc - images[f"l{k}"] * (images[f"t{n - k}"] ** (ctx.p ** k))
+            images[f"t{n}"] = acc
+        cache["theta"] = images
+    return cache["theta"]
+
+
 def diagonal_transform(ctx: BPContext, x: GradedPoly,
                        mu: DiagonalAction | None = None,
                        ) -> dict[tuple[int, ...], MuLinear] | GradedPoly:
     """Image of a co-operation element under a diagonal operation.
 
-    Each basis element l^a * prod eta_R(l_n)^{b_n} maps to
-    mu_w * l^a * l^b with w the weight of the e-part.  The terms are
-    grouped by their l-monomial a + b, each distinct l-monomial is
-    converted to the v generators once, and its v-terms are scattered
-    into the rows.  Symbolically the result maps v-exponents to the
-    non-zero mu-linear forms, in graded-lexicographic order; a concrete
-    :class:`DiagonalAction` evaluates them to a polynomial over the v
-    generators.
+    The ring map theta (see the module docstring) sends x to a polynomial
+    over ``ctx.vu_table``; its term c * v^delta * u^j is the coefficient
+    c of mu_j in the row at delta.  Symbolically the result maps
+    v-exponents to the non-zero mu-linear forms, in graded-lexicographic
+    order; a concrete :class:`DiagonalAction` evaluates them to a
+    polynomial over the v generators.
     """
-    y = to_right_unit_basis(ctx, x)
-    nl = len(ctx.l_table)
-    by_l: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for exps, c in y.terms.items():
-        a, b = exps[:nl], exps[nl:]
-        form = by_l.setdefault(tuple(ai + bi for ai, bi in zip(a, b)), {})
-        w = ctx.e_table.monomial_weight(b)
-        acc = form.get(w)
-        form[w] = c if acc is None else acc + c
-    bindings = {f"l{n}": ctx.l_in_v(n) for n in range(1, ctx.gen_count + 1)}
+    if x.table != ctx.lt_table:
+        raise PolyError("expected a polynomial over the {l, t} generators")
+    nv = len(ctx.v_table)
     rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for key, form in by_l.items():
-        image = GradedPoly.monomial(ctx.l_table, ctx.weight_bound, key).substitute(bindings)
-        for delta, d in image.terms.items():
-            row = rows.setdefault(delta, {})
-            for w, c in form.items():
-                acc = row.get(w)
-                row[w] = c * d if acc is None else acc + c * d
+    for exps, c in x.substitute(_theta_images(ctx)).terms.items():
+        # exps is delta + (j,); at W = 0 nothing is bound and exps is ()
+        rows.setdefault(exps[:nv], {})[sum(exps[nv:])] = c
     weight = ctx.v_table.monomial_weight
-    out = {}
-    for delta in sorted(rows, key=lambda e: (weight(e), e)):
-        form = MuLinear(rows[delta])
-        if form:
-            out[delta] = form
+    out = {delta: MuLinear(rows[delta])
+           for delta in sorted(rows, key=lambda e: (weight(e), e))}
     if mu is not None and mu.values is not None:
         return GradedPoly(ctx.v_table, ctx.weight_bound,
                           {delta: mu.apply(form) for delta, form in out.items()})
@@ -399,14 +405,6 @@ def _check_profile(p: int, n: int, form: MuLinear) -> tuple[Fraction, ...]:
     return row
 
 
-def _v_of_t1_power(ctx: BPContext, m: int) -> MuLinear:
-    """Functional of t_1^m, computed directly (not via the product rule)."""
-    rud = _rud(ctx)
-    if m not in rud.v_of_t1_power:
-        rud.v_of_t1_power[m] = v1_functional(ctx, t_gen(ctx, 1, m))
-    return rud.v_of_t1_power[m]
-
-
 def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     """d_{p^i} = t_{i+1} + p * (correction), built inductively.
 
@@ -416,10 +414,10 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     supply the remaining tail exactly.
     """
     p = ctx.p
-    rud = _rud(ctx)
     n = p ** i
-    if n in rud.special_cache:
-        return rud.special_cache[n]
+    cache = ctx._hopf_cache.setdefault("special", {})
+    if n in cache:
+        return cache[n]
     if i + 1 > ctx.gen_count:
         raise PolyError(
             f"d_{n} needs t_{i + 1} of weight {delta_p(p, n)}, beyond bound "
@@ -440,7 +438,7 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
             coeff = work.coefficient(m)
             if not coeff:
                 continue
-            vm = _v_of_t1_power(ctx, m)
+            vm = v1_functional(ctx, t_gen(ctx, 1, m))
             cm = coeff / (p * vm.coefficient(m))
             if val_p(p, cm) < 0:
                 raise ConstructionError(
@@ -477,7 +475,7 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         raise ConstructionError(f"d_{n} - t_{i + 1} is not divisible by {p}", {"n": n})
 
     out = SpecialElement(p, n, element, row)
-    rud.special_cache[n] = out
+    cache[n] = out
     return out
 
 

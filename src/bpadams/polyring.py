@@ -4,8 +4,11 @@ integer generator weights and truncated at a fixed weight bound.
 Coefficients are :class:`fractions.Fraction` (ints are converted);
 anything else raises ``TypeError``.  Truncation drops any monomial whose
 weight exceeds the bound; because the grading is by non-negative weights
-this commutes with all ring operations, so arithmetic "mod weight > W"
-is an honest quotient ring.
+the monomials above the bound span an ideal, so truncation commutes with
+all ring operations and arithmetic "mod weight > W" is an honest
+quotient ring.  A generator may have weight 0 (``hopf`` marks the mu
+index by one): truncation never bounds its degree, so only tables of
+positive weights can list their monomials.
 
 Values never change once built.  The public constructor validates its
 input; arithmetic results satisfy the same invariants by construction
@@ -40,7 +43,7 @@ def _check_exps(table: "GeneratorTable", exps: tuple[int, ...]) -> None:
 
 
 class GeneratorTable:
-    """Ordered named generators with positive integer weights."""
+    """Ordered named generators with non-negative integer weights."""
 
     __slots__ = ("names", "weights", "_pos")
 
@@ -48,8 +51,8 @@ class GeneratorTable:
         names = []
         weights = []
         for name, w in pairs:
-            if not isinstance(w, int) or w <= 0:
-                raise PolyError(f"generator {name!r} needs a positive integer weight")
+            if not isinstance(w, int) or w < 0:
+                raise PolyError(f"generator {name!r} needs a non-negative integer weight")
             names.append(str(name))
             weights.append(w)
         if len(set(names)) != len(names):
@@ -406,6 +409,9 @@ class GradedPoly:
 
 def monomials_up_to_weight(table: GeneratorTable, bound: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of weight <= bound, in lexicographic order."""
+    for name, w in zip(table.names, table.weights):
+        if not w:
+            raise PolyError(f"generator {name!r} has weight 0: its powers are unbounded")
     n = len(table)
 
     def rec(pos: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -263,3 +263,13 @@ def test_check_g_congruences_checks_q():
         check_g_congruences(3, 9, [0, 1, 0], 2)
     with pytest.raises(ValueError, match="not primitive"):
         check_g_congruences(5, 7, [0, 1, 0], 2)
+
+
+def test_binomial_mu_congruence_checks_q():
+    # before, both returned rows built from the bad q
+    with pytest.raises(ValueError, match="divisible by p = 3"):
+        binomial_mu_congruence(3, 1, 1, q=9)
+    with pytest.raises(ValueError, match="not primitive"):
+        binomial_mu_congruence(3, 0, 1, q=4)
+    assert binomial_mu_congruence(3, 1, 1, q=2) == binomial_mu_congruence(3, 1, 1)
+    assert Phi_in_phi(3, None, 2) == Phi_in_phi(3, find_q(3), 2)

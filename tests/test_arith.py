@@ -127,7 +127,8 @@ def test_find_q_examples():
 
 
 def test_validate_q():
-    assert validate_q(3, None) is None and validate_q(2, None) is None
+    assert validate_q(3, None) == find_q(3) == 2 and validate_q(7, None) == find_q(7) == 3
+    assert validate_q(2, None) == 3  # the 3 of the fixed pair (3, -1)
     assert validate_q(3, 2) == 2 and validate_q(5, 2) == 2
     with pytest.raises(ValueError, match="p = 2"):
         validate_q(2, 7)  # the 2-local generators are fixed as (3, -1)

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from bpadams import hopf
 from bpadams.adamsk import adams_family, family_action
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             lattice_realizability, sampled_integrality_rows, summand_rows,
                             verify_centre_bp, _lattice_of_rows)
 from bpadams.fgl import BPContext
-from bpadams.lattice import lattice_leq
+from bpadams.lattice import lattice_eq, lattice_leq
 
 
 def test_verify_centre_p3_n1():
@@ -92,6 +93,27 @@ def test_bp_sample_scan():
     weights = [s["weight"] for s in report["scan"]]
     assert weights == [1, 2, 3, 4]
     assert report["scan"][1]["equals_summand_lattice"]
+
+
+@pytest.mark.parametrize("p, n, max_weight", [(3, 2, 8), (2, 2, 7), (5, 1, 6)])
+def test_bp_sample_scan_matches_a_context_per_weight(p, n, max_weight):
+    # the scan reads every bound from one context; a context per bound is the reference
+    target = _lattice_of_rows(p, n, summand_rows(p, n))
+    expected = []
+    for W in range(1, max_weight + 1):
+        lat = bp_sample_lattice(BPContext(p, W), n)
+        expected.append({"weight": W, "pivots": list(lat.pivots()),
+                         "equals_summand_lattice": lattice_eq(lat, target)})
+    assert bp_sample_scan(p, n, max_weight)["scan"] == expected
+
+
+def test_verify_run_builds_no_right_unit_tables(monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("the right-unit tables were built")
+
+    monkeypatch.setattr(hopf, "_RightUnitData", refuse)
+    for p, n in ((2, 5), (3, 4)):
+        assert verify_centre_bp(p, n)["verdict"]
 
 
 def test_interleaved_g_report():

@@ -116,23 +116,73 @@ def test_diagonal_transform_examples():
         assert all(img2.values())
 
 
-def test_diagonal_transform_substitutes_each_l_monomial_once(monkeypatch):
-    c = BPContext(2, 10)
-    x = t_gen(c, 1, 3) * t_gen(c, 2) + t_gen(c, 1, 2) * Fraction(1, 3) + t_gen(c, 3)
+def _three_pass_transform(c, x):
+    """The reference route: rewrite t -> {l, e}, group the terms by merged
+    l-monomial and e-weight, substitute l -> v once per l-monomial."""
+    y = to_right_unit_basis(c, x)
     nl = len(c.l_table)
-    merged = {tuple(a + b for a, b in zip(e[:nl], e[nl:]))
-              for e in to_right_unit_basis(c, x).terms}
-    substituted = []
-    original = GradedPoly.substitute
+    by_l = {}
+    for exps, coeff in y.terms.items():
+        a, b = exps[:nl], exps[nl:]
+        form = by_l.setdefault(tuple(ai + bi for ai, bi in zip(a, b)), {})
+        w = c.e_table.monomial_weight(b)
+        form[w] = form.get(w, Fraction(0)) + coeff
+    bindings = {f"l{n}": c.l_in_v(n) for n in range(1, c.gen_count + 1)}
+    rows = {}
+    for key, form in by_l.items():
+        image = GradedPoly.monomial(c.l_table, c.weight_bound, key).substitute(bindings)
+        for delta, d in image.terms.items():
+            row = rows.setdefault(delta, {})
+            for w, coeff in form.items():
+                row[w] = row.get(w, Fraction(0)) + coeff * d
+    weight = c.v_table.monomial_weight
+    out = {}
+    for delta in sorted(rows, key=lambda e: (weight(e), e)):
+        form = MuLinear(rows[delta])
+        if form:
+            out[delta] = form
+    return out
 
-    def counting(self, bindings):
-        if self.table == c.l_table:
-            substituted.append(tuple(self.terms))
-        return original(self, bindings)
 
-    monkeypatch.setattr(GradedPoly, "substitute", counting)
-    diagonal_transform(c, x)
-    assert sorted(substituted) == sorted((key,) for key in merged)
+def _same_rows(got, want):
+    # equal forms in the same (graded-lex) order
+    return list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("p, W", [(2, 10), (3, 14), (5, 12)])
+def test_diagonal_transform_against_three_pass_route(p, W):
+    c = BPContext(p, W)
+    nl = len(c.l_table)
+    count = 0
+    for gamma in monomials_up_to_weight(c.t_table, W):
+        x = GradedPoly.monomial(c.lt_table, W, (0,) * nl + gamma)
+        assert _same_rows(diagonal_transform(c, x), _three_pass_transform(c, x)), gamma
+        count += 1
+    assert count > 20
+
+
+def test_diagonal_transform_against_three_pass_route_with_l_parts():
+    rng = random.Random(41)
+    contexts = [BPContext(2, 8), BPContext(3, 9), BPContext(5, 12)]
+    for k in range(20):
+        c = contexts[k % 3]
+        W, nl = c.weight_bound, len(c.l_table)
+        l1 = GradedPoly.gen(c.lt_table, W, "l1")
+        x = _lt_random(rng, c, W, terms=4) + l1 * _lt_random(rng, c, W - 1, terms=3)
+        assert any(any(e[:nl]) for e in x.terms), k
+        assert _same_rows(diagonal_transform(c, x), _three_pass_transform(c, x)), k
+
+
+def test_diagonal_transform_skips_the_right_unit_tables():
+    # theta is built from its own images; the {l, e} rewrite builds neither
+    # those images nor the special-element cache
+    c = BPContext(3, 10)
+    diagonal_transform(c, t_gen(c, 2) * t_gen(c, 1))
+    special_element(c, 3)
+    assert set(c._hopf_cache) == {"theta", "special"}
+    d = BPContext(3, 10)
+    to_right_unit_basis(d, t_gen(d, 2))
+    assert set(d._hopf_cache) == {"rud"}
 
 
 def _weight_component(c, image, w):

@@ -186,6 +186,17 @@ def test_monomials_up_to_weight():
     assert mons == sorted(mons)
 
 
+def test_weight_zero_generator():
+    # allowed, but its powers are unbounded, so the monomials cannot be listed
+    VU = GeneratorTable([("v1", 1), ("u", 0)])
+    u = gen(VU, 2, "u")
+    assert (u ** 5 * gen(VU, 2, "v1", 2)).coefficient_of({"u": 5, "v1": 2}) == 1
+    with pytest.raises(PolyError, match="'u' has weight 0"):
+        list(monomials_up_to_weight(VU, 3))
+    with pytest.raises(PolyError, match="non-negative integer weight"):
+        GeneratorTable([("g", -1)])
+
+
 # -- oracle: the kernel against untruncated dict arithmetic ---------------
 
 def _ref_mul(x, y):
@@ -267,9 +278,24 @@ def _cancelling_case():
     return table, 3, a, b, Fraction(-1, 2), 3, target, {"g0": h0, "g1": -h0}
 
 
+def _weight_zero_case():
+    # u and z have weight 0, so truncation bounds only the other degrees;
+    # the images mix u-degrees like hopf's theta images
+    table = GeneratorTable([("g0", 1), ("g1", 2), ("z", 0)])
+    target = GeneratorTable([("h0", 1), ("u", 0)])
+    a = GradedPoly(table, 4, {(1, 0, 0): 1, (0, 1, 1): -2, (2, 1, 3): Fraction(1, 2),
+                              (4, 0, 0): 3, (0, 0, 2): Fraction(-1, 2)})
+    b = GradedPoly(table, 4, {(0, 0, 1): 1, (1, 0, 0): -1, (3, 1, 0): 5})
+    h0, u = (GradedPoly.gen(target, 4, name) for name in ("h0", "u"))
+    images = {"g0": u * h0 - h0, "g1": (u ** 3 - u * 2) * h0 * h0 * Fraction(1, 3),
+              "z": u * 2 - GradedPoly.const(target, 4, 1)}
+    return table, 4, a, b, Fraction(3), 3, target, images
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_kernel_case())
 @example(case=_cancelling_case())
+@example(case=_weight_zero_case())
 def test_kernel_against_naive_oracle(case):
     table, bound, a, b, c, k, target, images = case
     width = len(table)
