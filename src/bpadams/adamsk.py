@@ -265,25 +265,15 @@ def basis_integrality_rows(p: int, top: int, q: int | None = None,
     Row n states the condition "a_n is p-locally integral"; together the
     rows for n = 0..top characterize which truncated action sequences
     extend to operations.  Built by inverting the lower-triangular action
-    matrix of the connective family (phi for odd p, zeta for p = 2).
+    matrix of the connective family (phi for odd p, zeta for p = 2):
+    column j is the expansion of the unit sequence e_j.
     """
     ensure_prime(p)
     fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phi_ku", p, q)
     size = top + 1
-    act = [[family_action(fam, n, m) for n in range(m + 1)] for m in range(size)]
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        # forward substitution with lam = e_j gives column j of the inverse
-        a = [Fraction(0)] * size
-        for m in range(size):
-            acc = Fraction(1) if m == j else Fraction(0)
-            for k in range(m):
-                if a[k]:
-                    acc -= act[m][k] * a[k]
-            a[m] = acc / act[m][m]
-        for n in range(size):
-            rows[n][j] = a[n]
-    return tuple(tuple(r) for r in rows)
+    columns = [expand_in_family(fam, [int(m == j) for m in range(size)])[0]
+               for j in range(size)]
+    return tuple(zip(*columns))
 
 
 def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.CongruenceSystem":

@@ -28,10 +28,9 @@ from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congr
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
-from .hopf import MuLinear, special_element, diagonal_transform
+from .hopf import MuLinear, special_element, t_monomial_rows
 from .lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
                       sandwich_check, solve)
-from .polyring import GradedPoly, monomials_up_to_weight
 
 
 class CentreVerificationError(RuntimeError):
@@ -49,19 +48,14 @@ def sampled_integrality_rows(ctx: BPContext,
     For each non-trivial t-monomial gamma of weight <= W, the diagonal
     image is expanded over the v generators; the mu-linear coefficient at
     each v-monomial delta must be p-locally integral, giving one row per
-    (gamma, delta) pair.  The enumeration order is deterministic.
+    (gamma, delta) pair.  The enumeration order is deterministic: gamma
+    as in :func:`bpadams.polyring.monomials_up_to_weight`, then delta in
+    graded-lexicographic order.  The images come from one walk of the
+    t-monomials (:func:`bpadams.hopf.t_monomial_rows`).
     """
-    rows = []
-    nl = len(ctx.l_table)
-    for gamma in monomials_up_to_weight(ctx.t_table, ctx.weight_bound):
-        if not any(gamma):
-            continue
-        exps = (0,) * nl + tuple(gamma)
-        image = diagonal_transform(
-            ctx, GradedPoly.monomial(ctx.lt_table, ctx.weight_bound, exps))
-        for delta, form in image.items():
-            rows.append((tuple(gamma), delta, form))
-    return rows
+    return [(gamma, delta, form)
+            for gamma, rows in t_monomial_rows(ctx) if any(gamma)
+            for delta, form in rows.items()]
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:

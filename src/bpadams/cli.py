@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -184,10 +185,7 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
 
 def _cmd_basis_expand(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
-    try:
-        fam = adams_family(args.family, p, args.q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fam = adams_family(args.family, p, args.q)
     lam = read_sequence(args.infile)
     coeffs, integral = expand_in_family(fam, lam)
     payload = {
@@ -212,10 +210,8 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
     alpha = parse_monomial(args.monomial, "v")
     ctx = BPContext(p, args.weight, args.q)
     for name in alpha:
-        try:
-            ctx.v_table.index(name)
-        except Exception as exc:
-            raise InputError(f"{name} exceeds the weight bound {args.weight}") from exc
+        if name not in ctx.v_table.names:
+            raise InputError(f"{name} exceeds the weight bound {args.weight}")
     weight = sum(ctx.v_table.weight_of(n) * e for n, e in alpha.items())
     if weight > args.weight:
         raise InputError(
@@ -438,17 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # on the first call of main, then reused
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "q", None) is not None:
             validate_q(args.p, args.q)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

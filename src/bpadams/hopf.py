@@ -14,8 +14,11 @@ Writing mu_i as u^i for a generator u of weight 0 makes the first a
 graded ring homomorphism theta: Q[l, t] -> Q[v][u].  On the right-unit
 basis, eta_R(l_n) goes to u^{w_n} l_n with w_n the weight of l_n, so
 l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
-- sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous,
-and theta is one substitution.
+- sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous.
+For a general x, theta is one substitution of these images.  The
+sampled rows need theta(t^gamma) for every t-monomial gamma of weight
+<= W: ``t_monomial_rows`` walks those monomials depth first and builds
+each image from its parent prefix with one product by a theta(t_k).
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .arith import delta_p, format_rational, is_p_local_int, val_p
 from .fgl import BPContext
@@ -190,15 +193,23 @@ class _RightUnitData:
                 acc = acc + (GradedPoly.gen(ctx.lt_table, W, f"l{k}")
                              * GradedPoly.gen(ctx.lt_table, W, f"t{n - k}", p ** k))
             self.etaR_l.append(acc)
-        # t_n = e_n - l_n - sum_{1<=k<n} l_k * T_{n-k}^{p^k}, recursively
-        self.t_in_basis: list[GradedPoly] = []
-        for n in range(1, ctx.gen_count + 1):
-            acc = (GradedPoly.gen(ctx.le_table, W, f"e{n}")
-                   - GradedPoly.gen(ctx.le_table, W, f"l{n}"))
-            for k in range(1, n):
-                acc = acc - (GradedPoly.gen(ctx.le_table, W, f"l{k}")
-                             * (self.t_in_basis[n - k - 1] ** (p ** k)))
-            self.t_in_basis.append(acc)
+        names = range(1, ctx.gen_count + 1)
+        self.t_in_basis = _t_recursion(
+            p, [GradedPoly.gen(ctx.le_table, W, f"l{n}") for n in names],
+            [GradedPoly.gen(ctx.le_table, W, f"e{n}") for n in names])
+
+
+def _t_recursion(p: int, L: list[GradedPoly], E: list[GradedPoly]) -> list[GradedPoly]:
+    """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
+    t_n over the {l, e} basis when E_n = e_n, and theta(t_n) when
+    E_n = u^{w_n} L_n with L_n = l_n(v)."""
+    T: list[GradedPoly] = []
+    for n in range(len(L)):
+        acc = E[n] - L[n]
+        for k in range(1, n + 1):
+            acc = acc - L[k - 1] * (T[n - k] ** (p ** k))
+        T.append(acc)
+    return T
 
 
 def _rud(ctx: BPContext) -> _RightUnitData:
@@ -275,20 +286,26 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
 
 def _theta_images(ctx: BPContext) -> dict[str, GradedPoly]:
     """theta of each {l, t} generator over ``ctx.vu_table``, built once per
-    context: l_k -> L_k = l_k(v), t_n -> T_n with
-    T_n = u^{w_n} L_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k}."""
+    context: l_k -> L_k = l_k(v), t_n -> T_n by :func:`_t_recursion`."""
     cache = ctx._hopf_cache
     if "theta" not in cache:
         u = GradedPoly.gen(ctx.vu_table, ctx.weight_bound, "u")
-        images: dict[str, GradedPoly] = {}
-        for n in range(1, ctx.gen_count + 1):
-            L = images[f"l{n}"] = ctx.l_in_v(n).embedded(ctx.vu_table)
-            acc = (u ** ctx.l_table.weights[n - 1]) * L - L
-            for k in range(1, n):
-                acc = acc - images[f"l{k}"] * (images[f"t{n - k}"] ** (ctx.p ** k))
-            images[f"t{n}"] = acc
-        cache["theta"] = images
+        L = [ctx.l_in_v(n).embedded(ctx.vu_table) for n in range(1, ctx.gen_count + 1)]
+        T = _t_recursion(ctx.p, L, [(u ** w) * Ln for w, Ln in zip(ctx.l_table.weights, L)])
+        cache["theta"] = dict(zip(ctx.lt_table.names, L + T))  # l1.., then t1..
     return cache["theta"]
+
+
+def _read_rows(ctx: BPContext, image: GradedPoly) -> dict[tuple[int, ...], MuLinear]:
+    """The rows of a theta image, read as :func:`diagonal_transform` says."""
+    nv = len(ctx.v_table)
+    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for exps, c in image.terms.items():
+        # exps is delta + (j,); at W = 0 a substitution binds nothing and exps is ()
+        rows.setdefault(exps[:nv], {})[sum(exps[nv:])] = c
+    weight = ctx.v_table.monomial_weight
+    return {delta: MuLinear(rows[delta])
+            for delta in sorted(rows, key=lambda e: (weight(e), e))}
 
 
 def diagonal_transform(ctx: BPContext, x: GradedPoly,
@@ -305,18 +322,38 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
-    nv = len(ctx.v_table)
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for exps, c in x.substitute(_theta_images(ctx)).terms.items():
-        # exps is delta + (j,); at W = 0 nothing is bound and exps is ()
-        rows.setdefault(exps[:nv], {})[sum(exps[nv:])] = c
-    weight = ctx.v_table.monomial_weight
-    out = {delta: MuLinear(rows[delta])
-           for delta in sorted(rows, key=lambda e: (weight(e), e))}
+    out = _read_rows(ctx, x.substitute(_theta_images(ctx)))
     if mu is not None and mu.values is not None:
         return GradedPoly(ctx.v_table, ctx.weight_bound,
                           {delta: mu.apply(form) for delta, form in out.items()})
     return out
+
+
+def t_monomial_rows(ctx: BPContext,
+                    ) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, ...], MuLinear]]]:
+    """(gamma, the rows of theta(t^gamma)) for every t-monomial gamma of
+    weight <= W, in the order of ``monomials_up_to_weight(ctx.t_table, W)``.
+
+    A depth-first walk that keeps only the chain of prefixes: the image of
+    gamma is its parent's (gamma with its last non-zero exponent lowered
+    by one) times theta(t_k).  Images are homogeneous of weight |gamma|
+    (u has weight 0), so no product truncates: the rows are those
+    :func:`diagonal_transform` gives for t^gamma.
+    """
+    images = _theta_images(ctx)
+    gens = [images[f"t{k}"] for k in range(1, ctx.gen_count + 1)]
+    weights = ctx.t_table.weights
+
+    def walk(gamma: tuple[int, ...], image: GradedPoly, low: int, room: int) -> Iterator:
+        yield gamma, _read_rows(ctx, image)
+        # raising a later index first gives the lexicographic order
+        for k in range(len(gens) - 1, low - 1, -1):
+            if weights[k] <= room:
+                yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
+                                image * gens[k], k, room - weights[k])
+
+    W = ctx.weight_bound
+    yield from walk((0,) * len(gens), GradedPoly.const(ctx.vu_table, W, 1), 0, W)
 
 
 def v1_functional(ctx: BPContext, x: GradedPoly,
@@ -412,6 +449,11 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     combination of powers t_1^m (m from delta_p(p^i) down to p^i + 1)
     absorbs the top term of the t-recursion, then the inductive elements
     supply the remaining tail exactly.
+
+    The result is t_{i+1} plus p times a p-integral rest, with no check
+    needed: the t_1^m and the rbar_k lie in Q[t_1..t_i], and their
+    coefficients are p * c_m or (p / alphabar_k) * rbar_k with c_m and
+    rbar_k checked p-integral and alphabar_k a unit.
     """
     p = ctx.p
     n = p ** i
@@ -466,14 +508,6 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         form = v1_functional(ctx, element)
 
     row = _check_profile(p, n, form)
-    # the inductive form t_{i+1} + p * r
-    lead = element.coefficient_of({f"t{i + 1}": 1})
-    if lead != 1:
-        raise ConstructionError(f"d_{n} does not lead with t_{i + 1}", {"n": n})
-    rest = element - t_gen(ctx, i + 1)
-    if any(val_p(p, c) < 1 for c in rest.terms.values()):
-        raise ConstructionError(f"d_{n} - t_{i + 1} is not divisible by {p}", {"n": n})
-
     out = SpecialElement(p, n, element, row)
     cache[n] = out
     return out

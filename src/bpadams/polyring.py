@@ -12,16 +12,13 @@ positive weights can list their monomials.
 
 Values never change once built.  The public constructor validates its
 input; arithmetic results satisfy the same invariants by construction
-and skip that check.  Each polynomial keeps the powers computed from it
-(``x ** k``) in a memo that fills lazily and without a lock, like the
-caches of :class:`bpadams.fgl.BPContext`: a race can only compute an
-equal power twice.
+and skip that check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 
@@ -103,12 +100,10 @@ class GradedPoly:
     """Sparse polynomial with dense exponent tuples, truncated at `bound`.
 
     The value never changes after construction; arithmetic returns new
-    values.  ``_powers`` memoises ``x ** k`` on the instance: it fills
-    lazily and unlocked, so share a polynomial across threads only as
-    freely as the :class:`bpadams.fgl.BPContext` it came from.
+    values.
     """
 
-    __slots__ = ("table", "bound", "terms", "_powers")
+    __slots__ = ("table", "bound", "terms")
 
     def __init__(self, table: GeneratorTable, bound: int,
                  terms: Mapping[tuple[int, ...], object] | None = None):
@@ -128,7 +123,6 @@ class GradedPoly:
         self.table = table
         self.bound = bound
         self.terms = store
-        self._powers = None
 
     @classmethod
     def _trusted(cls, table: GeneratorTable, bound: int,
@@ -143,7 +137,6 @@ class GradedPoly:
         poly.table = table
         poly.bound = bound
         poly.terms = terms
-        poly._powers = None
         return poly
 
     # -- constructors -------------------------------------------------
@@ -219,16 +212,13 @@ class GradedPoly:
             self._check_compat(other)
             table, bound = self.table, self.bound
             weigh = table.monomial_weight
-            # each term of `other` is weighed once; lightest first, so the
-            # inner loop stops at the first factor that overshoots
-            right = sorted(((weigh(e2), e2, c2) for e2, c2 in other.terms.items()),
-                           key=itemgetter(0))
+            right = [(weigh(e2), e2, c2) for e2, c2 in other.terms.items()]
             out: dict[tuple[int, ...], Fraction] = {}
             for e1, c1 in self.terms.items():
                 room = bound - weigh(e1)
                 for w2, e2, c2 in right:
                     if w2 > room:
-                        break
+                        continue
                     key = tuple(map(add, e1, e2))
                     acc = out.get(key)
                     if acc is None:
@@ -252,27 +242,17 @@ class GradedPoly:
     def __pow__(self, k: int) -> "GradedPoly":
         if not isinstance(k, int) or k < 0:
             raise PolyError("polynomial powers must be non-negative integers")
-        if k == 1:
-            return self
-        powers = self._powers
-        if powers is None:
-            powers = self._powers = {}
-        elif k in powers:
-            return powers[k]
-        result = None
-        base = self
+        if k == 0:
+            return GradedPoly._trusted(self.table, self.bound,
+                                       {(0,) * len(self.table): Fraction(1)})
+        result, base = None, self
         # square-and-multiply; truncation applies at every step
-        e = k
-        while e:
-            if e & 1:
+        while k:
+            if k & 1:
                 result = base if result is None else result * base
-            e >>= 1
-            if e:
+            k >>= 1
+            if k:
                 base = base * base
-        if result is None:
-            result = GradedPoly._trusted(self.table, self.bound,
-                                         {(0,) * len(self.table): Fraction(1)})
-        powers[k] = result
         return result
 
     # -- queries ---------------------------------------------------------
@@ -342,15 +322,17 @@ class GradedPoly:
                     raise PolyError(f"weight of {name!r} differs in target table")
                 images[name] = GradedPoly.gen(target_table, target_bound, name)
 
-        # powers of the images are memoised on the images themselves
+        # each power of an image is computed once per call
+        powers: dict[tuple[str, int], GradedPoly] = {}
         one = {(0,) * len(target_table): Fraction(1)}
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
             acc = None
             for name, e in zip(self.table.names, exps):
                 if e:
-                    factor = images[name] ** e
-                    acc = factor if acc is None else acc * factor
+                    if (name, e) not in powers:
+                        powers[name, e] = images[name] ** e
+                    acc = powers[name, e] if acc is None else acc * powers[name, e]
                     if acc.is_zero:
                         break
             for key, d in (one if acc is None else acc.terms).items():
@@ -365,9 +347,8 @@ class GradedPoly:
                         del out[key]
         return GradedPoly._trusted(target_table, target_bound, out)
 
-    def embedded(self, supertable: GeneratorTable, bound: int | None = None) -> "GradedPoly":
+    def embedded(self, supertable: GeneratorTable) -> "GradedPoly":
         """Re-express over a table containing all of this table's generators."""
-        bound = self.bound if bound is None else bound
         mapping = []
         for name, w in zip(self.table.names, self.table.weights):
             idx = supertable.index(name)
@@ -381,7 +362,7 @@ class GradedPoly:
             for pos, e in zip(mapping, exps):
                 vec[pos] = e
             out[tuple(vec)] = c
-        return GradedPoly(supertable, bound, out)
+        return GradedPoly(supertable, self.bound, out)
 
     # -- rendering -----------------------------------------------------------
 

@@ -9,6 +9,7 @@ from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_rep
                             verify_centre_bp, _lattice_of_rows)
 from bpadams.fgl import BPContext
 from bpadams.lattice import lattice_eq, lattice_leq
+from bpadams.polyring import GradedPoly, monomials_up_to_weight
 
 
 def test_verify_centre_p3_n1():
@@ -60,6 +61,29 @@ def test_sampled_rows_deterministic_and_weight_filtered():
         assert w <= 4
         if top is not None:
             assert top <= w
+
+
+@pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12)])
+def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
+    # the walk substitutes nothing; the oracle transforms each t^gamma alone
+    ctx = BPContext(p, W)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk substituted")
+
+    with monkeypatch.context() as m:
+        m.setattr(GradedPoly, "substitute", refuse)
+        m.setattr(GradedPoly, "monomial", refuse)
+        m.setattr(hopf, "diagonal_transform", refuse)
+        rows = sampled_integrality_rows(ctx)
+    nl = len(ctx.l_table)
+    expected = []
+    for gamma in monomials_up_to_weight(ctx.t_table, W):
+        if any(gamma):
+            x = GradedPoly.monomial(ctx.lt_table, W, (0,) * nl + gamma)
+            expected.extend((gamma, delta, form)
+                            for delta, form in hopf.diagonal_transform(ctx, x).items())
+    assert rows == expected and len(rows) > 25
 
 
 def test_lattice_realizability():

@@ -4,6 +4,7 @@ import pytest
 
 from bpadams.adamsk import ku_congruence_system
 from bpadams.arith import val_p
+from bpadams import cli
 from bpadams.cli import main, parse_monomial, read_sequence, read_system, InputError
 
 
@@ -253,3 +254,16 @@ def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):
     _, out, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--weight", "3",
                       "--format", "json")
     assert err == "" and json.loads(out)["weight_bound"] == 3
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "congruences", "--p", "3", "--n", "1")[0] == 0
+        assert run(capsys, "bp-dn", "--p", "2", "--n", "2", "--format", "json")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
