@@ -83,15 +83,17 @@ def _first_sample_failure(p: int, lat: SolutionLattice, forms: list[MuLinear],
 
     The columns are integral, so a form holds on a column iff den * form,
     den the common denominator of its coefficients, vanishes on it modulo
-    p^a, where p^-a is the lowest valuation of a coefficient.
+    p^a, where p^-a is the lowest valuation of a coefficient.  That
+    valuation is val_p(1/den): the coefficient whose denominator carries
+    the highest power of p has a numerator prime to p.
     """
     columns = [[int(x) for x in col] for col in lat.columns()]
     for k, form in enumerate(forms):
-        a = -min(val_p(p, c) for c in form.coeffs.values())
+        den = math.lcm(*(c.denominator for c in form.coeffs.values()))
+        a = -val_p(p, Fraction(1, den))
         if a <= 0:
             continue
         modulus = p ** a
-        den = math.lcm(*(c.denominator for c in form.coeffs.values()))
         scaled = [(i, c.numerator * (den // c.denominator) % modulus)
                   for i, c in form.coeffs.items()]
         for j, col in enumerate(columns):

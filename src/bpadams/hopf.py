@@ -18,7 +18,13 @@ l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 For a general x, theta is one substitution of these images.  The
 sampled rows need theta(t^gamma) for every t-monomial gamma of weight
 <= W: ``t_monomial_rows`` walks those monomials depth first and builds
-each image from its parent prefix with one product by a theta(t_k).
+each image from its parent prefix with one product by a theta(t_k).  The
+walk runs on integer numerators over a common denominator, with each
+monomial v^delta * u^j packed into one int (one bit field per exponent),
+so a product of monomials is one int addition; ``Fraction`` appears only
+when the rows are read out.  ``v1_functional`` is theta followed by
+v_1 -> 1, v_{>1} -> 0: a ring map into Q[u], evaluated on univariate
+images of the generators.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
@@ -28,6 +34,7 @@ lattice sandwich.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -52,6 +59,14 @@ class MuLinear:
                         raise PolyError("mu index must be non-negative")
                     data[int(i)] = c
         self.coeffs = data
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, Fraction]) -> "MuLinear":
+        """Wrap ``coeffs`` without a copy or a check: the caller guarantees
+        non-negative int keys and non-zero ``Fraction`` values."""
+        form = object.__new__(cls)
+        form.coeffs = coeffs
+        return form
 
     @classmethod
     def zero(cls) -> "MuLinear":
@@ -296,16 +311,47 @@ def _theta_images(ctx: BPContext) -> dict[str, GradedPoly]:
     return cache["theta"]
 
 
-def _read_rows(ctx: BPContext, image: GradedPoly) -> dict[tuple[int, ...], MuLinear]:
-    """The rows of a theta image, read as :func:`diagonal_transform` says."""
-    nv = len(ctx.v_table)
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+def _integer_image(image: GradedPoly, width: int, u_bound: int,
+                   label: str) -> tuple[dict[int, int], int]:
+    """(N, D) for a polynomial over ``ctx.vu_table``: D is the lcm of its
+    denominators and N = D * image, with integer coefficients on packed
+    keys.  The key of v^delta * u^j holds delta_1, ..., delta_m, j in
+    fields of ``width`` bits, v_1 at the top and u at the bottom.
+
+    Raises PolyError if a term has u-degree above ``u_bound``: the
+    packing relies on that bound (see :func:`t_monomial_rows`).
+    """
+    den = math.lcm(*(c.denominator for c in image.terms.values()))
+    out: dict[int, int] = {}
     for exps, c in image.terms.items():
-        # exps is delta + (j,); at W = 0 a substitution binds nothing and exps is ()
-        rows.setdefault(exps[:nv], {})[sum(exps[nv:])] = c
+        # exps is () only at W = 0, where a substitution binds nothing
+        if exps and exps[-1] > u_bound:
+            raise PolyError(f"{label} has a term of u-degree {exps[-1]} above "
+                            f"{u_bound}: its packed keys could carry")
+        key = 0
+        for e in exps:
+            key = key << width | e
+        out[key] = c.numerator * (den // c.denominator)
+    return out, den
+
+
+def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
+               den: int) -> dict[tuple[int, ...], MuLinear]:
+    """The rows of the theta image numerators / den, keys packed as by
+    :func:`_integer_image`: the term c * v^delta * u^j is the entry c of
+    mu_j in the row at delta.  One ``Fraction`` is made per coefficient;
+    the rows come in graded-lexicographic order of delta."""
+    width = ctx.weight_bound.bit_length()
+    mask = (1 << width) - 1
+    rows: dict[int, dict[int, Fraction]] = {}
+    for key, c in numerators.items():
+        rows.setdefault(key >> width, {})[key & mask] = Fraction(c, den)
+    shifts = [width * i for i in reversed(range(len(ctx.v_table)))]
+    by_delta = {tuple(packed >> s & mask for s in shifts): row
+                for packed, row in rows.items()}
     weight = ctx.v_table.monomial_weight
-    return {delta: MuLinear(rows[delta])
-            for delta in sorted(rows, key=lambda e: (weight(e), e))}
+    return {delta: MuLinear._trusted(by_delta[delta])
+            for delta in sorted(by_delta, key=lambda e: (weight(e), e))}
 
 
 def diagonal_transform(ctx: BPContext, x: GradedPoly,
@@ -322,9 +368,12 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
-    out = _read_rows(ctx, x.substitute(_theta_images(ctx)))
+    W = ctx.weight_bound
+    image = x.substitute(_theta_images(ctx))
+    # truncation keeps every v-exponent <= W; a u-degree above W is refused
+    out = _read_rows(ctx, *_integer_image(image, W.bit_length(), W, "the image"))
     if mu is not None and mu.values is not None:
-        return GradedPoly(ctx.v_table, ctx.weight_bound,
+        return GradedPoly(ctx.v_table, W,
                           {delta: mu.apply(form) for delta, form in out.items()})
     return out
 
@@ -339,21 +388,51 @@ def t_monomial_rows(ctx: BPContext,
     by one) times theta(t_k).  Images are homogeneous of weight |gamma|
     (u has weight 0), so no product truncates: the rows are those
     :func:`diagonal_transform` gives for t^gamma.
-    """
-    images = _theta_images(ctx)
-    gens = [images[f"t{k}"] for k in range(1, ctx.gen_count + 1)]
-    weights = ctx.t_table.weights
 
-    def walk(gamma: tuple[int, ...], image: GradedPoly, low: int, room: int) -> Iterator:
-        yield gamma, _read_rows(ctx, image)
+    The walk runs on integers.  Each theta(t_k) is stored once as
+    N_k = D_k * theta(t_k), D_k the lcm of its denominators, and the
+    image of gamma as integer numerators over the common denominator
+    prod_k D_k^{gamma_k}; a child is one integer convolution with N_k,
+    its denominator ``den * D_k``, and only the read-out makes a
+    ``Fraction``.  A monomial v^delta * u^j is one int with a field of
+    ``W.bit_length()`` bits per v_i and one for u (see
+    :func:`_integer_image`), so multiplying monomials is adding ints.
+
+    No carry can pass between fields.  Every term of theta(t^gamma) has
+    v-weight |gamma| <= W, so each v-exponent is at most W.  Its u-degree
+    is at most |gamma|: the recursion gives every term of theta(t_n) a
+    u-degree <= w_n, since p^k * w_{n-k} <= w_n.  So every field of a
+    product key holds its true exponent, which is <= W.  The bound on the
+    generator images is checked once per walk (``PolyError`` otherwise);
+    the inner loop checks nothing.
+    """
+    W = ctx.weight_bound
+    width = W.bit_length()
+    images = _theta_images(ctx)
+    weights = ctx.t_table.weights
+    gens = []
+    for k, w in enumerate(weights, start=1):
+        num, den = _integer_image(images[f"t{k}"], width, w, f"theta(t{k})")
+        gens.append((list(num.items()), den))
+
+    def walk(gamma: tuple[int, ...], num: dict[int, int], den: int,
+             low: int, room: int) -> Iterator:
+        yield gamma, _read_rows(ctx, num, den)
         # raising a later index first gives the lexicographic order
         for k in range(len(gens) - 1, low - 1, -1):
             if weights[k] <= room:
+                factor, d = gens[k]
+                out: dict[int, int] = {}
+                get = out.get
+                for k1, c1 in num.items():
+                    for k2, c2 in factor:
+                        key = k1 + k2
+                        out[key] = get(key, 0) + c1 * c2
                 yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
-                                image * gens[k], k, room - weights[k])
+                                {key: c for key, c in out.items() if c}, den * d,
+                                k, room - weights[k])
 
-    W = ctx.weight_bound
-    yield from walk((0,) * len(gens), GradedPoly.const(ctx.vu_table, W, 1), 0, W)
+    yield from walk((0,) * len(gens), {0: 1}, 1, 0, W)
 
 
 def v1_functional(ctx: BPContext, x: GradedPoly,
@@ -361,11 +440,38 @@ def v1_functional(ctx: BPContext, x: GradedPoly,
     """Scalar value of the diagonal image under v_1 -> 1, v_n -> 0 (n > 1).
 
     Symbolically this is a finite rational linear form in the mu_i.
+    theta followed by v_1 -> 1, v_{>1} -> 0 is a ring map
+    Q[l, t] -> Q[u], u^j standing for mu_j (the product is
+    :meth:`MuLinear.convolve`).  Each generator goes to the terms of its
+    theta image with no v_{>1}, index j to coefficient, and x is evaluated
+    term by term, each power computed once per call.  This is exact:
+    every term of x has weight <= W and its image is homogeneous, so theta
+    truncates none of it.
     """
+    if x.table != ctx.lt_table:
+        raise PolyError("expected a polynomial over the {l, t} generators")
+    images = _theta_images(ctx)
+    nv = len(ctx.v_table)
+    chains: dict[str, list[MuLinear]] = {}
+
+    def power(name: str, e: int) -> MuLinear:
+        chain = chains.get(name)
+        if chain is None:
+            # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
+            base = MuLinear({exps[nv]: c for exps, c in images[name].terms.items()
+                             if not any(exps[1:nv])})
+            chain = chains[name] = [MuLinear.unit(0), base]
+        while len(chain) <= e:
+            chain.append(chain[-1].convolve(chain[1]))
+        return chain[e]
+
     total = MuLinear.zero()
-    for delta, form in diagonal_transform(ctx, x).items():
-        if not any(delta[1:]):
-            total = total + form
+    for exps, c in x.terms.items():
+        acc = MuLinear.unit(0, c)
+        for name, e in zip(ctx.lt_table.names, exps):
+            if e:
+                acc = acc.convolve(power(name, e))
+        total = total + acc
     if mu is not None:
         return mu.apply(total)
     return total

@@ -9,7 +9,8 @@ from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_rep
                             verify_centre_bp, _lattice_of_rows)
 from bpadams.fgl import BPContext
 from bpadams.lattice import lattice_eq, lattice_leq
-from bpadams.polyring import GradedPoly, monomials_up_to_weight
+from bpadams.hopf import MuLinear
+from bpadams.polyring import GradedPoly, PolyError, monomials_up_to_weight
 
 
 def test_verify_centre_p3_n1():
@@ -63,9 +64,28 @@ def test_sampled_rows_deterministic_and_weight_filtered():
             assert top <= w
 
 
-@pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12)])
+def _unpacked_rows(ctx, x):
+    """The rows of theta(x), read off its Fraction image term by term."""
+    nv = len(ctx.v_table)
+    rows = {}
+    for exps, c in x.substitute(hopf._theta_images(ctx)).terms.items():
+        rows.setdefault(exps[:nv], {})[sum(exps[nv:])] = c
+    weight = ctx.v_table.monomial_weight
+    return {delta: MuLinear(rows[delta]) for delta in sorted(rows, key=lambda e: (weight(e), e))}
+
+
+# (p, W) -> the number of rows.  W = 7 | 8 and 15 | 16 sit on both sides
+# of a step in the packed field width W.bit_length(); W = 0 and 1 give the
+# empty and the trivial walk
+WALK_ROWS = {(2, 12): 116, (3, 14): 79, (5, 12): 29, (2, 7): 27, (2, 8): 37,
+             (3, 7): 15, (3, 8): 21, (2, 15): 250, (2, 16): 319, (5, 15): 47,
+             (5, 16): 53, (2, 0): 0, (3, 1): 1}
+
+
+@pytest.mark.parametrize("p, W", list(WALK_ROWS))
 def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
-    # the walk substitutes nothing; the oracle transforms each t^gamma alone
+    # the walk substitutes nothing; the oracles transform each t^gamma alone,
+    # once through diagonal_transform and once without packed keys
     ctx = BPContext(p, W)
 
     def refuse(*args, **kwargs):
@@ -81,9 +101,21 @@ def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
     for gamma in monomials_up_to_weight(ctx.t_table, W):
         if any(gamma):
             x = GradedPoly.monomial(ctx.lt_table, W, (0,) * nl + gamma)
-            expected.extend((gamma, delta, form)
-                            for delta, form in hopf.diagonal_transform(ctx, x).items())
-    assert rows == expected and len(rows) > 25
+            image = hopf.diagonal_transform(ctx, x)
+            assert image == _unpacked_rows(ctx, x), gamma
+            expected.extend((gamma, delta, form) for delta, form in image.items())
+    assert rows == expected and len(rows) == WALK_ROWS[p, W]
+
+
+def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
+    # a term of theta(t_1) with u-degree 2 > w_1 = 1 breaks the no-carry
+    # bound of the packed keys; the walk checks the images before it starts
+    ctx = BPContext(2, 4)
+    images = dict(hopf._theta_images(ctx))
+    images["t1"] = images["t1"] + GradedPoly.monomial(ctx.vu_table, 4, (1, 0, 2))
+    monkeypatch.setattr(hopf, "_theta_images", lambda c: images)
+    with pytest.raises(PolyError, match="theta\\(t1\\) has a term of u-degree 2"):
+        sampled_integrality_rows(ctx)
 
 
 def test_lattice_realizability():

@@ -228,6 +228,36 @@ def test_v1_functional_examples():
         assert v1_functional(c, t_gen(c, 1)) == MuLinear({1: unit, 0: -unit})
 
 
+def _v1_by_rows(c, x):
+    """The route v1_functional replaced: the rows of diagonal_transform at
+    delta = (a, 0, ..., 0), summed."""
+    total = MuLinear.zero()
+    for delta, form in diagonal_transform(c, x).items():
+        if not any(delta[1:]):
+            total = total + form
+    return total
+
+
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 18), (5, 24)])
+def test_v1_functional_against_the_rows_on_special_elements(p, n):
+    c = BPContext(p, delta_p(p, n))
+    for k in range(n + 1):
+        element = special_element(c, k).element
+        assert v1_functional(c, element) == _v1_by_rows(c, element), k
+
+
+def test_v1_functional_against_the_rows_with_l_parts():
+    rng = random.Random(53)
+    contexts = [BPContext(2, 8), BPContext(3, 9), BPContext(5, 12)]
+    for k in range(30):
+        c = contexts[k % 3]
+        W, nl = c.weight_bound, len(c.l_table)
+        l1 = GradedPoly.gen(c.lt_table, W, "l1")
+        x = _lt_random(rng, c, W, terms=5) + l1 * _lt_random(rng, c, W - 1, terms=3)
+        assert any(any(e[:nl]) for e in x.terms), k
+        assert v1_functional(c, x) == _v1_by_rows(c, x), k
+
+
 def test_product_rule_t1_squared():
     c = ctx3()
     vx = v1_functional(c, t_gen(c, 1))
