@@ -195,7 +195,8 @@ class CongruenceVector:
 
     ``budget`` is the expected pivot valuation: the shape hypotheses ask
     for entries in p^-budget Z_(p), a unit pivot c_n in p^-budget Z_(p)^x,
-    and zeros beyond n.
+    and zeros beyond n.  The budget is non-negative (``ValueError``
+    otherwise).
     """
 
     p: int
@@ -206,13 +207,21 @@ class CongruenceVector:
     def __post_init__(self):
         if len(self.entries) != self.n + 1:
             raise ValueError("entry vector must have length n + 1")
+        if self.budget < 0:
+            raise ValueError(f"budget must be non-negative, got {self.budget}")
         object.__setattr__(self, "entries",
                            tuple(Fraction(e) for e in self.entries))
 
     def shape_ok(self) -> bool:
+        """The shape hypotheses.  The pivot is tested by its valuation; an
+        entry e below it has val_p(e) >= -budget iff p^(budget + 1) does
+        not divide e.denominator, since budget >= 0 and a fraction in
+        lowest terms has p in at most one of its numerator and denominator.
+        """
         if val_p(self.p, self.entries[self.n]) != -self.budget:
             return False
-        return all(val_p(self.p, e) >= -self.budget for e in self.entries[:-1])
+        bound = self.p ** (self.budget + 1)
+        return all(e.denominator % bound for e in self.entries[:-1])
 
     def dot(self, mu: Sequence[Fraction | int]) -> Fraction:
         if len(mu) < self.n + 1:
@@ -240,13 +249,14 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     if p == 2:
         raise ValueError("the Gaussian rows are the odd-prime system")
     qhat = q ** (p - 1)
-    den = Fraction(p) ** delta_p(p, n)
+    budget = delta_p(p, n)
+    den = p ** budget
     entries = []
     for i in range(n + 1):
         d = n - i
-        num = Fraction((-1) ** d) * Fraction(qhat) ** math.comb(d, 2) * gaussian(n, i, qhat)
-        entries.append(num / den)
-    return CongruenceVector(p, n, tuple(entries), delta_p(p, n))
+        num = (-1) ** d * qhat ** math.comb(d, 2) * gaussian(n, i, qhat).numerator
+        entries.append(Fraction(num, den))
+    return CongruenceVector(p, n, tuple(entries), budget)
 
 
 def check_g_congruences(p: int, q: int, mu: Sequence[Fraction | int],

@@ -137,18 +137,15 @@ def gaussian_poly(n: int, i: int) -> tuple[int, ...]:
 def gaussian(n: int, i: int, t: Fraction | int) -> Fraction:
     """Value of the Gaussian polynomial [n, i]_t at t.
 
-    Evaluated from the expanded integer-coefficient polynomial, never
-    from the quotient-of-products form, so integer t gives an exact
-    integer result regardless of vanishing denominators.
+    Evaluated by Horner's rule from the expanded integer-coefficient
+    polynomial, never from the quotient-of-products form, so integer t
+    gives an exact integer result (computed in ints) regardless of
+    vanishing denominators.
     """
-    t = Fraction(t)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in gaussian_poly(n, i):
-        if c:
-            acc += c * power
-        power *= t
-    return acc
+    acc = 0
+    for c in reversed(gaussian_poly(n, i)):
+        acc = acc * t + c
+    return Fraction(acc)
 
 
 def dot(xs: Iterable[Fraction | int], ys: Iterable[Fraction | int]) -> Fraction:

@@ -19,7 +19,6 @@ instances of the centre theorem.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congr
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
-from .hopf import MuLinear, special_element, t_monomial_rows
+from .hopf import MuLinear, special_element, t_monomial_numerators, t_monomial_rows
 from .lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
                       sandwich_check, solve)
 
@@ -76,26 +75,24 @@ def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLa
     return solve(CongruenceSystem(p, n, tuple(r.padded(n + 1) for r in rows)))
 
 
-def _first_sample_failure(p: int, lat: SolutionLattice, forms: list[MuLinear],
+def _first_sample_failure(p: int, lat: SolutionLattice,
+                          rows: list[tuple[dict[int, int], int]],
                           ) -> tuple[int, int] | None:
-    """(k, j) for the first form k, then column j, whose value on column j
-    of ``lat`` is not p-locally integral; None when every form holds.
+    """(k, j) for the first row k, then column j, whose value on column j
+    of ``lat`` is not p-locally integral; None when every row holds.
 
-    The columns are integral, so a form holds on a column iff den * form,
-    den the common denominator of its coefficients, vanishes on it modulo
-    p^a, where p^-a is the lowest valuation of a coefficient.  That
-    valuation is val_p(1/den): the coefficient whose denominator carries
-    the highest power of p has a numerator prime to p.
+    Row k is ``(numerators, den)``: the form sum_i (c_i / den) * mu_i.
+    The columns are integral, so it holds on column b iff
+    sum_i c_i * b_i vanishes modulo p^v, v = val_p(den).  That valuation
+    is taken once per row.
     """
-    columns = [[int(x) for x in col] for col in lat.columns()]
-    for k, form in enumerate(forms):
-        den = math.lcm(*(c.denominator for c in form.coeffs.values()))
-        a = -val_p(p, Fraction(1, den))
-        if a <= 0:
+    columns = lat.columns()
+    for k, (row, den) in enumerate(rows):
+        v = val_p(p, den)
+        if not v:
             continue
-        modulus = p ** a
-        scaled = [(i, c.numerator * (den // c.denominator) % modulus)
-                  for i, c in form.coeffs.items()]
+        modulus = p ** v
+        scaled = [(i, c % modulus) for i, c in row.items()]
         for j, col in enumerate(columns):
             if sum(r * col[i] for i, r in scaled) % modulus:
                 return k, j
@@ -124,7 +121,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
       m < n that holds on the lattice at m holds on the lattice at n;
     * the canonical columns are integral (p^e on the diagonal, residues
       in [0, p^e_i) below it), so each row is tested as an integer sum
-      modulo a power of p.  A witness value is recomputed exactly.
+      modulo a power of p.  The rows are read from the walk's integer
+      numerators (:func:`bpadams.hopf.t_monomial_numerators`), in the
+      order of :func:`sampled_integrality_rows`; a ``MuLinear`` is built
+      only for a witness, whose value is recomputed exactly.
     """
     ensure_prime(p)
     if n_max < 0:
@@ -134,8 +134,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     weight_bound = needed if weight_bound is None else max(weight_bound, needed)
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, q)
-    sample = sampled_integrality_rows(ctx)
-    tops = [form.top_index() for _, _, form in sample]
+    sample = [(gamma, delta, row, den)
+              for gamma, rows, den in t_monomial_numerators(ctx) if any(gamma)
+              for delta, row in rows.items()]
+    tops = [max(row) for _, _, row, _ in sample]
     by_top: dict[int, list[int]] = {}
     for pos, top in enumerate(tops):
         by_top.setdefault(top, []).append(pos)
@@ -174,11 +176,12 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
 
         positions = by_top.get(n, [])
         usable += len(positions)
-        failed = _first_sample_failure(p, lat_g, [sample[pos][2] for pos in positions])
+        failed = _first_sample_failure(p, lat_g, [sample[pos][2:] for pos in positions])
         witness = None
         if failed is not None:
             pos, j = positions[failed[0]], failed[1]
-            gamma, delta, form = sample[pos]
+            gamma, delta, row, den = sample[pos]
+            form = MuLinear._from_numerators(row, den)
             col = lat_g.column(j)
             witness = {
                 "gamma": list(gamma),

@@ -17,19 +17,21 @@ l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 - sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous.
 For a general x, theta is one substitution of these images.  The
 sampled rows need theta(t^gamma) for every t-monomial gamma of weight
-<= W: ``t_monomial_rows`` walks those monomials depth first and builds
-each image from its parent prefix with one product by a theta(t_k).  The
-walk runs on integer numerators over a common denominator, with each
-monomial v^delta * u^j packed into one int (one bit field per exponent),
-so a product of monomials is one int addition; ``Fraction`` appears only
-when the rows are read out.  ``v1_functional`` is theta followed by
-v_1 -> 1, v_{>1} -> 0: a ring map into Q[u], evaluated on univariate
-images of the generators.
+<= W: ``t_monomial_numerators`` walks those monomials depth first and
+builds each image from its parent prefix with one product by a
+theta(t_k).  The walk runs on integer numerators over a common
+denominator, with each monomial v^delta * u^j packed into one int (one
+bit field per exponent), so a product of monomials is one int addition.
+It gives each row as integer numerators over the walk's denominator,
+which the centre verification tests as they are; ``t_monomial_rows``
+reads the same rows as ``MuLinear`` forms of ``Fraction``s.
+``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
+into Q[u], evaluated on univariate images of the generators.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
 are the congruence rows the centre verification pipeline feeds into the
-lattice sandwich.
+lattice sandwich.  A composite d_n is one product of two cached elements.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ class MuLinear:
         form = object.__new__(cls)
         form.coeffs = coeffs
         return form
+
+    @classmethod
+    def _from_numerators(cls, numerators: Mapping[int, int], den: int) -> "MuLinear":
+        """sum_j (c_j / den) * mu_j for non-zero int numerators c_j, wrapped
+        as by :meth:`_trusted`."""
+        return cls._trusted({j: Fraction(c, den) for j, c in numerators.items()})
 
     @classmethod
     def zero(cls) -> "MuLinear":
@@ -336,22 +344,29 @@ def _integer_image(image: GradedPoly, width: int, u_bound: int,
 
 
 def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
-               den: int) -> dict[tuple[int, ...], MuLinear]:
-    """The rows of the theta image numerators / den, keys packed as by
-    :func:`_integer_image`: the term c * v^delta * u^j is the entry c of
-    mu_j in the row at delta.  One ``Fraction`` is made per coefficient;
-    the rows come in graded-lexicographic order of delta."""
+               ) -> dict[tuple[int, ...], dict[int, int]]:
+    """The rows of a theta image given as integer numerators, keys packed
+    as by :func:`_integer_image`: the term c * v^delta * u^j is the entry c
+    of mu_j in the row at delta.  Each row maps mu indices to non-zero
+    numerators; the rows come in graded-lexicographic order of delta."""
     width = ctx.weight_bound.bit_length()
     mask = (1 << width) - 1
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for key, c in numerators.items():
-        rows.setdefault(key >> width, {})[key & mask] = Fraction(c, den)
+        rows.setdefault(key >> width, {})[key & mask] = c
     shifts = [width * i for i in reversed(range(len(ctx.v_table)))]
     by_delta = {tuple(packed >> s & mask for s in shifts): row
                 for packed, row in rows.items()}
     weight = ctx.v_table.monomial_weight
-    return {delta: MuLinear._trusted(by_delta[delta])
+    return {delta: by_delta[delta]
             for delta in sorted(by_delta, key=lambda e: (weight(e), e))}
+
+
+def _forms(rows: Mapping[tuple[int, ...], Mapping[int, int]], den: int,
+           ) -> dict[tuple[int, ...], MuLinear]:
+    """The rows of :func:`_read_rows` over the denominator ``den``, as
+    :class:`MuLinear` forms: one ``Fraction`` per coefficient."""
+    return {delta: MuLinear._from_numerators(row, den) for delta, row in rows.items()}
 
 
 def diagonal_transform(ctx: BPContext, x: GradedPoly,
@@ -371,7 +386,8 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     W = ctx.weight_bound
     image = x.substitute(_theta_images(ctx))
     # truncation keeps every v-exponent <= W; a u-degree above W is refused
-    out = _read_rows(ctx, *_integer_image(image, W.bit_length(), W, "the image"))
+    num, den = _integer_image(image, W.bit_length(), W, "the image")
+    out = _forms(_read_rows(ctx, num), den)
     if mu is not None and mu.values is not None:
         return GradedPoly(ctx.v_table, W,
                           {delta: mu.apply(form) for delta, form in out.items()})
@@ -383,19 +399,32 @@ def t_monomial_rows(ctx: BPContext,
     """(gamma, the rows of theta(t^gamma)) for every t-monomial gamma of
     weight <= W, in the order of ``monomials_up_to_weight(ctx.t_table, W)``.
 
+    The rows are those of :func:`t_monomial_numerators`, each read as a
+    :class:`MuLinear` with coefficients c / den; they are the rows
+    :func:`diagonal_transform` gives for t^gamma.
+    """
+    for gamma, rows, den in t_monomial_numerators(ctx):
+        yield gamma, _forms(rows, den)
+
+
+def t_monomial_numerators(ctx: BPContext) -> Iterator[
+        tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, int]], int]]:
+    """(gamma, rows, den) for every t-monomial gamma of weight <= W, in the
+    order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at delta
+    of theta(t^gamma) is sum_j (rows[delta][j] / den) * mu_j, with non-zero
+    int numerators and delta in graded-lexicographic order.
+
     A depth-first walk that keeps only the chain of prefixes: the image of
     gamma is its parent's (gamma with its last non-zero exponent lowered
     by one) times theta(t_k).  Images are homogeneous of weight |gamma|
-    (u has weight 0), so no product truncates: the rows are those
-    :func:`diagonal_transform` gives for t^gamma.
+    (u has weight 0), so no product truncates.
 
     The walk runs on integers.  Each theta(t_k) is stored once as
     N_k = D_k * theta(t_k), D_k the lcm of its denominators, and the
     image of gamma as integer numerators over the common denominator
-    prod_k D_k^{gamma_k}; a child is one integer convolution with N_k,
-    its denominator ``den * D_k``, and only the read-out makes a
-    ``Fraction``.  A monomial v^delta * u^j is one int with a field of
-    ``W.bit_length()`` bits per v_i and one for u (see
+    den = prod_k D_k^{gamma_k}; a child is one integer convolution with
+    N_k, its denominator ``den * D_k``.  A monomial v^delta * u^j is one
+    int with a field of ``W.bit_length()`` bits per v_i and one for u (see
     :func:`_integer_image`), so multiplying monomials is adding ints.
 
     No carry can pass between fields.  Every term of theta(t^gamma) has
@@ -417,7 +446,7 @@ def t_monomial_rows(ctx: BPContext,
 
     def walk(gamma: tuple[int, ...], num: dict[int, int], den: int,
              low: int, room: int) -> Iterator:
-        yield gamma, _read_rows(ctx, num, den)
+        yield gamma, _read_rows(ctx, num), den
         # raising a later index first gives the lexicographic order
         for k in range(len(gens) - 1, low - 1, -1):
             if weights[k] <= room:
@@ -622,31 +651,38 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
 def special_element(ctx: BPContext, n: int) -> SpecialElement:
     """The congruence element d_n.
 
-    Prime powers come from the inductive construction; a general n with
-    base-p digits a_k uses the product of the d_{p^k}^{a_k}, whose
-    functional row is the convolution of the factors' rows.  The product
-    polynomial is truncated if the context bound is below delta_p(n); the
-    row is exact regardless.
+    Prime powers come from the inductive construction.  A general n is
+    d_{n - p^k} * d_{p^k}, p^k the lowest non-zero base-p digit of n, so
+    d_n is the product of the d_{p^k}^{a_k} over its base-p digits a_k and
+    its functional row is the convolution of the two factors' rows: one
+    element product and one row convolution per n.  Every d_n is kept in
+    the context's special-element cache.  The product polynomial is
+    truncated if the context bound is below delta_p(n); truncation is a
+    ring map, and the row is exact regardless.
     """
-    p = ctx.p
     if n < 0:
         raise ValueError("index must be non-negative")
     if n == 0:
         element = GradedPoly.const(ctx.lt_table, ctx.weight_bound, 1)
-        return SpecialElement(p, 0, element, (Fraction(1),))
-    digits = []
-    m, k = n, 0
-    while m:
-        digits.append((k, m % p))
-        m //= p
+        return SpecialElement(ctx.p, 0, element, (Fraction(1),))
+    return _special_composite(ctx, n)
+
+
+def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
+    """d_n for n >= 1, as in :func:`special_element`; the lower factor
+    d_{n - p^k} comes from the cache or from a recursive call here."""
+    p = ctx.p
+    cache = ctx._hopf_cache.setdefault("special", {})
+    if n in cache:
+        return cache[n]
+    k = 0
+    while n % p ** (k + 1) == 0:
         k += 1
-    element = GradedPoly.const(ctx.lt_table, ctx.weight_bound, 1)
-    form = MuLinear.unit(0)
-    for k, a in digits:
-        if a == 0:
-            continue
-        dk = _special_prime_power(ctx, k)
-        element = element * (dk.element ** a)
-        form = form.convolve(dk.functional().convolve_power(a))
-    row = _check_profile(p, n, form)
-    return SpecialElement(p, n, element, row)
+    dk = _special_prime_power(ctx, k)
+    if n == p ** k:
+        return dk
+    low = _special_composite(ctx, n - p ** k)
+    form = low.functional().convolve(dk.functional())
+    out = SpecialElement(p, n, low.element * dk.element, _check_profile(p, n, form))
+    cache[n] = out
+    return out

@@ -4,12 +4,16 @@ A system is a finite set of rational row vectors c; its solutions are the
 integer-valued sequences mu in Z_(p)^(n+1) with every c . mu in Z_(p).
 Because Z_(p) is a discrete valuation ring, Hermite-style reduction needs
 only valuation pivoting: any entry of minimal p-valuation is a pivot and
-denominators coprime to p are exact units.  All arithmetic is exact; no
-p-adic truncation or modular approximation appears anywhere.
+denominators coprime to p are exact units.  Canonical bases have integer
+columns, and :func:`extend_lattice` computes on them in ints: a row is
+scaled once to integer numerators and each new entry is a residue modulo
+p^e, which is the canonical entry itself, not an approximation.  All
+arithmetic is exact; no p-adic truncation appears anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -147,11 +151,12 @@ class SolutionLattice:
 
     Column j has the pure power p^e_j on the diagonal and integer entries
     in [0, p^e_i) below it (row i); the columns generate exactly the
-    mu in Z_(p)^(n+1) satisfying the defining system.
+    mu in Z_(p)^(n+1) satisfying the defining system.  The entries are
+    ``int``s (:func:`extend_lattice` writes every canonical basis).
     """
 
     p: int
-    basis: tuple[tuple[Fraction, ...], ...]  # basis[i][j] = entry i of column j
+    basis: tuple[tuple[int, ...], ...]  # basis[i][j] = entry i of column j
 
     @property
     def size(self) -> int:
@@ -163,10 +168,10 @@ class SolutionLattice:
             out.append(int(val_p(self.p, self.basis[j][j])))
         return tuple(out)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.basis[i][j] for i in range(self.size))
 
-    def columns(self) -> list[tuple[Fraction, ...]]:
+    def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.size)]
 
     def coordinates(self, mu: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
@@ -217,30 +222,46 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     and c' are the others.  With e = max(0, -val_p(c_n)), each column b_j
     of ``lat`` gains the entry -(c' . b_j)/c_n reduced into [0, p^e), and
     the column p^e * e_n is appended.  The result is the canonical basis
-    of the whole system (it is unique), at one exact dot product per old
-    column.  Raises :class:`LatticeError` when c_n is zero or some
-    -(c' . b_j)/c_n is not p-locally integral; the reduced rows of
-    :func:`solve` and rows meeting the shape hypotheses of
+    of the whole system (it is unique).  Raises :class:`LatticeError` when
+    c_n is zero or some -(c' . b_j)/c_n is not p-locally integral; the
+    reduced rows of :func:`solve` and rows meeting the shape hypotheses of
     :func:`sandwich_check` never do.
+
+    The columns are integers, so the work is too.  The row is scaled once
+    to integer numerators N = D * row, D the lcm of its denominators, and
+    the pivot numerator is written p^s * u with u prime to p.  For each
+    column, acc = N' . b_j is an int and -(c' . b_j)/c_n = -acc/(p^s * u):
+    it is p-locally integral iff p^s divides acc, and its residue modulo
+    p^e is -(acc / p^s) * u^-1, with one inverse of u modulo p^e per
+    extension.
     """
     p, size = lat.p, lat.size
     if len(row) != size + 1:
         raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
     row = [Fraction(x) for x in row]
-    pivot = row[size]
-    if not pivot:
+    if not row[size]:
         raise LatticeError(f"row has a zero pivot at index {size}")
-    e = max(0, -val_p(p, pivot))
+    den = math.lcm(*(x.denominator for x in row))
+    nums = [x.numerator * (den // x.denominator) for x in row]
+    unit, s = nums[size], 0
+    while unit % p == 0:
+        unit //= p
+        s += 1
+    divisor = p ** s
+    modulus = p ** max(0, -val_p(p, row[size]))
+    inverse = pow(unit, -1, modulus)
+    basis = lat.basis
     last = []
     for j in range(size):
-        t = -dot(row[j:size], (lat.basis[i][j] for i in range(j, size))) / pivot
-        if val_p(p, t) < 0:
+        acc = sum(nums[i] * basis[i][j] for i in range(j, size) if nums[i])
+        quotient, rest = divmod(acc, divisor)
+        if rest:
+            t = Fraction(-acc, nums[size])
             raise LatticeError(f"column {j} extends by {format_rational(t)}, "
                                f"which is not {p}-locally integral")
-        last.append(residue(p, t, e))
-    last.append(Fraction(p ** e))
-    zero = (Fraction(0),)
-    return SolutionLattice(p, tuple(r + zero for r in lat.basis) + (tuple(last),))
+        last.append(-quotient * inverse % modulus)
+    last.append(modulus)
+    return SolutionLattice(p, tuple(r + (0,) for r in basis) + (tuple(last),))
 
 
 def lattice_leq(first: SolutionLattice, second: SolutionLattice) -> bool:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bpadams.arith import delta_p, find_q, gamma_p, gaussian, is_p_local_int, val_p
+from bpadams.arith import (delta_p, find_q, gamma_p, gaussian, gaussian_poly,
+                           is_p_local_int, val_p)
 from bpadams.adamsk import (C_vector, CongruenceVector, Phi_in_phi, adams_family,
                             basis_integrality_rows, binomial_mu_congruence,
                             check_g_congruences, expand_in_family, family_action,
@@ -140,6 +141,26 @@ def test_C_vector_memo_matches_fresh_rows():
             C_vector(2, 3, 1)
 
 
+def test_C_vector_entries_against_fraction_arithmetic():
+    # each entry (-1)^d qhat^C(d,2) [n, i]_qhat / p^delta_p(n), formed in
+    # Fractions with the Gaussian value summed term by term
+    for p in (3, 5, 7):
+        q = find_q(p)
+        qhat = Fraction(q ** (p - 1))
+        for n in range(13):
+            den = Fraction(p) ** delta_p(p, n)
+            expected = []
+            for i in range(n + 1):
+                d = n - i
+                value = sum((c * qhat ** k for k, c in enumerate(gaussian_poly(n, i))),
+                            Fraction(0))
+                expected.append(Fraction((-1) ** d) * qhat ** math.comb(d, 2) * value / den)
+            row = C_vector(p, q, n)
+            assert row.entries == tuple(expected), (p, n)
+            assert all(type(e) is Fraction for e in row.entries)
+            assert row.budget == delta_p(p, n) and row.shape_ok()
+
+
 def test_check_g_congruence_examples():
     # mu = (0, 1, 0, ...) fails at r = 1
     verdicts = check_g_congruences(3, 2, [0, 1, 0, 0], 3)
@@ -256,6 +277,20 @@ def test_congruence_vector_shape_guard():
     assert not weak.shape_ok()
     assert good.dot([1, 4]) == 1
     assert good.padded(4) == (Fraction(-1, 3), Fraction(1, 3), 0, 0)
+    # the denominator test: entries of valuation exactly -budget pass,
+    # one lower fails, integral and zero entries pass
+    for entries, ok in (((Fraction(5, 9), 0, Fraction(2, 9)), True),
+                        ((Fraction(5, 27), 0, Fraction(2, 9)), False),
+                        ((Fraction(9, 2), Fraction(3, 7), Fraction(-4, 9)), True)):
+        assert CongruenceVector(3, 2, entries, 2).shape_ok() == ok, entries
+    assert CongruenceVector(3, 1, (Fraction(6, 7), Fraction(2)), 0).shape_ok()
+    assert not CongruenceVector(3, 1, (Fraction(1, 3), Fraction(2)), 0).shape_ok()
+
+
+def test_congruence_vector_refuses_a_negative_budget():
+    # the denominator test of shape_ok needs budget >= 0
+    with pytest.raises(ValueError, match="budget must be non-negative, got -1"):
+        CongruenceVector(3, 1, (Fraction(3), Fraction(3)), -1)
 
 
 def test_check_g_congruences_checks_q():

@@ -73,6 +73,28 @@ def test_gaussian_symmetry_bruteforce():
                 assert gaussian(n, i, t) == gaussian(n, n - i, t)
 
 
+def _fraction_gaussian(n: int, i: int, t) -> Fraction:
+    # the evaluation in Fractions, term by term: the reference for Horner
+    t = Fraction(t)
+    acc = Fraction(0)
+    power = Fraction(1)
+    for c in gaussian_poly(n, i):
+        if c:
+            acc += c * power
+        power *= t
+    return acc
+
+
+def test_gaussian_horner_matches_the_fraction_evaluation():
+    points = (0, 1, -1, 2, 16, -9, 729, Fraction(5, 2), Fraction(-7, 3), Fraction(1, 16))
+    for n in range(13):
+        for i in range(-1, n + 2):
+            for t in points:
+                value = gaussian(n, i, t)
+                assert type(value) is Fraction
+                assert value == _fraction_gaussian(n, i, t), (n, i, t)
+
+
 def _gaussian_product_oracle(n: int, i: int, t: Fraction) -> Fraction:
     # independent oracle: the defining quotient of products, at a point
     # where no denominator factor vanishes

@@ -52,3 +52,21 @@ def test_tiny_verify_run_reaches_polyring_mul_and_lattice_solve(monkeypatch):
                 monkeypatch.setattr(module, key, counted_solve)
     assert verify_centre_bp(2, 4)["verdict"]
     assert calls["mul"] > 0 and calls["solve"] > 0
+
+
+def test_verify_run_takes_one_centre_val_p_per_tested_row(monkeypatch):
+    # the tracer's centre.inclusion.dots counter rebinds centre.val_p; the
+    # inclusion test takes one valuation per tested row through that name,
+    # and a passing scan tests every sampled row with top index <= n_max
+    centre = importlib.import_module("bpadams.centre")
+    val_p = centre.val_p
+    calls = []
+
+    def counted_val_p(p, x):
+        calls.append(x)
+        return val_p(p, x)
+
+    monkeypatch.setattr(centre, "val_p", counted_val_p)
+    report = verify_centre_bp(3, 4)
+    assert report["verdict"]
+    assert len(calls) == report["rows"][-1]["sample_rows_used"] > 0

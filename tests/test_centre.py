@@ -253,27 +253,54 @@ def _brute_force_inclusion(p, n_max, sample):
     return used, None
 
 
-def test_inclusion_witness_matches_brute_force(monkeypatch):
-    import bpadams.centre as centre
-    from bpadams.hopf import MuLinear
+def _flattened(items):
+    """The walk's (gamma, rows, den) items as the sampled rows: non-trivial
+    gamma, each row read as a MuLinear with coefficients c / den."""
+    return [(gamma, delta, MuLinear({j: Fraction(c, den) for j, c in row.items()}))
+            for gamma, rows, den in items if any(gamma)
+            for delta, row in rows.items()]
 
-    real = centre.sampled_integrality_rows
+
+def _inject(monkeypatch, bad, before):
+    """Patch the integer producer that verify_centre_bp reads so that the
+    item ``bad`` comes right before the first non-trivial item ``before``
+    accepts; returns the list that receives the flattened sample."""
+    import bpadams.centre as centre
+
+    real = centre.t_monomial_numerators
     seen = []
 
     def with_bad_row(ctx):
-        rows = real(ctx)
-        # after the passing row with top index 1, and before a passing
-        # row with top index 2 that the failed scan must not count
-        k = next(k for k, (_, _, f) in enumerate(rows) if f.top_index() == 1)
-        assert any(f.top_index() == 2 for _, _, f in rows[k + 1:])
-        # holds on the first two Adams columns at n = 2, (1, 1, 1) and
-        # (0, 3, 6), and misses the third, (0, 0, 9), by one power of 3
-        bad = MuLinear({0: Fraction(1, 27), 1: Fraction(-2, 27), 2: Fraction(1, 27)})
-        rows.insert(k + 1, ((9, 9), (9,), bad))
-        seen.append(rows)
-        return rows
+        items = list(real(ctx))
+        k = next(k for k, item in enumerate(items) if any(item[0]) and before(items, k))
+        items.insert(k, bad)
+        seen.append(_flattened(items))
+        return iter(items)
 
-    monkeypatch.setattr(centre, "sampled_integrality_rows", with_bad_row)
+    monkeypatch.setattr(centre, "t_monomial_numerators", with_bad_row)
+    return seen
+
+
+def _tops(item):
+    return [max(row) for row in item[1].values()]
+
+
+def test_inclusion_witness_matches_brute_force(monkeypatch):
+    import bpadams.centre as centre
+
+    # holds on the first two Adams columns at n = 2, (1, 1, 1) and
+    # (0, 3, 6), and misses the third, (0, 0, 9), by one power of 3
+    bad = ((9, 9), {(9,): {0: 1, 1: -2, 2: 1}}, 27)
+
+    def after_the_first_top_one(items, k):
+        # after the passing row with top index 1, and before a passing row
+        # with top index 2 that the failed scan must not count
+        if 1 not in _tops(items[k - 1]):
+            return False
+        assert any(2 in _tops(item) for item in items[k:])
+        return True
+
+    seen = _inject(monkeypatch, bad, after_the_first_top_one)
     report = centre.verify_centre_bp(3, 4)
     used, witness = _brute_force_inclusion(3, 4, seen[0])
     assert witness is not None and witness["n"] == 2
@@ -282,6 +309,39 @@ def test_inclusion_witness_matches_brute_force(monkeypatch):
     assert witness["mu"] == ["0", "0", "9"] and witness["value"] == "1/3"
     assert [row["sample_rows_used"] for row in report["rows"]] == used
     assert [row["sample_included"] for row in report["rows"]] == [True, True, False]
+
+
+def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
+    import bpadams.centre as centre
+
+    # mu_6 / 2^(e_6 + 1) misses the Adams lattice at n = 6.  It goes into
+    # the last subtree of the walk (first exponent 6), after the passing
+    # rows with top index 6 of (0, 2, 0) and (3, 1, 0) and before that of
+    # (6, 0, 0), which the failed scan must not count
+    e6 = _lattice_of_rows(2, 6, summand_rows(2, 6)).pivots()[6]
+    bad = ((6, 0, 9), {(0, 9): {6: 1}}, 2 ** (e6 + 1))
+
+    def before_six(items, k):
+        return items[k][0] == (6, 0, 0)
+
+    seen = _inject(monkeypatch, bad, before_six)
+    report = centre.verify_centre_bp(2, 6)
+    used, witness = _brute_force_inclusion(2, 6, seen[0])
+    assert witness is not None and witness["n"] == 6 and witness["gamma"] == [6, 0, 9]
+    failure = report["failure"]
+    assert {"n": failure["n"], **failure["witness"]} == witness
+    assert [row["sample_rows_used"] for row in report["rows"]] == used
+    assert [row["sample_included"] for row in report["rows"]] == [True] * 6 + [False]
+    top_six = sum(1 for _, _, form in seen[0] if form.top_index() == 6)
+    assert used[6] - used[5] == top_six - 1  # the row of (6, 0, 0) is not counted
+
+
+@pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12), (2, 16)])
+def test_integer_producer_matches_the_sampled_rows(p, W):
+    # the rows verify_centre_bp tests, read as Fraction(c, den), are the
+    # public sampled rows, row for row
+    ctx = BPContext(p, W)
+    assert _flattened(hopf.t_monomial_numerators(ctx)) == sampled_integrality_rows(ctx)
 
 
 def test_inclusion_counts_match_brute_force_on_passing_scans():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bpadams import hopf
 from bpadams.arith import delta_p, is_p_local_int, val_p
 from bpadams.fgl import BPContext
 from bpadams.hopf import (ConstructionError, DiagonalAction, MuLinear, _check_profile,
@@ -316,6 +317,40 @@ def test_special_element_products():
     assert d3.element == d2.element * d1.element
     assert d3.functional() == d2.functional().convolve(d1.functional())
     assert v1_functional(c, d3.element) == d3.functional()
+
+
+def _digit_product(c, n):
+    """d_n and its row by the digit-product route: the product of the
+    d_{p^k}^{a_k} over the base-p digits a_k of n, the row a convolution of
+    powers.  The reference for the incremental d_n = d_{n - p^k} * d_{p^k}."""
+    p = c.p
+    element = GradedPoly.const(c.lt_table, c.weight_bound, 1)
+    form = MuLinear.unit(0)
+    m, k = n, 0
+    while m:
+        a = m % p
+        if a:
+            dk = hopf._special_prime_power(c, k)
+            element = element * (dk.element ** a)
+            form = form.convolve(dk.functional().convolve_power(a))
+        m //= p
+        k += 1
+    return element, form
+
+
+@pytest.mark.parametrize("p, top", [(2, 16), (3, 18), (5, 24), (7, 14)])
+def test_special_elements_match_the_digit_product_route(p, top):
+    # one shared context, filled in increasing and then in decreasing n,
+    # and a context of its own for the top index
+    shared = BPContext(p, delta_p(p, top))
+    for n in list(range(top + 1)) + list(range(top, -1, -1)):
+        d = special_element(shared, n)
+        element, form = _digit_product(shared, n)
+        assert d.element == element and d.element.to_text() == element.to_text(), (p, n)
+        assert d.functional() == form and d.c == form.as_row(n + 1), (p, n)
+    assert set(shared._hopf_cache["special"]) == set(range(1, top + 1))
+    alone = BPContext(p, delta_p(p, top))
+    assert special_element(alone, top) == special_element(shared, top)
 
 
 def test_special_element_profiles():

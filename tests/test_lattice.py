@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpadams.arith import delta_p, val_p
+from bpadams.arith import delta_p, dot, format_rational, val_p
 from bpadams.adamsk import CongruenceVector
 from bpadams.lattice import (CongruenceSystem, LatticeError, SolutionLattice,
                              extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
@@ -297,3 +297,77 @@ def test_lattices_against_enumeration(system):
             count += direct
         assert count == p ** ((n + 1) * E - sum(lat.pivots()))
     assert _extended(p, triangular) == solve(CongruenceSystem(p, n, padded))
+
+
+def _fraction_extend_lattice(lat, row):
+    """The extension computed in Fractions throughout: the reference for
+    the integer extend_lattice."""
+    p, size = lat.p, lat.size
+    row = [Fraction(x) for x in row]
+    pivot = row[size]
+    if not pivot:
+        raise LatticeError(f"row has a zero pivot at index {size}")
+    e = max(0, -val_p(p, pivot))
+    last = []
+    for j in range(size):
+        t = -dot(row[j:size], (lat.basis[i][j] for i in range(j, size))) / pivot
+        if val_p(p, t) < 0:
+            raise LatticeError(f"column {j} extends by {format_rational(t)}, "
+                               f"which is not {p}-locally integral")
+        last.append(residue(p, t, e))
+    last.append(Fraction(p ** e))
+    zero = (Fraction(0),)
+    return SolutionLattice(p, tuple(r + zero for r in lat.basis) + (tuple(last),))
+
+
+@st.composite
+def _extension_rows(draw):
+    """(p, rows): row r has length r + 1, entries num / (p^a * unit) with
+    a unit denominator prime to p, pivots of either sign, and pivots of
+    positive, zero or negative valuation (e = 0 included)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    units = st.sampled_from([u for u in (1, 2, 3, 4, 5, 7, 11) if u % p])
+
+    def entry(nonzero=False):
+        num = draw(st.integers(-3 * p, 3 * p).filter(lambda x: x or not nonzero))
+        return Fraction(num, p ** draw(st.integers(0, 3)) * draw(units))
+
+    rows = [[entry() for _ in range(r)] + [entry(nonzero=True)]
+            for r in range(draw(st.integers(1, 5)))]
+    return p, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_extension_rows())
+def test_integer_extension_matches_the_fraction_extension(case):
+    # from the empty lattice, each row extends both lattices the same way,
+    # or both refuse it with the same message; a refused row is dropped
+    p, rows = case
+    lat = ref = SolutionLattice(p, ())
+    for row in rows:
+        row = row[: lat.size] + [row[-1]]
+        try:
+            expected = _fraction_extend_lattice(ref, row)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as got:
+                extend_lattice(lat, row)
+            assert str(got.value) == str(exc)
+            continue
+        lat, ref = extend_lattice(lat, row), expected
+        assert lat.basis == ref.basis
+        assert all(type(x) is int for r in lat.basis for x in r)
+
+
+def test_integer_extension_refuses_like_the_fraction_extension():
+    # base columns (1, 2) and (0, 3); the message renders the same rational
+    # as the Fraction route, at column 0 or, for the last row, column 1
+    base = _extended(3, [(1,), (Fraction(1, 3), Fraction(1, 3))])
+    assert base.columns() == [(1, 2), (0, 3)]
+    for row in ((Fraction(1, 9), 0, Fraction(-1, 2)), (Fraction(5, 27), 1, 3),
+                (Fraction(2, 7), Fraction(1, 3), 9), (Fraction(7, 9), Fraction(1, 9), 1)):
+        with pytest.raises(LatticeError) as want:
+            _fraction_extend_lattice(base, row)
+        with pytest.raises(LatticeError) as got:
+            extend_lattice(base, row)
+        assert str(got.value) == str(want.value)
+        assert "locally integral" in str(got.value)
