@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Exact rational scalar used throughout the package.
 Rational = Fraction
@@ -53,12 +53,8 @@ class Prime(int):
         return super().__new__(cls, ensure_prime(int(p)))
 
 
-def nu_p(p: int, n: int) -> int | float:
-    """Largest e with p**e dividing n; ``INFINITY`` for n == 0."""
-    ensure_prime(p)
-    if n == 0:
-        return INFINITY
-    n = abs(int(n))
+def _nu(p: int, n: int) -> int:
+    """Largest e with p**e dividing the non-zero int n (p not checked)."""
     e = 0
     while n % p == 0:
         n //= p
@@ -66,13 +62,28 @@ def nu_p(p: int, n: int) -> int | float:
     return e
 
 
-def val_p(p: int, x: Fraction | int) -> int | float:
-    """p-adic valuation of a rational: nu_p(num) - nu_p(den); INFINITY at 0."""
-    x = Fraction(x)
-    if x == 0:
+def nu_p(p: int, n: int) -> int | float:
+    """Largest e with p**e dividing n; ``INFINITY`` for n == 0."""
+    ensure_prime(p)
+    if n == 0:
         return INFINITY
-    # x is in lowest terms, so at most one of the two terms is nonzero.
-    return nu_p(p, x.numerator) - nu_p(p, x.denominator)
+    return _nu(p, int(n))
+
+
+def val_p(p: int, x: Fraction | int) -> int | float:
+    """p-adic valuation of a rational: nu_p(num) - nu_p(den); INFINITY at 0.
+
+    Takes an int or a ``Fraction`` as it is and checks p once.  x is in
+    lowest terms, so p divides at most one of its numerator and
+    denominator: one loop runs, on whichever p divides.
+    """
+    if not x:
+        return INFINITY
+    ensure_prime(p)
+    den = x.denominator
+    if den % p:
+        return _nu(p, x.numerator)
+    return -_nu(p, den)
 
 
 def is_p_local_int(p: int, x: Fraction | int) -> bool:
@@ -146,6 +157,13 @@ def gaussian(n: int, i: int, t: Fraction | int) -> Fraction:
     for c in reversed(gaussian_poly(n, i)):
         acc = acc * t + c
     return Fraction(acc)
+
+
+def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(N, D) with D the lcm of the denominators of ``values`` and
+    N_i = D * values_i, an int: the values as integers over one denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def dot(xs: Iterable[Fraction | int], ys: Iterable[Fraction | int]) -> Fraction:

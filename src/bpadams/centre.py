@@ -81,20 +81,28 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
     """(k, j) for the first row k, then column j, whose value on column j
     of ``lat`` is not p-locally integral; None when every row holds.
 
-    Row k is ``(numerators, den)``: the form sum_i (c_i / den) * mu_i.
-    The columns are integral, so it holds on column b iff
-    sum_i c_i * b_i vanishes modulo p^v, v = val_p(den).  That valuation
-    is taken once per row.
+    Row k is ``(numerators, den)``: the form sum_i (c_i / den) * mu_i,
+    supported inside the lattice's indices.  The columns are integral, so
+    it holds on column b iff sum_i c_i * b_i vanishes modulo p^v,
+    v = val_p(den); that valuation is taken once per row.  Column j is
+    zero above index j, so entry i of a row meets only columns 0..i: one
+    pass over ``basis[i][:i + 1]`` for each c_i not divisible by p^v adds
+    its share to every column's value.
     """
-    columns = lat.columns()
+    basis = lat.basis
     for k, (row, den) in enumerate(rows):
         v = val_p(p, den)
         if not v:
             continue
         modulus = p ** v
-        scaled = [(i, c % modulus) for i, c in row.items()]
-        for j, col in enumerate(columns):
-            if sum(r * col[i] for i, r in scaled) % modulus:
+        values = [0] * len(basis)
+        for i, c in row.items():
+            r = c % modulus
+            if r:
+                for j, b in enumerate(basis[i][: i + 1]):
+                    values[j] += r * b
+        for j, value in enumerate(values):
+            if value % modulus:
                 return k, j
     return None
 
@@ -111,8 +119,9 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     :class:`CentreVerificationError`.
 
     The Adams lattice at n is the one at n - 1 extended by the row c_n
-    (:func:`bpadams.lattice.extend_lattice`); the sandwich extends the
-    same lattice at n - 1 by c_n (its S) and by the special row (its T).
+    (:func:`bpadams.lattice.extend_lattice`): the sandwich extends the
+    lattice at n - 1 by c_n (its S, kept as the Adams lattice) and by the
+    special row (its T).
     At index n only the sampled rows with top index n are tested; this is
     exact for two reasons:
 
@@ -161,16 +170,17 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     lat_g = _lattice_of_rows(p, 0, rows_g[:1])
     usable = 0
     for n in range(n_max + 1):
-        if n:
-            base, lat_g = lat_g, extend_lattice(lat_g, rows_g[n].entries)
-        entry: dict = {"n": n}
-        entry["pivots"] = list(lat_g.pivots())
-
         d = special_element(ctx, n)
         c_bp = CongruenceVector(p, n, d.c, delta_p(p, n))
-        entry["c_bp"] = [format_rational(x) for x in d.c]
-
         sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp, base)
+        if n:
+            # the sandwich's S is the Adams lattice at n; a hypothesis
+            # violation builds none
+            lat_g = sandwich.s_lattice or extend_lattice(base, rows_g[n].entries)
+        base = lat_g
+        entry: dict = {"n": n}
+        entry["pivots"] = list(lat_g.pivots())
+        entry["c_bp"] = [format_rational(x) for x in d.c]
         entry["sandwich"] = sandwich.status
         entry["lattice_equal"] = sandwich.equal
 

@@ -26,7 +26,8 @@ It gives each row as integer numerators over the walk's denominator,
 which the centre verification tests as they are; ``t_monomial_rows``
 reads the same rows as ``MuLinear`` forms of ``Fraction``s.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
-into Q[u], evaluated on univariate images of the generators.
+into Q[u], evaluated on univariate images of the generators as integer
+numerators over one denominator.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .arith import delta_p, format_rational, is_p_local_int, val_p
+from .arith import delta_p, format_rational, integer_numerators, is_p_local_int, val_p
 from .fgl import BPContext
 from .polyring import GradedPoly, PolyError
 
@@ -329,9 +330,9 @@ def _integer_image(image: GradedPoly, width: int, u_bound: int,
     Raises PolyError if a term has u-degree above ``u_bound``: the
     packing relies on that bound (see :func:`t_monomial_rows`).
     """
-    den = math.lcm(*(c.denominator for c in image.terms.values()))
+    nums, den = integer_numerators(list(image.terms.values()))
     out: dict[int, int] = {}
-    for exps, c in image.terms.items():
+    for exps, num in zip(image.terms, nums):
         # exps is () only at W = 0, where a substitution binds nothing
         if exps and exps[-1] > u_bound:
             raise PolyError(f"{label} has a term of u-degree {exps[-1]} above "
@@ -339,7 +340,7 @@ def _integer_image(image: GradedPoly, width: int, u_bound: int,
         key = 0
         for e in exps:
             key = key << width | e
-        out[key] = c.numerator * (den // c.denominator)
+        out[key] = num
     return out, den
 
 
@@ -464,46 +465,74 @@ def t_monomial_numerators(ctx: BPContext) -> Iterator[
     yield from walk((0,) * len(gens), {0: 1}, 1, 0, W)
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The integer convolution (sum a_i u^i) * (sum b_j u^j), dense."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, start=i):
+                out[j] += x * y
+    return out
+
+
 def v1_functional(ctx: BPContext, x: GradedPoly,
                   mu: DiagonalAction | None = None) -> Fraction | MuLinear:
     """Scalar value of the diagonal image under v_1 -> 1, v_n -> 0 (n > 1).
 
     Symbolically this is a finite rational linear form in the mu_i.
     theta followed by v_1 -> 1, v_{>1} -> 0 is a ring map
-    Q[l, t] -> Q[u], u^j standing for mu_j (the product is
-    :meth:`MuLinear.convolve`).  Each generator goes to the terms of its
-    theta image with no v_{>1}, index j to coefficient, and x is evaluated
-    term by term, each power computed once per call.  This is exact:
-    every term of x has weight <= W and its image is homogeneous, so theta
-    truncates none of it.
+    Q[l, t] -> Q[u], u^j standing for mu_j (the product is the
+    convolution of rows).  Each generator goes to the terms of its theta
+    image with no v_{>1}, index j to coefficient, and x is evaluated term
+    by term.  This is exact: every term of x has weight <= W and its
+    image is homogeneous, so theta truncates none of it.
+
+    The evaluation runs in Z[u].  Each generator's image is taken once
+    per call as integer numerators over the lcm D of its denominators,
+    and its e-th power, built once per call by integer convolution, is
+    over D^e.  The term c * prod g^e is then integers over
+    c.denominator * prod D^e; the terms are summed over the lcm of those
+    denominators, and each index gives one ``Fraction``.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
     images = _theta_images(ctx)
     nv = len(ctx.v_table)
-    chains: dict[str, list[MuLinear]] = {}
+    chains: dict[str, tuple[list[list[int]], int]] = {}
 
-    def power(name: str, e: int) -> MuLinear:
-        chain = chains.get(name)
-        if chain is None:
+    def power(name: str, e: int) -> tuple[list[int], int]:
+        if name not in chains:
             # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
-            base = MuLinear({exps[nv]: c for exps, c in images[name].terms.items()
-                             if not any(exps[1:nv])})
-            chain = chains[name] = [MuLinear.unit(0), base]
+            terms = {exps[nv]: c for exps, c in images[name].terms.items()
+                     if not any(exps[1:nv])}
+            base = [terms.get(j, Fraction(0)) for j in range(max(terms, default=-1) + 1)]
+            num, den = integer_numerators(base)
+            chains[name] = ([[1], num], den)
+        chain, den = chains[name]
         while len(chain) <= e:
-            chain.append(chain[-1].convolve(chain[1]))
-        return chain[e]
+            chain.append(_convolve(chain[-1], chain[1]))
+        return chain[e], den ** e
 
-    total = MuLinear.zero()
+    parts = []
     for exps, c in x.terms.items():
-        acc = MuLinear.unit(0, c)
+        acc, den = [c.numerator], c.denominator
         for name, e in zip(ctx.lt_table.names, exps):
             if e:
-                acc = acc.convolve(power(name, e))
-        total = total + acc
+                num, d = power(name, e)
+                acc, den = _convolve(acc, num), den * d
+        parts.append((acc, den))
+    den = math.lcm(*(d for _, d in parts))
+    total = [0] * max((len(acc) for acc, _ in parts), default=0)
+    for acc, d in parts:
+        scale = den // d
+        for j, c in enumerate(acc):
+            total[j] += c * scale
+    form = MuLinear._trusted({j: Fraction(c, den) for j, c in enumerate(total) if c})
     if mu is not None:
-        return mu.apply(total)
-    return total
+        return mu.apply(form)
+    return form
 
 
 def t_gen(ctx: BPContext, n: int, power: int = 1) -> GradedPoly:
@@ -537,8 +566,9 @@ def t_recursion_check(ctx: BPContext, i: int) -> bool:
 class SpecialElement:
     """An element d_n with functional sum_j c_j mu_j, support <= n.
 
-    Invariants (checked on construction): c_j lies in p^{-delta_p(n)} Z_(p)
-    for j < n, and c_n is a unit multiple of p^{-delta_p(n)}.
+    Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
+    unit multiple of p^{-delta_p(n)}; checked for prime powers n, and
+    implied for the others (see :func:`_special_composite`).
     """
 
     p: int
@@ -560,20 +590,20 @@ class SpecialElement:
 def _check_profile(p: int, n: int, form: MuLinear) -> tuple[Fraction, ...]:
     """Validate support and valuations; return the dense row c_0..c_n."""
     budget = delta_p(p, n)
-    details = {"n": n, "p": p, "functional": form.to_text(), "budget": budget}
+
+    def fail(message: str) -> ConstructionError:
+        return ConstructionError(message, {"n": n, "p": p, "functional": form.to_text(),
+                                           "budget": budget})
+
     top = form.top_index()
     if top is not None and top > n:
-        raise ConstructionError(
-            f"functional of d_{n} has support at mu_{top} > {n}", details)
+        raise fail(f"functional of d_{n} has support at mu_{top} > {n}")
     row = tuple(form.coefficient(i) for i in range(n + 1))
     for j in range(n):
         if val_p(p, row[j]) < -budget:
-            raise ConstructionError(
-                f"entry {j} of d_{n} has valuation below -delta_p(n) = -{budget}",
-                details)
+            raise fail(f"entry {j} of d_{n} has valuation below -delta_p(n) = -{budget}")
     if val_p(p, row[n]) != -budget:
-        raise ConstructionError(
-            f"pivot of d_{n} is not a unit multiple of p^-{budget}", details)
+        raise fail(f"pivot of d_{n} is not a unit multiple of p^-{budget}")
     return row
 
 
@@ -651,14 +681,15 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
 def special_element(ctx: BPContext, n: int) -> SpecialElement:
     """The congruence element d_n.
 
-    Prime powers come from the inductive construction.  A general n is
-    d_{n - p^k} * d_{p^k}, p^k the lowest non-zero base-p digit of n, so
-    d_n is the product of the d_{p^k}^{a_k} over its base-p digits a_k and
-    its functional row is the convolution of the two factors' rows: one
-    element product and one row convolution per n.  Every d_n is kept in
-    the context's special-element cache.  The product polynomial is
-    truncated if the context bound is below delta_p(n); truncation is a
-    ring map, and the row is exact regardless.
+    Prime powers come from the inductive construction, their rows checked
+    by :func:`_check_profile`.  A general n is d_{n - p^k} * d_{p^k}, p^k
+    the lowest non-zero base-p digit of n, so d_n is the product of the
+    d_{p^k}^{a_k} over its base-p digits a_k and its functional row is the
+    convolution of the two factors' rows: one element product and one
+    integer row convolution per n (:func:`_special_composite`).  Every d_n
+    is kept in the context's special-element cache.  The product
+    polynomial is truncated if the context bound is below delta_p(n);
+    truncation is a ring map, and the row is exact regardless.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -670,7 +701,22 @@ def special_element(ctx: BPContext, n: int) -> SpecialElement:
 
 def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     """d_n for n >= 1, as in :func:`special_element`; the lower factor
-    d_{n - p^k} comes from the cache or from a recursive call here."""
+    d_{n - p^k} comes from the cache or from a recursive call here.
+
+    The row is the convolution of the cached rows of d_a and d_b,
+    a = n - p^k and b = p^k, computed in ints: each row is scaled to
+    integer numerators over the lcm of its denominators, da and db, and
+    entry j of d_n is (sum_i A_i * B_{j-i}) / (da * db).
+
+    It meets the profile of :func:`_check_profile` with no check.  p^k is
+    the lowest base-p digit of n, so adding a and b in base p has no
+    carry, and by Kummer's theorem nu_p(n!) = nu_p(a!) + nu_p(b!); hence
+    delta_p(a) + delta_p(b) = delta_p(n).  By induction the entries of d_a
+    lie in p^-delta_p(a) Z_(p) and those of d_b in p^-delta_p(b) Z_(p), so
+    every entry of the convolution lies in p^-delta_p(n) Z_(p).  Its top
+    entry, at a + b = n, is the product of the two pivots: a unit times
+    p^-delta_p(n).  Nothing lies beyond n.
+    """
     p = ctx.p
     cache = ctx._hopf_cache.setdefault("special", {})
     if n in cache:
@@ -682,7 +728,9 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     if n == p ** k:
         return dk
     low = _special_composite(ctx, n - p ** k)
-    form = low.functional().convolve(dk.functional())
-    out = SpecialElement(p, n, low.element * dk.element, _check_profile(p, n, form))
+    (na, da), (nb, db) = integer_numerators(low.c), integer_numerators(dk.c)
+    den = da * db
+    row = tuple(Fraction(c, den) for c in _convolve(na, nb))
+    out = SpecialElement(p, n, low.element * dk.element, row)
     cache[n] = out
     return out

@@ -13,12 +13,11 @@ arithmetic is exact; no p-adic truncation appears anywhere.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import dot, ensure_prime, format_rational, val_p
+from .arith import dot, ensure_prime, format_rational, integer_numerators, val_p
 
 
 class LatticeError(ValueError):
@@ -163,10 +162,7 @@ class SolutionLattice:
         return len(self.basis)
 
     def pivots(self) -> tuple[int, ...]:
-        out = []
-        for j in range(self.size):
-            out.append(int(val_p(self.p, self.basis[j][j])))
-        return tuple(out)
+        return tuple(val_p(self.p, self.basis[j][j]) for j in range(self.size))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.basis[i][j] for i in range(self.size))
@@ -241,8 +237,7 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     row = [Fraction(x) for x in row]
     if not row[size]:
         raise LatticeError(f"row has a zero pivot at index {size}")
-    den = math.lcm(*(x.denominator for x in row))
-    nums = [x.numerator * (den // x.denominator) for x in row]
+    nums, _ = integer_numerators(row)
     unit, s = nums[size], 0
     while unit % p == 0:
         unit //= p
@@ -278,11 +273,14 @@ def lattice_eq(first: SolutionLattice, second: SolutionLattice) -> bool:
 @dataclass(frozen=True)
 class SandwichResult:
     """Outcome of the sandwich comparison; hypothesis failures are
-    reported distinctly from inclusion failures."""
+    reported distinctly from inclusion failures.  ``s_lattice`` is the
+    lattice S of base + cn, built whenever the hypotheses hold and None
+    otherwise; it is not part of the outcome (equality, the JSON form)."""
 
     status: str  # "equal" | "inclusion_failed" | "hypothesis_violation"
     equal: bool
     detail: str = ""
+    s_lattice: SolutionLattice | None = field(default=None, compare=False, repr=False)
 
     def to_jsonable(self) -> dict:
         return {"status": self.status, "equal": self.equal, "detail": self.detail}
@@ -300,7 +298,8 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     bases mean S is not in T.  ``base`` is the solution lattice of
     base_rows when the caller already holds it; otherwise it is built row
     by row.  The shape hypotheses imply the precondition of
-    :func:`extend_lattice`, so S and T are each one extension of it.
+    :func:`extend_lattice`, so S and T are each one extension of it; the
+    result carries S (``s_lattice``) for a caller that needs it.
     """
     ensure_prime(p)
     for r, vec in enumerate(list(base_rows) + [cn, cn_hat]):
@@ -326,5 +325,5 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
         raise LatticeError(f"base lattice is not in Z_({p})^{n}")
     s_lat, t_lat = extend_lattice(base, cn.entries), extend_lattice(base, cn_hat.entries)
     if s_lat == t_lat:
-        return SandwichResult("equal", True)
-    return SandwichResult("inclusion_failed", False, "S is not contained in T")
+        return SandwichResult("equal", True, s_lattice=s_lat)
+    return SandwichResult("inclusion_failed", False, "S is not contained in T", s_lat)

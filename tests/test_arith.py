@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpadams.arith import (INFINITY, Prime, delta_p, dot, find_q, format_rational, gamma_p,
-                           gaussian, gaussian_poly, is_p_local_int, is_p_local_unit,
-                           is_prime, multiplicative_order, nu_p, parse_rational, val_p,
-                           validate_q)
+                           gaussian, gaussian_poly, integer_numerators, is_p_local_int,
+                           is_p_local_unit, is_prime, multiplicative_order, nu_p,
+                           parse_rational, val_p, validate_q)
 
 
 def test_prime_validation():
@@ -179,6 +179,38 @@ def test_valuation_properties(x, y):
     for p in (2, 5):
         assert val_p(p, x * y) == val_p(p, x) + val_p(p, y)
         assert val_p(p, x + y) >= min(val_p(p, x), val_p(p, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 0, 1, 4, 6, 9, -3]),
+       a=st.integers(-10**6, 10**6), i=st.integers(0, 12),
+       b=st.integers(1, 10**4), j=st.integers(0, 12), as_int=st.booleans())
+def test_val_p_against_nu_p(p, a, i, b, j, as_int):
+    # ints and Fractions, of either sign, with high powers of p on either
+    # side; 0 is INFINITY whatever p is (as before), a non-prime p raises
+    base = abs(p) if abs(p) > 1 else 2
+    x = a * base ** i if as_int else Fraction(a * base ** i, b * base ** j)
+    if x == 0:
+        assert val_p(p, x) == INFINITY
+        return
+    if not is_prime(p):
+        with pytest.raises(ValueError, match="not a prime"):
+            val_p(p, x)
+        with pytest.raises(ValueError, match="not a prime"):
+            nu_p(p, a)
+        return
+    num, den = Fraction(x).numerator, Fraction(x).denominator
+    v = val_p(p, x)
+    assert v == nu_p(p, num) - nu_p(p, den)
+    # and against the definition: p^|v| divides exactly one side, p^(|v|+1) neither
+    top, bottom = (num, den) if v >= 0 else (den, num)
+    assert top % p ** abs(v) == 0 and top % p ** (abs(v) + 1) and bottom % p
+
+
+def test_integer_numerators():
+    assert integer_numerators([Fraction(1, 2), Fraction(-1, 3), 2]) == ([3, -2, 12], 6)
+    assert integer_numerators((Fraction(0), Fraction(5, 4))) == ([0, 5], 4)
+    assert integer_numerators([]) == ([], 1)
 
 
 def test_parse_and_format_rational():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,20 @@ def test_verify_run_builds_no_right_unit_tables(monkeypatch):
     monkeypatch.setattr(hopf, "_RightUnitData", refuse)
     for p, n in ((2, 5), (3, 4)):
         assert verify_centre_bp(p, n)["verdict"]
+
+
+def test_verify_run_makes_no_mu_linear_convolution(monkeypatch):
+    # the special rows and v1_functional convolve integer lists, not forms
+    calls = []
+    convolve = MuLinear.convolve
+
+    def counted(self, other):
+        calls.append(other)
+        return convolve(self, other)
+
+    monkeypatch.setattr(MuLinear, "convolve", counted)
+    assert verify_centre_bp(5, 12)["verdict"]
+    assert calls == []
 
 
 def test_interleaved_g_report():
@@ -351,3 +366,74 @@ def test_inclusion_counts_match_brute_force_on_passing_scans():
         used, witness = _brute_force_inclusion(p, n, sampled_integrality_rows(ctx))
         assert witness is None and report["verdict"]
         assert [row["sample_rows_used"] for row in report["rows"]] == used
+
+
+def test_hypothesis_violation_report_is_unchanged(monkeypatch):
+    # c_2 times 3 breaks the shape (its pivot has valuation -delta_3(2) + 1):
+    # the sandwich builds no S, so the Adams lattice at n = 2 is the
+    # extension by the corrupted c_2 itself.  Expected values were taken
+    # from the route that extended the Adams lattice before the sandwich.
+    import bpadams.centre as centre
+    from bpadams.adamsk import CongruenceVector
+
+    real = centre.summand_rows
+
+    def corrupted(p, n_max, q=None):
+        rows = real(p, n_max, q)
+        rows[2] = CongruenceVector(p, 2, tuple(3 * e for e in rows[2].entries),
+                                   rows[2].budget)
+        return rows
+
+    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    report = centre.verify_centre_bp(3, 3)
+    assert [row["pivots"] for row in report["rows"]] == [[0], [0, 1], [0, 1, 1]]
+    assert [row["sandwich"] for row in report["rows"]] == [
+        "equal", "equal", "hypothesis_violation"]
+    assert report["failure"] == {
+        "n": 2,
+        "sandwich": {"status": "hypothesis_violation", "equal": False,
+                     "detail": "row with top index 2 violates the pivot/valuation shape"},
+        "witness": {"gamma": [2, 0], "delta": [2, 0], "mu": ["0", "3", "0"],
+                    "value": "-1/96"},
+    }
+
+
+def _all_columns_first_failure(p, lat, rows):
+    """The sample test by its definition: (k, j) for the first row k, then
+    column j, whose exact value on column j has negative valuation."""
+    from bpadams.arith import val_p
+
+    columns = lat.columns()
+    for k, (row, den) in enumerate(rows):
+        for j, col in enumerate(columns):
+            value = sum((Fraction(c, den) * col[i] for i, c in row.items()), Fraction(0))
+            if val_p(p, value) < 0:
+                return k, j
+    return None
+
+
+def test_triangular_sample_test_against_all_columns():
+    from bpadams.centre import _first_sample_failure
+    from bpadams.lattice import CongruenceSystem, solve
+
+    rng = random.Random(97)
+    outcomes = []
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        n = rng.randint(0, 7)
+        system = tuple(tuple(Fraction(rng.randint(-9, 9), p ** rng.randint(0, 3))
+                             for _ in range(n + 1))
+                       for _ in range(rng.randint(0, 3)))
+        lat = solve(CongruenceSystem(p, n, system))
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            support = rng.sample(range(n + 1), rng.randint(1, n + 1))
+            row = {i: rng.randint(-p ** 4, p ** 4) or 1 for i in support}
+            rows.append((row, p ** rng.randint(0, 4) * rng.choice((1, 7, 11, 13))))
+        got = _first_sample_failure(p, lat, rows)
+        assert got == _all_columns_first_failure(p, lat, rows), (p, n, system, rows)
+        outcomes.append(got)
+    # passing sets, and failures at a later row and at a later column
+    assert None in outcomes
+    assert any(got and got[0] > 0 for got in outcomes)
+    assert any(got and got[1] > 0 for got in outcomes)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bpadams.arith import delta_p, dot, format_rational, val_p
 from bpadams.adamsk import CongruenceVector
-from bpadams.lattice import (CongruenceSystem, LatticeError, SolutionLattice,
+from bpadams.lattice import (CongruenceSystem, LatticeError, SandwichResult, SolutionLattice,
                              extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
                              residue, sandwich_check, solve, triangularize)
 
@@ -176,6 +176,11 @@ def test_sandwich_trivial_and_perturbed():
             cn_hat = CongruenceVector(p, n, tuple(entries), cn.budget)
             res = sandwich_check(p, base, cn, cn_hat)
             assert res.status == "equal" and res.equal, (p, n)
+            # S rides along, outside the outcome
+            lat = _extended(p, [vec.entries for vec in base])
+            assert res.s_lattice == extend_lattice(lat, cn.entries), (p, n)
+            assert res == SandwichResult("equal", True)
+            assert res.to_jsonable() == {"status": "equal", "equal": True, "detail": ""}
 
 
 def test_sandwich_hypothesis_violation_reported():
@@ -188,6 +193,7 @@ def test_sandwich_hypothesis_violation_reported():
     weak = CongruenceVector(p, n, tuple(weak_entries), cn.budget)
     res = sandwich_check(p, base, cn, weak)
     assert res.status == "hypothesis_violation" and not res.equal
+    assert res.s_lattice is None  # a violation builds no lattice
 
 
 def test_sandwich_inclusion_failure_and_budget_mismatch():
@@ -201,6 +207,7 @@ def test_sandwich_inclusion_failure_and_budget_mismatch():
     res = sandwich_check(3, base, cn, cn_hat)
     assert (res.status, res.equal, res.detail) == (
         "inclusion_failed", False, "S is not contained in T")
+    assert res.s_lattice == s_lat
     # budgets 2 and 1: the lattices have different indices
     res = sandwich_check(3, [], CongruenceVector(3, 0, (Fraction(1, 9),), 2),
                          CongruenceVector(3, 0, (Fraction(1, 3),), 1))
