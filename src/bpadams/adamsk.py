@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .arith import (delta_p, dot, ensure_prime, format_rational, gamma_p, gaussian,
@@ -213,7 +213,12 @@ class CongruenceVector:
                            tuple(Fraction(e) for e in self.entries))
 
     def shape_ok(self) -> bool:
-        """The shape hypotheses.  The pivot is tested by its valuation; an
+        """The shape hypotheses, evaluated once per row (it is frozen)."""
+        return self._shape
+
+    @cached_property
+    def _shape(self) -> bool:
+        """:meth:`shape_ok`.  The pivot is tested by its valuation; an
         entry e below it has val_p(e) >= -budget iff p^(budget + 1) does
         not divide e.denominator, since budget >= 0 and a fraction in
         lowest terms has p in at most one of its numerator and denominator.

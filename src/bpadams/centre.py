@@ -134,6 +134,9 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
       numerators (:func:`bpadams.hopf.t_monomial_numerators`), in the
       order of :func:`sampled_integrality_rows`; a ``MuLinear`` is built
       only for a witness, whose value is recomputed exactly.
+
+    A row with top index above n_max is never tested, so the walk only
+    counts it into ``sample_rows_total``: it is never decoded or held.
     """
     ensure_prime(p)
     if n_max < 0:
@@ -143,9 +146,11 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     weight_bound = needed if weight_bound is None else max(weight_bound, needed)
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, q)
-    sample = [(gamma, delta, row, den)
-              for gamma, rows, den in t_monomial_numerators(ctx) if any(gamma)
-              for delta, row in rows.items()]
+    sample, total = [], 0
+    for gamma, rows, den, count in t_monomial_numerators(ctx, n_max):
+        if any(gamma):
+            total += count
+            sample.extend((gamma, delta, row, den) for delta, row in rows.items())
     tops = [max(row) for _, _, row, _ in sample]
     by_top: dict[int, list[int]] = {}
     for pos, top in enumerate(tops):
@@ -158,7 +163,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
         "n_max": n_max,
         "weight_bound": weight_bound,
         "weight_raised": bool(requested is not None and requested < needed),
-        "sample_rows_total": len(sample),
+        "sample_rows_total": total,
         "rows": [],
         "verdict": True,
     }

@@ -20,11 +20,19 @@ sampled rows need theta(t^gamma) for every t-monomial gamma of weight
 <= W: ``t_monomial_numerators`` walks those monomials depth first and
 builds each image from its parent prefix with one product by a
 theta(t_k).  The walk runs on integer numerators over a common
-denominator, with each monomial v^delta * u^j packed into one int (one
-bit field per exponent), so a product of monomials is one int addition.
-It gives each row as integer numerators over the walk's denominator,
-which the centre verification tests as they are; ``t_monomial_rows``
-reads the same rows as ``MuLinear`` forms of ``Fraction``s.
+denominator.  Each v-monomial v^delta is one int (one bit field per
+exponent), so a product of monomials is one int addition, and each row
+sum_j c_j * u^j is one int sum_j c_j * 2^(B * j) with signed digits
+(Kronecker substitution), so a product of rows is one big-int product.
+The width B is per node, from an l1 bound on the numerators that makes
+the digits decode without carries; the same bound tells from a row's
+int alone whether its top index is at most n, so rows the caller will
+not test are counted and never decoded.  Nodes wider than
+``PACKED_WIDTH_LIMIT`` bits, where limb work outweighs the saving, run
+on one int per term v^delta * u^j instead.  The walk gives each row as
+integer numerators over its denominator, which the centre verification
+tests as they are; ``t_monomial_rows`` reads the same rows as
+``MuLinear`` forms of ``Fraction``s.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
 into Q[u], evaluated on univariate images of the generators as integer
 numerators over one denominator.
@@ -328,7 +336,7 @@ def _integer_image(image: GradedPoly, width: int, u_bound: int,
     fields of ``width`` bits, v_1 at the top and u at the bottom.
 
     Raises PolyError if a term has u-degree above ``u_bound``: the
-    packing relies on that bound (see :func:`t_monomial_rows`).
+    packing relies on that bound (see :func:`t_monomial_numerators`).
     """
     nums, den = integer_numerators(list(image.terms.values()))
     out: dict[int, int] = {}
@@ -344,23 +352,36 @@ def _integer_image(image: GradedPoly, width: int, u_bound: int,
     return out, den
 
 
-def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
-               ) -> dict[tuple[int, ...], dict[int, int]]:
-    """The rows of a theta image given as integer numerators, keys packed
-    as by :func:`_integer_image`: the term c * v^delta * u^j is the entry c
-    of mu_j in the row at delta.  Each row maps mu indices to non-zero
-    numerators; the rows come in graded-lexicographic order of delta."""
-    width = ctx.weight_bound.bit_length()
+def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int, int]]:
+    """Integer numerators on packed monomial keys (see :func:`_integer_image`)
+    grouped into rows: the term c * v^delta * u^j is the entry c of mu_j in
+    the row keyed by delta's packed fields, the key without its u field."""
     mask = (1 << width) - 1
     rows: dict[int, dict[int, int]] = {}
     for key, c in numerators.items():
         rows.setdefault(key >> width, {})[key & mask] = c
+    return rows
+
+
+def _delta_reader(ctx: BPContext):
+    """The v-exponent tuple of a packed delta key, fields of
+    ``W.bit_length()`` bits with v_1 at the top."""
+    width = ctx.weight_bound.bit_length()
+    mask = (1 << width) - 1
     shifts = [width * i for i in reversed(range(len(ctx.v_table)))]
-    by_delta = {tuple(packed >> s & mask for s in shifts): row
-                for packed, row in rows.items()}
+    return lambda key: tuple(key >> s & mask for s in shifts)
+
+
+def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
+               ) -> dict[tuple[int, ...], dict[int, int]]:
+    """The rows of a theta image given as integer numerators, keys packed
+    as by :func:`_integer_image`.  Each row maps mu indices to non-zero
+    numerators; the rows come in graded-lexicographic order of delta."""
+    delta = _delta_reader(ctx)
+    by_delta = {delta(key): row
+                for key, row in _group_rows(numerators, ctx.weight_bound.bit_length()).items()}
     weight = ctx.v_table.monomial_weight
-    return {delta: by_delta[delta]
-            for delta in sorted(by_delta, key=lambda e: (weight(e), e))}
+    return {d: by_delta[d] for d in sorted(by_delta, key=lambda e: (weight(e), e))}
 
 
 def _forms(rows: Mapping[tuple[int, ...], Mapping[int, int]], den: int,
@@ -404,37 +425,123 @@ def t_monomial_rows(ctx: BPContext,
     :class:`MuLinear` with coefficients c / den; they are the rows
     :func:`diagonal_transform` gives for t^gamma.
     """
-    for gamma, rows, den in t_monomial_numerators(ctx):
+    for gamma, rows, den, _ in t_monomial_numerators(ctx):
         yield gamma, _forms(rows, den)
 
 
-def t_monomial_numerators(ctx: BPContext) -> Iterator[
-        tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, int]], int]]:
-    """(gamma, rows, den) for every t-monomial gamma of weight <= W, in the
-    order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at delta
-    of theta(t^gamma) is sum_j (rows[delta][j] / den) * mu_j, with non-zero
-    int numerators and delta in graded-lexicographic order.
+# The widest digit, in bits, that the walk multiplies as packed rows; a node
+# whose digit width is above it runs, with its whole subtree, on packed
+# monomial keys.  Chosen by a sweep over 128..448 (see CHANGES.md).
+PACKED_WIDTH_LIMIT = 384
+
+
+def _digit_width(bound: int) -> int:
+    """Bits per digit for signed digits of absolute value at most ``bound``:
+    the width B with bound < 2^(B - 1)."""
+    return bound.bit_length() + 1
+
+
+def _pack(row: Mapping[int, int], width: int) -> int:
+    """The row {j: c_j} as one int, sum_j c_j * 2^(width * j): the row's
+    polynomial in u evaluated at u = 2^width."""
+    return sum(c << (width * j) for j, c in row.items())
+
+
+def _unpack(packed: int, width: int) -> dict[int, int]:
+    """The non-zero signed digits of ``packed`` as {j: c_j}: the inverse of
+    :func:`_pack` on rows with every |c_j| < 2^(width - 1)."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    row: dict[int, int] = {}
+    # a non-zero digit at j leaves |packed| > 2^(width * j - 1)
+    for j in range(packed.bit_length() // width + 1):
+        c = packed & mask  # packed mod 2^width, for a negative packed too
+        if c >= half:
+            c -= mask + 1
+        if c:
+            row[j] = c
+        packed = (packed - c) >> width
+    return row
+
+
+def _top_at_most(packed: int, width: int, n: int) -> bool:
+    """Whether the packed row has no non-zero digit above index n, for
+    digits as in :func:`_unpack`: exactly when |packed| < 2^(width*(n+1) - 1)."""
+    return packed.bit_length() < width * (n + 1)
+
+
+def _multiply(image: Mapping[int, int], factor: list[tuple[int, int]]) -> dict[int, int]:
+    """The product of two sparse images whose keys add under multiplication:
+    sum over pairs of key1 + key2 -> value1 * value2, zero values dropped."""
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in image.items():
+        for k2, c2 in factor:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
+        tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, int]], int, int]]:
+    """(gamma, rows, den, count) for every t-monomial gamma of weight <= W,
+    in the order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at
+    delta of theta(t^gamma) is sum_j (rows[delta][j] / den) * mu_j, with
+    non-zero int numerators and delta in graded-lexicographic order.
+    ``count`` is the number of non-zero rows of theta(t^gamma); ``rows``
+    holds those whose top index is at most ``top`` (every row when ``top``
+    is None).  A row above ``top`` is counted, never decoded.
 
     A depth-first walk that keeps only the chain of prefixes: the image of
     gamma is its parent's (gamma with its last non-zero exponent lowered
     by one) times theta(t_k).  Images are homogeneous of weight |gamma|
-    (u has weight 0), so no product truncates.
+    (u has weight 0), so no product truncates, and every delta of one
+    image has the same weight: graded-lexicographic order is the order of
+    the packed delta keys.
 
     The walk runs on integers.  Each theta(t_k) is stored once as
     N_k = D_k * theta(t_k), D_k the lcm of its denominators, and the
     image of gamma as integer numerators over the common denominator
-    den = prod_k D_k^{gamma_k}; a child is one integer convolution with
-    N_k, its denominator ``den * D_k``.  A monomial v^delta * u^j is one
-    int with a field of ``W.bit_length()`` bits per v_i and one for u (see
-    :func:`_integer_image`), so multiplying monomials is adding ints.
+    den = prod_k D_k^{gamma_k}; a child's denominator is ``den * D_k``.
+    A v-monomial v^delta is one int with a field of ``W.bit_length()``
+    bits per v_i, so multiplying monomials is adding ints.  No carry can
+    pass between fields: every term of theta(t^gamma) has v-weight
+    |gamma| <= W, so each v-exponent is at most W.
 
-    No carry can pass between fields.  Every term of theta(t^gamma) has
-    v-weight |gamma| <= W, so each v-exponent is at most W.  Its u-degree
-    is at most |gamma|: the recursion gives every term of theta(t_n) a
-    u-degree <= w_n, since p^k * w_{n-k} <= w_n.  So every field of a
-    product key holds its true exponent, which is <= W.  The bound on the
-    generator images is checked once per walk (``PolyError`` otherwise);
-    the inner loop checks nothing.
+    *Packed rows.*  Each row sum_j c_j * u^j of an image is one int,
+    sum_j c_j * 2^(B * j) (Kronecker substitution u -> 2^B), keyed by the
+    packed delta.  A child is then one big-int product per pair of
+    (parent row, row of N_k), so the convolution in u runs inside the
+    integer multiply.  The digits are signed, and they decode without
+    carries as long as every |c_j| < 2^(B - 1): the int of a child row is
+    exactly that row evaluated at 2^B, a sum of products of such
+    evaluations, and a signed-digit expansion with all digits in that
+    range is unique (:func:`_unpack`).
+    - *Width.*  The l1 norm is submultiplicative, so every numerator of
+      theta(t^gamma) is at most prod_k ||N_k||_1^{gamma_k}, with ||N_k||_1
+      the sum of the absolute numerators of N_k.  Each node takes its own
+      width B(gamma) from that bound (:func:`_digit_width`); a child
+      repacks its parent's rows at its own width.
+    - *Top test.*  With such digits, |r| < 2^(B * (n + 1) - 1) holds
+      exactly when no digit above index n is non-zero: digits 0..n alone
+      give |r| < 2^(B * (n + 1)) / 2, while a top non-zero digit c_m,
+      m > n, leaves |r| > 2^(B * m) - 2^(B * m) / 2
+      (:func:`_top_at_most`).  So a row above ``top`` is counted from its
+      int alone.
+    - *Kernel switch.*  A packed product spends limb work on every digit
+      at the full width B, small digits of N_k included, so its cost per
+      pair of rows grows like B^2, while one int per term costs a fixed
+      interpreted step per pair of terms.  Above
+      :data:`PACKED_WIDTH_LIMIT` bits packed rows were measured slower
+      (at odd p, where Araki's generators give ~1,000-bit numerators).  A
+      node wider than that runs, with its whole subtree (widths only
+      grow), on one int per term: the key of v^delta * u^j holds delta
+      and j, with a u field of ``W.bit_length()`` bits (see
+      :func:`_integer_image`).  Its u-degree is at most |gamma| <= W: the
+      recursion gives every term of theta(t_n) a u-degree <= w_n, since
+      p^k * w_{n-k} <= w_n.  The bound on the generator images is checked
+      once per walk (``PolyError`` otherwise); the inner loop checks
+      nothing.  Both kernels use one product, :func:`_multiply`, and give
+      the same rows.
     """
     W = ctx.weight_bound
     width = W.bit_length()
@@ -443,26 +550,53 @@ def t_monomial_numerators(ctx: BPContext) -> Iterator[
     gens = []
     for k, w in enumerate(weights, start=1):
         num, den = _integer_image(images[f"t{k}"], width, w, f"theta(t{k})")
-        gens.append((list(num.items()), den))
+        gens.append((list(num.items()), _group_rows(num, width), den,
+                     sum(map(abs, num.values()))))
+    limit = PACKED_WIDTH_LIMIT
+    delta_of = _delta_reader(ctx)
+    packed_gens: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def walk(gamma: tuple[int, ...], num: dict[int, int], den: int,
+    def packed_factor(k: int, B: int) -> list[tuple[int, int]]:
+        if (k, B) not in packed_gens:
+            packed_gens[k, B] = [(d, _pack(row, B)) for d, row in gens[k][1].items()]
+        return packed_gens[k, B]
+
+    def walk(gamma: tuple[int, ...], image: dict[int, int], den: int, bound: int,
              low: int, room: int) -> Iterator:
-        yield gamma, _read_rows(ctx, num), den
+        B = _digit_width(bound)
+        if B > limit:  # numerators on packed monomial keys
+            rows = _group_rows(image, width)
+            kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
+            count, flat = len(rows), image
+        else:  # one packed row per delta
+            kept = {d: _unpack(r, B) for d, r in image.items()
+                    if top is None or _top_at_most(r, B, top)}
+            count, flat = len(image), None
+        yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, count
+        digits = None
         # raising a later index first gives the lexicographic order
         for k in range(len(gens) - 1, low - 1, -1):
             if weights[k] <= room:
-                factor, d = gens[k]
-                out: dict[int, int] = {}
-                get = out.get
-                for k1, c1 in num.items():
-                    for k2, c2 in factor:
-                        key = k1 + k2
-                        out[key] = get(key, 0) + c1 * c2
-                yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
-                                {key: c for key, c in out.items() if c}, den * d,
-                                k, room - weights[k])
+                terms, _, d, norm = gens[k]
+                child_bound = bound * norm
+                child_B = _digit_width(child_bound)
+                if child_B > limit:
+                    if flat is None:
+                        flat = {key << width | j: c for key, r in image.items()
+                                for j, c in _unpack(r, B).items()}
+                    child = _multiply(flat, terms)
+                elif child_B == B:
+                    child = _multiply(image, packed_factor(k, B))
+                else:  # B < child_B <= limit: repack at the child's width
+                    if digits is None:
+                        digits = [(key, _unpack(r, B)) for key, r in image.items()]
+                    child = _multiply({key: _pack(row, child_B) for key, row in digits},
+                                      packed_factor(k, child_B))
+                yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:], child,
+                                den * d, child_bound, k, room - weights[k])
 
-    yield from walk((0,) * len(gens), {0: 1}, 1, 0, W)
+    # the root's image, 1, reads the same on either kernel
+    yield from walk((0,) * len(gens), {0: 1}, 1, 1, 0, W)
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:

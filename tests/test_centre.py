@@ -269,31 +269,37 @@ def _brute_force_inclusion(p, n_max, sample):
 
 
 def _flattened(items):
-    """The walk's (gamma, rows, den) items as the sampled rows: non-trivial
-    gamma, each row read as a MuLinear with coefficients c / den."""
+    """The walk's (gamma, rows, den, count) items as the sampled rows:
+    non-trivial gamma, each row read as a MuLinear with coefficients c / den."""
     return [(gamma, delta, MuLinear({j: Fraction(c, den) for j, c in row.items()}))
-            for gamma, rows, den in items if any(gamma)
+            for gamma, rows, den, _ in items if any(gamma)
             for delta, row in rows.items()]
 
 
 def _inject(monkeypatch, bad, before):
     """Patch the integer producer that verify_centre_bp reads so that the
-    item ``bad`` comes right before the first non-trivial item ``before``
-    accepts; returns the list that receives the flattened sample."""
+    item ``bad`` = (gamma, rows, den) comes right before the first
+    non-trivial item ``before`` accepts.  Like the walk, the item keeps
+    the rows whose top index is at most the walk's ``top`` and counts
+    them all.  Returns the list that receives the flattened sample and
+    the list of the ``top`` values asked for."""
     import bpadams.centre as centre
 
     real = centre.t_monomial_numerators
-    seen = []
+    seen, asked = [], []
 
-    def with_bad_row(ctx):
-        items = list(real(ctx))
+    def with_bad_row(ctx, top=None):
+        items = list(real(ctx, top))
         k = next(k for k, item in enumerate(items) if any(item[0]) and before(items, k))
-        items.insert(k, bad)
+        gamma, rows, den = bad
+        kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
+        items.insert(k, (gamma, kept, den, len(rows)))
         seen.append(_flattened(items))
+        asked.append(top)
         return iter(items)
 
     monkeypatch.setattr(centre, "t_monomial_numerators", with_bad_row)
-    return seen
+    return seen, asked
 
 
 def _tops(item):
@@ -315,8 +321,9 @@ def test_inclusion_witness_matches_brute_force(monkeypatch):
         assert any(2 in _tops(item) for item in items[k:])
         return True
 
-    seen = _inject(monkeypatch, bad, after_the_first_top_one)
+    seen, asked = _inject(monkeypatch, bad, after_the_first_top_one)
     report = centre.verify_centre_bp(3, 4)
+    assert asked == [4]
     used, witness = _brute_force_inclusion(3, 4, seen[0])
     assert witness is not None and witness["n"] == 2
     failure = report["failure"]
@@ -339,8 +346,9 @@ def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
     def before_six(items, k):
         return items[k][0] == (6, 0, 0)
 
-    seen = _inject(monkeypatch, bad, before_six)
+    seen, asked = _inject(monkeypatch, bad, before_six)
     report = centre.verify_centre_bp(2, 6)
+    assert asked == [6]
     used, witness = _brute_force_inclusion(2, 6, seen[0])
     assert witness is not None and witness["n"] == 6 and witness["gamma"] == [6, 0, 9]
     failure = report["failure"]
@@ -349,6 +357,30 @@ def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
     assert [row["sample_included"] for row in report["rows"]] == [True] * 6 + [False]
     top_six = sum(1 for _, _, form in seen[0] if form.top_index() == 6)
     assert used[6] - used[5] == top_six - 1  # the row of (6, 0, 0) is not counted
+
+
+def test_a_failing_row_above_n_max_is_counted_and_never_tested(monkeypatch):
+    import bpadams.centre as centre
+
+    clean = centre.verify_centre_bp(3, 4)
+    # mu_0 / 3^20 misses every Adams lattice, but the row's top index 5 is
+    # above n_max = 4: the run counts it and tests nothing of it
+    den = 3 ** 20
+    bad = ((9, 9), {(9,): {0: 1, 5: 1}}, den)
+    seen, asked = _inject(monkeypatch, bad, lambda items, k: True)
+    tested = []
+    val_p = centre.val_p
+
+    def recorded_val_p(p, x):
+        tested.append(x)
+        return val_p(p, x)
+
+    monkeypatch.setattr(centre, "val_p", recorded_val_p)
+    report = centre.verify_centre_bp(3, 4)
+    assert asked == [4] and report["verdict"]
+    assert report == {**clean, "sample_rows_total": clean["sample_rows_total"] + 1}
+    assert den not in tested and len(tested) == report["rows"][-1]["sample_rows_used"]
+    assert all(form.top_index() <= 4 for _, _, form in seen[0])
 
 
 @pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12), (2, 16)])
@@ -437,3 +469,29 @@ def test_triangular_sample_test_against_all_columns():
     assert None in outcomes
     assert any(got and got[0] > 0 for got in outcomes)
     assert any(got and got[1] > 0 for got in outcomes)
+
+
+def test_verify_run_evaluates_each_row_shape_once(monkeypatch):
+    # sandwich_check asks for the shape of c_0..c_{n-1}, c_n and the special
+    # row at every n; each row's verdict is computed once and kept
+    from functools import cached_property
+
+    import bpadams.centre as centre
+    from bpadams.adamsk import CongruenceVector
+
+    evaluate = CongruenceVector._shape.func
+    evaluated = []
+
+    def counted(vec):
+        evaluated.append(vec)  # held, so no two rows share an id
+        return evaluate(vec)
+
+    shape = cached_property(counted)
+    shape.__set_name__(CongruenceVector, "_shape")
+    monkeypatch.setattr(CongruenceVector, "_shape", shape)
+    real = centre.summand_rows
+    # fresh rows: C_vector's cache may hold rows whose verdict is already kept
+    monkeypatch.setattr(centre, "summand_rows", lambda p, n_max, q=None: [
+        CongruenceVector(r.p, r.n, r.entries, r.budget) for r in real(p, n_max, q)])
+    assert verify_centre_bp(5, 24)["verdict"]
+    assert len(evaluated) == len({id(vec) for vec in evaluated}) == 2 * 25

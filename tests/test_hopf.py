@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -479,3 +480,80 @@ def test_concrete_integrality_matches_lattice_membership():
             val_p(3, sum((r * m for r, m in zip(row, mu)), Fraction(0))) >= 0
             for row in rows)
         assert direct == lat.contains(mu)
+
+
+def _dict_walk(ctx):
+    """The t-monomial walk on one int per term, as it ran before packed
+    rows: (gamma, every row of theta(t^gamma), den) in walk order, each
+    term's key holding its v-exponents and its u-degree.  The reference
+    for :func:`hopf.t_monomial_numerators`."""
+    W = ctx.weight_bound
+    width = W.bit_length()
+    images = hopf._theta_images(ctx)
+    weights = ctx.t_table.weights
+    gens = []
+    for k, w in enumerate(weights, start=1):
+        num, den = hopf._integer_image(images[f"t{k}"], width, w, f"theta(t{k})")
+        gens.append((list(num.items()), den))
+
+    def walk(gamma, num, den, low, room):
+        yield gamma, hopf._read_rows(ctx, num), den
+        for k in range(len(gens) - 1, low - 1, -1):
+            if weights[k] <= room:
+                factor, d = gens[k]
+                out = {}
+                for k1, c1 in num.items():
+                    for k2, c2 in factor:
+                        out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+                yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
+                                {key: c for key, c in out.items() if c}, den * d,
+                                k, room - weights[k])
+
+    yield from walk((0,) * len(gens), {0: 1}, 1, 0, W)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_walk(p, W):
+    return list(_dict_walk(BPContext(p, W)))
+
+
+# limit 0 runs every node on packed monomial keys, 10**6 every node on
+# packed rows, 48 switches inside the walk in each context, and the
+# default switches at (5, 36), where 6 of 139 nodes are wider than 384 bits
+@pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
+@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36)])
+def test_walk_matches_the_dict_walk(p, W, limit, monkeypatch):
+    reference = _reference_walk(p, W)
+    if limit is not None:
+        monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
+    ctx = BPContext(p, W)
+    for top in (None, 0, 1, W // 4, W // 2, W):
+        got = [(gamma, list(rows.items()), den, count)
+               for gamma, rows, den, count in hopf.t_monomial_numerators(ctx, top)]
+        want = [(gamma, [(d, row) for d, row in rows.items()
+                         if top is None or max(row) <= top], den, len(rows))
+                for gamma, rows, den in reference]
+        assert got == want, top
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, 8, 255, 256, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7])
+def test_packed_rows_at_the_edge_of_their_width(M):
+    # at the width for the bound M the helpers are exact on digits of
+    # absolute value M; one bit narrower each case goes wrong, so a width
+    # narrowed by a bit cannot pass.  M >= 2 keeps the narrow width at two
+    # bits or more: at one bit the digits {-1, 0} spell no positive int
+    pack, unpack, top_at_most = hopf._pack, hopf._unpack, hopf._top_at_most
+    B = hopf._digit_width(M)
+    adjacent = [(M, -M, M), (-M, M, -M), (M, M, -M, -M), (-M, -M, M, M), (M, 0, -M)]
+    n = 3
+    tops = []
+    for s in (1, -1):
+        lone_above = {j: -s * M for j in range(n + 1)}
+        lone_above[n + 1] = s  # a lone +-1 just above n, over digits -+M
+        tops += [(lone_above, False), ({j: s * M for j in range(n + 1)}, True)]
+    for width, exact in ((B, True), (B - 1, False)):
+        for digits in adjacent:
+            row = {j: c for j, c in enumerate(digits) if c}
+            assert (unpack(pack(row, width), width) == row) == exact, (width, digits)
+        for row, below in tops:
+            assert (top_at_most(pack(row, width), width, n) == below) == exact, (width, row)
