@@ -22,14 +22,18 @@ class BPContext:
     """Computation context for one prime and weight bound.
 
     Holds the generator tables for the v, l and t families up to the
-    largest index whose weight fits the bound, plus eagerly computed
-    conversion data between the v and l generators.  ``vu_table`` is the
-    v table with one more generator u of weight 0, the mu index of
-    :func:`bpadams.hopf.diagonal_transform`.  It is not immutable:
-    ``_hopf_cache`` is filled on first use with the images of the
-    diagonal transform, the right-unit tables and the special elements,
-    one by one as they are built.  Entries never change once stored, but
-    the filling is not locked, so give each thread its own context.
+    largest index whose weight fits the bound, and the l_n as polynomials
+    in the v's (:meth:`l_in_v`), built eagerly.  ``vu_table`` is the v
+    table with one more generator u of weight 0, the mu index of
+    :func:`bpadams.hopf.diagonal_transform`.  It is not immutable: the
+    v_n in the l's (:meth:`v_in_l`) are built on the first call, and
+    ``_hopf_cache`` is filled on first use, one entry at a time, with
+    the diagonal transform's generator images as integers
+    (``"theta_numerators"``) and as polynomials (``"theta"``, for
+    ``diagonal_transform`` alone), the right-unit tables (``"rud"``) and
+    the special elements (``"special"``).  Entries never change once
+    stored, but the filling is not locked, so give each thread its own
+    context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",
@@ -68,7 +72,7 @@ class BPContext:
         self.vu_table = self.v_table.union(GeneratorTable([("u", 0)]))
 
         self._l_in_v = self._build_l_in_v()
-        self._v_in_l = self._build_v_in_l()
+        self._v_in_l: list[GradedPoly] | None = None
         self._hopf_cache: dict = {}
 
     # -- Araki generators ------------------------------------------------
@@ -112,6 +116,8 @@ class BPContext:
     def v_in_l(self, n: int) -> GradedPoly:
         if not 1 <= n <= self.gen_count:
             raise PolyError(f"v_{n} is beyond the weight bound {self.weight_bound}")
+        if self._v_in_l is None:
+            self._v_in_l = self._build_v_in_l()
         return self._v_in_l[n - 1]
 
     def pi(self, n: int) -> Fraction:

@@ -15,7 +15,14 @@ graded ring homomorphism theta: Q[l, t] -> Q[v][u].  On the right-unit
 basis, eta_R(l_n) goes to u^{w_n} l_n with w_n the weight of l_n, so
 l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 - sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous.
-For a general x, theta is one substitution of these images.  The
+These generator images are built once per context by one recursion on
+integers (``_t_recursion``): each image is integer numerators on packed
+monomial keys over one denominator, the lcm of its denominators.  The
+same recursion over the {l, e} generators, with denominator 1, gives
+t_n in the right-unit basis.  For a general x, theta is one
+substitution of the images, read as ``GradedPoly`` values built on
+first use (``diagonal_transform``); the walk and ``v1_functional`` read
+the integers, so a verify run builds no polynomial image.  The
 sampled rows need theta(t^gamma) for every t-monomial gamma of weight
 <= W: ``t_monomial_numerators`` walks those monomials depth first and
 builds each image from its parent prefix with one product by a
@@ -34,8 +41,8 @@ integer numerators over its denominator, which the centre verification
 tests as they are; ``t_monomial_rows`` reads the same rows as
 ``MuLinear`` forms of ``Fraction``s.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
-into Q[u], evaluated on univariate images of the generators as integer
-numerators over one denominator.
+into Q[u], evaluated on univariate images of the generators, read from
+their integer images by key masks.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
@@ -225,23 +232,71 @@ class _RightUnitData:
                 acc = acc + (GradedPoly.gen(ctx.lt_table, W, f"l{k}")
                              * GradedPoly.gen(ctx.lt_table, W, f"t{n - k}", p ** k))
             self.etaR_l.append(acc)
-        names = range(1, ctx.gen_count + 1)
-        self.t_in_basis = _t_recursion(
-            p, [GradedPoly.gen(ctx.le_table, W, f"l{n}") for n in names],
-            [GradedPoly.gen(ctx.le_table, W, f"e{n}") for n in names])
+        # the recursion on the {l, e} generators, each a packed key over den 1
+        width, count = W.bit_length(), len(ctx.le_table)
+        gens = [({1 << width * (count - 1 - i): 1}, 1) for i in range(count)]
+        m = ctx.gen_count
+        T = _t_recursion(p, gens[:m], gens[m:])
+        read = _exponent_reader(count, width)
+        self.t_in_basis = [
+            GradedPoly._trusted(ctx.le_table, W, {read(key): Fraction(c) for key, c in num.items()})
+            for num, _ in T]
 
 
-def _t_recursion(p: int, L: list[GradedPoly], E: list[GradedPoly]) -> list[GradedPoly]:
+def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
+                 E: list[tuple[dict[int, int], int]]) -> list[tuple[dict[int, int], int]]:
     """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
     t_n over the {l, e} basis when E_n = e_n, and theta(t_n) when
-    E_n = u^{w_n} L_n with L_n = l_n(v)."""
-    T: list[GradedPoly] = []
+    E_n = u^{w_n} L_n with L_n = l_n(v).
+
+    Every polynomial is (N, D): integer numerators N on packed monomial
+    keys, a field of ``W.bit_length()`` bits per exponent (see
+    :func:`_integer_image`), over one denominator D.  A product of
+    monomials adds keys, and one product of polynomials is
+    :func:`_multiply`; powers are taken by square-and-multiply, T_j^{p^k}
+    as (T_j^{p^(k-1)})^p.  No product truncates and no key carries: T_n
+    is homogeneous of weight w_n = w_k + p^k * w_{n-k} <= W, so every
+    partial product has weight <= W, and with it every exponent and every
+    u-degree (at most w_n, see :func:`t_monomial_numerators`).
+    Each T_n is summed over the lcm of its terms' denominators and then
+    divided by gcd(D, N).  D is then the lcm of the denominators of T_n's
+    coefficients, as for :func:`bpadams.arith.integer_numerators`.
+    """
+    T: list[tuple[dict[int, int], int]] = []
+    powers: list[list[tuple[dict[int, int], int]]] = []  # powers[j][k] = T_j^{p^k}
     for n in range(len(L)):
-        acc = E[n] - L[n]
+        terms = [(E[n], 1), (L[n], -1)]
         for k in range(1, n + 1):
-            acc = acc - L[k - 1] * (T[n - k] ** (p ** k))
-        T.append(acc)
+            chain = powers[n - k]
+            if len(chain) == k:
+                chain.append(_power(chain[-1], p))
+            num, den = chain[k]
+            terms.append(((_multiply(num, list(L[k - 1][0].items())), den * L[k - 1][1]), -1))
+        den = math.lcm(*(d for (_, d), _ in terms))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for (num, d), sign in terms:
+            scale = sign * (den // d)
+            for key, c in num.items():
+                acc[key] = get(key, 0) + scale * c
+        g = math.gcd(den, *acc.values())
+        image = ({key: c // g for key, c in acc.items() if c}, den // g)
+        T.append(image)
+        powers.append([image])
     return T
+
+
+def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], int]:
+    """(N, D)^e for e >= 1, by square-and-multiply on packed keys."""
+    num, den = image
+    result, base, k = None, num, e
+    while k:
+        if k & 1:
+            result = base if result is None else _multiply(result, list(base.items()))
+        k >>= 1
+        if k:
+            base = _multiply(base, list(base.items()))
+    return result, den ** e
 
 
 def _rud(ctx: BPContext) -> _RightUnitData:
@@ -316,16 +371,63 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
     return y.substitute(bindings)
 
 
+def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
+    """theta of each {l, t} generator as (N, D), built once per context:
+    l_k -> L_k = l_k(v) and t_n -> T_n by :func:`_t_recursion`, each as
+    integer numerators on packed keys (see :func:`_integer_image`) over
+    D, the lcm of its denominators."""
+    cache = ctx._hopf_cache
+    if "theta_numerators" not in cache:
+        width = ctx.weight_bound.bit_length()
+        L = [_integer_image(ctx.l_in_v(n).embedded(ctx.vu_table), width, 0, f"l{n}")
+             for n in range(1, ctx.gen_count + 1)]
+        E = [({key + w: c for key, c in num.items()}, den)
+             for (num, den), w in zip(L, ctx.l_table.weights)]
+        cache["theta_numerators"] = dict(zip(ctx.lt_table.names, L + _t_recursion(ctx.p, L, E)))
+    return cache["theta_numerators"]
+
+
 def _theta_images(ctx: BPContext) -> dict[str, GradedPoly]:
-    """theta of each {l, t} generator over ``ctx.vu_table``, built once per
-    context: l_k -> L_k = l_k(v), t_n -> T_n by :func:`_t_recursion`."""
+    """The images of :func:`_theta_numerators` as polynomials over
+    ``ctx.vu_table``, one ``Fraction`` per term, built on first use.  Only
+    :func:`diagonal_transform` reads them; the walk and
+    :func:`v1_functional` read the integers."""
     cache = ctx._hopf_cache
     if "theta" not in cache:
-        u = GradedPoly.gen(ctx.vu_table, ctx.weight_bound, "u")
-        L = [ctx.l_in_v(n).embedded(ctx.vu_table) for n in range(1, ctx.gen_count + 1)]
-        T = _t_recursion(ctx.p, L, [(u ** w) * Ln for w, Ln in zip(ctx.l_table.weights, L)])
-        cache["theta"] = dict(zip(ctx.lt_table.names, L + T))  # l1.., then t1..
+        W = ctx.weight_bound
+        read = _exponent_reader(len(ctx.vu_table), W.bit_length())
+        cache["theta"] = {
+            name: GradedPoly._trusted(ctx.vu_table, W,
+                                      {read(key): Fraction(c, den) for key, c in num.items()})
+            for name, (num, den) in _theta_numerators(ctx).items()}
     return cache["theta"]
+
+
+def _key(exps: Iterable[int], width: int) -> int:
+    """The exponents as one int, a field of ``width`` bits each, the first
+    at the top."""
+    key = 0
+    for e in exps:
+        key = key << width | e
+    return key
+
+
+def _exponent_reader(count: int, width: int):
+    """The inverse of :func:`_key` for ``count`` fields."""
+    mask = (1 << width) - 1
+    shifts = [width * i for i in reversed(range(count))]
+    return lambda key: tuple(key >> s & mask for s in shifts)
+
+
+def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int,
+                    label: str) -> None:
+    """Raise PolyError if a term on packed keys (see :func:`_integer_image`)
+    has u-degree above ``u_bound``: the packing relies on that bound."""
+    mask = (1 << width) - 1
+    for key in numerators:
+        if key & mask > u_bound:
+            raise PolyError(f"{label} has a term of u-degree {key & mask} above "
+                            f"{u_bound}: its packed keys could carry")
 
 
 def _integer_image(image: GradedPoly, width: int, u_bound: int,
@@ -335,20 +437,12 @@ def _integer_image(image: GradedPoly, width: int, u_bound: int,
     keys.  The key of v^delta * u^j holds delta_1, ..., delta_m, j in
     fields of ``width`` bits, v_1 at the top and u at the bottom.
 
-    Raises PolyError if a term has u-degree above ``u_bound``: the
-    packing relies on that bound (see :func:`t_monomial_numerators`).
+    Raises PolyError if a term has u-degree above ``u_bound``
+    (:func:`_check_u_degree`).
     """
     nums, den = integer_numerators(list(image.terms.values()))
-    out: dict[int, int] = {}
-    for exps, num in zip(image.terms, nums):
-        # exps is () only at W = 0, where a substitution binds nothing
-        if exps and exps[-1] > u_bound:
-            raise PolyError(f"{label} has a term of u-degree {exps[-1]} above "
-                            f"{u_bound}: its packed keys could carry")
-        key = 0
-        for e in exps:
-            key = key << width | e
-        out[key] = num
+    out = {_key(exps, width): num for exps, num in zip(image.terms, nums)}
+    _check_u_degree(out, width, u_bound, label)
     return out, den
 
 
@@ -366,10 +460,7 @@ def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int
 def _delta_reader(ctx: BPContext):
     """The v-exponent tuple of a packed delta key, fields of
     ``W.bit_length()`` bits with v_1 at the top."""
-    width = ctx.weight_bound.bit_length()
-    mask = (1 << width) - 1
-    shifts = [width * i for i in reversed(range(len(ctx.v_table)))]
-    return lambda key: tuple(key >> s & mask for s in shifts)
+    return _exponent_reader(len(ctx.v_table), ctx.weight_bound.bit_length())
 
 
 def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
@@ -498,8 +589,9 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     image has the same weight: graded-lexicographic order is the order of
     the packed delta keys.
 
-    The walk runs on integers.  Each theta(t_k) is stored once as
-    N_k = D_k * theta(t_k), D_k the lcm of its denominators, and the
+    The walk runs on integers.  Each theta(t_k) is taken as it is built,
+    once per context, by :func:`_theta_numerators`:
+    N_k = D_k * theta(t_k), D_k the lcm of its denominators.  The
     image of gamma as integer numerators over the common denominator
     den = prod_k D_k^{gamma_k}; a child's denominator is ``den * D_k``.
     A v-monomial v^delta is one int with a field of ``W.bit_length()``
@@ -545,11 +637,12 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     """
     W = ctx.weight_bound
     width = W.bit_length()
-    images = _theta_images(ctx)
+    images = _theta_numerators(ctx)
     weights = ctx.t_table.weights
     gens = []
     for k, w in enumerate(weights, start=1):
-        num, den = _integer_image(images[f"t{k}"], width, w, f"theta(t{k})")
+        num, den = images[f"t{k}"]
+        _check_u_degree(num, width, w, f"theta(t{k})")
         gens.append((list(num.items()), _group_rows(num, width), den,
                      sum(map(abs, num.values()))))
     limit = PACKED_WIDTH_LIMIT
@@ -623,27 +716,33 @@ def v1_functional(ctx: BPContext, x: GradedPoly,
     by term.  This is exact: every term of x has weight <= W and its
     image is homogeneous, so theta truncates none of it.
 
-    The evaluation runs in Z[u].  Each generator's image is taken once
-    per call as integer numerators over the lcm D of its denominators,
-    and its e-th power, built once per call by integer convolution, is
-    over D^e.  The term c * prod g^e is then integers over
-    c.denominator * prod D^e; the terms are summed over the lcm of those
+    The evaluation runs in Z[u].  Each generator's univariate image is
+    read once per call from its integer theta image (N, D)
+    (:func:`_theta_numerators`): the terms whose packed key has empty
+    v_{>1} fields, over D divided by its gcd with their numerators, the
+    lcm of their denominators.  Its e-th power, built once per call by
+    integer convolution, is over that denominator to the e.  The term
+    c * prod g^e is then integers over c.denominator times the powers'
+    denominators; the terms are summed over the lcm of those
     denominators, and each index gives one ``Fraction``.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
-    images = _theta_images(ctx)
-    nv = len(ctx.v_table)
+    images = _theta_numerators(ctx)
+    width = ctx.weight_bound.bit_length()
+    u_mask = (1 << width) - 1
+    # the fields of v_2, ..., v_m, between v_1's at the top and u's at the bottom
+    v_high = ((1 << width * max(len(ctx.v_table) - 1, 0)) - 1) << width
     chains: dict[str, tuple[list[list[int]], int]] = {}
 
     def power(name: str, e: int) -> tuple[list[int], int]:
         if name not in chains:
+            num, den = images[name]
             # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
-            terms = {exps[nv]: c for exps, c in images[name].terms.items()
-                     if not any(exps[1:nv])}
-            base = [terms.get(j, Fraction(0)) for j in range(max(terms, default=-1) + 1)]
-            num, den = integer_numerators(base)
-            chains[name] = ([[1], num], den)
+            terms = {key & u_mask: c for key, c in num.items() if not key & v_high}
+            base = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
+            g = math.gcd(den, *base)
+            chains[name] = ([[1], [c // g for c in base]], den // g)
         chain, den = chains[name]
         while len(chain) <= e:
             chain.append(_convolve(chain[-1], chain[1]))

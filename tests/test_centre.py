@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import theta_reference
 from bpadams import hopf
 from bpadams.adamsk import adams_family, family_action
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
@@ -66,10 +67,11 @@ def test_sampled_rows_deterministic_and_weight_filtered():
 
 
 def _unpacked_rows(ctx, x):
-    """The rows of theta(x), read off its Fraction image term by term."""
+    """The rows of theta(x), read off its Fraction image term by term, on
+    the generator images of the Fraction recursion."""
     nv = len(ctx.v_table)
     rows = {}
-    for exps, c in x.substitute(hopf._theta_images(ctx)).terms.items():
+    for exps, c in x.substitute(theta_reference.theta_images(ctx)).terms.items():
         rows.setdefault(exps[:nv], {})[sum(exps[nv:])] = c
     weight = ctx.v_table.monomial_weight
     return {delta: MuLinear(rows[delta]) for delta in sorted(rows, key=lambda e: (weight(e), e))}
@@ -112,10 +114,15 @@ def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
     # a term of theta(t_1) with u-degree 2 > w_1 = 1 breaks the no-carry
     # bound of the packed keys; the walk checks the images before it starts
     ctx = BPContext(2, 4)
-    images = dict(hopf._theta_images(ctx))
-    images["t1"] = images["t1"] + GradedPoly.monomial(ctx.vu_table, 4, (1, 0, 2))
-    monkeypatch.setattr(hopf, "_theta_images", lambda c: images)
-    with pytest.raises(PolyError, match="theta\\(t1\\) has a term of u-degree 2"):
+    images = dict(hopf._theta_numerators(ctx))
+    num, den = images["t1"]
+    width = ctx.weight_bound.bit_length()
+    key = hopf._key((1, 0, 2), width)  # v_1 * u^2
+    assert key not in num
+    images["t1"] = ({**num, key: den}, den)
+    monkeypatch.setattr(hopf, "_theta_numerators", lambda c: images)
+    with pytest.raises(PolyError, match="theta\\(t1\\) has a term of u-degree 2 above 1: "
+                                        "its packed keys could carry"):
         sampled_integrality_rows(ctx)
 
 
@@ -169,6 +176,26 @@ def test_verify_run_builds_no_right_unit_tables(monkeypatch):
         raise AssertionError("the right-unit tables were built")
 
     monkeypatch.setattr(hopf, "_RightUnitData", refuse)
+    for p, n in ((2, 5), (3, 4)):
+        assert verify_centre_bp(p, n)["verdict"]
+
+
+def test_verify_run_builds_no_polynomial_theta_images(monkeypatch):
+    # the walk and v1_functional read the integer images; only
+    # diagonal_transform needs them as polynomials
+    def refuse(ctx):
+        raise AssertionError("the GradedPoly theta images were built")
+
+    monkeypatch.setattr(hopf, "_theta_images", refuse)
+    assert verify_centre_bp(5, 12)["verdict"]
+
+
+def test_verify_run_builds_no_v_in_l(monkeypatch):
+    # v_n over the l's serves right_unit_v_monomial alone
+    def refuse(ctx):
+        raise AssertionError("v_in_l was built")
+
+    monkeypatch.setattr(BPContext, "_build_v_in_l", refuse)
     for p, n in ((2, 5), (3, 4)):
         assert verify_centre_bp(p, n)["verdict"]
 

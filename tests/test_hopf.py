@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import theta_reference
 from bpadams import hopf
-from bpadams.arith import delta_p, is_p_local_int, val_p
+from bpadams.arith import delta_p, integer_numerators, is_p_local_int, val_p
 from bpadams.fgl import BPContext
 from bpadams.hopf import (ConstructionError, DiagonalAction, MuLinear, _check_profile,
                           diagonal_transform, from_right_unit_basis, right_unit_log,
@@ -181,10 +182,57 @@ def test_diagonal_transform_skips_the_right_unit_tables():
     c = BPContext(3, 10)
     diagonal_transform(c, t_gen(c, 2) * t_gen(c, 1))
     special_element(c, 3)
-    assert set(c._hopf_cache) == {"theta", "special"}
+    assert set(c._hopf_cache) == {"theta_numerators", "theta", "special"}
     d = BPContext(3, 10)
     to_right_unit_basis(d, t_gen(d, 2))
     assert set(d._hopf_cache) == {"rud"}
+
+
+@pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 22), (2, 38), (3, 14), (3, 40),
+                                  (5, 28), (5, 62), (7, 16)])
+def test_theta_images_against_the_fraction_recursion(p, W):
+    # the integer recursion against the Fraction one: (N, D) of every
+    # generator, D the lcm of its denominators, the GradedPoly view, and
+    # t_n over the {l, e} basis
+    c = BPContext(p, W)
+    want = theta_reference.theta_numerators(c)
+    assert hopf._theta_numerators(c) == want
+    assert len(want) == 2 * c.gen_count and (W == 0 or c.gen_count)
+    assert hopf._theta_images(c) == theta_reference.theta_images(c)
+    assert hopf._rud(c).t_in_basis == theta_reference.t_in_basis(c)
+
+
+def _packed(poly):
+    """A polynomial as (N, D) on packed keys, a field of W.bit_length()
+    bits per generator."""
+    nums, den = integer_numerators(list(poly.terms.values()))
+    return {hopf._key(e, poly.bound.bit_length()): c for e, c in zip(poly.terms, nums)}, den
+
+
+def test_t_recursion_on_integers_against_fractions():
+    # random homogeneous inputs over the {l, e} table, with small
+    # denominators that cancel in the sums; one case cancels in full:
+    # E_1 - L_1 = (e_1 + l_1)/2 - (l_1 - e_1)/2 = e_1, so D_1 = 1
+    c = BPContext(2, 7)
+    W = c.weight_bound
+    e1, l1 = (GradedPoly.gen(c.le_table, W, name) for name in ("e1", "l1"))
+    cases = [([(l1 - e1) * Fraction(1, 2)], [(e1 + l1) * Fraction(1, 2)])]
+    rng = random.Random(71)
+    for _ in range(20):
+        L, E = [], []
+        for w in c.l_table.weights:
+            mons = [m for m in monomials_up_to_weight(c.le_table, w)
+                    if c.le_table.monomial_weight(m) == w]
+            for out in (L, E):
+                out.append(GradedPoly(c.le_table, W, {
+                    m: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4, 3, 6)))
+                    for m in rng.sample(mons, min(len(mons), 3))}))
+        cases.append((L, E))
+    for L, E in cases:
+        got = hopf._t_recursion(2, [_packed(x) for x in L], [_packed(x) for x in E])
+        assert got == [_packed(x) for x in theta_reference.fraction_t_recursion(2, L, E)]
+    assert hopf._t_recursion(2, [_packed(x) for x in cases[0][0]],
+                             [_packed(x) for x in cases[0][1]]) == [_packed(e1)]
 
 
 def _weight_component(c, image, w):
@@ -263,8 +311,8 @@ def test_v1_functional_against_the_rows_with_l_parts():
 def _v1_reference(c, x, mu=None):
     """The Fraction route v1_functional replaced: each generator's image as
     a MuLinear, powers and products by MuLinear.convolve, terms summed as
-    forms."""
-    images = hopf._theta_images(c)
+    forms, on the generator images of the Fraction recursion."""
+    images = theta_reference.theta_images(c)
     nv = len(c.v_table)
     chains = {}
 
@@ -486,14 +534,14 @@ def _dict_walk(ctx):
     """The t-monomial walk on one int per term, as it ran before packed
     rows: (gamma, every row of theta(t^gamma), den) in walk order, each
     term's key holding its v-exponents and its u-degree.  The reference
-    for :func:`hopf.t_monomial_numerators`."""
+    for :func:`hopf.t_monomial_numerators`, on the generator images of the
+    Fraction recursion."""
     W = ctx.weight_bound
-    width = W.bit_length()
-    images = hopf._theta_images(ctx)
+    images = theta_reference.theta_numerators(ctx)
     weights = ctx.t_table.weights
     gens = []
-    for k, w in enumerate(weights, start=1):
-        num, den = hopf._integer_image(images[f"t{k}"], width, w, f"theta(t{k})")
+    for k in range(1, len(weights) + 1):
+        num, den = images[f"t{k}"]
         gens.append((list(num.items()), den))
 
     def walk(gamma, num, den, low, room):

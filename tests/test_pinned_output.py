@@ -39,8 +39,9 @@ VERIFY_REPORTS = {
     (3, 10): "ad7b8f87483724626b99c9e5b920df3e8e734e58a59162051f144a7617b99826",
     (5, 12): "a0ab1f88d88699d59d6bc76b87632d2da8bf7b799711086bc88cd395df46e36c",
     # the frontier; (3, 33) runs its widest walk node, 386 bits, on packed
-    # monomial keys
+    # monomial keys; (3, 27) adds a p = 3 point between (3, 10) and (3, 33)
     (2, 20): "e2605e7a48dda392c58607e979253ea40c4cb2e8be18f4f3721d2651e51f4b5c",
+    (3, 27): "44145495ce8ec932d93b10ed14d768c36619f8ca97275145258fac38d9d941e9",
     (3, 33): "b34171d552b689429d77cf2f10c22dadfa87248318a5f0407014aa8be68b14b7",
 }
 

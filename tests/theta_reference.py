@@ -1,0 +1,48 @@
+"""The generator images of the diagonal transform in ``Fraction``
+``GradedPoly`` arithmetic: the reference for the integer recursion of
+:func:`bpadams.hopf._t_recursion` and for the tests that need theta(l_k)
+and theta(t_k) from a route other than the one under test."""
+
+import functools
+
+from bpadams import hopf
+from bpadams.polyring import GradedPoly
+
+
+def fraction_t_recursion(p, L, E):
+    """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
+    t_n over the {l, e} basis when E_n = e_n, and theta(t_n) when
+    E_n = u^{w_n} L_n with L_n = l_n(v)."""
+    T = []
+    for n in range(len(L)):
+        acc = E[n] - L[n]
+        for k in range(1, n + 1):
+            acc = acc - L[k - 1] * (T[n - k] ** (p ** k))
+        T.append(acc)
+    return T
+
+
+@functools.lru_cache(maxsize=None)
+def theta_images(ctx):
+    """theta of each {l, t} generator over ``ctx.vu_table``: l_k -> l_k(v),
+    t_n -> T_n by :func:`fraction_t_recursion`."""
+    u = GradedPoly.gen(ctx.vu_table, ctx.weight_bound, "u")
+    L = [ctx.l_in_v(n).embedded(ctx.vu_table) for n in range(1, ctx.gen_count + 1)]
+    T = fraction_t_recursion(ctx.p, L, [(u ** w) * Ln for w, Ln in zip(ctx.l_table.weights, L)])
+    return dict(zip(ctx.lt_table.names, L + T))  # l1.., then t1..
+
+
+def theta_numerators(ctx):
+    """:func:`theta_images` as (N, D) on packed keys, N = D * image with D
+    the lcm of the image's denominators."""
+    W = ctx.weight_bound
+    return {name: hopf._integer_image(image, W.bit_length(), W, name)
+            for name, image in theta_images(ctx).items()}
+
+
+def t_in_basis(ctx):
+    """t_n over the {l, e} basis, e_n standing for eta_R(l_n)."""
+    W = ctx.weight_bound
+    names = range(1, ctx.gen_count + 1)
+    return fraction_t_recursion(ctx.p, [GradedPoly.gen(ctx.le_table, W, f"l{n}") for n in names],
+                                [GradedPoly.gen(ctx.le_table, W, f"e{n}") for n in names])
