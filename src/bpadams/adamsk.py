@@ -291,12 +291,14 @@ def basis_integrality_rows(p: int, top: int, q: int | None = None,
     return tuple(zip(*columns))
 
 
+@lru_cache(maxsize=None)
 def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.CongruenceSystem":
     """The triangularized integrality system for connective p-local K-theory.
 
     The raw rows come from :func:`basis_integrality_rows`; the returned
     system is their canonical triangular form, whose pivot at index n has
-    valuation -gamma_p(n).
+    valuation -gamma_p(n).  Memoised, like :func:`C_vector`: the frozen
+    system is a pure function of (p, top, q).
     """
     raw = _lattice.CongruenceSystem(p, top, basis_integrality_rows(p, top, q))
     return _lattice.triangularize(raw)

@@ -30,10 +30,12 @@ class BPContext:
     ``_hopf_cache`` is filled on first use, one entry at a time, with
     the diagonal transform's generator images as integers
     (``"theta_numerators"``) and as polynomials (``"theta"``, for
-    ``diagonal_transform`` alone), the right-unit tables (``"rud"``) and
-    the special elements (``"special"``).  Entries never change once
-    stored, but the filling is not locked, so give each thread its own
-    context.
+    ``diagonal_transform`` alone), the powers of their v_1-shadows
+    (``"v1_chains"``, each chain growing as higher powers are asked for),
+    the right-unit tables (``"rud"``) and the special elements
+    (``"special"``, each building its element polynomial when first
+    read).  Stored values never change, but the filling is not locked,
+    so give each thread its own context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",

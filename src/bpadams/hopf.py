@@ -42,24 +42,28 @@ tests as they are; ``t_monomial_rows`` reads the same rows as
 ``MuLinear`` forms of ``Fraction``s.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
 into Q[u], evaluated on univariate images of the generators, read from
-their integer images by key masks.
+their integer images by key masks; their powers are kept per context.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
 are the congruence rows the centre verification pipeline feeds into the
-lattice sandwich.  A composite d_n is one product of two cached elements.
+lattice sandwich.  The prime powers d_{p^i} are built on integers, each
+kept as numerators on packed {l, t} keys over one denominator; a
+composite d_n's row is one integer convolution of two cached rows.  The
+element polynomials are views built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .arith import delta_p, format_rational, integer_numerators, is_p_local_int, val_p
 from .fgl import BPContext
-from .polyring import GradedPoly, PolyError
+from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
 class MuLinear:
@@ -258,32 +262,40 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
     is homogeneous of weight w_n = w_k + p^k * w_{n-k} <= W, so every
     partial product has weight <= W, and with it every exponent and every
     u-degree (at most w_n, see :func:`t_monomial_numerators`).
-    Each T_n is summed over the lcm of its terms' denominators and then
-    divided by gcd(D, N).  D is then the lcm of the denominators of T_n's
-    coefficients, as for :func:`bpadams.arith.integer_numerators`.
+    Each T_n is summed by :func:`_combine`, so its D is the lcm of the
+    denominators of its coefficients.
     """
     T: list[tuple[dict[int, int], int]] = []
     powers: list[list[tuple[dict[int, int], int]]] = []  # powers[j][k] = T_j^{p^k}
     for n in range(len(L)):
-        terms = [(E[n], 1), (L[n], -1)]
+        terms = [(1, E[n]), (-1, L[n])]
         for k in range(1, n + 1):
             chain = powers[n - k]
             if len(chain) == k:
                 chain.append(_power(chain[-1], p))
             num, den = chain[k]
-            terms.append(((_multiply(num, list(L[k - 1][0].items())), den * L[k - 1][1]), -1))
-        den = math.lcm(*(d for (_, d), _ in terms))
-        acc: dict[int, int] = {}
-        get = acc.get
-        for (num, d), sign in terms:
-            scale = sign * (den // d)
-            for key, c in num.items():
-                acc[key] = get(key, 0) + scale * c
-        g = math.gcd(den, *acc.values())
-        image = ({key: c // g for key, c in acc.items() if c}, den // g)
+            terms.append((-1, (_multiply(num, list(L[k - 1][0].items())), den * L[k - 1][1])))
+        image = _combine(terms)
         T.append(image)
         powers.append([image])
     return T
+
+
+def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
+    """sum_i s_i * N_i / D_i over the terms (s_i, (N_i, D_i)), s_i an int,
+    as (N, D) on the same keys: summed over the lcm of the D_i, then
+    divided by the gcd of that lcm and the numerators, so D is the lcm of
+    the denominators of the sum's coefficients (as for
+    :func:`bpadams.arith.integer_numerators`)."""
+    den = math.lcm(*(d for _, (_, d) in terms))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for s, (num, d) in terms:
+        scale = s * (den // d)
+        for key, c in num.items():
+            acc[key] = get(key, 0) + scale * c
+    g = math.gcd(den, *acc.values())
+    return {key: c // g for key, c in acc.items() if c}, den // g
 
 
 def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], int]:
@@ -704,6 +716,72 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _v1_power(ctx: BPContext, name: str, e: int) -> tuple[list[int], int]:
+    """The v_1-shadow of g^e for the {l, t} generator g = ``name``, as
+    integer numerators (index j for mu_j) over a denominator.
+
+    g's univariate image is read from its integer theta image (N, D)
+    (:func:`_theta_numerators`): the terms whose packed key has empty
+    v_{>1} fields, over D divided by its gcd with their numerators, the
+    lcm of their denominators.  Its powers are dense integer convolutions
+    over that denominator to the e, kept per context in a chain that
+    grows on demand (``ctx._hopf_cache["v1_chains"]``).
+    """
+    chains = ctx._hopf_cache.setdefault("v1_chains", {})
+    if name not in chains:
+        num, den = _theta_numerators(ctx)[name]
+        width = ctx.weight_bound.bit_length()
+        u_mask = (1 << width) - 1
+        # the fields of v_2, ..., v_m, between v_1's at the top and u's at the bottom
+        v_high = ((1 << width * max(len(ctx.v_table) - 1, 0)) - 1) << width
+        # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
+        terms = {key & u_mask: c for key, c in num.items() if not key & v_high}
+        base = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
+        g = math.gcd(den, *base)
+        chains[name] = ([[1], [c // g for c in base]], den // g)
+    chain, den = chains[name]
+    while len(chain) <= e:
+        chain.append(_convolve(chain[-1], chain[1]))
+    return chain[e], den ** e
+
+
+def _v1_numerators(ctx: BPContext, terms: Iterable[tuple[tuple[int, ...], int, int]],
+                   ) -> tuple[list[int], int]:
+    """The v_1-shadow of sum (num / den) * prod_g g^{e_g} over the terms
+    (exponents over ``ctx.lt_table``, num, den), as dense integer
+    numerators over one denominator.  Each term is integers over den times
+    its powers' denominators (:func:`_v1_power`); the terms are summed
+    over the lcm of those denominators."""
+    names = ctx.lt_table.names
+    parts = []
+    for exps, c, den in terms:
+        acc = [c]
+        for name, e in zip(names, exps):
+            if e:
+                num, d = _v1_power(ctx, name, e)
+                acc, den = _convolve(acc, num), den * d
+        parts.append((acc, den))
+    den = math.lcm(*(d for _, d in parts))
+    total = [0] * max((len(acc) for acc, _ in parts), default=0)
+    for acc, d in parts:
+        scale = den // d
+        for j, c in enumerate(acc):
+            total[j] += c * scale
+    return total, den
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """The row of values c_j / den as integers over the lcm of their
+    denominators: ``row`` and ``den`` divided by their gcd."""
+    g = math.gcd(den, *row)
+    return [c // g for c in row], den // g
+
+
+def _row_form(row: Iterable[int], den: int) -> MuLinear:
+    """sum_j (row[j] / den) * mu_j as a :class:`MuLinear`."""
+    return MuLinear._from_numerators({j: c for j, c in enumerate(row) if c}, den)
+
+
 def v1_functional(ctx: BPContext, x: GradedPoly,
                   mu: DiagonalAction | None = None) -> Fraction | MuLinear:
     """Scalar value of the diagonal image under v_1 -> 1, v_n -> 0 (n > 1).
@@ -716,53 +794,15 @@ def v1_functional(ctx: BPContext, x: GradedPoly,
     by term.  This is exact: every term of x has weight <= W and its
     image is homogeneous, so theta truncates none of it.
 
-    The evaluation runs in Z[u].  Each generator's univariate image is
-    read once per call from its integer theta image (N, D)
-    (:func:`_theta_numerators`): the terms whose packed key has empty
-    v_{>1} fields, over D divided by its gcd with their numerators, the
-    lcm of their denominators.  Its e-th power, built once per call by
-    integer convolution, is over that denominator to the e.  The term
-    c * prod g^e is then integers over c.denominator times the powers'
-    denominators; the terms are summed over the lcm of those
-    denominators, and each index gives one ``Fraction``.
+    The evaluation runs in Z[u] (:func:`_v1_numerators`), on the powers
+    of the generators' images that the context keeps (:func:`_v1_power`);
+    each index gives one ``Fraction``.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
-    images = _theta_numerators(ctx)
-    width = ctx.weight_bound.bit_length()
-    u_mask = (1 << width) - 1
-    # the fields of v_2, ..., v_m, between v_1's at the top and u's at the bottom
-    v_high = ((1 << width * max(len(ctx.v_table) - 1, 0)) - 1) << width
-    chains: dict[str, tuple[list[list[int]], int]] = {}
-
-    def power(name: str, e: int) -> tuple[list[int], int]:
-        if name not in chains:
-            num, den = images[name]
-            # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
-            terms = {key & u_mask: c for key, c in num.items() if not key & v_high}
-            base = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
-            g = math.gcd(den, *base)
-            chains[name] = ([[1], [c // g for c in base]], den // g)
-        chain, den = chains[name]
-        while len(chain) <= e:
-            chain.append(_convolve(chain[-1], chain[1]))
-        return chain[e], den ** e
-
-    parts = []
-    for exps, c in x.terms.items():
-        acc, den = [c.numerator], c.denominator
-        for name, e in zip(ctx.lt_table.names, exps):
-            if e:
-                num, d = power(name, e)
-                acc, den = _convolve(acc, num), den * d
-        parts.append((acc, den))
-    den = math.lcm(*(d for _, d in parts))
-    total = [0] * max((len(acc) for acc, _ in parts), default=0)
-    for acc, d in parts:
-        scale = den // d
-        for j, c in enumerate(acc):
-            total[j] += c * scale
-    form = MuLinear._trusted({j: Fraction(c, den) for j, c in enumerate(total) if c})
+    total, den = _v1_numerators(
+        ctx, ((exps, c.numerator, c.denominator) for exps, c in x.terms.items()))
+    form = _row_form(total, den)
     if mu is not None:
         return mu.apply(form)
     return form
@@ -795,19 +835,44 @@ def t_recursion_check(ctx: BPContext, i: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpecialElement:
     """An element d_n with functional sum_j c_j mu_j, support <= n.
 
     Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
     unit multiple of p^{-delta_p(n)}; checked for prime powers n, and
-    implied for the others (see :func:`_special_composite`).
+    implied for the others (see :func:`_special_composite`).  The row is
+    kept twice, as ``c`` and as integers: c_j = numerators[j] / den, den
+    the lcm of the denominators of the c_j.
+
+    ``element``, the polynomial over the context's {l, t} table, is a view
+    built on first access and then kept: the centre verification reads
+    the rows alone.  A prime power keeps its element as integer
+    numerators on packed keys over one denominator (``_poly``); a
+    composite's view is the product of its two factors' views.
+    Two special elements are equal when p, n, the row and the element are.
     """
 
     p: int
     n: int
-    element: GradedPoly
     c: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    den: int
+    _view: Callable[[], GradedPoly] = field(repr=False)
+    _poly: tuple[dict[int, int], int] | None = field(default=None, repr=False)
+
+    @cached_property
+    def element(self) -> GradedPoly:
+        return self._view()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpecialElement):
+            return NotImplemented
+        return ((self.p, self.n, self.c) == (other.p, other.n, other.c)
+                and self.element == other.element)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.c))
 
     def functional(self) -> MuLinear:
         return MuLinear({i: v for i, v in enumerate(self.c)})
@@ -840,18 +905,45 @@ def _check_profile(p: int, n: int, form: MuLinear) -> tuple[Fraction, ...]:
     return row
 
 
+def _poly_view(table: GeneratorTable, bound: int,
+               poly: tuple[dict[int, int], int]) -> GradedPoly:
+    """(N, D) on packed keys over ``table`` (a field of ``bound.bit_length()``
+    bits per exponent, as :func:`_key`) as a ``GradedPoly``; every term
+    has weight <= ``bound``."""
+    num, den = poly
+    read = _exponent_reader(len(table), bound.bit_length())
+    return GradedPoly._trusted(table, bound,
+                               {read(key): Fraction(c, den) for key, c in num.items()})
+
+
 def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     """d_{p^i} = t_{i+1} + p * (correction), built inductively.
 
     The correction kills every mu index above p^i: first a Z_(p)
     combination of powers t_1^m (m from delta_p(p^i) down to p^i + 1)
     absorbs the top term of the t-recursion, then the inductive elements
-    supply the remaining tail exactly.
+    supply the remaining tail exactly:
+    d_{p^i} = t_{i+1} - sum_m p * c_m * t_1^m - sum_k (p / alphabar_k) * rbar_k
+    with rbar_k = (d_{p^(i-k)}^{p^k} - t_{i+1-k}^{p^k}) / p^(k+1).
 
     The result is t_{i+1} plus p times a p-integral rest, with no check
     needed: the t_1^m and the rbar_k lie in Q[t_1..t_i], and their
     coefficients are p * c_m or (p / alphabar_k) * rbar_k with c_m and
     rbar_k checked p-integral and alphabar_k a unit.
+
+    Everything runs on integers.  The element is (N, D): integer
+    numerators on packed {l, t} keys (a field of ``W.bit_length()`` bits
+    per exponent, as :func:`_key`) over one denominator, summed by
+    :func:`_combine`; d_{p^(i-k)}^{p^k} is :func:`_power` of the cached
+    lower element.  Nothing is truncated and no key carries: every term
+    has weight <= delta_p(p^i) <= W, since t_1^m has weight m and
+    p^k * delta_p(p^(i-k)) < delta_p(p^i).  rbar_k = M / (D' * p^(k+1))
+    for integer numerators M over D' is p-integral iff
+    p^(val_p(D') + k + 1) divides every M.  The functional ``work`` and the
+    corrections are integer rows over one denominator, read from the
+    powers of the generators' images that ``v1_functional`` keeps
+    (:func:`_v1_power`), and the row of d_{p^i} is the v_1-shadow of its
+    element (:func:`_v1_numerators`), checked by :func:`_check_profile`.
     """
     p = ctx.p
     n = p ** i
@@ -862,51 +954,66 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         raise PolyError(
             f"d_{n} needs t_{i + 1} of weight {delta_p(p, n)}, beyond bound "
             f"{ctx.weight_bound}")
+    W, m = ctx.weight_bound, ctx.gen_count
+    width = W.bit_length()
+    read = _exponent_reader(len(ctx.lt_table), width)
 
-    if i == 0:
-        element = t_gen(ctx, 1)
-        form = v1_functional(ctx, element)
-    else:
+    def t_key(k: int, e: int) -> int:
+        """The packed key of t_k^e: the {l, t} table ends with t_m."""
+        return e << width * (m - k)
+
+    top = t_key(i + 1, 1)
+    parts = [(1, ({top: 1}, 1))]
+    if i:
         budget = delta_p(p, n)
-        work = v1_functional(ctx, t_gen(ctx, i + 1))
+        terms = [(read(top), 1, 1)]
         for k in range(1, i + 1):
-            lower = v1_functional(ctx, t_gen(ctx, i + 1 - k, p ** k))
-            work = work + lower * (Fraction(1, p ** k) / ctx.alphabar(k))
+            s = Fraction(1, p ** k) / ctx.alphabar(k)
+            terms.append((read(t_key(i + 1 - k, p ** k)), s.numerator, s.denominator))
+        work, work_den = _reduced(*_v1_numerators(ctx, terms))
         # back-substitute from the top index down to p^i + 1
-        corrections: dict[int, Fraction] = {}
-        for m in range(budget, n, -1):
-            coeff = work.coefficient(m)
+        for j in range(budget, n, -1):
+            coeff = work[j] if j < len(work) else 0
             if not coeff:
                 continue
-            vm = v1_functional(ctx, t_gen(ctx, 1, m))
-            cm = coeff / (p * vm.coefficient(m))
-            if val_p(p, cm) < 0:
+            vj, dj = _v1_power(ctx, "t1", j)
+            cj = Fraction(coeff * dj, work_den * p * vj[j])
+            if val_p(p, cj) < 0:
                 raise ConstructionError(
-                    f"correction coefficient for t_1^{m} is not {p}-locally "
-                    f"integral", {"n": n, "m": m, "coefficient": format_rational(cm)})
-            corrections[m] = cm
-            work = work - vm * (p * cm)
-        if work.top_index() is not None and work.top_index() > n:
+                    f"correction coefficient for t_1^{j} is not {p}-locally "
+                    f"integral", {"n": n, "m": j, "coefficient": format_rational(cj)})
+            # work - p * c_j * vj / dj = (vj[j] * work - coeff * vj) / (vj[j] * work_den)
+            g = math.gcd(coeff, vj[j]) if vj[j] > 0 else -math.gcd(coeff, vj[j])
+            a, b = vj[j] // g, coeff // g  # a > 0 keeps the denominator positive
+            work = [a * x for x in work]
+            for h, y in enumerate(vj):
+                work[h] -= b * y
+            work, work_den = _reduced(work, a * work_den)
+            parts.append((-p * cj.numerator, ({t_key(1, j): 1}, cj.denominator)))
+        if any(work[n + 1:]):
             raise ConstructionError(
                 f"cancellation left support above mu_{n}",
-                {"n": n, "functional": work.to_text()})
-        element = t_gen(ctx, i + 1)
-        for m, cm in corrections.items():
-            element = element - t_gen(ctx, 1, m) * (p * cm)
+                {"n": n, "functional": _row_form(work, work_den).to_text()})
         for k in range(1, i + 1):
-            d_low = _special_prime_power(ctx, i - k)
-            diff = (d_low.element ** (p ** k)) - t_gen(ctx, i + 1 - k, p ** k)
-            rbar = diff * Fraction(1, p ** (k + 1))
-            bad = [c for c in rbar.terms.values() if not is_p_local_int(p, c)]
-            if bad:
+            num, den = _power(_special_prime_power(ctx, i - k)._poly, p ** k)
+            key = t_key(i + 1 - k, p ** k)
+            diff = dict(num)
+            diff[key] = diff.get(key, 0) - den
+            # rbar_k = diff / (den * p^(k+1))
+            scale = p ** (k + 1)
+            modulus = p ** val_p(p, den) * scale
+            if any(c % modulus for c in diff.values()):
                 raise ConstructionError(
                     f"inductive remainder for k={k} is not integral",
                     {"n": n, "k": k})
-            element = element - rbar * (p / ctx.alphabar(k))
-        form = v1_functional(ctx, element)
-
-    row = _check_profile(p, n, form)
-    out = SpecialElement(p, n, element, row)
+            s = Fraction(-p, scale) / ctx.alphabar(k)
+            parts.append((s.numerator, (diff, den * s.denominator)))
+    poly = _combine(parts)
+    num, den = poly
+    row, row_den = _reduced(*_v1_numerators(ctx, ((read(key), c, den) for key, c in num.items())))
+    out = SpecialElement(p, n, _check_profile(p, n, _row_form(row, row_den)),
+                         tuple(row[: n + 1]), row_den,
+                         partial(_poly_view, ctx.lt_table, W, poly), poly)
     cache[n] = out
     return out
 
@@ -914,21 +1021,23 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
 def special_element(ctx: BPContext, n: int) -> SpecialElement:
     """The congruence element d_n.
 
-    Prime powers come from the inductive construction, their rows checked
-    by :func:`_check_profile`.  A general n is d_{n - p^k} * d_{p^k}, p^k
-    the lowest non-zero base-p digit of n, so d_n is the product of the
+    Prime powers come from the inductive construction on integers
+    (:func:`_special_prime_power`), their rows checked by
+    :func:`_check_profile`.  A general n is d_{n - p^k} * d_{p^k}, p^k the
+    lowest non-zero base-p digit of n, so d_n is the product of the
     d_{p^k}^{a_k} over its base-p digits a_k and its functional row is the
-    convolution of the two factors' rows: one element product and one
-    integer row convolution per n (:func:`_special_composite`).  Every d_n
-    is kept in the context's special-element cache.  The product
-    polynomial is truncated if the context bound is below delta_p(n);
-    truncation is a ring map, and the row is exact regardless.
+    convolution of the two factors' rows: one integer row convolution per
+    n (:func:`_special_composite`).  Every d_n is kept in the context's
+    special-element cache.  The element polynomial is built only when
+    ``element`` is read: a composite's is the product of its factors',
+    truncated if the context bound is below delta_p(n); truncation is a
+    ring map, and the row is exact regardless.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
     if n == 0:
-        element = GradedPoly.const(ctx.lt_table, ctx.weight_bound, 1)
-        return SpecialElement(ctx.p, 0, element, (Fraction(1),))
+        return SpecialElement(ctx.p, 0, (Fraction(1),), (1,), 1,
+                              partial(GradedPoly.const, ctx.lt_table, ctx.weight_bound, 1))
     return _special_composite(ctx, n)
 
 
@@ -936,10 +1045,11 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     """d_n for n >= 1, as in :func:`special_element`; the lower factor
     d_{n - p^k} comes from the cache or from a recursive call here.
 
-    The row is the convolution of the cached rows of d_a and d_b,
-    a = n - p^k and b = p^k, computed in ints: each row is scaled to
-    integer numerators over the lcm of its denominators, da and db, and
-    entry j of d_n is (sum_i A_i * B_{j-i}) / (da * db).
+    The row is the convolution of the integer rows of d_a and d_b,
+    a = n - p^k and b = p^k, kept on the two elements: entry j of d_n is
+    (sum_i A_i * B_{j-i}) / (da * db), reduced to the lcm of the
+    denominators.  The element is not multiplied out here: its view is
+    the product of the two factors' views, built when read.
 
     It meets the profile of :func:`_check_profile` with no check.  p^k is
     the lowest base-p digit of n, so adding a and b in base p has no
@@ -961,9 +1071,8 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     if n == p ** k:
         return dk
     low = _special_composite(ctx, n - p ** k)
-    (na, da), (nb, db) = integer_numerators(low.c), integer_numerators(dk.c)
-    den = da * db
-    row = tuple(Fraction(c, den) for c in _convolve(na, nb))
-    out = SpecialElement(p, n, low.element * dk.element, row)
+    row, den = _reduced(_convolve(low.numerators, dk.numerators), low.den * dk.den)
+    out = SpecialElement(p, n, tuple(Fraction(c, den) for c in row), tuple(row), den,
+                         lambda: low.element * dk.element)
     cache[n] = out
     return out

@@ -178,11 +178,11 @@ def test_diagonal_transform_against_three_pass_route_with_l_parts():
 
 def test_diagonal_transform_skips_the_right_unit_tables():
     # theta is built from its own images; the {l, e} rewrite builds neither
-    # those images nor the special-element cache
+    # those images nor the special-element cache and its v_1 chains
     c = BPContext(3, 10)
     diagonal_transform(c, t_gen(c, 2) * t_gen(c, 1))
     special_element(c, 3)
-    assert set(c._hopf_cache) == {"theta_numerators", "theta", "special"}
+    assert set(c._hopf_cache) == {"theta_numerators", "theta", "special", "v1_chains"}
     d = BPContext(3, 10)
     to_right_unit_basis(d, t_gen(d, 2))
     assert set(d._hopf_cache) == {"rud"}
@@ -308,34 +308,6 @@ def test_v1_functional_against_the_rows_with_l_parts():
         assert v1_functional(c, x) == _v1_by_rows(c, x), k
 
 
-def _v1_reference(c, x, mu=None):
-    """The Fraction route v1_functional replaced: each generator's image as
-    a MuLinear, powers and products by MuLinear.convolve, terms summed as
-    forms, on the generator images of the Fraction recursion."""
-    images = theta_reference.theta_images(c)
-    nv = len(c.v_table)
-    chains = {}
-
-    def power(name, e):
-        chain = chains.get(name)
-        if chain is None:
-            base = MuLinear({exps[nv]: coeff for exps, coeff in images[name].terms.items()
-                             if not any(exps[1:nv])})
-            chain = chains[name] = [MuLinear.unit(0), base]
-        while len(chain) <= e:
-            chain.append(chain[-1].convolve(chain[1]))
-        return chain[e]
-
-    total = MuLinear.zero()
-    for exps, coeff in x.terms.items():
-        acc = MuLinear.unit(0, coeff)
-        for name, e in zip(c.lt_table.names, exps):
-            if e:
-                acc = acc.convolve(power(name, e))
-        total = total + acc
-    return total if mu is None else mu.apply(total)
-
-
 @pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12)])
 def test_v1_functional_against_the_fraction_route(p, W):
     c = BPContext(p, W)
@@ -348,9 +320,9 @@ def test_v1_functional_against_the_fraction_route(p, W):
     xs += [_lt_random(rng, c, W, terms=6) for _ in range(10)]
     xs.append(GradedPoly.const(c.lt_table, W, 0))
     for x in xs:
-        got, want = v1_functional(c, x), _v1_reference(c, x)
+        got, want = v1_functional(c, x), theta_reference.v1_functional(c, x)
         assert got == want and all(got.coeffs.values()), x.to_text()
-        assert v1_functional(c, x, mu) == _v1_reference(c, x, mu), x.to_text()
+        assert v1_functional(c, x, mu) == theta_reference.v1_functional(c, x, mu), x.to_text()
 
 
 def test_product_rule_t1_squared():

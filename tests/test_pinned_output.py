@@ -77,3 +77,28 @@ def test_readme_example_json_pinned(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == README_EXAMPLES[command]
+
+
+# bp-dn JSON stdout: the element text is built from the element's view,
+# d_{p^i} from its integer numerators and a composite as the product of its
+# factors' views; "--weight 2" is raised to delta_2(3) = 4 with a warning
+BP_DN = {
+    "bp-dn --p 2 --n 16":
+        "ab72aa86f49c9859f34ae52ffc2dd2566f29b48bdb83f096dc41a2bc4bc12012",
+    "bp-dn --p 3 --n 9":
+        "0a3d95f0bc12269d1eb6e9bc34822950465a9cc1839f2f7a98f4bd278179228b",
+    "bp-dn --p 5 --n 25":
+        "20670da6126e7403a7b491bb532d87ee5685b5f86734d3f0874bd6d1a834ab4b",
+    "bp-dn --p 7 --n 8":
+        "b3e1cada334a20b264a23ef10136068b2bf67f97211dd3aa667360e52dab901a",
+    "bp-dn --p 2 --n 3 --weight 2":
+        "fb4ec2cbdb304506d2fff7d5da5ee19bee7a0a5cc31bf656fc9e824fc472bd30",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BP_DN))
+def test_bp_dn_json_pinned(capsys, command):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == BP_DN[command]

@@ -1,11 +1,13 @@
 """The generator images of the diagonal transform in ``Fraction``
 ``GradedPoly`` arithmetic: the reference for the integer recursion of
 :func:`bpadams.hopf._t_recursion` and for the tests that need theta(l_k)
-and theta(t_k) from a route other than the one under test."""
+and theta(t_k) from a route other than the one under test, with the
+v_1 functional evaluated on them in ``Fraction``s."""
 
 import functools
 
 from bpadams import hopf
+from bpadams.hopf import MuLinear
 from bpadams.polyring import GradedPoly
 
 
@@ -46,3 +48,32 @@ def t_in_basis(ctx):
     names = range(1, ctx.gen_count + 1)
     return fraction_t_recursion(ctx.p, [GradedPoly.gen(ctx.le_table, W, f"l{n}") for n in names],
                                 [GradedPoly.gen(ctx.le_table, W, f"e{n}") for n in names])
+
+
+def v1_functional(c, x, mu=None):
+    """The Fraction route :func:`bpadams.hopf.v1_functional` replaced: each
+    generator's image as a MuLinear, powers and products by
+    MuLinear.convolve, terms summed as forms, on the generator images of
+    the Fraction recursion."""
+    images = theta_images(c)
+    nv = len(c.v_table)
+    chains = {}
+
+    def power(name, e):
+        chain = chains.get(name)
+        if chain is None:
+            base = MuLinear({exps[nv]: coeff for exps, coeff in images[name].terms.items()
+                             if not any(exps[1:nv])})
+            chain = chains[name] = [MuLinear.unit(0), base]
+        while len(chain) <= e:
+            chain.append(chain[-1].convolve(chain[1]))
+        return chain[e]
+
+    total = MuLinear.zero()
+    for exps, coeff in x.terms.items():
+        acc = MuLinear.unit(0, coeff)
+        for name, e in zip(c.lt_table.names, exps):
+            if e:
+                acc = acc.convolve(power(name, e))
+        total = total + acc
+    return total if mu is None else mu.apply(total)
