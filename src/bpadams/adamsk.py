@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .arith import (delta_p, dot, ensure_prime, format_rational, gamma_p, gaussian,
-                    is_p_local_int, val_p, validate_q)
+                    integer_numerators, is_p_local_int, val_p, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -279,26 +279,50 @@ def basis_integrality_rows(p: int, top: int, q: int | None = None,
 
     Row n states the condition "a_n is p-locally integral"; together the
     rows for n = 0..top characterize which truncated action sequences
-    extend to operations.  Built by inverting the lower-triangular action
-    matrix of the connective family (phi for odd p, zeta for p = 2):
-    column j is the expansion of the unit sequence e_j.
+    extend to operations.  They are the rows of the inverse of the
+    lower-triangular action matrix A of the connective family (phi for
+    odd p, zeta for p = 2), A[m][k] = action(k, m): column j is the
+    expansion of the unit sequence e_j (:func:`expand_in_family`).
+
+    The inverse B is taken on integers, a row at a time: row m of A is
+    integer numerators M over a denominator d, and
+    B_m = (d * e_m - sum_{k<m} M_k * B_k) / M_m, summed over the lcm of
+    the lower rows' denominators and reduced by the gcd, so each row of B
+    is integers over the lcm of its entries' denominators.
     """
     ensure_prime(p)
     fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phi_ku", p, q)
-    size = top + 1
-    columns = [expand_in_family(fam, [int(m == j) for m in range(size)])[0]
-               for j in range(size)]
-    return tuple(zip(*columns))
+    inverse: list[tuple[list[int], int]] = []
+    for m in range(top + 1):
+        nums, d = integer_numerators(
+            [family_action(fam, k, fam.degree_index(m)) for k in range(m + 1)])
+        if not nums[m]:
+            raise ValueError(f"family diagonal vanishes at index {m}")
+        den = math.lcm(*(inverse[k][1] for k in range(m) if nums[k]))
+        acc = [0] * m + [d * den]
+        for k in range(m):
+            if nums[k]:
+                row, row_den = inverse[k]
+                scale = nums[k] * (den // row_den)
+                for j, x in enumerate(row):
+                    acc[j] -= scale * x
+        den *= nums[m]
+        if den < 0:
+            acc, den = [-x for x in acc], -den
+        g = math.gcd(den, *acc)
+        inverse.append(([x // g for x in acc], den // g))
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(x, den) for x in row) + (zero,) * (top - m)
+                 for m, (row, den) in enumerate(inverse))
 
 
-@lru_cache(maxsize=None)
 def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.CongruenceSystem":
     """The triangularized integrality system for connective p-local K-theory.
 
     The raw rows come from :func:`basis_integrality_rows`; the returned
     system is their canonical triangular form, whose pivot at index n has
-    valuation -gamma_p(n).  Memoised, like :func:`C_vector`: the frozen
-    system is a pure function of (p, top, q).
+    valuation -gamma_p(n).  Built on each call; the triangular form is
+    taken on integers (:func:`bpadams.lattice.triangularize`).
     """
     raw = _lattice.CongruenceSystem(p, top, basis_integrality_rows(p, top, q))
     return _lattice.triangularize(raw)

@@ -58,8 +58,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from .arith import delta_p, format_rational, integer_numerators, is_p_local_int, val_p
 from .fgl import BPContext
@@ -281,6 +281,13 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
     return T
 
 
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """The row of values c_j / den as integers over the lcm of their
+    denominators: ``row`` and ``den`` divided by their gcd."""
+    g = math.gcd(den, *row)
+    return [c // g for c in row], den // g
+
+
 def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
     """sum_i s_i * N_i / D_i over the terms (s_i, (N_i, D_i)), s_i an int,
     as (N, D) on the same keys: summed over the lcm of the D_i, then
@@ -294,8 +301,9 @@ def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[
         scale = s * (den // d)
         for key, c in num.items():
             acc[key] = get(key, 0) + scale * c
-    g = math.gcd(den, *acc.values())
-    return {key: c // g for key, c in acc.items() if c}, den // g
+    keys = [key for key, c in acc.items() if c]
+    values, den = _reduced([acc[key] for key in keys], den)
+    return dict(zip(keys, values)), den
 
 
 def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], int]:
@@ -736,9 +744,9 @@ def _v1_power(ctx: BPContext, name: str, e: int) -> tuple[list[int], int]:
         v_high = ((1 << width * max(len(ctx.v_table) - 1, 0)) - 1) << width
         # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
         terms = {key & u_mask: c for key, c in num.items() if not key & v_high}
-        base = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
-        g = math.gcd(den, *base)
-        chains[name] = ([[1], [c // g for c in base]], den // g)
+        base, den = _reduced([terms.get(j, 0) for j in range(max(terms, default=-1) + 1)],
+                             den)
+        chains[name] = ([[1], base], den)
     chain, den = chains[name]
     while len(chain) <= e:
         chain.append(_convolve(chain[-1], chain[1]))
@@ -768,13 +776,6 @@ def _v1_numerators(ctx: BPContext, terms: Iterable[tuple[tuple[int, ...], int, i
         for j, c in enumerate(acc):
             total[j] += c * scale
     return total, den
-
-
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """The row of values c_j / den as integers over the lcm of their
-    denominators: ``row`` and ``den`` divided by their gcd."""
-    g = math.gcd(den, *row)
-    return [c // g for c in row], den // g
 
 
 def _row_form(row: Iterable[int], den: int) -> MuLinear:
@@ -845,11 +846,14 @@ class SpecialElement:
     kept twice, as ``c`` and as integers: c_j = numerators[j] / den, den
     the lcm of the denominators of the c_j.
 
-    ``element``, the polynomial over the context's {l, t} table, is a view
-    built on first access and then kept: the centre verification reads
-    the rows alone.  A prime power keeps its element as integer
-    numerators on packed keys over one denominator (``_poly``); a
-    composite's view is the product of its two factors' views.
+    ``element``, the polynomial over the context's {l, t} table
+    (``_table``, truncated at ``_bound``), is a view built on first access
+    and then kept: the centre verification reads the rows alone.  It has
+    one source.  d_0 and the prime powers keep the element as integer
+    numerators on packed keys over one denominator (``_poly``, a field of
+    ``_bound.bit_length()`` bits per exponent, as :func:`_key`); a
+    composite keeps its two factors (``_factors``) and its view is the
+    product of theirs.
     Two special elements are equal when p, n, the row and the element are.
     """
 
@@ -858,12 +862,21 @@ class SpecialElement:
     c: tuple[Fraction, ...]
     numerators: tuple[int, ...]
     den: int
-    _view: Callable[[], GradedPoly] = field(repr=False)
+    _table: GeneratorTable = field(repr=False)
+    _bound: int = field(repr=False)
     _poly: tuple[dict[int, int], int] | None = field(default=None, repr=False)
+    _factors: tuple["SpecialElement", "SpecialElement"] | None = field(default=None,
+                                                                      repr=False)
 
     @cached_property
     def element(self) -> GradedPoly:
-        return self._view()
+        if self._factors is not None:
+            low, high = self._factors
+            return low.element * high.element
+        num, den = self._poly
+        read = _exponent_reader(len(self._table), self._bound.bit_length())
+        return GradedPoly._trusted(self._table, self._bound,
+                                   {read(key): Fraction(c, den) for key, c in num.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecialElement):
@@ -905,17 +918,6 @@ def _check_profile(p: int, n: int, form: MuLinear) -> tuple[Fraction, ...]:
     return row
 
 
-def _poly_view(table: GeneratorTable, bound: int,
-               poly: tuple[dict[int, int], int]) -> GradedPoly:
-    """(N, D) on packed keys over ``table`` (a field of ``bound.bit_length()``
-    bits per exponent, as :func:`_key`) as a ``GradedPoly``; every term
-    has weight <= ``bound``."""
-    num, den = poly
-    read = _exponent_reader(len(table), bound.bit_length())
-    return GradedPoly._trusted(table, bound,
-                               {read(key): Fraction(c, den) for key, c in num.items()})
-
-
 def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     """d_{p^i} = t_{i+1} + p * (correction), built inductively.
 
@@ -954,13 +956,15 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         raise PolyError(
             f"d_{n} needs t_{i + 1} of weight {delta_p(p, n)}, beyond bound "
             f"{ctx.weight_bound}")
-    W, m = ctx.weight_bound, ctx.gen_count
+    table, W = ctx.lt_table, ctx.weight_bound
     width = W.bit_length()
-    read = _exponent_reader(len(ctx.lt_table), width)
+    read = _exponent_reader(len(table), width)
 
     def t_key(k: int, e: int) -> int:
-        """The packed key of t_k^e: the {l, t} table ends with t_m."""
-        return e << width * (m - k)
+        """The packed key of t_k^e."""
+        exps = [0] * len(table)
+        exps[table.index(f"t{k}")] = e
+        return _key(exps, width)
 
     top = t_key(i + 1, 1)
     parts = [(1, ({top: 1}, 1))]
@@ -1012,8 +1016,7 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     num, den = poly
     row, row_den = _reduced(*_v1_numerators(ctx, ((read(key), c, den) for key, c in num.items())))
     out = SpecialElement(p, n, _check_profile(p, n, _row_form(row, row_den)),
-                         tuple(row[: n + 1]), row_den,
-                         partial(_poly_view, ctx.lt_table, W, poly), poly)
+                         tuple(row[: n + 1]), row_den, table, W, poly)
     cache[n] = out
     return out
 
@@ -1037,7 +1040,7 @@ def special_element(ctx: BPContext, n: int) -> SpecialElement:
         raise ValueError("index must be non-negative")
     if n == 0:
         return SpecialElement(ctx.p, 0, (Fraction(1),), (1,), 1,
-                              partial(GradedPoly.const, ctx.lt_table, ctx.weight_bound, 1))
+                              ctx.lt_table, ctx.weight_bound, ({0: 1}, 1))
     return _special_composite(ctx, n)
 
 
@@ -1073,6 +1076,6 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     low = _special_composite(ctx, n - p ** k)
     row, den = _reduced(_convolve(low.numerators, dk.numerators), low.den * dk.den)
     out = SpecialElement(p, n, tuple(Fraction(c, den) for c in row), tuple(row), den,
-                         lambda: low.element * dk.element)
+                         ctx.lt_table, ctx.weight_bound, _factors=(low, dk))
     cache[n] = out
     return out

@@ -4,11 +4,14 @@ A system is a finite set of rational row vectors c; its solutions are the
 integer-valued sequences mu in Z_(p)^(n+1) with every c . mu in Z_(p).
 Because Z_(p) is a discrete valuation ring, Hermite-style reduction needs
 only valuation pivoting: any entry of minimal p-valuation is a pivot and
-denominators coprime to p are exact units.  Canonical bases have integer
-columns, and :func:`extend_lattice` computes on them in ints: a row is
-scaled once to integer numerators and each new entry is a residue modulo
-p^e, which is the canonical entry itself, not an approximation.  All
-arithmetic is exact; no p-adic truncation appears anywhere.
+denominators coprime to p are exact units.  The elimination runs on
+integers modulo p^E (:func:`_reduce_rows`): scaled by p^E, the row
+module contains p^E times every integral row, so working modulo p^E
+changes nothing in it.  Canonical bases have integer columns, and
+:func:`extend_lattice` computes on them in ints: a row is scaled once to
+integer numerators and each new entry is a residue modulo p^e, which is
+the canonical entry itself, not an approximation.  All arithmetic is
+exact; no p-adic truncation appears anywhere.
 """
 
 from __future__ import annotations
@@ -96,52 +99,84 @@ class CongruenceSystem:
 
 
 def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
-                 ) -> list[list[Fraction]]:
+                 ) -> tuple[list[list[int]], int]:
     """Triangular form of the row module spanned by the given rows
-    together with the identity (integral) rows.
+    together with the identity (integral) rows, on integers.
 
-    Returns T with T[j] supported on columns 0..j and pivot T[j][j] a
-    pure power p^-e_j, e_j >= 0.  Every column has a pivot: the identity
-    row e_j is untouched until column j.
+    Returns (T, E) for the rows T[j] / p^E: T[j] is supported on columns
+    0..j and its pivot T[j][j] = p^f_j is a pure power, 0 <= f_j <= E.
+    Every column has a pivot: the module's pivot at j is p^-(E - f_j).
+
+    E is the largest exponent of p in a row's denominators, so the module
+    scaled by p^E lies in Z_(p)^size and contains p^E Z_(p)^size.  Each
+    row times p^E is an integer vector up to a p-unit, which spans the
+    same Z_(p)-module, and every entry is kept modulo p^E.  For each
+    column from the last down, a row whose entry has the least valuation
+    f is the pivot, made p^f by one inverse modulo p^E and cleared from
+    the other rows.  p^E e_j stands for the identity row: it is the pivot
+    when no row has valuation below E at j, and otherwise it leaves
+    p^(E - f) times the pivot row, below j, to the lower columns.
     """
-    pool = [list(row) for row in rows]
-    for j in range(size):
-        ident = [Fraction(0)] * size
-        ident[j] = Fraction(1)
-        pool.append(ident)
-
-    T: list[list[Fraction]] = []
+    scaled = []
+    for row in rows:
+        nums, den = integer_numerators(row)
+        v = 0
+        while den % p == 0:
+            den //= p
+            v += 1
+        scaled.append((nums, v))
+    E = max((v for _, v in scaled), default=0)
+    modulus = p ** E
+    pool = [[x * p ** (E - v) % modulus for x in nums] for nums, v in scaled]
+    pool = [r for r in pool if any(r)]
+    T: list[list[int]] = [[]] * size
     for col in range(size - 1, -1, -1):
-        pivot = min((r for r in pool if r[col]), key=lambda r: val_p(p, r[col]))
-        pool.remove(pivot)
-        e = -val_p(p, pivot[col])
-        unit = pivot[col] * Fraction(p) ** e
-        pivot = [x / unit for x in pivot]
+        best, f = None, E
         for r in pool:
-            if r[col]:
-                z = r[col] / pivot[col]
+            x, k = r[col], 0
+            if x:
+                while x % p == 0:
+                    x //= p
+                    k += 1
+                if k < f:
+                    best, f = r, k
+        if best is None:
+            T[col] = [0] * col + [modulus] + [0] * (size - col - 1)
+            continue
+        inverse = pow(best[col] // p ** f, -1, modulus)
+        pivot = [x * inverse % modulus for x in best]
+        low = p ** (E - f)
+        pool = [r for r in pool if r is not best]
+        pool.append([-x * low % modulus for x in pivot[:col]] + [0] * (size - col))
+        head = p ** f
+        for r in pool:
+            z = r[col] // head
+            if z:
                 for i in range(col + 1):
-                    r[i] -= z * pivot[i]
+                    r[i] = (r[i] - z * pivot[i]) % modulus
         pool = [r for r in pool if any(r)]
-        T.append(pivot)
-    return T[::-1]
+        T[col] = pivot
+    return T, E
 
 
 def triangularize(sys: CongruenceSystem) -> CongruenceSystem:
     """Equivalent canonical triangular system (one row per index).
 
     Entries left of each pivot are reduced to their canonical residue
-    modulo the lower pivot rows.
+    modulo the lower pivot rows: on the integer rows of
+    :func:`_reduce_rows`, entry i is taken into [0, p^f_i) by floor
+    division by the pivot p^f_i.
     """
     p = sys.p
-    T = _reduce_rows(p, sys.rows, sys.n + 1)
+    T, E = _reduce_rows(p, sys.rows, sys.n + 1)
     for j, row in enumerate(T):
         for i in range(j - 1, -1, -1):
-            z = (row[i] - residue(p, row[i], val_p(p, T[i][i]))) / T[i][i]
+            z = row[i] // T[i][i]
             if z:
                 for k in range(i + 1):
                     row[k] -= z * T[i][k]
-    return CongruenceSystem(p, sys.n, tuple(tuple(r) for r in T))
+    den = p ** E
+    return CongruenceSystem(p, sys.n, tuple(tuple(Fraction(x, den) for x in r) for r in T))
 
 
 @dataclass(frozen=True)
@@ -206,8 +241,10 @@ def solve(sys: CongruenceSystem) -> SolutionLattice:
     lattice, each :func:`extend_lattice` by the next row succeeds.
     """
     lat = SolutionLattice(sys.p, ())
-    for j, row in enumerate(_reduce_rows(sys.p, sys.rows, sys.n + 1)):
-        lat = extend_lattice(lat, row[: j + 1])
+    T, E = _reduce_rows(sys.p, sys.rows, sys.n + 1)
+    den = sys.p ** E
+    for j, row in enumerate(T):
+        lat = extend_lattice(lat, [Fraction(x, den) for x in row[: j + 1]])
     return lat
 
 

@@ -1,0 +1,59 @@
+"""Row reduction of congruence systems in ``Fraction`` arithmetic: the
+reference for the integer reduction of :func:`bpadams.lattice._reduce_rows`
+behind :func:`bpadams.lattice.triangularize` and :func:`bpadams.lattice.solve`.
+
+The rows are reduced with the identity rows in the pool, and each pivot is
+scaled by its unit to a pure power of p; the canonical form then takes
+every entry left of a pivot to its residue modulo that pivot
+(:func:`bpadams.lattice.residue`).  Both the canonical system and the
+solution lattice are unique, so they must match the integer route exactly.
+"""
+
+from fractions import Fraction
+
+from bpadams.arith import val_p
+from bpadams.lattice import (CongruenceSystem, SolutionLattice, extend_lattice,
+                             residue)
+
+
+def reduce_rows(p, rows, size):
+    """Rows T[j] supported on columns 0..j, pivot T[j][j] = p^-e_j."""
+    pool = [list(row) for row in rows]
+    for j in range(size):
+        ident = [Fraction(0)] * size
+        ident[j] = Fraction(1)
+        pool.append(ident)
+    T = []
+    for col in range(size - 1, -1, -1):
+        pivot = min((r for r in pool if r[col]), key=lambda r: val_p(p, r[col]))
+        pool.remove(pivot)
+        e = -val_p(p, pivot[col])
+        unit = pivot[col] * Fraction(p) ** e
+        pivot = [x / unit for x in pivot]
+        for r in pool:
+            if r[col]:
+                z = r[col] / pivot[col]
+                for i in range(col + 1):
+                    r[i] -= z * pivot[i]
+        pool = [r for r in pool if any(r)]
+        T.append(pivot)
+    return T[::-1]
+
+
+def triangularize(sys):
+    p = sys.p
+    T = reduce_rows(p, sys.rows, sys.n + 1)
+    for j, row in enumerate(T):
+        for i in range(j - 1, -1, -1):
+            z = (row[i] - residue(p, row[i], val_p(p, T[i][i]))) / T[i][i]
+            if z:
+                for k in range(i + 1):
+                    row[k] -= z * T[i][k]
+    return CongruenceSystem(p, sys.n, tuple(tuple(r) for r in T))
+
+
+def solve(sys):
+    lat = SolutionLattice(sys.p, ())
+    for j, row in enumerate(reduce_rows(sys.p, sys.rows, sys.n + 1)):
+        lat = extend_lattice(lat, row[: j + 1])
+    return lat

@@ -235,6 +235,16 @@ def test_basis_integrality_rows_shape():
         assert row[n] == 1 / family_action(fam, n, n)
 
 
+@pytest.mark.parametrize("p, q, top", [(2, None, 20), (3, None, 12), (3, 5, 9),
+                                        (5, None, 10), (7, 3, 6)])
+def test_basis_integrality_rows_against_the_expansions(p, q, top):
+    # the integer inverse against column j = expand_in_family(e_j) in Fractions
+    fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phi_ku", p, q)
+    columns = [expand_in_family(fam, [int(m == j) for m in range(top + 1)])[0]
+               for j in range(top + 1)]
+    assert basis_integrality_rows(p, top, q) == tuple(zip(*columns))
+
+
 def test_Phi_in_phi_examples():
     coeffs, ok = Phi_in_phi(3, None, 0)
     assert coeffs[0] == 1 and all(c == 0 for c in coeffs[1:]) and ok

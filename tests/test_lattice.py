@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_reference
 from bpadams.arith import delta_p, dot, format_rational, val_p
-from bpadams.adamsk import CongruenceVector
+from bpadams.adamsk import CongruenceVector, basis_integrality_rows
 from bpadams.lattice import (CongruenceSystem, LatticeError, SandwichResult, SolutionLattice,
                              extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
                              residue, sandwich_check, solve, triangularize)
@@ -113,6 +114,35 @@ def test_triangularize_preserves_solutions():
         for r, row in enumerate(tri.rows):
             assert all(x == 0 for x in row[r + 1:])
         assert lattice_eq(solve(sys), solve(tri))
+
+
+def _mixed_system(rng, p, n, rows):
+    """Rows with denominators p^k times a unit, zero rows and zero entries."""
+    out = []
+    for _ in range(rows):
+        if rng.random() < 0.1:
+            out.append((Fraction(0),) * (n + 1))
+            continue
+        out.append(tuple(
+            Fraction(rng.randint(-30, 30) * (rng.random() < 0.8),
+                     p ** rng.randint(0, 5) * rng.choice((1, 1, 7, 11, 13)))
+            for _ in range(n + 1)))
+    return CongruenceSystem(p, n, tuple(out))
+
+
+def test_reduction_on_integers_matches_the_fraction_reference():
+    # the canonical system and the solution lattice are unique, so the
+    # integer reduction must give exactly the Fraction route's
+    rng = random.Random(53)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        sys = _mixed_system(rng, p, rng.randint(0, 7), rng.randint(0, 6))
+        assert triangularize(sys) == lattice_reference.triangularize(sys), sys
+        assert solve(sys) == lattice_reference.solve(sys), sys
+    for p, top in [(2, 16), (3, 12), (5, 10)]:
+        raw = CongruenceSystem(p, top, basis_integrality_rows(p, top))
+        assert triangularize(raw) == lattice_reference.triangularize(raw), (p, top)
+        assert solve(raw) == lattice_reference.solve(raw), (p, top)
 
 
 def test_lattice_eq_examples():

@@ -2,6 +2,7 @@
 (:mod:`special_reference`), their checks by injection, and the element
 views that a verify run never builds."""
 
+import pickle
 import sys
 from fractions import Fraction
 
@@ -80,7 +81,7 @@ def test_the_remainder_check_by_a_wrong_lower_element():
     (key,) = d1._poly[0]
     assert d1._poly == ({key: 1}, 1)
     c._hopf_cache["special"][1] = hopf.SpecialElement(
-        2, 1, d1.c, d1.numerators, d1.den, d1._view, ({key: 1, 0: 1}, 1))
+        2, 1, d1.c, d1.numerators, d1.den, d1._table, d1._bound, ({key: 1, 0: 1}, 1))
     with pytest.raises(ConstructionError) as err:
         special_element(c, 2)
     assert str(err.value) == message and err.value.details == {"n": 2, "k": 1}
@@ -143,3 +144,6 @@ def test_element_views_are_built_once_on_demand():
     assert special_element(c, 0).element == GradedPoly.const(c.lt_table, c.weight_bound, 1)
     assert d == special_element(c, 10) and hash(d) == hash(special_element(c, 10))
     assert d.c == tuple(Fraction(x, d.den) for x in d.numerators)
+    # plain data: a copy compares equal, its view built afresh or carried
+    assert pickle.loads(pickle.dumps(special_element(c, 9))) == special_element(c, 9)
+    assert pickle.loads(pickle.dumps(d)) == d
