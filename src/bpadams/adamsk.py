@@ -210,7 +210,8 @@ class CongruenceVector:
         if self.budget < 0:
             raise ValueError(f"budget must be non-negative, got {self.budget}")
         object.__setattr__(self, "entries",
-                           tuple(Fraction(e) for e in self.entries))
+                           tuple(e if isinstance(e, Fraction) else Fraction(e)
+                                 for e in self.entries))
 
     def shape_ok(self) -> bool:
         """The shape hypotheses, evaluated once per row (it is frozen)."""

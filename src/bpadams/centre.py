@@ -27,7 +27,7 @@ from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congr
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
-from .hopf import MuLinear, special_element, t_monomial_numerators, t_monomial_rows
+from .hopf import MuLinear, special_element, t_monomial_numerators
 from .lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
                       sandwich_check, solve)
 
@@ -40,6 +40,25 @@ class CentreVerificationError(RuntimeError):
         self.report = report
 
 
+def _sampled_rows(ctx: BPContext, top: int | None) -> tuple[list[tuple], int]:
+    """The sampled rows with top index <= ``top`` (all when ``top`` is
+    None) as (gamma, delta, numerators, den), in the order of
+    :func:`sampled_integrality_rows`, and the count of all rows: the
+    walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`), the
+    ones above ``top`` counted and never decoded."""
+    rows, total = [], 0
+    for gamma, kept, den, count in t_monomial_numerators(ctx, top):
+        if any(gamma):
+            total += count
+            rows.extend((gamma, delta, row, den) for delta, row in kept.items())
+    return rows, total
+
+
+def _dense(row: dict[int, int], den: int, n: int) -> tuple[Fraction, ...]:
+    """The row sum_j (row[j] / den) * mu_j as its entries at 0..n."""
+    return tuple(Fraction(row[j], den) if j in row else Fraction(0) for j in range(n + 1))
+
+
 def sampled_integrality_rows(ctx: BPContext,
                              ) -> list[tuple[tuple[int, ...], tuple[int, ...], MuLinear]]:
     """Every co-operation congruence visible below the weight bound.
@@ -49,12 +68,11 @@ def sampled_integrality_rows(ctx: BPContext,
     each v-monomial delta must be p-locally integral, giving one row per
     (gamma, delta) pair.  The enumeration order is deterministic: gamma
     as in :func:`bpadams.polyring.monomials_up_to_weight`, then delta in
-    graded-lexicographic order.  The images come from one walk of the
-    t-monomials (:func:`bpadams.hopf.t_monomial_rows`).
+    graded-lexicographic order.  The rows are those of
+    :func:`_sampled_rows`, read as ``MuLinear`` forms.
     """
-    return [(gamma, delta, form)
-            for gamma, rows in t_monomial_rows(ctx) if any(gamma)
-            for delta, form in rows.items()]
+    return [(gamma, delta, MuLinear._from_numerators(row, den))
+            for gamma, delta, row, den in _sampled_rows(ctx, None)[0]]
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:
@@ -130,10 +148,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
       m < n that holds on the lattice at m holds on the lattice at n;
     * the canonical columns are integral (p^e on the diagonal, residues
       in [0, p^e_i) below it), so each row is tested as an integer sum
-      modulo a power of p.  The rows are read from the walk's integer
-      numerators (:func:`bpadams.hopf.t_monomial_numerators`), in the
-      order of :func:`sampled_integrality_rows`; a ``MuLinear`` is built
-      only for a witness, whose value is recomputed exactly.
+      modulo a power of p.  The rows are the walk's integer numerators
+      (:func:`_sampled_rows`), in the order of
+      :func:`sampled_integrality_rows`; a ``MuLinear`` is built only for
+      a witness, whose value is recomputed exactly.
 
     A row with top index above n_max is never tested, so the walk only
     counts it into ``sample_rows_total``: it is never decoded or held.
@@ -146,11 +164,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     weight_bound = needed if weight_bound is None else max(weight_bound, needed)
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, q)
-    sample, total = [], 0
-    for gamma, rows, den, count in t_monomial_numerators(ctx, n_max):
-        if any(gamma):
-            total += count
-            sample.extend((gamma, delta, row, den) for delta, row in rows.items())
+    sample, total = _sampled_rows(ctx, n_max)
     tops = [max(row) for _, _, row, _ in sample]
     by_top: dict[int, list[int]] = {}
     for pos, top in enumerate(tops):
@@ -226,12 +240,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
 
 
 def bp_sample_lattice(ctx: BPContext, n: int) -> SolutionLattice:
-    """Lattice cut out by all sampled rows with support inside 0..n."""
-    rows = []
-    for _, _, form in sampled_integrality_rows(ctx):
-        if form.top_index() <= n:
-            rows.append(form.as_row(n + 1))
-    return solve(CongruenceSystem(ctx.p, n, tuple(rows)))
+    """Lattice cut out by all sampled rows with support inside 0..n; a row
+    above n is counted by the walk, never decoded (:func:`_sampled_rows`)."""
+    rows = tuple(_dense(row, den, n) for _, _, row, den in _sampled_rows(ctx, n)[0])
+    return solve(CongruenceSystem(ctx.p, n, rows))
 
 
 def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dict:
@@ -242,14 +254,15 @@ def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dic
     image of t^gamma is homogeneous of weight |gamma|, so no bound
     W >= |gamma| truncates it: the rows of a context at W are the rows of
     one context at ``max_weight`` whose gamma has weight <= W, in order.
+    Only rows with top index <= n are decoded (:func:`_sampled_rows`).
     """
     ensure_prime(p)
     rows_g = summand_rows(p, n, q)
     lat_g = _lattice_of_rows(p, n, rows_g)
     ctx = BPContext(p, max_weight, q)
     weigh = ctx.t_table.monomial_weight
-    sample = [(weigh(gamma), form.as_row(n + 1))
-              for gamma, _, form in sampled_integrality_rows(ctx) if form.top_index() <= n]
+    sample = [(weigh(gamma), _dense(row, den, n))
+              for gamma, _, row, den in _sampled_rows(ctx, n)[0]]
     out = {"p": p, "n": n, "target_pivots": list(lat_g.pivots()), "scan": []}
     for W in range(1, max_weight + 1):
         lat = solve(CongruenceSystem(p, n, tuple(row for w, row in sample if w <= W)))

@@ -29,8 +29,7 @@ class BPContext:
     v_n in the l's (:meth:`v_in_l`) are built on the first call, and
     ``_hopf_cache`` is filled on first use, one entry at a time, with
     the diagonal transform's generator images as integers
-    (``"theta_numerators"``) and as polynomials (``"theta"``, for
-    ``diagonal_transform`` alone), the powers of their v_1-shadows
+    (``"theta_numerators"``), the powers of their v_1-shadows
     (``"v1_chains"``, each chain growing as higher powers are asked for),
     the right-unit tables (``"rud"``) and the special elements
     (``"special"``, each building its element polynomial when first

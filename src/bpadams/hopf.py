@@ -15,31 +15,26 @@ graded ring homomorphism theta: Q[l, t] -> Q[v][u].  On the right-unit
 basis, eta_R(l_n) goes to u^{w_n} l_n with w_n the weight of l_n, so
 l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 - sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous.
-These generator images are built once per context by one recursion on
-integers (``_t_recursion``): each image is integer numerators on packed
-monomial keys over one denominator, the lcm of its denominators.  The
-same recursion over the {l, e} generators, with denominator 1, gives
-t_n in the right-unit basis.  For a general x, theta is one
-substitution of the images, read as ``GradedPoly`` values built on
-first use (``diagonal_transform``); the walk and ``v1_functional`` read
-the integers, so a verify run builds no polynomial image.  The
-sampled rows need theta(t^gamma) for every t-monomial gamma of weight
-<= W: ``t_monomial_numerators`` walks those monomials depth first and
-builds each image from its parent prefix with one product by a
-theta(t_k).  The walk runs on integer numerators over a common
-denominator.  Each v-monomial v^delta is one int (one bit field per
-exponent), so a product of monomials is one int addition, and each row
-sum_j c_j * u^j is one int sum_j c_j * 2^(B * j) with signed digits
-(Kronecker substitution), so a product of rows is one big-int product.
-The width B is per node, from an l1 bound on the numerators that makes
-the digits decode without carries; the same bound tells from a row's
-int alone whether its top index is at most n, so rows the caller will
-not test are counted and never decoded.  Nodes wider than
-``PACKED_WIDTH_LIMIT`` bits, where limb work outweighs the saving, run
-on one int per term v^delta * u^j instead.  The walk gives each row as
-integer numerators over its denominator, which the centre verification
-tests as they are; ``t_monomial_rows`` reads the same rows as
-``MuLinear`` forms of ``Fraction``s.
+theta has one representation: integer numerators on packed monomial
+keys over one denominator, the lcm of its denominators.  The generator
+images are built once per context (``_theta_numerators``, by one
+recursion on integers, ``_t_recursion``); the same recursion over the
+{l, e} generators, with denominator 1, gives t_n in the right-unit
+basis.  ``diagonal_transform`` evaluates x on the generator images with
+the recursion's product.  The sampled rows need theta(t^gamma) for
+every t-monomial gamma of weight <= W: ``t_monomial_numerators`` walks
+those monomials depth first and builds each image from its parent
+prefix with one product by a theta(t_k).  Each v-monomial v^delta is
+one int (one bit field per exponent), so a product of monomials is one
+int addition, and each row sum_j c_j * u^j is one int
+sum_j c_j * 2^(B * j) with signed digits (Kronecker substitution), so
+a product of rows is one big-int product.  The width B is per node,
+from an l1 bound on the numerators that makes the digits decode without
+carries; the same bound tells from a row's int alone whether its top
+index is at most n, so rows the caller will not test are counted and
+never decoded.  Nodes wider than ``PACKED_WIDTH_LIMIT`` bits, where limb
+work outweighs the saving, run on one int per term v^delta * u^j
+instead.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
 into Q[u], evaluated on univariate images of the generators, read from
 their integer images by key masks; their powers are kept per context.
@@ -237,14 +232,12 @@ class _RightUnitData:
                              * GradedPoly.gen(ctx.lt_table, W, f"t{n - k}", p ** k))
             self.etaR_l.append(acc)
         # the recursion on the {l, e} generators, each a packed key over den 1
-        width, count = W.bit_length(), len(ctx.le_table)
-        gens = [({1 << width * (count - 1 - i): 1}, 1) for i in range(count)]
+        count = len(ctx.le_table)
+        gens = [({_key((int(i == j) for j in range(count)), W.bit_length()): 1}, 1)
+                for i in range(count)]
         m = ctx.gen_count
         T = _t_recursion(p, gens[:m], gens[m:])
-        read = _exponent_reader(count, width)
-        self.t_in_basis = [
-            GradedPoly._trusted(ctx.le_table, W, {read(key): Fraction(c) for key, c in num.items()})
-            for num, _ in T]
+        self.t_in_basis = [_poly_view(ctx.le_table, W, image) for image in T]
 
 
 def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
@@ -255,7 +248,7 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
 
     Every polynomial is (N, D): integer numerators N on packed monomial
     keys, a field of ``W.bit_length()`` bits per exponent (see
-    :func:`_integer_image`), over one denominator D.  A product of
+    :func:`_key`), over one denominator D.  A product of
     monomials adds keys, and one product of polynomials is
     :func:`_multiply`; powers are taken by square-and-multiply, T_j^{p^k}
     as (T_j^{p^(k-1)})^p.  No product truncates and no key carries: T_n
@@ -394,33 +387,21 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
 def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
     """theta of each {l, t} generator as (N, D), built once per context:
     l_k -> L_k = l_k(v) and t_n -> T_n by :func:`_t_recursion`, each as
-    integer numerators on packed keys (see :func:`_integer_image`) over
-    D, the lcm of its denominators."""
+    integer numerators on packed keys (see :func:`_key`) over D, the lcm
+    of its denominators; L_k's keys are those of ``ctx.l_in_v(k)`` with
+    an empty u field."""
     cache = ctx._hopf_cache
     if "theta_numerators" not in cache:
         width = ctx.weight_bound.bit_length()
-        L = [_integer_image(ctx.l_in_v(n).embedded(ctx.vu_table), width, 0, f"l{n}")
-             for n in range(1, ctx.gen_count + 1)]
+        L = []
+        for n in range(1, ctx.gen_count + 1):
+            terms = ctx.l_in_v(n).terms
+            nums, den = integer_numerators(list(terms.values()))
+            L.append(({_key(exps, width) << width: c for exps, c in zip(terms, nums)}, den))
         E = [({key + w: c for key, c in num.items()}, den)
              for (num, den), w in zip(L, ctx.l_table.weights)]
         cache["theta_numerators"] = dict(zip(ctx.lt_table.names, L + _t_recursion(ctx.p, L, E)))
     return cache["theta_numerators"]
-
-
-def _theta_images(ctx: BPContext) -> dict[str, GradedPoly]:
-    """The images of :func:`_theta_numerators` as polynomials over
-    ``ctx.vu_table``, one ``Fraction`` per term, built on first use.  Only
-    :func:`diagonal_transform` reads them; the walk and
-    :func:`v1_functional` read the integers."""
-    cache = ctx._hopf_cache
-    if "theta" not in cache:
-        W = ctx.weight_bound
-        read = _exponent_reader(len(ctx.vu_table), W.bit_length())
-        cache["theta"] = {
-            name: GradedPoly._trusted(ctx.vu_table, W,
-                                      {read(key): Fraction(c, den) for key, c in num.items()})
-            for name, (num, den) in _theta_numerators(ctx).items()}
-    return cache["theta"]
 
 
 def _key(exps: Iterable[int], width: int) -> int:
@@ -439,10 +420,22 @@ def _exponent_reader(count: int, width: int):
     return lambda key: tuple(key >> s & mask for s in shifts)
 
 
+def _poly_view(table: GeneratorTable, bound: int,
+               image: tuple[dict[int, int], int]) -> GradedPoly:
+    """(N, D) on packed keys over ``table`` (a field of
+    ``bound.bit_length()`` bits per exponent, as :func:`_key`) as the
+    polynomial N / D, truncated at ``bound``."""
+    num, den = image
+    read = _exponent_reader(len(table), bound.bit_length())
+    return GradedPoly._trusted(table, bound,
+                               {read(key): Fraction(c, den) for key, c in num.items()})
+
+
 def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int,
                     label: str) -> None:
-    """Raise PolyError if a term on packed keys (see :func:`_integer_image`)
-    has u-degree above ``u_bound``: the packing relies on that bound."""
+    """Raise PolyError if a term on packed keys (:func:`_key`: v_1 at the
+    top, u at the bottom) has u-degree above ``u_bound``: the packing
+    relies on that bound."""
     mask = (1 << width) - 1
     for key in numerators:
         if key & mask > u_bound:
@@ -450,24 +443,8 @@ def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int,
                             f"{u_bound}: its packed keys could carry")
 
 
-def _integer_image(image: GradedPoly, width: int, u_bound: int,
-                   label: str) -> tuple[dict[int, int], int]:
-    """(N, D) for a polynomial over ``ctx.vu_table``: D is the lcm of its
-    denominators and N = D * image, with integer coefficients on packed
-    keys.  The key of v^delta * u^j holds delta_1, ..., delta_m, j in
-    fields of ``width`` bits, v_1 at the top and u at the bottom.
-
-    Raises PolyError if a term has u-degree above ``u_bound``
-    (:func:`_check_u_degree`).
-    """
-    nums, den = integer_numerators(list(image.terms.values()))
-    out = {_key(exps, width): num for exps, num in zip(image.terms, nums)}
-    _check_u_degree(out, width, u_bound, label)
-    return out, den
-
-
 def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int, int]]:
-    """Integer numerators on packed monomial keys (see :func:`_integer_image`)
+    """Integer numerators on packed monomial keys (see :func:`_key`)
     grouped into rows: the term c * v^delta * u^j is the entry c of mu_j in
     the row keyed by delta's packed fields, the key without its u field."""
     mask = (1 << width) - 1
@@ -486,7 +463,7 @@ def _delta_reader(ctx: BPContext):
 def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
                ) -> dict[tuple[int, ...], dict[int, int]]:
     """The rows of a theta image given as integer numerators, keys packed
-    as by :func:`_integer_image`.  Each row maps mu indices to non-zero
+    as by :func:`_key`.  Each row maps mu indices to non-zero
     numerators; the rows come in graded-lexicographic order of delta."""
     delta = _delta_reader(ctx)
     by_delta = {delta(key): row
@@ -513,31 +490,41 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     v-exponents to the non-zero mu-linear forms, in graded-lexicographic
     order; a concrete :class:`DiagonalAction` evaluates them to a
     polynomial over the v generators.
+
+    x is evaluated on the integer images (:func:`_theta_numerators`),
+    each power of a generator's image taken once per call.  A term of
+    weight above W is dropped, as truncation at W would drop its
+    homogeneous image; the others neither truncate nor carry, once each
+    generator image is checked to have u-degree at most its weight.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
     W = ctx.weight_bound
-    image = x.substitute(_theta_images(ctx))
-    # truncation keeps every v-exponent <= W; a u-degree above W is refused
-    num, den = _integer_image(image, W.bit_length(), W, "the image")
+    width = W.bit_length()
+    table = ctx.lt_table
+    images = _theta_numerators(ctx)
+    for name, w in zip(table.names, table.weights):
+        _check_u_degree(images[name][0], width, w, f"theta({name})")
+    powers: dict[tuple[str, int], tuple[list[tuple[int, int]], int]] = {}
+    terms = []
+    for exps, c in x.terms.items():
+        if table.monomial_weight(exps) > W:
+            continue
+        num, den = {0: c.numerator}, c.denominator
+        for name, e in zip(table.names, exps):
+            if e:
+                if (name, e) not in powers:
+                    power, d = _power(images[name], e)
+                    powers[name, e] = list(power.items()), d
+                factor, d = powers[name, e]
+                num, den = _multiply(num, factor), den * d
+        terms.append((1, (num, den)))
+    num, den = _combine(terms)
     out = _forms(_read_rows(ctx, num), den)
     if mu is not None and mu.values is not None:
         return GradedPoly(ctx.v_table, W,
                           {delta: mu.apply(form) for delta, form in out.items()})
     return out
-
-
-def t_monomial_rows(ctx: BPContext,
-                    ) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, ...], MuLinear]]]:
-    """(gamma, the rows of theta(t^gamma)) for every t-monomial gamma of
-    weight <= W, in the order of ``monomials_up_to_weight(ctx.t_table, W)``.
-
-    The rows are those of :func:`t_monomial_numerators`, each read as a
-    :class:`MuLinear` with coefficients c / den; they are the rows
-    :func:`diagonal_transform` gives for t^gamma.
-    """
-    for gamma, rows, den, _ in t_monomial_numerators(ctx):
-        yield gamma, _forms(rows, den)
 
 
 # The widest digit, in bits, that the walk multiplies as packed rows; a node
@@ -632,7 +619,9 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
       theta(t^gamma) is at most prod_k ||N_k||_1^{gamma_k}, with ||N_k||_1
       the sum of the absolute numerators of N_k.  Each node takes its own
       width B(gamma) from that bound (:func:`_digit_width`); a child
-      repacks its parent's rows at its own width.
+      repacks its parent's rows at its own width, always a wider one:
+      theta(t_k) has the terms u^{w_k} * v_k of u^{w_k} * L_k and -v_k of
+      -L_k alone, so ||N_k||_1 >= 2 (an equal width would repack as is).
     - *Top test.*  With such digits, |r| < 2^(B * (n + 1) - 1) holds
       exactly when no digit above index n is non-zero: digits 0..n alone
       give |r| < 2^(B * (n + 1)) / 2, while a top non-zero digit c_m,
@@ -648,7 +637,7 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
       node wider than that runs, with its whole subtree (widths only
       grow), on one int per term: the key of v^delta * u^j holds delta
       and j, with a u field of ``W.bit_length()`` bits (see
-      :func:`_integer_image`).  Its u-degree is at most |gamma| <= W: the
+      :func:`_key`).  Its u-degree is at most |gamma| <= W: the
       recursion gives every term of theta(t_n) a u-degree <= w_n, since
       p^k * w_{n-k} <= w_n.  The bound on the generator images is checked
       once per walk (``PolyError`` otherwise); the inner loop checks
@@ -698,9 +687,7 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
                         flat = {key << width | j: c for key, r in image.items()
                                 for j, c in _unpack(r, B).items()}
                     child = _multiply(flat, terms)
-                elif child_B == B:
-                    child = _multiply(image, packed_factor(k, B))
-                else:  # B < child_B <= limit: repack at the child's width
+                else:  # child_B <= limit: repack at the child's width
                     if digits is None:
                         digits = [(key, _unpack(r, B)) for key, r in image.items()]
                     child = _multiply({key: _pack(row, child_B) for key, row in digits},
@@ -873,10 +860,7 @@ class SpecialElement:
         if self._factors is not None:
             low, high = self._factors
             return low.element * high.element
-        num, den = self._poly
-        read = _exponent_reader(len(self._table), self._bound.bit_length())
-        return GradedPoly._trusted(self._table, self._bound,
-                                   {read(key): Fraction(c, den) for key, c in num.items()})
+        return _poly_view(self._table, self._bound, self._poly)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpecialElement):

@@ -68,7 +68,7 @@ class CongruenceSystem:
             raise LatticeError("top index must be non-negative")
         clean = []
         for r in self.rows:
-            r = tuple(Fraction(x) for x in r)
+            r = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
             if len(r) != self.n + 1:
                 raise LatticeError(
                     f"row length {len(r)} does not match size {self.n + 1}")
@@ -271,7 +271,8 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     p, size = lat.p, lat.size
     if len(row) != size + 1:
         raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
-    row = [Fraction(x) for x in row]
+    # ints and Fractions carry numerator and denominator as they are
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     if not row[size]:
         raise LatticeError(f"row has a zero pivot at index {size}")
     nums, _ = integer_numerators(row)

@@ -1,10 +1,14 @@
 """What the benchmark in bench/ needs of the library: every name its tracer
-wraps resolves, the sampled rows stay a list (a tracer hook takes len), and
-a tiny verify run reaches the spans the bench self-test counts."""
+wraps resolves, the workloads' set-up statements run, the sampled rows stay
+a list (a tracer hook takes len), and a tiny verify run reaches the spans
+the bench self-test counts."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from bpadams import lattice
 from bpadams.centre import sampled_integrality_rows, verify_centre_bp
@@ -14,11 +18,27 @@ from bpadams.polyring import GradedPoly
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
+
+
+@pytest.mark.parametrize("make", [lambda w: w.VerifyWorkload(2, 12, None),
+                                  lambda w: w.VerifyWorkload(5, 24, None),
+                                  lambda w: w.MixWorkload(0, None)],
+                         ids=["verify-2-12", "verify-5-24", "mix"])
+def test_workload_setup_code_runs(make):
+    # bench/run.py times each workload's set-up statements after
+    # "import bpadams"; every name they use must exist in the library
+    workloads = _load("workloads")
+    exec("import bpadams\n" + make(workloads).setup_code(), {})
 
 
 def test_tracer_resolves_every_traced_name_and_counts_sample_rows():

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 import theta_reference
-from bpadams import hopf
+from bpadams import centre, hopf
 from bpadams.adamsk import adams_family, family_action
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             lattice_realizability, sampled_integrality_rows, summand_rows,
                             verify_centre_bp, _lattice_of_rows)
 from bpadams.fgl import BPContext
-from bpadams.lattice import lattice_eq, lattice_leq
+from bpadams.lattice import CongruenceSystem, lattice_eq, lattice_leq, solve
 from bpadams.hopf import MuLinear
 from bpadams.polyring import GradedPoly, PolyError, monomials_up_to_weight
 
@@ -112,7 +112,8 @@ def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
 
 def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
     # a term of theta(t_1) with u-degree 2 > w_1 = 1 breaks the no-carry
-    # bound of the packed keys; the walk checks the images before it starts
+    # bound of the packed keys; the walk checks the images before it
+    # starts, and diagonal_transform once per call
     ctx = BPContext(2, 4)
     images = dict(hopf._theta_numerators(ctx))
     num, den = images["t1"]
@@ -121,9 +122,12 @@ def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
     assert key not in num
     images["t1"] = ({**num, key: den}, den)
     monkeypatch.setattr(hopf, "_theta_numerators", lambda c: images)
-    with pytest.raises(PolyError, match="theta\\(t1\\) has a term of u-degree 2 above 1: "
-                                        "its packed keys could carry"):
+    message = "theta\\(t1\\) has a term of u-degree 2 above 1: its packed keys could carry"
+    with pytest.raises(PolyError, match=message):
         sampled_integrality_rows(ctx)
+    with pytest.raises(PolyError, match=message):
+        hopf.diagonal_transform(ctx, GradedPoly.gen(ctx.lt_table, 4, "l1")
+                                * hopf.t_gen(ctx, 1, 2))
 
 
 def test_lattice_realizability():
@@ -180,14 +184,60 @@ def test_verify_run_builds_no_right_unit_tables(monkeypatch):
         assert verify_centre_bp(p, n)["verdict"]
 
 
-def test_verify_run_builds_no_polynomial_theta_images(monkeypatch):
-    # the walk and v1_functional read the integer images; only
-    # diagonal_transform needs them as polynomials
-    def refuse(ctx):
-        raise AssertionError("the GradedPoly theta images were built")
+def _recorded_walk(monkeypatch, tops):
+    """centre's walk, recording the ``top`` of each call and checking that
+    every row it hands over has its top index at most ``top``."""
+    walk = hopf.t_monomial_numerators
 
-    monkeypatch.setattr(hopf, "_theta_images", refuse)
-    assert verify_centre_bp(5, 12)["verdict"]
+    def recorded(ctx, top=None):
+        tops.append(top)
+        for gamma, rows, den, count in walk(ctx, top):
+            assert top is None or all(max(row) <= top for row in rows.values())
+            yield gamma, rows, den, count
+
+    monkeypatch.setattr(centre, "t_monomial_numerators", recorded)
+
+
+@pytest.mark.parametrize("p, W, n", [(2, 12, 5), (3, 14, 6), (5, 16, 3)])
+def test_sample_lattice_and_scan_read_only_the_rows_up_to_n(p, W, n, monkeypatch):
+    # the walk is asked for top = n, so rows above n are counted and never
+    # decoded, and no MuLinear is built; the route through the forms of
+    # sampled_integrality_rows is the reference
+    ctx = BPContext(p, W)
+    forms = [form.as_row(n + 1) for _, _, form in sampled_integrality_rows(ctx)
+             if form.top_index() <= n]
+    want = solve(CongruenceSystem(p, n, tuple(forms)))
+    scan = bp_sample_scan(p, n, W)
+    tops = []
+    _recorded_walk(monkeypatch, tops)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a MuLinear was built")
+
+    monkeypatch.setattr(MuLinear, "__init__", refuse)
+    monkeypatch.setattr(MuLinear, "_from_numerators", refuse)
+    assert bp_sample_lattice(ctx, n) == want
+    assert bp_sample_scan(p, n, W) == scan
+    assert tops == [n, n]
+
+
+def test_one_read_out_serves_every_sampled_row_caller(monkeypatch):
+    # verify_centre_bp, bp_sample_lattice, bp_sample_scan and
+    # sampled_integrality_rows each read the walk once, through _sampled_rows
+    calls, tops = [], []
+    read_out = centre._sampled_rows
+
+    def recorded(ctx, top):
+        calls.append(top)
+        return read_out(ctx, top)
+
+    monkeypatch.setattr(centre, "_sampled_rows", recorded)
+    _recorded_walk(monkeypatch, tops)
+    assert verify_centre_bp(3, 4)["verdict"]
+    bp_sample_lattice(BPContext(3, 6), 2)
+    bp_sample_scan(3, 3, 5)
+    assert sampled_integrality_rows(BPContext(3, 5))
+    assert calls == tops == [4, 2, 3, None]
 
 
 def test_verify_run_builds_no_v_in_l(monkeypatch):

@@ -182,23 +182,67 @@ def test_diagonal_transform_skips_the_right_unit_tables():
     c = BPContext(3, 10)
     diagonal_transform(c, t_gen(c, 2) * t_gen(c, 1))
     special_element(c, 3)
-    assert set(c._hopf_cache) == {"theta_numerators", "theta", "special", "v1_chains"}
+    assert set(c._hopf_cache) == {"theta_numerators", "special", "v1_chains"}
     d = BPContext(3, 10)
     to_right_unit_basis(d, t_gen(d, 2))
     assert set(d._hopf_cache) == {"rud"}
+
+
+def _concrete(c, rows, mu):
+    """The rows of a symbolic diagonal image evaluated on the action mu."""
+    return GradedPoly(c.v_table, c.weight_bound,
+                      {delta: form.evaluate(mu.values) for delta, form in rows.items()})
+
+
+@pytest.mark.parametrize("p, W", [(2, 22), (3, 26)])
+def test_diagonal_transform_builds_no_polynomial_product_or_substitution(p, W, monkeypatch):
+    # theta is evaluated on the integer generator images: once the context
+    # is built, no GradedPoly is multiplied or substituted into
+    c = BPContext(p, W)
+    t1, t2 = t_gen(c, 1), t_gen(c, 2)
+    x = t2 * t1 ** 3 + GradedPoly.gen(c.lt_table, W, "l1") * t2 ** 2
+    want = _three_pass_transform(BPContext(p, W), x)
+    mu = DiagonalAction(p, tuple(Fraction(3 ** j) for j in range(W + 1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GradedPoly product or substitution")
+
+    monkeypatch.setattr(GradedPoly, "substitute", refuse)
+    monkeypatch.setattr(GradedPoly, "__mul__", refuse)
+    assert _same_rows(diagonal_transform(c, x), want)
+    assert diagonal_transform(c, x, mu) == _concrete(c, want, mu)
+
+
+def test_diagonal_transform_drops_the_terms_above_the_weight_bound():
+    # x over the context's table at bound 30 > W = 10: the terms of weight
+    # above W have images of that weight, which truncation at W drops
+    c = BPContext(2, 10)
+    W, nl = c.weight_bound, len(c.l_table)
+    weight = c.lt_table.monomial_weight
+    rng = random.Random(43)
+    mons = list(monomials_up_to_weight(c.lt_table, 30))
+    picked = (rng.sample([m for m in mons if weight(m) <= W], 12)
+              + rng.sample([m for m in mons if weight(m) > W], 12))
+    x = GradedPoly(c.lt_table, 30,
+                   {m: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for m in picked})
+    low = GradedPoly(c.lt_table, W, {e: v for e, v in x.terms.items() if weight(e) <= W})
+    assert len(low.terms) == 12 and any(any(e[nl:]) for e in low.terms)
+    want = _three_pass_transform(c, low)
+    assert want and _same_rows(diagonal_transform(c, x), want)
+    mu = DiagonalAction(2, tuple(Fraction(5 ** j) for j in range(W + 1)))
+    assert diagonal_transform(c, x, mu) == _concrete(c, want, mu)
 
 
 @pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 22), (2, 38), (3, 14), (3, 40),
                                   (5, 28), (5, 62), (7, 16)])
 def test_theta_images_against_the_fraction_recursion(p, W):
     # the integer recursion against the Fraction one: (N, D) of every
-    # generator, D the lcm of its denominators, the GradedPoly view, and
-    # t_n over the {l, e} basis
+    # generator, D the lcm of its denominators, and t_n over the {l, e}
+    # basis
     c = BPContext(p, W)
     want = theta_reference.theta_numerators(c)
     assert hopf._theta_numerators(c) == want
     assert len(want) == 2 * c.gen_count and (W == 0 or c.gen_count)
-    assert hopf._theta_images(c) == theta_reference.theta_images(c)
     assert hopf._rud(c).t_in_basis == theta_reference.t_in_basis(c)
 
 

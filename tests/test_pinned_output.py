@@ -102,3 +102,27 @@ def test_bp_dn_json_pinned(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == BP_DN[command]
+
+
+# scan-stabilization JSON stdout: the scan reads the rows with top index
+# <= n from one walk at the largest bound
+SCAN_STABILIZATION = {
+    "scan-stabilization --p 3 --n 6 --max-weight 20":
+        "97a2fb782fd5ad71459bdd73936b3ac25f5d5dc29c2a53f177867cac34d05124",
+    "scan-stabilization --p 2 --n 4 --max-weight 18":
+        "b6821582756762138c0e11fbd8be88501cf169bcd2035351dc3688d4fd3bed48",
+    "scan-stabilization --p 5 --n 3 --max-weight 12":
+        "693c9351a2a8de5c3b854fa2243ac59b82356500f6e20970ee4d93e49f0c92f1",
+    "scan-stabilization --p 2 --n 6 --max-weight 22":
+        "ff7b7c17aa80ba2aa1238ead3eb6344bfa92063492c8b400740fe360c1a63d15",
+    "scan-stabilization --p 7 --n 2 --max-weight 9":
+        "0b1067896b0647be9322e3fba4b314c8c02f74f959f7a516d5bd5ae79eec8929",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_STABILIZATION))
+def test_scan_stabilization_json_pinned(capsys, command):
+    code = main(command.split() + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _sha256(out) == SCAN_STABILIZATION[command]

@@ -7,6 +7,7 @@ v_1 functional evaluated on them in ``Fraction``s."""
 import functools
 
 from bpadams import hopf
+from bpadams.arith import integer_numerators
 from bpadams.hopf import MuLinear
 from bpadams.polyring import GradedPoly
 
@@ -37,9 +38,12 @@ def theta_images(ctx):
 def theta_numerators(ctx):
     """:func:`theta_images` as (N, D) on packed keys, N = D * image with D
     the lcm of the image's denominators."""
-    W = ctx.weight_bound
-    return {name: hopf._integer_image(image, W.bit_length(), W, name)
-            for name, image in theta_images(ctx).items()}
+    width = ctx.weight_bound.bit_length()
+    out = {}
+    for name, image in theta_images(ctx).items():
+        nums, den = integer_numerators(list(image.terms.values()))
+        out[name] = {hopf._key(exps, width): c for exps, c in zip(image.terms, nums)}, den
+    return out
 
 
 def t_in_basis(ctx):
