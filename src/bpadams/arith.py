@@ -260,8 +260,12 @@ def parse_rational(text: object) -> Fraction:
 
 
 def format_rational(x: Fraction | int) -> str:
-    """Canonical "a/b" (or "a") rendering of an exact rational."""
-    x = Fraction(x)
+    """Canonical "a/b" (or "a") rendering of an exact rational.  An int or
+    a ``Fraction`` is taken as it is; anything else is converted first."""
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -102,26 +102,41 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
     Row k is ``(numerators, den)``: the form sum_i (c_i / den) * mu_i,
     supported inside the lattice's indices.  The columns are integral, so
     it holds on column b iff sum_i c_i * b_i vanishes modulo p^v,
-    v = val_p(den); that valuation is taken once per row.  Column j is
-    zero above index j, so entry i of a row meets only columns 0..i: one
-    pass over ``basis[i][:i + 1]`` for each c_i not divisible by p^v adds
-    its share to every column's value.
+    v = val_p(den); that valuation is taken once per row, in order, and
+    no row after the first failure is read.
+
+    The columns are read all at once from packed basis rows: basis row i
+    is one int P_i = sum_{j <= i} basis[i][j] * 2^(S * j) with
+    non-negative digits (column j is zero above index j), and a row's
+    values on every column are the digits of V = sum_i (c_i mod p^v) * P_i,
+    one multiply-add per entry.  The entries of the basis are at most
+    p^E, E = max(lat.pivots()), the largest diagonal entry (each is a pure
+    power of p, so no valuation is taken), and every value is below
+    (n + 1) * p^(v + E) for n + 1 = lat.size; with 2^S above that no digit
+    carries, and digit j of V is the value on column j itself.  The basis
+    is packed for the first tested row and repacked only when a later row
+    has a larger v: a width for a larger v serves every smaller one.
     """
     basis = lat.basis
+    packed, packed_v = [], 0
     for k, (row, den) in enumerate(rows):
         v = val_p(p, den)
         if not v:
             continue
+        if v > packed_v:
+            top = max((basis_row[i] for i, basis_row in enumerate(basis)), default=1)
+            S = (len(basis) * p ** v * top).bit_length()
+            packed = [sum(b << (S * j) for j, b in enumerate(basis_row[: i + 1]))
+                      for i, basis_row in enumerate(basis)]
+            packed_v, mask = v, (1 << S) - 1
         modulus = p ** v
-        values = [0] * len(basis)
-        for i, c in row.items():
-            r = c % modulus
-            if r:
-                for j, b in enumerate(basis[i][: i + 1]):
-                    values[j] += r * b
-        for j, value in enumerate(values):
-            if value % modulus:
+        value = sum(c % modulus * packed[i] for i, c in row.items())
+        j = 0
+        while value:
+            if (value & mask) % modulus:
                 return k, j
+            value >>= S
+            j += 1
     return None
 
 
@@ -148,8 +163,9 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
       m < n that holds on the lattice at m holds on the lattice at n;
     * the canonical columns are integral (p^e on the diagonal, residues
       in [0, p^e_i) below it), so each row is tested as an integer sum
-      modulo a power of p.  The rows are the walk's integer numerators
-      (:func:`_sampled_rows`), in the order of
+      modulo a power of p, on every column at once from packed basis rows
+      (:func:`_first_sample_failure`).  The rows are the walk's integer
+      numerators (:func:`_sampled_rows`), in the order of
       :func:`sampled_integrality_rows`; a ``MuLinear`` is built only for
       a witness, whose value is recomputed exactly.
 

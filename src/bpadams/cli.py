@@ -162,11 +162,10 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
         "pivot_valuations": [-(delta_p(p, r)) for r in range(args.n + 1)],
     }
     csv_rows = [["r"] + [f"mu{i}" for i in range(args.n + 1)]]
-    for r, row in enumerate(rows):
-        csv_rows.append([r] + [format_rational(x) for x in row])
     lines = [f"congruence rows for p={p}, q={q_shown}, n<={args.n}"]
-    for r, row in enumerate(rows):
-        lines.append(f"  C_{r} = (" + ", ".join(format_rational(x) for x in row) + ")")
+    for r, row in enumerate(payload["rows"]):
+        csv_rows.append([r] + row)
+        lines.append(f"  C_{r} = (" + ", ".join(row) + ")")
     exit_code = 0
     if args.check is not None:
         mu = read_sequence(args.check)
@@ -217,6 +216,7 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
         raise InputError(
             f"monomial weight {weight} exceeds the bound {args.weight}")
     poly, table = right_unit_v_monomial(ctx, alpha)
+    image = poly.to_text()
     entries = []
     all_integral = True
     for (beta, gamma), c in sorted(table.items()):
@@ -233,7 +233,7 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
         "p": p,
         "monomial": args.monomial,
         "weight_bound": args.weight,
-        "image": poly.to_text(),
+        "image": image,
         "coefficients": entries,
         "all_integral": all_integral,
     }
@@ -243,7 +243,7 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
                          "|".join(map(str, e["t_exponents"])),
                          e["coefficient"], e["integral"]])
     lines = [f"right unit image of {args.monomial} (p={p}, weight bound {args.weight}):",
-             f"  {poly.to_text()}",
+             f"  {image}",
              f"  coefficients all {p}-locally integral: {'yes' if all_integral else 'NO'}"]
     _emit(args.format, payload, csv_rows, lines)
     return 0 if all_integral else 1

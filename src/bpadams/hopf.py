@@ -32,9 +32,10 @@ a product of rows is one big-int product.  The width B is per node,
 from an l1 bound on the numerators that makes the digits decode without
 carries; the same bound tells from a row's int alone whether its top
 index is at most n, so rows the caller will not test are counted and
-never decoded.  Nodes wider than ``PACKED_WIDTH_LIMIT`` bits, where limb
-work outweighs the saving, run on one int per term v^delta * u^j
-instead.
+never decoded.  Rows are packed at B rounded up to whole CPython digits,
+so a child repacks its parent's rows only when it needs wider digits.
+Nodes whose B is above ``PACKED_WIDTH_LIMIT`` bits, where limb work
+outweighs the saving, run on one int per term v^delta * u^j instead.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
 into Q[u], evaluated on univariate images of the generators, read from
 their integer images by key masks; their powers are kept per context.
@@ -51,6 +52,7 @@ element polynomials are views built only when read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -528,15 +530,27 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
 
 
 # The widest digit, in bits, that the walk multiplies as packed rows; a node
-# whose digit width is above it runs, with its whole subtree, on packed
-# monomial keys.  Chosen by a sweep over 128..448 (see CHANGES.md).
+# whose tight digit width (_digit_width, not the rounded _packed_width) is
+# above it runs, with its whole subtree, on packed monomial keys.  Chosen by
+# a sweep over 128..448 (see CHANGES.md).
 PACKED_WIDTH_LIMIT = 384
+
+_LIMB = sys.int_info.bits_per_digit
 
 
 def _digit_width(bound: int) -> int:
     """Bits per digit for signed digits of absolute value at most ``bound``:
-    the width B with bound < 2^(B - 1)."""
+    the tight width B with bound < 2^(B - 1).  The walk packs at
+    :func:`_packed_width` of it and switches kernels on B itself."""
     return bound.bit_length() + 1
+
+
+def _packed_width(width: int) -> int:
+    """``width`` rounded up to whole CPython digits (limbs of
+    ``sys.int_info.bits_per_digit`` bits): the width a node of the walk
+    packs its rows at.  Widths round to few values, so most children
+    multiply their parent's rows as they are."""
+    return -(-width // _LIMB) * _LIMB
 
 
 def _pack(row: Mapping[int, int], width: int) -> int:
@@ -618,25 +632,31 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     - *Width.*  The l1 norm is submultiplicative, so every numerator of
       theta(t^gamma) is at most prod_k ||N_k||_1^{gamma_k}, with ||N_k||_1
       the sum of the absolute numerators of N_k.  Each node takes its own
-      width B(gamma) from that bound (:func:`_digit_width`); a child
-      repacks its parent's rows at its own width, always a wider one:
-      theta(t_k) has the terms u^{w_k} * v_k of u^{w_k} * L_k and -v_k of
-      -L_k alone, so ||N_k||_1 >= 2 (an equal width would repack as is).
-    - *Top test.*  With such digits, |r| < 2^(B * (n + 1) - 1) holds
-      exactly when no digit above index n is non-zero: digits 0..n alone
-      give |r| < 2^(B * (n + 1)) / 2, while a top non-zero digit c_m,
-      m > n, leaves |r| > 2^(B * m) - 2^(B * m) / 2
-      (:func:`_top_at_most`).  So a row above ``top`` is counted from its
-      int alone.
+      tight width B(gamma) from that bound (:func:`_digit_width`), and
+      packs its rows at B rounded up to a multiple of
+      ``sys.int_info.bits_per_digit`` (:func:`_packed_width`).  Every
+      |digit| stays below 2^(B - 1), so :func:`_unpack` and
+      :func:`_top_at_most` are exact at any width >= B, the rounded one
+      included.  A child whose rounded width equals its parent's
+      multiplies the parent's packed rows as they are; only a child with
+      a wider rounded width decodes them (once per node) and repacks them
+      at its own.  Repacking is interpreted work per digit, which at
+      small widths costs more than the product itself.
+    - *Top test.*  With digits below 2^(R - 1) in absolute value at width
+      R, |r| < 2^(R * (n + 1) - 1) holds exactly when no digit above
+      index n is non-zero: digits 0..n alone give
+      |r| < 2^(R * (n + 1)) / 2, while a top non-zero digit c_m, m > n,
+      leaves |r| > 2^(R * m) - 2^(R * m) / 2 (:func:`_top_at_most`).  So
+      a row above ``top`` is counted from its int alone.
     - *Kernel switch.*  A packed product spends limb work on every digit
-      at the full width B, small digits of N_k included, so its cost per
+      at the full width, small digits of N_k included, so its cost per
       pair of rows grows like B^2, while one int per term costs a fixed
       interpreted step per pair of terms.  Above
       :data:`PACKED_WIDTH_LIMIT` bits packed rows were measured slower
       (at odd p, where Araki's generators give ~1,000-bit numerators).  A
-      node wider than that runs, with its whole subtree (widths only
-      grow), on one int per term: the key of v^delta * u^j holds delta
-      and j, with a u field of ``W.bit_length()`` bits (see
+      node whose tight width B is above that runs, with its whole subtree
+      (widths only grow), on one int per term: the key of v^delta * u^j
+      holds delta and j, with a u field of ``W.bit_length()`` bits (see
       :func:`_key`).  Its u-degree is at most |gamma| <= W: the
       recursion gives every term of theta(t_n) a u-degree <= w_n, since
       p^k * w_{n-k} <= w_n.  The bound on the generator images is checked
@@ -666,13 +686,14 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     def walk(gamma: tuple[int, ...], image: dict[int, int], den: int, bound: int,
              low: int, room: int) -> Iterator:
         B = _digit_width(bound)
+        R = _packed_width(B)  # the width of the packed rows in image
         if B > limit:  # numerators on packed monomial keys
             rows = _group_rows(image, width)
             kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
             count, flat = len(rows), image
         else:  # one packed row per delta
-            kept = {d: _unpack(r, B) for d, r in image.items()
-                    if top is None or _top_at_most(r, B, top)}
+            kept = {d: _unpack(r, R) for d, r in image.items()
+                    if top is None or _top_at_most(r, R, top)}
             count, flat = len(image), None
         yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, count
         digits = None
@@ -682,16 +703,19 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
                 terms, _, d, norm = gens[k]
                 child_bound = bound * norm
                 child_B = _digit_width(child_bound)
+                child_R = _packed_width(child_B)
                 if child_B > limit:
                     if flat is None:
                         flat = {key << width | j: c for key, r in image.items()
-                                for j, c in _unpack(r, B).items()}
+                                for j, c in _unpack(r, R).items()}
                     child = _multiply(flat, terms)
-                else:  # child_B <= limit: repack at the child's width
+                elif child_R == R:  # the parent's rows as they are
+                    child = _multiply(image, packed_factor(k, R))
+                else:  # repack at the child's wider width
                     if digits is None:
-                        digits = [(key, _unpack(r, B)) for key, r in image.items()]
-                    child = _multiply({key: _pack(row, child_B) for key, row in digits},
-                                      packed_factor(k, child_B))
+                        digits = [(key, _unpack(r, R)) for key, r in image.items()]
+                    child = _multiply({key: _pack(row, child_R) for key, row in digits},
+                                      packed_factor(k, child_R))
                 yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:], child,
                                 den * d, child_bound, k, room - weights[k])
 

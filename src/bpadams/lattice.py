@@ -305,7 +305,12 @@ def lattice_leq(first: SolutionLattice, second: SolutionLattice) -> bool:
 
 
 def lattice_eq(first: SolutionLattice, second: SolutionLattice) -> bool:
-    return lattice_leq(first, second) and lattice_leq(second, first)
+    """True iff the two lattices are equal: their canonical bases (p^e on
+    the diagonal, residues in [0, p^e_i) below it) are unique, so they
+    agree exactly when the lattices do."""
+    if first.p != second.p or first.size != second.size:
+        raise LatticeError("lattices live in different ambient spaces")
+    return first.basis == second.basis
 
 
 @dataclass(frozen=True)

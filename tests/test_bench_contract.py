@@ -5,6 +5,7 @@ the bench self-test counts."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -90,3 +91,14 @@ def test_verify_run_takes_one_centre_val_p_per_tested_row(monkeypatch):
     report = verify_centre_bp(3, 4)
     assert report["verdict"]
     assert len(calls) == report["rows"][-1]["sample_rows_used"] > 0
+
+
+@pytest.mark.parametrize("workload, p, n", [("verify-p2", 2, 12), ("verify-p5", 5, 24)])
+def test_verify_reports_match_the_bench_pins(workload, p, n):
+    # the bench fails an operation whose report differs from its pin in
+    # bench/reference.json; the pins are read here, never written
+    workloads = _load("workloads")
+    pinned = json.loads((BENCH / "reference.json").read_text())[workload]
+    assert pinned["call"] == f"verify_centre_bp({p}, {n})"
+    report = verify_centre_bp(p, n)
+    assert workloads.sha256(workloads.report_json(report)) == pinned["sha256"]

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import theta_reference
 from bpadams import centre, hopf
@@ -10,7 +13,8 @@ from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_rep
                             lattice_realizability, sampled_integrality_rows, summand_rows,
                             verify_centre_bp, _lattice_of_rows)
 from bpadams.fgl import BPContext
-from bpadams.lattice import CongruenceSystem, lattice_eq, lattice_leq, solve
+from bpadams.lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
+                             lattice_leq, solve)
 from bpadams.hopf import MuLinear
 from bpadams.polyring import GradedPoly, PolyError, monomials_up_to_weight
 
@@ -546,6 +550,86 @@ def test_triangular_sample_test_against_all_columns():
     assert None in outcomes
     assert any(got and got[0] > 0 for got in outcomes)
     assert any(got and got[1] > 0 for got in outcomes)
+
+
+def _entrywise_first_sample_failure(p, lat, rows):
+    """The sample test entry by entry, as it ran before packed basis rows:
+    the reference for :func:`centre._first_sample_failure`."""
+    from bpadams.arith import val_p
+
+    basis = lat.basis
+    for k, (row, den) in enumerate(rows):
+        v = val_p(p, den)
+        if not v:
+            continue
+        modulus = p ** v
+        values = [0] * len(basis)
+        for i, c in row.items():
+            r = c % modulus
+            if r:
+                for j, b in enumerate(basis[i][: i + 1]):
+                    values[j] += r * b
+        for j, value in enumerate(values):
+            if value % modulus:
+                return k, j
+    return None
+
+
+@st.composite
+def _sample_tests(draw):
+    """(p, lattice, rows): a lattice extended row by row from shape rows
+    (entries in p^-a Z_(p), a unit pivot p^-a), and rows whose entries are
+    often p^v - 1 modulo p^v, the largest residue, or 0 modulo p^v; each
+    row draws its own v, so v grows and falls within one call."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 6))
+    lat = SolutionLattice(p, ())
+    for r in range(n + 1):
+        a = draw(st.integers(0, 3))
+        entries = [Fraction(draw(st.integers(-p ** 3, p ** 3)), p ** a) for _ in range(r)]
+        unit = draw(st.integers(1, p * p).filter(lambda u: u % p))
+        lat = extend_lattice(lat, entries + [Fraction(unit, p ** a)])
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        modulus = p ** draw(st.integers(0, 4))
+        row = {}
+        for i in draw(st.sets(st.integers(0, n), min_size=1)):
+            residue = draw(st.sampled_from([modulus - 1, 0, None]))
+            if residue is None:
+                residue = draw(st.integers(0, modulus - 1))
+            row[i] = residue + modulus * draw(st.integers(-2, 2)) or modulus
+        rows.append((row, modulus * draw(st.sampled_from([1, 7, 11]))))
+    return p, lat, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sample_tests())
+def test_packed_sample_test_matches_the_entrywise_one(case):
+    p, lat, rows = case
+    assert centre._first_sample_failure(p, lat, rows) == \
+        _entrywise_first_sample_failure(p, lat, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_sample_test_at_its_width_bound(p):
+    # column 0 at p^E - 1 below the diagonal, the others p^E * e_j, and
+    # residues 0, 2 and p^v - 1 modulo p^v: a row that holds on column 0
+    # can reach 6/7 of (n + 1) * p^(v + E) there (at p = 2, v = E = 4:
+    # residues 15, 15, 15, 15, 15, 2, 2), so a width narrower by a factor
+    # of p carries
+    E, n = 4, 6
+    lat = SolutionLattice(p, tuple(
+        tuple(p ** E if j == i else p ** E - 1 if j == 0 else 0 for j in range(i + 1))
+        + (0,) * (n - i) for i in range(n + 1)))
+    outcomes = []
+    for v in (1, 3, 4):
+        modulus = p ** v
+        for residues in itertools.product((0, 2, modulus - 1), repeat=n + 1):
+            rows = [({i: r + modulus for i, r in enumerate(residues)}, modulus)]
+            got = centre._first_sample_failure(p, lat, rows)
+            assert got == _entrywise_first_sample_failure(p, lat, rows), (v, residues)
+            outcomes.append(got)
+    assert None in outcomes and any(outcomes)
 
 
 def test_verify_run_evaluates_each_row_shape_once(monkeypatch):

@@ -1,5 +1,7 @@
 import functools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -621,3 +623,84 @@ def test_packed_rows_at_the_edge_of_their_width(M):
             assert (unpack(pack(row, width), width) == row) == exact, (width, digits)
         for row, below in tops:
             assert (top_at_most(pack(row, width), width, n) == below) == exact, (width, row)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 2 ** 28, 2 ** 29 - 1, 2 ** 29, 2 ** 30, 10 ** 30 + 7])
+def test_packed_width_rounds_up_to_whole_digits(M):
+    # the walk packs at the tight width rounded up to CPython digits; the
+    # signed digits of absolute value M stay exact there
+    B = hopf._digit_width(M)
+    R = hopf._packed_width(B)
+    assert R % sys.int_info.bits_per_digit == 0 and B <= R < B + sys.int_info.bits_per_digit
+    row = {0: M, 1: -M, 3: M}
+    assert hopf._unpack(hopf._pack(row, R), R) == row
+    assert hopf._top_at_most(hopf._pack(row, R), R, 3)
+    assert not hopf._top_at_most(hopf._pack({**row, 4: 1}, R), R, 3)
+
+
+def _walk_nodes(p, W):
+    """{gamma: (non-zero rows of theta(t^gamma), l1 bound on its numerators)}
+    for every node of the walk, and the norms ||N_k||_1 the bounds multiply."""
+    ctx = BPContext(p, W)
+    images = theta_reference.theta_numerators(ctx)
+    norms = [sum(map(abs, images[f"t{k}"][0].values()))
+             for k in range(1, len(ctx.t_table.weights) + 1)]
+    return norms, {gamma: (len(rows), math.prod(m ** g for m, g in zip(norms, gamma)))
+                   for gamma, rows, _ in _reference_walk(p, W)}
+
+
+@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (5, 36)])
+def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, monkeypatch):
+    # _pack runs once per row of theta(t_k) for each width the walk packs
+    # theta(t_k) at, and once per row of a parent for each child whose
+    # rounded width is wider than the parent's; a child of equal rounded
+    # width multiplies the parent's packed rows as they are
+    norms, nodes = _walk_nodes(p, W)
+    ctx = BPContext(p, W)
+    images = hopf._theta_numerators(ctx)
+    factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
+                   for k in range(1, len(norms) + 1)]
+    limit, rounded = hopf.PACKED_WIDTH_LIMIT, hopf._packed_width
+    widths, repacks, kept = set(), 0, 0
+    for gamma, (rows, bound) in nodes.items():
+        low = max((k for k, g in enumerate(gamma) if g), default=0)
+        for k in range(low, len(gamma)):
+            child = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
+            child_B = hopf._digit_width(bound * norms[k])
+            if child not in nodes or child_B > limit:
+                continue
+            widths.add((k, rounded(child_B)))
+            if rounded(child_B) > rounded(hopf._digit_width(bound)):
+                repacks += rows
+            else:
+                kept += rows
+    assert repacks and kept  # both cases occur in each context
+    pack, calls = hopf._pack, []
+    monkeypatch.setattr(hopf, "_pack", lambda row, width: calls.append(width) or pack(row, width))
+    for _ in hopf.t_monomial_numerators(ctx):
+        pass
+    assert len(calls) == repacks + sum(factor_rows[k] for k, _ in widths)
+
+
+def test_a_node_at_the_width_limit_stays_packed(monkeypatch):
+    # the kernel switch compares the tight width with the limit: a node
+    # whose tight width equals PACKED_WIDTH_LIMIT runs on packed rows, and
+    # each node above it regroups its terms once (_group_rows, which the
+    # walk also calls once per generator)
+    p, W = 5, 36
+    norms, nodes = _walk_nodes(p, W)
+    tight = [hopf._digit_width(bound) for _, bound in nodes.values()]
+    widest = max(tight)
+    group_rows, calls = hopf._group_rows, []
+    monkeypatch.setattr(hopf, "_group_rows",
+                        lambda num, width: calls.append(width) or group_rows(num, width))
+    ctx = BPContext(p, W)
+    for limit in (widest, widest - 1):
+        monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
+        calls.clear()
+        for _ in hopf.t_monomial_numerators(ctx):
+            pass
+        assert len(calls) == len(norms) + sum(B > limit for B in tight), limit
+    # the widest node packs wider than the limit; a switch on the rounded
+    # width would move it to the other kernel
+    assert hopf._packed_width(widest) > widest

@@ -336,6 +336,25 @@ def test_lattices_against_enumeration(system):
     assert _extended(p, triangular) == solve(CongruenceSystem(p, n, padded))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_eq_is_inclusion_both_ways(data):
+    # the second system keeps a unit multiple of some of the first one's
+    # rows and adds others of the same shape: equal lattices, nested ones,
+    # and lattices that are neither, some with equal pivots
+    p, n, D, rows, _ = data.draw(_small_systems())
+    unit = data.draw(st.sampled_from([u for u in (1, 2, 3, 5, 7) if u % p]))
+    kept = data.draw(st.integers(0, len(rows)))
+    more = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=n + 1,
+                                       max_size=n + 1), max_size=2))
+    other = ([tuple(unit * x for x in row) for row in rows[:kept]]
+             + [tuple(Fraction(x, p ** D) for x in row) for row in more])
+    first = solve(CongruenceSystem(p, n, tuple(rows)))
+    second = solve(CongruenceSystem(p, n, tuple(other)))
+    both_ways = lattice_leq(first, second) and lattice_leq(second, first)
+    assert lattice_eq(first, second) == lattice_eq(second, first) == both_ways
+
+
 def _fraction_extend_lattice(lat, row):
     """The extension computed in Fractions throughout: the reference for
     the integer extend_lattice."""
