@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .arith import (delta_p, dot, ensure_prime, format_rational, gamma_p, gaussian,
+from .arith import (delta_p, dot, ensure_prime, format_rational, gamma_p,
                     integer_numerators, is_p_local_int, val_p, validate_q)
 from . import lattice as _lattice
 
@@ -248,20 +248,25 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     """The Gaussian congruence row for the connective Adams summand.
 
     c_{n,i} = (-1)^{n-i} qhat^C(n-i,2) [n, i]_qhat / p^delta_p(n); the
-    pivot is exactly p^-delta_p(n) and entries vanish for i > n.
+    pivot is exactly p^-delta_p(n) and entries vanish for i > n.  The
+    values [n, 0..n]_qhat come from the q-Pascal recurrence
+    [k, i] = [k-1, i-1] + qhat^i [k-1, i] on ints, one row per k.
     Memoised: the frozen row is a pure function of (p, q, n).
     """
     ensure_prime(p)
     if p == 2:
         raise ValueError("the Gaussian rows are the odd-prime system")
     qhat = q ** (p - 1)
+    powers = [qhat ** i for i in range(n + 1)]
+    row = [1]
+    for _ in range(n):
+        row = [1] + [a + powers[i] * b for i, (a, b) in enumerate(zip(row, row[1:]), 1)] + [1]
     budget = delta_p(p, n)
     den = p ** budget
     entries = []
-    for i in range(n + 1):
+    for i, g in enumerate(row):
         d = n - i
-        num = (-1) ** d * qhat ** math.comb(d, 2) * gaussian(n, i, qhat).numerator
-        entries.append(Fraction(num, den))
+        entries.append(Fraction((-1) ** d * qhat ** math.comb(d, 2) * g, den))
     return CongruenceVector(p, n, tuple(entries), budget)
 
 

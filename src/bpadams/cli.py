@@ -126,20 +126,22 @@ def _non_negative(text: str) -> int:
     return value
 
 
-_MONOMIAL_RE = re.compile(r"^([A-Za-z]+\d+)(?:\^(\d+))?$")
+_MONOMIAL_RE = re.compile(r"^([A-Za-z]+)([1-9]\d*)(?:\^(\d+))?$")
 
 
 def parse_monomial(text: str, prefix: str) -> dict[str, int]:
-    """Parse expressions like "v1^2*v2" into an exponent mapping."""
+    """Parse expressions like "v1^2*v2" into an exponent mapping: each
+    factor is ``prefix`` followed by an index >= 1 without leading zeros,
+    with an optional power."""
     out: dict[str, int] = {}
     if text.strip() in ("1", ""):
         return out
     for factor in text.split("*"):
         m = _MONOMIAL_RE.match(factor.strip())
-        if not m or not m.group(1).startswith(prefix):
+        if not m or m.group(1) != prefix:
             raise InputError(
                 f"bad monomial factor {factor!r}; expected e.g. {prefix}1^2")
-        name, power = m.group(1), int(m.group(2) or 1)
+        name, power = prefix + m.group(2), int(m.group(3) or 1)
         out[name] = out.get(name, 0) + power
     return out
 

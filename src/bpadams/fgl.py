@@ -26,15 +26,16 @@ class BPContext:
     in the v's (:meth:`l_in_v`), built eagerly.  ``vu_table`` is the v
     table with one more generator u of weight 0, the mu index of
     :func:`bpadams.hopf.diagonal_transform`.  It is not immutable: the
-    v_n in the l's (:meth:`v_in_l`) are built on the first call, and
-    ``_hopf_cache`` is filled on first use, one entry at a time, with
-    the diagonal transform's generator images as integers
-    (``"theta_numerators"``), the powers of their v_1-shadows
-    (``"v1_chains"``, each chain growing as higher powers are asked for),
-    the right-unit tables (``"rud"``) and the special elements
-    (``"special"``, each building its element polynomial when first
-    read).  Stored values never change, but the filling is not locked,
-    so give each thread its own context.
+    v_n in the l's (:meth:`v_in_l`) are built on the first call, which
+    only public callers make, and ``_hopf_cache`` is filled on first use,
+    one entry at a time, with the diagonal transform's generator images
+    as integers (``"theta_numerators"``), the powers of their
+    v_1-shadows (``"v1_chains"``, each chain growing as higher powers are
+    asked for), the right units eta_R(v_n) as integers on packed {v, t}
+    keys (``"right_unit_v"``), the right-unit tables (``"rud"``) and the
+    special elements (``"special"``, each building its element
+    polynomial when first read).  Stored values never change, but the
+    filling is not locked, so give each thread its own context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",

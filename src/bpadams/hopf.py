@@ -20,14 +20,15 @@ keys over one denominator, the lcm of its denominators.  The generator
 images are built once per context (``_theta_numerators``, by one
 recursion on integers, ``_t_recursion``); the same recursion over the
 {l, e} generators, with denominator 1, gives t_n in the right-unit
-basis.  ``diagonal_transform`` evaluates x on the generator images with
-the recursion's product.  The sampled rows need theta(t^gamma) for
-every t-monomial gamma of weight <= W: ``t_monomial_numerators`` walks
-those monomials depth first and builds each image from its parent
-prefix with one product by a theta(t_k).  Each v-monomial v^delta is
-one int (one bit field per exponent), so a product of monomials is one
-int addition, and each row sum_j c_j * u^j is one int
-sum_j c_j * 2^(B * j) with signed digits (Kronecker substitution), so
+basis, and over the eta_R(l_n) it gives eta_R(v_n) on {v, t} keys, the
+factors of ``right_unit_v_monomial``.  ``diagonal_transform`` evaluates
+x on the generator images with the recursion's product.  The sampled
+rows need theta(t^gamma) for every t-monomial gamma of weight <= W:
+``t_monomial_numerators`` walks those monomials depth first and builds
+each image from its parent prefix with one product by a theta(t_k).
+Each v-monomial v^delta is one int (one bit field per exponent), so a
+product of monomials is one int addition, and each row sum_j c_j * u^j
+is one int sum_j c_j * 2^(B * j) with signed digits (Kronecker substitution), so
 a product of rows is one big-int product.  The width B is per node,
 from an l1 bound on the numerators that makes the digits decode without
 carries; the same bound tells from a row's int alone whether its top
@@ -245,8 +246,9 @@ class _RightUnitData:
 def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
                  E: list[tuple[dict[int, int], int]]) -> list[tuple[dict[int, int], int]]:
     """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
-    t_n over the {l, e} basis when E_n = e_n, and theta(t_n) when
-    E_n = u^{w_n} L_n with L_n = l_n(v).
+    t_n over the {l, e} basis when E_n = e_n, theta(t_n) when
+    E_n = u^{w_n} L_n with L_n = l_n(v), and eta_R(v_n) when L_n =
+    eta_R(l_n) and E_n = (1 + pi_n) * L_n (see :func:`_right_unit_v`).
 
     Every polynomial is (N, D): integer numerators N on packed monomial
     keys, a field of ``W.bit_length()`` bits per exponent (see
@@ -342,26 +344,59 @@ def right_unit_v_monomial(
     """eta_R(v^alpha) over the {v, t} table, plus its coefficient table.
 
     Returns the polynomial and a map (beta, gamma) -> coefficient, where
-    beta and gamma are the v- and t-exponent vectors.
+    beta and gamma are the v- and t-exponent vectors.  It is the product
+    of the V_n^{alpha_n} of :func:`_right_unit_v` on integers.  A monomial
+    of weight above the bound gives zero and ``{}``, checked before any
+    product: the packed keys of an over-weight product would carry.
     """
     if isinstance(exponents, tuple):
         alpha = dict(zip((f"v{i}" for i in range(1, len(exponents) + 1)), exponents))
     else:
         alpha = dict(exponents)
-    x = GradedPoly.const(ctx.l_table, ctx.weight_bound, 1)
+    W = ctx.weight_bound
+    powers = []
     for name, e in alpha.items():
-        idx = ctx.v_table.index(name) + 1
-        x = x * (ctx.v_in_l(idx) ** int(e))
-    y = right_unit_of_l_poly(ctx, x)
-    # convert the left-hand l factors back to v's
-    bindings = {f"l{n}": ctx.l_in_v(n).embedded(ctx.vt_table)
-                for n in range(1, ctx.gen_count + 1)}
-    z = y.substitute(bindings)
+        i = ctx.v_table.index(name)
+        if not isinstance(e, int) or e < 0:
+            raise PolyError("polynomial powers must be non-negative integers")
+        if e:
+            powers.append((i, e))
+    if sum(ctx.v_table.weights[i] * e for i, e in powers) > W:
+        return GradedPoly.zero(ctx.vt_table, W), {}
+    num, den = {0: 1}, 1
+    for i, e in powers:
+        factor, d = _power(_right_unit_v(ctx)[i], e)
+        num, den = _multiply(num, list(factor.items())), den * d
+    z = _poly_view(ctx.vt_table, W, (num, den))
     nv = len(ctx.v_table)
     coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
     for exps, c in z.sorted_terms():
         coeffs[(exps[:nv], exps[nv:])] = c
     return z, coeffs
+
+
+def _right_unit_v(ctx: BPContext) -> list[tuple[dict[int, int], int]]:
+    """V_n = eta_R(v_n) for n = 1, 2, ... as (N, D) on packed keys over
+    ``ctx.vt_table`` (see :func:`_key`), built once per context.  The ring
+    map eta_R carries v_n = pi_n * l_n - sum_{1<=i<n} l_i * v_{n-i}^{p^i}
+    to V_n = pi_n * R_n - sum_{1<=i<n} R_i * V_{n-i}^{p^i}, with
+    R_n = eta_R(l_n) = sum_{k=0}^{n} L_k * t_{n-k}^{p^k}, L_0 = t_0 = 1 and
+    L_k = l_k(v): :func:`_t_recursion` with E_n = (1 + pi_n) * R_n."""
+    cache = ctx._hopf_cache
+    if "right_unit_v" not in cache:
+        width, m, p = ctx.weight_bound.bit_length(), ctx.gen_count, ctx.p
+        L = _l_numerators(ctx, m)
+        R = []  # t_j's field is the (m - j)-th from the bottom
+        for n in range(1, m + 1):
+            terms = [(1, ({1 << width * (m - n): 1}, 1)), (1, L[n - 1])]
+            for k in range(1, n):
+                shift, (num, den) = p ** k << width * (m - n + k), L[k - 1]
+                terms.append((1, ({key + shift: c for key, c in num.items()}, den)))
+            R.append(_combine(terms))
+        E = [({key: (1 + int(ctx.pi(n))) * c for key, c in num.items()}, den)
+             for n, (num, den) in enumerate(R, 1)]
+        cache["right_unit_v"] = _t_recursion(p, R, E)
+    return cache["right_unit_v"]
 
 
 def to_right_unit_basis(ctx: BPContext, x: GradedPoly) -> GradedPoly:
@@ -394,16 +429,25 @@ def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
     an empty u field."""
     cache = ctx._hopf_cache
     if "theta_numerators" not in cache:
-        width = ctx.weight_bound.bit_length()
-        L = []
-        for n in range(1, ctx.gen_count + 1):
-            terms = ctx.l_in_v(n).terms
-            nums, den = integer_numerators(list(terms.values()))
-            L.append(({_key(exps, width) << width: c for exps, c in zip(terms, nums)}, den))
+        L = _l_numerators(ctx, 1)
         E = [({key + w: c for key, c in num.items()}, den)
              for (num, den), w in zip(L, ctx.l_table.weights)]
         cache["theta_numerators"] = dict(zip(ctx.lt_table.names, L + _t_recursion(ctx.p, L, E)))
     return cache["theta_numerators"]
+
+
+def _l_numerators(ctx: BPContext, low_fields: int) -> list[tuple[dict[int, int], int]]:
+    """L_k = l_k(v) for k = 1, 2, ... as (N, D) on packed keys (see
+    :func:`_key`): the fields of ``ctx.l_in_v(k)``'s exponents on top of
+    ``low_fields`` empty ones, over D, the lcm of its denominators."""
+    width = ctx.weight_bound.bit_length()
+    shift = width * low_fields
+    L = []
+    for n in range(1, ctx.gen_count + 1):
+        terms = ctx.l_in_v(n).terms
+        nums, den = integer_numerators(list(terms.values()))
+        L.append(({_key(exps, width) << shift: c for exps, c in zip(terms, nums)}, den))
+    return L
 
 
 def _key(exps: Iterable[int], width: int) -> int:

@@ -127,15 +127,17 @@ def test_C_vector_examples():
 
 
 def test_C_vector_memo_matches_fresh_rows():
-    q = find_q(3)
-    qhat = q ** 2
-    for n in range(9):
-        fresh = tuple(
-            Fraction((-1) ** (n - i) * qhat ** math.comb(n - i, 2))
-            * gaussian(n, i, qhat) / Fraction(3) ** delta_p(3, n)
-            for i in range(n + 1))
-        assert C_vector(3, q, n).entries == fresh
-        assert C_vector(3, q, n).entries == fresh  # from the memo
+    # the q-Pascal row against gaussian(), which evaluates the expanded polynomial
+    for p in (3, 5, 7):
+        q = find_q(p)
+        qhat = q ** (p - 1)
+        for n in range(41):
+            fresh = tuple(
+                Fraction((-1) ** (n - i) * qhat ** math.comb(n - i, 2))
+                * gaussian(n, i, qhat) / Fraction(p) ** delta_p(p, n)
+                for i in range(n + 1))
+            assert C_vector(p, q, n).entries == fresh, (p, n)
+            assert C_vector(p, q, n).entries == fresh  # from the memo
     for _ in range(2):  # exceptions are not memoised
         with pytest.raises(ValueError):
             C_vector(2, 3, 1)

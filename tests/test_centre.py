@@ -245,7 +245,7 @@ def test_one_read_out_serves_every_sampled_row_caller(monkeypatch):
 
 
 def test_verify_run_builds_no_v_in_l(monkeypatch):
-    # v_n over the l's serves right_unit_v_monomial alone
+    # v_n over the l's serves public callers alone; bpadams never calls v_in_l
     def refuse(ctx):
         raise AssertionError("v_in_l was built")
 

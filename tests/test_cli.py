@@ -200,8 +200,36 @@ def test_negative_counts_exit_2_naming_the_flag(capsys, argv, flag):
 def test_parse_monomial():
     assert parse_monomial("v1^2*v2", "v") == {"v1": 2, "v2": 1}
     assert parse_monomial("1", "v") == {}
-    with pytest.raises(InputError):
-        parse_monomial("x1", "v")
+    assert parse_monomial(" v10 * v1^3 ", "v") == {"v10": 1, "v1": 3}
+    for bad in ("x1", "v0", "v01", "vx1", "v", "V1", "v1^", "v-1", "v1.5"):
+        with pytest.raises(InputError, match="bad monomial factor"):
+            parse_monomial(bad, "v")
+
+
+@pytest.mark.parametrize("monomial", ["v0", "v01", "vx1", "v1*v0^2"])
+def test_bp_etar_rejects_a_bad_factor_with_exit_2(capsys, monomial):
+    code, out, err = run(capsys, "bp-etaR", "--p", "2", "--weight", "4",
+                         "--monomial", monomial)
+    assert code == 2 and out == ""
+    assert "bad monomial factor" in err and "exceeds" not in err
+
+
+def test_bp_etar_needs_no_fraction_substitution(capsys, monkeypatch):
+    # the right unit of a v-monomial is built on integers: no right-unit
+    # tables, no v_n over the l's and no polynomial substitution
+    from bpadams import hopf
+    from bpadams.fgl import BPContext
+    from bpadams.polyring import GradedPoly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fraction route was taken")
+
+    monkeypatch.setattr(hopf._RightUnitData, "__init__", refuse)
+    monkeypatch.setattr(BPContext, "_build_v_in_l", refuse)
+    monkeypatch.setattr(GradedPoly, "substitute", refuse)
+    code, out, _ = run(capsys, "bp-etaR", "--p", "3", "--weight", "9",
+                       "--monomial", "v1*v2^2", "--format", "json")
+    assert code == 0 and json.loads(out)["all_integral"] is True
 
 
 def test_read_sequence_and_system_errors(tmp_path):

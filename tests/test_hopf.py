@@ -15,7 +15,7 @@ from bpadams.hopf import (ConstructionError, DiagonalAction, MuLinear, _check_pr
                           right_unit_of_l_poly, right_unit_v_monomial, special_element,
                           t_gen, t_recursion_check, to_right_unit_basis, v1_functional)
 from bpadams.lattice import CongruenceSystem, solve
-from bpadams.polyring import GradedPoly, monomials_up_to_weight
+from bpadams.polyring import GradedPoly, PolyError, monomials_up_to_weight
 
 
 def ctx2(W=7):
@@ -71,6 +71,45 @@ def test_right_unit_integrality_small():
         for alpha in monomials_up_to_weight(c.v_table, 4):
             _, coeffs = right_unit_v_monomial(c, alpha)
             assert all(is_p_local_int(p, x) for x in coeffs.values())
+
+
+@pytest.mark.parametrize("p,W", [(2, 0), (3, 0), (2, 12), (3, 14), (5, 30), (7, 50), (11, 30)])
+def test_right_unit_v_monomial_against_the_fraction_route(p, W):
+    # every v-monomial up to weight W + 7: those above W map to zero
+    c = BPContext(p, W)
+    for alpha in monomials_up_to_weight(c.v_table, W + 7):
+        got, got_table = right_unit_v_monomial(c, alpha)
+        want, want_table = theta_reference.right_unit_v_monomial(c, alpha)
+        assert got.to_text() == want.to_text(), alpha
+        assert list(got_table.items()) == list(want_table.items()), alpha
+
+
+def test_right_unit_v_monomial_above_the_weight_bound_is_zero():
+    # packed keys of an over-weight product would carry into the next field
+    c = BPContext(2, 6)
+    poly, table = right_unit_v_monomial(c, {"v2": 3})
+    assert poly == GradedPoly.zero(c.vt_table, 6) and poly.to_text() == "0"
+    assert table == {}
+
+
+def test_right_unit_v_monomial_rejects_bad_exponents():
+    c = BPContext(3, 8)
+    for bad in (1.5, -1, Fraction(1)):
+        with pytest.raises(PolyError, match="non-negative integers"):
+            right_unit_v_monomial(c, {"v1": bad})
+    with pytest.raises(PolyError, match="non-negative integers"):
+        right_unit_v_monomial(c, (0, -2))
+    for name in ("t1", "v9"):
+        with pytest.raises(PolyError, match="unknown generator"):
+            right_unit_v_monomial(c, {name: 1})
+
+
+def test_right_unit_v_images_are_built_once_per_context(monkeypatch):
+    c = BPContext(3, 12)
+    want = theta_reference.right_unit_v_monomial(c, {"v1": 1, "v2": 1})[0]
+    right_unit_v_monomial(c, {"v1": 2})
+    monkeypatch.setattr(hopf, "_t_recursion", None)
+    assert right_unit_v_monomial(c, {"v1": 1, "v2": 1})[0] == want
 
 
 def test_rewrite_examples_and_round_trip():

@@ -126,3 +126,85 @@ def test_scan_stabilization_json_pinned(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert _sha256(out) == SCAN_STABILIZATION[command]
+
+
+# bp-etaR stdout in each format for the benchmark's bp-etaR requests
+# (``_ETAR`` in bench/workloads.py), pinned before the right unit of a
+# v-monomial moved from Fraction substitution to integers: (json, csv, pretty)
+BP_ETAR = {
+    (2, 5, "v1^2*v2"): (
+        "ebeb9ac5ebeced45f71834f103d3ef67dad27ba9be352d88e57d60ad9e9b9a91",
+        "537380fd6f5c53b34cdcb5a3eda20f59fe3c6b523e667094138e6cecfb102966",
+        "f0cc02845a3ba2d22c2dd40812aaf2540b51cc57138e566ba579660e302e2962",
+    ),
+    (2, 7, "v3"): (
+        "87ee1a8ad3e2f387aca47fe0a0a35946e0cb9cff7765136eaba7aa300ee8de5f",
+        "adc5dd8db8912ed797fdd8865a5bca104d89f63f7461651093bdc3b43f5a9389",
+        "eddfea1be81d794d42dfa1adf9e6e114cf03775600f7ceaa6a1748146b0898f5",
+    ),
+    (2, 7, "v1*v2^2"): (
+        "a0ff0cc69a5544ccda09cf4a35ec511c7233f10671896c375c864ea24a6d7986",
+        "35eeab018906d43334086cffcd63ee99d8b3b71a4cca4cebbb0f25a36dfb3433",
+        "ae9839b5dbea021be0847b342cce7c39de99aaa099e6479509280ddc00c25c40",
+    ),
+    (2, 8, "v1*v3"): (
+        "b24fd5110da733ca369ef0e70d41822ee13a9a71875ad385d5a8d8e108024774",
+        "c3bf071ea166cdf2a7030fc4c14cce156e4f181fb266aedbe67ef52d300523f6",
+        "767bc3269b04346058f941eeff1d115b51bce619926a868f341c123be2abcf13",
+    ),
+    (2, 9, "v2^3"): (
+        "c48efe4e4870bc4968c4b525a2d303c6a1ed00eb4e45a89a0efa599e055cb624",
+        "4135f602ec3d2789076141f0506127f76a015f8388fa1ffccfa7a6c496d0253b",
+        "05b32fcd47454393b282a73031d1a75a8563750f6e69dfe4752e38ce6f5828a3",
+    ),
+    (3, 4, "v2"): (
+        "73be8ec2e475cd63b894ba085467f77e050db32e1f2ad6e4922a40cc7d828c4f",
+        "f7a039c8affa564c1dfe5a5733bcf7ff2cb48917afe9419383d34491abc72de5",
+        "1ab47b492d3bf2470a0c71880e312d916a4b1800f4f918d7621e12791adfe51c",
+    ),
+    (3, 6, "v1^2*v2"): (
+        "904620f7ff6f8033411b343b2fe6096dbb3764497e8608798f2a1387c4a5de54",
+        "d8fa71002d220077e3e6f659bf98a1a8d23fb626e0a313c451acf400f6643674",
+        "20e5e279fc4d85207250e459251fa3d3a49c837e1cf5b2308fff5c6e313a6b1f",
+    ),
+    (3, 8, "v2^2"): (
+        "4f82c6fd38c994fab59202015b362deb1751febbdd9f385c8ffcbf30d5ec1ee4",
+        "769c6d745ff9f9942fb7f35b3eb44367d7bbb79758cb82ca9a19d7bf836ed154",
+        "23967164e8cce3c6a04ca560f068bbc8b89cefc5b421c79a1c1ee1e417eff762",
+    ),
+    (3, 9, "v1*v2^2"): (
+        "48b20cdcb9400f9e062dd853aeeea80f399b9469684a96234f587be57323c0cf",
+        "f71c819cbb651c024fb5ea564ad9554e49121ded5a009d667a696010d6f31151",
+        "7512de1e26fc724f5375c0e478e09717e49588707f8046cf5839d28028505244",
+    ),
+    (5, 6, "v2"): (
+        "8190dc3742635f987d04bf172aba363032d7c93eeefcaae6dd1e6248b6ca9bd2",
+        "c6000172a48d57a6b9ab4e4649fb26bcd8c6f36fe29d8876215a8f63b87a840b",
+        "706eb75ac1202a180f82378a17145f59fc8e6217e162319b324fbdfc3803acc0",
+    ),
+    (5, 8, "v1^2*v2"): (
+        "344279482c7b28ce4c85948f3cb1d013246eb9e62e82028226dcbd065f3bbc64",
+        "db0d198225452b86a332ff6d6ee787880c1c3befa6d4d8d33cd1b210d6b7f979",
+        "1d2478274bc83401d7e6b926a12c9c16cf199ea205408d407d044b476ef66b89",
+    ),
+    (7, 8, "v2"): (
+        "7ca1fbf88a804b6c5db298b3ec022d53e38d3c193e06d21be58263c86722451f",
+        "bdf421a4cceb0c6ba213e3b0d2e44c5057eaf200b1c04f895ef80b05a78886af",
+        "cd2d96b06c306e7b6c141753d9cd20d20a0943c8c10dedef3adc578046bcd3cc",
+    ),
+    (7, 10, "v1^2*v2"): (
+        "a593a0b87f9c84fa954630cb91996a55fe153ab439595700461b27673a52c3b6",
+        "e4f03d265e7979d7fec827ba86b000bc99d87c27100ea9d97d6dbd1ed077f983",
+        "00417f8ddaf4ca23c05ab620d65c4b6e3e0635454b40963534affcc60fc7ec59",
+    ),
+}
+
+
+@pytest.mark.parametrize("p,weight,monomial", sorted(BP_ETAR))
+def test_bp_etar_output_pinned(capsys, p, weight, monomial):
+    for fmt, digest in zip(("json", "csv", "pretty"), BP_ETAR[(p, weight, monomial)]):
+        code = main(["bp-etaR", "--p", str(p), "--weight", str(weight),
+                     "--monomial", monomial, "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert _sha256(out) == digest, fmt

@@ -2,13 +2,14 @@
 ``GradedPoly`` arithmetic: the reference for the integer recursion of
 :func:`bpadams.hopf._t_recursion` and for the tests that need theta(l_k)
 and theta(t_k) from a route other than the one under test, with the
-v_1 functional evaluated on them in ``Fraction``s."""
+v_1 functional evaluated on them in ``Fraction``s, and the right unit of
+a v-monomial by substitution."""
 
 import functools
 
 from bpadams import hopf
 from bpadams.arith import integer_numerators
-from bpadams.hopf import MuLinear
+from bpadams.hopf import MuLinear, right_unit_of_l_poly
 from bpadams.polyring import GradedPoly
 
 
@@ -81,3 +82,22 @@ def v1_functional(c, x, mu=None):
                 acc = acc.convolve(power(name, e))
         total = total + acc
     return total if mu is None else mu.apply(total)
+
+
+def right_unit_v_monomial(ctx, exponents):
+    """The Fraction route :func:`bpadams.hopf.right_unit_v_monomial`
+    replaced: v^alpha expanded over the l's by ``ctx.v_in_l``, eta_R
+    substituted for each l_n, then l_n(v) for the left-hand l's, every
+    product truncated at the weight bound."""
+    if isinstance(exponents, tuple):
+        alpha = dict(zip((f"v{i}" for i in range(1, len(exponents) + 1)), exponents))
+    else:
+        alpha = dict(exponents)
+    x = GradedPoly.const(ctx.l_table, ctx.weight_bound, 1)
+    for name, e in alpha.items():
+        x = x * (ctx.v_in_l(ctx.v_table.index(name) + 1) ** e)
+    y = right_unit_of_l_poly(ctx, x)
+    z = y.substitute({f"l{n}": ctx.l_in_v(n).embedded(ctx.vt_table)
+                      for n in range(1, ctx.gen_count + 1)})
+    nv = len(ctx.v_table)
+    return z, {(exps[:nv], exps[nv:]): c for exps, c in z.sorted_terms()}
