@@ -21,7 +21,7 @@ a congruence system on the sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -196,13 +196,17 @@ class CongruenceVector:
     ``budget`` is the expected pivot valuation: the shape hypotheses ask
     for entries in p^-budget Z_(p), a unit pivot c_n in p^-budget Z_(p)^x,
     and zeros beyond n.  The budget is non-negative (``ValueError``
-    otherwise).
+    otherwise).  ``_integer``, when given, is the row as integer
+    numerators over one denominator, (N, D) with entries N_i / D, as a
+    special element already holds it (:attr:`integer_row`).
     """
 
     p: int
     n: int
     entries: tuple[Fraction, ...]
     budget: int
+    _integer: tuple[Sequence[int], int] | None = field(default=None, compare=False,
+                                                       repr=False)
 
     def __post_init__(self):
         if len(self.entries) != self.n + 1:
@@ -228,6 +232,12 @@ class CongruenceVector:
             return False
         bound = self.p ** (self.budget + 1)
         return all(e.denominator % bound for e in self.entries[:-1])
+
+    @property
+    def integer_row(self) -> tuple[Sequence[int], int]:
+        """(N, D) with entries N_i / D: the numerators given at
+        construction, else D the lcm of the denominators."""
+        return self._integer or integer_numerators(self.entries)
 
     def dot(self, mu: Sequence[Fraction | int]) -> Fraction:
         if len(mu) < self.n + 1:
@@ -263,11 +273,8 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
         row = [1] + [a + powers[i] * b for i, (a, b) in enumerate(zip(row, row[1:]), 1)] + [1]
     budget = delta_p(p, n)
     den = p ** budget
-    entries = []
-    for i, g in enumerate(row):
-        d = n - i
-        entries.append(Fraction((-1) ** d * qhat ** math.comb(d, 2) * g, den))
-    return CongruenceVector(p, n, tuple(entries), budget)
+    nums = tuple((-1) ** (n - i) * qhat ** math.comb(n - i, 2) * g for i, g in enumerate(row))
+    return CongruenceVector(p, n, tuple(Fraction(c, den) for c in nums), budget, (nums, den))
 
 
 def check_g_congruences(p: int, q: int, mu: Sequence[Fraction | int],

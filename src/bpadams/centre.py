@@ -27,9 +27,9 @@ from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congr
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
-from .hopf import MuLinear, special_element, t_monomial_numerators
-from .lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
-                      sandwich_check, solve)
+from .hopf import ConstructionError, MuLinear, special_element, t_monomial_numerators
+from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, extend_lattice,
+                      lattice_eq, sandwich_check, solve)
 
 
 class CentreVerificationError(RuntimeError):
@@ -105,37 +105,31 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
     v = val_p(den); that valuation is taken once per row, in order, and
     no row after the first failure is read.
 
-    The columns are read all at once from packed basis rows: basis row i
-    is one int P_i = sum_{j <= i} basis[i][j] * 2^(S * j) with
-    non-negative digits (column j is zero above index j), and a row's
-    values on every column are the digits of V = sum_i (c_i mod p^v) * P_i,
-    one multiply-add per entry.  The entries of the basis are at most
-    p^E, E = max(lat.pivots()), the largest diagonal entry (each is a pure
-    power of p, so no valuation is taken), and every value is below
-    (n + 1) * p^(v + E) for n + 1 = lat.size; with 2^S above that no digit
-    carries, and digit j of V is the value on column j itself.  The basis
-    is packed for the first tested row and repacked only when a later row
-    has a larger v: a width for a larger v serves every smaller one.
+    The columns are read all at once from the lattice's own packed rows
+    (:class:`bpadams.lattice.SolutionLattice`): basis row i is one int
+    P_i with non-negative digits, digit j being entry i of column j, and
+    a row's values on every column are the digits of
+    V = sum_i (c_i mod p^v) * P_i, one multiply-add per entry.  The rows
+    are packed wide enough that no digit of V carries (the lattice widens
+    them in place the first time a v needs it, and keeps them wide for
+    every later row, call and extension), so digit j of V is the value on
+    column j itself.
     """
-    basis = lat.basis
-    packed, packed_v = [], 0
+    packed_v = 0
     for k, (row, den) in enumerate(rows):
         v = val_p(p, den)
         if not v:
             continue
-        if v > packed_v:
-            top = max((basis_row[i] for i, basis_row in enumerate(basis)), default=1)
-            S = (len(basis) * p ** v * top).bit_length()
-            packed = [sum(b << (S * j) for j, b in enumerate(basis_row[: i + 1]))
-                      for i, basis_row in enumerate(basis)]
-            packed_v, mask = v, (1 << S) - 1
         modulus = p ** v
+        if v > packed_v:  # rows wide enough for v serve every smaller v
+            width, packed = lat._packed(modulus)
+            packed_v, mask = v, (1 << width) - 1
         value = sum(c % modulus * packed[i] for i, c in row.items())
         j = 0
         while value:
             if (value & mask) % modulus:
                 return k, j
-            value >>= S
+            value >>= width
             j += 1
     return None
 
@@ -153,8 +147,16 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
 
     The Adams lattice at n is the one at n - 1 extended by the row c_n
     (:func:`bpadams.lattice.extend_lattice`): the sandwich extends the
-    lattice at n - 1 by c_n (its S, kept as the Adams lattice) and by the
-    special row (its T).
+    lattice at n - 1 by c_n (its S, kept as the Adams lattice) and
+    computes the special row's extension (its T) as the one basis row it
+    adds, from the special element's integer numerators over its den.
+    The lattices form one chain of packed rows: each keeps the rows of the
+    one before and adds one, and the sample test reads the same rows, so
+    nothing is repacked per n.  The shape hypotheses guarantee that every
+    extension succeeds; a :class:`bpadams.lattice.LatticeError` in the
+    chain is an internal failure and is raised as a
+    :class:`bpadams.hopf.ConstructionError` with details
+    ``{"stage": "extend_lattice", "n", "column"}``.
     At index n only the sampled rows with top index n are tested; this is
     exact for two reasons:
 
@@ -163,8 +165,8 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
       m < n that holds on the lattice at m holds on the lattice at n;
     * the canonical columns are integral (p^e on the diagonal, residues
       in [0, p^e_i) below it), so each row is tested as an integer sum
-      modulo a power of p, on every column at once from packed basis rows
-      (:func:`_first_sample_failure`).  The rows are the walk's integer
+      modulo a power of p, on every column at once from the lattice's
+      packed rows (:func:`_first_sample_failure`).  The rows are the walk's integer
       numerators (:func:`_sampled_rows`), in the order of
       :func:`sampled_integrality_rows`; a ``MuLinear`` is built only for
       a witness, whose value is recomputed exactly.
@@ -206,12 +208,17 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     usable = 0
     for n in range(n_max + 1):
         d = special_element(ctx, n)
-        c_bp = CongruenceVector(p, n, d.c, delta_p(p, n))
-        sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp, base)
-        if n:
-            # the sandwich's S is the Adams lattice at n; a hypothesis
-            # violation builds none
-            lat_g = sandwich.s_lattice or extend_lattice(base, rows_g[n].entries)
+        c_bp = CongruenceVector(p, n, d.c, delta_p(p, n), (d.numerators, d.den))
+        try:
+            sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp, base)
+            if n:
+                # the sandwich's S is the Adams lattice at n; a hypothesis
+                # violation builds none
+                lat_g = sandwich.s_lattice or extend_lattice(base, rows_g[n].entries)
+        except LatticeError as exc:
+            # the program's own rows failed to extend: an internal failure
+            raise ConstructionError(str(exc), {"stage": "extend_lattice", "n": n,
+                                               "column": exc.column}) from exc
         base = lat_g
         entry: dict = {"n": n}
         entry["pivots"] = list(lat_g.pivots())

@@ -7,24 +7,38 @@ only valuation pivoting: any entry of minimal p-valuation is a pivot and
 denominators coprime to p are exact units.  The elimination runs on
 integers modulo p^E (:func:`_reduce_rows`): scaled by p^E, the row
 module contains p^E times every integral row, so working modulo p^E
-changes nothing in it.  Canonical bases have integer columns, and
-:func:`extend_lattice` computes on them in ints: a row is scaled once to
-integer numerators and each new entry is a residue modulo p^e, which is
-the canonical entry itself, not an approximation.  All arithmetic is
-exact; no p-adic truncation appears anywhere.
+changes nothing in it.
+
+Canonical bases have integer columns, kept as packed rows
+(:class:`SolutionLattice`), and :func:`extend_lattice` computes on them
+in ints.  A row is taken as integer numerators N over one denominator,
+its pivot numerator written p^s * u with u prime to p, and the new
+column gets the pivot p^e, e = max(0, -val_p(c_n)).  Column j needs
+acc = N' . b_j only modulo p^(s + e), and that residue is exact, not a
+truncation: -acc/(p^s * u) is p-locally integral iff p^s divides acc,
+which the residue decides because p^s divides p^(s + e); and the new
+entry is -(acc / p^s) * u^-1 reduced into [0, p^e), which needs acc / p^s
+modulo p^e, that is acc modulo p^(s + e).  Every basis is the exact
+canonical one; nothing is rounded or approximated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .arith import dot, ensure_prime, format_rational, integer_numerators, val_p
 
 
 class LatticeError(ValueError):
-    """Dimension mismatches and malformed systems."""
+    """Dimension mismatches and malformed systems.  ``column`` is the basis
+    column an extension failed on, None for any other error."""
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 def residue(p: int, x: Fraction, k: int) -> Fraction:
@@ -179,25 +193,69 @@ def triangularize(sys: CongruenceSystem) -> CongruenceSystem:
     return CongruenceSystem(p, sys.n, tuple(tuple(Fraction(x, den) for x in r) for r in T))
 
 
-@dataclass(frozen=True)
 class SolutionLattice:
     """Canonical lower-triangular basis of the solution set.
 
     Column j has the pure power p^e_j on the diagonal and integer entries
     in [0, p^e_i) below it (row i); the columns generate exactly the
     mu in Z_(p)^(n+1) satisfying the defining system.  The entries are
-    ``int``s (:func:`extend_lattice` writes every canonical basis).
+    ``int``s; ``basis[i][j]`` is entry i of column j.
+
+    The lattice is kept as packed rows: basis row i is one int
+    P_i = sum_{j <= i} basis[i][j] * 2^(S * j) (column j is zero above
+    index j), next to the pivots e_j and the largest diagonal entry p^E,
+    which bounds every entry.  Every entry is non-negative and below 2^S,
+    so digit j of P_i is the entry itself.  A lattice built by
+    :func:`extend_lattice` keeps its parent's packed rows, pivots and
+    largest diagonal entry and adds one of each; ``basis`` is decoded from
+    the rows on first access.  The width S only grows: when an extension
+    or a sample test needs wider digits (:meth:`_packed`), the rows are
+    repacked once, at no less than twice the width.  Repacking changes the
+    representation, not the lattice, so it is done in place, by one
+    assignment of the (S, rows) pair: two threads that widen at once each
+    leave a valid packing.
     """
 
-    p: int
-    basis: tuple[tuple[int, ...], ...]  # basis[i][j] = entry i of column j
+    def __init__(self, p: int, basis: Sequence[Sequence[int]]):
+        if any(Fraction(x).denominator != 1 for row in basis for x in row):
+            raise LatticeError("basis entries must be integers")
+        basis = tuple(tuple(map(int, row)) for row in basis)
+        top = max((basis[j][j] for j in range(len(basis))), default=1)
+        width = top.bit_length()
+        self.p = p
+        self._pack = (width, tuple(_pack(row[: i + 1], width) for i, row in enumerate(basis)))
+        self._pivots = tuple(val_p(p, basis[j][j]) for j in range(len(basis)))
+        self._top = top
+        self.basis = basis
+
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        width, rows = self._pack
+        mask, size = (1 << width) - 1, len(rows)
+        return tuple(tuple(P >> (width * j) & mask for j in range(i + 1)) + (0,) * (size - i - 1)
+                     for i, P in enumerate(rows))
+
+    def _packed(self, modulus: int) -> tuple[int, tuple[int, ...]]:
+        """(S, rows): the packed rows at a width S whose digits hold every
+        entry and every sum sum_i r_i * P_i with 0 <= r_i < modulus.  Such
+        a digit is below size * modulus * p^E, so 2^S must exceed it; when
+        it does not, the rows are repacked at the larger of 2S and the
+        bits that bound needs."""
+        width, rows = pack = self._pack
+        need = (max(len(rows), 1) * modulus * self._top).bit_length()
+        if need > width:
+            mask, new = (1 << width) - 1, max(need, 2 * width)
+            rows = tuple(_pack([P >> (width * j) & mask for j in range(i + 1)], new)
+                         for i, P in enumerate(rows))
+            self._pack = pack = (new, rows)
+        return pack
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self._pack[1])
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(val_p(self.p, self.basis[j][j]) for j in range(self.size))
+        return self._pivots
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.basis[i][j] for i in range(self.size))
@@ -209,18 +267,35 @@ class SolutionLattice:
         """Coefficients x with mu = sum_j x_j * column_j (exact)."""
         if len(mu) != self.size:
             raise LatticeError("dimension mismatch")
+        basis = self.basis
         residual = [Fraction(m) for m in mu]
         coords = []
         for j in range(self.size):
-            x = residual[j] / self.basis[j][j]
+            x = residual[j] / basis[j][j]
             coords.append(x)
             if x:
                 for i in range(j, self.size):
-                    residual[i] -= x * self.basis[i][j]
+                    residual[i] -= x * basis[i][j]
         return tuple(coords)
 
     def contains(self, mu: Sequence[Fraction | int]) -> bool:
         return all(val_p(self.p, x) >= 0 for x in self.coordinates(mu))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal p and equal canonical bases; packed rows of one width are
+        equal exactly when the bases are."""
+        if not isinstance(other, SolutionLattice):
+            return NotImplemented
+        if self.p != other.p or self._pivots != other._pivots:
+            return False
+        (width, rows), (other_width, other_rows) = self._pack, other._pack
+        return rows == other_rows if width == other_width else self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.p, self._pivots))
+
+    def __repr__(self) -> str:
+        return f"SolutionLattice(p={self.p!r}, basis={self.basis!r})"
 
     def to_jsonable(self) -> dict:
         return {
@@ -231,6 +306,15 @@ class SolutionLattice:
         }
 
 
+def _pack(digits: Sequence[int], width: int) -> int:
+    """sum_j digits[j] * 2^(width * j) for non-negative digits below 2^width."""
+    packed = 0
+    for j, x in enumerate(digits):
+        if x:
+            packed |= x << (width * j)
+    return packed
+
+
 def solve(sys: CongruenceSystem) -> SolutionLattice:
     """Canonical basis of {mu in Z_(p)^(n+1) : every row lands in Z_(p)}.
 
@@ -238,13 +322,14 @@ def solve(sys: CongruenceSystem) -> SolutionLattice:
     indices 0..j.  T_0..T_{j-1} span the part of the row module supported
     on indices below j, so by duality the solutions of T_0..T_{j-1} are
     the projection of the solutions of T_0..T_j: starting from the empty
-    lattice, each :func:`extend_lattice` by the next row succeeds.
+    lattice, each extension by the next row (:func:`extend_lattice`, on
+    the integer rows over p^E as they are) succeeds.
     """
     lat = SolutionLattice(sys.p, ())
     T, E = _reduce_rows(sys.p, sys.rows, sys.n + 1)
     den = sys.p ** E
     for j, row in enumerate(T):
-        lat = extend_lattice(lat, [Fraction(x, den) for x in row[: j + 1]])
+        lat = _extended(lat, *_new_row(lat, row[: j + 1], den))
     return lat
 
 
@@ -256,45 +341,82 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     of ``lat`` gains the entry -(c' . b_j)/c_n reduced into [0, p^e), and
     the column p^e * e_n is appended.  The result is the canonical basis
     of the whole system (it is unique).  Raises :class:`LatticeError` when
-    c_n is zero or some -(c' . b_j)/c_n is not p-locally integral; the
-    reduced rows of :func:`solve` and rows meeting the shape hypotheses of
-    :func:`sandwich_check` never do.
+    c_n is zero or some -(c' . b_j)/c_n is not p-locally integral (its
+    ``column`` is that j); the reduced rows of :func:`solve` and rows
+    meeting the shape hypotheses of :func:`sandwich_check` never do.
 
-    The columns are integers, so the work is too.  The row is scaled once
-    to integer numerators N = D * row, D the lcm of its denominators, and
-    the pivot numerator is written p^s * u with u prime to p.  For each
-    column, acc = N' . b_j is an int and -(c' . b_j)/c_n = -acc/(p^s * u):
-    it is p-locally integral iff p^s divides acc, and its residue modulo
-    p^e is -(acc / p^s) * u^-1, with one inverse of u modulo p^e per
-    extension.
+    The row is scaled once to integer numerators N = D * row, D the lcm of
+    its denominators, and every column is read at once from the packed
+    rows (:func:`_new_row`).  The result keeps ``lat``'s packed rows and
+    adds the new one.
     """
-    p, size = lat.p, lat.size
+    size = lat.size
     if len(row) != size + 1:
         raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
     # ints and Fractions carry numerator and denominator as they are
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    if not row[size]:
-        raise LatticeError(f"row has a zero pivot at index {size}")
-    nums, _ = integer_numerators(row)
+    return _extended(lat, *_new_row(lat, *integer_numerators(row)))
+
+
+def _new_row(lat: SolutionLattice, nums: Sequence[int], den: int) -> tuple[list[int], int]:
+    """The basis row that extending ``lat`` by the row N / den adds, as
+    its entries (b_0, .., b_{n-1}, p^e), and e; N has ``lat.size + 1``
+    int entries and den > 0.
+
+    The pivot numerator is p^s * u with u prime to p, and
+    e = max(0, val_p(den) - s).  All columns are read from the digits of
+    V = sum_i (N_i mod p^(s+e)) * P_i, one multiply-add per non-zero
+    residue.  Digit j is sum_i (N_i mod p^(s+e)) * b_ij: the rows are
+    packed wide enough (:meth:`SolutionLattice._packed`) that no digit
+    carries, and it is congruent to acc = N' . b_j modulo p^(s+e).  So it
+    decides whether p^s divides acc, and its quotient by p^s is acc / p^s
+    modulo p^e, which gives the entry -(acc / p^s) * u^-1 modulo p^e (see
+    the module docstring).  The exact acc is formed only for the
+    message of a column that fails.
+    """
+    p, size = lat.p, lat.size
     unit, s = nums[size], 0
+    if not unit:
+        raise LatticeError(f"row has a zero pivot at index {size}")
     while unit % p == 0:
         unit //= p
         s += 1
-    divisor = p ** s
-    modulus = p ** max(0, -val_p(p, row[size]))
-    inverse = pow(unit, -1, modulus)
-    basis = lat.basis
-    last = []
-    for j in range(size):
-        acc = sum(nums[i] * basis[i][j] for i in range(j, size) if nums[i])
-        quotient, rest = divmod(acc, divisor)
-        if rest:
-            t = Fraction(-acc, nums[size])
-            raise LatticeError(f"column {j} extends by {format_rational(t)}, "
-                               f"which is not {p}-locally integral")
-        last.append(-quotient * inverse % modulus)
-    last.append(modulus)
-    return SolutionLattice(p, tuple(r + (0,) for r in basis) + (tuple(last),))
+    e = -s
+    while den % p == 0:
+        den //= p
+        e += 1
+    e = max(0, e)
+    modulus = p ** e
+    if not size:
+        return [modulus], e
+    residues = p ** (s + e)
+    width, rows = lat._packed(residues)
+    acc = sum(c % residues * P for c, P in zip(nums, rows))
+    mask = (1 << width) - 1
+    digits = [acc >> shift & mask for shift in range(0, width * size, width)]
+    if s:
+        divisor = p ** s
+        for j, x in enumerate(digits):
+            if x % divisor:
+                basis = lat.basis
+                exact = sum(nums[i] * basis[i][j] for i in range(j, size))
+                t = Fraction(-exact, nums[size])
+                raise LatticeError(f"column {j} extends by {format_rational(t)}, "
+                                   f"which is not {p}-locally integral", column=j)
+            digits[j] = x // divisor
+    factor = -pow(unit, -1, modulus)
+    return [x * factor % modulus for x in digits] + [modulus], e
+
+
+def _extended(lat: SolutionLattice, last: list[int], e: int) -> SolutionLattice:
+    """``lat`` with the basis row ``last`` of :func:`_new_row` added: the
+    parent's packed rows, pivots and largest diagonal entry, plus one."""
+    modulus = last[-1]
+    width, rows = lat._packed(modulus)  # only the empty lattice can be too narrow
+    child = SolutionLattice.__new__(SolutionLattice)
+    child.p, child._pivots, child._top = lat.p, lat._pivots + (e,), max(lat._top, modulus)
+    child._pack = (width, rows + (_pack(last, width),))
+    return child
 
 
 def lattice_leq(first: SolutionLattice, second: SolutionLattice) -> bool:
@@ -341,8 +463,11 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     bases mean S is not in T.  ``base`` is the solution lattice of
     base_rows when the caller already holds it; otherwise it is built row
     by row.  The shape hypotheses imply the precondition of
-    :func:`extend_lattice`, so S and T are each one extension of it; the
-    result carries S (``s_lattice``) for a caller that needs it.
+    :func:`extend_lattice`, so S and T are each one extension of it, and
+    they differ at most in their new basis row: each row enters as its
+    integer numerators (``integer_row``), T is computed as that one row
+    (:func:`_new_row`) and compared with S's.  The result carries S
+    (``s_lattice``) for a caller that needs it.
     """
     ensure_prime(p)
     for r, vec in enumerate(list(base_rows) + [cn, cn_hat]):
@@ -363,10 +488,12 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     if base is None:
         base = SolutionLattice(p, ())
         for vec in base_rows:
-            base = extend_lattice(base, vec.entries)
+            base = _extended(base, *_new_row(base, *vec.integer_row))
     elif base.p != p or base.size != n:
         raise LatticeError(f"base lattice is not in Z_({p})^{n}")
-    s_lat, t_lat = extend_lattice(base, cn.entries), extend_lattice(base, cn_hat.entries)
-    if s_lat == t_lat:
+    s_row, e = _new_row(base, *cn.integer_row)
+    t_row, _ = _new_row(base, *cn_hat.integer_row)
+    s_lat = _extended(base, s_row, e)
+    if s_row == t_row:
         return SandwichResult("equal", True, s_lattice=s_lat)
     return SandwichResult("inclusion_failed", False, "S is not contained in T", s_lat)

@@ -1,19 +1,58 @@
-"""Row reduction of congruence systems in ``Fraction`` arithmetic: the
+"""References for :mod:`bpadams.lattice`.
+
+Row reduction of congruence systems in ``Fraction`` arithmetic: the
 reference for the integer reduction of :func:`bpadams.lattice._reduce_rows`
 behind :func:`bpadams.lattice.triangularize` and :func:`bpadams.lattice.solve`.
-
 The rows are reduced with the identity rows in the pool, and each pivot is
 scaled by its unit to a pure power of p; the canonical form then takes
 every entry left of a pivot to its residue modulo that pivot
 (:func:`bpadams.lattice.residue`).  Both the canonical system and the
 solution lattice are unique, so they must match the integer route exactly.
+
+The extension entry by entry on integer columns, with one exact dot
+product per column (:func:`extend_lattice`): the reference for the
+extension of :func:`bpadams.lattice.extend_lattice`, which reads every
+column at once from packed rows, on residues.
 """
 
 from fractions import Fraction
 
-from bpadams.arith import val_p
-from bpadams.lattice import (CongruenceSystem, SolutionLattice, extend_lattice,
-                             residue)
+from bpadams.arith import format_rational, integer_numerators, val_p
+from bpadams.lattice import CongruenceSystem, LatticeError, SolutionLattice, residue
+
+
+def extend_lattice(lat, row):
+    """``lat`` extended by one row, entry by entry: the row is scaled once
+    to integer numerators N over D, the pivot numerator is p^s * u with u
+    prime to p, and column j gains -(N' . b_j / p^s) * u^-1 modulo p^e,
+    e = max(0, -val_p(c_n)), after an exact test that p^s divides
+    N' . b_j."""
+    p, size = lat.p, lat.size
+    if len(row) != size + 1:
+        raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    if not row[size]:
+        raise LatticeError(f"row has a zero pivot at index {size}")
+    nums, _ = integer_numerators(row)
+    unit, s = nums[size], 0
+    while unit % p == 0:
+        unit //= p
+        s += 1
+    divisor = p ** s
+    modulus = p ** max(0, -val_p(p, row[size]))
+    inverse = pow(unit, -1, modulus)
+    basis = lat.basis
+    last = []
+    for j in range(size):
+        acc = sum(nums[i] * basis[i][j] for i in range(j, size) if nums[i])
+        quotient, rest = divmod(acc, divisor)
+        if rest:
+            t = Fraction(-acc, nums[size])
+            raise LatticeError(f"column {j} extends by {format_rational(t)}, "
+                               f"which is not {p}-locally integral")
+        last.append(-quotient * inverse % modulus)
+    last.append(modulus)
+    return SolutionLattice(p, tuple(r + (0,) for r in basis) + (tuple(last),))
 
 
 def reduce_rows(p, rows, size):

@@ -75,6 +75,21 @@ def test_tiny_verify_run_reaches_polyring_mul_and_lattice_solve(monkeypatch):
     assert calls["mul"] > 0 and calls["solve"] > 0
 
 
+def test_verify_run_calls_sandwich_check_once_per_n(monkeypatch):
+    # the tracer counts lattice.sandwich_check spans; the verify loop keeps
+    # one comparison per index, however its lattices are built
+    centre = importlib.import_module("bpadams.centre")
+    real, seen = centre.sandwich_check, []
+
+    def counted(p, base_rows, cn, cn_hat, base=None):
+        seen.append(cn.n)
+        return real(p, base_rows, cn, cn_hat, base)
+
+    monkeypatch.setattr(centre, "sandwich_check", counted)
+    assert verify_centre_bp(5, 8)["verdict"]
+    assert seen == list(range(9))
+
+
 def test_verify_run_takes_one_centre_val_p_per_tested_row(monkeypatch):
     # the tracer's centre.inclusion.dots counter rebinds centre.val_p; the
     # inclusion test takes one valuation per tested row through that name,

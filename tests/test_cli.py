@@ -272,6 +272,36 @@ def test_construction_error_exits_1_with_json_details(capsys, monkeypatch):
         "details": {"n": 2, "m": 1, "coefficient": "1/3"}}
 
 
+def test_extension_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
+    # rows that pass the shape hypotheses always extend, so a LatticeError
+    # inside the verify loop is the program's own failure: it surfaces as a
+    # ConstructionError naming the stage, n and column, and the CLI exits 1
+    from fractions import Fraction
+
+    import bpadams.centre as centre
+    from bpadams.hopf import ConstructionError
+    from bpadams.lattice import extend_lattice
+
+    real = centre.sandwich_check
+
+    def failing(p, base_rows, cn, cn_hat, base):
+        if cn.n == 2:  # column 0 of the lattice at 1 is (1, *): -1/3 is not integral
+            extend_lattice(base, (Fraction(1, 3), 0, 1))
+        return real(p, base_rows, cn, cn_hat, base)
+
+    monkeypatch.setattr(centre, "sandwich_check", failing)
+    with pytest.raises(ConstructionError) as err:
+        centre.verify_centre_bp(3, 4)
+    assert err.value.details == {"stage": "extend_lattice", "n": 2, "column": 0}
+    code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "column 0 extends by -1/3, which is not 3-locally integral",
+        "details": {"stage": "extend_lattice", "n": 2, "column": 0}}
+
+
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):
     _, plain, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
     assert err == ""

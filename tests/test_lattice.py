@@ -427,3 +427,112 @@ def test_integer_extension_refuses_like_the_fraction_extension():
             extend_lattice(base, row)
         assert str(got.value) == str(want.value)
         assert "locally integral" in str(got.value)
+
+
+@st.composite
+def _canonical_lattices(draw):
+    """(p, lat): a canonical basis drawn directly (pivots 0..3, entries
+    below the diagonal anywhere in [0, p^e_i)), which the constructor
+    packs at the bits of its largest entry: most extensions must widen it."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    size = draw(st.integers(0, 6))
+    pivots = [draw(st.integers(0, 3)) for _ in range(size)]
+    basis = [tuple(draw(st.integers(0, p ** e - 1)) for _ in range(i)) + (p ** e,)
+             + (0,) * (size - i - 1) for i, e in enumerate(pivots)]
+    return p, SolutionLattice(p, basis)
+
+
+def _extension_row(draw, p, size):
+    """A row of length size + 1 over D = p^a * unit, a = 0 for an integral
+    row; numerators are random or sit at the largest residues p^k - 1,
+    and the pivot numerator is +-p^s * unit."""
+    a = draw(st.integers(0, 4))
+    den = p ** a * draw(st.sampled_from([u for u in (1, 2, 3, 7, 11) if u % p]))
+    edge = st.builds(lambda k, sign: sign * (p ** k - 1), st.integers(1, 7),
+                     st.sampled_from([1, -1]))
+    nums = [draw(st.one_of(st.integers(-p ** 7, p ** 7), edge)) for _ in range(size)]
+    unit = draw(st.integers(1, 3 * p).filter(lambda u: u % p))
+    pivot = draw(st.sampled_from([1, -1])) * p ** draw(st.integers(0, 2)) * unit
+    return [Fraction(x, den) for x in nums] + [Fraction(pivot, den)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_lattices(), st.data())
+def test_packed_extension_matches_the_entrywise_one(case, data):
+    # a chain of extensions from a drawn canonical lattice: the packed
+    # route and the entrywise reference agree on the basis and the pivots,
+    # or refuse the row with the same message
+    p, lat = case
+    ref = SolutionLattice(p, lat.basis)
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = _extension_row(data.draw, p, lat.size)
+        try:
+            want = lattice_reference.extend_lattice(ref, row)
+        except LatticeError as exc:
+            with pytest.raises(LatticeError) as got:
+                extend_lattice(lat, row)
+            assert str(got.value) == str(exc)
+            if got.value.column is not None:
+                assert str(exc).startswith(f"column {got.value.column} extends by")
+            return
+        lat, ref = extend_lattice(lat, row), want
+        assert lat.basis == ref.basis and lat.pivots() == ref.pivots()
+        assert lat == ref and hash(lat) == hash(ref)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packed_extension_at_its_width_bound(p):
+    # every diagonal entry p^E and column 0 at p^E - 1 below it, packed at
+    # the bits of p^E; residues 0, 1 and M - 1 modulo M = p^(s+e) reach
+    # past half of the bound size * M * p^E in column 0, at least twice
+    # that width: each extension repacks the rows at exactly the bits of
+    # the bound, and a width one bit narrower carries
+    E, size = 3, 3
+    basis = [tuple(p ** E if j == i else p ** E - 1 if j == 0 else 0 for j in range(i + 1))
+             + (0,) * (size - i - 1) for i in range(size)]
+    packed = (p ** E).bit_length()
+    outcomes = []
+    for s, e in ((0, 3), (0, 4), (1, 3)):
+        M = p ** (s + e)
+        bound = size * M * p ** E
+        assert sum((M - 1) * b for b in next(zip(*basis))) >= 2 ** (bound.bit_length() - 1)
+        for residues in itertools.product((0, 1, M - 1), repeat=size):
+            lat = SolutionLattice(p, basis)
+            assert lat._pack[0] == packed
+            row = [Fraction(r + M, M) for r in residues] + [Fraction(p ** s, M)]
+            try:
+                want = lattice_reference.extend_lattice(lat, row)
+            except LatticeError as exc:
+                with pytest.raises(LatticeError) as got:
+                    extend_lattice(lat, row)
+                assert str(got.value) == str(exc)
+                outcomes.append(None)
+                continue
+            got = extend_lattice(lat, row)
+            assert got.basis == want.basis, (s, e, residues)
+            if M - 1 in residues:  # then the row's denominator is M itself
+                assert lat._pack[0] == bound.bit_length() >= 2 * packed
+            outcomes.append(got.basis[-1])
+    assert None in outcomes and len(set(outcomes)) > 10
+
+
+def test_extension_keeps_the_parent_rows_and_widens_only_by_doubling():
+    # a lattice built by extension shares its parent's packed rows; a wider
+    # packing takes at least twice the width, and the parent, widened in
+    # place, is the same lattice
+    p = 3
+    lat = SolutionLattice(p, ())
+    widths = []
+    for n in range(12):
+        parent = lat
+        lat = extend_lattice(parent, [Fraction(n + i, p ** (n // 3)) for i in range(n)]
+                             + [Fraction(1, p ** (n // 3))])
+        assert lat._pack[1][:-1] == parent._pack[1]
+        assert lat.pivots() == parent.pivots() + (n // 3,)
+        widths.append(lat._pack[0])
+    assert all(b == a or b >= 2 * a for a, b in zip(widths, widths[1:]))
+    assert len(set(widths)) > 2
+    before = lat.basis
+    wide = lat._packed(p ** 40)
+    assert wide[0] >= 2 * widths[-1] and lat.basis == before
+    assert lat == SolutionLattice(p, before) and lat._pack == wide

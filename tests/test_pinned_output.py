@@ -43,6 +43,9 @@ VERIFY_REPORTS = {
     (2, 20): "e2605e7a48dda392c58607e979253ea40c4cb2e8be18f4f3721d2651e51f4b5c",
     (3, 27): "44145495ce8ec932d93b10ed14d768c36619f8ca97275145258fac38d9d941e9",
     (3, 33): "b34171d552b689429d77cf2f10c22dadfa87248318a5f0407014aa8be68b14b7",
+    # the odd-p point where the lattice reaches 51 columns and its packed
+    # rows widen most
+    (5, 50): "b354c6c64a6c462d81bc3deae017c78f80e33e185881e33500d46716eff0b339",
 }
 
 
