@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 #: Exact rational scalar used throughout the package.
 Rational = Fraction
@@ -164,6 +164,81 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     N_i = D * values_i, an int: the values as integers over one denominator."""
     den = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def word_width(bits: int) -> int:
+    """``bits`` rounded up to whole 32-bit words: the width a row of
+    :class:`WordCodec` is packed at."""
+    return -(-bits // 32) * 32
+
+
+class WordCodec:
+    """Rows of signed digits packed in whole 32-bit words.
+
+    A row {j: c_j} at width R, a multiple of 32, is the int
+    r = sum_j c_j * 2^(R * j) (Kronecker substitution u -> 2^R), every
+    |c_j| < 2^(R - 1).  Adding the offset 2^(R - 1) * sum_{j<m} 2^(R * j),
+    m the row's digit count, makes every digit c_j + 2^(R - 1) lie in
+    [0, 2^R): the sum is an unsigned int whose little-endian bytes hold
+    digit j in bytes R/8 * j .. R/8 * (j + 1), so the digits come out of
+    one ``to_bytes`` (read as native words by ``memoryview.cast``, on a
+    little-endian host) and no digit is split off by a shift.  m is
+    ``r.bit_length() // R + 1``: a top non-zero digit c_m leaves
+    2^(R * m - 1) < |r| < 2^(R * (m + 1) - 1).  The offsets depend on
+    the widths and m alone and are kept per codec, so one codec serves one
+    walk.
+    """
+
+    __slots__ = ("_offsets",)
+
+    def __init__(self):
+        self._offsets: dict[tuple[int, int, int], int] = {}
+
+    def _offset(self, width: int, count: int, shift: int) -> int:
+        """2^shift * sum_{j<count} 2^(width * j)."""
+        key = (width, count, shift)
+        try:
+            return self._offsets[key]
+        except KeyError:
+            offset = self._offsets[key] = ((1 << width * count) - 1) // ((1 << width) - 1) << shift
+            return offset
+
+    def pack(self, row: Mapping[int, int], width: int) -> int:
+        """The row {j: c_j} as the int sum_j c_j * 2^(width * j)."""
+        size, half = width // 8, 1 << (width - 1)
+        count = max(row, default=0) + 1
+        data = b"".join([(row.get(j, 0) + half).to_bytes(size, "little") for j in range(count)])
+        return int.from_bytes(data, "little") - self._offset(width, count, width - 1)
+
+    def digits(self, packed: int, width: int) -> dict[int, int]:
+        """The non-zero signed digits of ``packed`` as {j: c_j}, the
+        inverse of :meth:`pack`: one cast to words when a digit is one
+        word of 32 or 64 bits, one ``int.from_bytes`` per digit above."""
+        count, half = packed.bit_length() // width + 1, 1 << (width - 1)
+        data = (packed + self._offset(width, count, width - 1)).to_bytes(
+            count * width // 8, "little")
+        if width <= 64:
+            words = memoryview(data).cast("I" if width == 32 else "Q")
+        else:
+            size = width // 8
+            words = [int.from_bytes(data[i:i + size], "little")
+                     for i in range(0, len(data), size)]
+        return {j: c - half for j, c in enumerate(words) if c != half}
+
+    def respread(self, packed: int, width: int, wider: int) -> int:
+        """``packed`` at width ``wider`` >= ``width``: word i of each digit
+        moves to word i of the wider digit, one strided slice per word
+        lane, and the wider digits hold c_j + 2^(width - 1), so one
+        offset at the wider width comes off."""
+        count = packed.bit_length() // width + 1
+        words = memoryview((packed + self._offset(width, count, width - 1)).to_bytes(
+            count * width // 8, "little")).cast("I")
+        lanes, wide_lanes = width // 32, wider // 32
+        out = bytearray(4 * wide_lanes * count)
+        spread = memoryview(out).cast("I")
+        for i in range(lanes):
+            spread[i::wide_lanes] = words[i::lanes]
+        return int.from_bytes(out, "little") - self._offset(wider, count, width - 1)
 
 
 def dot(xs: Iterable[Fraction | int], ys: Iterable[Fraction | int]) -> Fraction:

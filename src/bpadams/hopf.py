@@ -33,8 +33,9 @@ a product of rows is one big-int product.  The width B is per node,
 from an l1 bound on the numerators that makes the digits decode without
 carries; the same bound tells from a row's int alone whether its top
 index is at most n, so rows the caller will not test are counted and
-never decoded.  Rows are packed at B rounded up to whole CPython digits,
-so a child repacks its parent's rows only when it needs wider digits.
+never decoded.  Rows are packed at B rounded up to whole 32-bit words
+(:class:`bpadams.arith.WordCodec`), so a child re-spreads its parent's
+rows only when it needs wider digits.
 Nodes whose B is above ``PACKED_WIDTH_LIMIT`` bits, where limb work
 outweighs the saving, run on one int per term v^delta * u^j instead.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
@@ -53,13 +54,13 @@ element polynomials are views built only when read.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .arith import delta_p, format_rational, integer_numerators, is_p_local_int, val_p
+from .arith import (WordCodec, delta_p, format_rational, integer_numerators,
+                    is_p_local_int, val_p, word_width)
 from .fgl import BPContext
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
@@ -125,28 +126,11 @@ class MuLinear:
         return self + (-other)
 
     def __mul__(self, other: object) -> "MuLinear":
-        """Scalar multiple; forms do not multiply each other (see convolve)."""
+        """Scalar multiple; forms do not multiply each other."""
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return MuLinear({i: v * c for i, v in self.coeffs.items()})
         return NotImplemented
-
-    def convolve(self, other: "MuLinear") -> "MuLinear":
-        """(sum a_i mu_i) * (sum b_j mu_j) -> sum a_i b_j mu_{i+j}."""
-        out: dict[int, Fraction] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                out[k] = out.get(k, Fraction(0)) + a * b
-        return MuLinear(out)
-
-    def convolve_power(self, k: int) -> "MuLinear":
-        if k < 0:
-            raise PolyError("negative convolution power")
-        acc = MuLinear.unit(0)
-        for _ in range(k):
-            acc = acc.convolve(self)
-        return acc
 
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs.get(i, Fraction(0))
@@ -574,55 +558,10 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
 
 
 # The widest digit, in bits, that the walk multiplies as packed rows; a node
-# whose tight digit width (_digit_width, not the rounded _packed_width) is
-# above it runs, with its whole subtree, on packed monomial keys.  Chosen by
-# a sweep over 128..448 (see CHANGES.md).
+# whose tight digit width (not the width rounded to words) is above it runs,
+# with its whole subtree, on packed monomial keys.  Chosen by a sweep over
+# 128..448 (see CHANGES.md).
 PACKED_WIDTH_LIMIT = 384
-
-_LIMB = sys.int_info.bits_per_digit
-
-
-def _digit_width(bound: int) -> int:
-    """Bits per digit for signed digits of absolute value at most ``bound``:
-    the tight width B with bound < 2^(B - 1).  The walk packs at
-    :func:`_packed_width` of it and switches kernels on B itself."""
-    return bound.bit_length() + 1
-
-
-def _packed_width(width: int) -> int:
-    """``width`` rounded up to whole CPython digits (limbs of
-    ``sys.int_info.bits_per_digit`` bits): the width a node of the walk
-    packs its rows at.  Widths round to few values, so most children
-    multiply their parent's rows as they are."""
-    return -(-width // _LIMB) * _LIMB
-
-
-def _pack(row: Mapping[int, int], width: int) -> int:
-    """The row {j: c_j} as one int, sum_j c_j * 2^(width * j): the row's
-    polynomial in u evaluated at u = 2^width."""
-    return sum(c << (width * j) for j, c in row.items())
-
-
-def _unpack(packed: int, width: int) -> dict[int, int]:
-    """The non-zero signed digits of ``packed`` as {j: c_j}: the inverse of
-    :func:`_pack` on rows with every |c_j| < 2^(width - 1)."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    row: dict[int, int] = {}
-    # a non-zero digit at j leaves |packed| > 2^(width * j - 1)
-    for j in range(packed.bit_length() // width + 1):
-        c = packed & mask  # packed mod 2^width, for a negative packed too
-        if c >= half:
-            c -= mask + 1
-        if c:
-            row[j] = c
-        packed = (packed - c) >> width
-    return row
-
-
-def _top_at_most(packed: int, width: int, n: int) -> bool:
-    """Whether the packed row has no non-zero digit above index n, for
-    digits as in :func:`_unpack`: exactly when |packed| < 2^(width*(n+1) - 1)."""
-    return packed.bit_length() < width * (n + 1)
 
 
 def _multiply(image: Mapping[int, int], factor: list[tuple[int, int]]) -> dict[int, int]:
@@ -649,10 +588,11 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
 
     A depth-first walk that keeps only the chain of prefixes: the image of
     gamma is its parent's (gamma with its last non-zero exponent lowered
-    by one) times theta(t_k).  Images are homogeneous of weight |gamma|
-    (u has weight 0), so no product truncates, and every delta of one
-    image has the same weight: graded-lexicographic order is the order of
-    the packed delta keys.
+    by one) times theta(t_k).  One loop runs it over a stack of frames,
+    one per prefix, each holding the index it raises next.  Images are
+    homogeneous of weight |gamma| (u has weight 0), so no product
+    truncates, and every delta of one image has the same weight:
+    graded-lexicographic order is the order of the packed delta keys.
 
     The walk runs on integers.  Each theta(t_k) is taken as it is built,
     once per context, by :func:`_theta_numerators`:
@@ -665,33 +605,35 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     |gamma| <= W, so each v-exponent is at most W.
 
     *Packed rows.*  Each row sum_j c_j * u^j of an image is one int,
-    sum_j c_j * 2^(B * j) (Kronecker substitution u -> 2^B), keyed by the
+    sum_j c_j * 2^(R * j) (Kronecker substitution u -> 2^R), keyed by the
     packed delta.  A child is then one big-int product per pair of
     (parent row, row of N_k), so the convolution in u runs inside the
     integer multiply.  The digits are signed, and they decode without
-    carries as long as every |c_j| < 2^(B - 1): the int of a child row is
-    exactly that row evaluated at 2^B, a sum of products of such
+    carries as long as every |c_j| < 2^(R - 1): the int of a child row is
+    exactly that row evaluated at 2^R, a sum of products of such
     evaluations, and a signed-digit expansion with all digits in that
-    range is unique (:func:`_unpack`).
+    range is unique.  Rows are read and rewritten by one
+    :class:`bpadams.arith.WordCodec` per walk, whose digits sit in whole
+    32-bit words.
     - *Width.*  The l1 norm is submultiplicative, so every numerator of
       theta(t^gamma) is at most prod_k ||N_k||_1^{gamma_k}, with ||N_k||_1
       the sum of the absolute numerators of N_k.  Each node takes its own
-      tight width B(gamma) from that bound (:func:`_digit_width`), and
-      packs its rows at B rounded up to a multiple of
-      ``sys.int_info.bits_per_digit`` (:func:`_packed_width`).  Every
-      |digit| stays below 2^(B - 1), so :func:`_unpack` and
-      :func:`_top_at_most` are exact at any width >= B, the rounded one
-      included.  A child whose rounded width equals its parent's
-      multiplies the parent's packed rows as they are; only a child with
-      a wider rounded width decodes them (once per node) and repacks them
-      at its own.  Repacking is interpreted work per digit, which at
-      small widths costs more than the product itself.
+      tight width B(gamma) from that bound M, the least B with
+      M < 2^(B - 1), and packs its rows at B rounded up to whole 32-bit
+      words (:func:`bpadams.arith.word_width`), R.  Every |digit| stays
+      below 2^(B - 1) <= 2^(R - 1), so decoding and the top test are
+      exact at R.  Widths round to few values, so a child whose R equals
+      its parent's multiplies the parent's packed rows as they are; a
+      child with a wider R re-spreads them (``WordCodec.respread``): the
+      words of each digit move to the low words of a wider digit, one
+      strided slice per word lane, and no digit is decoded.
     - *Top test.*  With digits below 2^(R - 1) in absolute value at width
       R, |r| < 2^(R * (n + 1) - 1) holds exactly when no digit above
       index n is non-zero: digits 0..n alone give
       |r| < 2^(R * (n + 1)) / 2, while a top non-zero digit c_m, m > n,
-      leaves |r| > 2^(R * m) - 2^(R * m) / 2 (:func:`_top_at_most`).  So
-      a row above ``top`` is counted from its int alone.
+      leaves |r| > 2^(R * m) - 2^(R * m) / 2.  So a row above ``top`` is
+      counted from its bit length alone; a kept row is decoded by
+      ``WordCodec.digits``.
     - *Kernel switch.*  A packed product spends limb work on every digit
       at the full width, small digits of N_k included, so its cost per
       pair of rows grows like B^2, while one int per term costs a fixed
@@ -704,7 +646,9 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
       :func:`_key`).  Its u-degree is at most |gamma| <= W: the
       recursion gives every term of theta(t_n) a u-degree <= w_n, since
       p^k * w_{n-k} <= w_n.  The bound on the generator images is checked
-      once per walk (``PolyError`` otherwise); the inner loop checks
+      once per walk; a generator image that breaks it is the program's
+      own failure, raised as :class:`ConstructionError` with details
+      ``{"stage": "walk", "generator": "t<k>"}``.  The inner loop checks
       nothing.  Both kernels use one product, :func:`_multiply`, and give
       the same rows.
     """
@@ -712,59 +656,69 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     width = W.bit_length()
     images = _theta_numerators(ctx)
     weights = ctx.t_table.weights
-    gens = []
+    gens = []  # per t_k: the rows of N_k by delta, D_k and ||N_k||_1
+    # N_k's rows at each width R that the walk packs them at, R = 0 for its
+    # terms on the dict kernel
+    factors: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for k, w in enumerate(weights, start=1):
         num, den = images[f"t{k}"]
-        _check_u_degree(num, width, w, f"theta(t{k})")
-        gens.append((list(num.items()), _group_rows(num, width), den,
-                     sum(map(abs, num.values()))))
+        try:
+            _check_u_degree(num, width, w, f"theta(t{k})")
+        except PolyError as exc:
+            raise ConstructionError(str(exc), {"stage": "walk", "generator": f"t{k}"}) from exc
+        gens.append((_group_rows(num, width), den, sum(map(abs, num.values()))))
+        factors[k - 1, 0] = list(num.items())
     limit = PACKED_WIDTH_LIMIT
     delta_of = _delta_reader(ctx)
-    packed_gens: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    codec = WordCodec()
 
-    def packed_factor(k: int, B: int) -> list[tuple[int, int]]:
-        if (k, B) not in packed_gens:
-            packed_gens[k, B] = [(d, _pack(row, B)) for d, row in gens[k][1].items()]
-        return packed_gens[k, B]
-
-    def walk(gamma: tuple[int, ...], image: dict[int, int], den: int, bound: int,
-             low: int, room: int) -> Iterator:
-        B = _digit_width(bound)
-        R = _packed_width(B)  # the width of the packed rows in image
+    # a node: gamma, image, den, l1 bound, lowest index it may raise, weight left
+    node = ((0,) * len(gens), {0: 1}, 1, 1, 0, W)  # the root, 1, reads alike on both kernels
+    stack: list[list] = []
+    while node:
+        gamma, image, den, bound, low, room = node
+        B = bound.bit_length() + 1
         if B > limit:  # numerators on packed monomial keys
+            R = 0
             rows = _group_rows(image, width)
             kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
-            count, flat = len(rows), image
-        else:  # one packed row per delta
-            kept = {d: _unpack(r, R) for d, r in image.items()
-                    if top is None or _top_at_most(r, R, top)}
-            count, flat = len(image), None
+            count = len(rows)
+        else:  # one packed row per delta, at R bits a digit
+            R = word_width(B)
+            kept = {d: codec.digits(r, R) for d, r in image.items()
+                    if top is None or r.bit_length() < R * (top + 1)}
+            count = len(image)
         yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, count
-        digits = None
-        # raising a later index first gives the lexicographic order
-        for k in range(len(gens) - 1, low - 1, -1):
-            if weights[k] <= room:
-                terms, _, d, norm = gens[k]
-                child_bound = bound * norm
-                child_B = _digit_width(child_bound)
-                child_R = _packed_width(child_B)
-                if child_B > limit:
-                    if flat is None:
-                        flat = {key << width | j: c for key, r in image.items()
-                                for j, c in _unpack(r, R).items()}
-                    child = _multiply(flat, terms)
-                elif child_R == R:  # the parent's rows as they are
-                    child = _multiply(image, packed_factor(k, R))
-                else:  # repack at the child's wider width
-                    if digits is None:
-                        digits = [(key, _unpack(r, R)) for key, r in image.items()]
-                    child = _multiply({key: _pack(row, child_R) for key, row in digits},
-                                      packed_factor(k, child_R))
-                yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:], child,
-                                den * d, child_bound, k, room - weights[k])
-
-    # the root's image, 1, reads the same on either kernel
-    yield from walk((0,) * len(gens), {0: 1}, 1, 1, 0, W)
+        if gens and weights[low] <= room:  # a child: the weights grow with the index
+            # the image at each width its children need, R = 0 for its terms; the
+            # frame raises a later index first, which gives the lexicographic order
+            stack.append([gamma, den, bound, low, room, R, {R: image}, len(gens) - 1])
+        node = None
+        while stack and not node:
+            frame = stack[-1]
+            gamma, den, bound, low, room, R, views, k = frame
+            while k >= low and weights[k] > room:
+                k -= 1
+            if k < low:
+                stack.pop()
+                continue
+            frame[-1] = k - 1
+            factor_rows, d, norm = gens[k]
+            child_bound = bound * norm
+            child_B = child_bound.bit_length() + 1
+            child_R = 0 if child_B > limit else word_width(child_B)
+            if child_R not in views:  # the parent's rows, re-spread or as terms
+                image = views[R]
+                views[child_R] = ({key: codec.respread(r, R, child_R) for key, r in image.items()}
+                                  if child_R else
+                                  {key << width | j: c for key, r in image.items()
+                                   for j, c in codec.digits(r, R).items()})
+            if (k, child_R) not in factors:
+                factors[k, child_R] = [(delta, codec.pack(row, child_R))
+                                       for delta, row in factor_rows.items()]
+            node = (gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
+                    _multiply(views[child_R], factors[k, child_R]), den * d,
+                    child_bound, k, room - weights[k])
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -824,6 +778,12 @@ def _v1_numerators(ctx: BPContext, terms: Iterable[tuple[tuple[int, ...], int, i
                 num, d = _v1_power(ctx, name, e)
                 acc, den = _convolve(acc, num), den * d
         parts.append((acc, den))
+    return _sum_rows(parts)
+
+
+def _sum_rows(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:
+    """sum_i N_i / D_i over dense integer rows N_i with denominators D_i,
+    as integers over the lcm of the D_i."""
     den = math.lcm(*(d for _, d in parts))
     total = [0] * max((len(acc) for acc, _ in parts), default=0)
     for acc, d in parts:
@@ -996,8 +956,12 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     p^(val_p(D') + k + 1) divides every M.  The functional ``work`` and the
     corrections are integer rows over one denominator, read from the
     powers of the generators' images that ``v1_functional`` keeps
-    (:func:`_v1_power`), and the row of d_{p^i} is the v_1-shadow of its
-    element (:func:`_v1_numerators`), checked by :func:`_check_profile`.
+    (:func:`_v1_power`).  The v_1-shadow V is a ring map, so the row of
+    d_{p^i} follows from rows at hand, with s_k = 1 / (p^k * alphabar_k):
+    after the corrections ``work`` is V(t_{i+1}) - sum_m p * c_m * V(t_1)^m
+    + sum_k s_k * V(t_{i+1-k})^{p^k}, and V(d_{p^i}) is ``work`` minus
+    sum_k s_k * V(d_{p^(i-k)})^{p^k}, the lower rows convolved p^k times.
+    :func:`_check_profile` checks it.
     """
     p = ctx.p
     n = p ** i
@@ -1022,9 +986,9 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     parts = [(1, ({top: 1}, 1))]
     if i:
         budget = delta_p(p, n)
+        scales = [Fraction(1, p ** k) / ctx.alphabar(k) for k in range(1, i + 1)]  # the s_k
         terms = [(read(top), 1, 1)]
-        for k in range(1, i + 1):
-            s = Fraction(1, p ** k) / ctx.alphabar(k)
+        for k, s in enumerate(scales, 1):
             terms.append((read(t_key(i + 1 - k, p ** k)), s.numerator, s.denominator))
         work, work_den = _reduced(*_v1_numerators(ctx, terms))
         # back-substitute from the top index down to p^i + 1
@@ -1050,8 +1014,14 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
             raise ConstructionError(
                 f"cancellation left support above mu_{n}",
                 {"n": n, "functional": _row_form(work, work_den).to_text()})
-        for k in range(1, i + 1):
-            num, den = _power(_special_prime_power(ctx, i - k)._poly, p ** k)
+        rows = [(work, work_den)]
+        for k, s in enumerate(scales, 1):
+            low = _special_prime_power(ctx, i - k)
+            power = [1]
+            for _ in range(p ** k):
+                power = _convolve(power, low.numerators)
+            rows.append(([-s.numerator * c for c in power], s.denominator * low.den ** p ** k))
+            num, den = _power(low._poly, p ** k)
             key = t_key(i + 1 - k, p ** k)
             diff = dict(num)
             diff[key] = diff.get(key, 0) - den
@@ -1062,11 +1032,11 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
                 raise ConstructionError(
                     f"inductive remainder for k={k} is not integral",
                     {"n": n, "k": k})
-            s = Fraction(-p, scale) / ctx.alphabar(k)
-            parts.append((s.numerator, (diff, den * s.denominator)))
+            parts.append((-s.numerator, (diff, den * s.denominator)))  # -p / (p^(k+1) alphabar_k)
+        row, row_den = _reduced(*_sum_rows(rows))
+    else:  # d_1 = t_1
+        row, row_den = _reduced(*_v1_power(ctx, "t1", 1))
     poly = _combine(parts)
-    num, den = poly
-    row, row_den = _reduced(*_v1_numerators(ctx, ((read(key), c, den) for key, c in num.items())))
     out = SpecialElement(p, n, _check_profile(p, n, _row_form(row, row_den)),
                          tuple(row[: n + 1]), row_den, table, W, poly)
     cache[n] = out

@@ -1,0 +1,46 @@
+"""Check the report digests of ``verify_centre_bp`` at the frontier points
+that tier-1 does not pin.
+
+Each digest is the first 16 hex digits of the SHA-256 of
+``json.dumps(report, sort_keys=True)``.  Together the four runs take about
+7 s on two cores; they go through the walk's wide re-spreads at p = 2 and
+its dict kernel at odd p.  pytest does not collect this file.  Run it as
+``python tests/frontier_digests.py``; it exits 1 if a digest differs.
+"""
+
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bpadams.centre import verify_centre_bp  # noqa: E402
+
+FRONTIER = {
+    (2, 24): "d942816e97fa13bf",
+    (3, 40): "6341f9d3977573fd",
+    (5, 60): "b93b54652a8142ab",
+    (7, 60): "430d48c3046225f3",
+}
+
+
+def digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def main() -> int:
+    failed = 0
+    for (p, n), want in FRONTIER.items():
+        start = time.perf_counter()
+        got = digest(verify_centre_bp(p, n))
+        status = "ok" if got == want else f"differs, pinned {want}"
+        print(f"verify_centre_bp({p}, {n}): {got} {status} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+        failed += got != want
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,7 +93,8 @@ def special(ctx, n, cache):
     if n == p ** k:
         return dk
     low = special(ctx, n - p ** k, cache)
-    row = MuLinear(dict(enumerate(low[1]))).convolve(MuLinear(dict(enumerate(dk[1]))))
+    row = theta_reference.convolve(MuLinear(dict(enumerate(low[1]))),
+                                   MuLinear(dict(enumerate(dk[1]))))
     out = low[0] * dk[0], row.as_row(n + 1)
     cache[n] = out
     return out

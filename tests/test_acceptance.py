@@ -24,6 +24,7 @@ from bpadams.hopf import special_element, t_gen, t_recursion_check, v1_functiona
 from bpadams.lattice import sandwich_check
 from bpadams.polyring import GradedPoly, monomials_up_to_weight
 from bpadams.hopf import right_unit_v_monomial
+from theta_reference import convolve
 
 
 def _criterion(num: int, description: str, ok: bool) -> None:
@@ -68,7 +69,7 @@ def test_criterion_03_product_lemma():
                 rng.choice(mons_y): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                 for _ in range(rng.randint(1, 3))})
             lhs = v1_functional(ctx, x * y)
-            rhs = v1_functional(ctx, x).convolve(v1_functional(ctx, y))
+            rhs = convolve(v1_functional(ctx, x), v1_functional(ctx, y))
             ok = ok and lhs == rhs
     _criterion(3, "product rule for the scalar functional, 200 random pairs "
                   "of total weight <= 5, p in {2, 3}", ok)

@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bpadams.arith import (INFINITY, Prime, delta_p, dot, find_q, format_rational, gamma_p,
-                           gaussian, gaussian_poly, integer_numerators, is_p_local_int,
-                           is_p_local_unit, is_prime, multiplicative_order, nu_p,
-                           parse_rational, val_p, validate_q)
+import packing_reference
+from bpadams.arith import (INFINITY, Prime, WordCodec, delta_p, dot, find_q, format_rational,
+                           gamma_p, gaussian, gaussian_poly, integer_numerators,
+                           is_p_local_int, is_p_local_unit, is_prime, multiplicative_order,
+                           nu_p, parse_rational, val_p, validate_q, word_width)
 
 
 def test_prime_validation():
@@ -234,3 +235,54 @@ def test_dot_exact():
     assert dot([2, 3, 5], [1, 1]) == 5
     assert type(dot([2], [3])) is Fraction
     assert dot([], []) == 0 and type(dot([], [])) is Fraction
+
+
+@st.composite
+def _packed_rows(draw):
+    """Rows at random word widths, one codec's worth: each (width, row)
+    with digits up to 2^(width - 1) - 1 in absolute value, the extremes
+    and +-1 drawn often, one-digit and empty rows among them."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = 32 * draw(st.integers(1, 12))
+        edge = (1 << (width - 1)) - 1
+        digit = st.one_of(st.sampled_from([0, 1, -1, edge, -edge]),
+                          st.integers(-edge, edge))
+        digits = draw(st.lists(digit, max_size=12))
+        rows.append((width, {j: c for j, c in enumerate(digits) if c}))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_rows())
+@example([(32, {})])
+@example([(32, {0: -(2 ** 31 - 1)}), (64, {5: 1})])
+@example([(96, {0: 2 ** 95 - 1, 3: -(2 ** 95 - 1)}), (96, {2: -1}), (32, {0: 2 ** 31 - 1})])
+def test_word_codec_round_trip(rows):
+    # one codec packs and decodes rows of several widths and digit counts
+    # exactly as the per-digit reference does, a negative top digit included
+    codec = WordCodec()
+    for width, row in rows:
+        packed = codec.pack(row, width)
+        assert packed == packing_reference.pack(row, width)
+        assert codec.digits(packed, width) == row == packing_reference.unpack(packed, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_rows(), st.lists(st.integers(0, 6), min_size=4, max_size=4))
+@example([(32, {})], [1, 0, 0, 0])
+@example([(64, {0: -(2 ** 63 - 1)})], [2, 0, 0, 0])
+def test_respread_is_decode_then_pack(rows, extra):
+    # a row re-spread at a wider word width equals the row decoded and
+    # packed again at that width
+    codec = WordCodec()
+    for (width, row), more in zip(rows, extra):
+        wider = width + 32 * more
+        packed = packing_reference.pack(row, width)
+        assert codec.respread(packed, width, wider) == packing_reference.pack(
+            packing_reference.unpack(packed, width), wider)
+
+
+@pytest.mark.parametrize("bits, width", [(1, 32), (32, 32), (33, 64), (64, 64), (65, 96)])
+def test_word_width_rounds_up_to_whole_words(bits, width):
+    assert word_width(bits) == width

@@ -15,7 +15,7 @@ from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_rep
 from bpadams.fgl import BPContext
 from bpadams.lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
                              lattice_leq, solve)
-from bpadams.hopf import MuLinear
+from bpadams.hopf import ConstructionError, MuLinear
 from bpadams.polyring import GradedPoly, PolyError, monomials_up_to_weight
 
 
@@ -117,7 +117,8 @@ def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
 def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
     # a term of theta(t_1) with u-degree 2 > w_1 = 1 breaks the no-carry
     # bound of the packed keys; the walk checks the images before it
-    # starts, and diagonal_transform once per call
+    # starts, and diagonal_transform once per call.  The walk's images are
+    # the program's own, so there the failure is a ConstructionError
     ctx = BPContext(2, 4)
     images = dict(hopf._theta_numerators(ctx))
     num, den = images["t1"]
@@ -127,8 +128,9 @@ def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
     images["t1"] = ({**num, key: den}, den)
     monkeypatch.setattr(hopf, "_theta_numerators", lambda c: images)
     message = "theta\\(t1\\) has a term of u-degree 2 above 1: its packed keys could carry"
-    with pytest.raises(PolyError, match=message):
+    with pytest.raises(ConstructionError, match=message) as err:
         sampled_integrality_rows(ctx)
+    assert err.value.details == {"stage": "walk", "generator": "t1"}
     with pytest.raises(PolyError, match=message):
         hopf.diagonal_transform(ctx, GradedPoly.gen(ctx.lt_table, 4, "l1")
                                 * hopf.t_gen(ctx, 1, 2))
@@ -255,15 +257,14 @@ def test_verify_run_builds_no_v_in_l(monkeypatch):
 
 
 def test_verify_run_makes_no_mu_linear_convolution(monkeypatch):
-    # the special rows and v1_functional convolve integer lists, not forms
+    # the special rows and v1_functional convolve integer lists, not forms:
+    # MuLinear has no convolution, and a verify run sums or scales no form
+    assert not hasattr(MuLinear, "convolve") and not hasattr(MuLinear, "convolve_power")
     calls = []
-    convolve = MuLinear.convolve
-
-    def counted(self, other):
-        calls.append(other)
-        return convolve(self, other)
-
-    monkeypatch.setattr(MuLinear, "convolve", counted)
+    for name in ("__add__", "__sub__", "__mul__"):
+        method = getattr(MuLinear, name)
+        monkeypatch.setattr(MuLinear, name, lambda self, other, method=method: (
+            calls.append(other) or method(self, other)))
     assert verify_centre_bp(5, 12)["verdict"]
     assert calls == []
 

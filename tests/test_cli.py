@@ -302,6 +302,37 @@ def test_extension_failure_in_verify_exits_1_with_json_details(capsys, monkeypat
         "details": {"stage": "extend_lattice", "n": 2, "column": 0}}
 
 
+def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
+    # the walk's generator images come from the program's own recursion, so
+    # an image whose u-degree could carry is an internal failure: a
+    # ConstructionError naming the stage and the generator, and exit 1
+    from bpadams import hopf
+    from bpadams.fgl import BPContext
+
+    build = hopf._theta_numerators
+
+    def with_a_carry(ctx):
+        images = dict(build(ctx))
+        num, den = images["t2"]
+        width = ctx.weight_bound.bit_length()
+        up = ctx.t_table.weights[1] + 1  # one above w_2
+        key = hopf._key((0,) * (len(ctx.v_table) - 1) + (1, up), width)  # v_last * u^up
+        images["t2"] = ({**num, key: den}, den)
+        return images
+
+    monkeypatch.setattr(hopf, "_theta_numerators", with_a_carry)
+    with pytest.raises(hopf.ConstructionError) as err:
+        list(hopf.t_monomial_numerators(BPContext(3, 5)))
+    assert err.value.details == {"stage": "walk", "generator": "t2"}
+    code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "theta(t2) has a term of u-degree 5 above 4: its packed keys could carry",
+        "details": {"stage": "walk", "generator": "t2"}}
+
+
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):
     _, plain, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
     assert err == ""

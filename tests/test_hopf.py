@@ -1,14 +1,16 @@
 import functools
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
+import packing_reference
 import theta_reference
+from theta_reference import convolve, convolve_power
 from bpadams import hopf
-from bpadams.arith import delta_p, integer_numerators, is_p_local_int, val_p
+from bpadams.arith import (WordCodec, delta_p, integer_numerators, is_p_local_int, val_p,
+                           word_width)
 from bpadams.fgl import BPContext
 from bpadams.hopf import (ConstructionError, DiagonalAction, MuLinear, _check_profile,
                           diagonal_transform, from_right_unit_basis, right_unit_log,
@@ -413,7 +415,7 @@ def test_v1_functional_against_the_fraction_route(p, W):
 def test_product_rule_t1_squared():
     c = ctx3()
     vx = v1_functional(c, t_gen(c, 1))
-    assert v1_functional(c, t_gen(c, 1, 2)) == vx.convolve(vx)
+    assert v1_functional(c, t_gen(c, 1, 2)) == convolve(vx, vx)
 
 
 def test_product_rule_random_pairs():
@@ -423,8 +425,8 @@ def test_product_rule_random_pairs():
         for _ in range(20):
             x = _lt_random(rng, c, 2)
             y = _lt_random(rng, c, 3)
-            assert v1_functional(c, x * y) == v1_functional(c, x).convolve(
-                v1_functional(c, y))
+            assert v1_functional(c, x * y) == convolve(v1_functional(c, x),
+                                                       v1_functional(c, y))
 
 
 def test_t_recursion():
@@ -466,7 +468,7 @@ def test_special_element_products():
     d3 = special_element(c, 3)
     d1, d2 = special_element(c, 1), special_element(c, 2)
     assert d3.element == d2.element * d1.element
-    assert d3.functional() == d2.functional().convolve(d1.functional())
+    assert d3.functional() == convolve(d2.functional(), d1.functional())
     assert v1_functional(c, d3.element) == d3.functional()
 
 
@@ -483,7 +485,7 @@ def _digit_product(c, n):
         if a:
             dk = hopf._special_prime_power(c, k)
             element = element * (dk.element ** a)
-            form = form.convolve(dk.functional().convolve_power(a))
+            form = convolve(form, convolve_power(dk.functional(), a))
         m //= p
         k += 1
     return element, form
@@ -533,12 +535,12 @@ def test_mulinear_basics():
     b = MuLinear.unit(1, 3)
     assert (a + b).coefficient(1) == 3
     assert (a * 2).coefficient(2) == -1
-    assert a.convolve(b).support() == (1, 3)
-    assert a.convolve(b).coefficient(3) == Fraction(-3, 2)
+    assert convolve(a, b).support() == (1, 3)
+    assert convolve(a, b).coefficient(3) == Fraction(-3, 2)
     assert a.evaluate([Fraction(4), Fraction(0), Fraction(2)]) == 3
     assert not MuLinear.zero()
     with pytest.raises(TypeError):
-        a * b  # ambiguous product is refused; convolve is explicit
+        a * b  # forms do not multiply; the row product is a convolution
     # evaluation is linear in the sequence
     vals = [Fraction(1), Fraction(5), Fraction(9)]
     c = Fraction(7, 2)
@@ -641,40 +643,68 @@ def test_walk_matches_the_dict_walk(p, W, limit, monkeypatch):
         assert got == want, top
 
 
-@pytest.mark.parametrize("M", [2, 3, 5, 8, 255, 256, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7])
-def test_packed_rows_at_the_edge_of_their_width(M):
-    # at the width for the bound M the helpers are exact on digits of
-    # absolute value M; one bit narrower each case goes wrong, so a width
-    # narrowed by a bit cannot pass.  M >= 2 keeps the narrow width at two
-    # bits or more: at one bit the digits {-1, 0} spell no positive int
-    pack, unpack, top_at_most = hopf._pack, hopf._unpack, hopf._top_at_most
-    B = hopf._digit_width(M)
-    adjacent = [(M, -M, M), (-M, M, -M), (M, M, -M, -M), (-M, -M, M, M), (M, 0, -M)]
-    n = 3
+def _edge_rows(D, n):
+    """Rows whose digits are +-D, in the patterns that go wrong first when D
+    is too wide for the width: adjacent digits of both signs (each with
+    ``True``), and rows whose top is just above n or at n (with whether
+    the top is at most n)."""
+    adjacent = [(D, -D, D), (-D, D, -D), (D, D, -D, -D), (-D, -D, D, D), (D, 0, -D)]
     tops = []
     for s in (1, -1):
-        lone_above = {j: -s * M for j in range(n + 1)}
-        lone_above[n + 1] = s  # a lone +-1 just above n, over digits -+M
-        tops += [(lone_above, False), ({j: s * M for j in range(n + 1)}, True)]
-    for width, exact in ((B, True), (B - 1, False)):
-        for digits in adjacent:
-            row = {j: c for j, c in enumerate(digits) if c}
-            assert (unpack(pack(row, width), width) == row) == exact, (width, digits)
+        lone_above = {j: -s * D for j in range(n + 1)}
+        lone_above[n + 1] = s  # a lone +-1 just above n, over digits -+D
+        tops += [(lone_above, False), ({j: s * D for j in range(n + 1)}, True)]
+    return [{j: c for j, c in enumerate(digits) if c} for digits in adjacent], tops
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, 8, 255, 256, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7])
+def test_packed_rows_at_the_edge_of_their_width(M):
+    # a node whose l1 bound is M packs at its tight width B rounded up to
+    # whole 32-bit words, R.  There the codec and the top test are exact on
+    # digits up to 2^(R - 1) - 1 in absolute value, M among them, and wrong
+    # on the rows below with one digit past that bound, so a width or an
+    # offset one bit off cannot pass.  One word narrower, the digits of M
+    # no longer fit: B > R - 32
+    codec = WordCodec()
+    R = word_width(M.bit_length() + 1)
+    edge = (1 << (R - 1)) - 1
+    n = 3
+
+    def decodes(row, width):
+        try:
+            return codec.digits(packing_reference.pack(row, width), width) == row
+        except OverflowError:  # a digit too wide for its bytes
+            return False
+
+    for D, exact in ((M, True), (edge, True), (edge + 1, False)):
+        adjacent, tops = _edge_rows(D, n)
+        for row in adjacent:
+            assert decodes(row, R) == exact, (R, row)
+            if exact:
+                assert codec.pack(row, R) == packing_reference.pack(row, R)
         for row, below in tops:
-            assert (top_at_most(pack(row, width), width, n) == below) == exact, (width, row)
+            packed = packing_reference.pack(row, R)
+            assert (packing_reference.top_at_most(packed, R, n) == below) == exact, (R, row)
+    if R > 32:
+        assert not any(decodes(row, R - 32) for row in _edge_rows(M, n)[0])
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 2 ** 28, 2 ** 29 - 1, 2 ** 29, 2 ** 30, 10 ** 30 + 7])
+@pytest.mark.parametrize("M", [1, 2, 3, 2 ** 28, 2 ** 29 - 1, 2 ** 29, 2 ** 30, 2 ** 30 - 1,
+                               2 ** 31 - 1, 2 ** 31, 10 ** 30 + 7])
 def test_packed_width_rounds_up_to_whole_digits(M):
-    # the walk packs at the tight width rounded up to CPython digits; the
-    # signed digits of absolute value M stay exact there
-    B = hopf._digit_width(M)
-    R = hopf._packed_width(B)
-    assert R % sys.int_info.bits_per_digit == 0 and B <= R < B + sys.int_info.bits_per_digit
+    # the walk packs at the tight width rounded up to whole 32-bit words,
+    # the digits of the codec; the signed digits of absolute value M stay
+    # exact there
+    B = M.bit_length() + 1
+    R = word_width(B)
+    assert R % 32 == 0 and B <= R < B + 32
     row = {0: M, 1: -M, 3: M}
-    assert hopf._unpack(hopf._pack(row, R), R) == row
-    assert hopf._top_at_most(hopf._pack(row, R), R, 3)
-    assert not hopf._top_at_most(hopf._pack({**row, 4: 1}, R), R, 3)
+    codec = WordCodec()
+    packed = codec.pack(row, R)
+    assert packed == packing_reference.pack(row, R)
+    assert codec.digits(packed, R) == row
+    assert packing_reference.top_at_most(packed, R, 3)
+    assert not packing_reference.top_at_most(codec.pack({**row, 4: 1}, R), R, 3)
 
 
 def _walk_nodes(p, W):
@@ -688,37 +718,53 @@ def _walk_nodes(p, W):
                    for gamma, rows, _ in _reference_walk(p, W)}
 
 
+def _tight_width(bound):
+    """The walk's tight digit width for numerators of absolute value at
+    most ``bound``: the least B with bound < 2^(B - 1)."""
+    return bound.bit_length() + 1
+
+
 @pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (5, 36)])
 def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, monkeypatch):
-    # _pack runs once per row of theta(t_k) for each width the walk packs
-    # theta(t_k) at, and once per row of a parent for each child whose
-    # rounded width is wider than the parent's; a child of equal rounded
-    # width multiplies the parent's packed rows as they are
+    # the codec packs each row of theta(t_k) once for each width the walk
+    # packs theta(t_k) at, and re-spreads each row of a parent once for
+    # each word width wider than the parent's that one of its children
+    # needs; a child of equal word width multiplies the parent's packed
+    # rows as they are
     norms, nodes = _walk_nodes(p, W)
     ctx = BPContext(p, W)
     images = hopf._theta_numerators(ctx)
     factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
                    for k in range(1, len(norms) + 1)]
-    limit, rounded = hopf.PACKED_WIDTH_LIMIT, hopf._packed_width
-    widths, repacks, kept = set(), 0, 0
+    limit = hopf.PACKED_WIDTH_LIMIT
+    widths, repacks, kept, shared = set(), 0, 0, 0
     for gamma, (rows, bound) in nodes.items():
         low = max((k for k, g in enumerate(gamma) if g), default=0)
+        wider = []
         for k in range(low, len(gamma)):
             child = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
-            child_B = hopf._digit_width(bound * norms[k])
+            child_B = _tight_width(bound * norms[k])
             if child not in nodes or child_B > limit:
                 continue
-            widths.add((k, rounded(child_B)))
-            if rounded(child_B) > rounded(hopf._digit_width(bound)):
-                repacks += rows
+            widths.add((k, word_width(child_B)))
+            if word_width(child_B) > word_width(_tight_width(bound)):
+                wider.append(word_width(child_B))
             else:
                 kept += rows
+        repacks += rows * len(set(wider))
+        shared += len(wider) > len(set(wider))
     assert repacks and kept  # both cases occur in each context
-    pack, calls = hopf._pack, []
-    monkeypatch.setattr(hopf, "_pack", lambda row, width: calls.append(width) or pack(row, width))
+    assert shared or p != 2  # at p = 2 children also share a wider width
+    packs, spreads = [], []
+    pack, respread = WordCodec.pack, WordCodec.respread
+    monkeypatch.setattr(WordCodec, "pack",
+                        lambda self, row, width: packs.append(width) or pack(self, row, width))
+    monkeypatch.setattr(WordCodec, "respread", lambda self, packed, width, wider: (
+        spreads.append(wider) or respread(self, packed, width, wider)))
     for _ in hopf.t_monomial_numerators(ctx):
         pass
-    assert len(calls) == repacks + sum(factor_rows[k] for k, _ in widths)
+    assert len(spreads) == repacks
+    assert len(packs) == sum(factor_rows[k] for k, _ in widths)
 
 
 def test_a_node_at_the_width_limit_stays_packed(monkeypatch):
@@ -728,7 +774,7 @@ def test_a_node_at_the_width_limit_stays_packed(monkeypatch):
     # walk also calls once per generator)
     p, W = 5, 36
     norms, nodes = _walk_nodes(p, W)
-    tight = [hopf._digit_width(bound) for _, bound in nodes.values()]
+    tight = [_tight_width(bound) for _, bound in nodes.values()]
     widest = max(tight)
     group_rows, calls = hopf._group_rows, []
     monkeypatch.setattr(hopf, "_group_rows",
@@ -742,4 +788,4 @@ def test_a_node_at_the_width_limit_stays_packed(monkeypatch):
         assert len(calls) == len(norms) + sum(B > limit for B in tight), limit
     # the widest node packs wider than the limit; a switch on the rounded
     # width would move it to the other kernel
-    assert hopf._packed_width(widest) > widest
+    assert word_width(widest) > widest

@@ -3,7 +3,9 @@
 :func:`bpadams.hopf._t_recursion` and for the tests that need theta(l_k)
 and theta(t_k) from a route other than the one under test, with the
 v_1 functional evaluated on them in ``Fraction``s, and the right unit of
-a v-monomial by substitution."""
+a v-monomial by substitution.  The convolution of ``MuLinear`` forms,
+which the package's integer rows replaced, serves them as the product
+of the mu-linear rows."""
 
 import functools
 
@@ -11,6 +13,23 @@ from bpadams import hopf
 from bpadams.arith import integer_numerators
 from bpadams.hopf import MuLinear, right_unit_of_l_poly
 from bpadams.polyring import GradedPoly
+
+
+def convolve(a, b):
+    """(sum a_i mu_i) * (sum b_j mu_j) -> sum a_i b_j mu_{i+j}."""
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return MuLinear(out)
+
+
+def convolve_power(a, k):
+    """The k-th convolution power of the form ``a``, k >= 0."""
+    acc = MuLinear.unit(0)
+    for _ in range(k):
+        acc = convolve(acc, a)
+    return acc
 
 
 def fraction_t_recursion(p, L, E):
@@ -58,7 +77,7 @@ def t_in_basis(ctx):
 def v1_functional(c, x, mu=None):
     """The Fraction route :func:`bpadams.hopf.v1_functional` replaced: each
     generator's image as a MuLinear, powers and products by
-    MuLinear.convolve, terms summed as forms, on the generator images of
+    :func:`convolve`, terms summed as forms, on the generator images of
     the Fraction recursion."""
     images = theta_images(c)
     nv = len(c.v_table)
@@ -71,7 +90,7 @@ def v1_functional(c, x, mu=None):
                              if not any(exps[1:nv])})
             chain = chains[name] = [MuLinear.unit(0), base]
         while len(chain) <= e:
-            chain.append(chain[-1].convolve(chain[1]))
+            chain.append(convolve(chain[-1], chain[1]))
         return chain[e]
 
     total = MuLinear.zero()
@@ -79,7 +98,7 @@ def v1_functional(c, x, mu=None):
         acc = MuLinear.unit(0, coeff)
         for name, e in zip(c.lt_table.names, exps):
             if e:
-                acc = acc.convolve(power(name, e))
+                acc = convolve(acc, power(name, e))
         total = total + acc
     return total if mu is None else mu.apply(total)
 
