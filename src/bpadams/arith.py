@@ -213,8 +213,12 @@ class WordCodec:
     def digits(self, packed: int, width: int) -> dict[int, int]:
         """The non-zero signed digits of ``packed`` as {j: c_j}, the
         inverse of :meth:`pack`: one cast to words when a digit is one
-        word of 32 or 64 bits, one ``int.from_bytes`` per digit above."""
-        count, half = packed.bit_length() // width + 1, 1 << (width - 1)
+        word of 32 or 64 bits, one ``int.from_bytes`` per digit above.  A
+        row of one digit is that digit."""
+        count = packed.bit_length() // width + 1
+        if count == 1:
+            return {0: packed} if packed else {}
+        half = 1 << (width - 1)
         data = (packed + self._offset(width, count, width - 1)).to_bytes(
             count * width // 8, "little")
         if width <= 64:
@@ -229,8 +233,11 @@ class WordCodec:
         """``packed`` at width ``wider`` >= ``width``: word i of each digit
         moves to word i of the wider digit, one strided slice per word
         lane, and the wider digits hold c_j + 2^(width - 1), so one
-        offset at the wider width comes off."""
+        offset at the wider width comes off.  A row of one digit is the
+        same int at every width."""
         count = packed.bit_length() // width + 1
+        if count == 1:
+            return packed
         words = memoryview((packed + self._offset(width, count, width - 1)).to_bytes(
             count * width // 8, "little")).cast("I")
         lanes, wide_lanes = width // 32, wider // 32

@@ -1,11 +1,21 @@
 """Command-line interface.
 
 All verdict-bearing subcommands exit 0 when every verdict is true, 1 on a
-verification failure, and 2 on usage or input errors.  Sequences and
-systems are read from JSON files whose rationals are exact strings like
-"3/4"; floating point values are rejected.  Output is deterministic for
-fixed inputs: JSON is emitted with sorted keys and timing information
+verification failure or an internal failure, and 2 on usage or input
+errors.  An internal failure prints one JSON line on stderr instead of a
+traceback: a ``ConstructionError`` its message and details, any other
+exception that is not a ``ValueError`` its message, the subcommand and
+the exception's class.  Sequences and systems are read from JSON files
+whose rationals are exact strings like "3/4"; floating point values are
+rejected.  Output is deterministic for fixed inputs: JSON is written by
+:func:`_json_text` with exactly the bytes of
+``json.dumps(payload, sort_keys=True, indent=2)``, and timing information
 appears only in the human-readable format.
+
+A request is parsed by its subcommand's own parser, and by the full
+parser only when the first word names no subcommand or words are left
+over, so both give the same Namespace, messages and exit codes.
+``congruences --check`` takes each verdict from one integer sum.
 """
 
 from __future__ import annotations
@@ -15,14 +25,17 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from operator import mul
 
-from .arith import (delta_p, ensure_prime, format_rational,
+from .arith import (delta_p, ensure_prime, format_rational, integer_numerators,
                     is_p_local_int, parse_rational, validate_q)
-from .adamsk import FAMILY_KINDS, adams_family, expand_in_family
+from .adamsk import FAMILY_KINDS, CongruenceVector, adams_family, expand_in_family
 from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
                      verify_centre_bp)
 from .fgl import BPContext
@@ -89,9 +102,47 @@ def read_system(path: str) -> tuple[int, list[list[Fraction]]]:
     return p, rows
 
 
+def _json_text(value: object, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, nested at ``newline`` (a line break and the indent of its line).
+
+    json falls back to its pure-Python encoder whenever ``indent`` is set;
+    this writer joins each container's items with ``str.join`` and quotes
+    strings with json's C ``encode_basestring_ascii``, in the order of
+    json's own type tests.  It takes what the payloads hold: dicts with
+    str keys, lists, tuples, str, int, bool and None.  Anything else,
+    floats included, raises ``TypeError``.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json_text(value[key], inner)
+             for key in sorted(value)]) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _emit_csv(rows: list[list[object]]) -> None:
@@ -150,6 +201,21 @@ def parse_monomial(text: str, prefix: str) -> dict[str, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _congruence_verdicts(p: int, vecs: list[CongruenceVector],
+                         mu: list[Fraction]) -> list[bool]:
+    """Whether each row's value on ``mu`` is p-locally integral, from one
+    integer sum per row: with the row as N / D (``integer_row``) and ``mu``
+    as M / L (:func:`integer_numerators`), the value is sum_i N_i M_i over
+    D * L, integral iff its reduced denominator is prime to p."""
+    nums, den = integer_numerators(mu)
+    verdicts = []
+    for vec in vecs:
+        row, row_den = vec.integer_row
+        total = row_den * den
+        verdicts.append(total // math.gcd(sum(map(mul, row, nums)), total) % p != 0)
+    return verdicts
+
+
 def _cmd_congruences(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     vecs = summand_rows(p, args.n, args.q)
@@ -173,7 +239,7 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
         mu = read_sequence(args.check)
         if len(mu) < args.n + 1:
             raise InputError(f"{args.check}: need at least {args.n + 1} entries")
-        verdicts = [is_p_local_int(p, vec.dot(mu)) for vec in vecs]
+        verdicts = _congruence_verdicts(p, vecs, mu)
         payload["check"] = {"sequence": [format_rational(x) for x in mu],
                            "verdicts": verdicts}
         csv_rows.append(["verdicts"] + verdicts)
@@ -369,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the degree-zero stable operation "
                     "rings of p-local K-theory and Brown-Peterson cohomology.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for main's dispatch
 
     def add_common(sp):
         sp.add_argument("--p", type=int, required=True, help="prime")
@@ -441,8 +508,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()  # on the first call of main, then reused
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The Namespace ``_parser().parse_args(argv)`` gives, parsed by the
+    subcommand's own parser when the first word names one and it takes
+    every word; otherwise (no words, ``-h``, an unknown subcommand, words
+    left over) by the full parser, which prints and exits as it always
+    does.  A subparser that refuses its words exits there, with the
+    message the full parser would print, since the full parser hands
+    them to the same subparser."""
+    words = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    sub = parser.subcommands.get(words[0]) if words else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(words[1:])
+        if not extra:
+            return argparse.Namespace(command=words[0], **vars(args))
+    return parser.parse_args(words)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if getattr(args, "q", None) is not None:
             validate_q(args.p, args.q)
@@ -453,6 +538,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(json.dumps({"error": str(exc), "details": exc.details}, sort_keys=True,
                          default=str), file=sys.stderr)
+        return 1
+    except Exception as exc:  # an internal failure: a diagnostic, not a traceback
+        print(json.dumps({"error": str(exc), "details": {
+            "command": args.command, "type": type(exc).__name__}}, sort_keys=True),
+            file=sys.stderr)
         return 1
 
 

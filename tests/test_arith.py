@@ -283,6 +283,21 @@ def test_respread_is_decode_then_pack(rows, extra):
             packing_reference.unpack(packed, width), wider)
 
 
+@pytest.mark.parametrize("width", [32, 64, 96])
+def test_one_digit_rows_and_their_two_digit_neighbours(width):
+    # a row whose int is below 2^width in absolute value has one digit, the
+    # int itself, at this width and every wider one; the rows just past it
+    # reach bit ``width`` and hold two digits
+    codec = WordCodec()
+    edge = (1 << (width - 1)) - 1
+    for row in ({}, {0: 1}, {0: -1}, {0: edge}, {0: -edge}, {0: -edge, 1: 1},
+                {0: edge, 1: -1}, {1: 1}, {1: -1}):
+        packed = packing_reference.pack(row, width)
+        assert codec.digits(packed, width) == row == packing_reference.unpack(packed, width)
+        for wider in (width, width + 32, 2 * width):
+            assert codec.respread(packed, width, wider) == packing_reference.pack(row, wider)
+
+
 @pytest.mark.parametrize("bits, width", [(1, 32), (32, 32), (33, 64), (64, 64), (65, 96)])
 def test_word_width_rounds_up_to_whole_words(bits, width):
     assert word_width(bits) == width

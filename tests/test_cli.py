@@ -1,10 +1,20 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cli_digests
 from bpadams.adamsk import ku_congruence_system
-from bpadams.arith import val_p
+from bpadams.arith import is_p_local_int, val_p
 from bpadams import cli
+from bpadams.centre import summand_rows
 from bpadams.cli import main, parse_monomial, read_sequence, read_system, InputError
 
 
@@ -356,3 +366,110 @@ def test_parser_is_built_once_across_calls(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+@pytest.mark.parametrize("exc", [AssertionError("invariant broken"),
+                                 ZeroDivisionError("division by zero"), KeyError("t3")])
+def test_unexpected_exception_exits_1_with_json_details(capsys, monkeypatch, exc):
+    # an exception that is neither bad input nor a ConstructionError is an
+    # internal failure: one JSON line on stderr naming the subcommand and
+    # the exception's class, exit 1, no traceback
+    def failing(ctx, n):
+        raise exc
+
+    monkeypatch.setattr(cli, "special_element", failing)
+    code, out, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": str(exc),
+        "details": {"command": "bp-dn", "type": type(exc).__name__}}
+
+
+_text = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from('"\\/\x00\x07\b\t\n\r\x1f\x7f\u2028é😀')))
+_json_values = st.recursive(
+    st.one_of(_text, st.integers(), st.integers(-10 ** 300, 10 ** 300), st.booleans(),
+              st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({})
+@example({"a": [], "b": {}, "c": (), "": [[{}]]})
+@example({"\u00e9\"\\\n": [2 ** 4000, -(2 ** 4000), True, False, None]})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, {"a": [0.0]}, {1: "x"},
+                                   {"a": {None: 1}}, [{(1, 2): 3}], {"a": {1, 2}}])
+def test_json_writer_refuses_what_payloads_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+@st.composite
+def _verdict_cases(draw):
+    """(p, n, mu): mu of length n + 1 to n + 4, its entries p-local
+    integers or rationals, some with powers of p in the denominator."""
+    p, n = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-p ** 9, p ** 9).map(Fraction),
+                      st.builds(Fraction, st.integers(-p ** 6, p ** 6), st.integers(1, p ** 4)))
+    return p, n, draw(st.lists(entry, min_size=n + 1, max_size=n + 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verdict_cases())
+@example((3, 1, [Fraction(1, 3), Fraction(0)]))
+@example((2, 2, [Fraction(1), Fraction(3), Fraction(9), Fraction(1, 2), Fraction(1, 4)]))
+def test_congruence_verdicts_match_the_fraction_dot(case):
+    # one integer sum per row over D * L gives the verdict of the exact
+    # Fraction dot product, on sequences with p in their denominators and
+    # on sequences longer than n + 1
+    p, n, mu = case
+    vecs = summand_rows(p, n)
+    assert cli._congruence_verdicts(p, vecs, mu) == [
+        is_p_local_int(p, vec.dot(mu)) for vec in vecs]
+
+
+def _parse_cases():
+    """Every request of ``tests/cli_digests.py`` in each format, and its
+    bad inputs, with file names standing in for paths."""
+    valid = [cli_digests.with_paths(request, Path("inputs")) + ["--format", fmt]
+             for request in cli_digests.REQUESTS.values() for fmt in cli_digests.FORMATS]
+    return valid + [["congruences", "--p=3", "--n=2", "--q", "5", "--check=mu.json"],
+                    ["verify-centre", "--n", "3", "--p", "2", "--format=csv"]] + \
+        cli_digests.BAD_INPUTS
+
+
+@pytest.mark.parametrize("argv", _parse_cases())
+def test_dispatch_matches_the_full_parser(argv, monkeypatch):
+    # the subcommand's own parser gives the full parser's Namespace, and on
+    # a bad input or -h the same stdout, stderr and exit code
+    monkeypatch.setenv("COLUMNS", "80")
+    want = cli_digests.capture(cli_digests.full_parse, argv)
+    assert cli_digests.capture(cli._parse_args, argv) == want
+    if not isinstance(want[0], argparse.Namespace):
+        assert cli_digests.capture(cli.main, argv) == want
+
+
+def test_python_m_bpadams_parses_sys_argv(tmp_path, capsys, monkeypatch):
+    # main() without argv reads sys.argv, here through a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["congruences", "--p", "3", "--n", "2", "--format", "json"],
+                 ["congruences", "--p", "3", "--bogus"]):
+        done = subprocess.run([sys.executable, "-m", "bpadams", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, out.out, out.err)
