@@ -21,26 +21,24 @@ a congruence system on the sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
-from .arith import (delta_p, dot, ensure_prime, format_rational, gamma_p,
+from .arith import (_Record, delta_p, dot, ensure_prime, format_rational, gamma_p,
                     integer_numerators, is_p_local_int, val_p, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
 
 
-@dataclass(frozen=True)
-class AdamsFamily:
+class AdamsFamily(_Record):
     """A named triangular family, described by its diagonal actions."""
 
-    kind: str
-    p: int
-    q: int
-    qhat: int
+    _fields = ("kind", "p", "q", "qhat")
+
+    def __init__(self, kind: str, p: int, q: int, qhat: int):
+        self.__dict__.update(kind=kind, p=p, q=q, qhat=qhat)
 
     def action(self, n: int, m: int) -> Fraction:
         return family_action(self, n, m)
@@ -189,8 +187,7 @@ def family_sequence(fam: AdamsFamily, coeffs: Sequence[Fraction | int],
 # Congruence rows and systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CongruenceVector:
+class CongruenceVector(_Record):
     """A row c with top index n: the condition is c . mu in Z_(p).
 
     ``budget`` is the expected pivot valuation: the shape hypotheses ask
@@ -198,24 +195,20 @@ class CongruenceVector:
     and zeros beyond n.  The budget is non-negative (``ValueError``
     otherwise).  ``_integer``, when given, is the row as integer
     numerators over one denominator, (N, D) with entries N_i / D, as a
-    special element already holds it (:attr:`integer_row`).
+    special element already holds it (:attr:`integer_row`); it is neither
+    compared nor shown.
     """
 
-    p: int
-    n: int
-    entries: tuple[Fraction, ...]
-    budget: int
-    _integer: tuple[Sequence[int], int] | None = field(default=None, compare=False,
-                                                       repr=False)
+    _fields = ("p", "n", "entries", "budget")
 
-    def __post_init__(self):
-        if len(self.entries) != self.n + 1:
+    def __init__(self, p: int, n: int, entries: tuple[Fraction, ...], budget: int,
+                 _integer: tuple[Sequence[int], int] | None = None):
+        if len(entries) != n + 1:
             raise ValueError("entry vector must have length n + 1")
-        if self.budget < 0:
-            raise ValueError(f"budget must be non-negative, got {self.budget}")
-        object.__setattr__(self, "entries",
-                           tuple(e if isinstance(e, Fraction) else Fraction(e)
-                                 for e in self.entries))
+        if budget < 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+        self.__dict__.update(p=p, n=n, entries=entries, budget=budget, _integer=_integer)
 
     def shape_ok(self) -> bool:
         """The shape hypotheses, evaluated once per row (it is frozen)."""

@@ -11,10 +11,10 @@ Everything here is exact: values are python ints and
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter, mul
 
 #: Exact rational scalar used throughout the package.
 Rational = Fraction
@@ -44,6 +44,48 @@ def ensure_prime(p: int) -> int:
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise ValueError(f"not a prime: {p!r}")
     return p
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    ``==``, ``hash`` and ``repr`` read the fields named in the class's
+    ``_fields``, two or more names in order: two records are equal when
+    they are of the same class and those fields are, the hash is that of
+    the tuple of their values, and the repr is ``Name(field=value, ...)``.
+    A subclass's ``__init__`` checks its arguments and stores every
+    attribute by ``self.__dict__.update``; no attribute can be assigned or
+    deleted (``AttributeError``).  Attributes outside ``_fields`` are
+    stored but neither compared nor shown.  Instances keep a ``__dict__``,
+    so ``functools.cached_property`` works on them, and pickle and
+    ``copy`` rebuild them from it.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the tuple of the field values, read in C: ``family_action``'s
+        # memo hashes an AdamsFamily on every call
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Prime(int):
@@ -302,12 +344,14 @@ def validate_q(p: int, q: int | None) -> int:
     return q
 
 
+@lru_cache(maxsize=None, typed=True)
 def find_q(p: int) -> int | tuple[int, int]:
     """Smallest positive q primitive modulo p^2 (p odd).
 
     For p = 2 the multiplicative group is not cyclic and the pair
     convention ``(3, -1)`` is returned: 3 and -1 together generate the
-    2-adic units.
+    2-adic units.  Memoised per p (``typed``, so a float or bool p is
+    still checked and refused); a refused p is not cached.
     """
     ensure_prime(p)
     if p == 2:

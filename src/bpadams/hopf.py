@@ -54,12 +54,11 @@ element polynomials are views built only when read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
 
-from .arith import (WordCodec, delta_p, format_rational, integer_numerators,
+from .arith import (WordCodec, _Record, delta_p, format_rational, integer_numerators,
                     is_p_local_int, val_p, word_width)
 from .fgl import BPContext
 from .polyring import GeneratorTable, GradedPoly, PolyError
@@ -175,26 +174,24 @@ class ConstructionError(RuntimeError):
         self.details = details or {}
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
+class DiagonalAction(_Record):
     """The action sequence of a diagonal operation.
 
     ``values=None`` means the symbolic sequence mu_0, mu_1, ...; concrete
     sequences must consist of p-local integers.
     """
 
-    p: int
-    values: tuple[Fraction, ...] | None = None
+    _fields = ("p", "values")
 
-    def __post_init__(self):
-        if self.values is not None:
-            vals = tuple(Fraction(v) for v in self.values)
-            for k, v in enumerate(vals):
-                if not is_p_local_int(self.p, v):
+    def __init__(self, p: int, values: tuple[Fraction, ...] | None = None):
+        if values is not None:
+            values = tuple(Fraction(v) for v in values)
+            for k, v in enumerate(values):
+                if not is_p_local_int(p, v):
                     raise ValueError(
                         f"entry mu_{k} = {format_rational(v)} is not a "
-                        f"{self.p}-local integer")
-            object.__setattr__(self, "values", vals)
+                        f"{p}-local integer")
+        self.__dict__.update(p=p, values=values)
 
     def apply(self, form: MuLinear) -> Fraction | MuLinear:
         if self.values is None:
@@ -851,8 +848,7 @@ def t_recursion_check(ctx: BPContext, i: int) -> bool:
     return lhs == rhs
 
 
-@dataclass(frozen=True, eq=False)
-class SpecialElement:
+class SpecialElement(_Record):
     """An element d_n with functional sum_j c_j mu_j, support <= n.
 
     Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
@@ -869,19 +865,18 @@ class SpecialElement:
     ``_bound.bit_length()`` bits per exponent, as :func:`_key`); a
     composite keeps its two factors (``_factors``) and its view is the
     product of theirs.
-    Two special elements are equal when p, n, the row and the element are.
+    Two special elements are equal when p, n, the row and the element are;
+    the hash reads p, n and the row.  The repr shows ``_fields``.
     """
 
-    p: int
-    n: int
-    c: tuple[Fraction, ...]
-    numerators: tuple[int, ...]
-    den: int
-    _table: GeneratorTable = field(repr=False)
-    _bound: int = field(repr=False)
-    _poly: tuple[dict[int, int], int] | None = field(default=None, repr=False)
-    _factors: tuple["SpecialElement", "SpecialElement"] | None = field(default=None,
-                                                                      repr=False)
+    _fields = ("p", "n", "c", "numerators", "den")
+
+    def __init__(self, p: int, n: int, c: tuple[Fraction, ...], numerators: tuple[int, ...],
+                 den: int, _table: GeneratorTable, _bound: int,
+                 _poly: tuple[dict[int, int], int] | None = None,
+                 _factors: tuple[SpecialElement, SpecialElement] | None = None):
+        self.__dict__.update(p=p, n=n, c=c, numerators=numerators, den=den, _table=_table,
+                             _bound=_bound, _poly=_poly, _factors=_factors)
 
     @cached_property
     def element(self) -> GradedPoly:

@@ -24,12 +24,11 @@ canonical one; nothing is rounded or approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
-from .arith import dot, ensure_prime, format_rational, integer_numerators, val_p
+from .arith import _Record, dot, ensure_prime, format_rational, integer_numerators, val_p
 
 
 class LatticeError(ValueError):
@@ -68,26 +67,23 @@ def p_fractional_part(p: int, x: Fraction) -> Fraction:
     return residue(p, Fraction(x), 0)
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(_Record):
     """Rows c_r of length n + 1, each read as "c_r . mu in Z_(p)"."""
 
-    p: int
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    _fields = ("p", "n", "rows")
 
-    def __post_init__(self):
-        ensure_prime(self.p)
-        if self.n < 0:
+    def __init__(self, p: int, n: int, rows: tuple[tuple[Fraction, ...], ...]):
+        ensure_prime(p)
+        if n < 0:
             raise LatticeError("top index must be non-negative")
         clean = []
-        for r in self.rows:
+        for r in rows:
             r = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
-            if len(r) != self.n + 1:
+            if len(r) != n + 1:
                 raise LatticeError(
-                    f"row length {len(r)} does not match size {self.n + 1}")
+                    f"row length {len(r)} does not match size {n + 1}")
             clean.append(r)
-        object.__setattr__(self, "rows", tuple(clean))
+        self.__dict__.update(p=p, n=n, rows=tuple(clean))
 
     def satisfied_by(self, mu: Sequence[Fraction | int]) -> bool:
         if len(mu) < self.n + 1:
@@ -435,17 +431,19 @@ def lattice_eq(first: SolutionLattice, second: SolutionLattice) -> bool:
     return first.basis == second.basis
 
 
-@dataclass(frozen=True)
-class SandwichResult:
+class SandwichResult(_Record):
     """Outcome of the sandwich comparison; hypothesis failures are
-    reported distinctly from inclusion failures.  ``s_lattice`` is the
+    reported distinctly from inclusion failures.  ``status`` is "equal",
+    "inclusion_failed" or "hypothesis_violation".  ``s_lattice`` is the
     lattice S of base + cn, built whenever the hypotheses hold and None
-    otherwise; it is not part of the outcome (equality, the JSON form)."""
+    otherwise; it is not part of the outcome (equality, the repr, the
+    JSON form)."""
 
-    status: str  # "equal" | "inclusion_failed" | "hypothesis_violation"
-    equal: bool
-    detail: str = ""
-    s_lattice: SolutionLattice | None = field(default=None, compare=False, repr=False)
+    _fields = ("status", "equal", "detail")
+
+    def __init__(self, status: str, equal: bool, detail: str = "",
+                 s_lattice: SolutionLattice | None = None):
+        self.__dict__.update(status=status, equal=equal, detail=detail, s_lattice=s_lattice)
 
     def to_jsonable(self) -> dict:
         return {"status": self.status, "equal": self.equal, "detail": self.detail}

@@ -17,9 +17,9 @@ and skip that check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping
 
 
 class PolyError(ValueError):

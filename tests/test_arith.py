@@ -163,6 +163,18 @@ def test_validate_q():
         validate_q(4, 3)
 
 
+def test_find_q_is_memoised_and_still_checks_p():
+    # one order search per p: a default-q request reads the memo, and a
+    # float or bool equal to a cached p (an int, or a Prime) is not served
+    # from it
+    assert find_q(5) == find_q(Prime(5)) == 2
+    hits = find_q.cache_info().hits
+    assert validate_q(5, None) == 2 and find_q.cache_info().hits == hits + 1
+    for bad in (5.0, True):
+        with pytest.raises(ValueError, match="not a prime"):
+            find_q(bad)
+
+
 def test_find_q_order_invariant():
     for p in (3, 5, 7):
         q = find_q(p)
