@@ -123,26 +123,17 @@ def family_action(fam: AdamsFamily, n: int, m: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("family index must be non-negative")
+    connective = fam.kind in ("phi_ku", "phihat_g")
+    if m < 0 and (connective or fam.kind == "zeta_ku2"):
+        raise ValueError("the connective theory has no negative degrees")
     if fam.kind == "zeta_ku2":
-        if m < 0:
-            raise ValueError("the connective theory has no negative degrees")
         return _zeta_action(n, m)
-    q = Fraction(fam.q)
-    if fam.kind == "phi_ku":
-        if m < 0:
-            raise ValueError("the connective theory has no negative degrees")
-        base = q ** m
-        return math.prod((base - q ** i for i in range(n)), start=Fraction(1))
-    if fam.kind == "phihat_g":
-        if m < 0:
-            raise ValueError("the connective theory has no negative degrees")
-        qh = Fraction(fam.qhat)
-        base = qh ** m
-        return math.prod((base - qh ** i for i in range(n)), start=Fraction(1))
-    # periodic: m may be any integer, roots run through the enumeration
+    if connective:  # prod_{i<n} (q^m - q^i), q = qhat on the summand
+        q, roots = Fraction(fam.q if fam.kind == "phi_ku" else fam.qhat), range(n)
+    else:  # periodic: m may be any integer, roots run through the enumeration
+        q, roots = Fraction(fam.q), map(periodic_enum, range(n))
     base = q ** m
-    return math.prod((base - q ** periodic_enum(i) for i in range(n)),
-                     start=Fraction(1))
+    return math.prod((base - q ** i for i in roots), start=Fraction(1))
 
 
 def expand_in_family(fam: AdamsFamily, lam: Sequence[Fraction | int],

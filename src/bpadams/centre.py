@@ -105,32 +105,18 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
     v = val_p(den); that valuation is taken once per row, in order, and
     no row after the first failure is read.
 
-    The columns are read all at once from the lattice's own packed rows
-    (:class:`bpadams.lattice.SolutionLattice`): basis row i is one int
-    P_i with non-negative digits, digit j being entry i of column j, and
-    a row's values on every column are the digits of
-    V = sum_i (c_i mod p^v) * P_i, one multiply-add per entry.  The rows
-    are packed wide enough that no digit of V carries (the lattice widens
-    them in place the first time a v needs it, and keeps them wide for
-    every later row, call and extension), so digit j of V is the value on
-    column j itself.
+    The values on every column come at once from the lattice's packed
+    rows (:meth:`bpadams.lattice.SolutionLattice._values`), one
+    multiply-add per entry; the lattice widens its rows in place the
+    first time a v needs it, and keeps them wide for every later row, call
+    and extension.
     """
-    packed_v = 0
     for k, (row, den) in enumerate(rows):
         v = val_p(p, den)
-        if not v:
-            continue
-        modulus = p ** v
-        if v > packed_v:  # rows wide enough for v serve every smaller v
-            width, packed = lat._packed(modulus)
-            packed_v, mask = v, (1 << width) - 1
-        value = sum(c % modulus * packed[i] for i, c in row.items())
-        j = 0
-        while value:
-            if (value & mask) % modulus:
-                return k, j
-            value >>= width
-            j += 1
+        if v:
+            values = lat._values(row.items(), p ** v)
+            if any(values):
+                return k, next(j for j, x in enumerate(values) if x)
     return None
 
 

@@ -23,24 +23,23 @@ class BPContext:
 
     Holds the generator tables for the v, l and t families up to the
     largest index whose weight fits the bound, and the l_n as polynomials
-    in the v's (:meth:`l_in_v`), built eagerly.  ``vu_table`` is the v
-    table with one more generator u of weight 0, the mu index of
-    :func:`bpadams.hopf.diagonal_transform`.  It is not immutable: the
+    in the v's (:meth:`l_in_v`), built eagerly.  It is not immutable: the
     v_n in the l's (:meth:`v_in_l`) are built on the first call, which
     only public callers make, and ``_hopf_cache`` is filled on first use,
     one entry at a time, with the diagonal transform's generator images
     as integers (``"theta_numerators"``), the powers of their
-    v_1-shadows (``"v1_chains"``, each chain growing as higher powers are
-    asked for), the right units eta_R(v_n) as integers on packed {v, t}
-    keys (``"right_unit_v"``), the right-unit tables (``"rud"``) and the
-    special elements (``"special"``, each building its element
-    polynomial when first read).  Stored values never change, but the
-    filling is not locked, so give each thread its own context.
+    v_1-shadows as integers keyed by u-degree on the same kernel
+    (``"v1_chains"``, one chain per generator index, growing as higher
+    powers are asked for), the right units eta_R(v_n) as integers on
+    packed {v, t} keys (``"right_unit_v"``), the right-unit tables
+    (``"rud"``) and the special elements (``"special"``, each building
+    its element polynomial when first read).  Stored values never change,
+    but the filling is not locked, so give each thread its own context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",
                  "v_table", "l_table", "t_table", "e_table",
-                 "lt_table", "vt_table", "le_table", "vu_table",
+                 "lt_table", "vt_table", "le_table",
                  "_l_in_v", "_v_in_l", "_hopf_cache")
 
     def __init__(self, p: int, weight_bound: int, q: int | None = None):
@@ -71,7 +70,6 @@ class BPContext:
         self.lt_table = self.l_table.union(self.t_table)
         self.vt_table = self.v_table.union(self.t_table)
         self.le_table = self.l_table.union(self.e_table)
-        self.vu_table = self.v_table.union(GeneratorTable([("u", 0)]))
 
         self._l_in_v = self._build_l_in_v()
         self._v_in_l: list[GradedPoly] | None = None

@@ -21,8 +21,10 @@ images are built once per context (``_theta_numerators``, by one
 recursion on integers, ``_t_recursion``); the same recursion over the
 {l, e} generators, with denominator 1, gives t_n in the right-unit
 basis, and over the eta_R(l_n) it gives eta_R(v_n) on {v, t} keys, the
-factors of ``right_unit_v_monomial``.  ``diagonal_transform`` evaluates
-x on the generator images with the recursion's product.  The sampled
+factors of ``right_unit_v_monomial``.  One evaluator (``_evaluate``)
+carries x through a ring map given on the generators' powers, with the
+recursion's product; ``diagonal_transform`` runs it on the generator
+images.  The sampled
 rows need theta(t^gamma) for every t-monomial gamma of weight <= W:
 ``t_monomial_numerators`` walks those monomials depth first and builds
 each image from its parent prefix with one product by a theta(t_k).
@@ -39,24 +41,29 @@ rows only when it needs wider digits.
 Nodes whose B is above ``PACKED_WIDTH_LIMIT`` bits, where limb work
 outweighs the saving, run on one int per term v^delta * u^j instead.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
-into Q[u], evaluated on univariate images of the generators, read from
-their integer images by key masks; their powers are kept per context.
+into Q[u].  Its images, the v_1-shadows, are (N, D) too, keyed by
+u-degree: the u field of a theta key, with the terms that contain
+v_{>1} dropped.  So they share theta's kernel: ``_multiply``,
+``_combine`` and ``_power`` are their product, sum and power, and the
+same evaluator runs ``v1_functional`` on the generators' shadows, whose
+powers are kept per context.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
 are the congruence rows the centre verification pipeline feeds into the
 lattice sandwich.  The prime powers d_{p^i} are built on integers, each
-kept as numerators on packed {l, t} keys over one denominator; a
-composite d_n's row is one integer convolution of two cached rows.  The
-element polynomials are views built only when read.
+kept as numerators on packed {l, t} keys over one denominator, and
+their rows are shadows; a composite d_n's row is one ``_multiply`` of
+two cached rows.  The element polynomials are views built only when
+read.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .arith import (WordCodec, _Record, delta_p, format_rational, integer_numerators,
                     is_p_local_int, val_p, word_width)
@@ -259,11 +266,11 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
     return T
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """The row of values c_j / den as integers over the lcm of their
-    denominators: ``row`` and ``den`` divided by their gcd."""
-    g = math.gcd(den, *row)
-    return [c // g for c in row], den // g
+def _reduced(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """(N, D) with the values N[key] / D as integers over the lcm of their
+    denominators: N and D divided by their gcd, zero values dropped."""
+    g = math.gcd(den, *num.values())
+    return {key: c // g for key, c in num.items() if c}, den // g
 
 
 def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
@@ -279,9 +286,7 @@ def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[
         scale = s * (den // d)
         for key, c in num.items():
             acc[key] = get(key, 0) + scale * c
-    keys = [key for key, c in acc.items() if c]
-    values, den = _reduced([acc[key] for key in keys], den)
-    return dict(zip(keys, values)), den
+    return _reduced(acc, den)
 
 
 def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], int]:
@@ -295,6 +300,25 @@ def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], i
         if k:
             base = _multiply(base, list(base.items()))
     return result, den ** e
+
+
+def _evaluate(terms: Iterable[tuple[tuple[int, ...], int, int]],
+              power: Callable[[int, int], tuple[dict[int, int], int]],
+              ) -> tuple[dict[int, int], int]:
+    """sum (c / d) * prod_g g^{e_g} over the terms (exponents e, c, d) under
+    a ring map, as (N, D): ``power(g, e)`` is the image of the g-th
+    generator to the e, as (N, D) on keys that add under multiplication.
+    Each term is one :func:`_multiply` per generator, and the terms are
+    summed by :func:`_combine`."""
+    parts = []
+    for exps, num, den in terms:
+        image = {0: num}
+        for g, e in enumerate(exps):
+            if e:
+                factor, d = power(g, e)
+                image, den = _multiply(factor, image.items()), den * d
+        parts.append((1, (image, den)))
+    return _combine(parts)
 
 
 def _rud(ctx: BPContext) -> _RightUnitData:
@@ -512,14 +536,15 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     """Image of a co-operation element under a diagonal operation.
 
     The ring map theta (see the module docstring) sends x to a polynomial
-    over ``ctx.vu_table``; its term c * v^delta * u^j is the coefficient
-    c of mu_j in the row at delta.  Symbolically the result maps
+    in the v generators and a u of weight 0; its term c * v^delta * u^j is
+    the coefficient c of mu_j in the row at delta.  Symbolically the result maps
     v-exponents to the non-zero mu-linear forms, in graded-lexicographic
     order; a concrete :class:`DiagonalAction` evaluates them to a
     polynomial over the v generators.
 
-    x is evaluated on the integer images (:func:`_theta_numerators`),
-    each power of a generator's image taken once per call.  A term of
+    x is evaluated by :func:`_evaluate` on the integer images
+    (:func:`_theta_numerators`), each power of a generator's image taken
+    once per call.  A term of
     weight above W is dropped, as truncation at W would drop its
     homogeneous image; the others neither truncate nor carry, once each
     generator image is checked to have u-degree at most its weight.
@@ -532,21 +557,9 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     images = _theta_numerators(ctx)
     for name, w in zip(table.names, table.weights):
         _check_u_degree(images[name][0], width, w, f"theta({name})")
-    powers: dict[tuple[str, int], tuple[list[tuple[int, int]], int]] = {}
-    terms = []
-    for exps, c in x.terms.items():
-        if table.monomial_weight(exps) > W:
-            continue
-        num, den = {0: c.numerator}, c.denominator
-        for name, e in zip(table.names, exps):
-            if e:
-                if (name, e) not in powers:
-                    power, d = _power(images[name], e)
-                    powers[name, e] = list(power.items()), d
-                factor, d = powers[name, e]
-                num, den = _multiply(num, factor), den * d
-        terms.append((1, (num, den)))
-    num, den = _combine(terms)
+    num, den = _evaluate(((exps, c.numerator, c.denominator) for exps, c in x.terms.items()
+                          if table.monomial_weight(exps) <= W),
+                         lru_cache(maxsize=None)(lambda g, e: _power(images[table.names[g]], e)))
     out = _forms(_read_rows(ctx, num), den)
     if mu is not None and mu.values is not None:
         return GradedPoly(ctx.v_table, W,
@@ -561,9 +574,11 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
 PACKED_WIDTH_LIMIT = 384
 
 
-def _multiply(image: Mapping[int, int], factor: list[tuple[int, int]]) -> dict[int, int]:
-    """The product of two sparse images whose keys add under multiplication:
-    sum over pairs of key1 + key2 -> value1 * value2, zero values dropped."""
+def _multiply(image: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The product of two sparse images whose keys add under multiplication,
+    ``factor`` given as (key, value) pairs that it iterates once per key of
+    ``image``: sum over pairs of key1 + key2 -> value1 * value2, zero values
+    dropped."""
     out: dict[int, int] = {}
     get = out.get
     for k1, c1 in image.items():
@@ -718,81 +733,32 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
                     child_bound, k, room - weights[k])
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The integer convolution (sum a_i u^i) * (sum b_j u^j), dense."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, start=i):
-                out[j] += x * y
-    return out
+def _v1_power(ctx: BPContext, g: int, e: int) -> tuple[dict[int, int], int]:
+    """The v_1-shadow of g^e for the g-th generator of ``ctx.lt_table``, as
+    (N, D) keyed by u-degree (index j for mu_j).
 
-
-def _v1_power(ctx: BPContext, name: str, e: int) -> tuple[list[int], int]:
-    """The v_1-shadow of g^e for the {l, t} generator g = ``name``, as
-    integer numerators (index j for mu_j) over a denominator.
-
-    g's univariate image is read from its integer theta image (N, D)
-    (:func:`_theta_numerators`): the terms whose packed key has empty
-    v_{>1} fields, over D divided by its gcd with their numerators, the
-    lcm of their denominators.  Its powers are dense integer convolutions
-    over that denominator to the e, kept per context in a chain that
-    grows on demand (``ctx._hopf_cache["v1_chains"]``).
+    g's shadow is read from its integer theta image (N, D)
+    (:func:`_theta_numerators`): the u fields of the terms whose packed
+    key has empty v_{>1} fields, reduced (:func:`_reduced`) to the lcm of
+    their denominators.  Its powers are :func:`_multiply` products over
+    that denominator to the e, kept per context in a chain that grows on
+    demand (``ctx._hopf_cache["v1_chains"]``).
     """
     chains = ctx._hopf_cache.setdefault("v1_chains", {})
-    if name not in chains:
-        num, den = _theta_numerators(ctx)[name]
+    if g not in chains:
+        num, den = _theta_numerators(ctx)[ctx.lt_table.names[g]]
         width = ctx.weight_bound.bit_length()
         u_mask = (1 << width) - 1
         # the fields of v_2, ..., v_m, between v_1's at the top and u's at the bottom
         v_high = ((1 << width * max(len(ctx.v_table) - 1, 0)) - 1) << width
         # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
-        terms = {key & u_mask: c for key, c in num.items() if not key & v_high}
-        base, den = _reduced([terms.get(j, 0) for j in range(max(terms, default=-1) + 1)],
+        base, den = _reduced({key & u_mask: c for key, c in num.items() if not key & v_high},
                              den)
-        chains[name] = ([[1], base], den)
-    chain, den = chains[name]
+        chains[g] = ([{0: 1}, base], den)
+    chain, den = chains[g]
     while len(chain) <= e:
-        chain.append(_convolve(chain[-1], chain[1]))
+        chain.append(_multiply(chain[1], chain[-1].items()))
     return chain[e], den ** e
-
-
-def _v1_numerators(ctx: BPContext, terms: Iterable[tuple[tuple[int, ...], int, int]],
-                   ) -> tuple[list[int], int]:
-    """The v_1-shadow of sum (num / den) * prod_g g^{e_g} over the terms
-    (exponents over ``ctx.lt_table``, num, den), as dense integer
-    numerators over one denominator.  Each term is integers over den times
-    its powers' denominators (:func:`_v1_power`); the terms are summed
-    over the lcm of those denominators."""
-    names = ctx.lt_table.names
-    parts = []
-    for exps, c, den in terms:
-        acc = [c]
-        for name, e in zip(names, exps):
-            if e:
-                num, d = _v1_power(ctx, name, e)
-                acc, den = _convolve(acc, num), den * d
-        parts.append((acc, den))
-    return _sum_rows(parts)
-
-
-def _sum_rows(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:
-    """sum_i N_i / D_i over dense integer rows N_i with denominators D_i,
-    as integers over the lcm of the D_i."""
-    den = math.lcm(*(d for _, d in parts))
-    total = [0] * max((len(acc) for acc, _ in parts), default=0)
-    for acc, d in parts:
-        scale = den // d
-        for j, c in enumerate(acc):
-            total[j] += c * scale
-    return total, den
-
-
-def _row_form(row: Iterable[int], den: int) -> MuLinear:
-    """sum_j (row[j] / den) * mu_j as a :class:`MuLinear`."""
-    return MuLinear._from_numerators({j: c for j, c in enumerate(row) if c}, den)
 
 
 def v1_functional(ctx: BPContext, x: GradedPoly,
@@ -801,21 +767,21 @@ def v1_functional(ctx: BPContext, x: GradedPoly,
 
     Symbolically this is a finite rational linear form in the mu_i.
     theta followed by v_1 -> 1, v_{>1} -> 0 is a ring map
-    Q[l, t] -> Q[u], u^j standing for mu_j (the product is the
-    convolution of rows).  Each generator goes to the terms of its theta
-    image with no v_{>1}, index j to coefficient, and x is evaluated term
-    by term.  This is exact: every term of x has weight <= W and its
-    image is homogeneous, so theta truncates none of it.
+    Q[l, t] -> Q[u], u^j standing for mu_j.  Each generator goes to its
+    v_1-shadow, the terms of its theta image with no v_{>1} keyed by
+    their u-degree, and x is evaluated term by term.  This is exact:
+    every term of x has weight <= W and its image is homogeneous, so
+    theta truncates none of it.
 
-    The evaluation runs in Z[u] (:func:`_v1_numerators`), on the powers
-    of the generators' images that the context keeps (:func:`_v1_power`);
-    each index gives one ``Fraction``.
+    The evaluation runs in Z[u] (:func:`_evaluate`), on the powers of the
+    generators' shadows that the context keeps (:func:`_v1_power`); each
+    index gives one ``Fraction``.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
-    total, den = _v1_numerators(
-        ctx, ((exps, c.numerator, c.denominator) for exps, c in x.terms.items()))
-    form = _row_form(total, den)
+    num, den = _evaluate(((exps, c.numerator, c.denominator) for exps, c in x.terms.items()),
+                         lambda g, e: _v1_power(ctx, g, e))
+    form = MuLinear._from_numerators(num, den)
     if mu is not None:
         return mu.apply(form)
     return form
@@ -949,14 +915,15 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     p^k * delta_p(p^(i-k)) < delta_p(p^i).  rbar_k = M / (D' * p^(k+1))
     for integer numerators M over D' is p-integral iff
     p^(val_p(D') + k + 1) divides every M.  The functional ``work`` and the
-    corrections are integer rows over one denominator, read from the
-    powers of the generators' images that ``v1_functional`` keeps
-    (:func:`_v1_power`).  The v_1-shadow V is a ring map, so the row of
+    corrections are shadows, (N, D) keyed by u-degree, on the same kernel:
+    ``work`` is :func:`_evaluate` on the powers of the generators' shadows
+    that ``v1_functional`` keeps (:func:`_v1_power`), and each correction
+    is one :func:`_combine`.  The v_1-shadow V is a ring map, so the row of
     d_{p^i} follows from rows at hand, with s_k = 1 / (p^k * alphabar_k):
     after the corrections ``work`` is V(t_{i+1}) - sum_m p * c_m * V(t_1)^m
     + sum_k s_k * V(t_{i+1-k})^{p^k}, and V(d_{p^i}) is ``work`` minus
-    sum_k s_k * V(d_{p^(i-k)})^{p^k}, the lower rows convolved p^k times.
-    :func:`_check_profile` checks it.
+    sum_k s_k * V(d_{p^(i-k)})^{p^k}, each lower row taken to the p^k by
+    :func:`_power`.  :func:`_check_profile` checks it.
     """
     p = ctx.p
     n = p ** i
@@ -977,7 +944,7 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         exps[table.index(f"t{k}")] = e
         return _key(exps, width)
 
-    top = t_key(i + 1, 1)
+    top, t1 = t_key(i + 1, 1), table.index("t1")
     parts = [(1, ({top: 1}, 1))]
     if i:
         budget = delta_p(p, n)
@@ -985,37 +952,30 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         terms = [(read(top), 1, 1)]
         for k, s in enumerate(scales, 1):
             terms.append((read(t_key(i + 1 - k, p ** k)), s.numerator, s.denominator))
-        work, work_den = _reduced(*_v1_numerators(ctx, terms))
+        work, work_den = _evaluate(terms, lambda g, e: _v1_power(ctx, g, e))
         # back-substitute from the top index down to p^i + 1
         for j in range(budget, n, -1):
-            coeff = work[j] if j < len(work) else 0
+            coeff = work.get(j)
             if not coeff:
                 continue
-            vj, dj = _v1_power(ctx, "t1", j)
+            vj, dj = _v1_power(ctx, t1, j)
             cj = Fraction(coeff * dj, work_den * p * vj[j])
             if val_p(p, cj) < 0:
                 raise ConstructionError(
                     f"correction coefficient for t_1^{j} is not {p}-locally "
                     f"integral", {"n": n, "m": j, "coefficient": format_rational(cj)})
-            # work - p * c_j * vj / dj = (vj[j] * work - coeff * vj) / (vj[j] * work_den)
-            g = math.gcd(coeff, vj[j]) if vj[j] > 0 else -math.gcd(coeff, vj[j])
-            a, b = vj[j] // g, coeff // g  # a > 0 keeps the denominator positive
-            work = [a * x for x in work]
-            for h, y in enumerate(vj):
-                work[h] -= b * y
-            work, work_den = _reduced(work, a * work_den)
+            work, work_den = _combine([(1, (work, work_den)),
+                                       (-p * cj.numerator, (vj, dj * cj.denominator))])
             parts.append((-p * cj.numerator, ({t_key(1, j): 1}, cj.denominator)))
-        if any(work[n + 1:]):
+        if any(j > n for j in work):
             raise ConstructionError(
                 f"cancellation left support above mu_{n}",
-                {"n": n, "functional": _row_form(work, work_den).to_text()})
-        rows = [(work, work_den)]
+                {"n": n, "functional": MuLinear._from_numerators(work, work_den).to_text()})
+        rows = [(1, (work, work_den))]
         for k, s in enumerate(scales, 1):
             low = _special_prime_power(ctx, i - k)
-            power = [1]
-            for _ in range(p ** k):
-                power = _convolve(power, low.numerators)
-            rows.append(([-s.numerator * c for c in power], s.denominator * low.den ** p ** k))
+            num, den = _power((dict(enumerate(low.numerators)), low.den), p ** k)
+            rows.append((-s.numerator, (num, s.denominator * den)))
             num, den = _power(low._poly, p ** k)
             key = t_key(i + 1 - k, p ** k)
             diff = dict(num)
@@ -1028,12 +988,12 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
                     f"inductive remainder for k={k} is not integral",
                     {"n": n, "k": k})
             parts.append((-s.numerator, (diff, den * s.denominator)))  # -p / (p^(k+1) alphabar_k)
-        row, row_den = _reduced(*_sum_rows(rows))
+        row, row_den = _combine(rows)
     else:  # d_1 = t_1
-        row, row_den = _reduced(*_v1_power(ctx, "t1", 1))
+        row, row_den = _v1_power(ctx, t1, 1)
     poly = _combine(parts)
-    out = SpecialElement(p, n, _check_profile(p, n, _row_form(row, row_den)),
-                         tuple(row[: n + 1]), row_den, table, W, poly)
+    out = SpecialElement(p, n, _check_profile(p, n, MuLinear._from_numerators(row, row_den)),
+                         tuple(row.get(j, 0) for j in range(n + 1)), row_den, table, W, poly)
     cache[n] = out
     return out
 
@@ -1046,8 +1006,8 @@ def special_element(ctx: BPContext, n: int) -> SpecialElement:
     :func:`_check_profile`.  A general n is d_{n - p^k} * d_{p^k}, p^k the
     lowest non-zero base-p digit of n, so d_n is the product of the
     d_{p^k}^{a_k} over its base-p digits a_k and its functional row is the
-    convolution of the two factors' rows: one integer row convolution per
-    n (:func:`_special_composite`).  Every d_n is kept in the context's
+    product of the two factors' rows: one integer product per n
+    (:func:`_special_composite`).  Every d_n is kept in the context's
     special-element cache.  The element polynomial is built only when
     ``element`` is read: a composite's is the product of its factors',
     truncated if the context bound is below delta_p(n); truncation is a
@@ -1065,10 +1025,10 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     """d_n for n >= 1, as in :func:`special_element`; the lower factor
     d_{n - p^k} comes from the cache or from a recursive call here.
 
-    The row is the convolution of the integer rows of d_a and d_b,
-    a = n - p^k and b = p^k, kept on the two elements: entry j of d_n is
-    (sum_i A_i * B_{j-i}) / (da * db), reduced to the lcm of the
-    denominators.  The element is not multiplied out here: its view is
+    The row is the product (:func:`_multiply`, on u-degree keys) of the
+    integer rows of d_a and d_b, a = n - p^k and b = p^k, kept on the two
+    elements: entry j of d_n is (sum_i A_i * B_{j-i}) / (da * db),
+    reduced to the lcm of the denominators (:func:`_reduced`).  The element is not multiplied out here: its view is
     the product of the two factors' views, built when read.
 
     It meets the profile of :func:`_check_profile` with no check.  p^k is
@@ -1091,8 +1051,10 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     if n == p ** k:
         return dk
     low = _special_composite(ctx, n - p ** k)
-    row, den = _reduced(_convolve(low.numerators, dk.numerators), low.den * dk.den)
-    out = SpecialElement(p, n, tuple(Fraction(c, den) for c in row), tuple(row), den,
+    row, den = _reduced(_multiply(dict(enumerate(dk.numerators)),
+                                  list(enumerate(low.numerators))), low.den * dk.den)
+    numerators = tuple([row.get(j, 0) for j in range(n + 1)])
+    out = SpecialElement(p, n, tuple(Fraction(c, den) for c in numerators), numerators, den,
                          ctx.lt_table, ctx.weight_bound, _factors=(low, dk))
     cache[n] = out
     return out

@@ -24,11 +24,12 @@ canonical one; nothing is rounded or approximated.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import _Record, dot, ensure_prime, format_rational, integer_numerators, val_p
+from .arith import (_nu, _Record, dot, ensure_prime, format_rational, integer_numerators,
+                    val_p)
 
 
 class LatticeError(ValueError):
@@ -47,10 +48,9 @@ def residue(p: int, x: Fraction, k: int) -> Fraction:
     x - r in p^k Z_(p): zero when x lies in p^k Z_(p), an integer when x
     is p-locally integral and k >= 0.
     """
-    num, den, v = x.numerator, x.denominator, 0
-    while den % p == 0:
-        den //= p
-        v += 1
+    num, den = x.numerator, x.denominator
+    v = _nu(p, den)
+    den //= p ** v
     if k + v <= 0:
         return Fraction(0)
     # x = num / (den * p^v) with gcd(den, p) = 1
@@ -130,11 +130,7 @@ def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
     scaled = []
     for row in rows:
         nums, den = integer_numerators(row)
-        v = 0
-        while den % p == 0:
-            den //= p
-            v += 1
-        scaled.append((nums, v))
+        scaled.append((nums, _nu(p, den)))
     E = max((v for _, v in scaled), default=0)
     modulus = p ** E
     pool = [[x * p ** (E - v) % modulus for x in nums] for nums, v in scaled]
@@ -143,11 +139,8 @@ def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
     for col in range(size - 1, -1, -1):
         best, f = None, E
         for r in pool:
-            x, k = r[col], 0
-            if x:
-                while x % p == 0:
-                    x //= p
-                    k += 1
+            if r[col]:
+                k = _nu(p, r[col])
                 if k < f:
                     best, f = r, k
         if best is None:
@@ -245,6 +238,21 @@ class SolutionLattice:
                          for i, P in enumerate(rows))
             self._pack = pack = (new, rows)
         return pack
+
+    def _values(self, entries: Iterable[tuple[int, int]], modulus: int) -> list[int]:
+        """The values modulo ``modulus`` of the row sum_i c_i * mu_i, given
+        as pairs (i, c_i) with int c_i and i below ``size``, on every column,
+        each in [0, modulus): the digits of V = sum_i (c_i mod modulus) * P_i,
+        one multiply-add per entry, reduced.  The rows are packed wide enough
+        (:meth:`_packed`) that no digit of V carries, so digit j is
+        sum_i (c_i mod modulus) * b_ij, congruent to the value on column j."""
+        width, rows = self._packed(modulus)
+        acc = sum(c % modulus * rows[i] for i, c in entries)
+        mask, values = (1 << width) - 1, []
+        for _ in rows:
+            values.append((acc & mask) % modulus)
+            acc >>= width
+        return values
 
     @property
     def size(self) -> int:
@@ -360,36 +368,23 @@ def _new_row(lat: SolutionLattice, nums: Sequence[int], den: int) -> tuple[list[
     int entries and den > 0.
 
     The pivot numerator is p^s * u with u prime to p, and
-    e = max(0, val_p(den) - s).  All columns are read from the digits of
-    V = sum_i (N_i mod p^(s+e)) * P_i, one multiply-add per non-zero
-    residue.  Digit j is sum_i (N_i mod p^(s+e)) * b_ij: the rows are
-    packed wide enough (:meth:`SolutionLattice._packed`) that no digit
-    carries, and it is congruent to acc = N' . b_j modulo p^(s+e).  So it
-    decides whether p^s divides acc, and its quotient by p^s is acc / p^s
-    modulo p^e, which gives the entry -(acc / p^s) * u^-1 modulo p^e (see
-    the module docstring).  The exact acc is formed only for the
-    message of a column that fails.
+    e = max(0, val_p(den) - s).  All columns are read at once by
+    :meth:`SolutionLattice._values` modulo p^(s+e): value j is congruent
+    to acc = N' . b_j modulo p^(s+e), so it decides whether p^s divides
+    acc, and its quotient by p^s is acc / p^s modulo p^e, which gives the
+    entry -(acc / p^s) * u^-1 modulo p^e (see the module docstring).  The
+    exact acc is formed only for the message of a column that fails.
     """
     p, size = lat.p, lat.size
-    unit, s = nums[size], 0
-    if not unit:
+    if not nums[size]:
         raise LatticeError(f"row has a zero pivot at index {size}")
-    while unit % p == 0:
-        unit //= p
-        s += 1
-    e = -s
-    while den % p == 0:
-        den //= p
-        e += 1
-    e = max(0, e)
+    s = _nu(p, nums[size])
+    unit = nums[size] // p ** s
+    e = max(0, _nu(p, den) - s)
     modulus = p ** e
     if not size:
         return [modulus], e
-    residues = p ** (s + e)
-    width, rows = lat._packed(residues)
-    acc = sum(c % residues * P for c, P in zip(nums, rows))
-    mask = (1 << width) - 1
-    digits = [acc >> shift & mask for shift in range(0, width * size, width)]
+    digits = lat._values(enumerate(nums[:size]), p ** (s + e))
     if s:
         divisor = p ** s
         for j, x in enumerate(digits):

@@ -6,9 +6,9 @@ anything else raises ``TypeError``.  Truncation drops any monomial whose
 weight exceeds the bound; because the grading is by non-negative weights
 the monomials above the bound span an ideal, so truncation commutes with
 all ring operations and arithmetic "mod weight > W" is an honest
-quotient ring.  A generator may have weight 0 (``hopf`` marks the mu
-index by one): truncation never bounds its degree, so only tables of
-positive weights can list their monomials.
+quotient ring.  A generator may have weight 0 (a u that marks the mu
+index of a diagonal transform, say): truncation never bounds its degree,
+so only tables of positive weights can list their monomials.
 
 Values never change once built.  The public constructor validates its
 input; arithmetic results satisfy the same invariants by construction

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import theta_reference
 from bpadams import centre, hopf
-from bpadams.adamsk import adams_family, family_action
+from bpadams.adamsk import adams_family, family_action, ku_congruence_system
+from bpadams.arith import nu_p
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             lattice_realizability, sampled_integrality_rows, summand_rows,
                             verify_centre_bp, _lattice_of_rows)
@@ -657,3 +658,64 @@ def test_verify_run_evaluates_each_row_shape_once(monkeypatch):
         CongruenceVector(r.p, r.n, r.entries, r.budget) for r in real(p, n_max, q)])
     assert verify_centre_bp(5, 24)["verdict"]
     assert len(evaluated) == len({id(vec) for vec in evaluated}) == 2 * 25
+
+
+def _adams_span(p, n, step):
+    """The canonical solution lattice of the Z_(p)-span of the eigenvalue
+    vectors (k^(step * j))_{j <= n} of the single Adams operations psi^k,
+    k in [-60, 60] prime to p, by an echelon of its own (no Adams-family
+    formula).
+
+    Entries are kept modulo p^M, M = nu_p of the Vandermonde determinant
+    of n + 1 of the vectors with distinct nodes: the span contains
+    p^M Z_(p)^(n+1), so reducing modulo p^M loses nothing.  Column j
+    gets the entry of least valuation at index j, made a pure power p^f
+    by a unit, and p^M e_j leaves p^(M - f) times it, past j, to the later
+    columns.  Each column is then reduced to canonical residues by the
+    later ones."""
+    nodes = sorted({k ** step for k in range(-60, 61) if k % p})
+    M = sum(nu_p(p, b - a) for a, b in itertools.combinations(nodes[: n + 1], 2))
+    modulus = p ** M
+    pool = [[pow(x, j, modulus) for j in range(n + 1)] for x in nodes]
+    cols = []
+    for col in range(n + 1):
+        best, f = None, M
+        for r in pool:
+            if r[col] and nu_p(p, r[col]) < f:
+                best, f = r, nu_p(p, r[col])
+        if best is None:
+            pivot = [0] * col + [modulus] + [0] * (n - col)
+        else:
+            inverse = pow(best[col] // p ** f, -1, modulus)
+            pivot = [x * inverse % modulus for x in best]
+            pool = [r for r in pool if r is not best]
+            pool.append([0] * (col + 1) + [-x * p ** (M - f) % modulus for x in pivot[col + 1:]])
+        for r in pool:
+            z = r[col] // p ** f
+            r[:] = [(x - z * y) % modulus for x, y in zip(r, pivot)]
+        cols.append(pivot)
+    for j, column in enumerate(cols):
+        for i in range(j + 1, n + 1):
+            z = column[i] // cols[i][i]
+            column[:] = [x - z * y for x, y in zip(column, cols[i])]
+    return SolutionLattice(p, [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)])
+
+
+@pytest.mark.parametrize("p, rows", [(2, "summand"), (3, "summand"), (5, "summand"),
+                                     (7, "summand"), (2, "ku"), (3, "ku"), (5, "ku"),
+                                     (7, "ku")])
+def test_adams_lattices_are_the_span_of_single_adams_operations(p, rows):
+    # the summand at odd p sees psi^k through k^(p-1) on each index; ku_(p),
+    # and the p = 2 summand rows, which are ku_(2)'s, through k itself.
+    # Equality at n = 12 gives it below 12: both lattices project.
+    n = 12
+    if rows == "summand":
+        adams = _lattice_of_rows(p, n, summand_rows(p, n))
+        step = 1 if p == 2 else p - 1
+    else:
+        adams = solve(ku_congruence_system(p, n))
+        step = 1
+    span = _adams_span(p, n, step)
+    assert span.pivots() == adams.pivots()
+    assert lattice_leq(span, adams)
+    assert lattice_eq(span, adams)

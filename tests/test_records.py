@@ -19,6 +19,7 @@ from bpadams import (AdamsFamily, BPContext, C_vector, CongruenceSystem, Congrue
 from bpadams.lattice import SandwichResult
 
 STARTUP_SCRIPT = Path(__file__).resolve().parent / "startup_imports.py"
+UNUSED_SCRIPT = Path(__file__).resolve().parent / "unused_private.py"
 
 
 SPECIAL = ("p", "n", "c", "numerators", "den")
@@ -164,5 +165,11 @@ def test_special_element_equality_reads_the_element():
 
 def test_import_loads_no_dataclasses_or_typing():
     done = subprocess.run([sys.executable, str(STARTUP_SCRIPT)], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_every_private_helper_is_used():
+    done = subprocess.run([sys.executable, str(UNUSED_SCRIPT)], capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr

@@ -12,7 +12,7 @@ import functools
 from bpadams import hopf
 from bpadams.arith import integer_numerators
 from bpadams.hopf import MuLinear, right_unit_of_l_poly
-from bpadams.polyring import GradedPoly
+from bpadams.polyring import GeneratorTable, GradedPoly
 
 
 def convolve(a, b):
@@ -47,10 +47,12 @@ def fraction_t_recursion(p, L, E):
 
 @functools.lru_cache(maxsize=None)
 def theta_images(ctx):
-    """theta of each {l, t} generator over ``ctx.vu_table``: l_k -> l_k(v),
+    """theta of each {l, t} generator over the v table with one more
+    generator u of weight 0, the mu index: l_k -> l_k(v),
     t_n -> T_n by :func:`fraction_t_recursion`."""
-    u = GradedPoly.gen(ctx.vu_table, ctx.weight_bound, "u")
-    L = [ctx.l_in_v(n).embedded(ctx.vu_table) for n in range(1, ctx.gen_count + 1)]
+    vu_table = ctx.v_table.union(GeneratorTable([("u", 0)]))
+    u = GradedPoly.gen(vu_table, ctx.weight_bound, "u")
+    L = [ctx.l_in_v(n).embedded(vu_table) for n in range(1, ctx.gen_count + 1)]
     T = fraction_t_recursion(ctx.p, L, [(u ** w) * Ln for w, Ln in zip(ctx.l_table.weights, L)])
     return dict(zip(ctx.lt_table.names, L + T))  # l1.., then t1..
 
