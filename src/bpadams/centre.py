@@ -27,7 +27,8 @@ from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congr
                      expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
-from .hopf import ConstructionError, MuLinear, special_element, t_monomial_numerators
+from .hopf import (ConstructionError, MuLinear, _hazewinkel_theta_numerators, _theta_numerators,
+                   special_element, t_monomial_numerators)
 from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, extend_lattice,
                       lattice_eq, sandwich_check, solve)
 
@@ -40,14 +41,24 @@ class CentreVerificationError(RuntimeError):
         self.report = report
 
 
-def _sampled_rows(ctx: BPContext, top: int | None) -> tuple[list[tuple], int]:
+def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[tuple], int]:
     """The sampled rows with top index <= ``top`` (all when ``top`` is
     None) as (gamma, delta, numerators, den), in the order of
     :func:`sampled_integrality_rows`, and the count of all rows: the
-    walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`), the
-    ones above ``top`` counted and never decoded."""
+    walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`) on
+    the generator images ``images``, the ones above ``top`` counted and
+    never decoded.
+
+    The images fix the generators of BP_* the rows are read in.  On
+    Araki's (:func:`bpadams.hopf._theta_numerators`) the rows are those of
+    :func:`sampled_integrality_rows`.  On Hazewinkel's
+    (:func:`bpadams.hopf._hazewinkel_theta_numerators`), which the
+    lattice callers pass, each gamma's rows cut out the same integrality
+    conditions, with numerators several times narrower: both sets
+    generate BP_* over Z_(p), so theta_mu(t^gamma) lies in BP_* iff its
+    rows in either set are p-integral at mu."""
     rows, total = [], 0
-    for gamma, kept, den, count in t_monomial_numerators(ctx, top):
+    for gamma, kept, den, count in t_monomial_numerators(ctx, images, top):
         if any(gamma):
             total += count
             rows.extend((gamma, delta, row, den) for delta, row in kept.items())
@@ -69,10 +80,11 @@ def sampled_integrality_rows(ctx: BPContext,
     (gamma, delta) pair.  The enumeration order is deterministic: gamma
     as in :func:`bpadams.polyring.monomials_up_to_weight`, then delta in
     graded-lexicographic order.  The rows are those of
-    :func:`_sampled_rows`, read as ``MuLinear`` forms.
+    :func:`_sampled_rows` in Araki's generators, read as ``MuLinear``
+    forms.
     """
     return [(gamma, delta, MuLinear._from_numerators(row, den))
-            for gamma, delta, row, den in _sampled_rows(ctx, None)[0]]
+            for gamma, delta, row, den in _sampled_rows(ctx, None, _theta_numerators(ctx))[0]]
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:
@@ -105,19 +117,76 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
     v = val_p(den); that valuation is taken once per row, in order, and
     no row after the first failure is read.
 
-    The values on every column come at once from the lattice's packed
-    rows (:meth:`bpadams.lattice.SolutionLattice._values`), one
-    multiply-add per entry; the lattice widens its rows in place the
-    first time a v needs it, and keeps them wide for every later row, call
-    and extension.
+    The columns are read all at once from the lattice's own packed rows
+    (:class:`bpadams.lattice.SolutionLattice`): basis row i is one int
+    P_i with non-negative digits, digit j being entry i of column j, and
+    a row's values on every column are the digits of
+    V = sum_i (c_i mod p^v) * P_i, one multiply-add per entry.  The rows
+    are packed wide enough that no digit of V carries
+    (:meth:`bpadams.lattice.SolutionLattice._packed`, taken once per rise
+    of v: rows wide enough for v serve every smaller v; the lattice widens
+    them in place and keeps them wide for every later row, call and
+    extension), so digit j of V is the value on column j itself, and the
+    digits are read up to the first non-zero one.
     """
+    packed_v = 0
     for k, (row, den) in enumerate(rows):
         v = val_p(p, den)
-        if v:
-            values = lat._values(row.items(), p ** v)
-            if any(values):
-                return k, next(j for j, x in enumerate(values) if x)
+        if not v:
+            continue
+        modulus = p ** v
+        if v > packed_v:
+            width, packed = lat._packed(modulus)
+            packed_v, mask = v, (1 << width) - 1
+        value = sum(c % modulus * packed[i] for i, c in row.items())
+        j = 0
+        while value:
+            if (value & mask) % modulus:
+                return k, j
+            value >>= width
+            j += 1
     return None
+
+
+def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, dict]:
+    """The witness of the first sampled row with top index n, read in
+    Araki's generators, that fails on ``lat``, and the count of the rows
+    with top index <= n up to it, once the rows in Hazewinkel's
+    generators have failed at n.
+
+    A witness's ``value`` and that count depend on the generators the
+    rows are read in; the report gives them in Araki's, those of
+    :func:`sampled_integrality_rows`.  So the walk runs again on Araki's
+    images, which the run pays once, since it stops at n, and only up to
+    the node of the witness.  The two sets of rows cut out the same
+    integrality conditions gamma by gamma, but the restriction to top
+    index n depends on the set, so the lattices they cut out may differ
+    in principle: if no Araki row fails at n, that is raised as a
+    :class:`bpadams.hopf.ConstructionError` with details
+    ``{"stage": "sample_basis", "n"}``.
+    """
+    usable = 0
+    for gamma, kept, den, _ in t_monomial_numerators(ctx, _theta_numerators(ctx), n):
+        if not any(gamma):
+            continue
+        rows = list(kept.items())  # every one with top index <= n
+        positions = [pos for pos, (_, row) in enumerate(rows) if max(row) == n]
+        failed = _first_sample_failure(ctx.p, lat, [(rows[pos][1], den) for pos in positions])
+        if failed is None:
+            usable += len(rows)
+            continue
+        pos, j = positions[failed[0]], failed[1]
+        delta, row = rows[pos]
+        col = lat.column(j)
+        return usable + pos + 1, {
+            "gamma": list(gamma),
+            "delta": list(delta),
+            "mu": [format_rational(x) for x in col],
+            "value": format_rational(MuLinear._from_numerators(row, den).evaluate(col)),
+        }
+    raise ConstructionError(
+        f"the sampled rows with top index {n} fail on Hazewinkel's generators "
+        f"and hold on Araki's", {"stage": "sample_basis", "n": n})
 
 
 def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
@@ -152,13 +221,32 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     * the canonical columns are integral (p^e on the diagonal, residues
       in [0, p^e_i) below it), so each row is tested as an integer sum
       modulo a power of p, on every column at once from the lattice's
-      packed rows (:func:`_first_sample_failure`).  The rows are the walk's integer
-      numerators (:func:`_sampled_rows`), in the order of
-      :func:`sampled_integrality_rows`; a ``MuLinear`` is built only for
-      a witness, whose value is recomputed exactly.
+      packed rows (:func:`_first_sample_failure`).
+
+    The rows are the walk's integer numerators (:func:`_sampled_rows`)
+    read in Hazewinkel's generators of BP_*
+    (:func:`bpadams.hopf._hazewinkel_theta_numerators`), not Araki's,
+    which :func:`sampled_integrality_rows` returns.  Integrality does not
+    depend on the choice, since both are polynomial generators of BP_*
+    over Z_(p), and Hazewinkel's rows are several times narrower at odd
+    p.  The rows with top index <= m are a restriction that does depend
+    on the choice in principle: a change of generators can combine rows
+    with high tops into one with a low top.  That the two sets give the
+    same per-top row counts and the same lattices is observed (tests), not
+    proved.  The special elements, their v_1-shadows and every other
+    theta image stay in Araki's generators.  A failure's witness
+    (``value``, from the row itself) and its ``sample_rows_used`` depend
+    on the generators, so when Hazewinkel's rows fail at n, the rows with
+    top index <= n are walked again in Araki's, up to the witness, and
+    both are read from those (:func:`_araki_witness`); if Araki's do not
+    fail there, that is an internal failure, a
+    :class:`bpadams.hopf.ConstructionError` with details
+    ``{"stage": "sample_basis", "n"}``.  A ``MuLinear`` is built only for
+    a witness, whose value is recomputed exactly.
 
     A row with top index above n_max is never tested, so the walk only
     counts it into ``sample_rows_total``: it is never decoded or held.
+    The count is the same in either set of generators (observed).
     """
     ensure_prime(p)
     if n_max < 0:
@@ -168,11 +256,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     weight_bound = needed if weight_bound is None else max(weight_bound, needed)
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, q)
-    sample, total = _sampled_rows(ctx, n_max)
-    tops = [max(row) for _, _, row, _ in sample]
+    sample, total = _sampled_rows(ctx, n_max, _hazewinkel_theta_numerators(ctx))
     by_top: dict[int, list[int]] = {}
-    for pos, top in enumerate(tops):
-        by_top.setdefault(top, []).append(pos)
+    for pos, (_, _, row, _) in enumerate(sample):
+        by_top.setdefault(max(row), []).append(pos)
 
     report: dict = {
         "p": p,
@@ -214,21 +301,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
 
         positions = by_top.get(n, [])
         usable += len(positions)
-        failed = _first_sample_failure(p, lat_g, [sample[pos][2:] for pos in positions])
         witness = None
-        if failed is not None:
-            pos, j = positions[failed[0]], failed[1]
-            gamma, delta, row, den = sample[pos]
-            form = MuLinear._from_numerators(row, den)
-            col = lat_g.column(j)
-            witness = {
-                "gamma": list(gamma),
-                "delta": list(delta),
-                "mu": [format_rational(x) for x in col],
-                "value": format_rational(form.evaluate(col)),
-            }
-            # the scan stops at the witness: count the rows up to it
-            usable = sum(1 for top in tops[: pos + 1] if top <= n)
+        if _first_sample_failure(p, lat_g, [sample[pos][2:] for pos in positions]) is not None:
+            # the scan stops at the witness, read in Araki's generators
+            usable, witness = _araki_witness(ctx, lat_g, n)
         entry["sample_rows_used"] = usable
         entry["sample_included"] = witness is None
 
@@ -249,9 +325,12 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
 
 
 def bp_sample_lattice(ctx: BPContext, n: int) -> SolutionLattice:
-    """Lattice cut out by all sampled rows with support inside 0..n; a row
-    above n is counted by the walk, never decoded (:func:`_sampled_rows`)."""
-    rows = tuple(_dense(row, den, n) for _, _, row, den in _sampled_rows(ctx, n)[0])
+    """Lattice cut out by all sampled rows with support inside 0..n, read
+    in Hazewinkel's generators, as :func:`verify_centre_bp` tests them; a
+    row above n is counted by the walk, never decoded
+    (:func:`_sampled_rows`)."""
+    rows = tuple(_dense(row, den, n) for _, _, row, den
+                 in _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0])
     return solve(CongruenceSystem(ctx.p, n, rows))
 
 
@@ -263,15 +342,17 @@ def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dic
     image of t^gamma is homogeneous of weight |gamma|, so no bound
     W >= |gamma| truncates it: the rows of a context at W are the rows of
     one context at ``max_weight`` whose gamma has weight <= W, in order.
-    Only rows with top index <= n are decoded (:func:`_sampled_rows`).
+    Only rows with top index <= n are decoded, read in Hazewinkel's
+    generators, as :func:`bp_sample_lattice` reads them
+    (:func:`_sampled_rows`).
     """
     ensure_prime(p)
     rows_g = summand_rows(p, n, q)
     lat_g = _lattice_of_rows(p, n, rows_g)
     ctx = BPContext(p, max_weight, q)
     weigh = ctx.t_table.monomial_weight
-    sample = [(weigh(gamma), _dense(row, den, n))
-              for gamma, _, row, den in _sampled_rows(ctx, n)[0]]
+    rows = _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0]
+    sample = [(weigh(gamma), _dense(row, den, n)) for gamma, _, row, den in rows]
     out = {"p": p, "n": n, "target_pivots": list(lat_g.pivots()), "scan": []}
     for W in range(1, max_weight + 1):
         lat = solve(CongruenceSystem(p, n, tuple(row for w, row in sample if w <= W)))

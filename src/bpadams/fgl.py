@@ -27,7 +27,9 @@ class BPContext:
     v_n in the l's (:meth:`v_in_l`) are built on the first call, which
     only public callers make, and ``_hopf_cache`` is filled on first use,
     one entry at a time, with the diagonal transform's generator images
-    as integers (``"theta_numerators"``), the powers of their
+    as integers (``"theta_numerators"``), the same images read in
+    Hazewinkel's generators of BP_* for the verification's walk
+    (``"hazewinkel_theta_numerators"``), the powers of the first images'
     v_1-shadows as integers keyed by u-degree on the same kernel
     (``"v1_chains"``, one chain per generator index, growing as higher
     powers are asked for), the right units eta_R(v_n) as integers on

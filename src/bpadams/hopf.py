@@ -28,6 +28,10 @@ images.  The sampled
 rows need theta(t^gamma) for every t-monomial gamma of weight <= W:
 ``t_monomial_numerators`` walks those monomials depth first and builds
 each image from its parent prefix with one product by a theta(t_k).
+It takes the theta(t_k) from its caller: the verification's integrality
+tests pass them read in Hazewinkel's generators of BP_*
+(``_hazewinkel_theta_numerators``, denominators powers of p), where
+everything else here reads Araki's.
 Each v-monomial v^delta is one int (one bit field per exponent), so a
 product of monomials is one int addition, and each row sum_j c_j * u^j
 is one int sum_j c_j * 2^(B * j) with signed digits (Kronecker substitution), so
@@ -44,9 +48,10 @@ outweighs the saving, run on one int per term v^delta * u^j instead.
 into Q[u].  Its images, the v_1-shadows, are (N, D) too, keyed by
 u-degree: the u field of a theta key, with the terms that contain
 v_{>1} dropped.  So they share theta's kernel: ``_multiply``,
-``_combine`` and ``_power`` are their product, sum and power, and the
-same evaluator runs ``v1_functional`` on the generators' shadows, whose
-powers are kept per context.
+``_combine`` and ``_power`` are their product, sum and power, the
+generators' shadows come from theta's recursion run on shadows, without
+theta's images, and the same evaluator runs ``v1_functional`` on them,
+their powers kept per context.
 
 ``special_element`` builds, for every n, an element whose functional is
 supported on mu_0..mu_n with a unit pivot of valuation -delta_p(n); these
@@ -235,8 +240,10 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
                  E: list[tuple[dict[int, int], int]]) -> list[tuple[dict[int, int], int]]:
     """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
     t_n over the {l, e} basis when E_n = e_n, theta(t_n) when
-    E_n = u^{w_n} L_n with L_n = l_n(v), and eta_R(v_n) when L_n =
-    eta_R(l_n) and E_n = (1 + pi_n) * L_n (see :func:`_right_unit_v`).
+    E_n = u^{w_n} L_n with L_n = l_n(v), its v_1-shadow when each L_n is
+    the shadow of l_n(v) (see :func:`_v1_power`; the keys are u-degrees),
+    and eta_R(v_n) when L_n = eta_R(l_n) and E_n = (1 + pi_n) * L_n (see
+    :func:`_right_unit_v`).
 
     Every polynomial is (N, D): integer numerators N on packed monomial
     keys, a field of ``W.bit_length()`` bits per exponent (see
@@ -434,11 +441,50 @@ def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
     an empty u field."""
     cache = ctx._hopf_cache
     if "theta_numerators" not in cache:
-        L = _l_numerators(ctx, 1)
-        E = [({key + w: c for key, c in num.items()}, den)
-             for (num, den), w in zip(L, ctx.l_table.weights)]
-        cache["theta_numerators"] = dict(zip(ctx.lt_table.names, L + _t_recursion(ctx.p, L, E)))
+        cache["theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 1))
     return cache["theta_numerators"]
+
+
+def _hazewinkel_theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
+    """theta of each {l, t} generator as (N, D), as :func:`_theta_numerators`
+    gives it, but read in Hazewinkel's generators of BP_* where that
+    reads Araki's, built once per context.
+
+    Hazewinkel's v_n are defined by Araki's recursion with pi_n replaced
+    by p: L_n = l_n(v) = (v_n + sum_{1<=i<n} L_i * v_{n-i}^{p^i}) / p, so
+    every denominator is a power of p, where Araki's pi_n = p - p^(p^n)
+    puts prime-to-p factors into every one.  Both generator sets are
+    polynomial generators of BP_* over Z_(p), so an element of
+    BP_* (x) Q lies in BP_* iff its coefficients are p-integral in either:
+    theta_mu(t^gamma) passes the same integrality test on either set of
+    images, and the walk's numerators are several times narrower on
+    these.  Each
+    L_n is summed on packed keys (v_n's field the (m - n + 1)-th above the
+    u field) by :func:`_combine`; the t images follow by
+    :func:`_t_recursion`, as for :func:`_theta_numerators`.
+    """
+    cache = ctx._hopf_cache
+    if "hazewinkel_theta_numerators" not in cache:
+        width, m, p = ctx.weight_bound.bit_length(), ctx.gen_count, ctx.p
+        L: list[tuple[dict[int, int], int]] = []
+        for n in range(1, m + 1):
+            terms = [(1, ({1 << width * (m - n + 1): 1}, p))]
+            for i in range(1, n):
+                shift, (num, den) = p ** i << width * (m - n + i + 1), L[i - 1]
+                terms.append((1, ({key + shift: c for key, c in num.items()}, den * p)))
+            L.append(_combine(terms))
+        cache["hazewinkel_theta_numerators"] = _theta_of(ctx, L)
+    return cache["hazewinkel_theta_numerators"]
+
+
+def _theta_of(ctx: BPContext, L: list[tuple[dict[int, int], int]],
+              ) -> dict[str, tuple[dict[int, int], int]]:
+    """The images of the {l, t} generators, by name, given the L_k = l_k(v)
+    on theta's packed keys: l_k -> L_k, and t_n -> T_n by
+    :func:`_t_recursion` with E_n = u^{w_n} * L_n."""
+    E = [({key + w: c for key, c in num.items()}, den)
+         for (num, den), w in zip(L, ctx.l_table.weights)]
+    return dict(zip(ctx.lt_table.names, L + _t_recursion(ctx.p, L, E)))
 
 
 def _l_numerators(ctx: BPContext, low_fields: int) -> list[tuple[dict[int, int], int]]:
@@ -588,7 +634,8 @@ def _multiply(image: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> di
     return {key: c for key, c in out.items() if c}
 
 
-def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
+def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, int], int]],
+                          top: int | None = None) -> Iterator[
         tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, int]], int, int]]:
     """(gamma, rows, den, count) for every t-monomial gamma of weight <= W,
     in the order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at
@@ -606,9 +653,18 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     truncates, and every delta of one image has the same weight:
     graded-lexicographic order is the order of the packed delta keys.
 
-    The walk runs on integers.  Each theta(t_k) is taken as it is built,
-    once per context, by :func:`_theta_numerators`:
-    N_k = D_k * theta(t_k), D_k the lcm of its denominators.  The
+    The walk runs on integers, on the generator images its caller passes:
+    ``images["t<k>"]`` is theta(t_k) as (N_k, D_k) on packed keys,
+    N_k = D_k * theta(t_k), D_k the lcm of its denominators, read in
+    Araki's generators of BP_* (:func:`_theta_numerators`) or in
+    Hazewinkel's (:func:`_hazewinkel_theta_numerators`).  Both are
+    polynomial generators of BP_* over Z_(p), so theta_mu(t^gamma) lies in
+    BP_* exactly when all its rows in either set are p-integral at mu,
+    though single rows differ between the sets.  The verification's
+    integrality tests walk Hazewinkel's images, whose numerators are
+    several times narrower at odd p; ``sampled_integrality_rows``, which
+    returns the rows themselves, walks Araki's (see
+    :func:`bpadams.centre.verify_centre_bp`).  The
     image of gamma as integer numerators over the common denominator
     den = prod_k D_k^{gamma_k}; a child's denominator is ``den * D_k``.
     A v-monomial v^delta is one int with a field of ``W.bit_length()``
@@ -651,7 +707,7 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
       pair of rows grows like B^2, while one int per term costs a fixed
       interpreted step per pair of terms.  Above
       :data:`PACKED_WIDTH_LIMIT` bits packed rows were measured slower
-      (at odd p, where Araki's generators give ~1,000-bit numerators).  A
+      (at odd p on Araki's images, whose numerators reach ~1,000 bits).  A
       node whose tight width B is above that runs, with its whole subtree
       (widths only grow), on one int per term: the key of v^delta * u^j
       holds delta and j, with a u field of ``W.bit_length()`` bits (see
@@ -666,7 +722,6 @@ def t_monomial_numerators(ctx: BPContext, top: int | None = None) -> Iterator[
     """
     W = ctx.weight_bound
     width = W.bit_length()
-    images = _theta_numerators(ctx)
     weights = ctx.t_table.weights
     gens = []  # per t_k: the rows of N_k by delta, D_k and ||N_k||_1
     # N_k's rows at each width R that the walk packs them at, R = 0 for its
@@ -737,24 +792,27 @@ def _v1_power(ctx: BPContext, g: int, e: int) -> tuple[dict[int, int], int]:
     """The v_1-shadow of g^e for the g-th generator of ``ctx.lt_table``, as
     (N, D) keyed by u-degree (index j for mu_j).
 
-    g's shadow is read from its integer theta image (N, D)
-    (:func:`_theta_numerators`): the u fields of the terms whose packed
-    key has empty v_{>1} fields, reduced (:func:`_reduced`) to the lcm of
-    their denominators.  Its powers are :func:`_multiply` products over
-    that denominator to the e, kept per context in a chain that grows on
-    demand (``ctx._hopf_cache["v1_chains"]``).
+    The shadow of a generator is its theta image under v_1 -> 1,
+    v_{>1} -> 0: the terms of the image with no v_{>1}, keyed by their
+    u-degree, over the lcm of their denominators.  That map is a ring
+    map, so it carries theta's recursion (:func:`_t_recursion`) to the
+    same recursion on the shadows, and every shadow is built from it once
+    per context, without theta's own images: l_k goes to the coefficient
+    c_k of the pure v_1-power in ``ctx.l_in_v(k)``, and t_n to T_n with
+    L_k = c_k and E_n = c_n * u^{w_n}.  Its powers are :func:`_multiply`
+    products over that denominator to the e, kept per context in a chain
+    that grows on demand (``ctx._hopf_cache["v1_chains"]``).
     """
-    chains = ctx._hopf_cache.setdefault("v1_chains", {})
-    if g not in chains:
-        num, den = _theta_numerators(ctx)[ctx.lt_table.names[g]]
-        width = ctx.weight_bound.bit_length()
-        u_mask = (1 << width) - 1
-        # the fields of v_2, ..., v_m, between v_1's at the top and u's at the bottom
-        v_high = ((1 << width * max(len(ctx.v_table) - 1, 0)) - 1) << width
-        # homogeneity leaves one term v_1^a * u^j per j without v_{>1}
-        base, den = _reduced({key & u_mask: c for key, c in num.items() if not key & v_high},
-                             den)
-        chains[g] = ([{0: 1}, base], den)
+    chains = ctx._hopf_cache.get("v1_chains")
+    if chains is None:
+        lead = [ctx.l_in_v(k).terms.get((w,) + (0,) * (ctx.gen_count - 1), 0)
+                for k, w in enumerate(ctx.l_table.weights, 1)]
+        L = [_reduced({0: c.numerator}, c.denominator) for c in lead]
+        E = [_reduced({w: c.numerator}, c.denominator)
+             for c, w in zip(lead, ctx.l_table.weights)]
+        shadows = L + _t_recursion(ctx.p, L, E)
+        chains = ctx._hopf_cache["v1_chains"] = {
+            g: ([{0: 1}, base], den) for g, (base, den) in enumerate(shadows)}
     chain, den = chains[g]
     while len(chain) <= e:
         chain.append(_multiply(chain[1], chain[-1].items()))
@@ -820,8 +878,10 @@ class SpecialElement(_Record):
     Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
     unit multiple of p^{-delta_p(n)}; checked for prime powers n, and
     implied for the others (see :func:`_special_composite`).  The row is
-    kept twice, as ``c`` and as integers: c_j = numerators[j] / den, den
-    the lcm of the denominators of the c_j.
+    kept three times, as ``c`` and as integers: c_j = numerators[j] / den,
+    den the lcm of the denominators of the c_j, and ``_row``, the non-zero
+    numerators keyed by j, which :func:`_multiply` takes as they are
+    (derived from ``numerators`` when not given).
 
     ``element``, the polynomial over the context's {l, t} table
     (``_table``, truncated at ``_bound``), is a view built on first access
@@ -840,9 +900,12 @@ class SpecialElement(_Record):
     def __init__(self, p: int, n: int, c: tuple[Fraction, ...], numerators: tuple[int, ...],
                  den: int, _table: GeneratorTable, _bound: int,
                  _poly: tuple[dict[int, int], int] | None = None,
-                 _factors: tuple[SpecialElement, SpecialElement] | None = None):
+                 _factors: tuple[SpecialElement, SpecialElement] | None = None,
+                 _row: dict[int, int] | None = None):
+        if _row is None:
+            _row = {j: x for j, x in enumerate(numerators) if x}
         self.__dict__.update(p=p, n=n, c=c, numerators=numerators, den=den, _table=_table,
-                             _bound=_bound, _poly=_poly, _factors=_factors)
+                             _bound=_bound, _poly=_poly, _factors=_factors, _row=_row)
 
     @cached_property
     def element(self) -> GradedPoly:
@@ -974,7 +1037,7 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         rows = [(1, (work, work_den))]
         for k, s in enumerate(scales, 1):
             low = _special_prime_power(ctx, i - k)
-            num, den = _power((dict(enumerate(low.numerators)), low.den), p ** k)
+            num, den = _power((low._row, low.den), p ** k)
             rows.append((-s.numerator, (num, s.denominator * den)))
             num, den = _power(low._poly, p ** k)
             key = t_key(i + 1 - k, p ** k)
@@ -993,7 +1056,8 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         row, row_den = _v1_power(ctx, t1, 1)
     poly = _combine(parts)
     out = SpecialElement(p, n, _check_profile(p, n, MuLinear._from_numerators(row, row_den)),
-                         tuple(row.get(j, 0) for j in range(n + 1)), row_den, table, W, poly)
+                         tuple(row.get(j, 0) for j in range(n + 1)), row_den, table, W, poly,
+                         _row=row)
     cache[n] = out
     return out
 
@@ -1026,10 +1090,12 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     d_{n - p^k} comes from the cache or from a recursive call here.
 
     The row is the product (:func:`_multiply`, on u-degree keys) of the
-    integer rows of d_a and d_b, a = n - p^k and b = p^k, kept on the two
-    elements: entry j of d_n is (sum_i A_i * B_{j-i}) / (da * db),
-    reduced to the lcm of the denominators (:func:`_reduced`).  The element is not multiplied out here: its view is
-    the product of the two factors' views, built when read.
+    integer rows of d_a and d_b, a = n - p^k and b = p^k, kept keyed by
+    u-degree on the two elements (``_row``): entry j of d_n is
+    (sum_i A_i * B_{j-i}) / (da * db), reduced to the lcm of the
+    denominators (:func:`_reduced`).  The element is not multiplied out
+    here: its view is the product of the two factors' views, built when
+    read.
 
     It meets the profile of :func:`_check_profile` with no check.  p^k is
     the lowest base-p digit of n, so adding a and b in base p has no
@@ -1051,10 +1117,9 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     if n == p ** k:
         return dk
     low = _special_composite(ctx, n - p ** k)
-    row, den = _reduced(_multiply(dict(enumerate(dk.numerators)),
-                                  list(enumerate(low.numerators))), low.den * dk.den)
+    row, den = _reduced(_multiply(dk._row, low._row.items()), low.den * dk.den)
     numerators = tuple([row.get(j, 0) for j in range(n + 1)])
     out = SpecialElement(p, n, tuple(Fraction(c, den) for c in numerators), numerators, den,
-                         ctx.lt_table, ctx.weight_bound, _factors=(low, dk))
+                         ctx.lt_table, ctx.weight_bound, _factors=(low, dk), _row=row)
     cache[n] = out
     return out

@@ -2,10 +2,12 @@
 that tier-1 does not pin.
 
 Each digest is the first 16 hex digits of the SHA-256 of
-``json.dumps(report, sort_keys=True)``.  Together the four runs take about
-7 s on two cores; they go through the walk's wide re-spreads at p = 2 and
-its dict kernel at odd p.  pytest does not collect this file.  Run it as
-``python tests/frontier_digests.py``; it exits 1 if a digest differs.
+``json.dumps(report, sort_keys=True)``.  Together the six runs take about
+6 s on two cores; they go through the walk's wide re-spreads at p = 2 and
+its dict kernel at odd p.  (3, 50) and (11, 100) were computed by the
+walk on Araki's generators, before it moved to Hazewinkel's.  pytest
+does not collect this file.  Run it as ``python tests/frontier_digests.py``;
+it exits 1 if a digest differs.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ FRONTIER = {
     (3, 40): "6341f9d3977573fd",
     (5, 60): "b93b54652a8142ab",
     (7, 60): "430d48c3046225f3",
+    (3, 50): "717469b7936e533a",
+    (11, 100): "ea4646c2e9872ab9",
 }
 
 

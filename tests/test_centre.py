@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import theta_reference
 from bpadams import centre, hopf
 from bpadams.adamsk import adams_family, family_action, ku_congruence_system
-from bpadams.arith import nu_p
+from bpadams.arith import delta_p, nu_p
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             lattice_realizability, sampled_integrality_rows, summand_rows,
                             verify_centre_bp, _lattice_of_rows)
@@ -115,23 +116,38 @@ def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
     assert rows == expected and len(rows) == WALK_ROWS[p, W]
 
 
+def _with_a_carry(build):
+    """The generator images ``build(ctx)`` with a term v_1 * u^2 added to
+    theta(t_1): its u-degree 2 > w_1 = 1 breaks the no-carry bound of the
+    packed keys."""
+    def images(ctx):
+        out = dict(build(ctx))
+        num, den = out["t1"]
+        exps = (1,) + (0,) * (len(ctx.v_table) - 1) + (2,)
+        key = hopf._key(exps, ctx.weight_bound.bit_length())
+        assert key not in num
+        out["t1"] = ({**num, key: den}, den)
+        return out
+    return images
+
+
 def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
-    # a term of theta(t_1) with u-degree 2 > w_1 = 1 breaks the no-carry
-    # bound of the packed keys; the walk checks the images before it
-    # starts, and diagonal_transform once per call.  The walk's images are
-    # the program's own, so there the failure is a ConstructionError
+    # the walk checks the images it is given before it starts, and
+    # diagonal_transform once per call.  The walk's images are the
+    # program's own, so there the failure is a ConstructionError: on
+    # Araki's images for sampled_integrality_rows, on Hazewinkel's for the
+    # verification and the sample lattice
     ctx = BPContext(2, 4)
-    images = dict(hopf._theta_numerators(ctx))
-    num, den = images["t1"]
-    width = ctx.weight_bound.bit_length()
-    key = hopf._key((1, 0, 2), width)  # v_1 * u^2
-    assert key not in num
-    images["t1"] = ({**num, key: den}, den)
-    monkeypatch.setattr(hopf, "_theta_numerators", lambda c: images)
+    monkeypatch.setattr(hopf, "_theta_numerators", _with_a_carry(hopf._theta_numerators))
+    monkeypatch.setattr(centre, "_theta_numerators", hopf._theta_numerators)
+    monkeypatch.setattr(centre, "_hazewinkel_theta_numerators",
+                        _with_a_carry(hopf._hazewinkel_theta_numerators))
     message = "theta\\(t1\\) has a term of u-degree 2 above 1: its packed keys could carry"
-    with pytest.raises(ConstructionError, match=message) as err:
-        sampled_integrality_rows(ctx)
-    assert err.value.details == {"stage": "walk", "generator": "t1"}
+    for run in (lambda: sampled_integrality_rows(ctx), lambda: verify_centre_bp(2, 3),
+                lambda: bp_sample_lattice(ctx, 2)):
+        with pytest.raises(ConstructionError, match=message) as err:
+            run()
+        assert err.value.details == {"stage": "walk", "generator": "t1"}
     with pytest.raises(PolyError, match=message):
         hopf.diagonal_transform(ctx, GradedPoly.gen(ctx.lt_table, 4, "l1")
                                 * hopf.t_gen(ctx, 1, 2))
@@ -182,6 +198,18 @@ def test_bp_sample_scan_matches_a_context_per_weight(p, n, max_weight):
     assert bp_sample_scan(p, n, max_weight)["scan"] == expected
 
 
+def test_verify_run_builds_no_araki_theta_images(monkeypatch):
+    # a passing run walks Hazewinkel's images, and the special elements
+    # read their rows from the v_1-shadows, which need no theta image
+    def refuse(ctx):
+        raise AssertionError("Araki's theta images were built")
+
+    monkeypatch.setattr(hopf, "_theta_numerators", refuse)
+    monkeypatch.setattr(centre, "_theta_numerators", refuse)
+    for p, n in ((2, 5), (3, 4), (5, 12)):
+        assert verify_centre_bp(p, n)["verdict"]
+
+
 def test_verify_run_builds_no_right_unit_tables(monkeypatch):
     def refuse(ctx):
         raise AssertionError("the right-unit tables were built")
@@ -196,9 +224,9 @@ def _recorded_walk(monkeypatch, tops):
     every row it hands over has its top index at most ``top``."""
     walk = hopf.t_monomial_numerators
 
-    def recorded(ctx, top=None):
+    def recorded(ctx, images, top=None):
         tops.append(top)
-        for gamma, rows, den, count in walk(ctx, top):
+        for gamma, rows, den, count in walk(ctx, images, top):
             assert top is None or all(max(row) <= top for row in rows.values())
             yield gamma, rows, den, count
 
@@ -234,9 +262,9 @@ def test_one_read_out_serves_every_sampled_row_caller(monkeypatch):
     calls, tops = [], []
     read_out = centre._sampled_rows
 
-    def recorded(ctx, top):
+    def recorded(ctx, top, images):
         calls.append(top)
-        return read_out(ctx, top)
+        return read_out(ctx, top, images)
 
     monkeypatch.setattr(centre, "_sampled_rows", recorded)
     _recorded_walk(monkeypatch, tops)
@@ -364,21 +392,25 @@ def _inject(monkeypatch, bad, before):
     item ``bad`` = (gamma, rows, den) comes right before the first
     non-trivial item ``before`` accepts.  Like the walk, the item keeps
     the rows whose top index is at most the walk's ``top`` and counts
-    them all.  Returns the list that receives the flattened sample and
-    the list of the ``top`` values asked for."""
+    them all, on either set of generator images.  Returns the list that
+    receives the flattened sample of each walk and the list of the
+    ``(top, generators)`` each walk was asked for, generators "araki" or
+    "hazewinkel"."""
     import bpadams.centre as centre
 
     real = centre.t_monomial_numerators
     seen, asked = [], []
 
-    def with_bad_row(ctx, top=None):
-        items = list(real(ctx, top))
+    def with_bad_row(ctx, images, top=None):
+        araki = images is hopf._theta_numerators(ctx)
+        assert araki or images is hopf._hazewinkel_theta_numerators(ctx)
+        items = list(real(ctx, images, top))
         k = next(k for k, item in enumerate(items) if any(item[0]) and before(items, k))
         gamma, rows, den = bad
         kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
         items.insert(k, (gamma, kept, den, len(rows)))
         seen.append(_flattened(items))
-        asked.append(top)
+        asked.append((top, "araki" if araki else "hazewinkel"))
         return iter(items)
 
     monkeypatch.setattr(centre, "t_monomial_numerators", with_bad_row)
@@ -406,9 +438,13 @@ def test_inclusion_witness_matches_brute_force(monkeypatch):
 
     seen, asked = _inject(monkeypatch, bad, after_the_first_top_one)
     report = centre.verify_centre_bp(3, 4)
-    assert asked == [4]
-    used, witness = _brute_force_inclusion(3, 4, seen[0])
+    # the Hazewinkel rows fail at n = 2, so the rows up to top index 2 are
+    # walked again on Araki's generators, which the witness and the count
+    # come from
+    assert asked == [(4, "hazewinkel"), (2, "araki")]
+    used, witness = _brute_force_inclusion(3, 4, seen[1])
     assert witness is not None and witness["n"] == 2
+    assert _brute_force_inclusion(3, 4, seen[0])[1]["n"] == 2
     failure = report["failure"]
     assert {"n": failure["n"], **failure["witness"]} == witness
     assert witness["mu"] == ["0", "0", "9"] and witness["value"] == "1/3"
@@ -431,14 +467,15 @@ def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
 
     seen, asked = _inject(monkeypatch, bad, before_six)
     report = centre.verify_centre_bp(2, 6)
-    assert asked == [6]
-    used, witness = _brute_force_inclusion(2, 6, seen[0])
+    assert asked == [(6, "hazewinkel"), (6, "araki")]
+    used, witness = _brute_force_inclusion(2, 6, seen[1])
     assert witness is not None and witness["n"] == 6 and witness["gamma"] == [6, 0, 9]
+    assert _brute_force_inclusion(2, 6, seen[0])[1]["n"] == 6
     failure = report["failure"]
     assert {"n": failure["n"], **failure["witness"]} == witness
     assert [row["sample_rows_used"] for row in report["rows"]] == used
     assert [row["sample_included"] for row in report["rows"]] == [True] * 6 + [False]
-    top_six = sum(1 for _, _, form in seen[0] if form.top_index() == 6)
+    top_six = sum(1 for _, _, form in seen[1] if form.top_index() == 6)
     assert used[6] - used[5] == top_six - 1  # the row of (6, 0, 0) is not counted
 
 
@@ -460,10 +497,41 @@ def test_a_failing_row_above_n_max_is_counted_and_never_tested(monkeypatch):
 
     monkeypatch.setattr(centre, "val_p", recorded_val_p)
     report = centre.verify_centre_bp(3, 4)
-    assert asked == [4] and report["verdict"]
+    assert asked == [(4, "hazewinkel")] and report["verdict"]
     assert report == {**clean, "sample_rows_total": clean["sample_rows_total"] + 1}
     assert den not in tested and len(tested) == report["rows"][-1]["sample_rows_used"]
     assert all(form.top_index() <= 4 for _, _, form in seen[0])
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (2, 10), (2, 12), (2, 16), (2, 20), (3, 4),
+                                  (3, 6), (3, 12), (3, 18), (3, 27), (5, 6), (5, 10), (5, 24),
+                                  (5, 36), (7, 8), (7, 14), (7, 30), (7, 42), (11, 12),
+                                  (13, 14)])
+def test_both_generator_sets_give_the_same_counts_and_lattices(p, n):
+    """The rows read in Araki's and in Hazewinkel's generators, at
+    W = delta_p(n): the same count of rows, the same count per top index
+    up to n, and the same lattice cut out by the rows with top index <= m
+    for m = n and m = n // 2.  Integrality of theta_mu(t^gamma) does not
+    depend on the generators, but the restriction to top index <= m does
+    in principle, so this equality is observed here, not proved; the
+    verification's report relies on it."""
+    ctx = BPContext(p, delta_p(p, n))
+    (araki, araki_total), (hazewinkel, hazewinkel_total) = (
+        centre._sampled_rows(ctx, n, images(ctx))
+        for images in (hopf._theta_numerators, hopf._hazewinkel_theta_numerators))
+    assert araki_total == hazewinkel_total
+
+    def per_top(rows):
+        return collections.Counter(max(row) for _, _, row, _ in rows)
+
+    assert per_top(araki) == per_top(hazewinkel)
+    assert [row for _, _, row, _ in araki] != [row for _, _, row, _ in hazewinkel]
+    for m in {n, n // 2}:
+        araki_lattice, hazewinkel_lattice = (
+            solve(CongruenceSystem(p, m, tuple(centre._dense(row, den, m)
+                                               for _, _, row, den in rows if max(row) <= m)))
+            for rows in (araki, hazewinkel))
+        assert araki_lattice == hazewinkel_lattice, m
 
 
 @pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12), (2, 16)])
@@ -471,7 +539,8 @@ def test_integer_producer_matches_the_sampled_rows(p, W):
     # the rows verify_centre_bp tests, read as Fraction(c, den), are the
     # public sampled rows, row for row
     ctx = BPContext(p, W)
-    assert _flattened(hopf.t_monomial_numerators(ctx)) == sampled_integrality_rows(ctx)
+    assert (_flattened(hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx)))
+            == sampled_integrality_rows(ctx))
 
 
 def test_inclusion_counts_match_brute_force_on_passing_scans():
@@ -511,6 +580,37 @@ def test_hypothesis_violation_report_is_unchanged(monkeypatch):
         "witness": {"gamma": [2, 0], "delta": [2, 0], "mu": ["0", "3", "0"],
                     "value": "-1/96"},
     }
+
+
+def test_the_araki_walk_for_a_witness_stops_at_its_node(monkeypatch):
+    # the corrupted c_2 of the test above: the Hazewinkel rows fail at
+    # n = 2, and the Araki walk that reads the witness is drawn only up to
+    # the witness's gamma, though more nodes follow it
+    import bpadams.centre as centre
+    from bpadams.adamsk import CongruenceVector
+
+    real_rows, real_walk = centre.summand_rows, centre.t_monomial_numerators
+
+    def corrupted(p, n_max, q=None):
+        rows = real_rows(p, n_max, q)
+        rows[2] = CongruenceVector(p, 2, tuple(3 * e for e in rows[2].entries),
+                                   rows[2].budget)
+        return rows
+
+    drawn = []
+
+    def recorded(ctx, images, top=None):
+        for item in real_walk(ctx, images, top):
+            if images is hopf._theta_numerators(ctx):
+                drawn.append(item[0])
+            yield item
+
+    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    monkeypatch.setattr(centre, "t_monomial_numerators", recorded)
+    report = centre.verify_centre_bp(3, 3)
+    assert report["failure"]["witness"]["gamma"] == [2, 0] and drawn[-1] == (2, 0)
+    ctx = BPContext(3, report["weight_bound"])
+    assert len(drawn) < len(list(real_walk(ctx, hopf._theta_numerators(ctx), 2)))
 
 
 def _all_columns_first_failure(p, lat, rows):

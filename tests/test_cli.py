@@ -315,11 +315,12 @@ def test_extension_failure_in_verify_exits_1_with_json_details(capsys, monkeypat
 def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
     # the walk's generator images come from the program's own recursion, so
     # an image whose u-degree could carry is an internal failure: a
-    # ConstructionError naming the stage and the generator, and exit 1
-    from bpadams import hopf
+    # ConstructionError naming the stage and the generator, and exit 1.
+    # verify-centre walks the images in Hazewinkel's generators
+    from bpadams import centre, hopf
     from bpadams.fgl import BPContext
 
-    build = hopf._theta_numerators
+    build = hopf._hazewinkel_theta_numerators
 
     def with_a_carry(ctx):
         images = dict(build(ctx))
@@ -330,9 +331,10 @@ def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
         images["t2"] = ({**num, key: den}, den)
         return images
 
-    monkeypatch.setattr(hopf, "_theta_numerators", with_a_carry)
+    monkeypatch.setattr(centre, "_hazewinkel_theta_numerators", with_a_carry)
     with pytest.raises(hopf.ConstructionError) as err:
-        list(hopf.t_monomial_numerators(BPContext(3, 5)))
+        ctx = BPContext(3, 5)
+        list(hopf.t_monomial_numerators(ctx, with_a_carry(ctx)))
     assert err.value.details == {"stage": "walk", "generator": "t2"}
     code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
     assert code == 1 and out == ""
@@ -341,6 +343,36 @@ def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
     assert json.loads(lines[0]) == {
         "error": "theta(t2) has a term of u-degree 5 above 4: its packed keys could carry",
         "details": {"stage": "walk", "generator": "t2"}}
+
+
+def test_sample_failure_that_araki_rows_do_not_confirm_exits_1(capsys, monkeypatch):
+    # the verification tests the rows read in Hazewinkel's generators and
+    # takes a failure's witness from the rows read in Araki's; both cut
+    # out the same conditions, so a Hazewinkel failure that the Araki rows
+    # do not confirm is an internal failure, here injected as an image of
+    # t_1 one power of p too small: exit 1 with stage sample_basis and n
+    from bpadams import centre, hopf
+
+    build = hopf._hazewinkel_theta_numerators
+
+    def divided(ctx):
+        images = dict(build(ctx))
+        num, den = images["t1"]
+        images["t1"] = (num, den * ctx.p)
+        return images
+
+    monkeypatch.setattr(centre, "_hazewinkel_theta_numerators", divided)
+    with pytest.raises(hopf.ConstructionError) as err:
+        centre.verify_centre_bp(3, 4)
+    assert err.value.details == {"stage": "sample_basis", "n": 1}
+    code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "the sampled rows with top index 1 fail on Hazewinkel's generators "
+                 "and hold on Araki's",
+        "details": {"stage": "sample_basis", "n": 1}}
 
 
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):

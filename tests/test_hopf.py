@@ -289,6 +289,35 @@ def test_theta_images_against_the_fraction_recursion(p, W):
     assert hopf._rud(c).t_in_basis == theta_reference.t_in_basis(c)
 
 
+@pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 22), (2, 40), (3, 14), (3, 60),
+                                  (5, 40), (5, 62), (7, 16), (7, 70)])
+def test_hazewinkel_images_against_a_context_with_pi_equal_to_p(p, W):
+    # the images built on integers equal those of a context whose l_n(v)
+    # come from Araki's recursion with pi_n = p, by the package's integer
+    # recursion and, at the smaller bounds, by the Fraction one; with
+    # denominators powers of p
+    c = BPContext(p, W)
+    got = hopf._hazewinkel_theta_numerators(c)
+    assert got == hopf._theta_numerators(theta_reference.HazewinkelContext(p, W))
+    if W <= 40:
+        assert got == theta_reference.theta_numerators(theta_reference.HazewinkelContext(p, W))
+    assert all(den == p ** val_p(p, den) for _, den in got.values())
+    assert got != hopf._theta_numerators(c) or W == 0
+
+
+def test_hazewinkel_images_are_built_once_per_context_and_only_for_a_walk(monkeypatch):
+    # a context builds no images; the first call builds them under their own
+    # key, and later calls read them
+    c = BPContext(3, 14)
+    assert c._hopf_cache == {}
+    combine, calls = hopf._combine, []
+    monkeypatch.setattr(hopf, "_combine", lambda terms: calls.append(1) or combine(terms))
+    images = hopf._hazewinkel_theta_numerators(c)
+    built = len(calls)
+    assert built and list(c._hopf_cache) == ["hazewinkel_theta_numerators"]
+    assert hopf._hazewinkel_theta_numerators(c) is images and len(calls) == built
+
+
 def _packed(poly):
     """A polynomial as (N, D) on packed keys, a field of W.bit_length()
     bits per generator."""
@@ -410,6 +439,24 @@ def test_v1_functional_against_the_fraction_route(p, W):
         got, want = v1_functional(c, x), theta_reference.v1_functional(c, x)
         assert got == want and all(got.coeffs.values()), x.to_text()
         assert v1_functional(c, x, mu) == theta_reference.v1_functional(c, x, mu), x.to_text()
+
+
+@pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 22), (2, 38), (3, 14), (3, 40),
+                                  (5, 28), (5, 62), (7, 16), (11, 30)])
+def test_v1_shadows_against_the_theta_images(p, W):
+    # each generator's shadow, built by the recursion on shadows, is the
+    # part of its theta image with no v_{>1}, keyed by u-degree, over the
+    # lcm of its denominators; a context builds no theta image for it
+    c = BPContext(p, W)
+    shadows = {g: hopf._v1_power(c, g, 1) for g in range(len(c.lt_table))}
+    assert "theta_numerators" not in c._hopf_cache
+    width = W.bit_length()
+    v_high = ((1 << width * max(len(c.v_table) - 1, 0)) - 1) << width
+    for g, name in enumerate(c.lt_table.names):
+        num, den = hopf._theta_numerators(c)[name]
+        want = hopf._reduced({key & ((1 << width) - 1): x for key, x in num.items()
+                              if not key & v_high}, den)
+        assert shadows[g] == want and want[0], name
 
 
 def test_product_rule_t1_squared():
@@ -589,12 +636,19 @@ def test_concrete_integrality_matches_lattice_membership():
         assert direct == lat.contains(mu)
 
 
+# the walk's two sets of generator images, by the generators of BP_* they
+# are read in: the package's images of a context, and the context class
+# whose Fraction recursion (theta_reference) is their reference
+BASES = {"araki": (hopf._theta_numerators, BPContext),
+         "hazewinkel": (hopf._hazewinkel_theta_numerators, theta_reference.HazewinkelContext)}
+
+
 def _dict_walk(ctx):
     """The t-monomial walk on one int per term, as it ran before packed
     rows: (gamma, every row of theta(t^gamma), den) in walk order, each
     term's key holding its v-exponents and its u-degree.  The reference
     for :func:`hopf.t_monomial_numerators`, on the generator images of the
-    Fraction recursion."""
+    Fraction recursion of ``ctx``."""
     W = ctx.weight_bound
     images = theta_reference.theta_numerators(ctx)
     weights = ctx.t_table.weights
@@ -620,8 +674,8 @@ def _dict_walk(ctx):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_walk(p, W):
-    return list(_dict_walk(BPContext(p, W)))
+def _reference_walk(p, W, basis="araki"):
+    return list(_dict_walk(BASES[basis][1](p, W)))
 
 
 # limit 0 runs every node on packed monomial keys, 10**6 every node on
@@ -630,17 +684,19 @@ def _reference_walk(p, W):
 @pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
 @pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36)])
 def test_walk_matches_the_dict_walk(p, W, limit, monkeypatch):
-    reference = _reference_walk(p, W)
+    # on both sets of generator images
     if limit is not None:
         monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
     ctx = BPContext(p, W)
-    for top in (None, 0, 1, W // 4, W // 2, W):
-        got = [(gamma, list(rows.items()), den, count)
-               for gamma, rows, den, count in hopf.t_monomial_numerators(ctx, top)]
-        want = [(gamma, [(d, row) for d, row in rows.items()
-                         if top is None or max(row) <= top], den, len(rows))
-                for gamma, rows, den in reference]
-        assert got == want, top
+    for basis, (build, _) in BASES.items():
+        reference = _reference_walk(p, W, basis)
+        for top in (None, 0, 1, W // 4, W // 2, W):
+            got = [(gamma, list(rows.items()), den, count) for gamma, rows, den, count
+                   in hopf.t_monomial_numerators(ctx, build(ctx), top)]
+            want = [(gamma, [(d, row) for d, row in rows.items()
+                             if top is None or max(row) <= top], den, len(rows))
+                    for gamma, rows, den in reference]
+            assert got == want, (basis, top)
 
 
 def _edge_rows(D, n):
@@ -707,15 +763,16 @@ def test_packed_width_rounds_up_to_whole_digits(M):
     assert not packing_reference.top_at_most(codec.pack({**row, 4: 1}, R), R, 3)
 
 
-def _walk_nodes(p, W):
+def _walk_nodes(p, W, basis):
     """{gamma: (non-zero rows of theta(t^gamma), l1 bound on its numerators)}
-    for every node of the walk, and the norms ||N_k||_1 the bounds multiply."""
-    ctx = BPContext(p, W)
+    for every node of the walk on the images of ``basis``, and the norms
+    ||N_k||_1 the bounds multiply."""
+    ctx = BASES[basis][1](p, W)
     images = theta_reference.theta_numerators(ctx)
     norms = [sum(map(abs, images[f"t{k}"][0].values()))
              for k in range(1, len(ctx.t_table.weights) + 1)]
     return norms, {gamma: (len(rows), math.prod(m ** g for m, g in zip(norms, gamma)))
-                   for gamma, rows, _ in _reference_walk(p, W)}
+                   for gamma, rows, _ in _reference_walk(p, W, basis)}
 
 
 def _tight_width(bound):
@@ -724,16 +781,20 @@ def _tight_width(bound):
     return bound.bit_length() + 1
 
 
-@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (5, 36)])
-def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, monkeypatch):
+# Hazewinkel's narrower images repack nothing at (2, 22) or (3, 19)
+@pytest.mark.parametrize("p, W, basis", [
+    *(pytest.param(p, W, "araki", id=f"{p}-{W}") for p, W in ((2, 22), (3, 19), (5, 28), (5, 36))),
+    *(pytest.param(p, W, "hazewinkel", id=f"{p}-{W}-hazewinkel")
+      for p, W in ((2, 28), (3, 27), (5, 28), (5, 36)))])
+def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, monkeypatch):
     # the codec packs each row of theta(t_k) once for each width the walk
     # packs theta(t_k) at, and re-spreads each row of a parent once for
     # each word width wider than the parent's that one of its children
     # needs; a child of equal word width multiplies the parent's packed
     # rows as they are
-    norms, nodes = _walk_nodes(p, W)
+    norms, nodes = _walk_nodes(p, W, basis)
     ctx = BPContext(p, W)
-    images = hopf._theta_numerators(ctx)
+    images = BASES[basis][0](ctx)
     factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
                    for k in range(1, len(norms) + 1)]
     limit = hopf.PACKED_WIDTH_LIMIT
@@ -761,7 +822,7 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, monkeypatc
                         lambda self, row, width: packs.append(width) or pack(self, row, width))
     monkeypatch.setattr(WordCodec, "respread", lambda self, packed, width, wider: (
         spreads.append(wider) or respread(self, packed, width, wider)))
-    for _ in hopf.t_monomial_numerators(ctx):
+    for _ in hopf.t_monomial_numerators(ctx, images):
         pass
     assert len(spreads) == repacks
     assert len(packs) == sum(factor_rows[k] for k, _ in widths)
@@ -771,21 +832,23 @@ def test_a_node_at_the_width_limit_stays_packed(monkeypatch):
     # the kernel switch compares the tight width with the limit: a node
     # whose tight width equals PACKED_WIDTH_LIMIT runs on packed rows, and
     # each node above it regroups its terms once (_group_rows, which the
-    # walk also calls once per generator)
+    # walk also calls once per generator); on both sets of generator images
     p, W = 5, 36
-    norms, nodes = _walk_nodes(p, W)
-    tight = [_tight_width(bound) for _, bound in nodes.values()]
-    widest = max(tight)
     group_rows, calls = hopf._group_rows, []
     monkeypatch.setattr(hopf, "_group_rows",
                         lambda num, width: calls.append(width) or group_rows(num, width))
     ctx = BPContext(p, W)
-    for limit in (widest, widest - 1):
-        monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
-        calls.clear()
-        for _ in hopf.t_monomial_numerators(ctx):
-            pass
-        assert len(calls) == len(norms) + sum(B > limit for B in tight), limit
-    # the widest node packs wider than the limit; a switch on the rounded
-    # width would move it to the other kernel
-    assert word_width(widest) > widest
+    for basis, (build, _) in BASES.items():
+        norms, nodes = _walk_nodes(p, W, basis)
+        tight = [_tight_width(bound) for _, bound in nodes.values()]
+        widest = max(tight)
+        images = build(ctx)
+        for limit in (widest, widest - 1):
+            monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
+            calls.clear()
+            for _ in hopf.t_monomial_numerators(ctx, images):
+                pass
+            assert len(calls) == len(norms) + sum(B > limit for B in tight), (basis, limit)
+        # the widest node packs wider than the limit; a switch on the rounded
+        # width would move it to the other kernel
+        assert word_width(widest) > widest, basis

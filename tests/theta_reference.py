@@ -8,11 +8,25 @@ which the package's integer rows replaced, serves them as the product
 of the mu-linear rows."""
 
 import functools
+from fractions import Fraction
 
 from bpadams import hopf
 from bpadams.arith import integer_numerators
+from bpadams.fgl import BPContext
 from bpadams.hopf import MuLinear, right_unit_of_l_poly
 from bpadams.polyring import GeneratorTable, GradedPoly
+
+
+class HazewinkelContext(BPContext):
+    """A context whose l_n(v) are read in Hazewinkel's generators: Araki's
+    recursion pi_n * l_n = v_n + sum_{1<=i<n} l_i * v_{n-i}^{p^i} with pi_n
+    replaced by p.  Its theta images by the ``Fraction`` recursion
+    (:func:`theta_numerators`), and the package's own
+    ``hopf._theta_numerators`` of it, are references for
+    ``hopf._hazewinkel_theta_numerators`` of a plain context."""
+
+    def pi(self, n):
+        return Fraction(self.p)
 
 
 def convolve(a, b):
