@@ -42,8 +42,6 @@ index is at most n, so rows the caller will not test are counted and
 never decoded.  Rows are packed at B rounded up to whole 32-bit words
 (:class:`bpadams.arith.WordCodec`), so a child re-spreads its parent's
 rows only when it needs wider digits.
-Nodes whose B is above ``PACKED_WIDTH_LIMIT`` bits, where limb work
-outweighs the saving, run on one int per term v^delta * u^j instead.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
 into Q[u].  Its images, the v_1-shadows, are (N, D) too, keyed by
 u-degree: the u field of a theta key, with the terms that contain
@@ -613,13 +611,6 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     return out
 
 
-# The widest digit, in bits, that the walk multiplies as packed rows; a node
-# whose tight digit width (not the width rounded to words) is above it runs,
-# with its whole subtree, on packed monomial keys.  Chosen by a sweep over
-# 128..448 (see CHANGES.md).
-PACKED_WIDTH_LIMIT = 384
-
-
 def _multiply(image: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> dict[int, int]:
     """The product of two sparse images whose keys add under multiplication,
     ``factor`` given as (key, value) pairs that it iterates once per key of
@@ -694,7 +685,8 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       its parent's multiplies the parent's packed rows as they are; a
       child with a wider R re-spreads them (``WordCodec.respread``): the
       words of each digit move to the low words of a wider digit, one
-      strided slice per word lane, and no digit is decoded.
+      strided slice per word lane, and no digit is decoded.  The rows of
+      N_k are packed once for each R the walk multiplies them at.
     - *Top test.*  With digits below 2^(R - 1) in absolute value at width
       R, |r| < 2^(R * (n + 1) - 1) holds exactly when no digit above
       index n is non-zero: digits 0..n alone give
@@ -702,31 +694,22 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       leaves |r| > 2^(R * m) - 2^(R * m) / 2.  So a row above ``top`` is
       counted from its bit length alone; a kept row is decoded by
       ``WordCodec.digits``.
-    - *Kernel switch.*  A packed product spends limb work on every digit
-      at the full width, small digits of N_k included, so its cost per
-      pair of rows grows like B^2, while one int per term costs a fixed
-      interpreted step per pair of terms.  Above
-      :data:`PACKED_WIDTH_LIMIT` bits packed rows were measured slower
-      (at odd p on Araki's images, whose numerators reach ~1,000 bits).  A
-      node whose tight width B is above that runs, with its whole subtree
-      (widths only grow), on one int per term: the key of v^delta * u^j
-      holds delta and j, with a u field of ``W.bit_length()`` bits (see
-      :func:`_key`).  Its u-degree is at most |gamma| <= W: the
-      recursion gives every term of theta(t_n) a u-degree <= w_n, since
-      p^k * w_{n-k} <= w_n.  The bound on the generator images is checked
-      once per walk; a generator image that breaks it is the program's
-      own failure, raised as :class:`ConstructionError` with details
-      ``{"stage": "walk", "generator": "t<k>"}``.  The inner loop checks
-      nothing.  Both kernels use one product, :func:`_multiply`, and give
-      the same rows.
+    - *Generator check.*  The rows of each N_k are read from the u field
+      of its packed keys (:func:`_group_rows`), ``W.bit_length()`` bits
+      wide (see :func:`_key`), so they are exact only if no term's
+      u-degree outgrows that field and carries into delta's.  The
+      recursion gives every term of theta(t_n) a u-degree <= w_n <= W,
+      since p^k * w_{n-k} <= w_n.  That bound on the generator images is
+      checked once per walk; a generator image that breaks it is the
+      program's own failure, raised as :class:`ConstructionError` with
+      details ``{"stage": "walk", "generator": "t<k>"}``.  The inner loop
+      checks nothing.
     """
     W = ctx.weight_bound
     width = W.bit_length()
     weights = ctx.t_table.weights
     gens = []  # per t_k: the rows of N_k by delta, D_k and ||N_k||_1
-    # N_k's rows at each width R that the walk packs them at, R = 0 for its
-    # terms on the dict kernel
-    factors: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    factors: dict[tuple[int, int], list[tuple[int, int]]] = {}  # N_k's rows packed at R
     for k, w in enumerate(weights, start=1):
         num, den = images[f"t{k}"]
         try:
@@ -734,31 +717,21 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
         except PolyError as exc:
             raise ConstructionError(str(exc), {"stage": "walk", "generator": f"t{k}"}) from exc
         gens.append((_group_rows(num, width), den, sum(map(abs, num.values()))))
-        factors[k - 1, 0] = list(num.items())
-    limit = PACKED_WIDTH_LIMIT
     delta_of = _delta_reader(ctx)
     codec = WordCodec()
 
     # a node: gamma, image, den, l1 bound, lowest index it may raise, weight left
-    node = ((0,) * len(gens), {0: 1}, 1, 1, 0, W)  # the root, 1, reads alike on both kernels
+    node = ((0,) * len(gens), {0: 1}, 1, 1, 0, W)  # the root, 1: one row, 1 at mu_0
     stack: list[list] = []
     while node:
         gamma, image, den, bound, low, room = node
-        B = bound.bit_length() + 1
-        if B > limit:  # numerators on packed monomial keys
-            R = 0
-            rows = _group_rows(image, width)
-            kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
-            count = len(rows)
-        else:  # one packed row per delta, at R bits a digit
-            R = word_width(B)
-            kept = {d: codec.digits(r, R) for d, r in image.items()
-                    if top is None or r.bit_length() < R * (top + 1)}
-            count = len(image)
-        yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, count
+        R = word_width(bound.bit_length() + 1)  # one packed row per delta, at R bits a digit
+        kept = {d: codec.digits(r, R) for d, r in image.items()
+                if top is None or r.bit_length() < R * (top + 1)}
+        yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, len(image)
         if gens and weights[low] <= room:  # a child: the weights grow with the index
-            # the image at each width its children need, R = 0 for its terms; the
-            # frame raises a later index first, which gives the lexicographic order
+            # the image at each width its children need; the frame raises a
+            # later index first, which gives the lexicographic order
             stack.append([gamma, den, bound, low, room, R, {R: image}, len(gens) - 1])
         node = None
         while stack and not node:
@@ -772,14 +745,10 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
             frame[-1] = k - 1
             factor_rows, d, norm = gens[k]
             child_bound = bound * norm
-            child_B = child_bound.bit_length() + 1
-            child_R = 0 if child_B > limit else word_width(child_B)
-            if child_R not in views:  # the parent's rows, re-spread or as terms
-                image = views[R]
-                views[child_R] = ({key: codec.respread(r, R, child_R) for key, r in image.items()}
-                                  if child_R else
-                                  {key << width | j: c for key, r in image.items()
-                                   for j, c in codec.digits(r, R).items()})
+            child_R = word_width(child_bound.bit_length() + 1)
+            if child_R not in views:  # the parent's rows, re-spread
+                views[child_R] = {key: codec.respread(r, R, child_R)
+                                  for key, r in views[R].items()}
             if (k, child_R) not in factors:
                 factors[k, child_R] = [(delta, codec.pack(row, child_R))
                                        for delta, row in factor_rows.items()]

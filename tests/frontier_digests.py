@@ -2,10 +2,11 @@
 that tier-1 does not pin.
 
 Each digest is the first 16 hex digits of the SHA-256 of
-``json.dumps(report, sort_keys=True)``.  Together the six runs take about
-6 s on two cores; they go through the walk's wide re-spreads at p = 2 and
-its dict kernel at odd p.  (3, 50) and (11, 100) were computed by the
-walk on Araki's generators, before it moved to Hazewinkel's.  pytest
+``json.dumps(report, sort_keys=True)``.  Together the seven runs take
+about 15 s on two cores; they go through the walk's wide re-spreads at
+p = 2, and (13, 120) through its widest packed rows, of tight widths
+up to 447 bits.  (3, 50) and (11, 100) were computed by the walk on Araki's
+generators, before it moved to Hazewinkel's.  pytest
 does not collect this file.  Run it as ``python tests/frontier_digests.py``;
 it exits 1 if a digest differs.
 """
@@ -27,6 +28,7 @@ FRONTIER = {
     (7, 60): "430d48c3046225f3",
     (3, 50): "717469b7936e533a",
     (11, 100): "ea4646c2e9872ab9",
+    (13, 120): "5892e02cca9090d4",
 }
 
 

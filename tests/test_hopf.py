@@ -678,15 +678,11 @@ def _reference_walk(p, W, basis="araki"):
     return list(_dict_walk(BASES[basis][1](p, W)))
 
 
-# limit 0 runs every node on packed monomial keys, 10**6 every node on
-# packed rows, 48 switches inside the walk in each context, and the
-# default switches at (5, 36), where 6 of 139 nodes are wider than 384 bits
-@pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
+# (5, 36) brings the widest digits in reach: 6 of the 139 nodes of Araki's
+# walk there have a tight width above 384 bits
 @pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36)])
-def test_walk_matches_the_dict_walk(p, W, limit, monkeypatch):
+def test_walk_matches_the_dict_walk(p, W):
     # on both sets of generator images
-    if limit is not None:
-        monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
     ctx = BPContext(p, W)
     for basis, (build, _) in BASES.items():
         reference = _reference_walk(p, W, basis)
@@ -797,16 +793,15 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, mon
     images = BASES[basis][0](ctx)
     factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
                    for k in range(1, len(norms) + 1)]
-    limit = hopf.PACKED_WIDTH_LIMIT
     widths, repacks, kept, shared = set(), 0, 0, 0
     for gamma, (rows, bound) in nodes.items():
         low = max((k for k, g in enumerate(gamma) if g), default=0)
         wider = []
         for k in range(low, len(gamma)):
             child = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
-            child_B = _tight_width(bound * norms[k])
-            if child not in nodes or child_B > limit:
+            if child not in nodes:
                 continue
+            child_B = _tight_width(bound * norms[k])
             widths.add((k, word_width(child_B)))
             if word_width(child_B) > word_width(_tight_width(bound)):
                 wider.append(word_width(child_B))
@@ -828,27 +823,23 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, mon
     assert len(packs) == sum(factor_rows[k] for k, _ in widths)
 
 
-def test_a_node_at_the_width_limit_stays_packed(monkeypatch):
-    # the kernel switch compares the tight width with the limit: a node
-    # whose tight width equals PACKED_WIDTH_LIMIT runs on packed rows, and
-    # each node above it regroups its terms once (_group_rows, which the
-    # walk also calls once per generator); on both sets of generator images
+def test_the_walk_groups_each_generator_image_once(monkeypatch):
+    # every node multiplies packed rows, however wide its digits: the walk
+    # groups the terms of each generator image into rows once, and never a
+    # node's terms; on both sets of generator images at (5, 36), where
+    # Araki's walk has nodes whose tight width is above 384 bits
     p, W = 5, 36
+    _, nodes = _walk_nodes(p, W, "araki")
+    assert max(_tight_width(bound) for _, bound in nodes.values()) > 384
     group_rows, calls = hopf._group_rows, []
     monkeypatch.setattr(hopf, "_group_rows",
-                        lambda num, width: calls.append(width) or group_rows(num, width))
+                        lambda num, width: calls.append(num) or group_rows(num, width))
     ctx = BPContext(p, W)
     for basis, (build, _) in BASES.items():
-        norms, nodes = _walk_nodes(p, W, basis)
-        tight = [_tight_width(bound) for _, bound in nodes.values()]
-        widest = max(tight)
         images = build(ctx)
-        for limit in (widest, widest - 1):
-            monkeypatch.setattr(hopf, "PACKED_WIDTH_LIMIT", limit)
-            calls.clear()
-            for _ in hopf.t_monomial_numerators(ctx, images):
-                pass
-            assert len(calls) == len(norms) + sum(B > limit for B in tight), (basis, limit)
-        # the widest node packs wider than the limit; a switch on the rounded
-        # width would move it to the other kernel
-        assert word_width(widest) > widest, basis
+        calls.clear()
+        for _ in hopf.t_monomial_numerators(ctx, images):
+            pass
+        generators = [images[f"t{k}"][0] for k in range(1, len(ctx.t_table.weights) + 1)]
+        assert len(calls) == len(generators), basis
+        assert all(got is image for got, image in zip(calls, generators)), basis
