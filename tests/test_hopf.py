@@ -678,21 +678,33 @@ def _reference_walk(p, W, basis="araki"):
     return list(_dict_walk(BASES[basis][1](p, W)))
 
 
-# (5, 36) brings the widest digits in reach: 6 of the 139 nodes of Araki's
-# walk there have a tight width above 384 bits
+# the walk once ran each node whose tight width was above a limit on a
+# second, dict kernel: limit 0 gave it every node, 10**6 none, 48 a share of
+# Araki's walk in each context, and the default of 384 bits (None) the 6 of
+# Araki's 139 nodes at (5, 36) that are wider.  The one packed kernel
+# matches the dict walk on the nodes of that share and on the rest
+@pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
 @pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36)])
-def test_walk_matches_the_dict_walk(p, W):
+def test_walk_matches_the_dict_walk(p, W, limit):
     # on both sets of generator images
+    bits = 384 if limit is None else limit
     ctx = BPContext(p, W)
     for basis, (build, _) in BASES.items():
         reference = _reference_walk(p, W, basis)
+        _, nodes = _walk_nodes(p, W, basis)
+        wide = {gamma for gamma, (_, bound) in nodes.items() if _tight_width(bound) > bits}
+        if basis == "araki":
+            assert (0 < len(wide) < len(nodes)) == (bits == 48 or (p, W, bits) == (5, 36, 384))
         for top in (None, 0, 1, W // 4, W // 2, W):
             got = [(gamma, list(rows.items()), den, count) for gamma, rows, den, count
                    in hopf.t_monomial_numerators(ctx, build(ctx), top)]
             want = [(gamma, [(d, row) for d, row in rows.items()
                              if top is None or max(row) <= top], den, len(rows))
                     for gamma, rows, den in reference]
-            assert got == want, (basis, top)
+            assert [node[0] for node in got] == [node[0] for node in want], (basis, top)
+            for share in (wide, nodes.keys() - wide):
+                assert ([node for node in got if node[0] in share]
+                        == [node for node in want if node[0] in share]), (basis, top, len(share))
 
 
 def _edge_rows(D, n):
