@@ -237,6 +237,11 @@ class CongruenceVector(_Record):
         return {"n": self.n, "entries": [format_rational(e) for e in self.entries]}
 
 
+# qhat -> (n, [n, 0..n]_qhat): the last q-Pascal row C_vector built for
+# qhat; replaced by one assignment, never changed in place
+_PASCAL: dict[int, tuple[int, list[int]]] = {}
+
+
 @lru_cache(maxsize=None)
 def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     """The Gaussian congruence row for the connective Adams summand.
@@ -244,17 +249,22 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     c_{n,i} = (-1)^{n-i} qhat^C(n-i,2) [n, i]_qhat / p^delta_p(n); the
     pivot is exactly p^-delta_p(n) and entries vanish for i > n.  The
     values [n, 0..n]_qhat come from the q-Pascal recurrence
-    [k, i] = [k-1, i-1] + qhat^i [k-1, i] on ints, one row per k.
+    [k, i] = [k-1, i-1] + qhat^i [k-1, i] on ints, one row per k, stepped
+    from the last row built for qhat (:data:`_PASCAL`), or from row 0 when
+    that row is past n: rows 0..n in turn cost O(n^2), not O(n^3).
     Memoised: the frozen row is a pure function of (p, q, n).
     """
     ensure_prime(p)
     if p == 2:
         raise ValueError("the Gaussian rows are the odd-prime system")
     qhat = q ** (p - 1)
-    powers = [qhat ** i for i in range(n + 1)]
-    row = [1]
-    for _ in range(n):
+    k, row = _PASCAL.get(qhat, (0, [1]))
+    if k > n:
+        k, row = 0, [1]
+    powers = [qhat ** i for i in range(n)]
+    for _ in range(k, n):
         row = [1] + [a + powers[i] * b for i, (a, b) in enumerate(zip(row, row[1:]), 1)] + [1]
+    _PASCAL[qhat] = (n, row)
     budget = delta_p(p, n)
     den = p ** budget
     nums = tuple((-1) ** (n - i) * qhat ** math.comb(n - i, 2) * g for i, g in enumerate(row))
@@ -279,10 +289,20 @@ def basis_integrality_rows(p: int, top: int, q: int | None = None,
     extend to operations.  They are the rows of the inverse of the
     lower-triangular action matrix A of the connective family (phi for
     odd p, zeta for p = 2), A[m][k] = action(k, m): column j is the
-    expansion of the unit sequence e_j (:func:`expand_in_family`).
+    expansion of the unit sequence e_j (:func:`expand_in_family`).  The
+    rows of :func:`_inverse_rows`, as ``Fraction``s.
+    """
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(x, den) for x in row) + (zero,) * (top - m)
+                 for m, (row, den) in enumerate(_inverse_rows(p, top, q)))
 
-    The inverse B is taken on integers, a row at a time: row m of A is
-    integer numerators M over a denominator d, and
+
+def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]]:
+    """The rows of :func:`basis_integrality_rows` on integers: row m as
+    (N, D), its entries N_j / D at j = 0..m.
+
+    The inverse B is taken a row at a time: row m of A is integer
+    numerators M over a denominator d, and
     B_m = (d * e_m - sum_{k<m} M_k * B_k) / M_m, summed over the lcm of
     the lower rows' denominators and reduced by the gcd, so each row of B
     is integers over the lcm of its entries' denominators.
@@ -308,21 +328,30 @@ def basis_integrality_rows(p: int, top: int, q: int | None = None,
             acc, den = [-x for x in acc], -den
         g = math.gcd(den, *acc)
         inverse.append(([x // g for x in acc], den // g))
-    zero = Fraction(0)
-    return tuple(tuple(Fraction(x, den) for x in row) + (zero,) * (top - m)
-                 for m, (row, den) in enumerate(inverse))
+    return inverse
+
+
+def _ku_canonical_rows(p: int, top: int, q: int | None) -> tuple[list[list[int]], int]:
+    """(T, E): the canonical triangular rows T[n] / p^E of the connective
+    system, from :func:`_inverse_rows` by one integer elimination
+    (:func:`bpadams.lattice._canonical_rows`)."""
+    return _lattice._canonical_rows(
+        p, ((row + [0] * (top - m), den) for m, (row, den) in enumerate(_inverse_rows(p, top, q))),
+        top + 1)
 
 
 def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.CongruenceSystem":
     """The triangularized integrality system for connective p-local K-theory.
 
-    The raw rows come from :func:`basis_integrality_rows`; the returned
-    system is their canonical triangular form, whose pivot at index n has
-    valuation -gamma_p(n).  Built on each call; the triangular form is
-    taken on integers (:func:`bpadams.lattice.triangularize`).
+    The canonical triangular form of the rows of
+    :func:`basis_integrality_rows`, whose pivot at index n has valuation
+    -gamma_p(n), as :func:`bpadams.lattice.triangularize` gives it.  Built
+    on each call, on integers (:func:`_ku_canonical_rows`).
     """
-    raw = _lattice.CongruenceSystem(p, top, basis_integrality_rows(p, top, q))
-    return _lattice.triangularize(raw)
+    T, E = _ku_canonical_rows(p, top, q)
+    den = p ** E
+    return _lattice.CongruenceSystem(p, top, tuple(tuple(Fraction(x, den) for x in row)
+                                                   for row in T))
 
 
 def Phi_in_phi(p: int, q: int | None, n: int, top: int | None = None,

@@ -19,13 +19,14 @@ instances of the centre theorem.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from .arith import delta_p, ensure_prime, format_rational, val_p, validate_q
-from .adamsk import (CongruenceVector, C_vector, adams_family, binomial_mu_congruence,
-                     expand_in_family, family_action, family_sequence,
-                     ku_congruence_system)
+from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_family,
+                     basis_integrality_rows, binomial_mu_congruence, expand_in_family,
+                     family_action, family_sequence)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _hazewinkel_theta_numerators, _theta_numerators,
                    special_element, t_monomial_numerators)
@@ -91,14 +92,22 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
     """The Adams-side congruence rows c_0..c_{n_max}.
 
     Odd p: the Gaussian rows.  p = 2: the triangularized connective
-    2-local K-theory rows (pivot budgets delta_2(r) = gamma_2(r)).
+    2-local K-theory rows (pivot budgets delta_2(r) = gamma_2(r)), those of
+    :func:`bpadams.adamsk.ku_congruence_system` taken straight from its
+    integer rows, each with its integer numerators over the lcm of its
+    entries' denominators (``integer_row``).  Built on each call.
     """
     q = validate_q(p, q)
     if p != 2:
         return [C_vector(p, q, r) for r in range(n_max + 1)]
-    sys = ku_congruence_system(2, n_max)
-    return [CongruenceVector(2, r, sys.rows[r][: r + 1], delta_p(2, r))
-            for r in range(n_max + 1)]
+    T, E = _ku_canonical_rows(2, n_max, None)
+    scale, rows = 2 ** E, []
+    for r, row in enumerate(T):
+        g = math.gcd(scale, *row[: r + 1])
+        nums, den = [x // g for x in row[: r + 1]], scale // g
+        rows.append(CongruenceVector(2, r, tuple(Fraction(x, den) for x in nums),
+                                     delta_p(2, r), (nums, den)))
+    return rows
 
 
 def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLattice:
@@ -380,7 +389,8 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
         k, j = divmod(idx, p - 1)
         rows.append(binomial_mu_congruence(p, j, k, q).padded(n + 1))
     inter = solve(CongruenceSystem(p, n, tuple(rows)))
-    ku = solve(ku_congruence_system(p, n, q))
+    # solve reduces the raw rows itself: their triangular form cuts out the same lattice
+    ku = solve(CongruenceSystem(p, n, basis_integrality_rows(p, n, q)))
     return {
         "p": p,
         "n": n,

@@ -15,7 +15,11 @@ appears only in the human-readable format.
 A request is parsed by its subcommand's own parser, and by the full
 parser only when the first word names no subcommand or words are left
 over, so both give the same Namespace, messages and exit codes.
-``congruences --check`` takes each verdict from one integer sum.
+``congruences --check`` takes each verdict from one integer sum.  A
+request builds only the form ``--format`` asks for: its payload holds
+every value formatted once, and the CSV rows (``_csv_*``) or the pretty
+lines (``_pretty_*``) are built from the payload's strings only for
+their own format.
 """
 
 from __future__ import annotations
@@ -141,27 +145,19 @@ def _json_text(value: object, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(_json_text(payload) + "\n")
-
-
-def _emit_csv(rows: list[list[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
-
-
-def _emit(fmt: str, payload: dict, csv_rows: list[list[object]],
-          pretty_lines: list[str]) -> None:
+def _emit(fmt: str, payload: dict, csv_rows, pretty_lines) -> None:
+    """Write the one form ``fmt`` asks for: the JSON payload, or the CSV
+    rows ``csv_rows(payload)`` or the pretty lines ``pretty_lines(payload)``
+    build from the strings the payload already holds.  The forms not asked
+    for are never built."""
     if fmt == "json":
-        _emit_json(payload)
+        sys.stdout.write(_json_text(payload) + "\n")
     elif fmt == "csv":
-        _emit_csv(csv_rows)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows(payload))
+        sys.stdout.write(buf.getvalue())
     else:
-        for line in pretty_lines:
-            sys.stdout.write(line + "\n")
+        sys.stdout.write("".join(line + "\n" for line in pretty_lines(payload)))
 
 
 def _non_negative(text: str) -> int:
@@ -219,21 +215,15 @@ def _congruence_verdicts(p: int, vecs: list[CongruenceVector],
 def _cmd_congruences(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     vecs = summand_rows(p, args.n, args.q)
-    rows = [vec.padded(args.n + 1) for vec in vecs]
-    q_shown = [3, -1] if p == 2 else validate_q(p, args.q)
     payload = {
         "command": "congruences",
         "p": p,
-        "q": q_shown,
+        "q": [3, -1] if p == 2 else validate_q(p, args.q),
         "n": args.n,
-        "rows": [[format_rational(x) for x in row] for row in rows],
+        "rows": [[format_rational(x) for x in vec.entries] + ["0"] * (args.n - vec.n)
+                 for vec in vecs],
         "pivot_valuations": [-(delta_p(p, r)) for r in range(args.n + 1)],
     }
-    csv_rows = [["r"] + [f"mu{i}" for i in range(args.n + 1)]]
-    lines = [f"congruence rows for p={p}, q={q_shown}, n<={args.n}"]
-    for r, row in enumerate(payload["rows"]):
-        csv_rows.append([r] + row)
-        lines.append(f"  C_{r} = (" + ", ".join(row) + ")")
     exit_code = 0
     if args.check is not None:
         mu = read_sequence(args.check)
@@ -241,13 +231,27 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
             raise InputError(f"{args.check}: need at least {args.n + 1} entries")
         verdicts = _congruence_verdicts(p, vecs, mu)
         payload["check"] = {"sequence": [format_rational(x) for x in mu],
-                           "verdicts": verdicts}
-        csv_rows.append(["verdicts"] + verdicts)
-        lines.append("checks: " + ", ".join(
-            f"r={r}:{'ok' if v else 'FAIL'}" for r, v in enumerate(verdicts)))
+                            "verdicts": verdicts}
         exit_code = 0 if all(verdicts) else 1
-    _emit(args.format, payload, csv_rows, lines)
+    _emit(args.format, payload, _csv_congruences, _pretty_congruences)
     return exit_code
+
+
+def _csv_congruences(payload: dict) -> list[list[object]]:
+    out = [["r"] + [f"mu{i}" for i in range(payload["n"] + 1)]]
+    out += [[r] + row for r, row in enumerate(payload["rows"])]
+    if "check" in payload:
+        out.append(["verdicts"] + payload["check"]["verdicts"])
+    return out
+
+
+def _pretty_congruences(payload: dict) -> list[str]:
+    out = [f"congruence rows for p={payload['p']}, q={payload['q']}, n<={payload['n']}"]
+    out += [f"  C_{r} = (" + ", ".join(row) + ")" for r, row in enumerate(payload["rows"])]
+    if "check" in payload:
+        out.append("checks: " + ", ".join(f"r={r}:{'ok' if v else 'FAIL'}"
+                                          for r, v in enumerate(payload["check"]["verdicts"])))
+    return out
 
 
 def _cmd_basis_expand(args: argparse.Namespace) -> int:
@@ -264,12 +268,19 @@ def _cmd_basis_expand(args: argparse.Namespace) -> int:
         "coefficients": [format_rational(a) for a in coeffs],
         "integral": integral,
     }
-    csv_rows = [["n", "a_n"]] + [[n, format_rational(a)] for n, a in enumerate(coeffs)]
-    lines = [f"expansion in {fam.kind} (p={p}, q={fam.q}):",
-             "  a = (" + ", ".join(format_rational(a) for a in coeffs) + ")",
-             f"  all coefficients {p}-locally integral: {'yes' if integral else 'NO'}"]
-    _emit(args.format, payload, csv_rows, lines)
+    _emit(args.format, payload, _csv_basis_expand, _pretty_basis_expand)
     return 0 if integral else 1
+
+
+def _csv_basis_expand(payload: dict) -> list[list[object]]:
+    return [["n", "a_n"]] + [[n, a] for n, a in enumerate(payload["coefficients"])]
+
+
+def _pretty_basis_expand(payload: dict) -> list[str]:
+    return [f"expansion in {payload['family']} (p={payload['p']}, q={payload['q']}):",
+            "  a = (" + ", ".join(payload["coefficients"]) + ")",
+            f"  all coefficients {payload['p']}-locally integral: "
+            f"{'yes' if payload['integral'] else 'NO'}"]
 
 
 def _cmd_bp_etar(args: argparse.Namespace) -> int:
@@ -284,7 +295,6 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
         raise InputError(
             f"monomial weight {weight} exceeds the bound {args.weight}")
     poly, table = right_unit_v_monomial(ctx, alpha)
-    image = poly.to_text()
     entries = []
     all_integral = True
     for (beta, gamma), c in sorted(table.items()):
@@ -301,20 +311,27 @@ def _cmd_bp_etar(args: argparse.Namespace) -> int:
         "p": p,
         "monomial": args.monomial,
         "weight_bound": args.weight,
-        "image": image,
+        "image": poly.to_text(),
         "coefficients": entries,
         "all_integral": all_integral,
     }
-    csv_rows = [["v_exponents", "t_exponents", "coefficient", "integral"]]
-    for e in entries:
-        csv_rows.append(["|".join(map(str, e["v_exponents"])),
-                         "|".join(map(str, e["t_exponents"])),
-                         e["coefficient"], e["integral"]])
-    lines = [f"right unit image of {args.monomial} (p={p}, weight bound {args.weight}):",
-             f"  {image}",
-             f"  coefficients all {p}-locally integral: {'yes' if all_integral else 'NO'}"]
-    _emit(args.format, payload, csv_rows, lines)
+    _emit(args.format, payload, _csv_bp_etar, _pretty_bp_etar)
     return 0 if all_integral else 1
+
+
+def _csv_bp_etar(payload: dict) -> list[list[object]]:
+    return [["v_exponents", "t_exponents", "coefficient", "integral"]] + [
+        ["|".join(map(str, e["v_exponents"])), "|".join(map(str, e["t_exponents"])),
+         e["coefficient"], e["integral"]] for e in payload["coefficients"]]
+
+
+def _pretty_bp_etar(payload: dict) -> list[str]:
+    p = payload["p"]
+    return [f"right unit image of {payload['monomial']} "
+            f"(p={p}, weight bound {payload['weight_bound']}):",
+            f"  {payload['image']}",
+            f"  coefficients all {p}-locally integral: "
+            f"{'yes' if payload['all_integral'] else 'NO'}"]
 
 
 def _cmd_bp_dn(args: argparse.Namespace) -> int:
@@ -332,15 +349,21 @@ def _cmd_bp_dn(args: argparse.Namespace) -> int:
         "weight_bound": ctx.weight_bound,
         "element": d.element.to_text(),
         "c_bp": [format_rational(x) for x in d.c],
-        "budget": delta_p(p, args.n),
+        "budget": needed,
     }
-    csv_rows = [["j", "c_j"]] + [[j, format_rational(x)] for j, x in enumerate(d.c)]
-    lines = [f"special element d_{args.n} (p={p}):",
-             f"  d = {d.element.to_text()}",
-             "  C^BP = (" + ", ".join(format_rational(x) for x in d.c) + ")",
-             f"  pivot budget: p^-{delta_p(p, args.n)}"]
-    _emit(args.format, payload, csv_rows, lines)
+    _emit(args.format, payload, _csv_bp_dn, _pretty_bp_dn)
     return 0
+
+
+def _csv_bp_dn(payload: dict) -> list[list[object]]:
+    return [["j", "c_j"]] + [[j, x] for j, x in enumerate(payload["c_bp"])]
+
+
+def _pretty_bp_dn(payload: dict) -> list[str]:
+    return [f"special element d_{payload['n']} (p={payload['p']}):",
+            f"  d = {payload['element']}",
+            "  C^BP = (" + ", ".join(payload["c_bp"]) + ")",
+            f"  pivot budget: p^-{payload['budget']}"]
 
 
 def _cmd_verify_centre(args: argparse.Namespace) -> int:
@@ -349,24 +372,30 @@ def _cmd_verify_centre(args: argparse.Namespace) -> int:
     report = verify_centre_bp(p, args.n, args.weight, args.q)
     elapsed = time.perf_counter() - started
     report["command"] = "verify-centre"
-    csv_rows = [["n", "pivots", "sandwich", "sample_included", "verdict"]]
-    for row in report["rows"]:
-        csv_rows.append([row["n"], "|".join(map(str, row["pivots"])),
-                         row["sandwich"], row["sample_included"], row["verdict"]])
-    lines = [f"centre verification: p={p}, q={report['q']}, "
-             f"weight bound {report['weight_bound']}"]
+    _emit(args.format, report, _csv_verify_centre,
+          functools.partial(_pretty_verify_centre, elapsed=elapsed))
+    return 0 if report["verdict"] else 1
+
+
+def _csv_verify_centre(report: dict) -> list[list[object]]:
+    return [["n", "pivots", "sandwich", "sample_included", "verdict"]] + [
+        [row["n"], "|".join(map(str, row["pivots"])), row["sandwich"],
+         row["sample_included"], row["verdict"]] for row in report["rows"]]
+
+
+def _pretty_verify_centre(report: dict, elapsed: float) -> list[str]:
+    out = [f"centre verification: p={report['p']}, q={report['q']}, "
+           f"weight bound {report['weight_bound']}"]
     if report["weight_raised"]:
-        lines.append(f"  warning: requested weight bound raised to "
-                     f"{report['weight_bound']} (the weight of d_{args.n})")
+        out.append(f"  warning: requested weight bound raised to "
+                   f"{report['weight_bound']} (the weight of d_{report['n_max']})")
     for row in report["rows"]:
-        lines.append(
+        out.append(
             f"  n={row['n']}: pivots={row['pivots']} "
             f"S_n^BP = S_n^g: {'OK' if row['lattice_equal'] else 'FAIL'}; "
             f"sampled-BP inclusion: {'OK' if row['sample_included'] else 'FAIL'}")
-    lines.append(f"overall: {'OK' if report['verdict'] else 'FAIL'} "
-                 f"({elapsed:.2f}s)")
-    _emit(args.format, report, csv_rows, lines)
-    return 0 if report["verdict"] else 1
+    out.append(f"overall: {'OK' if report['verdict'] else 'FAIL'} ({elapsed:.2f}s)")
+    return out
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
@@ -376,13 +405,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     payload = {"command": "lattice", "p": p, "n": n}
     payload.update(lat.to_jsonable())
     exit_code = 0
-    lines = [f"solution lattice (p={p}, n={n}):",
-             f"  pivot valuations: {list(lat.pivots())}"]
-    for j, col in enumerate(lat.columns()):
-        lines.append(f"  b_{j} = (" + ", ".join(format_rational(x) for x in col) + ")")
-    csv_rows = [["column"] + [f"mu{i}" for i in range(n + 1)]]
-    for j, col in enumerate(lat.columns()):
-        csv_rows.append([j] + [format_rational(x) for x in col])
     if args.member is not None:
         mu = read_sequence(args.member)
         if len(mu) != n + 1:
@@ -390,43 +412,71 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         inside = lat.contains(mu)
         payload["member"] = {"sequence": [format_rational(x) for x in mu],
                              "contained": inside}
-        lines.append(f"  membership: {'yes' if inside else 'NO'}")
-        csv_rows.append(["member", inside])
         exit_code = 0 if inside else 1
-    _emit(args.format, payload, csv_rows, lines)
+    _emit(args.format, payload, _csv_lattice, _pretty_lattice)
     return exit_code
+
+
+def _csv_lattice(payload: dict) -> list[list[object]]:
+    out = [["column"] + [f"mu{i}" for i in range(payload["n"] + 1)]]
+    out += [[j] + col for j, col in enumerate(payload["basis_columns"])]
+    if "member" in payload:
+        out.append(["member", payload["member"]["contained"]])
+    return out
+
+
+def _pretty_lattice(payload: dict) -> list[str]:
+    out = [f"solution lattice (p={payload['p']}, n={payload['n']}):",
+           f"  pivot valuations: {payload['pivots']}"]
+    out += [f"  b_{j} = (" + ", ".join(col) + ")"
+            for j, col in enumerate(payload["basis_columns"])]
+    if "member" in payload:
+        out.append(f"  membership: {'yes' if payload['member']['contained'] else 'NO'}")
+    return out
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     report = bp_sample_scan(p, args.n, args.max_weight, args.q)
     report["command"] = "scan-stabilization"
-    csv_rows = [["weight", "pivots", "equals_summand_lattice"]]
-    for s in report["scan"]:
-        csv_rows.append([s["weight"], "|".join(map(str, s["pivots"])),
-                         s["equals_summand_lattice"]])
-    lines = [f"sampled-lattice stabilization scan: p={p}, n={args.n}",
-             f"  target pivots: {report['target_pivots']}"]
+    _emit(args.format, report, _csv_scan, _pretty_scan)
+    return 0
+
+
+def _csv_scan(report: dict) -> list[list[object]]:
+    return [["weight", "pivots", "equals_summand_lattice"]] + [
+        [s["weight"], "|".join(map(str, s["pivots"])), s["equals_summand_lattice"]]
+        for s in report["scan"]]
+
+
+def _pretty_scan(report: dict) -> list[str]:
+    out = [f"sampled-lattice stabilization scan: p={report['p']}, n={report['n']}",
+           f"  target pivots: {report['target_pivots']}"]
     for s in report["scan"]:
         mark = "==" if s["equals_summand_lattice"] else "!="
-        lines.append(f"  W={s['weight']}: pivots={s['pivots']} {mark} target")
-    _emit(args.format, report, csv_rows, lines)
-    return 0
+        out.append(f"  W={s['weight']}: pivots={s['pivots']} {mark} target")
+    return out
 
 
 def _cmd_interleave(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     report = interleaved_g_report(p, args.n, args.q)
     report["command"] = "interleave-scan"
-    csv_rows = [["n", "interleaved_pivots", "ku_pivots", "equal"],
-                [args.n, "|".join(map(str, report["interleaved_pivots"])),
-                 "|".join(map(str, report["ku_pivots"])), report["equal"]]]
-    lines = [f"interleaved summand rows vs connective rows: p={p}, n={args.n}",
-             f"  interleaved pivots: {report['interleaved_pivots']}",
-             f"  connective pivots:  {report['ku_pivots']}",
-             f"  lattices equal: {'yes' if report['equal'] else 'no'}"]
-    _emit(args.format, report, csv_rows, lines)
+    _emit(args.format, report, _csv_interleave, _pretty_interleave)
     return 0
+
+
+def _csv_interleave(report: dict) -> list[list[object]]:
+    return [["n", "interleaved_pivots", "ku_pivots", "equal"],
+            [report["n"], "|".join(map(str, report["interleaved_pivots"])),
+             "|".join(map(str, report["ku_pivots"])), report["equal"]]]
+
+
+def _pretty_interleave(report: dict) -> list[str]:
+    return [f"interleaved summand rows vs connective rows: p={report['p']}, n={report['n']}",
+            f"  interleaved pivots: {report['interleaved_pivots']}",
+            f"  connective pivots:  {report['ku_pivots']}",
+            f"  lattices equal: {'yes' if report['equal'] else 'no'}"]
 
 
 def build_parser() -> argparse.ArgumentParser:

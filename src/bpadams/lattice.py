@@ -108,10 +108,12 @@ class CongruenceSystem(_Record):
         }
 
 
-def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
+def _reduce_rows(p: int, rows: Iterable[tuple[Sequence[int], int]], size: int,
                  ) -> tuple[list[list[int]], int]:
     """Triangular form of the row module spanned by the given rows
-    together with the identity (integral) rows, on integers.
+    together with the identity (integral) rows, on integers.  Each row is
+    (N, D), the entries N_i / D, with ``size`` int numerators and D > 0: a
+    ``Fraction`` row enters as its ``integer_numerators``.
 
     Returns (T, E) for the rows T[j] / p^E: T[j] is supported on columns
     0..j and its pivot T[j][j] = p^f_j is a pure power, 0 <= f_j <= E.
@@ -127,10 +129,7 @@ def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
     when no row has valuation below E at j, and otherwise it leaves
     p^(E - f) times the pivot row, below j, to the lower columns.
     """
-    scaled = []
-    for row in rows:
-        nums, den = integer_numerators(row)
-        scaled.append((nums, _nu(p, den)))
+    scaled = [(nums, _nu(p, den)) for nums, den in rows]
     E = max((v for _, v in scaled), default=0)
     modulus = p ** E
     pool = [[x * p ** (E - v) % modulus for x in nums] for nums, v in scaled]
@@ -162,22 +161,28 @@ def _reduce_rows(p: int, rows: Sequence[Sequence[Fraction]], size: int,
     return T, E
 
 
-def triangularize(sys: CongruenceSystem) -> CongruenceSystem:
-    """Equivalent canonical triangular system (one row per index).
-
-    Entries left of each pivot are reduced to their canonical residue
-    modulo the lower pivot rows: on the integer rows of
-    :func:`_reduce_rows`, entry i is taken into [0, p^f_i) by floor
-    division by the pivot p^f_i.
-    """
-    p = sys.p
-    T, E = _reduce_rows(p, sys.rows, sys.n + 1)
+def _canonical_rows(p: int, rows: Iterable[tuple[Sequence[int], int]], size: int,
+                    ) -> tuple[list[list[int]], int]:
+    """The canonical triangular rows T[j] / p^E of the integer rows (N, D):
+    those of :func:`_reduce_rows`, with each entry left of a pivot
+    reduced to its canonical residue modulo the lower pivot rows, entry i
+    taken into [0, p^f_i) by floor division by the pivot p^f_i."""
+    T, E = _reduce_rows(p, rows, size)
     for j, row in enumerate(T):
         for i in range(j - 1, -1, -1):
             z = row[i] // T[i][i]
             if z:
                 for k in range(i + 1):
                     row[k] -= z * T[i][k]
+    return T, E
+
+
+def triangularize(sys: CongruenceSystem) -> CongruenceSystem:
+    """Equivalent canonical triangular system (one row per index): the
+    rows of :func:`_canonical_rows` on the rows' integer numerators, as
+    ``Fraction``s."""
+    p = sys.p
+    T, E = _canonical_rows(p, map(integer_numerators, sys.rows), sys.n + 1)
     den = p ** E
     return CongruenceSystem(p, sys.n, tuple(tuple(Fraction(x, den) for x in r) for r in T))
 
@@ -283,7 +288,27 @@ class SolutionLattice:
         return tuple(coords)
 
     def contains(self, mu: Sequence[Fraction | int]) -> bool:
-        return all(val_p(self.p, x) >= 0 for x in self.coordinates(mu))
+        """Whether every coordinate of ``mu`` (:meth:`coordinates`) is
+        p-locally integral, on integers.  With mu = N / D, D = p^v * D' and
+        D' prime to p, the coordinates are x_j = R_j / (p^e_j * D), where R
+        starts as N and loses (R_j / p^e_j) * column_j after pivot j.  So
+        x_j is p-integral iff p^(e_j + v) divides R_j, and then R_j / p^e_j
+        is an exact integer division."""
+        if len(mu) != self.size:
+            raise LatticeError("dimension mismatch")
+        p, basis = self.p, self.basis
+        residual, den = integer_numerators(
+            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in mu])
+        scale = p ** _nu(p, den)
+        for j in range(self.size):
+            pivot = basis[j][j]
+            if residual[j] % (pivot * scale):
+                return False
+            x = residual[j] // pivot
+            if x:
+                for i in range(j + 1, self.size):
+                    residual[i] -= x * basis[i][j]
+        return True
 
     def __eq__(self, other: object) -> bool:
         """Equal p and equal canonical bases; packed rows of one width are
@@ -330,7 +355,7 @@ def solve(sys: CongruenceSystem) -> SolutionLattice:
     the integer rows over p^E as they are) succeeds.
     """
     lat = SolutionLattice(sys.p, ())
-    T, E = _reduce_rows(sys.p, sys.rows, sys.n + 1)
+    T, E = _reduce_rows(sys.p, map(integer_numerators, sys.rows), sys.n + 1)
     den = sys.p ** E
     for j, row in enumerate(T):
         lat = _extended(lat, *_new_row(lat, row[: j + 1], den))

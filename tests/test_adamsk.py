@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bpadams import adamsk
 from bpadams.arith import (delta_p, find_q, gamma_p, gaussian, gaussian_poly,
                            is_p_local_int, val_p)
 from bpadams.adamsk import (C_vector, CongruenceVector, Phi_in_phi, adams_family,
@@ -141,6 +142,22 @@ def test_C_vector_memo_matches_fresh_rows():
     for _ in range(2):  # exceptions are not memoised
         with pytest.raises(ValueError):
             C_vector(2, 3, 1)
+
+
+def test_C_vector_steps_the_last_row_in_any_order():
+    # the unmemoised function steps from the last q-Pascal row built for qhat,
+    # or starts again from row 0 below it; every row equals a fresh one
+    for p in (3, 5):
+        q = find_q(p)
+        qhat = q ** (p - 1)
+        fresh = {n: tuple(Fraction((-1) ** (n - i) * qhat ** math.comb(n - i, 2))
+                          * gaussian(n, i, qhat) / Fraction(p) ** delta_p(p, n)
+                          for i in range(n + 1))
+                 for n in range(25)}
+        order = [*range(25), *range(24, -1, -1), 7, 3, 20, 20, 0, 11, 24]
+        for n in order:
+            assert C_vector.__wrapped__(p, q, n).entries == fresh[n], (p, n)
+            assert adamsk._PASCAL[qhat][0] == n
 
 
 def test_C_vector_entries_against_fraction_arithmetic():

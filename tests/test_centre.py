@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lattice_reference
 import theta_reference
 from bpadams import centre, hopf
-from bpadams.adamsk import adams_family, family_action, ku_congruence_system
-from bpadams.arith import delta_p, nu_p
+from bpadams.adamsk import (adams_family, basis_integrality_rows, binomial_mu_congruence,
+                            family_action, ku_congruence_system)
+from bpadams.arith import delta_p, integer_numerators, nu_p
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             lattice_realizability, sampled_integrality_rows, summand_rows,
                             verify_centre_bp, _lattice_of_rows)
@@ -304,6 +306,36 @@ def test_interleaved_g_report():
     assert report["equal"]
     with pytest.raises(ValueError):
         interleaved_g_report(2, 3)
+
+
+def test_interleave_scan_matches_the_triangularized_system():
+    # the raw rows cut out the lattice of their triangular form; cli-mix's points
+    for p in (3, 5, 7):
+        for n in (2, 4, 6, 8):
+            report = interleaved_g_report(p, n)
+            ku = solve(ku_congruence_system(p, n))
+            inter = solve(CongruenceSystem(p, n, tuple(
+                binomial_mu_congruence(p, idx % (p - 1), idx // (p - 1)).padded(n + 1)
+                for idx in range(n + 1))))
+            assert report["ku_pivots"] == list(ku.pivots()), (p, n)
+            assert report["interleaved_pivots"] == list(inter.pivots()), (p, n)
+            assert report["equal"] == lattice_eq(inter, ku), (p, n)
+
+
+def test_p2_summand_rows_are_the_triangularized_system_on_integers():
+    for n in range(31):
+        rows = ku_congruence_system(2, n).rows
+        vecs = summand_rows(2, n)
+        assert [vec.entries for vec in vecs] == [row[: r + 1] for r, row in enumerate(rows)], n
+        for r, vec in enumerate(vecs):
+            assert vec.n == r and vec.budget == delta_p(2, r) and vec.shape_ok()
+            nums, den = vec.integer_row
+            assert (list(nums), den) == integer_numerators(vec.entries), (n, r)
+    # and against the Fraction reference, which shares no code with the rows
+    for n in (5, 12):
+        raw = CongruenceSystem(2, n, basis_integrality_rows(2, n))
+        assert [vec.entries for vec in summand_rows(2, n)] == [
+            row[: r + 1] for r, row in enumerate(lattice_reference.triangularize(raw).rows)]
 
 
 def test_failure_reporting_shape():

@@ -490,6 +490,31 @@ def test_dispatch_matches_the_full_parser(argv, monkeypatch):
         assert cli_digests.capture(cli.main, argv) == want
 
 
+@pytest.mark.parametrize("fmt", cli_digests.FORMATS)
+def test_a_request_builds_only_the_form_it_prints(fmt, tmp_path, monkeypatch):
+    """Every request of ``tests/cli_digests.py`` prints its pinned bytes
+    while the builders of the other two forms raise: the CSV rows
+    (``_csv_*``), the pretty lines (``_pretty_*``) and the JSON text
+    (``_json_text``)."""
+    builders = [name for name in vars(cli) if name.startswith(("_csv_", "_pretty_"))]
+    assert len(builders) == 2 * len(cli_digests.REQUESTS)
+    builders.append("_json_text")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a form that was not asked for was built")
+
+    kept = {"json": "_json_text", "csv": "_csv_", "pretty": "_pretty_"}[fmt]
+    for name in builders:
+        if not name.startswith(kept):
+            monkeypatch.setattr(cli, name, refuse)
+    for name, content in cli_digests.FILES.items():
+        (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
+    for name, request in cli_digests.REQUESTS.items():
+        argv = cli_digests.with_paths(request, tmp_path) + ["--format", fmt]
+        code, out, err = cli_digests.capture(cli.main, argv)
+        assert cli_digests.digest(code, out) == cli_digests.PINNED[name][fmt], (name, err)
+
+
 def test_python_m_bpadams_parses_sys_argv(tmp_path, capsys, monkeypatch):
     # main() without argv reads sys.argv, here through a fresh interpreter
     monkeypatch.setenv("COLUMNS", "80")

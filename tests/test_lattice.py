@@ -145,6 +145,43 @@ def test_reduction_on_integers_matches_the_fraction_reference():
         assert solve(raw) == lattice_reference.solve(raw), (p, top)
 
 
+@st.composite
+def _memberships(draw):
+    """(lattice, mu): the lattice of a few rows with denominators up to
+    p^3, and mu either any rationals, zeros among them, with denominators
+    p^k times a unit, or a combination of the basis columns over a unit
+    denominator, which the lattice contains."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 4))
+    entries = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, p, p ** 2, p ** 3]))
+    rows = draw(st.lists(st.tuples(*[entries] * (n + 1)), max_size=4))
+    lat = solve(CongruenceSystem(p, n, tuple(rows)))
+    unit = st.sampled_from([u for u in (1, 2, 3, 7, 11) if u % p])
+    if draw(st.booleans()):
+        mu = [Fraction(draw(st.integers(-40, 40)), draw(unit) * p ** draw(st.integers(0, 2)))
+              for _ in range(n + 1)]
+    else:
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1))
+        den = draw(unit)
+        mu = [Fraction(sum(c * col[i] for c, col in zip(coeffs, lat.columns())), den)
+              for i in range(n + 1)]
+    return lat, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(_memberships())
+def test_contains_on_integers_matches_the_coordinates(case):
+    lat, mu = case
+    p = lat.p
+    assert lat.contains(mu) == all(val_p(p, x) >= 0 for x in lat.coordinates(mu)), mu
+    assert lat.contains([int(x) if x.denominator == 1 else x for x in mu]) == lat.contains(mu)
+    for wrong in (mu + [Fraction(0)], mu[:-1]):
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            lat.contains(wrong)
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            lat.coordinates(wrong)
+
+
 def test_lattice_eq_examples():
     lat = solve(CongruenceSystem(3, 1, ((Fraction(-1, 3), Fraction(1, 3)),)))
     assert lattice_leq(lat, lat) and lattice_eq(lat, lat)
