@@ -25,8 +25,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (_Record, delta_p, dot, ensure_prime, format_rational, gamma_p,
-                    integer_numerators, is_p_local_int, val_p, validate_q)
+from .arith import (_nu, _Record, delta_p, dot, ensure_prime, format_rational, gamma_p,
+                    integer_numerators, is_p_local_int, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -185,21 +185,29 @@ class CongruenceVector(_Record):
     for entries in p^-budget Z_(p), a unit pivot c_n in p^-budget Z_(p)^x,
     and zeros beyond n.  The budget is non-negative (``ValueError``
     otherwise).  ``_integer``, when given, is the row as integer
-    numerators over one denominator, (N, D) with entries N_i / D, as a
-    special element already holds it (:attr:`integer_row`); it is neither
-    compared nor shown.
+    numerators over one denominator, (N, D) with n + 1 entries N_i / D and
+    D > 0, as a special element already holds it (:attr:`integer_row`); it
+    is neither compared nor shown.  ``entries`` may then be None: the
+    ``Fraction`` entries are built from (N, D) on first read.
     """
 
     _fields = ("p", "n", "entries", "budget")
 
-    def __init__(self, p: int, n: int, entries: tuple[Fraction, ...], budget: int,
+    def __init__(self, p: int, n: int, entries: tuple[Fraction, ...] | None, budget: int,
                  _integer: tuple[Sequence[int], int] | None = None):
-        if len(entries) != n + 1:
+        if len(_integer[0] if entries is None else entries) != n + 1:
             raise ValueError("entry vector must have length n + 1")
         if budget < 0:
             raise ValueError(f"budget must be non-negative, got {budget}")
-        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
-        self.__dict__.update(p=p, n=n, entries=entries, budget=budget, _integer=_integer)
+        if entries is not None:
+            self.__dict__["entries"] = tuple(
+                e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+        self.__dict__.update(p=p, n=n, budget=budget, _integer=_integer)
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        nums, den = self._integer
+        return tuple(Fraction(x, den) for x in nums)
 
     def shape_ok(self) -> bool:
         """The shape hypotheses, evaluated once per row (it is frozen)."""
@@ -207,15 +215,20 @@ class CongruenceVector(_Record):
 
     @cached_property
     def _shape(self) -> bool:
-        """:meth:`shape_ok`.  The pivot is tested by its valuation; an
-        entry e below it has val_p(e) >= -budget iff p^(budget + 1) does
-        not divide e.denominator, since budget >= 0 and a fraction in
-        lowest terms has p in at most one of its numerator and denominator.
-        """
-        if val_p(self.p, self.entries[self.n]) != -self.budget:
+        """:meth:`shape_ok`, on the integer row (N, D): with t =
+        nu_p(D) - budget, the pivot N_n / D has valuation -budget iff
+        N_n != 0 and nu_p(N_n) = t, and an entry N_i / D below it has
+        valuation >= -budget iff p^t divides N_i (always when t <= 0)."""
+        p = self.p
+        nums, den = self.integer_row
+        top = nums[self.n]
+        t = _nu(p, den) - self.budget
+        if not top or _nu(p, top) != t:
             return False
-        bound = self.p ** (self.budget + 1)
-        return all(e.denominator % bound for e in self.entries[:-1])
+        if t <= 0:
+            return True
+        bound = p ** t
+        return not any(x % bound for x in nums[: self.n])
 
     @property
     def integer_row(self) -> tuple[Sequence[int], int]:
@@ -265,10 +278,14 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     for _ in range(k, n):
         row = [1] + [a + powers[i] * b for i, (a, b) in enumerate(zip(row, row[1:]), 1)] + [1]
     _PASCAL[qhat] = (n, row)
+    # qhat^C(n-i, 2), i from n down: C(n-i, 2) - C(n-i-1, 2) = n-i-1, one multiply each
+    nums, scale = [0] * (n + 1), 1
+    for i in range(n, -1, -1):
+        if i < n - 1:
+            scale *= powers[n - i - 1]
+        nums[i] = scale * row[i] if (n - i) % 2 == 0 else -scale * row[i]
     budget = delta_p(p, n)
-    den = p ** budget
-    nums = tuple((-1) ** (n - i) * qhat ** math.comb(n - i, 2) * g for i, g in enumerate(row))
-    return CongruenceVector(p, n, tuple(Fraction(c, den) for c in nums), budget, (nums, den))
+    return CongruenceVector(p, n, None, budget, (tuple(nums), p ** budget))
 
 
 def check_g_congruences(p: int, q: int, mu: Sequence[Fraction | int],
@@ -306,13 +323,27 @@ def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]
     B_m = (d * e_m - sum_{k<m} M_k * B_k) / M_m, summed over the lcm of
     the lower rows' denominators and reduced by the gcd, so each row of B
     is integers over the lcm of its entries' denominators.
+
+    Row m of A is read without the family record: at p = 2 from the
+    memoised :func:`_zeta_action`, at odd p as the integer products
+    prod_{i<k} (q^m - q^i) of :func:`family_action`, stepped in k.
     """
     ensure_prime(p)
-    fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phi_ku", p, q)
+    if p == 2:
+        def action_row(m: int) -> tuple[list[int], int]:
+            return integer_numerators([_zeta_action(k, m) for k in range(m + 1)])
+    else:
+        q = validate_q(p, q)
+
+        def action_row(m: int) -> tuple[list[int], int]:
+            base, root, row = q ** m, 1, [1]
+            for _ in range(m):
+                row.append(row[-1] * (base - root))
+                root *= q
+            return row, 1
     inverse: list[tuple[list[int], int]] = []
     for m in range(top + 1):
-        nums, d = integer_numerators(
-            [family_action(fam, k, fam.degree_index(m)) for k in range(m + 1)])
+        nums, d = action_row(m)
         if not nums[m]:
             raise ValueError(f"family diagonal vanishes at index {m}")
         den = math.lcm(*(inverse[k][1] for k in range(m) if nums[k]))

@@ -395,3 +395,13 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_over(nums: Iterable[int], den: int) -> list[str]:
+    """:func:`format_rational` of each N / den, den > 0, from the integers:
+    N and den divided by their gcd, the sign on the numerator."""
+    out = []
+    for x in nums:
+        g = math.gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out

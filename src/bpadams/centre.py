@@ -23,7 +23,7 @@ import math
 import random
 from fractions import Fraction
 
-from .arith import delta_p, ensure_prime, format_rational, val_p, validate_q
+from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
 from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_family,
                      basis_integrality_rows, binomial_mu_congruence, expand_in_family,
                      family_action, family_sequence)
@@ -105,8 +105,7 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
     for r, row in enumerate(T):
         g = math.gcd(scale, *row[: r + 1])
         nums, den = [x // g for x in row[: r + 1]], scale // g
-        rows.append(CongruenceVector(2, r, tuple(Fraction(x, den) for x in nums),
-                                     delta_p(2, r), (nums, den)))
+        rows.append(CongruenceVector(2, r, None, delta_p(2, r), (nums, den)))
     return rows
 
 
@@ -126,34 +125,28 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
     v = val_p(den); that valuation is taken once per row, in order, and
     no row after the first failure is read.
 
-    The columns are read all at once from the lattice's own packed rows
+    Every column is tested at once on the lattice's own packed rows
     (:class:`bpadams.lattice.SolutionLattice`): basis row i is one int
-    P_i with non-negative digits, digit j being entry i of column j, and
-    a row's values on every column are the digits of
-    V = sum_i (c_i mod p^v) * P_i, one multiply-add per entry.  The rows
-    are packed wide enough that no digit of V carries
-    (:meth:`bpadams.lattice.SolutionLattice._packed`, taken once per rise
-    of v: rows wide enough for v serve every smaller v; the lattice widens
-    them in place and keeps them wide for every later row, call and
-    extension), so digit j of V is the value on column j itself, and the
-    digits are read up to the first non-zero one.
+    P_i with non-negative digits, digit j being entry i of column j, so a
+    row's values on every column are the digits of
+    V = sum_i (c_i mod p^v) * P_i, one multiply-add per entry, packed wide
+    enough that no digit carries.  They all vanish modulo p^v iff p^v
+    divides V and no digit of V // p^v exceeds (2^S - 1) // p^v, S the
+    width: one divmod and one carry test
+    (:meth:`bpadams.lattice.SolutionLattice._vanishes`), with no loop over
+    the columns.  Only a failing row is read column by column
+    (:meth:`bpadams.lattice.SolutionLattice._values`), to name j.  The
+    lattice widens its rows in place when a larger v needs it and keeps
+    them wide for every later row, call and extension.
     """
-    packed_v = 0
     for k, (row, den) in enumerate(rows):
         v = val_p(p, den)
         if not v:
             continue
         modulus = p ** v
-        if v > packed_v:
-            width, packed = lat._packed(modulus)
-            packed_v, mask = v, (1 << width) - 1
-        value = sum(c % modulus * packed[i] for i, c in row.items())
-        j = 0
-        while value:
-            if (value & mask) % modulus:
-                return k, j
-            value >>= width
-            j += 1
+        if not lat._vanishes(row.items(), modulus):
+            values = lat._values(row.items(), modulus)
+            return k, next(j for j, x in enumerate(values) if x)
     return None
 
 
@@ -211,9 +204,11 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
 
     The Adams lattice at n is the one at n - 1 extended by the row c_n
     (:func:`bpadams.lattice.extend_lattice`): the sandwich extends the
-    lattice at n - 1 by c_n (its S, kept as the Adams lattice) and
-    computes the special row's extension (its T) as the one basis row it
-    adds, from the special element's integer numerators over its den.
+    lattice at n - 1 by c_n (its S, kept as the Adams lattice) and tests
+    the special row (its T) on every column of S at once, from the special
+    element's integer numerators over its den; the special row reaches
+    the sandwich and the report's ``c_bp`` strings as those integers, and
+    no ``Fraction`` row of a composite d_n is built.
     The lattices form one chain of packed rows: each keeps the rows of the
     one before and adds one, and the sample test reads the same rows, so
     nothing is repacked per n.  The shape hypotheses guarantee that every
@@ -290,7 +285,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     usable = 0
     for n in range(n_max + 1):
         d = special_element(ctx, n)
-        c_bp = CongruenceVector(p, n, d.c, delta_p(p, n), (d.numerators, d.den))
+        c_bp = CongruenceVector(p, n, None, delta_p(p, n), (d.numerators, d.den))
         try:
             sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp, base)
             if n:
@@ -304,7 +299,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
         base = lat_g
         entry: dict = {"n": n}
         entry["pivots"] = list(lat_g.pivots())
-        entry["c_bp"] = [format_rational(x) for x in d.c]
+        entry["c_bp"] = format_over(d.numerators, d.den)
         entry["sandwich"] = sandwich.status
         entry["lattice_equal"] = sandwich.equal
 

@@ -847,10 +847,12 @@ class SpecialElement(_Record):
     Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
     unit multiple of p^{-delta_p(n)}; checked for prime powers n, and
     implied for the others (see :func:`_special_composite`).  The row is
-    kept three times, as ``c`` and as integers: c_j = numerators[j] / den,
-    den the lcm of the denominators of the c_j, and ``_row``, the non-zero
-    numerators keyed by j, which :func:`_multiply` takes as they are
-    (derived from ``numerators`` when not given).
+    kept as integers: c_j = numerators[j] / den, den the lcm of the
+    denominators of the c_j, and ``_row``, the non-zero numerators keyed by
+    j, which :func:`_multiply` takes as they are (derived from
+    ``numerators`` when not given).  ``c``, the row as ``Fraction``s, is
+    built from the integers on first read when it is not given (None):
+    the centre verification reads the integers alone.
 
     ``element``, the polynomial over the context's {l, t} table
     (``_table``, truncated at ``_bound``), is a view built on first access
@@ -866,15 +868,22 @@ class SpecialElement(_Record):
 
     _fields = ("p", "n", "c", "numerators", "den")
 
-    def __init__(self, p: int, n: int, c: tuple[Fraction, ...], numerators: tuple[int, ...],
-                 den: int, _table: GeneratorTable, _bound: int,
+    def __init__(self, p: int, n: int, c: tuple[Fraction, ...] | None,
+                 numerators: tuple[int, ...], den: int, _table: GeneratorTable, _bound: int,
                  _poly: tuple[dict[int, int], int] | None = None,
                  _factors: tuple[SpecialElement, SpecialElement] | None = None,
                  _row: dict[int, int] | None = None):
         if _row is None:
             _row = {j: x for j, x in enumerate(numerators) if x}
-        self.__dict__.update(p=p, n=n, c=c, numerators=numerators, den=den, _table=_table,
+        if c is not None:
+            self.__dict__["c"] = c
+        self.__dict__.update(p=p, n=n, numerators=numerators, den=den, _table=_table,
                              _bound=_bound, _poly=_poly, _factors=_factors, _row=_row)
+
+    @cached_property
+    def c(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.numerators)
 
     @cached_property
     def element(self) -> GradedPoly:
@@ -1088,7 +1097,7 @@ def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
     low = _special_composite(ctx, n - p ** k)
     row, den = _reduced(_multiply(dk._row, low._row.items()), low.den * dk.den)
     numerators = tuple([row.get(j, 0) for j in range(n + 1)])
-    out = SpecialElement(p, n, tuple(Fraction(c, den) for c in numerators), numerators, den,
-                         ctx.lt_table, ctx.weight_bound, _factors=(low, dk), _row=row)
+    out = SpecialElement(p, n, None, numerators, den, ctx.lt_table, ctx.weight_bound,
+                         _factors=(low, dk), _row=row)
     cache[n] = out
     return out

@@ -259,6 +259,50 @@ class SolutionLattice:
             acc >>= width
         return values
 
+    def _vanishes(self, entries: Iterable[tuple[int, int]], modulus: int) -> bool:
+        """Whether the row sum_i c_i * mu_i, given as in :meth:`_values`,
+        vanishes modulo ``modulus`` = m on every column, without reading
+        the columns one by one.
+
+        V = sum_i (c_i mod m) * P_i has the digits d_j = sum_i (c_i mod m) *
+        b_ij at the width S of :meth:`_packed`.  Every d_j is divisible by m
+        iff m divides V and every base-2^S digit of q = V // m is at most
+        L = (2^S - 1) // m: if d_j = m * q_j, then q_j <= L and those q_j
+        are the digits of q; conversely, when the digits q_j of q are at
+        most L, the m * q_j are below 2^S, so they are the digits of
+        V = m * q, which are the d_j.  Adding 2^S - 1 - L to every digit of
+        q overflows digit j iff q_j > L: the lowest such digit takes no
+        carry from below, so it carries into bit S * (j + 1), and with no
+        such digit nothing carries.  So the digits are at most L iff the
+        sum carries into none of the bits S * j, j >= 1.  One divmod, one
+        add and the carries, read as ``(q + C) ^ q ^ C``, with
+        C = (2^S - 1 - L) * sum_j 2^(S j).  C may reach past the top digit
+        of q, which is below 2^(S * size): a digit of q there is 0 and takes
+        a carry only from below.  C and the carry bits are kept per modulus
+        (:attr:`_carry_tests`); an entry at the current width also says
+        that the width holds the digits."""
+        width, rows = self._pack
+        test = self._carry_tests.get(modulus)
+        if test is None or test[0] != width:
+            width, rows = self._packed(modulus)
+            ones, count = 1, 1  # sum_j 2^(S j) over j < count, count >= size
+            while count < len(rows):
+                ones |= ones << width * count
+                count *= 2
+            full = (1 << width) - 1
+            test = self._carry_tests[modulus] = (width, (full - full // modulus) * ones,
+                                                 ones << width)
+        _, add, carries = test
+        quotient, rest = divmod(sum(c % modulus * rows[i] for i, c in entries), modulus)
+        return not rest and not (quotient + add ^ quotient ^ add) & carries
+
+    @cached_property
+    def _carry_tests(self) -> dict[int, tuple[int, int, int]]:
+        """modulus -> (S, C, carry bits) of :meth:`_vanishes` at width S,
+        filled as the moduli are met; an entry of another width is
+        replaced."""
+        return {}
+
     @property
     def size(self) -> int:
         return len(self._pack[1])
@@ -482,10 +526,23 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     base_rows when the caller already holds it; otherwise it is built row
     by row.  The shape hypotheses imply the precondition of
     :func:`extend_lattice`, so S and T are each one extension of it, and
-    they differ at most in their new basis row: each row enters as its
-    integer numerators (``integer_row``), T is computed as that one row
-    (:func:`_new_row`) and compared with S's.  The result carries S
-    (``s_lattice``) for a caller that needs it.
+    they differ at most in their new basis row.  Each row enters as its
+    integer numerators (``integer_row``); S is built, and T is not.
+
+    T's row N / D is tested on every column of S at once, modulo
+    p^(e + s) with p^e S's new pivot and p^s the p-part of N_n
+    (:meth:`SolutionLattice._vanishes`).  Equal budgets give T the pivot
+    p^e too, and nu_p(D) = e + s, so the test is "N . b in p^(e+s) Z for
+    every column b of S", which says "S is in T".  It is also "T extends
+    and adds S's row": S's columns are b_j' = (b_j, x_j) for the columns
+    b_j of ``base`` and (0, .., 0, p^e); N . (0, .., p^e) = N_n * p^e is
+    always divisible by p^(e+s), and with acc_j = N' . b_j,
+    acc_j + N_n * x_j is divisible by p^(e+s) iff p^s divides acc_j
+    (which is T's extension at j) and -(acc_j / p^s) * u^-1 = x_j modulo
+    p^e (which is T's entry at j), u = N_n / p^s.  Only when the test
+    fails is T's row computed (:func:`_new_row`): it raises where T does
+    not extend, as the extension does, and otherwise differs from S's.
+    The result carries S (``s_lattice``) for a caller that needs it.
     """
     ensure_prime(p)
     for r, vec in enumerate(list(base_rows) + [cn, cn_hat]):
@@ -509,9 +566,10 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
             base = _extended(base, *_new_row(base, *vec.integer_row))
     elif base.p != p or base.size != n:
         raise LatticeError(f"base lattice is not in Z_({p})^{n}")
-    s_row, e = _new_row(base, *cn.integer_row)
-    t_row, _ = _new_row(base, *cn_hat.integer_row)
-    s_lat = _extended(base, s_row, e)
-    if s_row == t_row:
+    s_lat = _extended(base, *_new_row(base, *cn.integer_row))
+    t_nums, t_den = cn_hat.integer_row
+    top = t_nums[n]
+    if top and s_lat._vanishes(enumerate(t_nums), p ** (s_lat._pivots[n] + _nu(p, top))):
         return SandwichResult("equal", True, s_lattice=s_lat)
+    _new_row(base, t_nums, t_den)  # raises where T does not extend
     return SandwichResult("inclusion_failed", False, "S is not contained in T", s_lat)

@@ -6,7 +6,7 @@ import pytest
 
 from bpadams import adamsk
 from bpadams.arith import (delta_p, find_q, gamma_p, gaussian, gaussian_poly,
-                           is_p_local_int, val_p)
+                           integer_numerators, is_p_local_int, val_p)
 from bpadams.adamsk import (C_vector, CongruenceVector, Phi_in_phi, adams_family,
                             basis_integrality_rows, binomial_mu_congruence,
                             check_g_congruences, expand_in_family, family_action,
@@ -180,6 +180,20 @@ def test_C_vector_entries_against_fraction_arithmetic():
             assert row.budget == delta_p(p, n) and row.shape_ok()
 
 
+@pytest.mark.parametrize("p, top", [(3, 40), (5, 40), (7, 30), (13, 24)])
+def test_C_vector_integer_row_against_the_closed_form(p, top):
+    # the stepped powers qhat^C(n-i, 2) against the closed form, on the
+    # integer numerators over p^delta_p(n), and the entries built from them
+    q = find_q(p)
+    qhat = q ** (p - 1)
+    for n in range(top + 1):
+        nums = tuple((-1) ** (n - i) * qhat ** math.comb(n - i, 2) * gaussian(n, i, qhat)
+                     for i in range(n + 1))
+        row = C_vector.__wrapped__(p, q, n)
+        assert row.integer_row == (nums, p ** delta_p(p, n)), (p, n)
+        assert row.entries == tuple(Fraction(x, p ** delta_p(p, n)) for x in nums)
+
+
 def test_check_g_congruence_examples():
     # mu = (0, 1, 0, ...) fails at r = 1
     verdicts = check_g_congruences(3, 2, [0, 1, 0, 0], 3)
@@ -314,6 +328,60 @@ def test_congruence_vector_shape_guard():
         assert CongruenceVector(3, 2, entries, 2).shape_ok() == ok, entries
     assert CongruenceVector(3, 1, (Fraction(6, 7), Fraction(2)), 0).shape_ok()
     assert not CongruenceVector(3, 1, (Fraction(1, 3), Fraction(2)), 0).shape_ok()
+
+
+def _fraction_shape(vec):
+    """The shape hypotheses on the ``Fraction`` entries: the pivot of
+    valuation -budget, every entry below it with no p^(budget + 1) in its
+    denominator."""
+    p, budget = vec.p, vec.budget
+    if val_p(p, vec.entries[vec.n]) != -budget:
+        return False
+    return all(e.denominator % p ** (budget + 1) for e in vec.entries[:-1])
+
+
+def test_integer_shape_against_the_fraction_shape():
+    # random rows with zero entries, entries one valuation below the
+    # budget and pivots one off it, built from Fractions and from integer
+    # numerators over a denominator that need not be their lcm
+    rng = random.Random(83)
+    verdicts = []
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5))
+        n, budget = rng.randint(0, 5), rng.randint(0, 3)
+        entries = []
+        for i in range(n + 1):
+            if i < n and rng.random() < 0.3:
+                entries.append(Fraction(0))
+                continue
+            v = -budget + (rng.choice((-1, 0, 1)) if rng.random() < 0.3 else 0)
+            if i < n and rng.random() < 0.5:
+                v = rng.randint(-budget, 2)
+            unit = Fraction(rng.choice([u for u in range(-9, 10) if u % p]),
+                            rng.choice([u for u in range(1, 10) if u % p]))
+            entries.append(unit * Fraction(p) ** v)
+        want = _fraction_shape(CongruenceVector(p, n, tuple(entries), budget))
+        nums, den = integer_numerators(entries)
+        scale = p ** rng.randint(0, 2) * rng.choice((1, 7, 11))
+        for vec in (CongruenceVector(p, n, tuple(entries), budget),
+                    CongruenceVector(p, n, None, budget, (nums, den)),
+                    CongruenceVector(p, n, None, budget,
+                                     ([x * scale for x in nums], den * scale))):
+            assert vec.shape_ok() == want, (p, n, budget, entries)
+            assert vec.entries == tuple(entries)
+        verdicts.append(want)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_inverse_rows_hash_no_family_record(monkeypatch):
+    # row m of the action matrix is read without family_action's memo,
+    # which hashes the AdamsFamily record on every entry
+    hashed = []
+    monkeypatch.setattr(adamsk.AdamsFamily, "__hash__", lambda fam: hashed.append(fam) or 0)
+    for p in (2, 3, 5):
+        rows = adamsk._inverse_rows(p, 12, None)
+        assert len(rows) == 13
+    assert hashed == []
 
 
 def test_congruence_vector_refuses_a_negative_budget():

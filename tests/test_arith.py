@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import packing_reference
-from bpadams.arith import (INFINITY, Prime, WordCodec, delta_p, dot, find_q, format_rational,
-                           gamma_p, gaussian, gaussian_poly, integer_numerators,
+from bpadams.arith import (INFINITY, Prime, WordCodec, delta_p, dot, find_q, format_over,
+                           format_rational, gamma_p, gaussian, gaussian_poly, integer_numerators,
                            is_p_local_int, is_p_local_unit, is_prime, multiplicative_order,
                            nu_p, parse_rational, val_p, validate_q, word_width)
 
@@ -313,3 +313,9 @@ def test_one_digit_rows_and_their_two_digit_neighbours(width):
 @pytest.mark.parametrize("bits, width", [(1, 32), (32, 32), (33, 64), (64, 64), (65, 96)])
 def test_word_width_rounds_up_to_whole_words(bits, width):
     assert word_width(bits) == width
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+       st.integers(1, 10 ** 6) | st.sampled_from([1, 2, 9, 3 ** 12, 5 ** 9 * 7]))
+def test_format_over_is_format_rational_of_each_ratio(nums, den):
+    assert format_over(nums, den) == [format_rational(Fraction(x, den)) for x in nums]

@@ -573,3 +573,147 @@ def test_extension_keeps_the_parent_rows_and_widens_only_by_doubling():
     wide = lat._packed(p ** 40)
     assert wide[0] >= 2 * widths[-1] and lat.basis == before
     assert lat == SolutionLattice(p, before) and lat._pack == wide
+
+
+def _columnwise_vanishes(lat, entries, modulus):
+    """The all-columns test digit by digit: every sum_i c_i * b_ij on the
+    decoded basis, each tested modulo ``modulus``."""
+    basis = lat.basis
+    return all(sum(c * basis[i][j] for i, c in entries) % modulus == 0
+               for j in range(lat.size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_all_columns_test_matches_the_digit_by_digit_one(p, data):
+    # canonical bases drawn directly, rows whose residues sit at 0 or
+    # m - 1 or anywhere, moduli p^v and others: one divmod and one carry
+    # test decide what the digits do, and the digits are those of _values
+    size = data.draw(st.integers(0, 6))
+    pivots = [data.draw(st.integers(0, 3)) for _ in range(size)]
+    lat = SolutionLattice(p, [tuple(data.draw(st.integers(0, p ** e - 1)) for _ in range(i))
+                              + (p ** e,) + (0,) * (size - i - 1)
+                              for i, e in enumerate(pivots)])
+    for _ in range(data.draw(st.integers(1, 4))):
+        modulus = data.draw(st.one_of(st.builds(lambda v: p ** v, st.integers(0, 5)),
+                                      st.integers(1, 200)))
+        entries = []
+        for i in range(size):
+            residue_ = data.draw(st.sampled_from([0, modulus - 1, None]))
+            if residue_ is None:
+                residue_ = data.draw(st.integers(0, modulus - 1))
+            entries.append((i, residue_ + modulus * data.draw(st.integers(-2, 2))))
+        want = _columnwise_vanishes(lat, entries, modulus)
+        assert lat._vanishes(entries, modulus) == want, (lat.basis, entries, modulus)
+        assert (not any(lat._values(entries, modulus))) == want
+
+
+def test_all_columns_test_where_the_carries_alone_decide():
+    # basis rows P_0 = 2 and P_1 = 2^4, packed at S = 4 for m = 3: the row
+    # mu_0 + mu_1 gives V = 18, digits (2, 1), so 3 divides V while neither
+    # digit is 0 modulo 3; q = V // 3 = 6 is one more than
+    # L = (2^4 - 1) // 3 = 5, so only the carry test refuses it
+    lat = SolutionLattice(2, ((2, 0), (0, 1)))
+    assert lat._packed(3)[0] == 4
+    assert 18 // 3 == (2 ** 4 - 1) // 3 + 1
+    assert lat._values([(0, 1), (1, 1)], 3) == [2, 1]
+    assert not lat._vanishes([(0, 1), (1, 1)], 3)
+    assert lat._vanishes([(0, 3), (1, 3)], 3)
+    # every row of small diagonal lattices on which m divides V: the
+    # digits decide, and some digit fails in many of them
+    decided = 0
+    for p, e0, e1, m in itertools.product((2, 3, 5), (0, 1, 2), (0, 1, 2), (2, 3, 4, 9, 25)):
+        lat = SolutionLattice(p, ((p ** e0, 0), (p - 1 if e0 else 0, p ** e1)))
+        width, rows = lat._packed(m)
+        for c0, c1 in itertools.product(range(m), repeat=2):
+            value = c0 * rows[0] + c1 * rows[1]
+            want = _columnwise_vanishes(lat, [(0, c0), (1, c1)], m)
+            if value % m == 0 and not want:
+                decided += 1
+            assert lat._vanishes([(0, c0), (1, c1)], m) == want, (p, e0, e1, m, c0, c1)
+    assert decided > 20
+
+
+class _UncheckedRow(CongruenceVector):
+    """A row whose shape verdict is taken as true, so that a row off the
+    shape reaches the extension."""
+
+    def shape_ok(self) -> bool:
+        return True
+
+
+def _reference_sandwich(p, base_rows, cn, cn_hat):
+    """The sandwich by its definition on the entrywise extension of
+    lattice_reference: S and T built in full and their bases compared;
+    an extension that fails raises."""
+    base = SolutionLattice(p, ())
+    for vec in base_rows:
+        base = lattice_reference.extend_lattice(base, vec.entries)
+    s_lat = lattice_reference.extend_lattice(base, cn.entries)
+    t_lat = lattice_reference.extend_lattice(base, cn_hat.entries)
+    if s_lat.basis == t_lat.basis:
+        return SandwichResult("equal", True), s_lat
+    return SandwichResult("inclusion_failed", False, "S is not contained in T"), s_lat
+
+
+def _sandwich_outcome(check, *args):
+    try:
+        res = check(*args)
+    except LatticeError as exc:
+        return ("raised", str(exc))
+    if isinstance(res, tuple):
+        res, s_lat = res
+    else:
+        s_lat = res.s_lattice
+    return (res.status, res.equal, res.detail, s_lat.basis)
+
+
+def test_sandwich_against_the_reference_on_equal_differing_and_stuck_rows():
+    # T equal to S (a unit multiple of c_n plus integral combinations of
+    # the rows below, so its integer row differs from S's), T differing
+    # from S at one column, and T off the shape, so that it does not extend
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(1, 6)
+        base = [_conforming_row(rng, p, r) for r in range(n)]
+        cn = _conforming_row(rng, p, n)
+        entries = [rng.choice([u for u in range(1, 2 * p + 2) if u % p]) * x
+                   for x in cn.entries]
+        kind = rng.choice(("equal", "column", "stuck"))
+        if kind == "equal":
+            for r, vec in enumerate(base):
+                z = rng.randint(-3, 3)
+                for i in range(r + 1):
+                    entries[i] += z * vec.entries[i]
+            cn_hat = CongruenceVector(p, n, tuple(entries), cn.budget)
+        elif kind == "column":
+            entries[rng.randrange(n)] += Fraction(rng.randint(1, p - 1) if p > 2 else 1,
+                                                  p ** cn.budget)
+            cn_hat = CongruenceVector(p, n, tuple(entries), cn.budget)
+        else:
+            entries[rng.randrange(n)] += Fraction(1, p ** (cn.budget + 1))
+            cn_hat = _UncheckedRow(p, n, tuple(entries), cn.budget)
+        got = _sandwich_outcome(sandwich_check, p, base, cn, cn_hat)
+        assert got == _sandwich_outcome(_reference_sandwich, p, base, cn, cn_hat), (p, n, kind)
+        seen.add((kind, got[0]))
+    assert {("equal", "equal"), ("column", "inclusion_failed"), ("stuck", "raised")} <= seen
+
+
+def test_sandwich_where_t_does_not_extend_raises_as_its_extension():
+    # base lattice 9 Z_(3) from (1/9) mu_0; T's entry 1/27 at index 0 is off
+    # its budget 0, and its extension stops at column 0 with -1/3
+    base = [CongruenceVector(3, 0, (Fraction(1, 9),), 2)]
+    cn = CongruenceVector(3, 1, (Fraction(0), Fraction(1)), 0)
+    cn_hat = _UncheckedRow(3, 1, (Fraction(1, 27), Fraction(1)), 0)
+    with pytest.raises(LatticeError) as got:
+        sandwich_check(3, base, cn, cn_hat)
+    assert str(got.value) == "column 0 extends by -1/3, which is not 3-locally integral"
+    assert got.value.column == 0
+    with pytest.raises(LatticeError) as want:
+        _reference_sandwich(3, base, cn, cn_hat)
+    assert str(want.value) == str(got.value)
+    # a zero pivot, off the shape too, is refused as the extension refuses it
+    with pytest.raises(LatticeError, match="zero pivot at index 1"):
+        sandwich_check(3, base, cn, _UncheckedRow(3, 1, (Fraction(1, 3), Fraction(0)), 0))

@@ -147,3 +147,31 @@ def test_element_views_are_built_once_on_demand():
     # plain data: a copy compares equal, its view built afresh or carried
     assert pickle.loads(pickle.dumps(special_element(c, 9))) == special_element(c, 9)
     assert pickle.loads(pickle.dumps(d)) == d
+
+
+def test_a_verify_run_reads_the_composite_rows_as_integers(monkeypatch):
+    # the report's c_bp strings come from the integers; no composite d_n
+    # builds its Fraction row, and read, that row is the integers' and the
+    # report's strings are its format
+    from bpadams import centre
+    from bpadams.arith import format_over, format_rational
+
+    built = {}
+    real = centre.special_element
+
+    def recorded(ctx, n):
+        built[n] = real(ctx, n)
+        return built[n]
+
+    monkeypatch.setattr(centre, "special_element", recorded)
+    report = verify_centre_bp(5, 24)
+    assert report["verdict"] and sorted(built) == list(range(25))
+    composites = [d for d in built.values() if d._factors is not None]
+    assert len(composites) == 22
+    assert not any("c" in vars(d) for d in composites)
+    for row in report["rows"]:
+        d = built[row["n"]]
+        assert d.c == tuple(Fraction(x, d.den) for x in d.numerators)
+        assert row["c_bp"] == [format_rational(x) for x in d.c]
+        assert d.to_jsonable()["c"] == row["c_bp"] == format_over(d.numerators, d.den)
+    assert all("c" in vars(d) for d in composites)
