@@ -362,13 +362,19 @@ def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]
     return inverse
 
 
-def _ku_canonical_rows(p: int, top: int, q: int | None) -> tuple[list[list[int]], int]:
+@lru_cache(maxsize=None, typed=True)
+def _ku_canonical_rows(p: int, top: int, q: int | None,
+                       ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(T, E): the canonical triangular rows T[n] / p^E of the connective
     system, from :func:`_inverse_rows` by one integer elimination
-    (:func:`bpadams.lattice._canonical_rows`)."""
-    return _lattice._canonical_rows(
+    (:func:`bpadams.lattice._canonical_rows`).  Memoised, as tuples that
+    no caller can change: the rows are a pure function of (p, top, q).
+    ``typed``, so a float p or top is still checked and refused; a
+    refused argument is not cached."""
+    T, E = _lattice._canonical_rows(
         p, ((row + [0] * (top - m), den) for m, (row, den) in enumerate(_inverse_rows(p, top, q))),
         top + 1)
+    return tuple(map(tuple, T)), E
 
 
 def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.CongruenceSystem":
@@ -376,8 +382,8 @@ def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.Co
 
     The canonical triangular form of the rows of
     :func:`basis_integrality_rows`, whose pivot at index n has valuation
-    -gamma_p(n), as :func:`bpadams.lattice.triangularize` gives it.  Built
-    on each call, on integers (:func:`_ku_canonical_rows`).
+    -gamma_p(n), as :func:`bpadams.lattice.triangularize` gives it, from
+    the memoised integer rows of :func:`_ku_canonical_rows`.
     """
     T, E = _ku_canonical_rows(p, top, q)
     den = p ** E

@@ -11,6 +11,7 @@ Everything here is exact: values are python ints and
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -252,24 +253,25 @@ class WordCodec:
         data = b"".join([(row.get(j, 0) + half).to_bytes(size, "little") for j in range(count)])
         return int.from_bytes(data, "little") - self._offset(width, count, width - 1)
 
-    def digits(self, packed: int, width: int) -> dict[int, int]:
-        """The non-zero signed digits of ``packed`` as {j: c_j}, the
-        inverse of :meth:`pack`: one cast to words when a digit is one
-        word of 32 or 64 bits, one ``int.from_bytes`` per digit above.  A
-        row of one digit is that digit."""
+    def decode(self, packed: int, width: int) -> list[int]:
+        """The signed digits c_0..c_m of ``packed``, m its top index (c_m is
+        not 0 unless the row is 0): the inverse of :meth:`pack`, as a dense
+        list.  Adding the offset makes digit j the field c_j + 2^(width - 1)
+        of an unsigned int, and XOR with the same offset flips each field's
+        top bit back, so field j holds c_j in two's complement: a row of
+        32- or 64-bit digits is one ``to_bytes`` read as signed native words
+        by ``memoryview.cast``, a wider digit one signed
+        ``int.from_bytes``.  A row of one digit is that digit."""
         count = packed.bit_length() // width + 1
         if count == 1:
-            return {0: packed} if packed else {}
-        half = 1 << (width - 1)
-        data = (packed + self._offset(width, count, width - 1)).to_bytes(
-            count * width // 8, "little")
+            return [packed]
+        offset = self._offset(width, count, width - 1)
+        data = ((packed + offset) ^ offset).to_bytes(count * width // 8, "little")
         if width <= 64:
-            words = memoryview(data).cast("I" if width == 32 else "Q")
-        else:
-            size = width // 8
-            words = [int.from_bytes(data[i:i + size], "little")
-                     for i in range(0, len(data), size)]
-        return {j: c - half for j, c in enumerate(words) if c != half}
+            return memoryview(data).cast("i" if width == 32 else "q").tolist()
+        size = width // 8
+        return [int.from_bytes(data[i:i + size], "little", signed=True)
+                for i in range(0, len(data), size)]
 
     def respread(self, packed: int, width: int, wider: int) -> int:
         """``packed`` at width ``wider`` >= ``width``: word i of each digit
@@ -385,23 +387,50 @@ def parse_rational(text: object) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
-def format_rational(x: Fraction | int) -> str:
-    """Canonical "a/b" (or "a") rendering of an exact rational.  An int or
-    a ``Fraction`` is taken as it is; anything else is converted first."""
-    if type(x) is int:
+#: ints of at most this many bits have at most
+#: ``sys.int_info.default_max_str_digits`` decimal digits (log2(10) > 3.3),
+#: so ``str`` converts them under the interpreter's default limit; 0 where
+#: the interpreter has no limit
+_STR_BITS = getattr(sys.int_info, "default_max_str_digits", 0) * 33 // 10
+
+
+def decimal(x: int) -> str:
+    """``str(x)``, also for an int past the interpreter's limit on int-to-str
+    conversion (4,300 digits by default from CPython 3.10.7 and 3.11 on):
+    plain ``str`` up to ``_STR_BITS`` bits; above, x = high * 10^h + low
+    with h about half of x's digits, each part converted in turn and low
+    padded with zeros to h digits."""
+    if not _STR_BITS or x.bit_length() <= _STR_BITS:
         return str(x)
+    if x < 0:
+        return "-" + decimal(-x)
+    h = x.bit_length() * 3 // 20  # half of x's digits at most: log10(2) > 0.3
+    high, low = divmod(x, 10 ** h)
+    return decimal(high) + decimal(low).zfill(h)
+
+
+def format_rational(x: Fraction | int) -> str:
+    """Canonical "a/b" (or "a") rendering of an exact rational, its
+    integers written by :func:`decimal`.  An int or a ``Fraction`` is
+    taken as it is; anything else is converted first."""
+    if type(x) is int:
+        return decimal(x)
     if not isinstance(x, Fraction):
         x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return decimal(x.numerator)
+    return f"{decimal(x.numerator)}/{decimal(x.denominator)}"
 
 
-def format_over(nums: Iterable[int], den: int) -> list[str]:
+def format_over(nums: Sequence[int], den: int) -> list[str]:
     """:func:`format_rational` of each N / den, den > 0, from the integers:
-    N and den divided by their gcd, the sign on the numerator."""
+    N and den divided by their gcd, the sign on the numerator.  The row's
+    widest integer is checked against ``_STR_BITS`` once, so a row within
+    it is written by plain ``str`` and a wider one by :func:`decimal`."""
+    widest = max(den.bit_length(), max(map(int.bit_length, nums), default=0))
+    text = decimal if _STR_BITS and widest > _STR_BITS else str
     out = []
     for x in nums:
         g = math.gcd(x, den)
-        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        out.append(text(x // g) if g == den else f"{text(x // g)}/{text(den // g)}")
     return out

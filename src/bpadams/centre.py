@@ -30,8 +30,8 @@ from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_famil
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _hazewinkel_theta_numerators, _theta_numerators,
                    special_element, t_monomial_numerators)
-from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, extend_lattice,
-                      lattice_eq, sandwich_check, solve)
+from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _sandwich,
+                      _shape_violation, extend_lattice, lattice_eq, solve)
 
 
 class CentreVerificationError(RuntimeError):
@@ -47,8 +47,8 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
     None) as (gamma, delta, numerators, den), in the order of
     :func:`sampled_integrality_rows`, and the count of all rows: the
     walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`) on
-    the generator images ``images``, the ones above ``top`` counted and
-    never decoded.
+    the generator images ``images``, each a dense list whose last entry
+    is not zero, the ones above ``top`` counted and never decoded.
 
     The images fix the generators of BP_* the rows are read in.  On
     Araki's (:func:`bpadams.hopf._theta_numerators`) the rows are those of
@@ -66,9 +66,15 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
     return rows, total
 
 
-def _dense(row: dict[int, int], den: int, n: int) -> tuple[Fraction, ...]:
-    """The row sum_j (row[j] / den) * mu_j as its entries at 0..n."""
-    return tuple(Fraction(row[j], den) if j in row else Fraction(0) for j in range(n + 1))
+def _dense(row: list[int], den: int, n: int) -> tuple[Fraction, ...]:
+    """The row sum_j (row[j] / den) * mu_j, top index <= n, as its entries
+    at 0..n."""
+    return tuple(Fraction(c, den) for c in row) + (Fraction(0),) * (n + 1 - len(row))
+
+
+def _form(row: list[int], den: int) -> MuLinear:
+    """The row sum_j (row[j] / den) * mu_j as a ``MuLinear``."""
+    return MuLinear._from_numerators({j: c for j, c in enumerate(row) if c}, den)
 
 
 def sampled_integrality_rows(ctx: BPContext,
@@ -84,7 +90,7 @@ def sampled_integrality_rows(ctx: BPContext,
     :func:`_sampled_rows` in Araki's generators, read as ``MuLinear``
     forms.
     """
-    return [(gamma, delta, MuLinear._from_numerators(row, den))
+    return [(gamma, delta, _form(row, den))
             for gamma, delta, row, den in _sampled_rows(ctx, None, _theta_numerators(ctx))[0]]
 
 
@@ -94,8 +100,8 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
     Odd p: the Gaussian rows.  p = 2: the triangularized connective
     2-local K-theory rows (pivot budgets delta_2(r) = gamma_2(r)), those of
     :func:`bpadams.adamsk.ku_congruence_system` taken straight from its
-    integer rows, each with its integer numerators over the lcm of its
-    entries' denominators (``integer_row``).  Built on each call.
+    memoised integer rows, each with its integer numerators over the lcm
+    of its entries' denominators (``integer_row``).
     """
     q = validate_q(p, q)
     if p != 2:
@@ -114,16 +120,17 @@ def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLa
 
 
 def _first_sample_failure(p: int, lat: SolutionLattice,
-                          rows: list[tuple[dict[int, int], int]],
+                          rows: list[tuple[list[int], int]],
                           ) -> tuple[int, int] | None:
     """(k, j) for the first row k, then column j, whose value on column j
     of ``lat`` is not p-locally integral; None when every row holds.
 
     Row k is ``(numerators, den)``: the form sum_i (c_i / den) * mu_i,
-    supported inside the lattice's indices.  The columns are integral, so
-    it holds on column b iff sum_i c_i * b_i vanishes modulo p^v,
-    v = val_p(den); that valuation is taken once per row, in order, and
-    no row after the first failure is read.
+    its numerators a dense list c_0..c_m inside the lattice's indices.
+    The columns are integral, so it holds on column b iff
+    sum_i c_i * b_i vanishes modulo p^v, v = val_p(den); that valuation
+    is taken once per row, in order, and no row after the first failure
+    is read.
 
     Every column is tested at once on the lattice's own packed rows
     (:class:`bpadams.lattice.SolutionLattice`): basis row i is one int
@@ -144,8 +151,8 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
         if not v:
             continue
         modulus = p ** v
-        if not lat._vanishes(row.items(), modulus):
-            values = lat._values(row.items(), modulus)
+        if not lat._vanishes(enumerate(row), modulus):
+            values = lat._values(enumerate(row), modulus)
             return k, next(j for j, x in enumerate(values) if x)
     return None
 
@@ -172,7 +179,7 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
         if not any(gamma):
             continue
         rows = list(kept.items())  # every one with top index <= n
-        positions = [pos for pos, (_, row) in enumerate(rows) if max(row) == n]
+        positions = [pos for pos, (_, row) in enumerate(rows) if len(row) == n + 1]
         failed = _first_sample_failure(ctx.p, lat, [(rows[pos][1], den) for pos in positions])
         if failed is None:
             usable += len(rows)
@@ -184,7 +191,7 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
             "gamma": list(gamma),
             "delta": list(delta),
             "mu": [format_rational(x) for x in col],
-            "value": format_rational(MuLinear._from_numerators(row, den).evaluate(col)),
+            "value": format_rational(_form(row, den).evaluate(col)),
         }
     raise ConstructionError(
         f"the sampled rows with top index {n} fail on Hazewinkel's generators "
@@ -206,7 +213,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     (:func:`bpadams.lattice.extend_lattice`): the sandwich extends the
     lattice at n - 1 by c_n (its S, kept as the Adams lattice) and tests
     the special row (its T) on every column of S at once, from the special
-    element's integer numerators over its den; the special row reaches
+    element's integer numerators over its den.  It is the comparison of
+    :func:`bpadams.lattice.sandwich_check`, whose hypotheses are checked
+    once per row: c_n and d_n's row at their n, each with the message
+    ``sandwich_check`` gives.  The special row reaches
     the sandwich and the report's ``c_bp`` strings as those integers, and
     no ``Fraction`` row of a composite d_n is built.
     The lattices form one chain of packed rows: each keeps the rows of the
@@ -263,7 +273,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     sample, total = _sampled_rows(ctx, n_max, _hazewinkel_theta_numerators(ctx))
     by_top: dict[int, list[int]] = {}
     for pos, (_, _, row, _) in enumerate(sample):
-        by_top.setdefault(max(row), []).append(pos)
+        by_top.setdefault(len(row) - 1, []).append(pos)
 
     report: dict = {
         "p": p,
@@ -287,7 +297,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
         d = special_element(ctx, n)
         c_bp = CongruenceVector(p, n, None, delta_p(p, n), (d.numerators, d.den))
         try:
-            sandwich = sandwich_check(p, rows_g[:n], rows_g[n], c_bp, base)
+            # row n of each side is checked once, here; rows below n passed at
+            # their own n, and indices and budgets agree by construction
+            sandwich = (_shape_violation(p, n, rows_g[n]) or _shape_violation(p, n + 1, c_bp)
+                        or _sandwich(p, base, rows_g[n], c_bp))
             if n:
                 # the sandwich's S is the Adams lattice at n; a hypothesis
                 # violation builds none

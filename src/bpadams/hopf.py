@@ -18,7 +18,8 @@ l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 theta has one representation: integer numerators on packed monomial
 keys over one denominator, the lcm of its denominators.  The generator
 images are built once per context (``_theta_numerators``, by one
-recursion on integers, ``_t_recursion``); the same recursion over the
+recursion on integers, ``_t_recursion``, run on packed rows of one width
+and decoded once, see ``_theta_of``); the same recursion over the
 {l, e} generators, with denominator 1, gives t_n in the right-unit
 basis, and over the eta_R(l_n) it gives eta_R(v_n) on {v, t} keys, the
 factors of ``right_unit_v_monomial``.  One evaluator (``_evaluate``)
@@ -235,26 +236,31 @@ class _RightUnitData:
 
 
 def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
-                 E: list[tuple[dict[int, int], int]]) -> list[tuple[dict[int, int], int]]:
+                 E: list[tuple[dict[int, int], int]],
+                 combine: Callable[[list], tuple[dict[int, int], int]] | None = None,
+                 ) -> list[tuple[dict[int, int], int]]:
     """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
     t_n over the {l, e} basis when E_n = e_n, theta(t_n) when
-    E_n = u^{w_n} L_n with L_n = l_n(v), its v_1-shadow when each L_n is
-    the shadow of l_n(v) (see :func:`_v1_power`; the keys are u-degrees),
-    and eta_R(v_n) when L_n = eta_R(l_n) and E_n = (1 + pi_n) * L_n (see
+    E_n = u^{w_n} L_n with L_n = l_n(v) (see :func:`_theta_of`), its
+    v_1-shadow when each L_n is the shadow of l_n(v) (see
+    :func:`_v1_power`; the keys are u-degrees), and eta_R(v_n) when
+    L_n = eta_R(l_n) and E_n = (1 + pi_n) * L_n (see
     :func:`_right_unit_v`).
 
     Every polynomial is (N, D): integer numerators N on packed monomial
     keys, a field of ``W.bit_length()`` bits per exponent (see
-    :func:`_key`), over one denominator D.  A product of
-    monomials adds keys, and one product of polynomials is
+    :func:`_key`), over one denominator D; :func:`_theta_of` runs it on
+    packed rows instead, one int per v-monomial, and on l1 norms.  A
+    product of monomials adds keys, and one product of polynomials is
     :func:`_multiply`; powers are taken by square-and-multiply, T_j^{p^k}
     as (T_j^{p^(k-1)})^p.  No product truncates and no key carries: T_n
     is homogeneous of weight w_n = w_k + p^k * w_{n-k} <= W, so every
     partial product has weight <= W, and with it every exponent and every
     u-degree (at most w_n, see :func:`t_monomial_numerators`).
-    Each T_n is summed by :func:`_combine`, so its D is the lcm of the
-    denominators of its coefficients.
+    Each T_n is summed by ``combine``, by default :func:`_combine`, so its
+    D is the lcm of the denominators of its coefficients.
     """
+    combine = combine or _combine
     T: list[tuple[dict[int, int], int]] = []
     powers: list[list[tuple[dict[int, int], int]]] = []  # powers[j][k] = T_j^{p^k}
     for n in range(len(L)):
@@ -265,7 +271,7 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
                 chain.append(_power(chain[-1], p))
             num, den = chain[k]
             terms.append((-1, (_multiply(num, list(L[k - 1][0].items())), den * L[k - 1][1])))
-        image = _combine(terms)
+        image = combine(terms)
         T.append(image)
         powers.append([image])
     return T
@@ -278,12 +284,14 @@ def _reduced(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return {key: c // g for key, c in num.items() if c}, den // g
 
 
-def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
+def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]],
+             reduced: bool = True) -> tuple[dict[int, int], int]:
     """sum_i s_i * N_i / D_i over the terms (s_i, (N_i, D_i)), s_i an int,
     as (N, D) on the same keys: summed over the lcm of the D_i, then
     divided by the gcd of that lcm and the numerators, so D is the lcm of
     the denominators of the sum's coefficients (as for
-    :func:`bpadams.arith.integer_numerators`)."""
+    :func:`bpadams.arith.integer_numerators`).  With ``reduced`` false the
+    sum stays over the lcm of the D_i, zero values dropped."""
     den = math.lcm(*(d for _, (_, d) in terms))
     acc: dict[int, int] = {}
     get = acc.get
@@ -291,7 +299,16 @@ def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[
         scale = s * (den // d)
         for key, c in num.items():
             acc[key] = get(key, 0) + scale * c
-    return _reduced(acc, den)
+    if reduced:
+        return _reduced(acc, den)
+    return {key: c for key, c in acc.items() if c}, den
+
+
+def _l1_sum(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
+    """The l1 bound of the unreduced :func:`_combine` of the terms, given
+    each N_i as its norm {0: ||N_i||_1}: sum_i |s_i| * (D // D_i) *
+    ||N_i||_1 over D, the lcm of the D_i."""
+    return _combine([(abs(s), image) for s, image in terms], reduced=False)
 
 
 def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], int]:
@@ -478,11 +495,39 @@ def _hazewinkel_theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, in
 def _theta_of(ctx: BPContext, L: list[tuple[dict[int, int], int]],
               ) -> dict[str, tuple[dict[int, int], int]]:
     """The images of the {l, t} generators, by name, given the L_k = l_k(v)
-    on theta's packed keys: l_k -> L_k, and t_n -> T_n by
-    :func:`_t_recursion` with E_n = u^{w_n} * L_n."""
-    E = [({key + w: c for key, c in num.items()}, den)
-         for (num, den), w in zip(L, ctx.l_table.weights)]
-    return dict(zip(ctx.lt_table.names, L + _t_recursion(ctx.p, L, E)))
+    on theta's packed keys (u-degree 0): l_k -> L_k, and t_n -> T_n by
+    :func:`_t_recursion` with E_n = u^{w_n} * L_n.
+
+    The recursion runs on packed rows, as the walk's products do: a
+    polynomial is its rows keyed by the packed v-monomial (a key without
+    its u field), the row sum_j c_j * u^j one int sum_j c_j * 2^(R * j).
+    Keys add and rows multiply as one big-int product, so
+    :func:`_multiply`, :func:`_power` and the sums run unchanged; u -> 2^R
+    is a ring map, so each row of a T_n is exactly its polynomial at 2^R,
+    and it decodes when every |c_j| < 2^(R - 1).  One R serves the whole
+    recursion: the same recursion on l1 norms (each L_k and E_k as its
+    norm over its D, summed by :func:`_l1_sum`) bounds every numerator of
+    the T_n, products by submultiplicativity, and R is the largest bound
+    plus a sign bit, rounded up to whole 32-bit words
+    (:func:`bpadams.arith.word_width`).  The sums are not reduced, since
+    the gcd of a packed row is not that of its digits; the norms bound the
+    unreduced numerators over the same denominators.  Each T_n is decoded
+    once at the end (``WordCodec.decode``) and reduced (:func:`_reduced`),
+    so it is the (N, D) of the recursion on terms: integer numerators over
+    the lcm of its coefficients' denominators.
+    """
+    p, width = ctx.p, ctx.weight_bound.bit_length()
+    norms = [({0: sum(map(abs, num.values()))}, den) for num, den in L]
+    bound = max((num[0] for num, _ in _t_recursion(p, norms, norms, _l1_sum)), default=0)
+    R = word_width(bound.bit_length() + 1)
+    rows = [({key >> width: c for key, c in num.items()}, den) for num, den in L]
+    E = [({delta: c << R * w for delta, c in num.items()}, den)
+         for (num, den), w in zip(rows, ctx.l_table.weights)]
+    codec, T = WordCodec(), []
+    for num, den in _t_recursion(p, rows, E, lambda terms: _combine(terms, reduced=False)):
+        T.append(_reduced({delta << width | j: c for delta, row in num.items()
+                           for j, c in enumerate(codec.decode(row, R)) if c}, den))
+    return dict(zip(ctx.lt_table.names, L + T))
 
 
 def _l_numerators(ctx: BPContext, low_fields: int) -> list[tuple[dict[int, int], int]]:
@@ -627,14 +672,16 @@ def _multiply(image: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> di
 
 def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, int], int]],
                           top: int | None = None) -> Iterator[
-        tuple[tuple[int, ...], dict[tuple[int, ...], dict[int, int]], int, int]]:
+        tuple[tuple[int, ...], dict[tuple[int, ...], list[int]], int, int]]:
     """(gamma, rows, den, count) for every t-monomial gamma of weight <= W,
     in the order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at
-    delta of theta(t^gamma) is sum_j (rows[delta][j] / den) * mu_j, with
-    non-zero int numerators and delta in graded-lexicographic order.
-    ``count`` is the number of non-zero rows of theta(t^gamma); ``rows``
-    holds those whose top index is at most ``top`` (every row when ``top``
-    is None).  A row above ``top`` is counted, never decoded.
+    delta of theta(t^gamma) is sum_j (rows[delta][j] / den) * mu_j, a
+    dense list of int numerators whose last entry is not zero, so the
+    row's top index is ``len(rows[delta]) - 1``; delta comes in
+    graded-lexicographic order.  ``count`` is the number of non-zero rows
+    of theta(t^gamma); ``rows`` holds those whose top index is at most
+    ``top`` (every row when ``top`` is None).  A row above ``top`` is
+    counted, never decoded.
 
     A depth-first walk that keeps only the chain of prefixes: the image of
     gamma is its parent's (gamma with its last non-zero exponent lowered
@@ -693,7 +740,7 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       |r| < 2^(R * (n + 1)) / 2, while a top non-zero digit c_m, m > n,
       leaves |r| > 2^(R * m) - 2^(R * m) / 2.  So a row above ``top`` is
       counted from its bit length alone; a kept row is decoded by
-      ``WordCodec.digits``.
+      ``WordCodec.decode``, whose digits come out of one ``to_bytes``.
     - *Generator check.*  The rows of each N_k are read from the u field
       of its packed keys (:func:`_group_rows`), ``W.bit_length()`` bits
       wide (see :func:`_key`), so they are exact only if no term's
@@ -726,7 +773,7 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
     while node:
         gamma, image, den, bound, low, room = node
         R = word_width(bound.bit_length() + 1)  # one packed row per delta, at R bits a digit
-        kept = {d: codec.digits(r, R) for d, r in image.items()
+        kept = {d: codec.decode(r, R) for d, r in image.items()
                 if top is None or r.bit_length() < R * (top + 1)}
         yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, len(image)
         if gens and weights[low] <= room:  # a child: the weights grow with the index

@@ -543,16 +543,13 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     fails is T's row computed (:func:`_new_row`): it raises where T does
     not extend, as the extension does, and otherwise differs from S's.
     The result carries S (``s_lattice``) for a caller that needs it.
+    The checks run here; the comparison itself is :func:`_sandwich`.
     """
     ensure_prime(p)
     for r, vec in enumerate(list(base_rows) + [cn, cn_hat]):
-        if vec.p != p:
-            return SandwichResult("hypothesis_violation", False,
-                                  f"row {r} has the wrong prime")
-        if not vec.shape_ok():
-            return SandwichResult(
-                "hypothesis_violation", False,
-                f"row with top index {vec.n} violates the pivot/valuation shape")
+        violation = _shape_violation(p, r, vec)
+        if violation:
+            return violation
     n = cn.n
     if cn_hat.n != n or any(vec.n != i for i, vec in enumerate(base_rows)):
         return SandwichResult("hypothesis_violation", False,
@@ -566,6 +563,27 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
             base = _extended(base, *_new_row(base, *vec.integer_row))
     elif base.p != p or base.size != n:
         raise LatticeError(f"base lattice is not in Z_({p})^{n}")
+    return _sandwich(p, base, cn, cn_hat)
+
+
+def _shape_violation(p: int, r: int, vec) -> SandwichResult | None:
+    """The hypothesis violation :func:`sandwich_check` reports for row r,
+    ``vec``, when it has another prime or fails the shape hypotheses;
+    None when it meets them."""
+    if vec.p != p:
+        return SandwichResult("hypothesis_violation", False, f"row {r} has the wrong prime")
+    if not vec.shape_ok():
+        return SandwichResult(
+            "hypothesis_violation", False,
+            f"row with top index {vec.n} violates the pivot/valuation shape")
+    return None
+
+
+def _sandwich(p: int, base: SolutionLattice, cn, cn_hat) -> SandwichResult:
+    """The comparison of :func:`sandwich_check`, for rows already checked
+    against its hypotheses: cn and cn_hat meet the shape, share n and the
+    budget, and ``base`` is the solution lattice of the rows below n."""
+    n = cn.n
     s_lat = _extended(base, *_new_row(base, *cn.integer_row))
     t_nums, t_den = cn_hat.integer_row
     top = t_nums[n]

@@ -21,6 +21,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from operator import add, mul
 
+from .arith import format_rational
+
 
 class PolyError(ValueError):
     """Raised for incompatible tables/bounds or malformed inputs."""
@@ -374,7 +376,7 @@ class GradedPoly:
         for exps, c in self.sorted_terms():
             factors = [f"{n}^{e}" if e > 1 else n
                        for n, e in zip(self.table.names, exps) if e]
-            coeff = str(c)
+            coeff = format_rational(c)
             if factors:
                 if coeff == "1":
                     parts.append("*".join(factors))

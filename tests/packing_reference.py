@@ -31,6 +31,13 @@ def unpack(packed, width):
     return row
 
 
+def dense(row):
+    """The row {j: c_j} as the list c_0..c_m, m its top index ([0] for the
+    empty row): the form :meth:`bpadams.arith.WordCodec.decode` returns
+    and the walk yields."""
+    return [row.get(j, 0) for j in range(max(row, default=0) + 1)]
+
+
 def top_at_most(packed, width, n):
     """Whether the packed row has no non-zero digit above index n, for
     digits as in :func:`unpack`: exactly when |packed| < 2^(width*(n+1) - 1),

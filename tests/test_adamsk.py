@@ -405,3 +405,21 @@ def test_binomial_mu_congruence_checks_q():
         binomial_mu_congruence(3, 0, 1, q=4)
     assert binomial_mu_congruence(3, 1, 1, q=2) == binomial_mu_congruence(3, 1, 1)
     assert Phi_in_phi(3, None, 2) == Phi_in_phi(3, find_q(3), 2)
+
+
+def test_p2_canonical_rows_are_memoised_as_tuples():
+    # the canonical connective rows are built once per (p, top, q) and kept
+    # as tuples, so no caller can change the memo; they equal a fresh
+    # elimination, and an argument that is refused is refused again, never
+    # served from the memo (a float p hashes as the int)
+    for top in (0, 5, 12):
+        T, E = adamsk._ku_canonical_rows(2, top, None)
+        assert type(T) is tuple and all(type(row) is tuple for row in T)
+        assert adamsk._ku_canonical_rows(2, top, None)[0] is T
+        fresh, fresh_E = adamsk._ku_canonical_rows.__wrapped__(2, top, None)
+        assert (T, E) == (fresh, fresh_E)
+        den = 2 ** E
+        assert ku_congruence_system(2, top).rows == tuple(
+            tuple(Fraction(x, den) for x in row) for row in T)
+    with pytest.raises(ValueError, match="not a prime"):
+        ku_congruence_system(2.0, 5)

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import packing_reference
-from bpadams.arith import (INFINITY, Prime, WordCodec, delta_p, dot, find_q, format_over,
-                           format_rational, gamma_p, gaussian, gaussian_poly, integer_numerators,
-                           is_p_local_int, is_p_local_unit, is_prime, multiplicative_order,
-                           nu_p, parse_rational, val_p, validate_q, word_width)
+from bpadams import arith
+from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, find_q,
+                           format_over, format_rational, gamma_p, gaussian, gaussian_poly,
+                           integer_numerators, is_p_local_int, is_p_local_unit, is_prime,
+                           multiplicative_order, nu_p, parse_rational, val_p, validate_q,
+                           word_width)
 
 
 def test_prime_validation():
@@ -277,7 +281,29 @@ def test_word_codec_round_trip(rows):
     for width, row in rows:
         packed = codec.pack(row, width)
         assert packed == packing_reference.pack(row, width)
-        assert codec.digits(packed, width) == row == packing_reference.unpack(packed, width)
+        assert row == packing_reference.unpack(packed, width)
+        assert codec.decode(packed, width) == packing_reference.dense(row)
+
+
+@pytest.mark.parametrize("width", [32, 64, 96, 160])
+def test_decode_against_the_per_digit_reference(width):
+    # the dense decoder reads each digit as two's complement after the
+    # offset is added and XORed back: exact on the extreme digits
+    # +-(2^(R-1) - 1), zeros inside a row, a negative top digit and rows of
+    # one digit, on the word casts (32, 64 bits) and on wider digits
+    codec = WordCodec()
+    edge = (1 << (width - 1)) - 1
+    rows = [{0: edge}, {0: -edge}, {0: 1}, {0: -1}, {}, {1: -1}, {1: edge},
+            {0: edge, 1: -edge, 2: edge}, {0: -edge, 3: -edge}, {0: 5, 4: -1},
+            {2: edge, 5: -edge}, {j: (-1) ** j * edge for j in range(9)},
+            {0: 0x1234, 2: -(edge >> 3), 6: -2}]
+    for row in rows:
+        packed = packing_reference.pack(row, width)
+        assert packing_reference.unpack(packed, width) == row
+        digits = codec.decode(packed, width)
+        assert digits == packing_reference.dense(row), row
+        assert len(digits) == packed.bit_length() // width + 1
+        assert digits[-1] or not row
 
 
 @settings(max_examples=300, deadline=None)
@@ -305,7 +331,8 @@ def test_one_digit_rows_and_their_two_digit_neighbours(width):
     for row in ({}, {0: 1}, {0: -1}, {0: edge}, {0: -edge}, {0: -edge, 1: 1},
                 {0: edge, 1: -1}, {1: 1}, {1: -1}):
         packed = packing_reference.pack(row, width)
-        assert codec.digits(packed, width) == row == packing_reference.unpack(packed, width)
+        assert row == packing_reference.unpack(packed, width)
+        assert codec.decode(packed, width) == packing_reference.dense(row)
         for wider in (width, width + 32, 2 * width):
             assert codec.respread(packed, width, wider) == packing_reference.pack(row, wider)
 
@@ -319,3 +346,38 @@ def test_word_width_rounds_up_to_whole_words(bits, width):
        st.integers(1, 10 ** 6) | st.sampled_from([1, 2, 9, 3 ** 12, 5 ** 9 * 7]))
 def test_format_over_is_format_rational_of_each_ratio(nums, den):
     assert format_over(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
+
+
+@pytest.fixture
+def unlimited_str():
+    """Lift the interpreter's limit on int-to-str conversion for one test,
+    so that ``str`` is the oracle past it; skipped where there is none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int-to-str conversion")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_decimal_is_str_on_both_sides_of_the_limit(unlimited_str):
+    # below _STR_BITS decimal is plain str; above it the split by powers of
+    # ten writes the same digits, zeros at the split and negatives included
+    rng = random.Random(7)
+    limit = arith._STR_BITS
+    values = [0, 1, -1, 10 ** 4299, 10 ** 4300, -(10 ** 4300), 10 ** 9000 + 1, 7 * 10 ** 5000]
+    for bits in (limit - 1, limit, limit + 1, 2 * limit, 5 * limit + 3):
+        values += [rng.getrandbits(bits) | 1 << (bits - 1), -(1 << (bits - 1)), (1 << bits) - 1]
+    for x in values:
+        assert decimal(x) == str(x), x.bit_length()
+
+
+def test_format_over_and_format_rational_past_the_limit(unlimited_str):
+    # a row with one integer past the limit is written whole by decimal, and
+    # every other entry of it as plain str would write it
+    wide = 3 ** 20000 + 2
+    nums, den = [wide, -6, 4 * wide, 0], 4
+    assert format_over(nums, den) == [f"{wide}/4", "-3/2", str(wide), "0"]
+    assert format_over([wide, 1], 3 ** 20001) == [f"{wide}/{3 ** 20001}", f"1/{3 ** 20001}"]
+    assert format_rational(Fraction(-wide, 7)) == f"-{wide}/7"
+    assert format_rational(wide) == str(wide)

@@ -76,16 +76,17 @@ def test_tiny_verify_run_reaches_polyring_mul_and_lattice_solve(monkeypatch):
 
 
 def test_verify_run_calls_sandwich_check_once_per_n(monkeypatch):
-    # the tracer counts lattice.sandwich_check spans; the verify loop keeps
-    # one comparison per index, however its lattices are built
+    # the verify loop keeps one comparison of sandwich_check per index,
+    # however its lattices are built: the comparison step itself, after
+    # the loop has checked that index's two rows once
     centre = importlib.import_module("bpadams.centre")
-    real, seen = centre.sandwich_check, []
+    real, seen = centre._sandwich, []
 
-    def counted(p, base_rows, cn, cn_hat, base=None):
+    def counted(p, base, cn, cn_hat):
         seen.append(cn.n)
-        return real(p, base_rows, cn, cn_hat, base)
+        return real(p, base, cn, cn_hat)
 
-    monkeypatch.setattr(centre, "sandwich_check", counted)
+    monkeypatch.setattr(centre, "_sandwich", counted)
     assert verify_centre_bp(5, 8)["verdict"]
     assert seen == list(range(9))
 

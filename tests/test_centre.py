@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_reference
+from packing_reference import dense
 import theta_reference
 from bpadams import centre, hopf
 from bpadams.adamsk import (adams_family, basis_integrality_rows, binomial_mu_congruence,
@@ -229,7 +230,7 @@ def _recorded_walk(monkeypatch, tops):
     def recorded(ctx, images, top=None):
         tops.append(top)
         for gamma, rows, den, count in walk(ctx, images, top):
-            assert top is None or all(max(row) <= top for row in rows.values())
+            assert top is None or all(len(row) - 1 <= top for row in rows.values())
             yield gamma, rows, den, count
 
     monkeypatch.setattr(centre, "t_monomial_numerators", recorded)
@@ -414,7 +415,7 @@ def _brute_force_inclusion(p, n_max, sample):
 def _flattened(items):
     """The walk's (gamma, rows, den, count) items as the sampled rows:
     non-trivial gamma, each row read as a MuLinear with coefficients c / den."""
-    return [(gamma, delta, MuLinear({j: Fraction(c, den) for j, c in row.items()}))
+    return [(gamma, delta, MuLinear({j: Fraction(c, den) for j, c in enumerate(row)}))
             for gamma, rows, den, _ in items if any(gamma)
             for delta, row in rows.items()]
 
@@ -427,7 +428,7 @@ def _inject(monkeypatch, bad, before):
     them all, on either set of generator images.  Returns the list that
     receives the flattened sample of each walk and the list of the
     ``(top, generators)`` each walk was asked for, generators "araki" or
-    "hazewinkel"."""
+    "hazewinkel".  The rows of ``bad`` are given as {j: c_j}."""
     import bpadams.centre as centre
 
     real = centre.t_monomial_numerators
@@ -439,7 +440,7 @@ def _inject(monkeypatch, bad, before):
         items = list(real(ctx, images, top))
         k = next(k for k, item in enumerate(items) if any(item[0]) and before(items, k))
         gamma, rows, den = bad
-        kept = {d: row for d, row in rows.items() if top is None or max(row) <= top}
+        kept = {d: dense(row) for d, row in rows.items() if top is None or max(row) <= top}
         items.insert(k, (gamma, kept, den, len(rows)))
         seen.append(_flattened(items))
         asked.append((top, "araki" if araki else "hazewinkel"))
@@ -450,7 +451,7 @@ def _inject(monkeypatch, bad, before):
 
 
 def _tops(item):
-    return [max(row) for row in item[1].values()]
+    return [len(row) - 1 for row in item[1].values()]
 
 
 def test_inclusion_witness_matches_brute_force(monkeypatch):
@@ -554,14 +555,14 @@ def test_both_generator_sets_give_the_same_counts_and_lattices(p, n):
     assert araki_total == hazewinkel_total
 
     def per_top(rows):
-        return collections.Counter(max(row) for _, _, row, _ in rows)
+        return collections.Counter(len(row) - 1 for _, _, row, _ in rows)
 
     assert per_top(araki) == per_top(hazewinkel)
     assert [row for _, _, row, _ in araki] != [row for _, _, row, _ in hazewinkel]
     for m in {n, n // 2}:
         araki_lattice, hazewinkel_lattice = (
             solve(CongruenceSystem(p, m, tuple(centre._dense(row, den, m)
-                                               for _, _, row, den in rows if max(row) <= m)))
+                                               for _, _, row, den in rows if len(row) <= m + 1)))
             for rows in (araki, hazewinkel))
         assert araki_lattice == hazewinkel_lattice, m
 
@@ -653,7 +654,7 @@ def _all_columns_first_failure(p, lat, rows):
     columns = lat.columns()
     for k, (row, den) in enumerate(rows):
         for j, col in enumerate(columns):
-            value = sum((Fraction(c, den) * col[i] for i, c in row.items()), Fraction(0))
+            value = sum((Fraction(c, den) * col[i] for i, c in enumerate(row)), Fraction(0))
             if val_p(p, value) < 0:
                 return k, j
     return None
@@ -676,7 +677,7 @@ def test_triangular_sample_test_against_all_columns():
         for _ in range(rng.randint(1, 5)):
             support = rng.sample(range(n + 1), rng.randint(1, n + 1))
             row = {i: rng.randint(-p ** 4, p ** 4) or 1 for i in support}
-            rows.append((row, p ** rng.randint(0, 4) * rng.choice((1, 7, 11, 13))))
+            rows.append((dense(row), p ** rng.randint(0, 4) * rng.choice((1, 7, 11, 13))))
         got = _first_sample_failure(p, lat, rows)
         assert got == _all_columns_first_failure(p, lat, rows), (p, n, system, rows)
         outcomes.append(got)
@@ -698,7 +699,7 @@ def _entrywise_first_sample_failure(p, lat, rows):
             continue
         modulus = p ** v
         values = [0] * len(basis)
-        for i, c in row.items():
+        for i, c in enumerate(row):
             r = c % modulus
             if r:
                 for j, b in enumerate(basis[i][: i + 1]):
@@ -732,7 +733,7 @@ def _sample_tests(draw):
             if residue is None:
                 residue = draw(st.integers(0, modulus - 1))
             row[i] = residue + modulus * draw(st.integers(-2, 2)) or modulus
-        rows.append((row, modulus * draw(st.sampled_from([1, 7, 11]))))
+        rows.append((dense(row), modulus * draw(st.sampled_from([1, 7, 11]))))
     return p, lat, rows
 
 
@@ -759,7 +760,7 @@ def test_packed_sample_test_at_its_width_bound(p):
     for v in (1, 3, 4):
         modulus = p ** v
         for residues in itertools.product((0, 2, modulus - 1), repeat=n + 1):
-            rows = [({i: r + modulus for i, r in enumerate(residues)}, modulus)]
+            rows = [([r + modulus for r in residues], modulus)]
             got = centre._first_sample_failure(p, lat, rows)
             assert got == _entrywise_first_sample_failure(p, lat, rows), (v, residues)
             outcomes.append(got)
@@ -790,6 +791,19 @@ def test_verify_run_evaluates_each_row_shape_once(monkeypatch):
         CongruenceVector(r.p, r.n, r.entries, r.budget) for r in real(p, n_max, q)])
     assert verify_centre_bp(5, 24)["verdict"]
     assert len(evaluated) == len({id(vec) for vec in evaluated}) == 2 * 25
+
+
+def test_verify_run_checks_each_sandwich_row_once(monkeypatch):
+    # the verify chain asks for the shape of c_n and of d_n's row once each,
+    # at n, where sandwich_check would ask again for every row below n at
+    # every later n (350 calls at (5, 24), not 50)
+    from bpadams.adamsk import CongruenceVector
+
+    shape_ok, checked = CongruenceVector.shape_ok, []
+    monkeypatch.setattr(CongruenceVector, "shape_ok",
+                        lambda vec: checked.append(vec.n) or shape_ok(vec))
+    assert verify_centre_bp(5, 24)["verdict"]
+    assert checked == [n for n in range(25) for _ in "ST"]
 
 
 def _adams_span(p, n, step):

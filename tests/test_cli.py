@@ -292,14 +292,14 @@ def test_extension_failure_in_verify_exits_1_with_json_details(capsys, monkeypat
     from bpadams.hopf import ConstructionError
     from bpadams.lattice import extend_lattice
 
-    real = centre.sandwich_check
+    real = centre._sandwich
 
-    def failing(p, base_rows, cn, cn_hat, base):
+    def failing(p, base, cn, cn_hat):
         if cn.n == 2:  # column 0 of the lattice at 1 is (1, *): -1/3 is not integral
             extend_lattice(base, (Fraction(1, 3), 0, 1))
-        return real(p, base_rows, cn, cn_hat, base)
+        return real(p, base, cn, cn_hat)
 
-    monkeypatch.setattr(centre, "sandwich_check", failing)
+    monkeypatch.setattr(centre, "_sandwich", failing)
     with pytest.raises(ConstructionError) as err:
         centre.verify_centre_bp(3, 4)
     assert err.value.details == {"stage": "extend_lattice", "n": 2, "column": 0}
@@ -373,6 +373,38 @@ def test_sample_failure_that_araki_rows_do_not_confirm_exits_1(capsys, monkeypat
         "error": "the sampled rows with top index 1 fail on Hazewinkel's generators "
                  "and hold on Araki's",
         "details": {"stage": "sample_basis", "n": 1}}
+
+
+# the rows of d_160 at p = 13, written with the interpreter's limit on
+# int-to-str conversion lifted and plain str: the route before decimal
+_UNLIMITED_BP_DN = """
+import json, sys
+sys.set_int_max_str_digits(0)
+import bpadams.polyring
+bpadams.polyring.format_rational = str
+from bpadams.arith import delta_p
+from bpadams.fgl import BPContext
+from bpadams.hopf import special_element
+d = special_element(BPContext(13, delta_p(13, 160)), 160)
+print(json.dumps({"element": d.element.to_text(), "c_bp": [str(x) for x in d.c]}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str conversion")
+def test_bp_dn_writes_integers_past_the_int_to_str_limit(capsys):
+    # d_160 at p = 13 has integers of more than 4,300 decimal digits, which
+    # plain str refuses under the default limit; the request exits 0 and
+    # writes the digits that str writes once the limit is lifted
+    code, out, err = run(capsys, "bp-dn", "--p", "13", "--n", "160", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _UNLIMITED_BP_DN], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    want = json.loads(done.stdout)
+    assert max(len(x) for x in want["c_bp"]) > 4300
+    assert payload["c_bp"] == want["c_bp"] and payload["element"] == want["element"]
 
 
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import packing_reference
+from packing_reference import dense
 import theta_reference
 from theta_reference import convolve, convolve_power
 from bpadams import hopf
@@ -311,7 +312,8 @@ def test_hazewinkel_images_are_built_once_per_context_and_only_for_a_walk(monkey
     c = BPContext(3, 14)
     assert c._hopf_cache == {}
     combine, calls = hopf._combine, []
-    monkeypatch.setattr(hopf, "_combine", lambda terms: calls.append(1) or combine(terms))
+    monkeypatch.setattr(hopf, "_combine",
+                        lambda *args, **kwargs: calls.append(1) or combine(*args, **kwargs))
     images = hopf._hazewinkel_theta_numerators(c)
     built = len(calls)
     assert built and list(c._hopf_cache) == ["hazewinkel_theta_numerators"]
@@ -349,6 +351,31 @@ def test_t_recursion_on_integers_against_fractions():
         assert got == [_packed(x) for x in theta_reference.fraction_t_recursion(2, L, E)]
     assert hopf._t_recursion(2, [_packed(x) for x in cases[0][0]],
                              [_packed(x) for x in cases[0][1]]) == [_packed(e1)]
+
+
+def _term_form_images(ctx, images):
+    """The images of the {l, t} generators as the recursion on terms
+    builds them from the L_k of ``images``: :func:`hopf._t_recursion` on
+    packed monomial keys with E_n = u^{w_n} * L_n, each T_n reduced as it
+    is summed."""
+    L = [images[f"l{k}"] for k in range(1, ctx.gen_count + 1)]
+    E = [({key + w: c for key, c in num.items()}, den)
+         for (num, den), w in zip(L, ctx.l_table.weights)]
+    return dict(zip(ctx.lt_table.names, L + hopf._t_recursion(ctx.p, L, E)))
+
+
+@pytest.mark.parametrize("p, W", [(2, 0), (2, 7), (2, 15), (2, 22), (2, 31), (2, 46), (3, 8),
+                                  (3, 26), (3, 58), (5, 28), (5, 62), (7, 16), (7, 60)])
+def test_row_form_images_equal_the_term_form_images(p, W):
+    # theta's generator images built on packed rows, at one width for the
+    # recursion, equal the recursion on terms, numerators and reduced
+    # denominators, in Araki's and Hazewinkel's generators; up to W = 46 at
+    # p = 2, which holds t_1..t_5.  Most of these points need their whole
+    # last word: one word narrower, some digit no longer fits
+    ctx = BPContext(p, W)
+    for build in (hopf._theta_numerators, hopf._hazewinkel_theta_numerators):
+        images = build(ctx)
+        assert images == _term_form_images(ctx, images), build.__name__
 
 
 def _weight_component(c, image, w):
@@ -698,7 +725,7 @@ def test_walk_matches_the_dict_walk(p, W, limit):
         for top in (None, 0, 1, W // 4, W // 2, W):
             got = [(gamma, list(rows.items()), den, count) for gamma, rows, den, count
                    in hopf.t_monomial_numerators(ctx, build(ctx), top)]
-            want = [(gamma, [(d, row) for d, row in rows.items()
+            want = [(gamma, [(d, dense(row)) for d, row in rows.items()
                              if top is None or max(row) <= top], den, len(rows))
                     for gamma, rows, den in reference]
             assert [node[0] for node in got] == [node[0] for node in want], (basis, top)
@@ -736,7 +763,7 @@ def test_packed_rows_at_the_edge_of_their_width(M):
 
     def decodes(row, width):
         try:
-            return codec.digits(packing_reference.pack(row, width), width) == row
+            return codec.decode(packing_reference.pack(row, width), width) == dense(row)
         except OverflowError:  # a digit too wide for its bytes
             return False
 
@@ -766,7 +793,7 @@ def test_packed_width_rounds_up_to_whole_digits(M):
     codec = WordCodec()
     packed = codec.pack(row, R)
     assert packed == packing_reference.pack(row, R)
-    assert codec.digits(packed, R) == row
+    assert codec.decode(packed, R) == dense(row)
     assert packing_reference.top_at_most(packed, R, 3)
     assert not packing_reference.top_at_most(codec.pack({**row, 4: 1}, R), R, 3)
 
