@@ -25,8 +25,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (_nu, _Record, delta_p, dot, ensure_prime, format_rational, gamma_p,
-                    integer_numerators, is_p_local_int, validate_q)
+from .arith import (_Record, _shape_holds, delta_p, dot, ensure_prime, format_rational,
+                    gamma_p, integer_numerators, is_p_local_int, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -215,20 +215,10 @@ class CongruenceVector(_Record):
 
     @cached_property
     def _shape(self) -> bool:
-        """:meth:`shape_ok`, on the integer row (N, D): with t =
-        nu_p(D) - budget, the pivot N_n / D has valuation -budget iff
-        N_n != 0 and nu_p(N_n) = t, and an entry N_i / D below it has
-        valuation >= -budget iff p^t divides N_i (always when t <= 0)."""
-        p = self.p
+        """:meth:`shape_ok`, on the integer row (N, D)
+        (:func:`bpadams.arith._shape_holds`)."""
         nums, den = self.integer_row
-        top = nums[self.n]
-        t = _nu(p, den) - self.budget
-        if not top or _nu(p, top) != t:
-            return False
-        if t <= 0:
-            return True
-        bound = p ** t
-        return not any(x % bound for x in nums[: self.n])
+        return _shape_holds(self.p, self.budget, nums[self.n], nums[: self.n], den)
 
     @property
     def integer_row(self) -> tuple[Sequence[int], int]:

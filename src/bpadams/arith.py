@@ -105,6 +105,19 @@ def _nu(p: int, n: int) -> int:
     return e
 
 
+def _shape_holds(p: int, budget: int, top: int | None, entries: Iterable[int],
+                 den: int) -> bool:
+    """The shape hypotheses on a row's integers: with t = nu_p(den) - budget,
+    the pivot ``top`` / den has valuation -budget iff ``top`` is not 0 and
+    nu_p(top) = t, and an entry N / den of ``entries`` has valuation
+    >= -budget iff p^t divides N (always when t = 0)."""
+    t = _nu(p, den) - budget
+    if not top or _nu(p, top) != t:
+        return False
+    bound = p ** t
+    return bound == 1 or not any(x % bound for x in entries)
+
+
 def nu_p(p: int, n: int) -> int | float:
     """Largest e with p**e dividing n; ``INFINITY`` for n == 0."""
     ensure_prime(p)
@@ -426,11 +439,16 @@ def format_over(nums: Sequence[int], den: int) -> list[str]:
     """:func:`format_rational` of each N / den, den > 0, from the integers:
     N and den divided by their gcd, the sign on the numerator.  The row's
     widest integer is checked against ``_STR_BITS`` once, so a row within
-    it is written by plain ``str`` and a wider one by :func:`decimal`."""
+    it is written by plain ``str`` and a wider one by :func:`decimal`.
+    Each reduced denominator is written once per row, kept by its gcd."""
     widest = max(den.bit_length(), max(map(int.bit_length, nums), default=0))
     text = decimal if _STR_BITS and widest > _STR_BITS else str
     out = []
+    dens: dict[int, str] = {den: ""}
     for x in nums:
         g = math.gcd(x, den)
-        out.append(text(x // g) if g == den else f"{text(x // g)}/{text(den // g)}")
+        d = dens.get(g)
+        if d is None:
+            d = dens[g] = "/" + text(den // g)
+        out.append(text(x // g) + d)
     return out

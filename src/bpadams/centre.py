@@ -22,14 +22,16 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
 from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_family,
                      basis_integrality_rows, binomial_mu_congruence, expand_in_family,
                      family_action, family_sequence)
 from .fgl import BPContext
-from .hopf import (ConstructionError, MuLinear, _hazewinkel_theta_numerators, _theta_numerators,
-                   special_element, t_monomial_numerators)
+from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
+                   _theta_numerators, special_element, t_monomial_numerators)
 from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _sandwich,
                       _shape_violation, extend_lattice, lattice_eq, solve)
 
@@ -44,11 +46,14 @@ class CentreVerificationError(RuntimeError):
 
 def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[tuple], int]:
     """The sampled rows with top index <= ``top`` (all when ``top`` is
-    None) as (gamma, delta, numerators, den), in the order of
-    :func:`sampled_integrality_rows`, and the count of all rows: the
-    walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`) on
-    the generator images ``images``, each a dense list whose last entry
-    is not zero, the ones above ``top`` counted and never decoded.
+    None) as (gamma, key, numerators, den), and the count of all rows:
+    the walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`)
+    on the generator images ``images``, each a dense list whose last
+    entry is not zero, the ones above ``top`` counted and never decoded.
+    gamma comes in walk order, and the rows of one gamma in the order the
+    walk made them, each keyed by its packed v-monomial delta:
+    :func:`sampled_integrality_rows` sorts and decodes the keys, the
+    lattice callers read neither.
 
     The images fix the generators of BP_* the rows are read in.  On
     Araki's (:func:`bpadams.hopf._theta_numerators`) the rows are those of
@@ -62,7 +67,7 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
     for gamma, kept, den, count in t_monomial_numerators(ctx, images, top):
         if any(gamma):
             total += count
-            rows.extend((gamma, delta, row, den) for delta, row in kept.items())
+            rows.extend((gamma, key, row, den) for key, row in kept.items())
     return rows, total
 
 
@@ -88,10 +93,13 @@ def sampled_integrality_rows(ctx: BPContext,
     as in :func:`bpadams.polyring.monomials_up_to_weight`, then delta in
     graded-lexicographic order.  The rows are those of
     :func:`_sampled_rows` in Araki's generators, read as ``MuLinear``
-    forms.
+    forms; delta's order is that of the packed keys of one gamma.
     """
-    return [(gamma, delta, _form(row, den))
-            for gamma, delta, row, den in _sampled_rows(ctx, None, _theta_numerators(ctx))[0]]
+    delta_of = _delta_reader(ctx)
+    return [(gamma, delta_of(key), _form(row, den))
+            for gamma, rows in groupby(_sampled_rows(ctx, None, _theta_numerators(ctx))[0],
+                                       itemgetter(0))
+            for _, key, row, den in sorted(rows, key=itemgetter(1))]
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:
@@ -178,18 +186,18 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
     for gamma, kept, den, _ in t_monomial_numerators(ctx, _theta_numerators(ctx), n):
         if not any(gamma):
             continue
-        rows = list(kept.items())  # every one with top index <= n
+        rows = sorted(kept.items())  # every one with top index <= n, delta in graded-lex order
         positions = [pos for pos, (_, row) in enumerate(rows) if len(row) == n + 1]
         failed = _first_sample_failure(ctx.p, lat, [(rows[pos][1], den) for pos in positions])
         if failed is None:
             usable += len(rows)
             continue
         pos, j = positions[failed[0]], failed[1]
-        delta, row = rows[pos]
+        key, row = rows[pos]
         col = lat.column(j)
         return usable + pos + 1, {
             "gamma": list(gamma),
-            "delta": list(delta),
+            "delta": list(_delta_reader(ctx)(key)),
             "mu": [format_rational(x) for x in col],
             "value": format_rational(_form(row, den).evaluate(col)),
         }
@@ -271,9 +279,9 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     ctx = BPContext(p, weight_bound, q)
     rows_g = summand_rows(p, n_max, q)
     sample, total = _sampled_rows(ctx, n_max, _hazewinkel_theta_numerators(ctx))
-    by_top: dict[int, list[int]] = {}
-    for pos, (_, _, row, _) in enumerate(sample):
-        by_top.setdefault(len(row) - 1, []).append(pos)
+    by_top: dict[int, list[tuple[list[int], int]]] = {}
+    for _, _, row, den in sample:
+        by_top.setdefault(len(row) - 1, []).append((row, den))
 
     report: dict = {
         "p": p,
@@ -316,10 +324,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
         entry["sandwich"] = sandwich.status
         entry["lattice_equal"] = sandwich.equal
 
-        positions = by_top.get(n, [])
-        usable += len(positions)
+        tested = by_top.get(n, [])
+        usable += len(tested)
         witness = None
-        if _first_sample_failure(p, lat_g, [sample[pos][2:] for pos in positions]) is not None:
+        if _first_sample_failure(p, lat_g, tested) is not None:
             # the scan stops at the witness, read in Araki's generators
             usable, witness = _araki_witness(ctx, lat_g, n)
         entry["sample_rows_used"] = usable

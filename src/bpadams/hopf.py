@@ -69,8 +69,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (WordCodec, _Record, delta_p, format_rational, integer_numerators,
-                    is_p_local_int, val_p, word_width)
+from .arith import (WordCodec, _Record, _shape_holds, delta_p, format_rational,
+                    integer_numerators, is_p_local_int, val_p, word_width)
 from .fgl import BPContext
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
@@ -672,24 +672,27 @@ def _multiply(image: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> di
 
 def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, int], int]],
                           top: int | None = None) -> Iterator[
-        tuple[tuple[int, ...], dict[tuple[int, ...], list[int]], int, int]]:
+        tuple[tuple[int, ...], dict[int, list[int]], int, int]]:
     """(gamma, rows, den, count) for every t-monomial gamma of weight <= W,
     in the order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at
-    delta of theta(t^gamma) is sum_j (rows[delta][j] / den) * mu_j, a
-    dense list of int numerators whose last entry is not zero, so the
-    row's top index is ``len(rows[delta]) - 1``; delta comes in
-    graded-lexicographic order.  ``count`` is the number of non-zero rows
-    of theta(t^gamma); ``rows`` holds those whose top index is at most
-    ``top`` (every row when ``top`` is None).  A row above ``top`` is
-    counted, never decoded.
+    delta of theta(t^gamma) is sum_j (rows[key][j] / den) * mu_j, ``key``
+    the packed v-monomial delta (see below; :func:`_delta_reader` reads
+    it back), a dense list of int numerators whose last entry is not
+    zero, so the row's top index is ``len(rows[key]) - 1``.  ``count`` is
+    the number of non-zero rows of theta(t^gamma); ``rows`` holds those
+    whose top index is at most ``top`` (every row when ``top`` is None),
+    in the order the product made them.  A row above ``top`` is counted,
+    never decoded.  Every delta of one image has the same weight, so
+    graded-lexicographic order of delta is the order of the packed keys:
+    a caller that reads a delta or the order of the rows sorts the keys
+    and decodes them itself.
 
     A depth-first walk that keeps only the chain of prefixes: the image of
     gamma is its parent's (gamma with its last non-zero exponent lowered
     by one) times theta(t_k).  One loop runs it over a stack of frames,
     one per prefix, each holding the index it raises next.  Images are
     homogeneous of weight |gamma| (u has weight 0), so no product
-    truncates, and every delta of one image has the same weight:
-    graded-lexicographic order is the order of the packed delta keys.
+    truncates.
 
     The walk runs on integers, on the generator images its caller passes:
     ``images["t<k>"]`` is theta(t_k) as (N_k, D_k) on packed keys,
@@ -764,7 +767,6 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
         except PolyError as exc:
             raise ConstructionError(str(exc), {"stage": "walk", "generator": f"t{k}"}) from exc
         gens.append((_group_rows(num, width), den, sum(map(abs, num.values()))))
-    delta_of = _delta_reader(ctx)
     codec = WordCodec()
 
     # a node: gamma, image, den, l1 bound, lowest index it may raise, weight left
@@ -773,9 +775,8 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
     while node:
         gamma, image, den, bound, low, room = node
         R = word_width(bound.bit_length() + 1)  # one packed row per delta, at R bits a digit
-        kept = {d: codec.decode(r, R) for d, r in image.items()
-                if top is None or r.bit_length() < R * (top + 1)}
-        yield gamma, {delta_of(d): kept[d] for d in sorted(kept)}, den, len(image)
+        yield gamma, {d: codec.decode(r, R) for d, r in image.items()
+                      if top is None or r.bit_length() < R * (top + 1)}, den, len(image)
         if gens and weights[low] <= room:  # a child: the weights grow with the index
             # the image at each width its children need; the frame raises a
             # later index first, which gives the lexicographic order
@@ -892,14 +893,15 @@ class SpecialElement(_Record):
     """An element d_n with functional sum_j c_j mu_j, support <= n.
 
     Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
-    unit multiple of p^{-delta_p(n)}; checked for prime powers n, and
-    implied for the others (see :func:`_special_composite`).  The row is
-    kept as integers: c_j = numerators[j] / den, den the lcm of the
+    unit multiple of p^{-delta_p(n)}; checked on integers for prime powers
+    n, and implied for the others (see :func:`_special_composite`).  The
+    row is kept as integers: c_j = numerators[j] / den, den the lcm of the
     denominators of the c_j, and ``_row``, the non-zero numerators keyed by
     j, which :func:`_multiply` takes as they are (derived from
     ``numerators`` when not given).  ``c``, the row as ``Fraction``s, is
-    built from the integers on first read when it is not given (None):
-    the centre verification reads the integers alone.
+    built from the integers on first read when it is not given (None), as
+    for every d_n with n >= 1: the centre verification reads the integers
+    alone.
 
     ``element``, the polynomial over the context's {l, t} table
     (``_table``, truncated at ``_bound``), is a view built on first access
@@ -1006,12 +1008,15 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     corrections are shadows, (N, D) keyed by u-degree, on the same kernel:
     ``work`` is :func:`_evaluate` on the powers of the generators' shadows
     that ``v1_functional`` keeps (:func:`_v1_power`), and each correction
-    is one :func:`_combine`.  The v_1-shadow V is a ring map, so the row of
-    d_{p^i} follows from rows at hand, with s_k = 1 / (p^k * alphabar_k):
-    after the corrections ``work`` is V(t_{i+1}) - sum_m p * c_m * V(t_1)^m
-    + sum_k s_k * V(t_{i+1-k})^{p^k}, and V(d_{p^i}) is ``work`` minus
-    sum_k s_k * V(d_{p^(i-k)})^{p^k}, each lower row taken to the p^k by
-    :func:`_power`.  :func:`_check_profile` checks it.
+    is one unreduced :func:`_combine`.  The v_1-shadow V is a ring map, so
+    the row of d_{p^i} follows from rows at hand, with
+    s_k = 1 / (p^k * alphabar_k): after the corrections ``work`` is
+    V(t_{i+1}) - sum_m p * c_m * V(t_1)^m + sum_k s_k * V(t_{i+1-k})^{p^k},
+    and V(d_{p^i}) is ``work`` minus sum_k s_k * V(d_{p^(i-k)})^{p^k},
+    each lower row taken to the p^k by :func:`_power`, reduced once.  Its
+    profile is checked on those integers (support <= n and
+    :func:`bpadams.arith._shape_holds`); a row that fails goes to
+    :func:`_check_profile` for its error.
     """
     p = ctx.p
     n = p ** i
@@ -1034,8 +1039,8 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
 
     top, t1 = t_key(i + 1, 1), table.index("t1")
     parts = [(1, ({top: 1}, 1))]
+    budget = delta_p(p, n)
     if i:
-        budget = delta_p(p, n)
         scales = [Fraction(1, p ** k) / ctx.alphabar(k) for k in range(1, i + 1)]  # the s_k
         terms = [(read(top), 1, 1)]
         for k, s in enumerate(scales, 1):
@@ -1053,7 +1058,8 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
                     f"correction coefficient for t_1^{j} is not {p}-locally "
                     f"integral", {"n": n, "m": j, "coefficient": format_rational(cj)})
             work, work_den = _combine([(1, (work, work_den)),
-                                       (-p * cj.numerator, (vj, dj * cj.denominator))])
+                                       (-p * cj.numerator, (vj, dj * cj.denominator))],
+                                      reduced=False)
             parts.append((-p * cj.numerator, ({t_key(1, j): 1}, cj.denominator)))
         if any(j > n for j in work):
             raise ConstructionError(
@@ -1079,10 +1085,10 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         row, row_den = _combine(rows)
     else:  # d_1 = t_1
         row, row_den = _v1_power(ctx, t1, 1)
-    poly = _combine(parts)
-    out = SpecialElement(p, n, _check_profile(p, n, MuLinear._from_numerators(row, row_den)),
-                         tuple(row.get(j, 0) for j in range(n + 1)), row_den, table, W, poly,
-                         _row=row)
+    if max(row, default=0) > n or not _shape_holds(p, budget, row.get(n), row.values(), row_den):
+        _check_profile(p, n, MuLinear._from_numerators(row, row_den))  # raises its error
+    out = SpecialElement(p, n, None, tuple(row.get(j, 0) for j in range(n + 1)), row_den,
+                         table, W, _combine(parts), _row=row)
     cache[n] = out
     return out
 
@@ -1091,11 +1097,11 @@ def special_element(ctx: BPContext, n: int) -> SpecialElement:
     """The congruence element d_n.
 
     Prime powers come from the inductive construction on integers
-    (:func:`_special_prime_power`), their rows checked by
-    :func:`_check_profile`.  A general n is d_{n - p^k} * d_{p^k}, p^k the
-    lowest non-zero base-p digit of n, so d_n is the product of the
-    d_{p^k}^{a_k} over its base-p digits a_k and its functional row is the
-    product of the two factors' rows: one integer product per n
+    (:func:`_special_prime_power`), their rows checked on integers.  A
+    general n is d_{n - p^k} * d_{p^k}, p^k the lowest non-zero base-p
+    digit of n, so d_n is the product of the d_{p^k}^{a_k} over its
+    base-p digits a_k and its functional row is the product of the two
+    factors' rows: one integer product per n
     (:func:`_special_composite`).  Every d_n is kept in the context's
     special-element cache.  The element polynomial is built only when
     ``element`` is read: a composite's is the product of its factors',

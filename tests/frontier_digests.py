@@ -2,14 +2,15 @@
 that tier-1 does not pin.
 
 Each digest is the first 16 hex digits of the SHA-256 of
-``json.dumps(report, sort_keys=True)``.  Together the eight runs take
-about 12 s on two cores; they go through the walk's wide re-spreads at
+``json.dumps(report, sort_keys=True)``.  Together the ten runs take
+about 19 s on two cores; they go through the walk's wide re-spreads at
 p = 2, (13, 120) through its widest packed rows, of tight widths
 up to 447 bits, and (2, 32), whose bound W = 63 is the first to hold t_6,
 through the generator image of t_6.  (3, 50) and (11, 100) were computed
-by the walk on Araki's generators, before it moved to Hazewinkel's, and
+by the walk on Araki's generators, before it moved to Hazewinkel's,
 (2, 32) by the recursion on terms, before the images moved to packed
-rows.  pytest
+rows, and (5, 80) and (3, 60) while the walk still handed its rows over
+decoded and sorted by delta.  pytest
 does not collect this file.  Run it as ``python tests/frontier_digests.py``;
 it exits 1 if a digest differs.
 """
@@ -33,6 +34,8 @@ FRONTIER = {
     (11, 100): "ea4646c2e9872ab9",
     (13, 120): "5892e02cca9090d4",
     (2, 32): "938c4c0698c5664c",
+    (5, 80): "b1b303d74286d0d7",
+    (3, 60): "223bb8c515013bbc",
 }
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import packing_reference
 from bpadams import arith
-from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, find_q,
-                           format_over, format_rational, gamma_p, gaussian, gaussian_poly,
+from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, ensure_prime,
+                           find_q, format_over, format_rational, gamma_p, gaussian, gaussian_poly,
                            integer_numerators, is_p_local_int, is_p_local_unit, is_prime,
                            multiplicative_order, nu_p, parse_rational, val_p, validate_q,
                            word_width)
@@ -22,6 +22,12 @@ def test_prime_validation():
     assert Prime(7) == 7
     with pytest.raises(ValueError):
         Prime(9)
+    # a bool, a float, 1 or a composite is refused, also right after a
+    # prime of equal value passed
+    for p, bad in ((2, 2.0), (5, 5.0), (2, True), (3, 1), (3, 9), (7, 91)):
+        assert ensure_prime(p) == p
+        with pytest.raises(ValueError, match="not a prime"):
+            ensure_prime(bad)
 
 
 def test_nu_p_examples():
@@ -370,6 +376,16 @@ def test_decimal_is_str_on_both_sides_of_the_limit(unlimited_str):
         values += [rng.getrandbits(bits) | 1 << (bits - 1), -(1 << (bits - 1)), (1 << bits) - 1]
     for x in values:
         assert decimal(x) == str(x), x.bit_length()
+
+
+@given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 6, 8, 9, 72, 5 ** 9, 72 * 5 ** 9]),
+                          st.integers(-4, 4)), min_size=2, max_size=16))
+def test_format_over_writes_rows_with_repeated_gcds_as_format_rational(factors):
+    # entries d * k over den = 72 * 5^9 share their gcds with den across the
+    # row, each reduced denominator written once and reused
+    den = 72 * 5 ** 9
+    nums = [d * k for d, k in factors]
+    assert format_over(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
 
 
 def test_format_over_and_format_rational_past_the_limit(unlimited_str):

@@ -412,12 +412,14 @@ def _brute_force_inclusion(p, n_max, sample):
     return used, None
 
 
-def _flattened(items):
+def _flattened(ctx, items):
     """The walk's (gamma, rows, den, count) items as the sampled rows:
-    non-trivial gamma, each row read as a MuLinear with coefficients c / den."""
-    return [(gamma, delta, MuLinear({j: Fraction(c, den) for j, c in enumerate(row)}))
+    non-trivial gamma, the packed keys of each sorted and decoded into
+    delta, each row read as a MuLinear with coefficients c / den."""
+    delta_of = hopf._delta_reader(ctx)
+    return [(gamma, delta_of(key), MuLinear({j: Fraction(c, den) for j, c in enumerate(row)}))
             for gamma, rows, den, _ in items if any(gamma)
-            for delta, row in rows.items()]
+            for key, row in sorted(rows.items())]
 
 
 def _inject(monkeypatch, bad, before):
@@ -428,7 +430,8 @@ def _inject(monkeypatch, bad, before):
     them all, on either set of generator images.  Returns the list that
     receives the flattened sample of each walk and the list of the
     ``(top, generators)`` each walk was asked for, generators "araki" or
-    "hazewinkel".  The rows of ``bad`` are given as {j: c_j}."""
+    "hazewinkel".  The rows of ``bad`` are given as {delta: {j: c_j}}, the
+    item keying each by delta's packed v-monomial, as the walk does."""
     import bpadams.centre as centre
 
     real = centre.t_monomial_numerators
@@ -440,9 +443,12 @@ def _inject(monkeypatch, bad, before):
         items = list(real(ctx, images, top))
         k = next(k for k, item in enumerate(items) if any(item[0]) and before(items, k))
         gamma, rows, den = bad
-        kept = {d: dense(row) for d, row in rows.items() if top is None or max(row) <= top}
+        packed = {hopf._key(delta, ctx.weight_bound.bit_length()): row
+                  for delta, row in rows.items()}
+        assert [hopf._delta_reader(ctx)(key) for key in packed] == list(rows)  # no field carries
+        kept = {key: dense(row) for key, row in packed.items() if top is None or max(row) <= top}
         items.insert(k, (gamma, kept, den, len(rows)))
-        seen.append(_flattened(items))
+        seen.append(_flattened(ctx, items))
         asked.append((top, "araki" if araki else "hazewinkel"))
         return iter(items)
 
@@ -457,9 +463,11 @@ def _tops(item):
 def test_inclusion_witness_matches_brute_force(monkeypatch):
     import bpadams.centre as centre
 
-    # holds on the first two Adams columns at n = 2, (1, 1, 1) and
-    # (0, 3, 6), and misses the third, (0, 0, 9), by one power of 3
-    bad = ((9, 9), {(9,): {0: 1, 1: -2, 2: 1}}, 27)
+    # the row at v_1 holds on the first two Adams columns at n = 2,
+    # (1, 1, 1) and (0, 3, 6), and misses the third, (0, 0, 9), by one
+    # power of 3.  The row at v_1 v_2 misses the first; it comes first in
+    # the item but second in graded-lex order, so it is not the witness
+    bad = ((9, 9), {(1, 1): {2: 1}, (1, 0): {0: 1, 1: -2, 2: 1}}, 27)
 
     def after_the_first_top_one(items, k):
         # after the passing row with top index 1, and before a passing row
@@ -493,7 +501,7 @@ def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
     # rows with top index 6 of (0, 2, 0) and (3, 1, 0) and before that of
     # (6, 0, 0), which the failed scan must not count
     e6 = _lattice_of_rows(2, 6, summand_rows(2, 6)).pivots()[6]
-    bad = ((6, 0, 9), {(0, 9): {6: 1}}, 2 ** (e6 + 1))
+    bad = ((6, 0, 9), {(0, 0, 9): {6: 1}}, 2 ** (e6 + 1))
 
     def before_six(items, k):
         return items[k][0] == (6, 0, 0)
@@ -519,7 +527,7 @@ def test_a_failing_row_above_n_max_is_counted_and_never_tested(monkeypatch):
     # mu_0 / 3^20 misses every Adams lattice, but the row's top index 5 is
     # above n_max = 4: the run counts it and tests nothing of it
     den = 3 ** 20
-    bad = ((9, 9), {(9,): {0: 1, 5: 1}}, den)
+    bad = ((9, 9), {(1, 1): {0: 1, 5: 1}}, den)
     seen, asked = _inject(monkeypatch, bad, lambda items, k: True)
     tested = []
     val_p = centre.val_p
@@ -570,10 +578,18 @@ def test_both_generator_sets_give_the_same_counts_and_lattices(p, n):
 @pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12), (2, 16)])
 def test_integer_producer_matches_the_sampled_rows(p, W):
     # the rows verify_centre_bp tests, read as Fraction(c, den), are the
-    # public sampled rows, row for row
+    # public sampled rows, row for row: gamma by gamma in the same order,
+    # each row under delta's packed v-monomial, the walk's key
     ctx = BPContext(p, W)
-    assert (_flattened(hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx)))
-            == sampled_integrality_rows(ctx))
+    width = W.bit_length()
+    want = {}
+    for gamma, delta, form in sampled_integrality_rows(ctx):
+        want.setdefault(gamma, {})[hopf._key(delta, width)] = form
+    got = {gamma: {key: MuLinear({j: Fraction(c, den) for j, c in enumerate(row)})
+                   for key, row in rows.items()}
+           for gamma, rows, den, _ in hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx))
+           if any(gamma) and rows}
+    assert list(got.items()) == list(want.items())
 
 
 def test_inclusion_counts_match_brute_force_on_passing_scans():

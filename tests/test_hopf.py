@@ -672,10 +672,10 @@ BASES = {"araki": (hopf._theta_numerators, BPContext),
 
 def _dict_walk(ctx):
     """The t-monomial walk on one int per term, as it ran before packed
-    rows: (gamma, every row of theta(t^gamma), den) in walk order, each
-    term's key holding its v-exponents and its u-degree.  The reference
-    for :func:`hopf.t_monomial_numerators`, on the generator images of the
-    Fraction recursion of ``ctx``."""
+    rows: (gamma, theta(t^gamma) as numerators on packed keys, den) in
+    walk order, each term's key holding its v-exponents and its u-degree.
+    The reference for :func:`hopf.t_monomial_numerators`, on the
+    generator images of the Fraction recursion of ``ctx``."""
     W = ctx.weight_bound
     images = theta_reference.theta_numerators(ctx)
     weights = ctx.t_table.weights
@@ -685,7 +685,7 @@ def _dict_walk(ctx):
         gens.append((list(num.items()), den))
 
     def walk(gamma, num, den, low, room):
-        yield gamma, hopf._read_rows(ctx, num), den
+        yield gamma, num, den
         for k in range(len(gens) - 1, low - 1, -1):
             if weights[k] <= room:
                 factor, d = gens[k]
@@ -703,6 +703,34 @@ def _dict_walk(ctx):
 @functools.lru_cache(maxsize=None)
 def _reference_walk(p, W, basis="araki"):
     return list(_dict_walk(BASES[basis][1](p, W)))
+
+
+def _reference_rows(p, W, basis):
+    """The nodes of the reference walk as (gamma, rows, den), each row keyed
+    by its packed v-monomial, as :func:`hopf.t_monomial_numerators` keys it."""
+    return [(gamma, hopf._group_rows(num, W.bit_length()), den)
+            for gamma, num, den in _reference_walk(p, W, basis)]
+
+
+@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (2, 0), (3, 1)])
+def test_the_hand_over_sorted_and_decoded_is_the_graded_lex_rows(p, W):
+    # the walk hands each node's kept rows over by packed v-monomial, in
+    # the order its product made them.  Sorted by key and decoded, they
+    # are the rows in graded-lexicographic order of delta, as the walk
+    # handed them over before, on both sets of generator images and at
+    # every top
+    ctx = BPContext(p, W)
+    delta_of = hopf._delta_reader(ctx)
+    for basis, (build, context) in BASES.items():
+        reference = context(p, W)
+        for top in (None, 0, 1, W // 4, W // 2, W):
+            got = [(gamma, [(delta_of(key), row) for key, row in sorted(rows.items())], den)
+                   for gamma, rows, den, _ in hopf.t_monomial_numerators(ctx, build(ctx), top)]
+            want = [(gamma, [(delta, dense(row)) for delta, row
+                             in hopf._read_rows(reference, num).items()
+                             if top is None or max(row) <= top], den)
+                    for gamma, num, den in _reference_walk(p, W, basis)]
+            assert got == want, (basis, top)
 
 
 # the walk once ran each node whose tight width was above a limit on a
@@ -723,11 +751,12 @@ def test_walk_matches_the_dict_walk(p, W, limit):
         if basis == "araki":
             assert (0 < len(wide) < len(nodes)) == (bits == 48 or (p, W, bits) == (5, 36, 384))
         for top in (None, 0, 1, W // 4, W // 2, W):
-            got = [(gamma, list(rows.items()), den, count) for gamma, rows, den, count
+            # the rows by their packed v-monomials, whatever their order
+            got = [(gamma, rows, den, count) for gamma, rows, den, count
                    in hopf.t_monomial_numerators(ctx, build(ctx), top)]
-            want = [(gamma, [(d, dense(row)) for d, row in rows.items()
-                             if top is None or max(row) <= top], den, len(rows))
-                    for gamma, rows, den in reference]
+            want = [(gamma, {key: dense(row) for key, row in rows.items()
+                             if top is None or max(row) <= top}, den, len(rows))
+                    for gamma, rows, den in _reference_rows(p, W, basis)]
             assert [node[0] for node in got] == [node[0] for node in want], (basis, top)
             for share in (wide, nodes.keys() - wide):
                 assert ([node for node in got if node[0] in share]
@@ -807,7 +836,7 @@ def _walk_nodes(p, W, basis):
     norms = [sum(map(abs, images[f"t{k}"][0].values()))
              for k in range(1, len(ctx.t_table.weights) + 1)]
     return norms, {gamma: (len(rows), math.prod(m ** g for m, g in zip(norms, gamma)))
-                   for gamma, rows, _ in _reference_walk(p, W, basis)}
+                   for gamma, rows, _ in _reference_rows(p, W, basis)}
 
 
 def _tight_width(bound):

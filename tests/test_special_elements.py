@@ -2,7 +2,9 @@
 (:mod:`special_reference`), their checks by injection, and the element
 views that a verify run never builds."""
 
+import collections
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -116,6 +118,52 @@ def test_the_remainder_check_at_its_edge(p, monkeypatch):
     assert special_element(c, p).n == p
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_integer_profile_check_raises_the_profile_error(p, monkeypatch):
+    # d_1's row injected as its shadow of t_1, with budget delta_p(1) = 1:
+    # support above n, an entry below -1 and a pivot of valuation 0.  The
+    # check on the integers refuses each with the error of _check_profile
+    # on the same row, message and details
+    rows = [({0: 1, 1: 1, 2: 1}, p), ({0: 1, 1: 1}, p * p), ({0: 1, 1: p}, p)]
+    for row, den in rows:
+        monkeypatch.setattr(hopf, "_v1_power", lambda ctx, g, e: (dict(row), den))
+        with pytest.raises(ConstructionError) as got:
+            special_element(BPContext(p, delta_p(p, 1)), 1)
+        with pytest.raises(ConstructionError) as want:
+            hopf._check_profile(p, 1, hopf.MuLinear._from_numerators(row, den))
+        assert str(got.value) == str(want.value), (p, row, den)
+        assert got.value.details == want.value.details, (p, row, den)
+
+
+def test_the_integer_profile_check_agrees_with_the_fraction_check(monkeypatch):
+    # random rows of d_1 on mu_0..mu_2 around the budget 1, injected as
+    # above: d_1 builds exactly when _check_profile passes its row, and
+    # fails with that function's error otherwise
+    rng = random.Random(31)
+    outcomes = collections.Counter()
+    for _ in range(600):
+        p = rng.choice((2, 3, 5))
+        den = p ** rng.randint(0, 3) * rng.choice((1, 7))
+        row = {j: rng.choice((1, -1)) * p ** rng.randint(0, 2) * rng.choice((1, 2, 13))
+               for j in rng.sample(range(3), rng.randint(1, 3)) if j < 2 or rng.random() < 0.3}
+        monkeypatch.setattr(hopf, "_v1_power", lambda ctx, g, e: (dict(row), den))
+        try:
+            want = hopf._check_profile(p, 1, hopf.MuLinear._from_numerators(row, den))
+        except ConstructionError as exc:
+            want = exc
+        try:
+            got = special_element(BPContext(p, delta_p(p, 1)), 1)
+        except ConstructionError as exc:
+            assert isinstance(want, ConstructionError), (p, row, den)
+            assert (str(exc), exc.details) == (str(want), want.details), (p, row, den)
+            outcomes[str(exc).split()[0]] += 1
+        else:
+            assert not isinstance(want, ConstructionError), (p, row, den)
+            assert got.c == want, (p, row, den)
+            outcomes["built"] += 1
+    assert set(outcomes) == {"built", "functional", "entry", "pivot"}, outcomes
+
+
 def test_a_verify_run_builds_no_special_element_polynomial(monkeypatch):
     def refuse(d):
         raise AssertionError(f"the polynomial of d_{d.n} was built")
@@ -150,9 +198,9 @@ def test_element_views_are_built_once_on_demand():
 
 
 def test_a_verify_run_reads_the_composite_rows_as_integers(monkeypatch):
-    # the report's c_bp strings come from the integers; no composite d_n
-    # builds its Fraction row, and read, that row is the integers' and the
-    # report's strings are its format
+    # the report's c_bp strings come from the integers; no d_n with n >= 1,
+    # composite or prime power, builds its Fraction row, and read, that row
+    # is the integers' and the report's strings are its format
     from bpadams import centre
     from bpadams.arith import format_over, format_rational
 
@@ -168,7 +216,7 @@ def test_a_verify_run_reads_the_composite_rows_as_integers(monkeypatch):
     assert report["verdict"] and sorted(built) == list(range(25))
     composites = [d for d in built.values() if d._factors is not None]
     assert len(composites) == 22
-    assert not any("c" in vars(d) for d in composites)
+    assert not any("c" in vars(d) for d in built.values() if d.n)
     for row in report["rows"]:
         d = built[row["n"]]
         assert d.c == tuple(Fraction(x, d.den) for x in d.numerators)
