@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import groupby
 from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
@@ -50,10 +49,12 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
     the walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`)
     on the generator images ``images``, each a dense list whose last
     entry is not zero, the ones above ``top`` counted and never decoded.
-    gamma comes in walk order, and the rows of one gamma in the order the
-    walk made them, each keyed by its packed v-monomial delta:
-    :func:`sampled_integrality_rows` sorts and decodes the keys, the
-    lattice callers read neither.
+    gamma comes in walk order, which is not the lexicographic order of
+    :func:`bpadams.polyring.monomials_up_to_weight`, and the rows of one
+    gamma in the order the walk made them, each keyed by its packed
+    v-monomial delta: :func:`sampled_integrality_rows` sorts the rows by
+    gamma and key and decodes the keys, the lattice callers read neither
+    order.
 
     The images fix the generators of BP_* the rows are read in.  On
     Araki's (:func:`bpadams.hopf._theta_numerators`) the rows are those of
@@ -96,10 +97,9 @@ def sampled_integrality_rows(ctx: BPContext,
     forms; delta's order is that of the packed keys of one gamma.
     """
     delta_of = _delta_reader(ctx)
+    rows = _sampled_rows(ctx, None, _theta_numerators(ctx))[0]
     return [(gamma, delta_of(key), _form(row, den))
-            for gamma, rows in groupby(_sampled_rows(ctx, None, _theta_numerators(ctx))[0],
-                                       itemgetter(0))
-            for _, key, row, den in sorted(rows, key=itemgetter(1))]
+            for gamma, key, row, den in sorted(rows, key=itemgetter(0, 1))]
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:
@@ -174,8 +174,12 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
     A witness's ``value`` and that count depend on the generators the
     rows are read in; the report gives them in Araki's, those of
     :func:`sampled_integrality_rows`.  So the walk runs again on Araki's
-    images, which the run pays once, since it stops at n, and only up to
-    the node of the witness.  The two sets of rows cut out the same
+    images, which the run pays once, since it stops at n.  "First" and
+    the count follow the canonical order, gamma lexicographic and then
+    delta graded-lexicographic, which is not the walk's: the whole walk
+    is drawn, its nodes sorted by gamma and each node's rows by key, and
+    scanned in that order, with no exit before the walk's end.  The two
+    sets of rows cut out the same
     integrality conditions gamma by gamma, but the restriction to top
     index n depends on the set, so the lattices they cut out may differ
     in principle: if no Araki row fails at n, that is raised as a
@@ -183,7 +187,8 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
     ``{"stage": "sample_basis", "n"}``.
     """
     usable = 0
-    for gamma, kept, den, _ in t_monomial_numerators(ctx, _theta_numerators(ctx), n):
+    walk = t_monomial_numerators(ctx, _theta_numerators(ctx), n)
+    for gamma, kept, den, _ in sorted(walk, key=itemgetter(0)):
         if not any(gamma):
             continue
         rows = sorted(kept.items())  # every one with top index <= n, delta in graded-lex order

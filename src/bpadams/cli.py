@@ -151,7 +151,8 @@ def _emit(fmt: str, payload: dict, csv_rows, pretty_lines) -> None:
     build from the strings the payload already holds.  The forms not asked
     for are never built."""
     if fmt == "json":
-        sys.stdout.write(_json_text(payload) + "\n")
+        sys.stdout.write(_json_text(payload))  # no second copy for the newline
+        sys.stdout.write("\n")
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows(payload))

@@ -16,7 +16,8 @@ basis, eta_R(l_n) goes to u^{w_n} l_n with w_n the weight of l_n, so
 l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 - sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous.
 theta has one representation: integer numerators on packed monomial
-keys over one denominator, the lcm of its denominators.  The generator
+keys over one denominator, the lcm of its denominators, and one integer
+kernel, :mod:`bpadams.kernel`, multiplies, sums and powers them.  The generator
 images are built once per context (``_theta_numerators``, by one
 recursion on integers, ``_t_recursion``, run on packed rows of one width
 and decoded once, see ``_theta_of``); the same recursion over the
@@ -28,7 +29,8 @@ recursion's product; ``diagonal_transform`` runs it on the generator
 images.  The sampled
 rows need theta(t^gamma) for every t-monomial gamma of weight <= W:
 ``t_monomial_numerators`` walks those monomials depth first and builds
-each image from its parent prefix with one product by a theta(t_k).
+each image from its parent, gamma less one factor of its lowest
+generator t_k, with one product by theta(t_k).
 It takes the theta(t_k) from its caller: the verification's integrality
 tests pass them read in Hazewinkel's generators of BP_*
 (``_hazewinkel_theta_numerators``, denominators powers of p), where
@@ -64,14 +66,15 @@ read.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import (WordCodec, _Record, _shape_holds, delta_p, format_rational,
                     integer_numerators, is_p_local_int, val_p, word_width)
 from .fgl import BPContext
+from .kernel import (_check_u_degree, _combine, _evaluate, _exponent_reader, _group_rows,
+                     _key, _l1_sum, _multiply, _power, _reduced, _t_recursion)
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
@@ -233,114 +236,6 @@ class _RightUnitData:
         m = ctx.gen_count
         T = _t_recursion(p, gens[:m], gens[m:])
         self.t_in_basis = [_poly_view(ctx.le_table, W, image) for image in T]
-
-
-def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
-                 E: list[tuple[dict[int, int], int]],
-                 combine: Callable[[list], tuple[dict[int, int], int]] | None = None,
-                 ) -> list[tuple[dict[int, int], int]]:
-    """T_n = E_n - L_n - sum_{1<=k<n} L_k * T_{n-k}^{p^k} for n = 1, 2, ...:
-    t_n over the {l, e} basis when E_n = e_n, theta(t_n) when
-    E_n = u^{w_n} L_n with L_n = l_n(v) (see :func:`_theta_of`), its
-    v_1-shadow when each L_n is the shadow of l_n(v) (see
-    :func:`_v1_power`; the keys are u-degrees), and eta_R(v_n) when
-    L_n = eta_R(l_n) and E_n = (1 + pi_n) * L_n (see
-    :func:`_right_unit_v`).
-
-    Every polynomial is (N, D): integer numerators N on packed monomial
-    keys, a field of ``W.bit_length()`` bits per exponent (see
-    :func:`_key`), over one denominator D; :func:`_theta_of` runs it on
-    packed rows instead, one int per v-monomial, and on l1 norms.  A
-    product of monomials adds keys, and one product of polynomials is
-    :func:`_multiply`; powers are taken by square-and-multiply, T_j^{p^k}
-    as (T_j^{p^(k-1)})^p.  No product truncates and no key carries: T_n
-    is homogeneous of weight w_n = w_k + p^k * w_{n-k} <= W, so every
-    partial product has weight <= W, and with it every exponent and every
-    u-degree (at most w_n, see :func:`t_monomial_numerators`).
-    Each T_n is summed by ``combine``, by default :func:`_combine`, so its
-    D is the lcm of the denominators of its coefficients.
-    """
-    combine = combine or _combine
-    T: list[tuple[dict[int, int], int]] = []
-    powers: list[list[tuple[dict[int, int], int]]] = []  # powers[j][k] = T_j^{p^k}
-    for n in range(len(L)):
-        terms = [(1, E[n]), (-1, L[n])]
-        for k in range(1, n + 1):
-            chain = powers[n - k]
-            if len(chain) == k:
-                chain.append(_power(chain[-1], p))
-            num, den = chain[k]
-            terms.append((-1, (_multiply(num, list(L[k - 1][0].items())), den * L[k - 1][1])))
-        image = combine(terms)
-        T.append(image)
-        powers.append([image])
-    return T
-
-
-def _reduced(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    """(N, D) with the values N[key] / D as integers over the lcm of their
-    denominators: N and D divided by their gcd, zero values dropped."""
-    g = math.gcd(den, *num.values())
-    return {key: c // g for key, c in num.items() if c}, den // g
-
-
-def _combine(terms: list[tuple[int, tuple[dict[int, int], int]]],
-             reduced: bool = True) -> tuple[dict[int, int], int]:
-    """sum_i s_i * N_i / D_i over the terms (s_i, (N_i, D_i)), s_i an int,
-    as (N, D) on the same keys: summed over the lcm of the D_i, then
-    divided by the gcd of that lcm and the numerators, so D is the lcm of
-    the denominators of the sum's coefficients (as for
-    :func:`bpadams.arith.integer_numerators`).  With ``reduced`` false the
-    sum stays over the lcm of the D_i, zero values dropped."""
-    den = math.lcm(*(d for _, (_, d) in terms))
-    acc: dict[int, int] = {}
-    get = acc.get
-    for s, (num, d) in terms:
-        scale = s * (den // d)
-        for key, c in num.items():
-            acc[key] = get(key, 0) + scale * c
-    if reduced:
-        return _reduced(acc, den)
-    return {key: c for key, c in acc.items() if c}, den
-
-
-def _l1_sum(terms: list[tuple[int, tuple[dict[int, int], int]]]) -> tuple[dict[int, int], int]:
-    """The l1 bound of the unreduced :func:`_combine` of the terms, given
-    each N_i as its norm {0: ||N_i||_1}: sum_i |s_i| * (D // D_i) *
-    ||N_i||_1 over D, the lcm of the D_i."""
-    return _combine([(abs(s), image) for s, image in terms], reduced=False)
-
-
-def _power(image: tuple[dict[int, int], int], e: int) -> tuple[dict[int, int], int]:
-    """(N, D)^e for e >= 1, by square-and-multiply on packed keys."""
-    num, den = image
-    result, base, k = None, num, e
-    while k:
-        if k & 1:
-            result = base if result is None else _multiply(result, list(base.items()))
-        k >>= 1
-        if k:
-            base = _multiply(base, list(base.items()))
-    return result, den ** e
-
-
-def _evaluate(terms: Iterable[tuple[tuple[int, ...], int, int]],
-              power: Callable[[int, int], tuple[dict[int, int], int]],
-              ) -> tuple[dict[int, int], int]:
-    """sum (c / d) * prod_g g^{e_g} over the terms (exponents e, c, d) under
-    a ring map, as (N, D): ``power(g, e)`` is the image of the g-th
-    generator to the e, as (N, D) on keys that add under multiplication.
-    Each term is one :func:`_multiply` per generator, and the terms are
-    summed by :func:`_combine`."""
-    parts = []
-    for exps, num, den in terms:
-        image = {0: num}
-        for g, e in enumerate(exps):
-            if e:
-                factor, d = power(g, e)
-                image, den = _multiply(factor, image.items()), den * d
-        parts.append((1, (image, den)))
-    return _combine(parts)
 
 
 def _rud(ctx: BPContext) -> _RightUnitData:
@@ -544,22 +439,6 @@ def _l_numerators(ctx: BPContext, low_fields: int) -> list[tuple[dict[int, int],
     return L
 
 
-def _key(exps: Iterable[int], width: int) -> int:
-    """The exponents as one int, a field of ``width`` bits each, the first
-    at the top."""
-    key = 0
-    for e in exps:
-        key = key << width | e
-    return key
-
-
-def _exponent_reader(count: int, width: int):
-    """The inverse of :func:`_key` for ``count`` fields."""
-    mask = (1 << width) - 1
-    shifts = [width * i for i in reversed(range(count))]
-    return lambda key: tuple(key >> s & mask for s in shifts)
-
-
 def _poly_view(table: GeneratorTable, bound: int,
                image: tuple[dict[int, int], int]) -> GradedPoly:
     """(N, D) on packed keys over ``table`` (a field of
@@ -569,29 +448,6 @@ def _poly_view(table: GeneratorTable, bound: int,
     read = _exponent_reader(len(table), bound.bit_length())
     return GradedPoly._trusted(table, bound,
                                {read(key): Fraction(c, den) for key, c in num.items()})
-
-
-def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int,
-                    label: str) -> None:
-    """Raise PolyError if a term on packed keys (:func:`_key`: v_1 at the
-    top, u at the bottom) has u-degree above ``u_bound``: the packing
-    relies on that bound."""
-    mask = (1 << width) - 1
-    for key in numerators:
-        if key & mask > u_bound:
-            raise PolyError(f"{label} has a term of u-degree {key & mask} above "
-                            f"{u_bound}: its packed keys could carry")
-
-
-def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int, int]]:
-    """Integer numerators on packed monomial keys (see :func:`_key`)
-    grouped into rows: the term c * v^delta * u^j is the entry c of mu_j in
-    the row keyed by delta's packed fields, the key without its u field."""
-    mask = (1 << width) - 1
-    rows: dict[int, dict[int, int]] = {}
-    for key, c in numerators.items():
-        rows.setdefault(key >> width, {})[key & mask] = c
-    return rows
 
 
 def _delta_reader(ctx: BPContext):
@@ -656,25 +512,11 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     return out
 
 
-def _multiply(image: Mapping[int, int], factor: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """The product of two sparse images whose keys add under multiplication,
-    ``factor`` given as (key, value) pairs that it iterates once per key of
-    ``image``: sum over pairs of key1 + key2 -> value1 * value2, zero values
-    dropped."""
-    out: dict[int, int] = {}
-    get = out.get
-    for k1, c1 in image.items():
-        for k2, c2 in factor:
-            key = k1 + k2
-            out[key] = get(key, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c}
-
-
 def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, int], int]],
                           top: int | None = None) -> Iterator[
         tuple[tuple[int, ...], dict[int, list[int]], int, int]]:
     """(gamma, rows, den, count) for every t-monomial gamma of weight <= W,
-    in the order of ``monomials_up_to_weight(ctx.t_table, W)``: the row at
+    each once, in the walk's order (below): the row at
     delta of theta(t^gamma) is sum_j (rows[key][j] / den) * mu_j, ``key``
     the packed v-monomial delta (see below; :func:`_delta_reader` reads
     it back), a dense list of int numerators whose last entry is not
@@ -687,12 +529,23 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
     a caller that reads a delta or the order of the rows sorts the keys
     and decodes them itself.
 
-    A depth-first walk that keeps only the chain of prefixes: the image of
-    gamma is its parent's (gamma with its last non-zero exponent lowered
-    by one) times theta(t_k).  One loop runs it over a stack of frames,
-    one per prefix, each holding the index it raises next.  Images are
-    homogeneous of weight |gamma| (u has weight 0), so no product
-    truncates.
+    A depth-first walk that keeps only the chain of parents: the image of
+    gamma is its parent's (gamma with its lowest non-zero exponent, at
+    t_k, lowered by one) times theta(t_k), so a node raised at index k
+    raises only the indices <= k, and the root any.  The last factor of
+    every image is theta(t_k) for its lowest generator t_k, most often
+    theta(t_1), the factor with the fewest rows and the narrowest digits.
+    One loop runs it over a stack of frames, one per parent, each holding
+    the index it raises next, from 0 up.  Images are homogeneous of
+    weight |gamma| (u has weight 0), so no product truncates.
+    The order of the nodes is not that of
+    ``monomials_up_to_weight(ctx.t_table, W)``, which is lexicographic in
+    gamma: the readers that count or test rows read no order, and the two
+    whose output follows the order, ``sampled_integrality_rows`` and a
+    failure's witness (:func:`bpadams.centre._araki_witness`), sort the
+    nodes by gamma.  A node's image, its width and its packed rows do not
+    depend on the tree: the products commute, and its l1 bound below is
+    a product over gamma's exponents.
 
     The walk runs on integers, on the generator images its caller passes:
     ``images["t<k>"]`` is theta(t_k) as (N_k, D_k) on packed keys,
@@ -744,6 +597,8 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       leaves |r| > 2^(R * m) - 2^(R * m) / 2.  So a row above ``top`` is
       counted from its bit length alone; a kept row is decoded by
       ``WordCodec.decode``, whose digits come out of one ``to_bytes``.
+      Every top index is at most the u-degree bound |gamma|, so a node of
+      weight <= ``top`` decodes every row without the test.
     - *Generator check.*  The rows of each N_k are read from the u field
       of its packed keys (:func:`_group_rows`), ``W.bit_length()`` bits
       wide (see :func:`_key`), so they are exact only if no term's
@@ -769,28 +624,30 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
         gens.append((_group_rows(num, width), den, sum(map(abs, num.values()))))
     codec = WordCodec()
 
-    # a node: gamma, image, den, l1 bound, lowest index it may raise, weight left
-    node = ((0,) * len(gens), {0: 1}, 1, 1, 0, W)  # the root, 1: one row, 1 at mu_0
+    # a node: gamma, image, den, l1 bound, R, highest index it may raise, weight left
+    # the root: one row, 1 at mu_0, of l1 bound 1; it may raise any index
+    node = ((0,) * len(gens), {0: 1}, 1, 1, word_width(2), len(gens) - 1, W)
     stack: list[list] = []
+    decode = codec.decode
     while node:
-        gamma, image, den, bound, low, room = node
-        R = word_width(bound.bit_length() + 1)  # one packed row per delta, at R bits a digit
-        yield gamma, {d: codec.decode(r, R) for d, r in image.items()
-                      if top is None or r.bit_length() < R * (top + 1)}, den, len(image)
-        if gens and weights[low] <= room:  # a child: the weights grow with the index
-            # the image at each width its children need; the frame raises a
-            # later index first, which gives the lexicographic order
-            stack.append([gamma, den, bound, low, room, R, {R: image}, len(gens) - 1])
+        gamma, image, den, bound, R, high, room = node
+        if top is None or W - room <= top:  # every top index is at most |gamma|
+            kept = {d: decode(r, R) for d, r in image.items()}
+        else:
+            limit = R * (top + 1)
+            kept = {d: decode(r, R) for d, r in image.items() if r.bit_length() < limit}
+        yield gamma, kept, den, len(image)
+        if gens and weights[0] <= room:  # a child: the weights grow with the index
+            # the image at each width its children need, and the index raised next
+            stack.append([gamma, den, bound, room, R, {R: image}, high, 0])
         node = None
         while stack and not node:
             frame = stack[-1]
-            gamma, den, bound, low, room, R, views, k = frame
-            while k >= low and weights[k] > room:
-                k -= 1
-            if k < low:
+            gamma, den, bound, room, R, views, high, k = frame
+            if k > high or weights[k] > room:
                 stack.pop()
                 continue
-            frame[-1] = k - 1
+            frame[-1] = k + 1
             factor_rows, d, norm = gens[k]
             child_bound = bound * norm
             child_R = word_width(child_bound.bit_length() + 1)
@@ -802,7 +659,7 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
                                        for delta, row in factor_rows.items()]
             node = (gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
                     _multiply(views[child_R], factors[k, child_R]), den * d,
-                    child_bound, k, room - weights[k])
+                    child_bound, child_R, k, room - weights[k])
 
 
 def _v1_power(ctx: BPContext, g: int, e: int) -> tuple[dict[int, int], int]:

@@ -2,15 +2,18 @@
 that tier-1 does not pin.
 
 Each digest is the first 16 hex digits of the SHA-256 of
-``json.dumps(report, sort_keys=True)``.  Together the ten runs take
-about 19 s on two cores; they go through the walk's wide re-spreads at
+``json.dumps(report, sort_keys=True)``.  Together the thirteen runs take
+about 16 s on two cores; they go through the walk's wide re-spreads at
 p = 2, (13, 120) through its widest packed rows, of tight widths
 up to 447 bits, and (2, 32), whose bound W = 63 is the first to hold t_6,
-through the generator image of t_6.  (3, 50) and (11, 100) were computed
+through the generator image of t_6; (2, 36) and (2, 40) take about 0.9 s
+and 2.3 s.  (3, 50) and (11, 100) were computed
 by the walk on Araki's generators, before it moved to Hazewinkel's,
 (2, 32) by the recursion on terms, before the images moved to packed
-rows, and (5, 80) and (3, 60) while the walk still handed its rows over
-decoded and sorted by delta.  pytest
+rows, (5, 80) and (3, 60) while the walk still handed its rows over
+decoded and sorted by delta, and (2, 36), (2, 40) and (7, 100) by the
+walk whose parent of gamma dropped gamma's highest generator, where
+(2, 40) took 37 s.  pytest
 does not collect this file.  Run it as ``python tests/frontier_digests.py``;
 it exits 1 if a digest differs.
 """
@@ -36,6 +39,9 @@ FRONTIER = {
     (2, 32): "938c4c0698c5664c",
     (5, 80): "b1b303d74286d0d7",
     (3, 60): "223bb8c515013bbc",
+    (2, 36): "88a3d5a1d2402663",
+    (2, 40): "94428a690044ff1c",
+    (7, 100): "bf503f9fb2cf73f1",
 }
 
 

@@ -1,7 +1,9 @@
+import bisect
 import collections
 import itertools
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -413,25 +415,28 @@ def _brute_force_inclusion(p, n_max, sample):
 
 
 def _flattened(ctx, items):
-    """The walk's (gamma, rows, den, count) items as the sampled rows:
-    non-trivial gamma, the packed keys of each sorted and decoded into
-    delta, each row read as a MuLinear with coefficients c / den."""
+    """The walk's (gamma, rows, den, count) items as the sampled rows, in
+    their canonical order: non-trivial gamma in lexicographic order, the
+    packed keys of each sorted and decoded into delta, each row read as a
+    MuLinear with coefficients c / den."""
     delta_of = hopf._delta_reader(ctx)
     return [(gamma, delta_of(key), MuLinear({j: Fraction(c, den) for j, c in enumerate(row)}))
-            for gamma, rows, den, _ in items if any(gamma)
+            for gamma, rows, den, _ in sorted(items, key=itemgetter(0)) if any(gamma)
             for key, row in sorted(rows.items())]
 
 
 def _inject(monkeypatch, bad, before):
-    """Patch the integer producer that verify_centre_bp reads so that the
-    item ``bad`` = (gamma, rows, den) comes right before the first
-    non-trivial item ``before`` accepts.  Like the walk, the item keeps
-    the rows whose top index is at most the walk's ``top`` and counts
-    them all, on either set of generator images.  Returns the list that
-    receives the flattened sample of each walk and the list of the
-    ``(top, generators)`` each walk was asked for, generators "araki" or
-    "hazewinkel".  The rows of ``bad`` are given as {delta: {j: c_j}}, the
-    item keying each by delta's packed v-monomial, as the walk does."""
+    """Patch the integer producer that verify_centre_bp reads so that it
+    also yields the item ``bad`` = (gamma, rows, den), right after the root
+    in walk order; in the canonical order, lexicographic in gamma, it goes
+    to position k of the walk's items, and ``before(items, k)`` must hold
+    there.  Like the walk, the item keeps the rows whose top index is at
+    most the walk's ``top`` and counts them all, on either set of
+    generator images.  Returns the list that receives the flattened sample
+    of each walk and the list of the ``(top, generators)`` each walk was
+    asked for, generators "araki" or "hazewinkel".  The rows of ``bad``
+    are given as {delta: {j: c_j}}, the item keying each by delta's packed
+    v-monomial, as the walk does."""
     import bpadams.centre as centre
 
     real = centre.t_monomial_numerators
@@ -441,13 +446,15 @@ def _inject(monkeypatch, bad, before):
         araki = images is hopf._theta_numerators(ctx)
         assert araki or images is hopf._hazewinkel_theta_numerators(ctx)
         items = list(real(ctx, images, top))
-        k = next(k for k, item in enumerate(items) if any(item[0]) and before(items, k))
         gamma, rows, den = bad
+        ordered = sorted(items, key=itemgetter(0))
+        k = bisect.bisect([item[0] for item in ordered], gamma)
+        assert ordered[k - 1][0] != gamma and before(ordered, k)
         packed = {hopf._key(delta, ctx.weight_bound.bit_length()): row
                   for delta, row in rows.items()}
         assert [hopf._delta_reader(ctx)(key) for key in packed] == list(rows)  # no field carries
         kept = {key: dense(row) for key, row in packed.items() if top is None or max(row) <= top}
-        items.insert(k, (gamma, kept, den, len(rows)))
+        items.insert(1, (gamma, kept, den, len(rows)))
         seen.append(_flattened(ctx, items))
         asked.append((top, "araki" if araki else "hazewinkel"))
         return iter(items)
@@ -466,18 +473,17 @@ def test_inclusion_witness_matches_brute_force(monkeypatch):
     # the row at v_1 holds on the first two Adams columns at n = 2,
     # (1, 1, 1) and (0, 3, 6), and misses the third, (0, 0, 9), by one
     # power of 3.  The row at v_1 v_2 misses the first; it comes first in
-    # the item but second in graded-lex order, so it is not the witness
-    bad = ((9, 9), {(1, 1): {2: 1}, (1, 0): {0: 1, 1: -2, 2: 1}}, 27)
+    # the item but second in graded-lex order, so it is not the witness.
+    # gamma (1, 9) sorts between (1, 1) and (2, 0)
+    bad = ((1, 9), {(1, 1): {2: 1}, (1, 0): {0: 1, 1: -2, 2: 1}}, 27)
 
-    def after_the_first_top_one(items, k):
+    def after_a_top_one(items, k):
         # after the passing row with top index 1, and before a passing row
         # with top index 2 that the failed scan must not count
-        if 1 not in _tops(items[k - 1]):
-            return False
-        assert any(2 in _tops(item) for item in items[k:])
-        return True
+        return (any(1 in _tops(item) for item in items[:k])
+                and any(2 in _tops(item) for item in items[k:]))
 
-    seen, asked = _inject(monkeypatch, bad, after_the_first_top_one)
+    seen, asked = _inject(monkeypatch, bad, after_a_top_one)
     report = centre.verify_centre_bp(3, 4)
     # the Hazewinkel rows fail at n = 2, so the rows up to top index 2 are
     # walked again on Araki's generators, which the witness and the count
@@ -496,12 +502,13 @@ def test_inclusion_witness_matches_brute_force(monkeypatch):
 def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
     import bpadams.centre as centre
 
-    # mu_6 / 2^(e_6 + 1) misses the Adams lattice at n = 6.  It goes into
-    # the last subtree of the walk (first exponent 6), after the passing
-    # rows with top index 6 of (0, 2, 0) and (3, 1, 0) and before that of
-    # (6, 0, 0), which the failed scan must not count
+    # mu_6 / 2^(e_6 + 1) misses the Adams lattice at n = 6.  Its gamma
+    # (5, 9, 9) sorts near the end of the canonical order, after the
+    # passing rows with top index 6 of (0, 2, 0) and (3, 1, 0) and before
+    # that of (6, 0, 0), which the failed scan must not count, though the
+    # walk yields it right after the root
     e6 = _lattice_of_rows(2, 6, summand_rows(2, 6)).pivots()[6]
-    bad = ((6, 0, 9), {(0, 0, 9): {6: 1}}, 2 ** (e6 + 1))
+    bad = ((5, 9, 9), {(0, 0, 9): {6: 1}}, 2 ** (e6 + 1))
 
     def before_six(items, k):
         return items[k][0] == (6, 0, 0)
@@ -510,7 +517,7 @@ def test_inclusion_witness_in_a_late_subtree_matches_brute_force(monkeypatch):
     report = centre.verify_centre_bp(2, 6)
     assert asked == [(6, "hazewinkel"), (6, "araki")]
     used, witness = _brute_force_inclusion(2, 6, seen[1])
-    assert witness is not None and witness["n"] == 6 and witness["gamma"] == [6, 0, 9]
+    assert witness is not None and witness["n"] == 6 and witness["gamma"] == [5, 9, 9]
     assert _brute_force_inclusion(2, 6, seen[0])[1]["n"] == 6
     failure = report["failure"]
     assert {"n": failure["n"], **failure["witness"]} == witness
@@ -578,18 +585,21 @@ def test_both_generator_sets_give_the_same_counts_and_lattices(p, n):
 @pytest.mark.parametrize("p, W", [(2, 12), (3, 14), (5, 12), (2, 16)])
 def test_integer_producer_matches_the_sampled_rows(p, W):
     # the rows verify_centre_bp tests, read as Fraction(c, den), are the
-    # public sampled rows, row for row: gamma by gamma in the same order,
-    # each row under delta's packed v-monomial, the walk's key
+    # public sampled rows, row for row: gamma by gamma, each gamma handed
+    # over once, in the walk's order, and each row under delta's packed
+    # v-monomial, the walk's key
     ctx = BPContext(p, W)
     width = W.bit_length()
     want = {}
     for gamma, delta, form in sampled_integrality_rows(ctx):
         want.setdefault(gamma, {})[hopf._key(delta, width)] = form
-    got = {gamma: {key: MuLinear({j: Fraction(c, den) for j, c in enumerate(row)})
-                   for key, row in rows.items()}
+    got = [(gamma, {key: MuLinear({j: Fraction(c, den) for j, c in enumerate(row)})
+                    for key, row in rows.items()})
            for gamma, rows, den, _ in hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx))
-           if any(gamma) and rows}
-    assert list(got.items()) == list(want.items())
+           if any(gamma) and rows]
+    assert len({gamma for gamma, _ in got}) == len(got)
+    assert dict(got) == want
+    assert list(want) == sorted(want)  # the public rows come in canonical order
 
 
 def test_inclusion_counts_match_brute_force_on_passing_scans():
@@ -631,10 +641,11 @@ def test_hypothesis_violation_report_is_unchanged(monkeypatch):
     }
 
 
-def test_the_araki_walk_for_a_witness_stops_at_its_node(monkeypatch):
+def test_the_araki_walk_for_a_witness_is_drawn_in_full(monkeypatch):
     # the corrupted c_2 of the test above: the Hazewinkel rows fail at
-    # n = 2, and the Araki walk that reads the witness is drawn only up to
-    # the witness's gamma, though more nodes follow it
+    # n = 2, and the Araki walk that reads the witness is drawn to its end,
+    # since the walk's order is not the canonical one: its nodes are read
+    # sorted by gamma, and the witness's gamma is not the last node drawn
     import bpadams.centre as centre
     from bpadams.adamsk import CongruenceVector
 
@@ -657,9 +668,46 @@ def test_the_araki_walk_for_a_witness_stops_at_its_node(monkeypatch):
     monkeypatch.setattr(centre, "summand_rows", corrupted)
     monkeypatch.setattr(centre, "t_monomial_numerators", recorded)
     report = centre.verify_centre_bp(3, 3)
-    assert report["failure"]["witness"]["gamma"] == [2, 0] and drawn[-1] == (2, 0)
+    assert report["failure"]["witness"]["gamma"] == [2, 0] and drawn[-1] != (2, 0)
     ctx = BPContext(3, report["weight_bound"])
-    assert len(drawn) < len(list(real_walk(ctx, hopf._theta_numerators(ctx), 2)))
+    assert drawn == [item[0] for item in real_walk(ctx, hopf._theta_numerators(ctx), 2)]
+
+
+def test_the_witness_is_the_canonical_first_failure_not_the_walks_first(monkeypatch):
+    # c_4 times 3^4 at (3, 4) breaks the shape, and the Adams lattice at
+    # n = 4, extended by it, is too large for two Araki nodes with rows of
+    # top index 4: (4, 0), which the walk yields first, and (0, 1), which
+    # comes first in the canonical order, lexicographic in gamma.  The
+    # witness and the count are those of (0, 1), the bytes the walk in
+    # canonical order gave
+    import bpadams.centre as centre
+    from bpadams.adamsk import CongruenceVector
+
+    real = centre.summand_rows
+
+    def corrupted(p, n_max, q=None):
+        rows = real(p, n_max, q)
+        rows[4] = CongruenceVector(p, 4, tuple(81 * e for e in rows[4].entries),
+                                   rows[4].budget)
+        return rows
+
+    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    report = centre.verify_centre_bp(3, 4)
+    ctx = BPContext(3, report["weight_bound"])
+    lat = _lattice_of_rows(3, 4, corrupted(3, 4))
+    failing = [gamma for gamma, rows, den, _ in
+               hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx), 4)
+               if centre._first_sample_failure(3, lat, [(row, den) for row in rows.values()
+                                                        if len(row) == 5]) is not None]
+    assert failing == [(4, 0), (0, 1)]
+    assert report["failure"] == {
+        "n": 4,
+        "sandwich": {"status": "hypothesis_violation", "equal": False,
+                     "detail": "row with top index 4 violates the pivot/valuation shape"},
+        "witness": {"gamma": [0, 1], "delta": [4, 0], "mu": ["0", "3", "6", "36", "0"],
+                    "value": "-1/12288"},
+    }
+    assert [row["sample_rows_used"] for row in report["rows"]] == [0, 1, 2, 3, 2]
 
 
 def _all_columns_first_failure(p, lat, rows):
