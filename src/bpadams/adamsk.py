@@ -25,8 +25,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (_Record, _shape_holds, delta_p, dot, ensure_prime, format_rational,
-                    gamma_p, integer_numerators, is_p_local_int, validate_q)
+from .arith import (_Record, _shape_holds, delta_p, ensure_prime, gamma_p, integer_numerators,
+                    integral_dot, is_p_local_int, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -184,29 +184,27 @@ class CongruenceVector(_Record):
     ``budget`` is the expected pivot valuation: the shape hypotheses ask
     for entries in p^-budget Z_(p), a unit pivot c_n in p^-budget Z_(p)^x,
     and zeros beyond n.  The budget is non-negative (``ValueError``
-    otherwise).  ``_integer``, when given, is the row as integer
-    numerators over one denominator, (N, D) with n + 1 entries N_i / D and
-    D > 0, as a special element already holds it (:attr:`integer_row`); it
-    is neither compared nor shown.  ``entries`` may then be None: the
-    ``Fraction`` entries are built from (N, D) on first read.
+    otherwise).  The row is kept as integers, ``integer_row`` = (N, D) with
+    n + 1 entries N_i / D and D > 0, neither compared nor shown: ``_integer``
+    when given (D need not be least; ``entries`` is then None), else
+    :func:`bpadams.arith.integer_numerators` of the entries.  ``entries``
+    is built from (N, D) on first read.
     """
 
     _fields = ("p", "n", "entries", "budget")
 
     def __init__(self, p: int, n: int, entries: tuple[Fraction, ...] | None, budget: int,
                  _integer: tuple[Sequence[int], int] | None = None):
-        if len(_integer[0] if entries is None else entries) != n + 1:
+        integer_row = integer_numerators(entries) if _integer is None else _integer
+        if len(integer_row[0]) != n + 1:
             raise ValueError("entry vector must have length n + 1")
         if budget < 0:
             raise ValueError(f"budget must be non-negative, got {budget}")
-        if entries is not None:
-            self.__dict__["entries"] = tuple(
-                e if isinstance(e, Fraction) else Fraction(e) for e in entries)
-        self.__dict__.update(p=p, n=n, budget=budget, _integer=_integer)
+        self.__dict__.update(p=p, n=n, budget=budget, integer_row=integer_row)
 
     @cached_property
     def entries(self) -> tuple[Fraction, ...]:
-        nums, den = self._integer
+        nums, den = self.integer_row
         return tuple(Fraction(x, den) for x in nums)
 
     def shape_ok(self) -> bool:
@@ -219,25 +217,6 @@ class CongruenceVector(_Record):
         (:func:`bpadams.arith._shape_holds`)."""
         nums, den = self.integer_row
         return _shape_holds(self.p, self.budget, nums[self.n], nums[: self.n], den)
-
-    @property
-    def integer_row(self) -> tuple[Sequence[int], int]:
-        """(N, D) with entries N_i / D: the numerators given at
-        construction, else D the lcm of the denominators."""
-        return self._integer or integer_numerators(self.entries)
-
-    def dot(self, mu: Sequence[Fraction | int]) -> Fraction:
-        if len(mu) < self.n + 1:
-            raise ValueError("sequence too short for this row")
-        return dot(self.entries, map(Fraction, mu))
-
-    def padded(self, length: int) -> tuple[Fraction, ...]:
-        if length < self.n + 1:
-            raise ValueError("cannot pad below the support")
-        return self.entries + (Fraction(0),) * (length - self.n - 1)
-
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "entries": [format_rational(e) for e in self.entries]}
 
 
 # qhat -> (n, [n, 0..n]_qhat): the last q-Pascal row C_vector built for
@@ -280,11 +259,13 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
 
 def check_g_congruences(p: int, q: int, mu: Sequence[Fraction | int],
                         n: int) -> tuple[bool, ...]:
-    """Per-index verdicts: does C_r . mu land in Z_(p) for r = 0..n?"""
+    """Per-index verdicts: does C_r . mu land in Z_(p) for r = 0..n?  Each
+    from the row's integers (:func:`bpadams.arith.integral_dot`)."""
     validate_q(p, q)
     if len(mu) < n + 1:
         raise ValueError("sequence too short")
-    return tuple(is_p_local_int(p, C_vector(p, q, r).dot(mu)) for r in range(n + 1))
+    values = integer_numerators(mu[: n + 1])
+    return tuple(integral_dot(p, C_vector(p, q, r).integer_row, values) for r in range(n + 1))
 
 
 def basis_integrality_rows(p: int, top: int, q: int | None = None,
@@ -377,8 +358,7 @@ def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.Co
     """
     T, E = _ku_canonical_rows(p, top, q)
     den = p ** E
-    return _lattice.CongruenceSystem(p, top, tuple(tuple(Fraction(x, den) for x in row)
-                                                   for row in T))
+    return _lattice.CongruenceSystem(p, top, None, [(row, den) for row in T])
 
 
 def Phi_in_phi(p: int, q: int | None, n: int, top: int | None = None,
@@ -410,22 +390,23 @@ def binomial_mu_congruence(p: int, j: int, k: int,
     With k = 0 the row is exactly that vector.  For k > 0 (odd p) the
     correction is interleaved with the k-th Gaussian row: index
     i(p-1) + l carries C_{k,i} * (-1)^{j-l} C(j, l), giving a row with
-    top index n = k(p-1) + j and pivot valuation -gamma_p(n).
+    top index n = k(p-1) + j and pivot valuation -gamma_p(n).  The row
+    is built on integers, over C_k's denominator p^delta_p(k).
     """
     q = validate_q(p, q)
     if not 0 <= j <= p - 2:
         raise ValueError(f"offset j must satisfy 0 <= j <= p - 2, got {j}")
     if k < 0:
         raise ValueError("negative block index")
-    binom = [Fraction((-1) ** (j - l) * math.comb(j, l)) for l in range(j + 1)]
+    binom = [(-1) ** (j - l) * math.comb(j, l) for l in range(j + 1)]
     n = k * (p - 1) + j
     if k == 0:
-        return CongruenceVector(p, n, tuple(binom), gamma_p(p, n))
+        return CongruenceVector(p, n, None, gamma_p(p, n), (tuple(binom), 1))
     if p == 2:
         raise ValueError("p = 2 needs no interleaving (the block length is 1)")
-    g_row = C_vector(p, q, k)
-    entries = [Fraction(0)] * (n + 1)
-    for i in range(k + 1):
-        for l in range(j + 1):
-            entries[i * (p - 1) + l] += g_row.entries[i] * binom[l]
-    return CongruenceVector(p, n, tuple(entries), gamma_p(p, n))
+    g_nums, den = C_vector(p, q, k).integer_row
+    nums = [0] * (n + 1)
+    for i, c in enumerate(g_nums):
+        for l, b in enumerate(binom):
+            nums[i * (p - 1) + l] = c * b  # l < p - 1: no two (i, l) share an index
+    return CongruenceVector(p, n, None, gamma_p(p, n), (tuple(nums), den))

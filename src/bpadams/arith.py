@@ -215,11 +215,32 @@ def gaussian(n: int, i: int, t: Fraction | int) -> Fraction:
     return Fraction(acc)
 
 
-def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def exact(x: object) -> Fraction:
+    """x as a ``Fraction``, or ``ValueError`` for a float: its binary value
+    would read 1/3 as a dyadic rational, which is 3-integral."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise ValueError("floating point input rejected; use exact strings like '3/4'")
+    return Fraction(x)
+
+
+def integer_numerators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(N, D) with D the lcm of the denominators of ``values`` and
-    N_i = D * values_i, an int: the values as integers over one denominator."""
+    N_i = D * values_i, an int: the values as integers over one denominator.
+    A value other than an int or a ``Fraction`` is read by :func:`exact`."""
+    values = [x if isinstance(x, (int, Fraction)) else exact(x) for x in values]
     den = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def integral_dot(p: int, row: tuple[Sequence[int], int],
+                 mu: tuple[Sequence[int], int]) -> bool:
+    """Whether row . mu, over the shorter of the two, lies in Z_(p), from
+    their integers (N, D) and (M, L), D, L > 0 and not necessarily least:
+    p^(nu_p(D) + nu_p(L)) divides sum_i N_i M_i.  p is not checked."""
+    (nums, den), (mu_nums, mu_den) = row, mu
+    return not sum(map(mul, nums, mu_nums)) % p ** (_nu(p, den) + _nu(p, mu_den))
 
 
 def word_width(bits: int) -> int:
@@ -380,16 +401,10 @@ def find_q(p: int) -> int | tuple[int, int]:
 
 def parse_rational(text: object) -> Fraction:
     """Parse an exact rational from "a/b" or "a" (ints accepted, floats not)."""
-    if isinstance(text, bool):
+    if isinstance(text, bool) or not isinstance(text, (int, float, Fraction, str)):
         raise ValueError(f"not an exact rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        raise ValueError("floating point input rejected; use exact strings like '3/4'")
-    if isinstance(text, Fraction):
-        return text
     if not isinstance(text, str):
-        raise ValueError(f"not an exact rational: {text!r}")
+        return exact(text)
     s = text.strip()
     try:
         if "/" in s:

@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
-from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_family,
-                     basis_integrality_rows, binomial_mu_congruence, expand_in_family,
-                     family_action, family_sequence)
+from .adamsk import (CongruenceVector, C_vector, _inverse_rows, _ku_canonical_rows,
+                     adams_family, binomial_mu_congruence, expand_in_family, family_action,
+                     family_sequence)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
                    _theta_numerators, special_element, t_monomial_numerators)
-from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _sandwich,
-                      _shape_violation, extend_lattice, lattice_eq, solve)
+from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _extended, _new_row,
+                      _sandwich, _shape_violation, lattice_eq, solve)
 
 
 class CentreVerificationError(RuntimeError):
@@ -72,10 +73,10 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
     return rows, total
 
 
-def _dense(row: list[int], den: int, n: int) -> tuple[Fraction, ...]:
-    """The row sum_j (row[j] / den) * mu_j, top index <= n, as its entries
-    at 0..n."""
-    return tuple(Fraction(c, den) for c in row) + (Fraction(0),) * (n + 1 - len(row))
+def _padded(rows: Iterable[tuple[Sequence[int], int]], n: int) -> list[tuple[list[int], int]]:
+    """The integer rows (N, D), each with top index <= n, padded with zeros
+    to n + 1."""
+    return [([*nums] + [0] * (n - len(nums) + 1), den) for nums, den in rows]
 
 
 def _form(row: list[int], den: int) -> MuLinear:
@@ -124,7 +125,9 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
 
 
 def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLattice:
-    return solve(CongruenceSystem(p, n, tuple(r.padded(n + 1) for r in rows)))
+    """The solution lattice of the rows, each with top index <= n, from
+    their integers (``integer_row``)."""
+    return solve(CongruenceSystem(p, n, None, _padded((vec.integer_row for vec in rows), n)))
 
 
 def _first_sample_failure(p: int, lat: SolutionLattice,
@@ -317,7 +320,8 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
             if n:
                 # the sandwich's S is the Adams lattice at n; a hypothesis
                 # violation builds none
-                lat_g = sandwich.s_lattice or extend_lattice(base, rows_g[n].entries)
+                lat_g = sandwich.s_lattice or _extended(
+                    base, *_new_row(base, *rows_g[n].integer_row))
         except LatticeError as exc:
             # the program's own rows failed to extend: an internal failure
             raise ConstructionError(str(exc), {"stage": "extend_lattice", "n": n,
@@ -359,9 +363,9 @@ def bp_sample_lattice(ctx: BPContext, n: int) -> SolutionLattice:
     in Hazewinkel's generators, as :func:`verify_centre_bp` tests them; a
     row above n is counted by the walk, never decoded
     (:func:`_sampled_rows`)."""
-    rows = tuple(_dense(row, den, n) for _, _, row, den
-                 in _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0])
-    return solve(CongruenceSystem(ctx.p, n, rows))
+    rows = _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0]
+    return solve(CongruenceSystem(ctx.p, n, None,
+                                  _padded(((row, den) for _, _, row, den in rows), n)))
 
 
 def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dict:
@@ -382,10 +386,11 @@ def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dic
     ctx = BPContext(p, max_weight, q)
     weigh = ctx.t_table.monomial_weight
     rows = _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0]
-    sample = [(weigh(gamma), _dense(row, den, n)) for gamma, _, row, den in rows]
+    sample = list(zip([weigh(gamma) for gamma, _, _, _ in rows],
+                      _padded(((row, den) for _, _, row, den in rows), n)))
     out = {"p": p, "n": n, "target_pivots": list(lat_g.pivots()), "scan": []}
     for W in range(1, max_weight + 1):
-        lat = solve(CongruenceSystem(p, n, tuple(row for w, row in sample if w <= W)))
+        lat = solve(CongruenceSystem(p, n, None, [row for w, row in sample if w <= W]))
         out["scan"].append({
             "weight": W,
             "pivots": list(lat.pivots()),
@@ -405,13 +410,11 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
     if p == 2:
         raise ValueError("interleaving is the odd-prime experiment")
     q = validate_q(p, q)
-    rows = []
-    for idx in range(n + 1):
-        k, j = divmod(idx, p - 1)
-        rows.append(binomial_mu_congruence(p, j, k, q).padded(n + 1))
-    inter = solve(CongruenceSystem(p, n, tuple(rows)))
+    rows = (binomial_mu_congruence(p, j, k, q).integer_row
+            for k, j in (divmod(idx, p - 1) for idx in range(n + 1)))
+    inter = solve(CongruenceSystem(p, n, None, _padded(rows, n)))
     # solve reduces the raw rows itself: their triangular form cuts out the same lattice
-    ku = solve(CongruenceSystem(p, n, basis_integrality_rows(p, n, q)))
+    ku = solve(CongruenceSystem(p, n, None, _padded(_inverse_rows(p, n, q), n)))
     return {
         "p": p,
         "n": n,

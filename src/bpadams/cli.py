@@ -8,18 +8,18 @@ exception that is not a ``ValueError`` its message, the subcommand and
 the exception's class.  Sequences and systems are read from JSON files
 whose rationals are exact strings like "3/4"; floating point values are
 rejected.  Output is deterministic for fixed inputs: JSON is written by
-:func:`_json_text` with exactly the bytes of
+:func:`_emit` and :func:`_json_text` with exactly the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)``, and timing information
 appears only in the human-readable format.
 
 A request is parsed by its subcommand's own parser, and by the full
 parser only when the first word names no subcommand or words are left
 over, so both give the same Namespace, messages and exit codes.
-``congruences --check`` takes each verdict from one integer sum.  A
-request builds only the form ``--format`` asks for: its payload holds
-every value formatted once, and the CSV rows (``_csv_*``) or the pretty
-lines (``_pretty_*``) are built from the payload's strings only for
-their own format.
+``congruences --check`` takes each verdict from one integer sum
+(:func:`bpadams.arith.integral_dot`).  A request builds only the form
+``--format`` asks for: its payload holds every value formatted once, and
+the CSV rows (``_csv_*``) or the pretty lines (``_pretty_*``) are built
+from the payload's strings only for their own format.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from operator import mul
 
-from .arith import (delta_p, ensure_prime, format_rational, integer_numerators,
+from .arith import (delta_p, ensure_prime, format_rational, integer_numerators, integral_dot,
                     is_p_local_int, parse_rational, validate_q)
 from .adamsk import FAMILY_KINDS, CongruenceVector, adams_family, expand_in_family
 from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
@@ -149,10 +147,21 @@ def _emit(fmt: str, payload: dict, csv_rows, pretty_lines) -> None:
     """Write the one form ``fmt`` asks for: the JSON payload, or the CSV
     rows ``csv_rows(payload)`` or the pretty lines ``pretty_lines(payload)``
     build from the strings the payload already holds.  The forms not asked
-    for are never built."""
+    for are never built.  The JSON is :func:`_json_text`'s, written a key
+    and a top-level list item at a time, so no text of the whole payload
+    is held."""
     if fmt == "json":
-        sys.stdout.write(_json_text(payload))  # no second copy for the newline
-        sys.stdout.write("\n")
+        write = sys.stdout.write
+        for k, key in enumerate(sorted(payload)):
+            write(("," if k else "{") + "\n  " + _quote(key) + ": ")
+            value = payload[key]
+            if not isinstance(value, (list, tuple)) or not value:
+                write(_json_text(value, "\n  "))
+                continue
+            for i, item in enumerate(value):
+                write(("," if i else "[") + "\n    " + _json_text(item, "\n    "))
+            write("\n  ]")
+        write("\n}\n")
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows(payload))
@@ -198,19 +207,11 @@ def parse_monomial(text: str, prefix: str) -> dict[str, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _congruence_verdicts(p: int, vecs: list[CongruenceVector],
-                         mu: list[Fraction]) -> list[bool]:
-    """Whether each row's value on ``mu`` is p-locally integral, from one
-    integer sum per row: with the row as N / D (``integer_row``) and ``mu``
-    as M / L (:func:`integer_numerators`), the value is sum_i N_i M_i over
-    D * L, integral iff its reduced denominator is prime to p."""
-    nums, den = integer_numerators(mu)
-    verdicts = []
-    for vec in vecs:
-        row, row_den = vec.integer_row
-        total = row_den * den
-        verdicts.append(total // math.gcd(sum(map(mul, row, nums)), total) % p != 0)
-    return verdicts
+def _congruence_verdicts(p: int, vecs: list[CongruenceVector], mu: list[Fraction]) -> list[bool]:
+    """Whether each row's value on ``mu`` is p-locally integral
+    (:func:`bpadams.arith.integral_dot`)."""
+    values = integer_numerators(mu)
+    return [integral_dot(p, vec.integer_row, values) for vec in vecs]
 
 
 def _cmd_congruences(args: argparse.Namespace) -> int:

@@ -28,8 +28,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import (_nu, _Record, dot, ensure_prime, format_rational, integer_numerators,
-                    val_p)
+from .arith import (_nu, _Record, ensure_prime, exact, format_rational, integer_numerators,
+                    integral_dot, val_p)
 
 
 class LatticeError(ValueError):
@@ -48,6 +48,7 @@ def residue(p: int, x: Fraction, k: int) -> Fraction:
     x - r in p^k Z_(p): zero when x lies in p^k Z_(p), an integer when x
     is p-locally integral and k >= 0.
     """
+    x = exact(x)
     num, den = x.numerator, x.denominator
     v = _nu(p, den)
     den //= p ** v
@@ -64,56 +65,58 @@ def p_fractional_part(p: int, x: Fraction) -> Fraction:
     Zero when x is p-locally integral; otherwise N'/p^v with
     0 < N' < p^v, where v = -val_p(x).
     """
-    return residue(p, Fraction(x), 0)
+    return residue(p, x, 0)
 
 
 class CongruenceSystem(_Record):
-    """Rows c_r of length n + 1, each read as "c_r . mu in Z_(p)"."""
+    """Rows c_r of length n + 1, each read as "c_r . mu in Z_(p)".
+
+    The rows are kept as integers (N, D), entries N_i / D with D > 0, in
+    ``integer_rows``: ``_integer`` when given (D need not be least; ``rows``
+    is then None), else :func:`bpadams.arith.integer_numerators` of each
+    row.  ``rows``, as ``Fraction``s, is built on first read.
+    """
 
     _fields = ("p", "n", "rows")
 
-    def __init__(self, p: int, n: int, rows: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, p: int, n: int, rows: Iterable[Sequence[Fraction | int]] | None,
+                 _integer: Iterable[tuple[Sequence[int], int]] | None = None):
         ensure_prime(p)
         if n < 0:
             raise LatticeError("top index must be non-negative")
-        clean = []
-        for r in rows:
-            r = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
-            if len(r) != n + 1:
+        integer = tuple(map(integer_numerators, rows) if _integer is None else _integer)
+        for nums, _ in integer:
+            if len(nums) != n + 1:
                 raise LatticeError(
-                    f"row length {len(r)} does not match size {n + 1}")
-            clean.append(r)
-        self.__dict__.update(p=p, n=n, rows=tuple(clean))
+                    f"row length {len(nums)} does not match size {n + 1}")
+        self.__dict__.update(p=p, n=n, integer_rows=integer)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, den) for x in nums) for nums, den in self.integer_rows)
 
     def satisfied_by(self, mu: Sequence[Fraction | int]) -> bool:
         if len(mu) < self.n + 1:
             raise LatticeError("sequence too short for this system")
-        vals = [Fraction(m) for m in mu[: self.n + 1]]
-        return all(val_p(self.p, dot(row, vals)) >= 0 for row in self.rows)
+        values = integer_numerators(mu[: self.n + 1])
+        return all(integral_dot(self.p, row, values) for row in self.integer_rows)
 
     def pivot_valuations(self) -> tuple[int, ...]:
         """For triangular systems: e_r with pivot p^-e_r at index r."""
-        out = []
-        for r, row in enumerate(self.rows):
-            if r > self.n or not row[r]:
+        p, out = self.p, []
+        for r, (nums, den) in enumerate(self.integer_rows):
+            if r > self.n or not nums[r]:
                 raise LatticeError(f"row {r} has no non-zero pivot at index {r}")
-            out.append(-val_p(self.p, row[r]))
+            out.append(_nu(p, den) - _nu(p, nums[r]))
         return tuple(out)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "rows": [[format_rational(x) for x in row] for row in self.rows],
-        }
 
 
 def _reduce_rows(p: int, rows: Iterable[tuple[Sequence[int], int]], size: int,
                  ) -> tuple[list[list[int]], int]:
     """Triangular form of the row module spanned by the given rows
     together with the identity (integral) rows, on integers.  Each row is
-    (N, D), the entries N_i / D, with ``size`` int numerators and D > 0: a
-    ``Fraction`` row enters as its ``integer_numerators``.
+    (N, D), the entries N_i / D, with ``size`` int numerators and D > 0, as
+    :class:`CongruenceSystem` keeps it.
 
     Returns (T, E) for the rows T[j] / p^E: T[j] is supported on columns
     0..j and its pivot T[j][j] = p^f_j is a pure power, 0 <= f_j <= E.
@@ -179,12 +182,10 @@ def _canonical_rows(p: int, rows: Iterable[tuple[Sequence[int], int]], size: int
 
 def triangularize(sys: CongruenceSystem) -> CongruenceSystem:
     """Equivalent canonical triangular system (one row per index): the
-    rows of :func:`_canonical_rows` on the rows' integer numerators, as
-    ``Fraction``s."""
-    p = sys.p
-    T, E = _canonical_rows(p, map(integer_numerators, sys.rows), sys.n + 1)
-    den = p ** E
-    return CongruenceSystem(p, sys.n, tuple(tuple(Fraction(x, den) for x in r) for r in T))
+    rows of :func:`_canonical_rows`, each over p^E."""
+    T, E = _canonical_rows(sys.p, sys.integer_rows, sys.n + 1)
+    den = sys.p ** E
+    return CongruenceSystem(sys.p, sys.n, None, [(row, den) for row in T])
 
 
 class SolutionLattice:
@@ -211,7 +212,7 @@ class SolutionLattice:
     """
 
     def __init__(self, p: int, basis: Sequence[Sequence[int]]):
-        if any(Fraction(x).denominator != 1 for row in basis for x in row):
+        if any(exact(x).denominator != 1 for row in basis for x in row):
             raise LatticeError("basis entries must be integers")
         basis = tuple(tuple(map(int, row)) for row in basis)
         top = max((basis[j][j] for j in range(len(basis))), default=1)
@@ -321,7 +322,7 @@ class SolutionLattice:
         if len(mu) != self.size:
             raise LatticeError("dimension mismatch")
         basis = self.basis
-        residual = [Fraction(m) for m in mu]
+        residual = [exact(m) for m in mu]
         coords = []
         for j in range(self.size):
             x = residual[j] / basis[j][j]
@@ -341,8 +342,7 @@ class SolutionLattice:
         if len(mu) != self.size:
             raise LatticeError("dimension mismatch")
         p, basis = self.p, self.basis
-        residual, den = integer_numerators(
-            [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in mu])
+        residual, den = integer_numerators(mu)
         scale = p ** _nu(p, den)
         for j in range(self.size):
             pivot = basis[j][j]
@@ -399,7 +399,7 @@ def solve(sys: CongruenceSystem) -> SolutionLattice:
     the integer rows over p^E as they are) succeeds.
     """
     lat = SolutionLattice(sys.p, ())
-    T, E = _reduce_rows(sys.p, map(integer_numerators, sys.rows), sys.n + 1)
+    T, E = _reduce_rows(sys.p, sys.integer_rows, sys.n + 1)
     den = sys.p ** E
     for j, row in enumerate(T):
         lat = _extended(lat, *_new_row(lat, row[: j + 1], den))
@@ -426,8 +426,6 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     size = lat.size
     if len(row) != size + 1:
         raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
-    # ints and Fractions carry numerator and denominator as they are
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     return _extended(lat, *_new_row(lat, *integer_numerators(row)))
 
 
@@ -459,8 +457,8 @@ def _new_row(lat: SolutionLattice, nums: Sequence[int], den: int) -> tuple[list[
         for j, x in enumerate(digits):
             if x % divisor:
                 basis = lat.basis
-                exact = sum(nums[i] * basis[i][j] for i in range(j, size))
-                t = Fraction(-exact, nums[size])
+                acc = sum(nums[i] * basis[i][j] for i in range(j, size))
+                t = Fraction(-acc, nums[size])
                 raise LatticeError(f"column {j} extends by {format_rational(t)}, "
                                    f"which is not {p}-locally integral", column=j)
             digits[j] = x // divisor

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import packing_reference
 from bpadams import arith
-from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, ensure_prime,
+from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, ensure_prime, exact,
                            find_q, format_over, format_rational, gamma_p, gaussian, gaussian_poly,
-                           integer_numerators, is_p_local_int, is_p_local_unit, is_prime,
+                           integer_numerators, integral_dot, is_p_local_int, is_p_local_unit,
+                           is_prime,
                            multiplicative_order, nu_p, parse_rational, val_p, validate_q,
                            word_width)
 
@@ -234,6 +235,42 @@ def test_integer_numerators():
     assert integer_numerators([Fraction(1, 2), Fraction(-1, 3), 2]) == ([3, -2, 12], 6)
     assert integer_numerators((Fraction(0), Fraction(5, 4))) == ([0, 5], 4)
     assert integer_numerators([]) == ([], 1)
+
+
+def test_integral_dot_reads_the_p_part_of_both_denominators():
+    # 1/3 written as (3, 9): the p-part of the denominator decides
+    assert not integral_dot(3, ([3], 9), ([1], 1))
+    assert integral_dot(3, ([3], 9), ([3], 1))
+    assert integral_dot(3, ([1, 1], 3), ([2, 1], 1))
+    assert not integral_dot(3, ([1, 1], 3), ([1, 1, 1], 3))
+    assert integral_dot(3, ([1, 1], 3), ([3, 6, 1], 1))  # over the shorter
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+def test_integral_dot_against_the_fraction_dot(p, data):
+    # rows and sequences as integers over denominators that share powers of
+    # p with the numerators, of any two lengths: the verdict is that of the
+    # exact Fraction dot product over the shorter
+    def integers():
+        k = p ** data.draw(st.integers(0, 3))
+        nums = data.draw(st.lists(st.integers(-p ** 5, p ** 5), max_size=5))
+        den = data.draw(st.sampled_from([1, 2, 3, 7, 11])) * p ** data.draw(st.integers(0, 4))
+        return [x * k for x in nums], den * k
+
+    row, mu = integers(), integers()
+    value = dot([Fraction(x, row[1]) for x in row[0]], [Fraction(x, mu[1]) for x in mu[0]])
+    assert integral_dot(p, row, mu) is (val_p(p, value) >= 0)
+
+
+def test_exact_refuses_floats():
+    assert exact(Fraction(1, 3)) == Fraction(1, 3) and exact(2) == 2
+    assert exact("3/4") == Fraction(3, 4)
+    for x in (0.5, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="floating point input rejected"):
+            exact(x)
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        integer_numerators([Fraction(1, 2), 0.25])
 
 
 def test_parse_and_format_rational():

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import cli_digests
 from bpadams.adamsk import ku_congruence_system
-from bpadams.arith import is_p_local_int, val_p
+from bpadams.arith import delta_p, dot, is_p_local_int, val_p
 from bpadams import cli
 from bpadams.centre import summand_rows
 from bpadams.cli import main, parse_monomial, read_sequence, read_system, InputError
@@ -407,6 +409,41 @@ def test_bp_dn_writes_integers_past_the_int_to_str_limit(capsys):
     assert payload["c_bp"] == want["c_bp"] and payload["element"] == want["element"]
 
 
+# the rows of congruences --p 13 --n 60 from the closed form
+# (-1)^(n-i) qhat^C(n-i,2) [n, i]_qhat / p^delta_p(n), each Gaussian value by
+# Horner's rule on its coefficients (arith.gaussian), independent of
+# C_vector's stepped q-Pascal rows, written by plain str with the
+# interpreter's limit on int-to-str conversion lifted
+_UNLIMITED_CONGRUENCES = """
+import json, sys
+sys.set_int_max_str_digits(0)
+from math import comb
+from bpadams.arith import delta_p, find_q, gaussian
+p, top = 13, 60
+qhat = find_q(p) ** (p - 1)
+print(json.dumps([[str((-1) ** (n - i) * qhat ** comb(n - i, 2) * gaussian(n, i, qhat)
+                       / p ** delta_p(p, n)) for i in range(n + 1)] + ["0"] * (top - n)
+                  for n in range(top + 1)]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str conversion")
+def test_congruences_write_integers_past_the_int_to_str_limit(capsys):
+    # C_60 at p = 13 has numerators of more than 4,300 decimal digits; the
+    # request exits 0 and every entry is the closed form's, digit for digit
+    code, out, err = run(capsys, "congruences", "--p", "13", "--n", "60", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _UNLIMITED_CONGRUENCES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    want = json.loads(done.stdout)
+    assert max(len(x) for row in want for x in row) > 4300
+    assert payload["rows"] == want
+    assert payload["pivot_valuations"] == [-delta_p(13, n) for n in range(61)]
+
+
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):
     _, plain, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
     assert err == ""
@@ -470,6 +507,18 @@ def test_json_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_text, _json_values, min_size=1, max_size=6))
+@example({"rows": [{"a": [1, []]}, [], "x"], "empty": [], "tuple": (1, (2,)), "n": 3})
+def test_json_emitted_piece_by_piece_matches_json_dumps(payload):
+    # _emit writes the payload's keys and its top-level list items one at a
+    # time; the bytes are json.dumps' and one newline
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit("json", payload, None, None)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, {"a": [0.0]}, {1: "x"},
                                    {"a": {None: 1}}, [{(1, 2): 3}], {"a": {1, 2}}])
 def test_json_writer_refuses_what_payloads_never_hold(value):
@@ -498,7 +547,7 @@ def test_congruence_verdicts_match_the_fraction_dot(case):
     p, n, mu = case
     vecs = summand_rows(p, n)
     assert cli._congruence_verdicts(p, vecs, mu) == [
-        is_p_local_int(p, vec.dot(mu)) for vec in vecs]
+        is_p_local_int(p, dot(vec.entries, mu)) for vec in vecs]
 
 
 def _parse_cases():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_reference
-from bpadams.arith import delta_p, dot, format_rational, val_p
-from bpadams.adamsk import CongruenceVector, basis_integrality_rows
+from bpadams.arith import delta_p, dot, format_rational, integer_numerators, val_p
+from bpadams.adamsk import CongruenceVector, basis_integrality_rows, check_g_congruences
 from bpadams.lattice import (CongruenceSystem, LatticeError, SandwichResult, SolutionLattice,
                              extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
                              residue, sandwich_check, solve, triangularize)
@@ -145,6 +145,67 @@ def test_reduction_on_integers_matches_the_fraction_reference():
         assert solve(raw) == lattice_reference.solve(raw), (p, top)
 
 
+def _unreduced(rng, p, nums, den):
+    """The row N / D as (N * k, D * k), k = p^j * u with j >= 1 and u a
+    unit: D shares powers of p with every numerator."""
+    k = p ** rng.randint(1, 3) * rng.choice([u for u in (1, 2, 5, 7, 11) if u % p])
+    return [x * k for x in nums], den * k
+
+
+def test_unreduced_integer_rows_agree_with_fraction_rows():
+    # a system handed over as integer rows (N, D) with D not the least
+    # denominator is the system of its Fraction rows: the same rows read
+    # back, the same lattice, canonical form, pivots and verdicts
+    rng = random.Random(59)
+    for _ in range(250):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randint(0, 5)
+        frac = _mixed_system(rng, p, n, rng.randint(0, 5))
+        ints = CongruenceSystem(p, n, None, [_unreduced(rng, p, *integer_numerators(row))
+                                             for row in frac.rows])
+        assert ints == frac and ints.rows == frac.rows
+        assert solve(ints) == solve(frac) == lattice_reference.solve(frac), frac
+        tri = triangularize(frac)
+        assert triangularize(ints) == tri == lattice_reference.triangularize(frac)
+        tri_ints = CongruenceSystem(p, n, None, [_unreduced(rng, p, *row)
+                                                 for row in tri.integer_rows])
+        assert tri_ints.pivot_valuations() == tri.pivot_valuations() == tuple(
+            -val_p(p, row[r]) for r, row in enumerate(tri.rows))
+        for _ in range(6):
+            mu = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, p, p * p, 7]))
+                  for _ in range(n + 1 + rng.randint(0, 2))]
+            want = all(val_p(p, dot(row, mu)) >= 0 for row in frac.rows)
+            assert ints.satisfied_by(mu) == frac.satisfied_by(mu) == want, (frac, mu)
+
+
+# each entry point that reads rationals from a caller, given a value x
+_READ_RATIONALS = {
+    "CongruenceSystem": lambda x: CongruenceSystem(3, 0, ((x,),)),
+    "CongruenceVector": lambda x: CongruenceVector(3, 0, (x,), 0),
+    "extend_lattice": lambda x: extend_lattice(SolutionLattice(3, ()), [x]),
+    "SolutionLattice": lambda x: SolutionLattice(3, [[x]]),
+    "contains": lambda x: SolutionLattice(3, [[1]]).contains([x]),
+    "coordinates": lambda x: SolutionLattice(3, [[1]]).coordinates([x]),
+    "satisfied_by": lambda x: CongruenceSystem(3, 0, ((1,),)).satisfied_by([x]),
+    "residue": lambda x: residue(3, x, 1),
+    "p_fractional_part": lambda x: p_fractional_part(3, x),
+    "check_g_congruences": lambda x: check_g_congruences(3, 2, [x, 0], 0),
+}
+
+
+@pytest.mark.parametrize("name", _READ_RATIONALS)
+def test_entry_points_refuse_floats(name):
+    # a float's value is its binary fraction, so 1/3 would be read as a
+    # dyadic rational, which is 3-integral; it is refused as the CLI
+    # refuses it, and ints and Fractions still pass
+    read = _READ_RATIONALS[name]
+    for x in (1 / 3, 1.0, -0.0):
+        with pytest.raises(ValueError, match="floating point input rejected"):
+            read(x)
+    read(1)
+    read(Fraction(2))
+
+
 @st.composite
 def _memberships(draw):
     """(lattice, mu): the lattice of a few rows with denominators up to
@@ -268,8 +329,8 @@ def test_sandwich_inclusion_failure_and_budget_mismatch():
     base = [CongruenceVector(3, 0, (Fraction(1),), 0)]
     cn = CongruenceVector(3, 1, (Fraction(0), Fraction(1, 3)), 1)
     cn_hat = CongruenceVector(3, 1, (Fraction(1, 3), Fraction(1, 3)), 1)
-    s_lat = solve(CongruenceSystem(3, 1, (base[0].padded(2), cn.entries)))
-    t_lat = solve(CongruenceSystem(3, 1, (base[0].padded(2), cn_hat.entries)))
+    s_lat = solve(CongruenceSystem(3, 1, (base[0].entries + (0,), cn.entries)))
+    t_lat = solve(CongruenceSystem(3, 1, (base[0].entries + (0,), cn_hat.entries)))
     assert not lattice_leq(s_lat, t_lat)
     res = sandwich_check(3, base, cn, cn_hat)
     assert (res.status, res.equal, res.detail) == (
