@@ -24,9 +24,10 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
-from .arith import (_Record, _shape_holds, delta_p, ensure_prime, gamma_p, integer_numerators,
-                    integral_dot, is_p_local_int, validate_q)
+from .arith import (_Record, _shape_holds, delta_p, ensure_prime, format_rational, gamma_p,
+                    integer_numerators, integral_dot, is_p_local_int, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -218,6 +219,21 @@ class CongruenceVector(_Record):
         nums, den = self.integer_row
         return _shape_holds(self.p, self.budget, nums[self.n], nums[: self.n], den)
 
+    def dot(self, mu: Sequence[Fraction | int]) -> Fraction:
+        """c . mu, as one integer sum over the row's and mu's denominators."""
+        if len(mu) < self.n + 1:
+            raise ValueError("sequence too short for this row")
+        (nums, den), (mu_nums, mu_den) = self.integer_row, integer_numerators(mu[: self.n + 1])
+        return Fraction(sum(map(mul, nums, mu_nums)), den * mu_den)
+
+    def padded(self, length: int) -> tuple[Fraction, ...]:
+        if length < self.n + 1:
+            raise ValueError("cannot pad below the support")
+        return self.entries + (Fraction(0),) * (length - self.n - 1)
+
+    def to_jsonable(self) -> dict:
+        return {"n": self.n, "entries": [format_rational(e) for e in self.entries]}
+
 
 # qhat -> (n, [n, 0..n]_qhat): the last q-Pascal row C_vector built for
 # qhat; replaced by one assignment, never changed in place
@@ -280,9 +296,8 @@ def basis_integrality_rows(p: int, top: int, q: int | None = None,
     expansion of the unit sequence e_j (:func:`expand_in_family`).  The
     rows of :func:`_inverse_rows`, as ``Fraction``s.
     """
-    zero = Fraction(0)
-    return tuple(tuple(Fraction(x, den) for x in row) + (zero,) * (top - m)
-                 for m, (row, den) in enumerate(_inverse_rows(p, top, q)))
+    return tuple(tuple(Fraction(x, den) for x in row)
+                 for row, den in _lattice._padded(_inverse_rows(p, top, q), top + 1))
 
 
 def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]]:
@@ -342,9 +357,8 @@ def _ku_canonical_rows(p: int, top: int, q: int | None,
     no caller can change: the rows are a pure function of (p, top, q).
     ``typed``, so a float p or top is still checked and refused; a
     refused argument is not cached."""
-    T, E = _lattice._canonical_rows(
-        p, ((row + [0] * (top - m), den) for m, (row, den) in enumerate(_inverse_rows(p, top, q))),
-        top + 1)
+    size = top + 1
+    T, E = _lattice._canonical_rows(p, _lattice._padded(_inverse_rows(p, top, q), size), size)
     return tuple(map(tuple, T)), E
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import itemgetter
 
@@ -32,8 +31,8 @@ from .adamsk import (CongruenceVector, C_vector, _inverse_rows, _ku_canonical_ro
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
                    _theta_numerators, special_element, t_monomial_numerators)
-from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _extended, _new_row,
-                      _sandwich, _shape_violation, lattice_eq, solve)
+from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _padded, _sandwich,
+                      _shape_violation, extend_lattice, lattice_eq, solve)
 
 
 class CentreVerificationError(RuntimeError):
@@ -71,12 +70,6 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
             total += count
             rows.extend((gamma, key, row, den) for key, row in kept.items())
     return rows, total
-
-
-def _padded(rows: Iterable[tuple[Sequence[int], int]], n: int) -> list[tuple[list[int], int]]:
-    """The integer rows (N, D), each with top index <= n, padded with zeros
-    to n + 1."""
-    return [([*nums] + [0] * (n - len(nums) + 1), den) for nums, den in rows]
 
 
 def _form(row: list[int], den: int) -> MuLinear:
@@ -127,7 +120,7 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
 def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLattice:
     """The solution lattice of the rows, each with top index <= n, from
     their integers (``integer_row``)."""
-    return solve(CongruenceSystem(p, n, None, _padded((vec.integer_row for vec in rows), n)))
+    return solve(CongruenceSystem(p, n, None, _padded((vec.integer_row for vec in rows), n + 1)))
 
 
 def _first_sample_failure(p: int, lat: SolutionLattice,
@@ -320,8 +313,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
             if n:
                 # the sandwich's S is the Adams lattice at n; a hypothesis
                 # violation builds none
-                lat_g = sandwich.s_lattice or _extended(
-                    base, *_new_row(base, *rows_g[n].integer_row))
+                lat_g = sandwich.s_lattice or extend_lattice(base, None, rows_g[n].integer_row)
         except LatticeError as exc:
             # the program's own rows failed to extend: an internal failure
             raise ConstructionError(str(exc), {"stage": "extend_lattice", "n": n,
@@ -365,7 +357,7 @@ def bp_sample_lattice(ctx: BPContext, n: int) -> SolutionLattice:
     (:func:`_sampled_rows`)."""
     rows = _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0]
     return solve(CongruenceSystem(ctx.p, n, None,
-                                  _padded(((row, den) for _, _, row, den in rows), n)))
+                                  _padded(((row, den) for _, _, row, den in rows), n + 1)))
 
 
 def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dict:
@@ -387,7 +379,7 @@ def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dic
     weigh = ctx.t_table.monomial_weight
     rows = _sampled_rows(ctx, n, _hazewinkel_theta_numerators(ctx))[0]
     sample = list(zip([weigh(gamma) for gamma, _, _, _ in rows],
-                      _padded(((row, den) for _, _, row, den in rows), n)))
+                      _padded(((row, den) for _, _, row, den in rows), n + 1)))
     out = {"p": p, "n": n, "target_pivots": list(lat_g.pivots()), "scan": []}
     for W in range(1, max_weight + 1):
         lat = solve(CongruenceSystem(p, n, None, [row for w, row in sample if w <= W]))
@@ -412,9 +404,9 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
     q = validate_q(p, q)
     rows = (binomial_mu_congruence(p, j, k, q).integer_row
             for k, j in (divmod(idx, p - 1) for idx in range(n + 1)))
-    inter = solve(CongruenceSystem(p, n, None, _padded(rows, n)))
+    inter = solve(CongruenceSystem(p, n, None, _padded(rows, n + 1)))
     # solve reduces the raw rows itself: their triangular form cuts out the same lattice
-    ku = solve(CongruenceSystem(p, n, None, _padded(_inverse_rows(p, n, q), n)))
+    ku = solve(CongruenceSystem(p, n, None, _padded(_inverse_rows(p, n, q), n + 1)))
     return {
         "p": p,
         "n": n,

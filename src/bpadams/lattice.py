@@ -110,6 +110,19 @@ class CongruenceSystem(_Record):
             out.append(_nu(p, den) - _nu(p, nums[r]))
         return tuple(out)
 
+    def to_jsonable(self) -> dict:
+        return {
+            "p": self.p,
+            "n": self.n,
+            "rows": [[format_rational(x) for x in row] for row in self.rows],
+        }
+
+
+def _padded(rows: Iterable[tuple[Sequence[int], int]], size: int) -> list[tuple[list[int], int]]:
+    """The integer rows (N, D), each with at most ``size`` entries, padded
+    with zeros to ``size``."""
+    return [([*nums] + [0] * (size - len(nums)), den) for nums, den in rows]
+
 
 def _reduce_rows(p: int, rows: Iterable[tuple[Sequence[int], int]], size: int,
                  ) -> tuple[list[list[int]], int]:
@@ -406,7 +419,8 @@ def solve(sys: CongruenceSystem) -> SolutionLattice:
     return lat
 
 
-def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> SolutionLattice:
+def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int] | None,
+                   _integer: tuple[Sequence[int], int] | None = None) -> SolutionLattice:
     """Canonical solution lattice of ``lat``'s system plus one row.
 
     The row has length ``lat.size + 1``; its last entry c_n is the pivot
@@ -421,12 +435,13 @@ def extend_lattice(lat: SolutionLattice, row: Sequence[Fraction | int]) -> Solut
     The row is scaled once to integer numerators N = D * row, D the lcm of
     its denominators, and every column is read at once from the packed
     rows (:func:`_new_row`).  The result keeps ``lat``'s packed rows and
-    adds the new one.
+    adds the new one.  ``_integer``, when given, is the row as (N, D)
+    already, D > 0 and not necessarily least; ``row`` is then None.
     """
-    size = lat.size
-    if len(row) != size + 1:
-        raise LatticeError(f"row length {len(row)} does not match size {size + 1}")
-    return _extended(lat, *_new_row(lat, *integer_numerators(row)))
+    nums, den = integer_numerators(row) if _integer is None else _integer
+    if len(nums) != lat.size + 1:
+        raise LatticeError(f"row length {len(nums)} does not match size {lat.size + 1}")
+    return _extended(lat, *_new_row(lat, nums, den))
 
 
 def _new_row(lat: SolutionLattice, nums: Sequence[int], den: int) -> tuple[list[int], int]:

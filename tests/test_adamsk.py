@@ -232,7 +232,7 @@ def test_g_lattice_equals_expansion_lattice():
     for p in (3, 5):
         fam = adams_family("phihat_g", p)
         n = 6
-        g_rows = tuple(C_vector(p, fam.q, r).entries + (0,) * (n - r) for r in range(n + 1))
+        g_rows = tuple(C_vector(p, fam.q, r).padded(n + 1) for r in range(n + 1))
         lat_g = solve(CongruenceSystem(p, n, g_rows))
         size = n + 1
         act = [[family_action(fam, k, m) for k in range(m + 1)] for m in range(size)]
@@ -318,6 +318,8 @@ def test_congruence_vector_shape_guard():
     assert good.shape_ok()
     weak = CongruenceVector(3, 1, (Fraction(-1, 3), Fraction(1, 9)), 1)
     assert not weak.shape_ok()
+    assert good.dot([1, 4]) == 1
+    assert good.padded(4) == (Fraction(-1, 3), Fraction(1, 3), 0, 0)
     # the denominator test: entries of valuation exactly -budget pass,
     # one lower fails, integral and zero entries pass
     for entries, ok in (((Fraction(5, 9), 0, Fraction(2, 9)), True),
@@ -380,6 +382,29 @@ def test_inverse_rows_hash_no_family_record(monkeypatch):
         rows = adamsk._inverse_rows(p, 12, None)
         assert len(rows) == 13
     assert hashed == []
+
+
+def test_congruence_vector_dot_and_json_on_unreduced_integer_rows():
+    # a row handed over as (N, D) with D sharing powers of p with N: its dot
+    # product is the exact Fraction one, and its JSON shows the least terms
+    rng = random.Random(31)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(0, 4)
+        entries = [Fraction(rng.randint(-40, 40), rng.choice([1, 2, p, p * p, 7]))
+                   for _ in range(n + 1)]
+        nums, den = integer_numerators(entries)
+        k = p ** rng.randint(1, 3)
+        vec = CongruenceVector(p, n, None, 0, ([x * k for x in nums], den * k))
+        mu = [Fraction(rng.randint(-40, 40), rng.choice([1, p, 9])) for _ in range(n + 2)]
+        assert vec.dot(mu) == sum(c * m for c, m in zip(entries, mu))
+        assert vec.to_jsonable() == {"n": n, "entries": [str(e) for e in entries]}
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        vec.dot([0.5] * (n + 1))
+    with pytest.raises(ValueError, match="sequence too short"):
+        vec.dot([1] * n)
+    with pytest.raises(ValueError, match="cannot pad below the support"):
+        vec.padded(n)
 
 
 def test_congruence_vector_refuses_a_negative_budget():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lattice_reference
 from packing_reference import dense
 import theta_reference
-from bpadams import centre, hopf
+from bpadams import centre, hopf, lattice
 from bpadams.adamsk import (adams_family, basis_integrality_rows, binomial_mu_congruence,
                             family_action, ku_congruence_system)
 from bpadams.arith import delta_p, integer_numerators, nu_p
@@ -317,10 +317,9 @@ def test_interleave_scan_matches_the_triangularized_system():
         for n in (2, 4, 6, 8):
             report = interleaved_g_report(p, n)
             ku = solve(ku_congruence_system(p, n))
-            rows = [binomial_mu_congruence(p, idx % (p - 1), idx // (p - 1))
-                    for idx in range(n + 1)]
-            inter = solve(CongruenceSystem(p, n, [vec.entries + (0,) * (n - vec.n)
-                                                  for vec in rows]))
+            inter = solve(CongruenceSystem(p, n, tuple(
+                binomial_mu_congruence(p, idx % (p - 1), idx // (p - 1)).padded(n + 1)
+                for idx in range(n + 1))))
             assert report["ku_pivots"] == list(ku.pivots()), (p, n)
             assert report["interleaved_pivots"] == list(inter.pivots()), (p, n)
             assert report["equal"] == lattice_eq(inter, ku), (p, n)
@@ -577,8 +576,8 @@ def test_both_generator_sets_give_the_same_counts_and_lattices(p, n):
     assert [row for _, _, row, _ in araki] != [row for _, _, row, _ in hazewinkel]
     for m in {n, n // 2}:
         araki_lattice, hazewinkel_lattice = (
-            solve(CongruenceSystem(p, m, None, centre._padded(
-                ((row, den) for _, _, row, den in rows if len(row) <= m + 1), m)))
+            solve(CongruenceSystem(p, m, None, lattice._padded(
+                ((row, den) for _, _, row, den in rows if len(row) <= m + 1), m + 1)))
             for rows in (araki, hazewinkel))
         assert araki_lattice == hazewinkel_lattice, m
 

@@ -164,6 +164,8 @@ def test_unreduced_integer_rows_agree_with_fraction_rows():
         ints = CongruenceSystem(p, n, None, [_unreduced(rng, p, *integer_numerators(row))
                                              for row in frac.rows])
         assert ints == frac and ints.rows == frac.rows
+        assert ints.to_jsonable() == frac.to_jsonable() == {
+            "p": p, "n": n, "rows": [[format_rational(x) for x in row] for row in frac.rows]}
         assert solve(ints) == solve(frac) == lattice_reference.solve(frac), frac
         tri = triangularize(frac)
         assert triangularize(ints) == tri == lattice_reference.triangularize(frac)
@@ -329,8 +331,8 @@ def test_sandwich_inclusion_failure_and_budget_mismatch():
     base = [CongruenceVector(3, 0, (Fraction(1),), 0)]
     cn = CongruenceVector(3, 1, (Fraction(0), Fraction(1, 3)), 1)
     cn_hat = CongruenceVector(3, 1, (Fraction(1, 3), Fraction(1, 3)), 1)
-    s_lat = solve(CongruenceSystem(3, 1, (base[0].entries + (0,), cn.entries)))
-    t_lat = solve(CongruenceSystem(3, 1, (base[0].entries + (0,), cn_hat.entries)))
+    s_lat = solve(CongruenceSystem(3, 1, (base[0].padded(2), cn.entries)))
+    t_lat = solve(CongruenceSystem(3, 1, (base[0].padded(2), cn_hat.entries)))
     assert not lattice_leq(s_lat, t_lat)
     res = sandwich_check(3, base, cn, cn_hat)
     assert (res.status, res.equal, res.detail) == (
