@@ -24,10 +24,9 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
 
-from .arith import (_Record, _shape_holds, delta_p, ensure_prime, format_rational, gamma_p,
-                    integer_numerators, integral_dot, is_p_local_int, validate_q)
+from .arith import (_Record, _shape_holds, delta_p, dot, ensure_prime, exact, format_rational,
+                    gamma_p, integer_numerators, integral_dot, is_p_local_int, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -220,11 +219,9 @@ class CongruenceVector(_Record):
         return _shape_holds(self.p, self.budget, nums[self.n], nums[: self.n], den)
 
     def dot(self, mu: Sequence[Fraction | int]) -> Fraction:
-        """c . mu, as one integer sum over the row's and mu's denominators."""
         if len(mu) < self.n + 1:
             raise ValueError("sequence too short for this row")
-        (nums, den), (mu_nums, mu_den) = self.integer_row, integer_numerators(mu[: self.n + 1])
-        return Fraction(sum(map(mul, nums, mu_nums)), den * mu_den)
+        return dot(self.entries, map(exact, mu))
 
     def padded(self, length: int) -> tuple[Fraction, ...]:
         if length < self.n + 1:

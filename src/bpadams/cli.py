@@ -32,11 +32,8 @@ import json
 import re
 import sys
 import time
-from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import add
 
 from .arith import (delta_p, ensure_prime, format_rational, integer_numerators, integral_dot,
                     is_p_local_int, parse_rational, validate_q)
@@ -114,9 +111,9 @@ def _json_text(value: object, newline: str = "\n") -> str:
     json falls back to its pure-Python encoder whenever ``indent`` is set;
     this writer joins each container's items with ``str.join`` and quotes
     strings with json's C ``encode_basestring_ascii``, in the order of
-    json's own type tests.  It takes what the payloads hold: dicts with str
-    keys, lists, tuples, str, int, bool and None.  Anything else, floats
-    included, raises ``TypeError``.
+    json's own type tests.  It takes what the payloads hold: dicts with
+    str keys, lists, tuples, str, int, bool and None.  Anything else,
+    floats included, raises ``TypeError``.
     """
     if isinstance(value, str):
         return _quote(value)
@@ -128,61 +125,45 @@ def _json_text(value: object, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple, dict)):
-        if not value:
-            return "{}" if isinstance(value, dict) else "[]"
-        inner, heads, items, brackets = _layout(value, newline)
-        texts = [_json_text(item, inner) for item in items]
-        return brackets[0] + inner + ("," + inner).join(
-            map(add, heads, texts) if heads else texts) + newline + brackets[1]
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _layout(value: list | tuple | dict, newline: str,
-            ) -> tuple[str, list[str] | None, Iterable, str]:
-    """(inner, heads, items, brackets) of a non-empty container nested at
-    ``newline``: its items' line break and indent, the heads that lead a
-    dict's items (their quoted keys; None for a list), the items, and the
-    pair of brackets."""
     inner = newline + "  "
-    if not isinstance(value, dict):
-        return inner, None, value, "[]"
-    for key in value:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-    keys = sorted(value)
-    return inner, [_quote(key) + ": " for key in keys], map(value.get, keys), "{}"
-
-
-def _json_pieces(value: list | tuple | dict, newline: str, depth: int) -> Iterator[str]:
-    """:func:`_json_text` of the container ``value`` in pieces: each item's
-    text is one piece, or, for a non-empty container nested less than
-    ``depth`` levels deep, its own pieces in turn."""
-    if not value:
-        yield _json_text(value, newline)
-        return
-    inner, heads, items, brackets = _layout(value, newline)
-    sep = brackets[0] + inner
-    for head, item in zip(heads or repeat(""), items):
-        if depth > 1 and item and isinstance(item, (list, tuple, dict)):
-            yield sep + head
-            yield from _json_pieces(item, inner, depth - 1)
-        else:
-            yield sep + head + _json_text(item, inner)
-        sep = "," + inner
-    yield newline + brackets[1]
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_text(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json_text(value[key], inner)
+             for key in sorted(value)]) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(fmt: str, payload: dict, csv_rows, pretty_lines) -> None:
     """Write the one form ``fmt`` asks for: the JSON payload, or the CSV
     rows ``csv_rows(payload)`` or the pretty lines ``pretty_lines(payload)``
     build from the strings the payload already holds.  The forms not asked
-    for are never built.  The JSON is written a top-level key and a list
-    item below it at a time (:func:`_json_pieces`), so no text of the whole
-    payload is held."""
-    if fmt == "json":
-        sys.stdout.writelines(_json_pieces(payload, "\n", 2))
-        sys.stdout.write("\n")
+    for are never built.  The JSON is :func:`_json_text`'s, written a key
+    and a top-level list item at a time, so no text of the whole payload
+    is held."""
+    if fmt == "json" and not payload:
+        sys.stdout.write(_json_text(payload) + "\n")
+    elif fmt == "json":
+        write = sys.stdout.write
+        for k, key in enumerate(sorted(payload)):
+            write(("," if k else "{") + "\n  " + _quote(key) + ": ")
+            value = payload[key]
+            if not isinstance(value, (list, tuple)) or not value:
+                write(_json_text(value, "\n  "))
+                continue
+            for i, item in enumerate(value):
+                write(("," if i else "[") + "\n    " + _json_text(item, "\n    "))
+            write("\n  ]")
+        write("\n}\n")
     elif fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows(payload))
