@@ -142,9 +142,10 @@ def expand_in_family(fam: AdamsFamily, lam: Sequence[Fraction | int],
 
     Position j of the input corresponds to coefficient index
     ``fam.degree_index(j)``.  Returns the exact coefficients and whether
-    they are all p-locally integral.
+    they are all p-locally integral.  A float is refused
+    (:func:`bpadams.arith.exact`).
     """
-    values = [Fraction(x) for x in lam]
+    values = [exact(x) for x in lam]
     coeffs: list[Fraction] = []
     for j, target in enumerate(values):
         m = fam.degree_index(j)
@@ -162,14 +163,16 @@ def expand_in_family(fam: AdamsFamily, lam: Sequence[Fraction | int],
 
 def family_sequence(fam: AdamsFamily, coeffs: Sequence[Fraction | int],
                     length: int) -> tuple[Fraction, ...]:
-    """Action sequence of sum_n a_n (family element n) on indices 0..length-1."""
+    """Action sequence of sum_n a_n (family element n) on indices
+    0..length-1; a float coefficient is refused (:func:`bpadams.arith.exact`)."""
+    coeffs = [exact(a) for a in coeffs]
     out = []
     for j in range(length):
         m = fam.degree_index(j)
         acc = Fraction(0)
         for k, a in enumerate(coeffs):
             if a:
-                acc += Fraction(a) * family_action(fam, k, m)
+                acc += a * family_action(fam, k, m)
         out.append(acc)
     return tuple(out)
 

@@ -30,9 +30,10 @@ from .adamsk import (CongruenceVector, C_vector, _inverse_rows, _ku_canonical_ro
                      family_sequence)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
-                   _theta_numerators, special_element, t_monomial_numerators)
+                   _theta_numerators, special_element)
 from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _padded, _sandwich,
                       _shape_violation, extend_lattice, lattice_eq, solve)
+from .walk import t_monomial_numerators
 
 
 class CentreVerificationError(RuntimeError):
@@ -46,7 +47,7 @@ class CentreVerificationError(RuntimeError):
 def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[tuple], int]:
     """The sampled rows with top index <= ``top`` (all when ``top`` is
     None) as (gamma, key, numerators, den), and the count of all rows:
-    the walk's integer rows (:func:`bpadams.hopf.t_monomial_numerators`)
+    the walk's integer rows (:func:`bpadams.walk.t_monomial_numerators`)
     on the generator images ``images``, each a dense list whose last
     entry is not zero, the ones above ``top`` counted and never decoded.
     gamma comes in walk order, which is not the lexicographic order of

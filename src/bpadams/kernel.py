@@ -146,7 +146,7 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
     as (T_j^{p^(k-1)})^p.  No product truncates and no key carries: T_n
     is homogeneous of weight w_n = w_k + p^k * w_{n-k} <= W, so every
     partial product has weight <= W, and with it every exponent and every
-    u-degree (at most w_n, see :func:`bpadams.hopf.t_monomial_numerators`).
+    u-degree (at most w_n, see :func:`bpadams.walk.t_monomial_numerators`).
     Each T_n is summed by ``combine``, by default :func:`_combine`, so its
     D is the lcm of the denominators of its coefficients.
     """

@@ -2,18 +2,20 @@
 that tier-1 does not pin.
 
 Each digest is the first 16 hex digits of the SHA-256 of
-``json.dumps(report, sort_keys=True)``.  Together the thirteen runs take
-about 16 s on two cores; they go through the walk's wide re-spreads at
+``json.dumps(report, sort_keys=True)``.  Together the fourteen runs take
+about 20-30 s on two cores; they go through the walk's wide re-spreads at
 p = 2, (13, 120) through its widest packed rows, of tight widths
 up to 447 bits, and (2, 32), whose bound W = 63 is the first to hold t_6,
-through the generator image of t_6; (2, 36) and (2, 40) take about 0.9 s
-and 2.3 s.  (3, 50) and (11, 100) were computed
+through the generator image of t_6; (2, 36), (2, 40) and (2, 44), whose
+t_1-chains multiply only the rows they keep, take about 0.7 s, 1.6 s and
+3.6 s.  (3, 50) and (11, 100) were computed
 by the walk on Araki's generators, before it moved to Hazewinkel's,
 (2, 32) by the recursion on terms, before the images moved to packed
 rows, (5, 80) and (3, 60) while the walk still handed its rows over
-decoded and sorted by delta, and (2, 36), (2, 40) and (7, 100) by the
+decoded and sorted by delta, (2, 36), (2, 40) and (7, 100) by the
 walk whose parent of gamma dropped gamma's highest generator, where
-(2, 40) took 37 s.  pytest
+(2, 40) took 37 s, and (2, 44) by the walk that multiplied every row
+of a t_1-chain, in 7-10 s.  pytest
 does not collect this file.  Run it as ``python tests/frontier_digests.py``;
 it exits 1 if a digest differs.
 """
@@ -42,6 +44,7 @@ FRONTIER = {
     (2, 36): "88a3d5a1d2402663",
     (2, 40): "94428a690044ff1c",
     (7, 100): "bf503f9fb2cf73f1",
+    (2, 44): "702eb0cb951c3df1",
 }
 
 

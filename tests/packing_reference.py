@@ -1,6 +1,6 @@
 """The per-digit codec of packed rows: the reference for
 :class:`bpadams.arith.WordCodec`, which the walk of
-:func:`bpadams.hopf.t_monomial_numerators` reads and rewrites its rows with.
+:func:`bpadams.walk.t_monomial_numerators` reads and rewrites its rows with.
 
 A row {j: c_j} at width B is the int sum_j c_j * 2^(B * j), its signed
 digits split off one at a time by a mask and a shift.  This is how the

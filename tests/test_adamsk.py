@@ -92,6 +92,21 @@ def test_expand_examples():
     assert coeffs == (1, 0, 0, 0, 0) and ok
 
 
+def test_expansion_and_action_refuse_floats():
+    # a float would enter as its binary value: 1/3 as a dyadic rational,
+    # whose expansion in the family at p = 3 reads as integral
+    fam = adams_family("phi_ku", 3)
+    assert expand_in_family(fam, [Fraction(1, 3)]) == ((Fraction(1, 3),), False)
+    for bad in ([1 / 3], [1, 0.5]):
+        with pytest.raises(ValueError, match="floating point input rejected"):
+            expand_in_family(fam, bad)
+        with pytest.raises(ValueError, match="floating point input rejected"):
+            family_sequence(fam, bad, 3)
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        family_sequence(fam, [0.0, 1], 3)  # refused even where it is zero
+    assert family_sequence(fam, ["1/3"], 2) == (Fraction(1, 3), Fraction(1, 3))
+
+
 def test_expand_round_trip_random():
     rng = random.Random(17)
     for kind, p in (("phi_ku", 3), ("phihat_g", 5), ("zeta_ku2", 2)):

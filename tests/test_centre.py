@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lattice_reference
 from packing_reference import dense
 import theta_reference
-from bpadams import centre, hopf, lattice
+from bpadams import centre, hopf, lattice, walk
 from bpadams.adamsk import (adams_family, basis_integrality_rows, binomial_mu_congruence,
                             family_action, ku_congruence_system)
 from bpadams.arith import delta_p, integer_numerators, nu_p
@@ -227,11 +227,11 @@ def test_verify_run_builds_no_right_unit_tables(monkeypatch):
 def _recorded_walk(monkeypatch, tops):
     """centre's walk, recording the ``top`` of each call and checking that
     every row it hands over has its top index at most ``top``."""
-    walk = hopf.t_monomial_numerators
+    real = walk.t_monomial_numerators
 
     def recorded(ctx, images, top=None):
         tops.append(top)
-        for gamma, rows, den, count in walk(ctx, images, top):
+        for gamma, rows, den, count in real(ctx, images, top):
             assert top is None or all(len(row) - 1 <= top for row in rows.values())
             yield gamma, rows, den, count
 
@@ -595,7 +595,7 @@ def test_integer_producer_matches_the_sampled_rows(p, W):
         want.setdefault(gamma, {})[hopf._key(delta, width)] = form
     got = [(gamma, {key: MuLinear({j: Fraction(c, den) for j, c in enumerate(row)})
                     for key, row in rows.items()})
-           for gamma, rows, den, _ in hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx))
+           for gamma, rows, den, _ in walk.t_monomial_numerators(ctx, hopf._theta_numerators(ctx))
            if any(gamma) and rows]
     assert len({gamma for gamma, _ in got}) == len(got)
     assert dict(got) == want
@@ -696,7 +696,7 @@ def test_the_witness_is_the_canonical_first_failure_not_the_walks_first(monkeypa
     ctx = BPContext(3, report["weight_bound"])
     lat = _lattice_of_rows(3, 4, corrupted(3, 4))
     failing = [gamma for gamma, rows, den, _ in
-               hopf.t_monomial_numerators(ctx, hopf._theta_numerators(ctx), 4)
+               walk.t_monomial_numerators(ctx, hopf._theta_numerators(ctx), 4)
                if centre._first_sample_failure(3, lat, [(row, den) for row in rows.values()
                                                         if len(row) == 5]) is not None]
     assert failing == [(4, 0), (0, 1)]

@@ -319,7 +319,7 @@ def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
     # an image whose u-degree could carry is an internal failure: a
     # ConstructionError naming the stage and the generator, and exit 1.
     # verify-centre walks the images in Hazewinkel's generators
-    from bpadams import centre, hopf
+    from bpadams import centre, hopf, walk
     from bpadams.fgl import BPContext
 
     build = hopf._hazewinkel_theta_numerators
@@ -336,7 +336,7 @@ def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
     monkeypatch.setattr(centre, "_hazewinkel_theta_numerators", with_a_carry)
     with pytest.raises(hopf.ConstructionError) as err:
         ctx = BPContext(3, 5)
-        list(hopf.t_monomial_numerators(ctx, with_a_carry(ctx)))
+        list(walk.t_monomial_numerators(ctx, with_a_carry(ctx)))
     assert err.value.details == {"stage": "walk", "generator": "t2"}
     code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
     assert code == 1 and out == ""
@@ -345,6 +345,38 @@ def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
     assert json.loads(lines[0]) == {
         "error": "theta(t2) has a term of u-degree 5 above 4: its packed keys could carry",
         "details": {"stage": "walk", "generator": "t2"}}
+
+
+def test_a_second_row_in_t1_exits_1_with_json_details(capsys, monkeypatch):
+    # the walk's t_1-chains rest on theta(t_1) being one row, which the
+    # walk checks once: an image of t_1 with a second row, here a constant
+    # term (delta = 0), is an internal failure naming the stage and the
+    # generator, and exit 1
+    from bpadams import centre, hopf, walk
+    from bpadams.fgl import BPContext
+
+    build = hopf._hazewinkel_theta_numerators
+
+    def with_a_second_row(ctx):
+        images = dict(build(ctx))
+        num, den = images["t1"]
+        assert 0 not in num
+        images["t1"] = ({**num, 0: den}, den)
+        return images
+
+    monkeypatch.setattr(centre, "_hazewinkel_theta_numerators", with_a_second_row)
+    for top in (None, 2):
+        with pytest.raises(hopf.ConstructionError) as err:
+            ctx = BPContext(2, 4)
+            list(walk.t_monomial_numerators(ctx, with_a_second_row(ctx), top))
+        assert err.value.details == {"stage": "walk", "generator": "t1"}
+    code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "theta(t1) has 2 rows, not one: the walk's t_1-chains need one",
+        "details": {"stage": "walk", "generator": "t1"}}
 
 
 def test_sample_failure_that_araki_rows_do_not_confirm_exits_1(capsys, monkeypatch):

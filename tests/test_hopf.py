@@ -9,7 +9,7 @@ import packing_reference
 from packing_reference import dense
 import theta_reference
 from theta_reference import convolve, convolve_power
-from bpadams import hopf
+from bpadams import hopf, walk
 from bpadams.arith import (WordCodec, delta_p, integer_numerators, is_p_local_int, val_p,
                            word_width)
 from bpadams.fgl import BPContext
@@ -676,7 +676,7 @@ def _dict_walk(ctx):
     lexicographic order of gamma, each image built from the parent that
     drops gamma's highest generator, each term's key holding its
     v-exponents and its u-degree.  The reference for
-    :func:`hopf.t_monomial_numerators`, which walks another tree, on the
+    :func:`walk.t_monomial_numerators`, which walks another tree, on the
     generator images of the Fraction recursion of ``ctx``."""
     W = ctx.weight_bound
     images = theta_reference.theta_numerators(ctx)
@@ -686,7 +686,7 @@ def _dict_walk(ctx):
         num, den = images[f"t{k}"]
         gens.append((list(num.items()), den))
 
-    def walk(gamma, num, den, low, room):
+    def descend(gamma, num, den, low, room):
         yield gamma, num, den
         for k in range(len(gens) - 1, low - 1, -1):
             if weights[k] <= room:
@@ -695,11 +695,11 @@ def _dict_walk(ctx):
                 for k1, c1 in num.items():
                     for k2, c2 in factor:
                         out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-                yield from walk(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
+                yield from descend(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:],
                                 {key: c for key, c in out.items() if c}, den * d,
                                 k, room - weights[k])
 
-    yield from walk((0,) * len(gens), {0: 1}, 1, 0, W)
+    yield from descend((0,) * len(gens), {0: 1}, 1, 0, W)
 
 
 @functools.lru_cache(maxsize=None)
@@ -709,7 +709,7 @@ def _reference_walk(p, W, basis="araki"):
 
 def _reference_rows(p, W, basis):
     """The nodes of the reference walk as (gamma, rows, den), each row keyed
-    by its packed v-monomial, as :func:`hopf.t_monomial_numerators` keys it."""
+    by its packed v-monomial, as :func:`walk.t_monomial_numerators` keys it."""
     return [(gamma, hopf._group_rows(num, W.bit_length()), den)
             for gamma, num, den in _reference_walk(p, W, basis)]
 
@@ -728,7 +728,7 @@ def test_the_hand_over_sorted_and_decoded_is_the_graded_lex_rows(p, W):
         reference = context(p, W)
         for top in (None, 0, 1, W // 4, W // 2, W):
             got = sorted((gamma, [(delta_of(key), row) for key, row in sorted(rows.items())], den)
-                         for gamma, rows, den, _ in hopf.t_monomial_numerators(ctx, build(ctx),
+                         for gamma, rows, den, _ in walk.t_monomial_numerators(ctx, build(ctx),
                                                                                  top))
             want = [(gamma, [(delta, dense(row)) for delta, row
                              in hopf._read_rows(reference, num).items()
@@ -747,7 +747,7 @@ def test_the_walk_yields_every_monomial_once_after_its_parent(p, W):
     ctx = BPContext(p, W)
     monomials = list(monomials_up_to_weight(ctx.t_table, W))
     for basis, (build, _) in BASES.items():
-        walked = list(hopf.t_monomial_numerators(ctx, build(ctx)))
+        walked = list(walk.t_monomial_numerators(ctx, build(ctx)))
         order = {gamma: i for i, (gamma, *_) in enumerate(walked)}
         assert sorted(order) == monomials and len(walked) == len(monomials), basis
         for gamma, i in order.items():
@@ -767,9 +767,10 @@ def test_the_walk_yields_every_monomial_once_after_its_parent(p, W):
 # Araki's 139 nodes at (5, 36) that are wider.  The one packed kernel
 # matches the dict walk on the nodes of that share and on the rest
 @pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
-@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36)])
+@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36), (2, 30)])
 def test_walk_matches_the_dict_walk(p, W, limit):
-    # on both sets of generator images
+    # on both sets of generator images; at (2, 30) the t_1-chains run up to
+    # 30 nodes long, and at every top below W most of them run out of rows
     bits = 384 if limit is None else limit
     ctx = BPContext(p, W)
     for basis, (build, _) in BASES.items():
@@ -782,7 +783,7 @@ def test_walk_matches_the_dict_walk(p, W, limit):
             # the rows by their packed v-monomials, whatever their order,
             # node by node: each gamma once, whatever the walk's order
             walked = [(gamma, (rows, den, count)) for gamma, rows, den, count
-                      in hopf.t_monomial_numerators(ctx, build(ctx), top)]
+                      in walk.t_monomial_numerators(ctx, build(ctx), top)]
             got = dict(walked)
             want = {gamma: ({key: dense(row) for key, row in rows.items()
                              if top is None or max(row) <= top}, den, len(rows))
@@ -791,6 +792,43 @@ def test_walk_matches_the_dict_walk(p, W, limit):
             for share in (wide, nodes.keys() - wide):
                 assert ({gamma: got[gamma] for gamma in share}
                         == {gamma: want[gamma] for gamma in share}), (basis, top, len(share))
+
+
+
+@pytest.mark.parametrize("p, W", [(2, 22), (2, 30)])
+def test_t1_chains_multiply_only_the_rows_they_keep(p, W, monkeypatch):
+    # theta(t_1) is one row of top index 1, so a step raised at t_1
+    # multiplies only its parent's rows of top index <= top - 1, whose
+    # products it keeps; a step at any other generator, or with no top,
+    # multiplies every row of its parent, and a step at t_1 with no row
+    # left makes no product.  Each product as (parent rows, factor rows),
+    # against the reference walk's rows on Hazewinkel's images
+    ctx = BPContext(p, W)
+    images = hopf._hazewinkel_theta_numerators(ctx)
+    factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
+                   for k in range(1, len(ctx.t_table.weights) + 1)]
+    assert factor_rows[0] == 1
+    nodes = {gamma: rows for gamma, rows, _ in _reference_rows(p, W, "hazewinkel")}
+    multiply, calls = walk._multiply, []
+    monkeypatch.setattr(walk, "_multiply", lambda image, factor: (
+        calls.append((len(image), len(factor))) or multiply(image, factor)))
+    for top in (None, 0, 1, W // 4, W // 2, W - 1, W):
+        want, empty = [], 0
+        for gamma, rows in nodes.items():
+            high = min((k for k, g in enumerate(gamma) if g), default=len(gamma) - 1)
+            for k in range(high + 1):
+                if gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:] in nodes:
+                    used = [row for row in rows.values()
+                            if k or top is None or max(row) <= top - 1]
+                    if used:
+                        want.append((len(used), factor_rows[k]))
+                    empty += not used
+        calls.clear()
+        for _ in walk.t_monomial_numerators(ctx, images, top):
+            pass
+        assert sorted(calls) == sorted(want), top
+        # the empty tails of the chains, at every top below W
+        assert (empty > 0) == (top is not None and top < W), top
 
 
 def _edge_rows(D, n):
@@ -919,7 +957,7 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, mon
                         lambda self, row, width: packs.append(width) or pack(self, row, width))
     monkeypatch.setattr(WordCodec, "respread", lambda self, packed, width, wider: (
         spreads.append(wider) or respread(self, packed, width, wider)))
-    for _ in hopf.t_monomial_numerators(ctx, images):
+    for _ in walk.t_monomial_numerators(ctx, images):
         pass
     assert len(spreads) == repacks
     assert len(packs) == sum(factor_rows[k] for k, _ in widths)
@@ -933,14 +971,14 @@ def test_the_walk_groups_each_generator_image_once(monkeypatch):
     p, W = 5, 36
     _, nodes = _walk_nodes(p, W, "araki")
     assert max(_tight_width(bound) for _, bound in nodes.values()) > 384
-    group_rows, calls = hopf._group_rows, []
-    monkeypatch.setattr(hopf, "_group_rows",
+    group_rows, calls = walk._group_rows, []
+    monkeypatch.setattr(walk, "_group_rows",
                         lambda num, width: calls.append(num) or group_rows(num, width))
     ctx = BPContext(p, W)
     for basis, (build, _) in BASES.items():
         images = build(ctx)
         calls.clear()
-        for _ in hopf.t_monomial_numerators(ctx, images):
+        for _ in walk.t_monomial_numerators(ctx, images):
             pass
         generators = [images[f"t{k}"][0] for k in range(1, len(ctx.t_table.weights) + 1)]
         assert len(calls) == len(generators), basis

@@ -135,6 +135,8 @@ def test_constructors_check_and_normalise():
     assert DiagonalAction(3, [1, 2]).values == (Fraction(1), Fraction(2))
     with pytest.raises(ValueError, match="mu_1 = 1/3 is not a 3-local integer"):
         DiagonalAction(3, (1, Fraction(1, 3)))
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        DiagonalAction(3, (1, 1 / 3))  # not read as the dyadic 6004799503160661/2^54
     assert CongruenceSystem(3, 1, [[1, 2]]).rows == ((Fraction(1), Fraction(2)),)
     with pytest.raises(ValueError, match="not a prime"):
         CongruenceSystem(4, 1, ())
