@@ -28,7 +28,6 @@ from .adamsk import (AdamsFamily, CongruenceVector, C_vector, adams_family,
                      family_action, ku_congruence_system, Phi_in_phi)
 from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, extend_lattice,
                       lattice_eq, lattice_leq, sandwich_check, solve, triangularize)
-from .centre import (CentreVerificationError, bp_sample_scan, verify_basis_injections,
-                     verify_centre_bp)
+from .centre import bp_sample_scan, verify_basis_injections, verify_centre_bp
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (_Record, _shape_holds, delta_p, dot, ensure_prime, exact, format_rational,
+from .arith import (_Record, _shape_holds, delta_p, dot, ensure_prime, exact, format_over,
                     gamma_p, integer_numerators, integral_dot, is_p_local_int, validate_q)
 from . import lattice as _lattice
 
@@ -232,7 +232,7 @@ class CongruenceVector(_Record):
         return self.entries + (Fraction(0),) * (length - self.n - 1)
 
     def to_jsonable(self) -> dict:
-        return {"n": self.n, "entries": [format_rational(e) for e in self.entries]}
+        return {"n": self.n, "entries": format_over(*self.integer_row)}
 
 
 # qhat -> (n, [n, 0..n]_qhat): the last q-Pascal row C_vector built for
@@ -349,17 +349,23 @@ def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]
 
 
 @lru_cache(maxsize=None, typed=True)
-def _ku_canonical_rows(p: int, top: int, q: int | None,
-                       ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(T, E): the canonical triangular rows T[n] / p^E of the connective
-    system, from :func:`_inverse_rows` by one integer elimination
-    (:func:`bpadams.lattice._canonical_rows`).  Memoised, as tuples that
-    no caller can change: the rows are a pure function of (p, top, q).
-    ``typed``, so a float p or top is still checked and refused; a
-    refused argument is not cached."""
+def _ku_canonical_rows(p: int, top: int, q: int | None) -> tuple[CongruenceVector, ...]:
+    """The rows of :func:`ku_congruence_system` as ``CongruenceVector``s,
+    row n with top index n and budget gamma_p(n): the canonical triangular
+    rows T[n] / p^E of :func:`_inverse_rows`, from one integer elimination
+    (:func:`bpadams.lattice._canonical_rows`), each cut at n and divided
+    by its gcd with p^E.  Memoised, as a tuple of frozen rows: they are a
+    pure function of (p, top, q), and each row's shape verdict is taken
+    once per process.  ``typed``, so a float p or top is still checked
+    and refused; a refused argument is not cached."""
     size = top + 1
     T, E = _lattice._canonical_rows(p, _lattice._padded(_inverse_rows(p, top, q), size), size)
-    return tuple(map(tuple, T)), E
+    scale, rows = p ** E, []
+    for n, row in enumerate(T):
+        g = math.gcd(scale, *row[: n + 1])
+        rows.append(CongruenceVector(p, n, None, gamma_p(p, n),
+                                     (tuple(x // g for x in row[: n + 1]), scale // g)))
+    return tuple(rows)
 
 
 def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.CongruenceSystem":
@@ -367,12 +373,12 @@ def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.Co
 
     The canonical triangular form of the rows of
     :func:`basis_integrality_rows`, whose pivot at index n has valuation
-    -gamma_p(n), as :func:`bpadams.lattice.triangularize` gives it, from
-    the memoised integer rows of :func:`_ku_canonical_rows`.
+    -gamma_p(n), as :func:`bpadams.lattice.triangularize` gives it: the
+    memoised rows of :func:`_ku_canonical_rows`, padded to top + 1.
     """
-    T, E = _ku_canonical_rows(p, top, q)
-    den = p ** E
-    return _lattice.CongruenceSystem(p, top, None, [(row, den) for row in T])
+    rows = _ku_canonical_rows(p, top, q)
+    return _lattice.CongruenceSystem(p, top, None,
+                                     _lattice._padded((vec.integer_row for vec in rows), top + 1))
 
 
 def Phi_in_phi(p: int, q: int | None, n: int, top: int | None = None,

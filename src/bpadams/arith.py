@@ -440,11 +440,12 @@ def decimal(x: int) -> str:
 def format_rational(x: Fraction | int) -> str:
     """Canonical "a/b" (or "a") rendering of an exact rational, its
     integers written by :func:`decimal`.  An int or a ``Fraction`` is
-    taken as it is; anything else is converted first."""
+    taken as it is; anything else is read by :func:`exact`, so a float is
+    refused."""
     if type(x) is int:
         return decimal(x)
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        x = exact(x)
     if x.denominator == 1:
         return decimal(x.numerator)
     return f"{decimal(x.numerator)}/{decimal(x.denominator)}"

@@ -19,29 +19,20 @@ instances of the centre theorem.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
-from .adamsk import (CongruenceVector, C_vector, _inverse_rows, _ku_canonical_rows,
-                     adams_family, binomial_mu_congruence, expand_in_family, family_action,
-                     family_sequence)
+from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_family,
+                     binomial_mu_congruence, expand_in_family, family_action, family_sequence,
+                     ku_congruence_system)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
                    _theta_numerators, special_element)
 from .lattice import (CongruenceSystem, LatticeError, SolutionLattice, _padded, _sandwich,
                       _shape_violation, extend_lattice, lattice_eq, solve)
 from .walk import t_monomial_numerators
-
-
-class CentreVerificationError(RuntimeError):
-    """Raised in strict mode when a verdict fails; carries the report."""
-
-    def __init__(self, message: str, report: dict):
-        super().__init__(message)
-        self.report = report
 
 
 def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[tuple], int]:
@@ -53,9 +44,8 @@ def _sampled_rows(ctx: BPContext, top: int | None, images: dict) -> tuple[list[t
     gamma comes in walk order, which is not the lexicographic order of
     :func:`bpadams.polyring.monomials_up_to_weight`, and the rows of one
     gamma in the order the walk made them, each keyed by its packed
-    v-monomial delta: :func:`sampled_integrality_rows` sorts the rows by
-    gamma and key and decodes the keys, the lattice callers read neither
-    order.
+    v-monomial delta: :func:`_araki_rows` sorts the rows by gamma and key,
+    the lattice callers read neither order.
 
     The images fix the generators of BP_* the rows are read in.  On
     Araki's (:func:`bpadams.hopf._theta_numerators`) the rows are those of
@@ -78,6 +68,16 @@ def _form(row: list[int], den: int) -> MuLinear:
     return MuLinear._from_numerators({j: c for j, c in enumerate(row) if c}, den)
 
 
+def _araki_rows(ctx: BPContext, top: int | None) -> list[tuple]:
+    """The rows of :func:`_sampled_rows` with top index <= ``top`` (all
+    when ``top`` is None) read in Araki's generators
+    (:func:`bpadams.hopf._theta_numerators`), as (gamma, key, numerators,
+    den) in the canonical order: gamma lexicographic, then delta
+    graded-lexicographic, which is the order of the packed keys of one
+    gamma."""
+    return sorted(_sampled_rows(ctx, top, _theta_numerators(ctx))[0], key=itemgetter(0, 1))
+
+
 def sampled_integrality_rows(ctx: BPContext,
                              ) -> list[tuple[tuple[int, ...], tuple[int, ...], MuLinear]]:
     """Every co-operation congruence visible below the weight bound.
@@ -88,13 +88,11 @@ def sampled_integrality_rows(ctx: BPContext,
     (gamma, delta) pair.  The enumeration order is deterministic: gamma
     as in :func:`bpadams.polyring.monomials_up_to_weight`, then delta in
     graded-lexicographic order.  The rows are those of
-    :func:`_sampled_rows` in Araki's generators, read as ``MuLinear``
-    forms; delta's order is that of the packed keys of one gamma.
+    :func:`_araki_rows`, read as ``MuLinear`` forms.
     """
     delta_of = _delta_reader(ctx)
-    rows = _sampled_rows(ctx, None, _theta_numerators(ctx))[0]
     return [(gamma, delta_of(key), _form(row, den))
-            for gamma, key, row, den in sorted(rows, key=itemgetter(0, 1))]
+            for gamma, key, row, den in _araki_rows(ctx, None)]
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:
@@ -102,20 +100,15 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
 
     Odd p: the Gaussian rows.  p = 2: the triangularized connective
     2-local K-theory rows (pivot budgets delta_2(r) = gamma_2(r)), those of
-    :func:`bpadams.adamsk.ku_congruence_system` taken straight from its
-    memoised integer rows, each with its integer numerators over the lcm
-    of its entries' denominators (``integer_row``).
+    :func:`bpadams.adamsk.ku_congruence_system`.  Either way the rows are
+    memoised vectors (:func:`bpadams.adamsk.C_vector`,
+    :func:`bpadams.adamsk._ku_canonical_rows`), the same objects on every
+    call, in a fresh list.
     """
     q = validate_q(p, q)
     if p != 2:
         return [C_vector(p, q, r) for r in range(n_max + 1)]
-    T, E = _ku_canonical_rows(2, n_max, None)
-    scale, rows = 2 ** E, []
-    for r, row in enumerate(T):
-        g = math.gcd(scale, *row[: r + 1])
-        nums, den = [x // g for x in row[: r + 1]], scale // g
-        rows.append(CongruenceVector(2, r, None, delta_p(2, r), (nums, den)))
-    return rows
+    return list(_ku_canonical_rows(2, n_max, None))
 
 
 def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLattice:
@@ -172,10 +165,8 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
     rows are read in; the report gives them in Araki's, those of
     :func:`sampled_integrality_rows`.  So the walk runs again on Araki's
     images, which the run pays once, since it stops at n.  "First" and
-    the count follow the canonical order, gamma lexicographic and then
-    delta graded-lexicographic, which is not the walk's: the whole walk
-    is drawn, its nodes sorted by gamma and each node's rows by key, and
-    scanned in that order, with no exit before the walk's end.  The two
+    the count follow the canonical order of :func:`_araki_rows`, which is
+    not the walk's, so the whole walk is drawn before the scan.  The two
     sets of rows cut out the same
     integrality conditions gamma by gamma, but the restriction to top
     index n depends on the set, so the lattices they cut out may differ
@@ -183,41 +174,30 @@ def _araki_witness(ctx: BPContext, lat: SolutionLattice, n: int) -> tuple[int, d
     :class:`bpadams.hopf.ConstructionError` with details
     ``{"stage": "sample_basis", "n"}``.
     """
-    usable = 0
-    walk = t_monomial_numerators(ctx, _theta_numerators(ctx), n)
-    for gamma, kept, den, _ in sorted(walk, key=itemgetter(0)):
-        if not any(gamma):
-            continue
-        rows = sorted(kept.items())  # every one with top index <= n, delta in graded-lex order
-        positions = [pos for pos, (_, row) in enumerate(rows) if len(row) == n + 1]
-        failed = _first_sample_failure(ctx.p, lat, [(rows[pos][1], den) for pos in positions])
-        if failed is None:
-            usable += len(rows)
-            continue
-        pos, j = positions[failed[0]], failed[1]
-        key, row = rows[pos]
-        col = lat.column(j)
-        return usable + pos + 1, {
-            "gamma": list(gamma),
-            "delta": list(_delta_reader(ctx)(key)),
-            "mu": [format_rational(x) for x in col],
-            "value": format_rational(_form(row, den).evaluate(col)),
-        }
+    for used, (gamma, key, row, den) in enumerate(_araki_rows(ctx, n), 1):
+        failed = len(row) == n + 1 and _first_sample_failure(ctx.p, lat, [(row, den)])
+        if failed:
+            col = lat.column(failed[1])
+            return used, {
+                "gamma": list(gamma),
+                "delta": list(_delta_reader(ctx)(key)),
+                "mu": [format_rational(x) for x in col],
+                "value": format_rational(_form(row, den).evaluate(col)),
+            }
     raise ConstructionError(
         f"the sampled rows with top index {n} fail on Hazewinkel's generators "
         f"and hold on Araki's", {"stage": "sample_basis", "n": n})
 
 
 def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
-                     q: int | None = None, strict: bool = False) -> dict:
+                     q: int | None = None) -> dict:
     """Run the centre verification for all n <= n_max.
 
     The weight bound defaults to delta_p(n_max), the weight of the
     largest special element, and is raised to that value (with a note in
     the report) whenever a smaller bound is requested.  A failed verdict
     aborts the scan, recording the offending index, monomial and exact
-    witness sequence; with ``strict=True`` it also raises
-    :class:`CentreVerificationError`.
+    witness sequence.
 
     The Adams lattice at n is the one at n - 1 extended by the row c_n
     (:func:`bpadams.lattice.extend_lattice`): the sandwich extends the
@@ -344,10 +324,6 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
                 failure["witness"] = witness
             report["failure"] = failure
             break
-
-    if strict and not report["verdict"]:
-        raise CentreVerificationError(
-            f"centre verification failed at n={report['failure']['n']}", report)
     return report
 
 
@@ -406,8 +382,7 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
     rows = (binomial_mu_congruence(p, j, k, q).integer_row
             for k, j in (divmod(idx, p - 1) for idx in range(n + 1)))
     inter = solve(CongruenceSystem(p, n, None, _padded(rows, n + 1)))
-    # solve reduces the raw rows itself: their triangular form cuts out the same lattice
-    ku = solve(CongruenceSystem(p, n, None, _padded(_inverse_rows(p, n, q), n + 1)))
+    ku = solve(ku_congruence_system(p, n, q))
     return {
         "p": p,
         "n": n,

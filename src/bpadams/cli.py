@@ -35,8 +35,8 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arith import (delta_p, ensure_prime, format_rational, integer_numerators, integral_dot,
-                    is_p_local_int, parse_rational, validate_q)
+from .arith import (delta_p, ensure_prime, format_over, format_rational, integer_numerators,
+                    integral_dot, is_p_local_int, parse_rational, validate_q)
 from .adamsk import FAMILY_KINDS, CongruenceVector, adams_family, expand_in_family
 from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
                      verify_centre_bp)
@@ -224,8 +224,7 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
         "p": p,
         "q": [3, -1] if p == 2 else validate_q(p, args.q),
         "n": args.n,
-        "rows": [[format_rational(x) for x in vec.entries] + ["0"] * (args.n - vec.n)
-                 for vec in vecs],
+        "rows": [format_over(*vec.integer_row) + ["0"] * (args.n - vec.n) for vec in vecs],
         "pivot_valuations": [-(delta_p(p, r)) for r in range(args.n + 1)],
     }
     exit_code = 0
@@ -352,7 +351,7 @@ def _cmd_bp_dn(args: argparse.Namespace) -> int:
         "n": args.n,
         "weight_bound": ctx.weight_bound,
         "element": d.element.to_text(),
-        "c_bp": [format_rational(x) for x in d.c],
+        "c_bp": format_over(d.numerators, d.den),
         "budget": needed,
     }
     _emit(args.format, payload, _csv_bp_dn, _pretty_bp_dn)

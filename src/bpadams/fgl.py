@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import delta_p, ensure_prime, validate_q
+from .arith import delta_p, ensure_prime, exact, validate_q
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
@@ -34,9 +34,10 @@ class BPContext:
     (``"v1_chains"``, one chain per generator index, growing as higher
     powers are asked for), the right units eta_R(v_n) as integers on
     packed {v, t} keys (``"right_unit_v"``), the right-unit tables
-    (``"rud"``) and the special elements (``"special"``, each building
-    its element polynomial when first read).  Stored values never change,
-    but the filling is not locked, so give each thread its own context.
+    (``"rud"``) and the special elements d_n, d_0 included (``"special"``,
+    keyed by n, each building its element polynomial when first read).
+    Stored values never change, but the filling is not locked, so give
+    each thread its own context.
     """
 
     __slots__ = ("p", "q", "qhat", "weight_bound", "gen_count",
@@ -193,12 +194,14 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def scalar_mul(self, c: Fraction | int) -> "TruncatedSeries":
-        c = Fraction(c)
+        """Each coefficient times c; a float is refused (:func:`bpadams.arith.exact`)."""
+        c = exact(c)
         return TruncatedSeries([a * c for a in self.coeffs])
 
     def scale_argument(self, alpha: Fraction | int) -> "TruncatedSeries":
-        """x -> alpha * x, i.e. coefficient k picks up alpha^k."""
-        alpha = Fraction(alpha)
+        """x -> alpha * x, i.e. coefficient k picks up alpha^k; a float is
+        refused (:func:`bpadams.arith.exact`)."""
+        alpha = exact(alpha)
         power = Fraction(1)
         out = []
         for a in self.coeffs:
@@ -283,9 +286,10 @@ def adams_on_coeff(ctx: BPContext, alpha: Fraction | int, weight: int) -> Fracti
     """Eigenvalue of the Adams operation for alpha on the weight-w piece.
 
     Weight w corresponds to topological degree 2(p-1)w, on which the
-    operation acts as multiplication by alpha^((p-1)w).
+    operation acts as multiplication by alpha^((p-1)w).  A float alpha is
+    refused (:func:`bpadams.arith.exact`).
     """
-    alpha = Fraction(alpha)
+    alpha = exact(alpha)
     if alpha == 0:
         raise ValueError("Adams operations need a p-local unit")
     return alpha ** ((ctx.p - 1) * weight)
@@ -302,7 +306,7 @@ def _diagonal_transform_of_log(log: TruncatedSeries, alpha: Fraction) -> Truncat
 
 
 def _log_transform_check(log: TruncatedSeries, alpha: Fraction | int) -> bool:
-    alpha = Fraction(alpha)
+    alpha = exact(alpha)
     exp = log.compositional_inverse()
     # the inverse operation sends x to exp(log(alpha x) / alpha)
     inner = log.scale_argument(alpha).scalar_mul(1 / alpha)

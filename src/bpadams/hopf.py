@@ -57,8 +57,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (WordCodec, _Record, _shape_holds, delta_p, exact, format_rational,
-                    integer_numerators, is_p_local_int, val_p, word_width)
+from .arith import (WordCodec, _Record, _shape_holds, delta_p, exact, format_over,
+                    format_rational, integer_numerators, is_p_local_int, val_p, word_width)
 from .fgl import BPContext
 from .kernel import (_check_u_degree, _combine, _evaluate, _exponent_reader, _group_rows,
                      _key, _l1_sum, _multiply, _power, _reduced, _t_recursion)
@@ -66,7 +66,9 @@ from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
 class MuLinear:
-    """A finite rational linear form sum_i c_i * mu_i: one congruence row."""
+    """A finite rational linear form sum_i c_i * mu_i: one congruence row.
+    Coefficients and values are read by :func:`bpadams.arith.exact`, so a
+    float is refused."""
 
     __slots__ = ("coeffs",)
 
@@ -74,7 +76,7 @@ class MuLinear:
         data: dict[int, Fraction] = {}
         if coeffs:
             for i, c in coeffs.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     if i < 0:
                         raise PolyError("mu index must be non-negative")
@@ -101,7 +103,7 @@ class MuLinear:
 
     @classmethod
     def unit(cls, i: int, c: Fraction | int = 1) -> "MuLinear":
-        return cls({i: Fraction(c)})
+        return cls({i: exact(c)})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -147,7 +149,7 @@ class MuLinear:
         for i, c in self.coeffs.items():
             if i >= len(vals):
                 raise PolyError(f"mu_{i} has no value in a length-{len(vals)} sequence")
-            acc += c * Fraction(vals[i])
+            acc += c * exact(vals[i])
         return acc
 
     def as_row(self, length: int) -> tuple[Fraction, ...]:
@@ -589,14 +591,13 @@ class SpecialElement(_Record):
 
     Invariants: c_j lies in p^{-delta_p(n)} Z_(p) for j < n, and c_n is a
     unit multiple of p^{-delta_p(n)}; checked on integers for prime powers
-    n, and implied for the others (see :func:`_special_composite`).  The
-    row is kept as integers: c_j = numerators[j] / den, den the lcm of the
-    denominators of the c_j, and ``_row``, the non-zero numerators keyed by
-    j, which :func:`_multiply` takes as they are (derived from
-    ``numerators`` when not given).  ``c``, the row as ``Fraction``s, is
-    built from the integers on first read when it is not given (None), as
-    for every d_n with n >= 1: the centre verification reads the integers
-    alone.
+    n, and implied for the others (see :func:`special_element`).  The row
+    is kept once, as integers: ``row`` (stored as ``_row``), the non-zero
+    numerators keyed by j, which :func:`_multiply` takes as they are, over
+    ``den``, the lcm of the denominators of the c_j.  ``numerators``, the
+    dense c_j * den for j = 0..n, and ``c``, the row as ``Fraction``s, are
+    built from them on first read and then kept: the centre verification
+    reads ``numerators`` alone.
 
     ``element``, the polynomial over the context's {l, t} table
     (``_table``, truncated at ``_bound``), is a view built on first access
@@ -612,17 +613,17 @@ class SpecialElement(_Record):
 
     _fields = ("p", "n", "c", "numerators", "den")
 
-    def __init__(self, p: int, n: int, c: tuple[Fraction, ...] | None,
-                 numerators: tuple[int, ...], den: int, _table: GeneratorTable, _bound: int,
+    def __init__(self, p: int, n: int, row: dict[int, int], den: int,
+                 _table: GeneratorTable, _bound: int,
                  _poly: tuple[dict[int, int], int] | None = None,
-                 _factors: tuple[SpecialElement, SpecialElement] | None = None,
-                 _row: dict[int, int] | None = None):
-        if _row is None:
-            _row = {j: x for j, x in enumerate(numerators) if x}
-        if c is not None:
-            self.__dict__["c"] = c
-        self.__dict__.update(p=p, n=n, numerators=numerators, den=den, _table=_table,
-                             _bound=_bound, _poly=_poly, _factors=_factors, _row=_row)
+                 _factors: tuple[SpecialElement, SpecialElement] | None = None):
+        self.__dict__.update(p=p, n=n, _row=row, den=den, _table=_table, _bound=_bound,
+                             _poly=_poly, _factors=_factors)
+
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        row = self._row
+        return tuple([row.get(j, 0) for j in range(self.n + 1)])
 
     @cached_property
     def c(self) -> tuple[Fraction, ...]:
@@ -652,7 +653,7 @@ class SpecialElement(_Record):
         return {
             "n": self.n,
             "element": self.element.to_text(),
-            "c": [format_rational(v) for v in self.c],
+            "c": format_over(self.numerators, self.den),
         }
 
 
@@ -715,9 +716,6 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
     """
     p = ctx.p
     n = p ** i
-    cache = ctx._hopf_cache.setdefault("special", {})
-    if n in cache:
-        return cache[n]
     if i + 1 > ctx.gen_count:
         raise PolyError(
             f"d_{n} needs t_{i + 1} of weight {delta_p(p, n)}, beyond bound "
@@ -762,7 +760,7 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
                 {"n": n, "functional": MuLinear._from_numerators(work, work_den).to_text()})
         rows = [(1, (work, work_den))]
         for k, s in enumerate(scales, 1):
-            low = _special_prime_power(ctx, i - k)
+            low = special_element(ctx, p ** (i - k))
             num, den = _power((low._row, low.den), p ** k)
             rows.append((-s.numerator, (num, s.denominator * den)))
             num, den = _power(low._poly, p ** k)
@@ -782,70 +780,52 @@ def _special_prime_power(ctx: BPContext, i: int) -> "SpecialElement":
         row, row_den = _v1_power(ctx, t1, 1)
     if max(row, default=0) > n or not _shape_holds(p, budget, row.get(n), row.values(), row_den):
         _check_profile(p, n, MuLinear._from_numerators(row, row_den))  # raises its error
-    out = SpecialElement(p, n, None, tuple(row.get(j, 0) for j in range(n + 1)), row_den,
-                         table, W, _combine(parts), _row=row)
-    cache[n] = out
-    return out
+    return SpecialElement(p, n, row, row_den, table, W, _combine(parts))
 
 
 def special_element(ctx: BPContext, n: int) -> SpecialElement:
-    """The congruence element d_n.
+    """The congruence element d_n, kept in the context's special-element
+    cache (``"special"``, d_0 included).
 
     Prime powers come from the inductive construction on integers
     (:func:`_special_prime_power`), their rows checked on integers.  A
     general n is d_{n - p^k} * d_{p^k}, p^k the lowest non-zero base-p
     digit of n, so d_n is the product of the d_{p^k}^{a_k} over its
-    base-p digits a_k and its functional row is the product of the two
-    factors' rows: one integer product per n
-    (:func:`_special_composite`).  Every d_n is kept in the context's
-    special-element cache.  The element polynomial is built only when
-    ``element`` is read: a composite's is the product of its factors',
-    truncated if the context bound is below delta_p(n); truncation is a
-    ring map, and the row is exact regardless.
+    base-p digits a_k.  Its row is the product (:func:`_multiply`, on
+    u-degree keys) of the two factors' integer rows: entry j is
+    (sum_i A_i * B_{j-i}) / (da * db), reduced to the lcm of the
+    denominators (:func:`_reduced`).  The element polynomial is built
+    only when ``element`` is read: a composite's is the product of its
+    factors', truncated if the context bound is below delta_p(n);
+    truncation is a ring map, and the row is exact regardless.
+
+    A composite meets the profile of :func:`_check_profile` with no
+    check.  p^k is the lowest base-p digit of n, so adding a = n - p^k and
+    b = p^k in base p has no carry, and by Kummer's theorem
+    nu_p(n!) = nu_p(a!) + nu_p(b!); hence delta_p(a) + delta_p(b) =
+    delta_p(n).  By induction the entries of d_a lie in
+    p^-delta_p(a) Z_(p) and those of d_b in p^-delta_p(b) Z_(p), so every
+    entry of the convolution lies in p^-delta_p(n) Z_(p).  Its top entry,
+    at a + b = n, is the product of the two pivots: a unit times
+    p^-delta_p(n).  Nothing lies beyond n.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n == 0:
-        return SpecialElement(ctx.p, 0, (Fraction(1),), (1,), 1,
-                              ctx.lt_table, ctx.weight_bound, ({0: 1}, 1))
-    return _special_composite(ctx, n)
-
-
-def _special_composite(ctx: BPContext, n: int) -> SpecialElement:
-    """d_n for n >= 1, as in :func:`special_element`; the lower factor
-    d_{n - p^k} comes from the cache or from a recursive call here.
-
-    The row is the product (:func:`_multiply`, on u-degree keys) of the
-    integer rows of d_a and d_b, a = n - p^k and b = p^k, kept keyed by
-    u-degree on the two elements (``_row``): entry j of d_n is
-    (sum_i A_i * B_{j-i}) / (da * db), reduced to the lcm of the
-    denominators (:func:`_reduced`).  The element is not multiplied out
-    here: its view is the product of the two factors' views, built when
-    read.
-
-    It meets the profile of :func:`_check_profile` with no check.  p^k is
-    the lowest base-p digit of n, so adding a and b in base p has no
-    carry, and by Kummer's theorem nu_p(n!) = nu_p(a!) + nu_p(b!); hence
-    delta_p(a) + delta_p(b) = delta_p(n).  By induction the entries of d_a
-    lie in p^-delta_p(a) Z_(p) and those of d_b in p^-delta_p(b) Z_(p), so
-    every entry of the convolution lies in p^-delta_p(n) Z_(p).  Its top
-    entry, at a + b = n, is the product of the two pivots: a unit times
-    p^-delta_p(n).  Nothing lies beyond n.
-    """
-    p = ctx.p
     cache = ctx._hopf_cache.setdefault("special", {})
     if n in cache:
         return cache[n]
+    p = ctx.p
     k = 0
-    while n % p ** (k + 1) == 0:
+    while n and n % p ** (k + 1) == 0:
         k += 1
-    dk = _special_prime_power(ctx, k)
-    if n == p ** k:
-        return dk
-    low = _special_composite(ctx, n - p ** k)
-    row, den = _reduced(_multiply(dk._row, low._row.items()), low.den * dk.den)
-    numerators = tuple([row.get(j, 0) for j in range(n + 1)])
-    out = SpecialElement(p, n, None, numerators, den, ctx.lt_table, ctx.weight_bound,
-                         _factors=(low, dk), _row=row)
+    if not n:
+        out = SpecialElement(p, 0, {0: 1}, 1, ctx.lt_table, ctx.weight_bound, ({0: 1}, 1))
+    elif n == p ** k:
+        out = _special_prime_power(ctx, k)
+    else:
+        dk, low = special_element(ctx, p ** k), special_element(ctx, n - p ** k)
+        row, den = _reduced(_multiply(dk._row, low._row.items()), low.den * dk.den)
+        out = SpecialElement(p, n, row, den, ctx.lt_table, ctx.weight_bound,
+                             _factors=(low, dk))
     cache[n] = out
     return out

@@ -28,8 +28,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import (_nu, _Record, ensure_prime, exact, format_rational, integer_numerators,
-                    integral_dot, val_p)
+from .arith import (_nu, _Record, ensure_prime, exact, format_over, format_rational,
+                    integer_numerators, integral_dot, val_p)
 
 
 class LatticeError(ValueError):
@@ -114,7 +114,7 @@ class CongruenceSystem(_Record):
         return {
             "p": self.p,
             "n": self.n,
-            "rows": [[format_rational(x) for x in row] for row in self.rows],
+            "rows": [format_over(nums, den) for nums, den in self.integer_rows],
         }
 
 
@@ -526,8 +526,7 @@ class SandwichResult(_Record):
         return {"status": self.status, "equal": self.equal, "detail": self.detail}
 
 
-def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
-                   base: SolutionLattice | None = None) -> SandwichResult:
+def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat) -> SandwichResult:
     """Compare the lattice of base + cn (S) with that of base + cn_hat (T).
 
     The rows are :class:`bpadams.adamsk.CongruenceVector` values;
@@ -535,9 +534,8 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     triangular shape hypotheses (entries in p^-budget Z_(p), unit pivot),
     and cn and cn_hat must share a budget.  Then S and T have equal
     index, so S in T implies S = T, that is, equal canonical bases; other
-    bases mean S is not in T.  ``base`` is the solution lattice of
-    base_rows when the caller already holds it; otherwise it is built row
-    by row.  The shape hypotheses imply the precondition of
+    bases mean S is not in T.  The solution lattice of base_rows, ``base``,
+    is built row by row.  The shape hypotheses imply the precondition of
     :func:`extend_lattice`, so S and T are each one extension of it, and
     they differ at most in their new basis row.  Each row enters as its
     integer numerators (``integer_row``); S is built, and T is not.
@@ -570,12 +568,9 @@ def sandwich_check(p: int, base_rows: Sequence, cn, cn_hat,
     if cn.budget != cn_hat.budget:
         return SandwichResult("hypothesis_violation", False,
                               f"top rows have budgets {cn.budget} and {cn_hat.budget}")
-    if base is None:
-        base = SolutionLattice(p, ())
-        for vec in base_rows:
-            base = _extended(base, *_new_row(base, *vec.integer_row))
-    elif base.p != p or base.size != n:
-        raise LatticeError(f"base lattice is not in Z_({p})^{n}")
+    base = SolutionLattice(p, ())
+    for vec in base_rows:
+        base = _extended(base, *_new_row(base, *vec.integer_row))
     return _sandwich(p, base, cn, cn_hat)
 
 

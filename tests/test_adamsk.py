@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from bpadams import adamsk
-from bpadams.arith import (delta_p, find_q, gamma_p, gaussian, gaussian_poly,
-                           integer_numerators, is_p_local_int, val_p)
+from bpadams import adamsk, arith
+from bpadams.arith import (delta_p, find_q, format_over, format_rational, gamma_p, gaussian,
+                           gaussian_poly, integer_numerators, is_p_local_int, val_p)
 from bpadams.adamsk import (C_vector, CongruenceVector, Phi_in_phi, adams_family,
                             basis_integrality_rows, binomial_mu_congruence,
                             check_g_congruences, expand_in_family, family_action,
@@ -447,17 +447,45 @@ def test_binomial_mu_congruence_checks_q():
 
 def test_p2_canonical_rows_are_memoised_as_tuples():
     # the canonical connective rows are built once per (p, top, q) and kept
-    # as tuples, so no caller can change the memo; they equal a fresh
-    # elimination, and an argument that is refused is refused again, never
-    # served from the memo (a float p hashes as the int)
-    for top in (0, 5, 12):
-        T, E = adamsk._ku_canonical_rows(2, top, None)
-        assert type(T) is tuple and all(type(row) is tuple for row in T)
-        assert adamsk._ku_canonical_rows(2, top, None)[0] is T
-        fresh, fresh_E = adamsk._ku_canonical_rows.__wrapped__(2, top, None)
-        assert (T, E) == (fresh, fresh_E)
-        den = 2 ** E
-        assert ku_congruence_system(2, top).rows == tuple(
-            tuple(Fraction(x, den) for x in row) for row in T)
+    # as a tuple of frozen vectors, each row's integers in tuples, so no
+    # caller can change the memo; they equal a fresh elimination, each row
+    # in least form with budget gamma_p(n), and an argument that is refused
+    # is refused again, never served from the memo (a float p hashes as the
+    # int)
+    for p, top in ((2, 0), (2, 5), (2, 12), (3, 9)):
+        rows = adamsk._ku_canonical_rows(p, top, None)
+        assert type(rows) is tuple and all(type(vec.integer_row[0]) is tuple for vec in rows)
+        assert adamsk._ku_canonical_rows(p, top, None) is rows
+        fresh = adamsk._ku_canonical_rows.__wrapped__(p, top, None)
+        assert fresh == rows and fresh[0] is not rows[0]
+        assert [vec.integer_row for vec in fresh] == [vec.integer_row for vec in rows]
+        for n, vec in enumerate(rows):
+            nums, den = vec.integer_row
+            assert (vec.p, vec.n, vec.budget) == (p, n, gamma_p(p, n))
+            assert len(nums) == n + 1 and math.gcd(den, *nums) == 1 and vec.shape_ok()
+        assert ku_congruence_system(p, top).rows == tuple(
+            vec.padded(top + 1) for vec in rows)
     with pytest.raises(ValueError, match="not a prime"):
         ku_congruence_system(2.0, 5)
+
+
+def test_rows_print_from_their_integers():
+    # format_over on a row's integers (N, D) writes what format_rational
+    # writes of its reduced values, and the vectors and systems print that
+    # way: on seeded rows whose D is not least, with zeros, negatives and
+    # one int past the int-to-str limit
+    rng = random.Random(31)
+    wide = 2 ** (max(arith._STR_BITS, 64) + 5) + 1
+    for trial in range(300):
+        n, k = rng.randint(0, 8), rng.choice([1, 2, 3, 6, 9])
+        den = k * rng.choice([1, 2, 3, 4, 9, 27])
+        nums = [k * rng.randint(-40, 40) if rng.random() < 0.7 else 0 for _ in range(n + 1)]
+        if not trial:
+            nums[-1] = -k * wide
+        vec = CongruenceVector(3, n, None, 0, (tuple(nums), den))
+        want = [format_rational(x) for x in vec.entries]
+        assert format_over(*vec.integer_row) == want, (nums, den)
+        assert vec.to_jsonable() == {"n": n, "entries": want}
+        system = CongruenceSystem(3, n, None, [vec.integer_row, (nums[::-1], den * k)])
+        assert system.to_jsonable()["rows"] == [[format_rational(x) for x in row]
+                                                for row in system.rows]

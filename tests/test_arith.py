@@ -425,6 +425,13 @@ def test_format_over_writes_rows_with_repeated_gcds_as_format_rational(factors):
     assert format_over(nums, den) == [format_rational(Fraction(x, den)) for x in nums]
 
 
+def test_format_rational_refuses_a_float():
+    # a float would be written as its binary value, 1/3 as a dyadic rational
+    assert format_rational("1/3") == "1/3"
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        format_rational(1 / 3)
+
+
 def test_format_over_and_format_rational_past_the_limit(unlimited_str):
     # a row with one integer past the limit is written whole by decimal, and
     # every other entry of it as plain str would write it

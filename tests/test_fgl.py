@@ -166,3 +166,32 @@ def test_bp_log_needs_enough_weight():
     ctx = BPContext(3, 2)  # only l_1 available
     with pytest.raises(Exception):
         bp_log(ctx, 9)  # requires l_2 of weight 4
+
+
+# A float would enter as its binary value: 1/3 as a dyadic rational, which
+# is 3-integral.  Each entry point reads through arith.exact.
+
+def test_adams_on_coeff_refuses_a_float():
+    ctx = BPContext(3, 4)
+    assert adams_on_coeff(ctx, Fraction(1, 3), 1) == Fraction(1, 9)
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        adams_on_coeff(ctx, 1 / 3, 1)
+
+
+def test_scalar_mul_refuses_a_float():
+    log, exp = log_exp_series(BPContext(3, 4), 4)
+    assert log.scalar_mul(Fraction(1, 2)).scalar_mul(2) == log
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        log.scalar_mul(1 / 3)
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        formal_sum(log, exp, 0.5)
+
+
+def test_scale_argument_refuses_a_float():
+    ctx = BPContext(3, 4)
+    log = bp_log(ctx, 4)
+    assert log.scale_argument(Fraction(1, 2)).scale_argument(2) == log
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        log.scale_argument(1 / 3)
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        adams_log_transform_check(ctx, 0.5, 3)

@@ -577,7 +577,7 @@ def test_special_elements_match_the_digit_product_route(p, top):
         assert d.functional() == form and d.c == form.as_row(n + 1), (p, n)
         # the profile check the composite rows no longer run still holds
         assert _check_profile(p, n, d.functional()) == d.c, (p, n)
-    assert set(shared._hopf_cache["special"]) == set(range(1, top + 1))
+    assert set(shared._hopf_cache["special"]) == set(range(top + 1))
     alone = BPContext(p, delta_p(p, top))
     assert special_element(alone, top) == special_element(shared, top)
 
@@ -761,38 +761,53 @@ def test_the_walk_yields_every_monomial_once_after_its_parent(p, W):
         assert [item[0] for item in walked] != monomials  # the order is not the canonical one
 
 
+@functools.lru_cache(maxsize=1)
+def _walks(p, W):
+    """{basis: (nodes, {top: (walked, want)})} for the walk at each top on
+    both sets of generator images: ``nodes`` as :func:`_walk_nodes` gives
+    them, ``walked`` the walk's (gamma, (rows, den, count)) in its order,
+    the rows by their packed v-monomials, and ``want`` the same per gamma
+    from the reference walk.  The last (p, W) is kept: the four limits of
+    :func:`test_walk_matches_the_dict_walk` run one after another and
+    share one walk."""
+    ctx = BPContext(p, W)
+    out = {}
+    for basis, (build, _) in BASES.items():
+        by_top = {}
+        for top in (None, 0, 1, W // 4, W // 2, W):
+            walked = [(gamma, (rows, den, count)) for gamma, rows, den, count
+                      in walk.t_monomial_numerators(ctx, build(ctx), top)]
+            want = {gamma: ({key: dense(row) for key, row in rows.items()
+                             if top is None or max(row) <= top}, den, len(rows))
+                    for gamma, rows, den in _reference_rows(p, W, basis)}
+            by_top[top] = walked, want
+        out[basis] = _walk_nodes(p, W, basis)[1], by_top
+    return out
+
+
 # the walk once ran each node whose tight width was above a limit on a
 # second, dict kernel: limit 0 gave it every node, 10**6 none, 48 a share of
 # Araki's walk in each context, and the default of 384 bits (None) the 6 of
 # Araki's 139 nodes at (5, 36) that are wider.  The one packed kernel
-# matches the dict walk on the nodes of that share and on the rest
+# matches the dict walk on the nodes of that share and on the rest; the
+# limit no longer reaches the walk, so each (p, W) walks once (_walks)
 @pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
 @pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36), (2, 30)])
 def test_walk_matches_the_dict_walk(p, W, limit):
     # on both sets of generator images; at (2, 30) the t_1-chains run up to
     # 30 nodes long, and at every top below W most of them run out of rows
     bits = 384 if limit is None else limit
-    ctx = BPContext(p, W)
-    for basis, (build, _) in BASES.items():
-        reference = _reference_walk(p, W, basis)
-        _, nodes = _walk_nodes(p, W, basis)
+    for basis, (nodes, by_top) in _walks(p, W).items():
         wide = {gamma for gamma, (_, bound) in nodes.items() if _tight_width(bound) > bits}
         if basis == "araki":
             assert (0 < len(wide) < len(nodes)) == (bits == 48 or (p, W, bits) == (5, 36, 384))
-        for top in (None, 0, 1, W // 4, W // 2, W):
-            # the rows by their packed v-monomials, whatever their order,
+        for top, (walked, want) in by_top.items():
             # node by node: each gamma once, whatever the walk's order
-            walked = [(gamma, (rows, den, count)) for gamma, rows, den, count
-                      in walk.t_monomial_numerators(ctx, build(ctx), top)]
             got = dict(walked)
-            want = {gamma: ({key: dense(row) for key, row in rows.items()
-                             if top is None or max(row) <= top}, den, len(rows))
-                    for gamma, rows, den in _reference_rows(p, W, basis)}
             assert len(walked) == len(nodes) and got.keys() == want.keys(), (basis, top)
             for share in (wide, nodes.keys() - wide):
                 assert ({gamma: got[gamma] for gamma in share}
                         == {gamma: want[gamma] for gamma in share}), (basis, top, len(share))
-
 
 
 @pytest.mark.parametrize("p, W", [(2, 22), (2, 30)])
@@ -983,3 +998,26 @@ def test_the_walk_groups_each_generator_image_once(monkeypatch):
         generators = [images[f"t{k}"][0] for k in range(1, len(ctx.t_table.weights) + 1)]
         assert len(calls) == len(generators), basis
         assert all(got is image for got, image in zip(calls, generators)), basis
+
+
+# A float would enter a form as its binary value: 1/3 as a dyadic rational,
+# which is 3-integral.  Each entry point reads through arith.exact.
+
+def test_mu_linear_refuses_float_coefficients():
+    assert MuLinear({0: "1/3"}).coeffs == {0: Fraction(1, 3)}
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        MuLinear({0: 1 / 3})
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        MuLinear({0: 1, 1: 0.0})  # refused even where it is zero
+
+
+def test_mu_linear_evaluate_refuses_float_values():
+    assert MuLinear({0: 3}).evaluate([Fraction(1, 3)]) == 1
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        MuLinear({0: 3}).evaluate([1 / 3])
+
+
+def test_mu_linear_unit_refuses_a_float():
+    assert MuLinear.unit(2, Fraction(1, 2)) == MuLinear({2: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="floating point input rejected"):
+        MuLinear.unit(0, 0.5)

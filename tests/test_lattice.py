@@ -382,17 +382,6 @@ def test_extend_lattice_rejects_rows_off_the_shape():
         extend_lattice(unit, (1,))
 
 
-def test_sandwich_with_a_held_base_lattice():
-    rng = random.Random(67)
-    p, n = 3, 4
-    base_rows = [_conforming_row(rng, p, r) for r in range(n)]
-    cn = _conforming_row(rng, p, n)
-    base = _extended(p, [vec.entries for vec in base_rows])
-    assert sandwich_check(p, base_rows, cn, cn, base) == sandwich_check(p, base_rows, cn, cn)
-    with pytest.raises(LatticeError, match="base lattice"):
-        sandwich_check(p, base_rows, cn, cn, SolutionLattice(p, ()))
-
-
 @st.composite
 def _small_systems(draw):
     """(p, n, D, rows, triangular rows): entries in p^-D Z_(p), so every

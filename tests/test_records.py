@@ -158,11 +158,10 @@ def test_cached_properties_stay_cached():
 
 def test_special_element_equality_reads_the_element():
     d = _special(1)
-    other = SpecialElement(d.p, d.n, d.c, d.numerators, d.den, d._table, d._bound,
+    other = SpecialElement(d.p, d.n, d._row, d.den, d._table, d._bound,
                            ({key + 1: v for key, v in d._poly[0].items()}, d._poly[1]))
     assert hash(other) == hash(d) and other != d
-    assert SpecialElement(d.p, d.n, d.c, d.numerators, d.den, d._table, d._bound,
-                          d._poly) == d
+    assert SpecialElement(d.p, d.n, d._row, d.den, d._table, d._bound, d._poly) == d
 
 
 def test_import_loads_no_dataclasses_or_typing():

@@ -83,7 +83,7 @@ def test_the_remainder_check_by_a_wrong_lower_element():
     (key,) = d1._poly[0]
     assert d1._poly == ({key: 1}, 1)
     c._hopf_cache["special"][1] = hopf.SpecialElement(
-        2, 1, d1.c, d1.numerators, d1.den, d1._table, d1._bound, ({key: 1, 0: 1}, 1))
+        2, 1, d1._row, d1.den, d1._table, d1._bound, ({key: 1, 0: 1}, 1))
     with pytest.raises(ConstructionError) as err:
         special_element(c, 2)
     assert str(err.value) == message and err.value.details == {"n": 2, "k": 1}
