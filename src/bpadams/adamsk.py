@@ -123,15 +123,22 @@ def family_action(fam: AdamsFamily, n: int, m: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("family index must be non-negative")
-    connective = fam.kind in ("phi_ku", "phihat_g")
-    if m < 0 and (connective or fam.kind == "zeta_ku2"):
+    if m < 0 and fam.kind != "Phi_KU":
         raise ValueError("the connective theory has no negative degrees")
-    if fam.kind == "zeta_ku2":
+    return _action(fam.kind, fam.qhat if fam.kind == "phihat_g" else fam.q, n, m)
+
+
+def _action(kind: str, q: int | None, n: int, m: int) -> Fraction:
+    """The eigenvalue of :func:`family_action` for a family of this kind
+    whose generator is q (qhat on the summand; not read by zeta), with n
+    and m already checked."""
+    if kind == "zeta_ku2":
         return _zeta_action(n, m)
-    if connective:  # prod_{i<n} (q^m - q^i), q = qhat on the summand
-        q, roots = Fraction(fam.q if fam.kind == "phi_ku" else fam.qhat), range(n)
-    else:  # periodic: m may be any integer, roots run through the enumeration
-        q, roots = Fraction(fam.q), map(periodic_enum, range(n))
+    if kind == "Phi_KU":  # periodic: m may be any integer, roots run through the enumeration
+        roots = map(periodic_enum, range(n))
+    else:  # connective: prod_{i<n} (q^m - q^i)
+        roots = range(n)
+    q = Fraction(q)
     base = q ** m
     return math.prod((base - q ** i for i in roots), start=Fraction(1))
 
@@ -310,26 +317,15 @@ def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]
     the lower rows' denominators and reduced by the gcd, so each row of B
     is integers over the lcm of its entries' denominators.
 
-    Row m of A is read without the family record: at p = 2 from the
-    memoised :func:`_zeta_action`, at odd p as the integer products
-    prod_{i<k} (q^m - q^i) of :func:`family_action`, stepped in k.
+    Row m of A is the connective family's action by :func:`_action`, the
+    formula of :func:`family_action` without its memo, whose key hashes
+    the family record per entry; q is not read at p = 2.
     """
     ensure_prime(p)
-    if p == 2:
-        def action_row(m: int) -> tuple[list[int], int]:
-            return integer_numerators([_zeta_action(k, m) for k in range(m + 1)])
-    else:
-        q = validate_q(p, q)
-
-        def action_row(m: int) -> tuple[list[int], int]:
-            base, root, row = q ** m, 1, [1]
-            for _ in range(m):
-                row.append(row[-1] * (base - root))
-                root *= q
-            return row, 1
+    kind, q = ("zeta_ku2", None) if p == 2 else ("phi_ku", validate_q(p, q))
     inverse: list[tuple[list[int], int]] = []
     for m in range(top + 1):
-        nums, d = action_row(m)
+        nums, d = integer_numerators([_action(kind, q, k, m) for k in range(m + 1)])
         if not nums[m]:
             raise ValueError(f"family diagonal vanishes at index {m}")
         den = math.lcm(*(inverse[k][1] for k in range(m) if nums[k]))
@@ -356,8 +352,9 @@ def _ku_canonical_rows(p: int, top: int, q: int | None) -> tuple[CongruenceVecto
     (:func:`bpadams.lattice._canonical_rows`), each cut at n and divided
     by its gcd with p^E.  Memoised, as a tuple of frozen rows: they are a
     pure function of (p, top, q), and each row's shape verdict is taken
-    once per process.  ``typed``, so a float p or top is still checked
-    and refused; a refused argument is not cached."""
+    once per process.  q is the one in use (:func:`bpadams.arith.validate_q`),
+    so that one row set has one entry.  ``typed``, so a float p or top is
+    still checked and refused; a refused argument is not cached."""
     size = top + 1
     T, E = _lattice._canonical_rows(p, _lattice._padded(_inverse_rows(p, top, q), size), size)
     scale, rows = p ** E, []
@@ -376,7 +373,7 @@ def ku_congruence_system(p: int, top: int, q: int | None = None) -> "_lattice.Co
     -gamma_p(n), as :func:`bpadams.lattice.triangularize` gives it: the
     memoised rows of :func:`_ku_canonical_rows`, padded to top + 1.
     """
-    rows = _ku_canonical_rows(p, top, q)
+    rows = _ku_canonical_rows(p, top, validate_q(p, q))
     return _lattice.CongruenceSystem(p, top, None,
                                      _lattice._padded((vec.integer_row for vec in rows), top + 1))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter, mul
@@ -252,7 +252,7 @@ def word_width(bits: int) -> int:
 class WordCodec:
     """Rows of signed digits packed in whole 32-bit words.
 
-    A row {j: c_j} at width R, a multiple of 32, is the int
+    A row c_0..c_m at width R, a multiple of 32, is the int
     r = sum_j c_j * 2^(R * j) (Kronecker substitution u -> 2^R), every
     |c_j| < 2^(R - 1).  Adding the offset 2^(R - 1) * sum_{j<m} 2^(R * j),
     m the row's digit count, makes every digit c_j + 2^(R - 1) lie in
@@ -261,69 +261,79 @@ class WordCodec:
     one ``to_bytes`` (read as native words by ``memoryview.cast``, on a
     little-endian host) and no digit is split off by a shift.  m is
     ``r.bit_length() // R + 1``: a top non-zero digit c_m leaves
-    2^(R * m - 1) < |r| < 2^(R * (m + 1) - 1).  The offsets depend on
-    the widths and m alone and are kept per codec, so one codec serves one
-    walk.
+    2^(R * m - 1) < |r| < 2^(R * (m + 1) - 1).  Digits of absolute value
+    below 2^B take the width :func:`word_width` (B + 1), one bit for the
+    sign.  The offsets depend on the widths and m alone and are kept per
+    codec, one per width and shift: one codec serves one walk, one theta
+    recursion, or all the lattices of :mod:`bpadams.lattice`.
     """
 
     __slots__ = ("_offsets",)
 
     def __init__(self):
-        self._offsets: dict[tuple[int, int, int], int] = {}
+        self._offsets: dict[tuple[int, int], tuple[int, int]] = {}
 
     def _offset(self, width: int, count: int, shift: int) -> int:
-        """2^shift * sum_{j<count} 2^(width * j)."""
-        key = (width, count, shift)
-        try:
-            return self._offsets[key]
-        except KeyError:
-            offset = self._offsets[key] = ((1 << width * count) - 1) // ((1 << width) - 1) << shift
-            return offset
+        """2^shift * sum_{j<count} 2^(width * j), 0 <= shift < width: the top
+        ``count`` digits of one such sum kept per (width, shift) and grown
+        by doubling, shifted down; the digits below drop under 2^shift."""
+        most, offset = self._offsets.get((width, shift), (0, 0))
+        if count > most:
+            most = max(count, 2 * most)
+            offset = int.from_bytes(b"\1".ljust(width // 8, b"\0") * most, "little") << shift
+            self._offsets[width, shift] = most, offset
+        return offset >> width * (most - count)
 
-    def pack(self, row: Mapping[int, int], width: int) -> int:
-        """The row {j: c_j} as the int sum_j c_j * 2^(width * j)."""
-        size, half = width // 8, 1 << (width - 1)
-        count = max(row, default=0) + 1
-        data = b"".join([(row.get(j, 0) + half).to_bytes(size, "little") for j in range(count)])
-        return int.from_bytes(data, "little") - self._offset(width, count, width - 1)
+    def pack(self, row: Sequence[int], width: int) -> int:
+        """The dense row c_0..c_m as the int sum_j c_j * 2^(width * j), by
+        Horner's rule from the top digit, which needs no offset."""
+        packed = 0
+        for c in reversed(row):
+            packed = (packed << width) + c
+        return packed
 
     def decode(self, packed: int, width: int) -> list[int]:
         """The signed digits c_0..c_m of ``packed``, m its top index (c_m is
         not 0 unless the row is 0): the inverse of :meth:`pack`, as a dense
         list.  Adding the offset makes digit j the field c_j + 2^(width - 1)
-        of an unsigned int, and XOR with the same offset flips each field's
-        top bit back, so field j holds c_j in two's complement: a row of
-        32- or 64-bit digits is one ``to_bytes`` read as signed native words
-        by ``memoryview.cast``, a wider digit one signed
-        ``int.from_bytes``.  A row of one digit is that digit."""
+        of an unsigned int.  A row of 32- or 64-bit digits is then XORed
+        with the same offset, which flips each field's top bit back, so
+        field j holds c_j in two's complement, and it is one ``to_bytes``
+        read as signed native words by ``memoryview.cast``; a wider digit
+        is its field read by one ``int.from_bytes``, less 2^(width - 1).
+        A row of one digit is that digit."""
         count = packed.bit_length() // width + 1
         if count == 1:
             return [packed]
         offset = self._offset(width, count, width - 1)
-        data = ((packed + offset) ^ offset).to_bytes(count * width // 8, "little")
         if width <= 64:
+            data = ((packed + offset) ^ offset).to_bytes(count * width // 8, "little")
             return memoryview(data).cast("i" if width == 32 else "q").tolist()
-        size = width // 8
-        return [int.from_bytes(data[i:i + size], "little", signed=True)
-                for i in range(0, len(data), size)]
+        size, half, from_bytes = width // 8, 1 << (width - 1), int.from_bytes
+        data = (packed + offset).to_bytes(count * size, "little")
+        return [from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
 
-    def respread(self, packed: int, width: int, wider: int) -> int:
-        """``packed`` at width ``wider`` >= ``width``: word i of each digit
-        moves to word i of the wider digit, one strided slice per word
-        lane, and the wider digits hold c_j + 2^(width - 1), so one
-        offset at the wider width comes off.  A row of one digit is the
-        same int at every width."""
-        count = packed.bit_length() // width + 1
-        if count == 1:
-            return packed
-        words = memoryview((packed + self._offset(width, count, width - 1)).to_bytes(
-            count * width // 8, "little")).cast("I")
+    def respread(self, rows: Sequence[int], width: int, wider: int) -> list[int]:
+        """The rows at width ``wider`` >= ``width``, in one buffer: word i of
+        each digit c_j + 2^(width - 1) moves to word i of the wider digit,
+        one strided slice per word lane for all the rows, and each row comes
+        out less its offset at the wider width."""
+        size, wide, offset = width // 8, wider // 8, self._offset
+        counts = [P.bit_length() // width + 1 for P in rows]
+        data = b"".join([(P + offset(width, count, width - 1)).to_bytes(count * size, "little")
+                         for P, count in zip(rows, counts)])
         lanes, wide_lanes = width // 32, wider // 32
-        out = bytearray(4 * wide_lanes * count)
-        spread = memoryview(out).cast("I")
+        out = bytearray(len(data) // lanes * wide_lanes)
+        words, spread = memoryview(data).cast("I"), memoryview(out).cast("I")
         for i in range(lanes):
             spread[i::wide_lanes] = words[i::lanes]
-        return int.from_bytes(out, "little") - self._offset(wider, count, width - 1)
+        view, start, spreads = memoryview(out), 0, []
+        for count in counts:
+            end = start + count * wide
+            spreads.append(int.from_bytes(view[start:end], "little")
+                           - offset(wider, count, width - 1))
+            start = end
+        return spreads
 
 
 def dot(xs: Iterable[Fraction | int], ys: Iterable[Fraction | int]) -> Fraction:

@@ -108,7 +108,7 @@ def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVec
     q = validate_q(p, q)
     if p != 2:
         return [C_vector(p, q, r) for r in range(n_max + 1)]
-    return list(_ku_canonical_rows(2, n_max, None))
+    return list(_ku_canonical_rows(2, n_max, q))
 
 
 def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLattice:

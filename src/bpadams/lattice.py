@@ -9,9 +9,12 @@ integers modulo p^E (:func:`_reduce_rows`): scaled by p^E, the row
 module contains p^E times every integral row, so working modulo p^E
 changes nothing in it.
 
-Canonical bases have integer columns, kept as packed rows
-(:class:`SolutionLattice`), and :func:`extend_lattice` computes on them
-in ints.  A row is taken as integer numerators N over one denominator,
+Canonical bases have integer columns, kept as packed rows in the one
+packed-row format of the package, :class:`bpadams.arith.WordCodec`'s
+signed digits in whole 32-bit words (:class:`SolutionLattice`), widened
+to ``word_width(B + 1)`` when a test needs digits of B bits, and
+:func:`extend_lattice` computes on them in ints.  A row is taken as
+integer numerators N over one denominator,
 its pivot numerator written p^s * u with u prime to p, and the new
 column gets the pivot p^e, e = max(0, -val_p(c_n)).  Column j needs
 acc = N' . b_j only modulo p^(s + e), and that residue is exact, not a
@@ -28,8 +31,12 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import (_nu, _Record, ensure_prime, exact, format_over, format_rational,
-                    integer_numerators, integral_dot, val_p)
+from .arith import (WordCodec, _nu, _Record, ensure_prime, exact, format_over, format_rational,
+                    integer_numerators, integral_dot, word_width)
+
+
+#: the codec of every lattice's packed rows; its offsets, kept per width, are shared
+_CODEC = WordCodec()
 
 
 class LatticeError(ValueError):
@@ -207,71 +214,74 @@ class SolutionLattice:
     Column j has the pure power p^e_j on the diagonal and integer entries
     in [0, p^e_i) below it (row i); the columns generate exactly the
     mu in Z_(p)^(n+1) satisfying the defining system.  The entries are
-    ``int``s; ``basis[i][j]`` is entry i of column j.
+    ``int``s; ``basis[i][j]`` is entry i of column j.  A basis of any
+    other shape raises :class:`LatticeError`, and a p that is not prime
+    ``ValueError``.
 
-    The lattice is kept as packed rows: basis row i is one int
-    P_i = sum_{j <= i} basis[i][j] * 2^(S * j) (column j is zero above
-    index j), next to the pivots e_j and the largest diagonal entry p^E,
-    which bounds every entry.  Every entry is non-negative and below 2^S,
-    so digit j of P_i is the entry itself.  A lattice built by
+    The lattice is kept as packed rows of :class:`bpadams.arith.WordCodec`:
+    basis row i is one int P_i = sum_{j <= i} basis[i][j] * 2^(S * j)
+    (column j is zero above index j), next to the pivots e_j and the
+    largest diagonal entry p^E, which bounds every entry.  The width S is
+    whole 32-bit words with every entry below 2^(S - 1), so digit j of P_i
+    is the entry itself, read as a signed digit.  A lattice built by
     :func:`extend_lattice` keeps its parent's packed rows, pivots and
     largest diagonal entry and adds one of each; ``basis`` is decoded from
     the rows on first access.  The width S only grows: when an extension
     or a sample test needs wider digits (:meth:`_packed`), the rows are
-    repacked once, at no less than twice the width.  Repacking changes the
-    representation, not the lattice, so it is done in place, by one
-    assignment of the (S, rows) pair: two threads that widen at once each
-    leave a valid packing.
+    re-spread once, at the word width of :func:`bpadams.arith.word_width`.
+    Re-spreading changes the representation, not the lattice, so it is
+    done in place, by one assignment of the (S, rows) pair: two threads
+    that widen at once each leave a valid packing.
     """
 
     def __init__(self, p: int, basis: Sequence[Sequence[int]]):
+        ensure_prime(p)
         if any(exact(x).denominator != 1 for row in basis for x in row):
             raise LatticeError("basis entries must be integers")
         basis = tuple(tuple(map(int, row)) for row in basis)
-        top = max((basis[j][j] for j in range(len(basis))), default=1)
-        width = top.bit_length()
-        self.p = p
-        self._pack = (width, tuple(_pack(row[: i + 1], width) for i, row in enumerate(basis)))
-        self._pivots = tuple(val_p(p, basis[j][j]) for j in range(len(basis)))
-        self._top = top
+        size, pivots = len(basis), []
+        for i, row in enumerate(basis):
+            pivot = row[i] if len(row) == size else 0
+            e = _nu(p, pivot) if pivot > 0 else 0
+            if pivot != p ** e or any(row[i + 1:]) or not all(0 <= x < pivot for x in row[:i]):
+                raise LatticeError(f"basis row {i} is not canonical: it needs {size} entries, "
+                                   f"a power p^e of {p} on the diagonal, entries in [0, p^e) "
+                                   "left of it and zeros right of it")
+            pivots.append(e)
+        top = max((basis[j][j] for j in range(size)), default=1)
+        width = word_width(top.bit_length() + 1)
+        self.p, self._pivots, self._top = p, tuple(pivots), top
+        self._pack = (width, tuple(_CODEC.pack(row[: i + 1], width) for i, row in enumerate(basis)))
         self.basis = basis
 
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        width, rows = self._pack
-        mask, size = (1 << width) - 1, len(rows)
-        return tuple(tuple(P >> (width * j) & mask for j in range(i + 1)) + (0,) * (size - i - 1)
-                     for i, P in enumerate(rows))
+        (width, rows), decode = self._pack, _CODEC.decode
+        return tuple((*decode(P, width), *(0,) * (len(rows) - i - 1)) for i, P in enumerate(rows))
 
     def _packed(self, modulus: int) -> tuple[int, tuple[int, ...]]:
         """(S, rows): the packed rows at a width S whose digits hold every
         entry and every sum sum_i r_i * P_i with 0 <= r_i < modulus.  Such
-        a digit is below size * modulus * p^E, so 2^S must exceed it; when
-        it does not, the rows are repacked at the larger of 2S and the
-        bits that bound needs."""
+        a digit is below size * modulus * p^E, of B bits, and a signed
+        digit of width S holds it when B < S; when it does not, the rows
+        are re-spread at ``word_width(B + 1)``."""
         width, rows = pack = self._pack
         need = (max(len(rows), 1) * modulus * self._top).bit_length()
-        if need > width:
-            mask, new = (1 << width) - 1, max(need, 2 * width)
-            rows = tuple(_pack([P >> (width * j) & mask for j in range(i + 1)], new)
-                         for i, P in enumerate(rows))
-            self._pack = pack = (new, rows)
+        if need >= width:
+            wider = word_width(need + 1)
+            self._pack = pack = (wider, tuple(_CODEC.respread(rows, width, wider)))
         return pack
 
     def _values(self, entries: Iterable[tuple[int, int]], modulus: int) -> list[int]:
         """The values modulo ``modulus`` of the row sum_i c_i * mu_i, given
         as pairs (i, c_i) with int c_i and i below ``size``, on every column,
         each in [0, modulus): the digits of V = sum_i (c_i mod modulus) * P_i,
-        one multiply-add per entry, reduced.  The rows are packed wide enough
-        (:meth:`_packed`) that no digit of V carries, so digit j is
-        sum_i (c_i mod modulus) * b_ij, congruent to the value on column j."""
+        one multiply-add per entry, decoded and reduced.  The rows are packed
+        wide enough (:meth:`_packed`) that no digit of V carries, so digit j
+        is sum_i (c_i mod modulus) * b_ij, congruent to the value on column j."""
         width, rows = self._packed(modulus)
-        acc = sum(c % modulus * rows[i] for i, c in entries)
-        mask, values = (1 << width) - 1, []
-        for _ in rows:
-            values.append((acc & mask) % modulus)
-            acc >>= width
-        return values
+        digits = _CODEC.decode(sum(c % modulus * rows[i] for i, c in entries), width)
+        return [x % modulus for x in digits] + [0] * (len(rows) - len(digits))
 
     def _vanishes(self, entries: Iterable[tuple[int, int]], modulus: int) -> bool:
         """Whether the row sum_i c_i * mu_i, given as in :meth:`_values`,
@@ -290,19 +300,15 @@ class SolutionLattice:
         such digit nothing carries.  So the digits are at most L iff the
         sum carries into none of the bits S * j, j >= 1.  One divmod, one
         add and the carries, read as ``(q + C) ^ q ^ C``, with
-        C = (2^S - 1 - L) * sum_j 2^(S j).  C may reach past the top digit
-        of q, which is below 2^(S * size): a digit of q there is 0 and takes
-        a carry only from below.  C and the carry bits are kept per modulus
+        C = (2^S - 1 - L) * sum_{j < size} 2^(S j), the sum being the
+        codec's offset at shift 0.  C and the carry bits are kept per modulus
         (:attr:`_carry_tests`); an entry at the current width also says
         that the width holds the digits."""
         width, rows = self._pack
         test = self._carry_tests.get(modulus)
         if test is None or test[0] != width:
             width, rows = self._packed(modulus)
-            ones, count = 1, 1  # sum_j 2^(S j) over j < count, count >= size
-            while count < len(rows):
-                ones |= ones << width * count
-                count *= 2
+            ones = _CODEC._offset(width, len(rows), 0)  # sum_{j < size} 2^(S j)
             full = (1 << width) - 1
             test = self._carry_tests[modulus] = (width, (full - full // modulus) * ones,
                                                  ones << width)
@@ -392,15 +398,6 @@ class SolutionLattice:
         }
 
 
-def _pack(digits: Sequence[int], width: int) -> int:
-    """sum_j digits[j] * 2^(width * j) for non-negative digits below 2^width."""
-    packed = 0
-    for j, x in enumerate(digits):
-        if x:
-            packed |= x << (width * j)
-    return packed
-
-
 def solve(sys: CongruenceSystem) -> SolutionLattice:
     """Canonical basis of {mu in Z_(p)^(n+1) : every row lands in Z_(p)}.
 
@@ -488,7 +485,7 @@ def _extended(lat: SolutionLattice, last: list[int], e: int) -> SolutionLattice:
     width, rows = lat._packed(modulus)  # only the empty lattice can be too narrow
     child = SolutionLattice.__new__(SolutionLattice)
     child.p, child._pivots, child._top = lat.p, lat._pivots + (e,), max(lat._top, modulus)
-    child._pack = (width, rows + (_pack(last, width),))
+    child._pack = (width, rows + (_CODEC.pack(last, width),))
     return child
 
 
@@ -502,10 +499,10 @@ def lattice_leq(first: SolutionLattice, second: SolutionLattice) -> bool:
 def lattice_eq(first: SolutionLattice, second: SolutionLattice) -> bool:
     """True iff the two lattices are equal: their canonical bases (p^e on
     the diagonal, residues in [0, p^e_i) below it) are unique, so they
-    agree exactly when the lattices do."""
+    agree exactly when the lattices do (``==``)."""
     if first.p != second.p or first.size != second.size:
         raise LatticeError("lattices live in different ambient spaces")
-    return first.basis == second.basis
+    return first == second
 
 
 class SandwichResult(_Record):

@@ -107,10 +107,11 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       below 2^(B - 1) <= 2^(R - 1), so decoding and the top test are
       exact at R.  Widths round to few values, so a child whose R equals
       its parent's multiplies the parent's packed rows as they are; a
-      child with a wider R re-spreads them (``WordCodec.respread``): the
-      words of each digit move to the low words of a wider digit, one
-      strided slice per word lane, and no digit is decoded.  The rows of
-      N_k are packed once for each R the walk multiplies them at.
+      child with a wider R re-spreads them (``WordCodec.respread``, all
+      the rows in one call): the words of each digit move to the low words
+      of a wider digit, one strided slice per word lane, and no digit is
+      decoded.  The rows of N_k are packed once for each R the walk
+      multiplies them at.
     - *Top test.*  With digits below 2^(R - 1) in absolute value at width
       R, |r| < 2^(R * (n + 1) - 1) holds exactly when no digit above
       index n is non-zero: digits 0..n alone give
@@ -206,15 +207,16 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
                         yield (gamma[0] + j,) + gamma[1:], {}, den * d ** j, count
                     continue
                 if child_R != R:
-                    rows = {key: codec.respread(r, R, child_R) for key, r in rows.items()}
+                    rows = dict(zip(rows, codec.respread(rows.values(), R, child_R)))
             else:
                 if child_R not in views:  # the parent's rows, re-spread
-                    views[child_R] = {key: codec.respread(r, R, child_R)
-                                      for key, r in views[R].items()}
+                    views[child_R] = dict(zip(views[R],
+                                              codec.respread(views[R].values(), R, child_R)))
                 rows = views[child_R]
             if (k, child_R) not in factors:
-                factors[k, child_R] = [(delta, codec.pack(row, child_R))
-                                       for delta, row in factor_rows.items()]
+                factors[k, child_R] = [
+                    (delta, codec.pack([row.get(j, 0) for j in range(max(row) + 1)], child_R))
+                    for delta, row in factor_rows.items()]
             image = _multiply(rows, factors[k, child_R])
             node = (gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:], image, den * d,
                     child_bound, child_R, k, room - weights[k],

@@ -322,7 +322,7 @@ def test_word_codec_round_trip(rows):
     # exactly as the per-digit reference does, a negative top digit included
     codec = WordCodec()
     for width, row in rows:
-        packed = codec.pack(row, width)
+        packed = codec.pack(packing_reference.dense(row), width)
         assert packed == packing_reference.pack(row, width)
         assert row == packing_reference.unpack(packed, width)
         assert codec.decode(packed, width) == packing_reference.dense(row)
@@ -355,13 +355,21 @@ def test_decode_against_the_per_digit_reference(width):
 @example([(64, {0: -(2 ** 63 - 1)})], [2, 0, 0, 0])
 def test_respread_is_decode_then_pack(rows, extra):
     # a row re-spread at a wider word width equals the row decoded and
-    # packed again at that width
+    # packed again at that width, by the codec's dense decode and pack and
+    # by the per-digit reference
     codec = WordCodec()
     for (width, row), more in zip(rows, extra):
         wider = width + 32 * more
         packed = packing_reference.pack(row, width)
-        assert codec.respread(packed, width, wider) == packing_reference.pack(
-            packing_reference.unpack(packed, width), wider)
+        [spread] = codec.respread([packed], width, wider)
+        assert spread == codec.pack(codec.decode(packed, width), wider)
+        assert spread == packing_reference.pack(packing_reference.unpack(packed, width), wider)
+    # the rows of one width re-spread together: each as it is alone
+    for width in {width for width, _ in rows}:
+        packed = [packing_reference.pack(row, width) for w, row in rows if w == width]
+        wider = width + 32 * extra[0] + 32
+        assert codec.respread(packed, width, wider) == [
+            packing_reference.pack(packing_reference.unpack(P, width), wider) for P in packed]
 
 
 @pytest.mark.parametrize("width", [32, 64, 96])
@@ -377,7 +385,7 @@ def test_one_digit_rows_and_their_two_digit_neighbours(width):
         assert row == packing_reference.unpack(packed, width)
         assert codec.decode(packed, width) == packing_reference.dense(row)
         for wider in (width, width + 32, 2 * width):
-            assert codec.respread(packed, width, wider) == packing_reference.pack(row, wider)
+            assert codec.respread([packed], width, wider) == [packing_reference.pack(row, wider)]
 
 
 @pytest.mark.parametrize("bits, width", [(1, 32), (32, 32), (33, 64), (64, 64), (65, 96)])

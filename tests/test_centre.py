@@ -943,6 +943,26 @@ def test_p2_summand_rows_are_the_memoised_vectors():
     assert summand_rows(2, 12)[4].shape_ok() and "_shape" in vars(summand_rows(2, 12)[4])
 
 
+
+def test_one_memo_entry_per_connective_row_set():
+    # the connective rows are memoised by the q in use, not as the caller
+    # gave it: q left to its default and the same q given build one row
+    # set, at p = 3 through ku_congruence_system and interleaved_g_report
+    # (which validates q first), at p = 2 through summand_rows
+    from bpadams import adamsk
+    from bpadams.arith import find_q
+
+    memo = adamsk._ku_canonical_rows
+    memo.cache_clear()
+    ku_congruence_system(3, 6)
+    assert memo.cache_info().misses == 1
+    interleaved_g_report(3, 6)
+    ku_congruence_system(3, 6, find_q(3))
+    assert memo.cache_info().misses == 1
+    summand_rows(2, 6)
+    ku_congruence_system(2, 6)
+    assert memo.cache_info().misses == 2
+
 def test_a_verify_run_builds_each_special_element_once(monkeypatch):
     # special_element is the one lookup: over a run each d_{p^i} <= n_max is
     # built once, and d_0 is kept in the cache like every other d_n; each

@@ -884,7 +884,7 @@ def test_packed_rows_at_the_edge_of_their_width(M):
         for row in adjacent:
             assert decodes(row, R) == exact, (R, row)
             if exact:
-                assert codec.pack(row, R) == packing_reference.pack(row, R)
+                assert codec.pack(dense(row), R) == packing_reference.pack(row, R)
         for row, below in tops:
             packed = packing_reference.pack(row, R)
             assert (packing_reference.top_at_most(packed, R, n) == below) == exact, (R, row)
@@ -903,11 +903,11 @@ def test_packed_width_rounds_up_to_whole_digits(M):
     assert R % 32 == 0 and B <= R < B + 32
     row = {0: M, 1: -M, 3: M}
     codec = WordCodec()
-    packed = codec.pack(row, R)
+    packed = codec.pack(dense(row), R)
     assert packed == packing_reference.pack(row, R)
     assert codec.decode(packed, R) == dense(row)
     assert packing_reference.top_at_most(packed, R, 3)
-    assert not packing_reference.top_at_most(codec.pack({**row, 4: 1}, R), R, 3)
+    assert not packing_reference.top_at_most(codec.pack(dense({**row, 4: 1}), R), R, 3)
 
 
 def _walk_nodes(p, W, basis):
@@ -971,7 +971,7 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, mon
     monkeypatch.setattr(WordCodec, "pack",
                         lambda self, row, width: packs.append(width) or pack(self, row, width))
     monkeypatch.setattr(WordCodec, "respread", lambda self, packed, width, wider: (
-        spreads.append(wider) or respread(self, packed, width, wider)))
+        spreads.extend([wider] * len(packed)) or respread(self, packed, width, wider)))
     for _ in walk.t_monomial_numerators(ctx, images):
         pass
     assert len(spreads) == repacks

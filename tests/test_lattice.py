@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattice_reference
-from bpadams.arith import delta_p, dot, format_rational, integer_numerators, val_p
+from bpadams.arith import (delta_p, dot, format_rational, integer_numerators, val_p,
+                           word_width)
 from bpadams.adamsk import CongruenceVector, basis_integrality_rows, check_g_congruences
 from bpadams.lattice import (CongruenceSystem, LatticeError, SandwichResult, SolutionLattice,
                              extend_lattice, lattice_eq, lattice_leq, p_fractional_part,
@@ -185,7 +186,7 @@ _READ_RATIONALS = {
     "CongruenceSystem": lambda x: CongruenceSystem(3, 0, ((x,),)),
     "CongruenceVector": lambda x: CongruenceVector(3, 0, (x,), 0),
     "extend_lattice": lambda x: extend_lattice(SolutionLattice(3, ()), [x]),
-    "SolutionLattice": lambda x: SolutionLattice(3, [[x]]),
+    "SolutionLattice": lambda x: SolutionLattice(2, [[x]]),
     "contains": lambda x: SolutionLattice(3, [[1]]).contains([x]),
     "coordinates": lambda x: SolutionLattice(3, [[1]]).coordinates([x]),
     "satisfied_by": lambda x: CongruenceSystem(3, 0, ((1,),)).satisfied_by([x]),
@@ -256,6 +257,46 @@ def test_lattice_eq_examples():
     # strictly finer lattice
     finer = solve(CongruenceSystem(3, 1, ((Fraction(-1, 9), Fraction(1, 9)),)))
     assert lattice_leq(finer, lat) and not lattice_leq(lat, finer)
+
+
+@pytest.mark.parametrize("basis", [
+    ((3, 1), (0, 9)),  # an entry above the diagonal
+    ((0,),),  # a zero diagonal entry
+    ((6,),),  # a diagonal entry that is not a power of p
+    ((-3,),),  # nor is a negative one
+    ((3, 0), (9, 9)),  # an entry below the diagonal that is not a residue of its row's pivot
+    ((3, 0), (-1, 9)),  # nor is a negative one
+    ((1, 0), (0,)),  # a short row
+])
+def test_a_basis_off_the_canonical_shape_is_refused(basis):
+    # the packed rows hold the canonical shape only, so any other basis is
+    # refused rather than read in part: at p = 3, lower triangular, p^e on
+    # the diagonal and residues modulo the row's pivot below it
+    with pytest.raises(LatticeError, match="not canonical"):
+        SolutionLattice(3, basis)
+
+
+@pytest.mark.parametrize("p", [1, 4, 0])
+def test_a_lattice_needs_a_prime(p):
+    # even the empty lattice: an extension of it at p = 1 would take
+    # valuations forever, and at p = 4 would report pivots of a non-prime
+    with pytest.raises(ValueError, match="not a prime"):
+        SolutionLattice(p, ())
+
+
+def test_lattice_eq_is_equality_of_canonical_lattices():
+    # an entry above the diagonal once compared equal under == and unequal
+    # under lattice_eq; now it is refused, and the two agree on every pair
+    # of canonical bases, in any packing width
+    with pytest.raises(LatticeError):
+        SolutionLattice(3, ((3, 1), (0, 9)))
+    bases = [((3, 0), (0, 9)), ((3, 0), (1, 9)), ((3, 0), (8, 9)), ((1, 0), (0, 9)),
+             ((3, 0), (0, 1)), ((9, 0), (0, 3 ** 40))]
+    for first, second in itertools.product(bases, repeat=2):
+        a, b = SolutionLattice(3, first), SolutionLattice(3, second)
+        b._packed(3 ** 60)
+        assert lattice_eq(a, b) == (a == b) == (first == second), (first, second)
+        assert a.basis == first and b.basis == second
 
 
 def test_dimension_mismatch_rejected():
@@ -569,22 +610,32 @@ def test_packed_extension_matches_the_entrywise_one(case, data):
         assert lat == ref and hash(lat) == hash(ref)
 
 
+def _edge_exponent(p):
+    """The k with 3 * p^k exactly 32 bits long: the bound 3 * M * p^E of a
+    three-row lattice that fills one 32-bit word with its sign bit."""
+    return next(k for k in itertools.count() if (3 * p ** k).bit_length() == 32)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_packed_extension_at_its_width_bound(p):
     # every diagonal entry p^E and column 0 at p^E - 1 below it, packed at
-    # the bits of p^E; residues 0, 1 and M - 1 modulo M = p^(s+e) reach
-    # past half of the bound size * M * p^E in column 0, at least twice
-    # that width: each extension repacks the rows at exactly the bits of
-    # the bound, and a width one bit narrower carries
-    E, size = 3, 3
+    # word_width of the bits of p^E plus a sign bit; residues 0, 1 and
+    # M - 1 modulo M = p^(s+e) reach past half of the bound
+    # size * M * p^E in column 0.  Where that bound is below 32 bits the
+    # rows stay at 32; where it is 32 bits they widen to
+    # word_width(32 + 1) = 64, since at 32 a digit at 2^31 would decode as
+    # negative
+    size = 3
+    E = _edge_exponent(p) - 4
     basis = [tuple(p ** E if j == i else p ** E - 1 if j == 0 else 0 for j in range(i + 1))
              + (0,) * (size - i - 1) for i in range(size)]
-    packed = (p ** E).bit_length()
-    outcomes = []
+    packed = word_width((p ** E).bit_length() + 1)
+    assert packed == 32
+    outcomes, widths = [], set()
     for s, e in ((0, 3), (0, 4), (1, 3)):
         M = p ** (s + e)
-        bound = size * M * p ** E
-        assert sum((M - 1) * b for b in next(zip(*basis))) >= 2 ** (bound.bit_length() - 1)
+        need = (size * M * p ** E).bit_length()
+        assert sum((M - 1) * b for b in next(zip(*basis))) >= 2 ** (need - 1)
         for residues in itertools.product((0, 1, M - 1), repeat=size):
             lat = SolutionLattice(p, basis)
             assert lat._pack[0] == packed
@@ -600,31 +651,71 @@ def test_packed_extension_at_its_width_bound(p):
             got = extend_lattice(lat, row)
             assert got.basis == want.basis, (s, e, residues)
             if M - 1 in residues:  # then the row's denominator is M itself
-                assert lat._pack[0] == bound.bit_length() >= 2 * packed
+                assert lat._pack[0] == (word_width(need + 1) if need >= packed else packed)
+                widths.add((need, lat._pack[0]))
             outcomes.append(got.basis[-1])
     assert None in outcomes and len(set(outcomes)) > 10
+    assert (32, 64) in widths and sorted(w for _, w in widths) == [32, 64]
 
 
-def test_extension_keeps_the_parent_rows_and_widens_only_by_doubling():
+def test_extension_keeps_the_parent_rows_and_widens_by_whole_words():
     # a lattice built by extension shares its parent's packed rows; a wider
-    # packing takes at least twice the width, and the parent, widened in
-    # place, is the same lattice
+    # packing is word_width of the bound's bits plus a sign bit, and the
+    # parent, widened in place, is the same lattice
     p = 3
     lat = SolutionLattice(p, ())
     widths = []
     for n in range(12):
-        parent = lat
-        lat = extend_lattice(parent, [Fraction(n + i, p ** (n // 3)) for i in range(n)]
-                             + [Fraction(1, p ** (n // 3))])
+        parent, M = lat, p ** (3 * n)
+        width = parent._pack[0]
+        top = max((parent.basis[j][j] for j in range(n)), default=1)
+        lat = extend_lattice(parent, [Fraction(n + i, M) for i in range(n)] + [Fraction(1, M)])
         assert lat._pack[1][:-1] == parent._pack[1]
-        assert lat.pivots() == parent.pivots() + (n // 3,)
+        assert lat.pivots() == parent.pivots() + (3 * n,)
+        need = (max(n, 1) * M * top).bit_length()
+        assert parent._pack[0] == (word_width(need + 1) if n and need >= width else width)
         widths.append(lat._pack[0])
-    assert all(b == a or b >= 2 * a for a, b in zip(widths, widths[1:]))
+    assert widths == sorted(widths) and all(w % 32 == 0 for w in widths)
     assert len(set(widths)) > 2
     before = lat.basis
     wide = lat._packed(p ** 40)
-    assert wide[0] >= 2 * widths[-1] and lat.basis == before
+    assert wide[0] == word_width((lat.size * p ** 40 * p ** 33).bit_length() + 1)
+    assert lat.basis == before
     assert lat == SolutionLattice(p, before) and lat._pack == wide
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_basis_and_values_at_the_edge_of_a_width(p):
+    # diagonal entries p^E whose bits fill a word, or all but its sign bit,
+    # and column 0 at p^E - 1: the decoded basis is the basis given, and at
+    # moduli whose bound fills a word exactly, the values on every column
+    # are those of the entries, where a digit at or past 2^(S - 1) would
+    # decode as negative at a width without the sign bit
+    for bits in (31, 32, 63, 64):
+        E = max(k for k in range(1, 70) if (p ** k).bit_length() <= bits)
+        size = 3
+        basis = tuple(tuple(p ** E if j == i else p ** E - 1 if j == 0 else 0
+                            for j in range(i + 1)) + (0,) * (size - i - 1)
+                      for i in range(size))
+        lat = SolutionLattice(p, basis)
+        assert lat._pack[0] == word_width((p ** E).bit_length() + 1)
+        assert lat.basis == basis
+        # the least modulus m whose column-0 digit (m - 1) * (3 p^E - 2)
+        # reaches 2^(32k - 1), with the bound 3 m p^E exactly 32k bits long
+        k = -(-((3 * p ** E).bit_length() + 2) // 32)
+        edge = -(-2 ** (32 * k - 1) // (3 * p ** E - 2)) + 1
+        assert (size * edge * p ** E).bit_length() == 32 * k
+        for modulus in (p, p ** 2, p ** 5, 2 ** 31 + 1, 2 ** 32 - 5, edge):
+            entries = [(i, modulus - 1) for i in range(size)]
+            width = lat._pack[0]
+            need = (size * modulus * p ** E).bit_length()
+            digits = [sum(c * basis[i][j] for i, c in entries) for j in range(size)]
+            assert modulus != edge or digits[0] >= 2 ** (need - 1)
+            want = [x % modulus for x in digits]
+            assert lat._values(entries, modulus) == want, (bits, modulus)
+            assert lat._vanishes(entries, modulus) == (not any(want))
+            assert lat._pack[0] == (word_width(need + 1) if need >= width else width)
+            assert lat.basis == basis
 
 
 def _columnwise_vanishes(lat, entries, modulus):
@@ -661,13 +752,13 @@ def test_all_columns_test_matches_the_digit_by_digit_one(p, data):
 
 
 def test_all_columns_test_where_the_carries_alone_decide():
-    # basis rows P_0 = 2 and P_1 = 2^4, packed at S = 4 for m = 3: the row
-    # mu_0 + mu_1 gives V = 18, digits (2, 1), so 3 divides V while neither
-    # digit is 0 modulo 3; q = V // 3 = 6 is one more than
-    # L = (2^4 - 1) // 3 = 5, so only the carry test refuses it
+    # basis rows P_0 = 2 and P_1 = 2^32, packed at S = 32 for m = 3: the row
+    # mu_0 + mu_1 gives V = 2 + 2^32, digits (2, 1), so 3 divides V while
+    # neither digit is 0 modulo 3; q = V // 3 is one more than
+    # L = (2^32 - 1) // 3, so only the carry test refuses it
     lat = SolutionLattice(2, ((2, 0), (0, 1)))
-    assert lat._packed(3)[0] == 4
-    assert 18 // 3 == (2 ** 4 - 1) // 3 + 1
+    assert lat._packed(3) == (32, (2, 2 ** 32))
+    assert (2 + 2 ** 32) % 3 == 0 and (2 + 2 ** 32) // 3 == (2 ** 32 - 1) // 3 + 1
     assert lat._values([(0, 1), (1, 1)], 3) == [2, 1]
     assert not lat._vanishes([(0, 1), (1, 1)], 3)
     assert lat._vanishes([(0, 3), (1, 3)], 3)
@@ -675,7 +766,7 @@ def test_all_columns_test_where_the_carries_alone_decide():
     # digits decide, and some digit fails in many of them
     decided = 0
     for p, e0, e1, m in itertools.product((2, 3, 5), (0, 1, 2), (0, 1, 2), (2, 3, 4, 9, 25)):
-        lat = SolutionLattice(p, ((p ** e0, 0), (p - 1 if e0 else 0, p ** e1)))
+        lat = SolutionLattice(p, ((p ** e0, 0), (p - 1 if e1 else 0, p ** e1)))
         width, rows = lat._packed(m)
         for c0, c1 in itertools.product(range(m), repeat=2):
             value = c0 * rows[0] + c1 * rows[1]

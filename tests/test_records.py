@@ -5,6 +5,7 @@ the interpreter's hash seed, so it is checked against the hash of the field
 tuple instead."""
 
 import copy
+import importlib.util
 import pickle
 import subprocess
 import sys
@@ -174,3 +175,25 @@ def test_every_private_helper_is_used():
     done = subprocess.run([sys.executable, str(UNUSED_SCRIPT)], capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_a_private_method_that_nothing_calls_is_reported(tmp_path, monkeypatch):
+    # the scan reads private methods of classes as well as module-level
+    # helpers: a method named only by its own def is reported, one called
+    # through an attribute is not
+    spec = importlib.util.spec_from_file_location("unused_private", UNUSED_SCRIPT)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    package = tmp_path / "bpadams"
+    package.mkdir()
+    (package / "lattice.py").write_text(
+        "class Lattice:\n"
+        "    def _pack(self):\n        return self._pack\n\n"
+        "    def _read(self):\n        return 1\n\n"
+        "    def __len__(self):\n        return 0\n\n\n"
+        "def _spare():\n    return Lattice()._read()\n")
+    monkeypatch.setattr(scan, "SRC", tmp_path)
+    monkeypatch.setattr(scan, "PACKAGE", package)
+    defined, orphans = scan.scan()
+    assert defined == ["lattice.Lattice._pack", "lattice.Lattice._read", "lattice._spare"]
+    assert orphans == ["lattice.Lattice._pack", "lattice._spare"]

@@ -1,7 +1,8 @@
-"""Check that every private module-level helper in ``src/bpadams`` is used.
+"""Check that every private helper in ``src/bpadams`` is used.
 
-A private definition is a module-level ``def`` or ``class`` whose name
-starts with one underscore and is not a dunder.  It counts as used when
+A private definition is a module-level ``def`` or ``class``, or a ``def``
+in the body of a module-level class, whose name starts with one
+underscore and is not a dunder.  It counts as used when
 some ``Name`` or ``Attribute`` node, or some imported name, anywhere in
 ``src/`` names it outside its own body; a mention in a docstring or a
 comment does not count, nor does a recursive call.  Standard library
@@ -46,14 +47,24 @@ def scan() -> tuple[list[str], list[str]]:
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and _private(node.name)):
-                label = f"{path.stem}.{node.name}"
+        for node, label in _definitions(tree, path.stem):
+            if _private(node.name):
                 defined.append(label)
                 if used[node.name] == _names(node)[node.name]:
                     orphans.append(label)
     return defined, orphans
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(node, ``module.name``) for each module-level def and class, and
+    (node, ``module.Class.name``) for each def in a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, f"{module}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield member, f"{module}.{node.name}.{member.name}"
 
 
 def main() -> int:
@@ -61,7 +72,7 @@ def main() -> int:
     if orphans:
         print(f"private definitions named nowhere in src/: {', '.join(orphans)}")
         return 1
-    print(f"all {len(defined)} private module-level definitions in src/bpadams are used")
+    print(f"all {len(defined)} private definitions in src/bpadams are used")
     return 0
 
 
