@@ -125,22 +125,31 @@ def family_action(fam: AdamsFamily, n: int, m: int) -> Fraction:
         raise ValueError("family index must be non-negative")
     if m < 0 and fam.kind != "Phi_KU":
         raise ValueError("the connective theory has no negative degrees")
-    return _action(fam.kind, fam.qhat if fam.kind == "phihat_g" else fam.q, n, m)
-
-
-def _action(kind: str, q: int | None, n: int, m: int) -> Fraction:
-    """The eigenvalue of :func:`family_action` for a family of this kind
-    whose generator is q (qhat on the summand; not read by zeta), with n
-    and m already checked."""
-    if kind == "zeta_ku2":
+    if fam.kind == "zeta_ku2":  # one entry, not the row before it
         return _zeta_action(n, m)
-    if kind == "Phi_KU":  # periodic: m may be any integer, roots run through the enumeration
-        roots = map(periodic_enum, range(n))
-    else:  # connective: prod_{i<n} (q^m - q^i)
-        roots = range(n)
-    q = Fraction(q)
-    base = q ** m
-    return math.prod((base - q ** i for i in roots), start=Fraction(1))
+    return Fraction(_action_row(fam.kind, fam.qhat if fam.kind == "phihat_g" else fam.q,
+                                m, n + 1)[n])
+
+
+def _action_row(kind: str, q: int | None, m: int, length: int) -> list[Fraction | int]:
+    """The eigenvalues of :func:`family_action` on coefficient index m of
+    family elements 0..length-1, for a family of this kind whose generator
+    is q (qhat on the summand; not read by zeta), with m already checked.
+
+    Element k is prod_{i<k} (q^m - q^i), the roots q^i running through
+    the enumeration of :func:`periodic_enum` on the periodic family, so
+    each entry is the one before times one factor; on the connective
+    families q^m is an int and so is every entry."""
+    if kind == "zeta_ku2":
+        return [_zeta_action(k, m) for k in range(length)]
+    if kind == "Phi_KU":  # periodic: m and the roots' exponents may be negative
+        q, roots = Fraction(q), map(periodic_enum, range(length - 1))
+    else:
+        roots = range(length - 1)
+    base, row = q ** m, [1]
+    for i in roots:
+        row.append(row[-1] * (base - q ** i))
+    return row
 
 
 def expand_in_family(fam: AdamsFamily, lam: Sequence[Fraction | int],
@@ -317,15 +326,15 @@ def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]
     the lower rows' denominators and reduced by the gcd, so each row of B
     is integers over the lcm of its entries' denominators.
 
-    Row m of A is the connective family's action by :func:`_action`, the
-    formula of :func:`family_action` without its memo, whose key hashes
-    the family record per entry; q is not read at p = 2.
+    Row m of A is the connective family's action by :func:`_action_row`,
+    the formula of :func:`family_action` without its memo, whose key
+    hashes the family record per entry; q is not read at p = 2.
     """
     ensure_prime(p)
     kind, q = ("zeta_ku2", None) if p == 2 else ("phi_ku", validate_q(p, q))
     inverse: list[tuple[list[int], int]] = []
     for m in range(top + 1):
-        nums, d = integer_numerators([_action(kind, q, k, m) for k in range(m + 1)])
+        nums, d = integer_numerators(_action_row(kind, q, m, m + 1))
         if not nums[m]:
             raise ValueError(f"family diagonal vanishes at index {m}")
         den = math.lcm(*(inverse[k][1] for k in range(m) if nums[k]))

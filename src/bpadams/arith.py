@@ -40,6 +40,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integer(n: object) -> int:
+    """n if it is an int and not a bool, else ``ValueError``: a float or a
+    ``Fraction`` would be truncated or floor-divided into a wrong answer."""
+    if isinstance(n, int) and not isinstance(n, bool):
+        return n
+    raise ValueError(f"not an integer: {n!r}")
+
+
 def ensure_prime(p: int) -> int:
     """Return ``p`` if it is a prime integer, else raise ``ValueError``."""
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
@@ -119,24 +127,28 @@ def _shape_holds(p: int, budget: int, top: int | None, entries: Iterable[int],
 
 
 def nu_p(p: int, n: int) -> int | float:
-    """Largest e with p**e dividing n; ``INFINITY`` for n == 0."""
+    """Largest e with p**e dividing the int n; ``INFINITY`` for n == 0."""
     ensure_prime(p)
-    if n == 0:
+    if _integer(n) == 0:
         return INFINITY
-    return _nu(p, int(n))
+    return _nu(p, n)
 
 
 def val_p(p: int, x: Fraction | int) -> int | float:
     """p-adic valuation of a rational: nu_p(num) - nu_p(den); INFINITY at 0.
 
-    Takes an int or a ``Fraction`` as it is and checks p once.  x is in
-    lowest terms, so p divides at most one of its numerator and
-    denominator: one loop runs, on whichever p divides.
+    Takes an int or a ``Fraction`` as it is and checks p once; a float,
+    which has no denominator, is refused (``ValueError``).  x is in lowest
+    terms, so p divides at most one of its numerator and denominator: one
+    loop runs, on whichever p divides.
     """
+    try:
+        den = x.denominator
+    except AttributeError:
+        raise ValueError(f"not an exact rational: {x!r}") from None
     if not x:
         return INFINITY
     ensure_prime(p)
-    den = x.denominator
     if den % p:
         return _nu(p, x.numerator)
     return -_nu(p, den)
@@ -153,9 +165,9 @@ def is_p_local_unit(p: int, x: Fraction | int) -> bool:
 
 
 def nu_p_factorial(p: int, n: int) -> int:
-    """nu_p(n!) by the Legendre sum of floor(n / p^k)."""
+    """nu_p(n!) by the Legendre sum of floor(n / p^k), for an int n."""
     ensure_prime(p)
-    if n < 0:
+    if _integer(n) < 0:
         raise ValueError("factorial of a negative integer")
     total = 0
     q = p
@@ -171,9 +183,10 @@ def delta_p(p: int, n: int) -> int:
 
 
 def gamma_p(p: int, i: int) -> int:
-    """delta_p(floor(i / (p - 1))), the interleaved valuation budget."""
+    """delta_p(floor(i / (p - 1))), the interleaved valuation budget, for
+    an int i."""
     ensure_prime(p)
-    if i < 0:
+    if _integer(i) < 0:
         raise ValueError("negative index")
     return delta_p(p, i // (p - 1))
 
@@ -207,8 +220,11 @@ def gaussian(n: int, i: int, t: Fraction | int) -> Fraction:
     Evaluated by Horner's rule from the expanded integer-coefficient
     polynomial, never from the quotient-of-products form, so integer t
     gives an exact integer result (computed in ints) regardless of
-    vanishing denominators.
+    vanishing denominators.  A ``Fraction`` t is read as it is, and a float
+    is refused (:func:`exact`).
     """
+    if not isinstance(t, int):
+        t = exact(t)
     acc = 0
     for c in reversed(gaussian_poly(n, i)):
         acc = acc * t + c

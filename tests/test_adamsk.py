@@ -388,6 +388,33 @@ def test_integer_shape_against_the_fraction_shape():
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
+def test_zeta_family_action_reads_one_entry():
+    # at p = 2 family_action reads the one zeta entry it returns, not the
+    # row of entries before it (an odd n does not recurse)
+    fam = adams_family("zeta_ku2", 2)
+    before = adamsk._zeta_action.cache_info().misses
+    assert family_action(fam, 61, 97) == adamsk._zeta_action(61, 97)
+    assert adamsk._zeta_action.cache_info().misses == before + 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_action_rows_against_the_per_entry_product(p):
+    # entry k of row m is prod_{i<k} (q^m - q_i), stepped from entry k - 1;
+    # the connective rows are ints, the periodic ones may have negative m
+    q = find_q(p)
+    for kind, base, exponents in (("phi_ku", q, range), ("phihat_g", q ** (p - 1), range),
+                                  ("Phi_KU", q, lambda k: map(periodic_enum, range(k)))):
+        fam = adams_family(kind, p)
+        for m in range(-5 if kind == "Phi_KU" else 0, 20):
+            row = adamsk._action_row(kind, base, m, 22)
+            want = [math.prod((Fraction(base) ** m - Fraction(base) ** i for i in exponents(k)),
+                              start=Fraction(1)) for k in range(22)]
+            assert row == want, (kind, m)
+            if kind != "Phi_KU":
+                assert all(type(x) is int for x in row)
+            assert [family_action(fam, k, m) for k in range(22)] == want
+
+
 def test_inverse_rows_hash_no_family_record(monkeypatch):
     # row m of the action matrix is read without family_action's memo,
     # which hashes the AdamsFamily record on every entry

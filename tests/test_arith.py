@@ -13,8 +13,8 @@ from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, en
                            find_q, format_over, format_rational, gamma_p, gaussian, gaussian_poly,
                            integer_numerators, integral_dot, is_p_local_int, is_p_local_unit,
                            is_prime,
-                           multiplicative_order, nu_p, parse_rational, val_p, validate_q,
-                           word_width)
+                           multiplicative_order, nu_p, nu_p_factorial, parse_rational, val_p,
+                           validate_q, word_width)
 
 
 def test_prime_validation():
@@ -271,6 +271,33 @@ def test_exact_refuses_floats():
             exact(x)
     with pytest.raises(ValueError, match="floating point input rejected"):
         integer_numerators([Fraction(1, 2), 0.25])
+
+
+REFUSED = [
+    (nu_p, (3, 9.7), "not an integer"),
+    (nu_p, (3, Fraction(9, 2)), "not an integer"),
+    (nu_p, (3, True), "not an integer"),
+    (nu_p_factorial, (3, 7.5), "not an integer"),
+    (delta_p, (3, 2.5), "not an integer"),
+    (gamma_p, (2, 3.5), "not an integer"),
+    (gamma_p, (3, Fraction(7, 2)), "not an integer"),
+    (val_p, (3, 0.5), "not an exact rational"),
+    (val_p, (3, 0.0), "not an exact rational"),
+    (is_p_local_int, (3, 1.5), "not an exact rational"),
+    (is_p_local_unit, (3, 1.0), "not an exact rational"),
+    (gaussian, (4, 2, 0.1), "floating point input rejected"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", REFUSED,
+                         ids=[f"{fn.__name__}-{args[-1]!r}".replace(" ", "")
+                              for fn, args, _ in REFUSED])
+def test_public_helpers_refuse_floats_and_non_integers(fn, args, message):
+    # each was once truncated, floor-divided or evaluated in floating point:
+    # nu_p(3, 9.7) gave 2, delta_p(3, 2.5) gave 2.5, gaussian(4, 2, 0.1) a
+    # dyadic rational, and val_p(3, 0.5) raised AttributeError
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 def test_parse_and_format_rational():
