@@ -259,6 +259,11 @@ def integral_dot(p: int, row: tuple[Sequence[int], int],
     return not sum(map(mul, nums, mu_nums)) % p ** (_nu(p, den) + _nu(p, mu_den))
 
 
+#: whether the host's words are little-endian, as the bytes of a packed row
+#: are: only then does ``memoryview.cast`` read its fields as they are
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
 def word_width(bits: int) -> int:
     """``bits`` rounded up to whole 32-bit words: the width a row of
     :class:`WordCodec` is packed at."""
@@ -274,12 +279,12 @@ class WordCodec:
     m the row's digit count, makes every digit c_j + 2^(R - 1) lie in
     [0, 2^R): the sum is an unsigned int whose little-endian bytes hold
     digit j in bytes R/8 * j .. R/8 * (j + 1), so the digits come out of
-    one ``to_bytes`` (read as native words by ``memoryview.cast``, on a
-    little-endian host) and no digit is split off by a shift.  m is
-    ``r.bit_length() // R + 1``: a top non-zero digit c_m leaves
-    2^(R * m - 1) < |r| < 2^(R * (m + 1) - 1).  Digits of absolute value
-    below 2^B take the width :func:`word_width` (B + 1), one bit for the
-    sign.  The offsets depend on the widths and m alone and are kept per
+    one ``to_bytes`` (read as native words by ``memoryview.cast`` on a
+    little-endian host, field by field on a big-endian one) and no digit
+    is split off by a shift.  m is ``r.bit_length() // R + 1``: a top
+    non-zero digit c_m leaves 2^(R * m - 1) < |r| < 2^(R * (m + 1) - 1).
+    Digits of absolute value below 2^B take the width :func:`word_width`
+    (B + 1), one bit for the sign.  The offsets depend on the widths and m alone and are kept per
     codec, one per width and shift: one codec serves one walk, one theta
     recursion, or all the lattices of :mod:`bpadams.lattice`.
     """
@@ -315,14 +320,15 @@ class WordCodec:
         of an unsigned int.  A row of 32- or 64-bit digits is then XORed
         with the same offset, which flips each field's top bit back, so
         field j holds c_j in two's complement, and it is one ``to_bytes``
-        read as signed native words by ``memoryview.cast``; a wider digit
-        is its field read by one ``int.from_bytes``, less 2^(width - 1).
-        A row of one digit is that digit."""
+        read as signed native words by ``memoryview.cast`` on a
+        little-endian host.  A wider digit, or any digit on a big-endian
+        host, is its field read by one ``int.from_bytes``, less
+        2^(width - 1).  A row of one digit is that digit."""
         count = packed.bit_length() // width + 1
         if count == 1:
             return [packed]
         offset = self._offset(width, count, width - 1)
-        if width <= 64:
+        if width <= 64 and _LITTLE_ENDIAN:
             data = ((packed + offset) ^ offset).to_bytes(count * width // 8, "little")
             return memoryview(data).cast("i" if width == 32 else "q").tolist()
         size, half, from_bytes = width // 8, 1 << (width - 1), int.from_bytes
@@ -371,16 +377,6 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return k
 
 
-def is_primitive_mod_p2(q: int, p: int) -> bool:
-    """True iff q generates (Z/p^2)^* (and hence (Z/p^r)^* for all r)."""
-    ensure_prime(p)
-    if p == 2:
-        raise ValueError("no primitive root convention at p = 2")
-    if q % p == 0:
-        return False
-    return multiplicative_order(q, p * p) == p * (p - 1)
-
-
 def validate_q(p: int, q: int | None) -> int:
     """The generator q in use: an explicit q after checking it, else the
     default (:func:`find_q` for odd p, 3 at p = 2).
@@ -419,10 +415,9 @@ def find_q(p: int) -> int | tuple[int, int]:
     if p == 2:
         return (3, -1)
     q = 2
-    while True:
-        if q % p != 0 and is_primitive_mod_p2(q, p):
-            return q
+    while q % p == 0 or multiplicative_order(q, p * p) != p * (p - 1):
         q += 1
+    return q
 
 
 def parse_rational(text: object) -> Fraction:
@@ -441,21 +436,17 @@ def parse_rational(text: object) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
-#: ints of at most this many bits have at most
-#: ``sys.int_info.default_max_str_digits`` decimal digits (log2(10) > 3.3),
-#: so ``str`` converts them under the interpreter's default limit; 0 where
-#: the interpreter has no limit
-_STR_BITS = getattr(sys.int_info, "default_max_str_digits", 0) * 33 // 10
-
-
 def decimal(x: int) -> str:
-    """``str(x)``, also for an int past the interpreter's limit on int-to-str
-    conversion (4,300 digits by default from CPython 3.10.7 and 3.11 on):
-    plain ``str`` up to ``_STR_BITS`` bits; above, x = high * 10^h + low
-    with h about half of x's digits, each part converted in turn and low
-    padded with zeros to h digits."""
-    if not _STR_BITS or x.bit_length() <= _STR_BITS:
+    """``str(x)``, also past the interpreter's limit on int-to-str conversion
+    (``sys.set_int_max_str_digits``, 4,300 digits by default from CPython
+    3.10.7 and 3.11 on), whatever it is set to: ``str`` is asked first, and
+    only when it refuses is x split as high * 10^h + low, h about half of
+    x's digits, each part written in turn and low padded with zeros to h
+    digits."""
+    try:
         return str(x)
+    except ValueError:
+        pass
     if x < 0:
         return "-" + decimal(-x)
     h = x.bit_length() * 3 // 20  # half of x's digits at most: log10(2) > 0.3
@@ -479,18 +470,15 @@ def format_rational(x: Fraction | int) -> str:
 
 def format_over(nums: Sequence[int], den: int) -> list[str]:
     """:func:`format_rational` of each N / den, den > 0, from the integers:
-    N and den divided by their gcd, the sign on the numerator.  The row's
-    widest integer is checked against ``_STR_BITS`` once, so a row within
-    it is written by plain ``str`` and a wider one by :func:`decimal`.
-    Each reduced denominator is written once per row, kept by its gcd."""
-    widest = max(den.bit_length(), max(map(int.bit_length, nums), default=0))
-    text = decimal if _STR_BITS and widest > _STR_BITS else str
+    N and den divided by their gcd, the sign on the numerator, each
+    written by :func:`decimal`.  Each reduced denominator is written once
+    per row, kept by its gcd."""
     out = []
     dens: dict[int, str] = {den: ""}
     for x in nums:
         g = math.gcd(x, den)
         d = dens.get(g)
         if d is None:
-            d = dens[g] = "/" + text(den // g)
-        out.append(text(x // g) + d)
+            d = dens[g] = "/" + decimal(den // g)
+        out.append(decimal(x // g) + d)
     return out

@@ -23,10 +23,11 @@ class BPContext:
 
     Holds the generator tables for the v, l and t families up to the
     largest index whose weight fits the bound, and the l_n as polynomials
-    in the v's (:meth:`l_in_v`), built eagerly.  It is not immutable: the
-    v_n in the l's (:meth:`v_in_l`) are built on the first call, which
-    only public callers make, and ``_hopf_cache`` is filled on first use,
-    one entry at a time, with the diagonal transform's generator images
+    in the v's (:meth:`l_in_v`), built eagerly (:mod:`bpadams.hopf`
+    reads them only for the leads of the v_1-shadows).  It is not
+    immutable: the v_n in the l's (:meth:`v_in_l`) are built on the first
+    call, which only public callers make, and ``_hopf_cache`` is filled on
+    first use, one entry at a time, with the diagonal transform's generator images
     as integers (``"theta_numerators"``), the same images read in
     Hazewinkel's generators of BP_* for the verification's walk
     (``"hazewinkel_theta_numerators"``), the powers of the first images'

@@ -20,9 +20,11 @@ keys over one denominator, the lcm of its denominators, and one integer
 kernel, :mod:`bpadams.kernel`, multiplies, sums and powers them.  The generator
 images are built once per context (``_theta_numerators``, by one
 recursion on integers, ``_t_recursion``, run on packed rows of one width
-and decoded once, see ``_theta_of``); the same recursion over the
+and decoded once, see ``_theta_of``) from the l_k(v) of another
+(``_l_numerators``); the same recursion over the
 {l, e} generators, with denominator 1, gives t_n in the right-unit
-basis, and over the eta_R(l_n) it gives eta_R(v_n) on {v, t} keys, the
+basis, and over the eta_R(l_n) (``_right_unit_l``, also the right-unit
+tables' eta_R(l_n)) it gives eta_R(v_n) on {v, t} keys, the
 factors of ``right_unit_v_monomial``.  One evaluator (``_evaluate``)
 carries x through a ring map given on the generators' powers, with the
 recursion's product; ``diagonal_transform`` runs it on the generator
@@ -58,7 +60,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .arith import (WordCodec, _Record, _shape_holds, delta_p, exact, format_over,
-                    format_rational, integer_numerators, is_p_local_int, val_p, word_width)
+                    format_rational, is_p_local_int, val_p, word_width)
 from .fgl import BPContext
 from .kernel import (_check_u_degree, _combine, _evaluate, _exponent_reader, _group_rows,
                      _key, _l1_sum, _multiply, _power, _reduced, _t_recursion)
@@ -162,7 +164,7 @@ class MuLinear:
     def to_text(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = [f"{c}*mu{i}" for i, c in sorted(self.coeffs.items())]
+        parts = [f"{format_rational(c)}*mu{i}" for i, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -209,22 +211,16 @@ class _RightUnitData:
     __slots__ = ("etaR_l", "t_in_basis")
 
     def __init__(self, ctx: BPContext):
-        W = ctx.weight_bound
-        p = ctx.p
-        self.etaR_l: list[GradedPoly] = []
-        for n in range(1, ctx.gen_count + 1):
-            acc = GradedPoly.gen(ctx.lt_table, W, f"t{n}")
-            acc = acc + GradedPoly.gen(ctx.lt_table, W, f"l{n}")
-            for k in range(1, n):
-                acc = acc + (GradedPoly.gen(ctx.lt_table, W, f"l{k}")
-                             * GradedPoly.gen(ctx.lt_table, W, f"t{n - k}", p ** k))
-            self.etaR_l.append(acc)
+        W, m = ctx.weight_bound, ctx.gen_count
+        width = W.bit_length()
+        # l_k's field is the (2m - k)-th from the bottom, above the t fields
+        L = [({1 << width * (2 * m - k): 1}, 1) for k in range(1, m + 1)]
+        self.etaR_l = [_poly_view(ctx.lt_table, W, R) for R in _right_unit_l(ctx, L)]
         # the recursion on the {l, e} generators, each a packed key over den 1
         count = len(ctx.le_table)
-        gens = [({_key((int(i == j) for j in range(count)), W.bit_length()): 1}, 1)
+        gens = [({_key((int(i == j) for j in range(count)), width): 1}, 1)
                 for i in range(count)]
-        m = ctx.gen_count
-        T = _t_recursion(p, gens[:m], gens[m:])
+        T = _t_recursion(ctx.p, gens[:m], gens[m:])
         self.t_in_basis = [_poly_view(ctx.le_table, W, image) for image in T]
 
 
@@ -291,24 +287,34 @@ def _right_unit_v(ctx: BPContext) -> list[tuple[dict[int, int], int]]:
     """V_n = eta_R(v_n) for n = 1, 2, ... as (N, D) on packed keys over
     ``ctx.vt_table`` (see :func:`_key`), built once per context.  The ring
     map eta_R carries v_n = pi_n * l_n - sum_{1<=i<n} l_i * v_{n-i}^{p^i}
-    to V_n = pi_n * R_n - sum_{1<=i<n} R_i * V_{n-i}^{p^i}, with
-    R_n = eta_R(l_n) = sum_{k=0}^{n} L_k * t_{n-k}^{p^k}, L_0 = t_0 = 1 and
-    L_k = l_k(v): :func:`_t_recursion` with E_n = (1 + pi_n) * R_n."""
+    to V_n = pi_n * R_n - sum_{1<=i<n} R_i * V_{n-i}^{p^i}, R_n = eta_R(l_n)
+    (:func:`_right_unit_l` of the l_k(v)): :func:`_t_recursion` with
+    E_n = (1 + pi_n) * R_n."""
     cache = ctx._hopf_cache
     if "right_unit_v" not in cache:
-        width, m, p = ctx.weight_bound.bit_length(), ctx.gen_count, ctx.p
-        L = _l_numerators(ctx, m)
-        R = []  # t_j's field is the (m - j)-th from the bottom
-        for n in range(1, m + 1):
-            terms = [(1, ({1 << width * (m - n): 1}, 1)), (1, L[n - 1])]
-            for k in range(1, n):
-                shift, (num, den) = p ** k << width * (m - n + k), L[k - 1]
-                terms.append((1, ({key + shift: c for key, c in num.items()}, den)))
-            R.append(_combine(terms))
+        R = _right_unit_l(ctx, _l_numerators(ctx, ctx.gen_count))
         E = [({key: (1 + int(ctx.pi(n))) * c for key, c in num.items()}, den)
              for n, (num, den) in enumerate(R, 1)]
-        cache["right_unit_v"] = _t_recursion(p, R, E)
+        cache["right_unit_v"] = _t_recursion(ctx.p, R, E)
     return cache["right_unit_v"]
+
+
+def _right_unit_l(ctx: BPContext, L: list[tuple[dict[int, int], int]],
+                  ) -> list[tuple[dict[int, int], int]]:
+    """R_n = eta_R(l_n) = sum_{k=0}^{n} L_k * t_{n-k}^{p^k}, L_0 = t_0 = 1,
+    for n = 1, 2, ... as (N, D) on packed keys (see :func:`_key`) whose
+    ``ctx.gen_count`` low fields are the t's, t_j's the (m - j)-th from
+    the bottom, given the L_k on the fields above them: the l_k themselves
+    over ``ctx.lt_table``, or l_k(v) over ``ctx.vt_table``."""
+    width, m, p = ctx.weight_bound.bit_length(), ctx.gen_count, ctx.p
+    R = []
+    for n in range(1, m + 1):
+        terms = [(1, ({1 << width * (m - n): 1}, 1)), (1, L[n - 1])]
+        for k in range(1, n):
+            shift, (num, den) = p ** k << width * (m - n + k), L[k - 1]
+            terms.append((1, ({key + shift: c for key, c in num.items()}, den)))
+        R.append(_combine(terms))
+    return R
 
 
 def to_right_unit_basis(ctx: BPContext, x: GradedPoly) -> GradedPoly:
@@ -337,8 +343,8 @@ def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
     """theta of each {l, t} generator as (N, D), built once per context:
     l_k -> L_k = l_k(v) and t_n -> T_n by :func:`_t_recursion`, each as
     integer numerators on packed keys (see :func:`_key`) over D, the lcm
-    of its denominators; L_k's keys are those of ``ctx.l_in_v(k)`` with
-    an empty u field."""
+    of its denominators; L_k is :func:`_l_numerators` above an empty u
+    field."""
     cache = ctx._hopf_cache
     if "theta_numerators" not in cache:
         cache["theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 1))
@@ -358,22 +364,13 @@ def _hazewinkel_theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, in
     BP_* (x) Q lies in BP_* iff its coefficients are p-integral in either:
     theta_mu(t^gamma) passes the same integrality test on either set of
     images, and the walk's numerators are several times narrower on
-    these.  Each
-    L_n is summed on packed keys (v_n's field the (m - n + 1)-th above the
-    u field) by :func:`_combine`; the t images follow by
-    :func:`_t_recursion`, as for :func:`_theta_numerators`.
+    these.  The L_n come from :func:`_l_numerators` with pi_n = p, and
+    the t images follow by :func:`_t_recursion`, as for
+    :func:`_theta_numerators`.
     """
     cache = ctx._hopf_cache
     if "hazewinkel_theta_numerators" not in cache:
-        width, m, p = ctx.weight_bound.bit_length(), ctx.gen_count, ctx.p
-        L: list[tuple[dict[int, int], int]] = []
-        for n in range(1, m + 1):
-            terms = [(1, ({1 << width * (m - n + 1): 1}, p))]
-            for i in range(1, n):
-                shift, (num, den) = p ** i << width * (m - n + i + 1), L[i - 1]
-                terms.append((1, ({key + shift: c for key, c in num.items()}, den * p)))
-            L.append(_combine(terms))
-        cache["hazewinkel_theta_numerators"] = _theta_of(ctx, L)
+        cache["hazewinkel_theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 1, True))
     return cache["hazewinkel_theta_numerators"]
 
 
@@ -415,17 +412,25 @@ def _theta_of(ctx: BPContext, L: list[tuple[dict[int, int], int]],
     return dict(zip(ctx.lt_table.names, L + T))
 
 
-def _l_numerators(ctx: BPContext, low_fields: int) -> list[tuple[dict[int, int], int]]:
-    """L_k = l_k(v) for k = 1, 2, ... as (N, D) on packed keys (see
-    :func:`_key`): the fields of ``ctx.l_in_v(k)``'s exponents on top of
-    ``low_fields`` empty ones, over D, the lcm of its denominators."""
-    width = ctx.weight_bound.bit_length()
-    shift = width * low_fields
-    L = []
-    for n in range(1, ctx.gen_count + 1):
-        terms = ctx.l_in_v(n).terms
-        nums, den = integer_numerators(list(terms.values()))
-        L.append(({_key(exps, width) << shift: c for exps, c in zip(terms, nums)}, den))
+def _l_numerators(ctx: BPContext, low_fields: int, hazewinkel: bool = False,
+                  ) -> list[tuple[dict[int, int], int]]:
+    """L_n = l_n(v) for n = 1, 2, ... as (N, D) on packed keys (see
+    :func:`_key`): the v fields, v_n's the (m - n)-th above ``low_fields``
+    empty ones, over D, the lcm of its denominators.  One recursion on
+    integers, pi_n * L_n = v_n + sum_{1<=i<n} L_i * v_{n-i}^{p^i}, each
+    L_n summed by :func:`_combine` over D_i * |pi_n|, the sign of pi_n on
+    the numerators: Araki's generators with pi_n = ``ctx.pi(n)``, and
+    Hazewinkel's with ``hazewinkel``, where pi_n = p."""
+    width, m, p = ctx.weight_bound.bit_length(), ctx.gen_count, ctx.p
+    L: list[tuple[dict[int, int], int]] = []
+    for n in range(1, m + 1):
+        pi = p if hazewinkel else int(ctx.pi(n))
+        sign, pi = (1, pi) if pi > 0 else (-1, -pi)
+        terms = [(sign, ({1 << width * (m - n + low_fields): 1}, pi))]
+        for i in range(1, n):
+            shift, (num, den) = p ** i << width * (m - n + i + low_fields), L[i - 1]
+            terms.append((sign, ({key + shift: c for key, c in num.items()}, den * pi)))
+        L.append(_combine(terms))
     return L
 
 
@@ -482,7 +487,7 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     once per call.  A term of
     weight above W is dropped, as truncation at W would drop its
     homogeneous image; the others neither truncate nor carry, once each
-    generator image is checked to have u-degree at most its weight.
+    generator image is checked (``PolyError``) to have u-degree <= its weight.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
@@ -491,7 +496,10 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     table = ctx.lt_table
     images = _theta_numerators(ctx)
     for name, w in zip(table.names, table.weights):
-        _check_u_degree(images[name][0], width, w, f"theta({name})")
+        degree = _check_u_degree(images[name][0], width, w)
+        if degree is not None:
+            raise PolyError(f"theta({name}) has a term of u-degree {degree} above {w}: "
+                            "its packed keys could carry")
     num, den = _evaluate(((exps, c.numerator, c.denominator) for exps, c in x.terms.items()
                           if table.monomial_weight(exps) <= W),
                          lru_cache(maxsize=None)(lambda g, e: _power(images[table.names[g]], e)))

@@ -10,15 +10,13 @@ and on u-degrees alone: one product (:func:`_multiply`), sum
 (:func:`_combine`) and power (:func:`_power`) serve theta's images, the
 walk, the v_1-shadows and the special elements, with the evaluator of
 ring maps (:func:`_evaluate`) and the recursion on the generators of the
-right unit (:func:`_t_recursion`).
+right unit (:func:`_t_recursion`).  It imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping
-
-from .polyring import PolyError
 
 
 def _key(exps: Iterable[int], width: int) -> int:
@@ -167,16 +165,15 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
     return T
 
 
-def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int,
-                    label: str) -> None:
-    """Raise PolyError if a term on packed keys (:func:`_key`: v_1 at the
-    top, u at the bottom) has u-degree above ``u_bound``: the packing
-    relies on that bound."""
+def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int) -> int | None:
+    """The u-degree of the first term on packed keys (:func:`_key`: v_1 at
+    the top, u at the bottom) whose u-degree is above ``u_bound``, or None
+    if there is none: the packing relies on that bound."""
     mask = (1 << width) - 1
     for key in numerators:
         if key & mask > u_bound:
-            raise PolyError(f"{label} has a term of u-degree {key & mask} above "
-                            f"{u_bound}: its packed keys could carry")
+            return key & mask
+    return None
 
 
 def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int, int]]:

@@ -28,7 +28,6 @@ from .arith import WordCodec, word_width
 from .fgl import BPContext
 from .hopf import ConstructionError
 from .kernel import _check_u_degree, _group_rows, _multiply
-from .polyring import PolyError
 
 
 def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, int], int]],
@@ -155,10 +154,11 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
     factors: dict[tuple[int, int], list[tuple[int, int]]] = {}  # N_k's rows packed at R
     for k, w in enumerate(weights, start=1):
         num, den = images[f"t{k}"]
-        try:
-            _check_u_degree(num, width, w, f"theta(t{k})")
-        except PolyError as exc:
-            raise ConstructionError(str(exc), {"stage": "walk", "generator": f"t{k}"}) from exc
+        degree = _check_u_degree(num, width, w)
+        if degree is not None:
+            raise ConstructionError(f"theta(t{k}) has a term of u-degree {degree} above {w}: "
+                                    "its packed keys could carry",
+                                    {"stage": "walk", "generator": f"t{k}"})
         rows = _group_rows(num, width)
         if k == 1 and len(rows) != 1:
             raise ConstructionError(f"theta(t1) has {len(rows)} rows, not one: the walk's "

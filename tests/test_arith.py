@@ -186,6 +186,17 @@ def test_find_q_is_memoised_and_still_checks_p():
             find_q(bad)
 
 
+@pytest.mark.parametrize("p", [p for p in range(3, 60) if is_prime(p)])
+def test_find_q_is_the_least_q_whose_powers_fill_the_units_mod_p2(p):
+    # brute force: q generates (Z/p^2)^* iff its powers take all p(p - 1)
+    # unit values
+    def primitive(q):
+        return len({pow(q, k, p * p) for k in range(p * p)}) == p * (p - 1)
+
+    q = find_q(p)
+    assert primitive(q) and not any(primitive(r) for r in range(2, q))
+
+
 def test_find_q_order_invariant():
     for p in (3, 5, 7):
         q = find_q(p)
@@ -355,6 +366,16 @@ def test_word_codec_round_trip(rows):
         assert codec.decode(packed, width) == packing_reference.dense(row)
 
 
+def _edge_rows(width):
+    """Rows at ``width`` with the extreme digits +-(2^(width-1) - 1), zeros
+    inside a row, a negative top digit and rows of one digit."""
+    edge = (1 << (width - 1)) - 1
+    return [{0: edge}, {0: -edge}, {0: 1}, {0: -1}, {}, {1: -1}, {1: edge},
+            {0: edge, 1: -edge, 2: edge}, {0: -edge, 3: -edge}, {0: 5, 4: -1},
+            {2: edge, 5: -edge}, {j: (-1) ** j * edge for j in range(9)},
+            {0: 0x1234, 2: -(edge >> 3), 6: -2}]
+
+
 @pytest.mark.parametrize("width", [32, 64, 96, 160])
 def test_decode_against_the_per_digit_reference(width):
     # the dense decoder reads each digit as two's complement after the
@@ -362,18 +383,30 @@ def test_decode_against_the_per_digit_reference(width):
     # +-(2^(R-1) - 1), zeros inside a row, a negative top digit and rows of
     # one digit, on the word casts (32, 64 bits) and on wider digits
     codec = WordCodec()
-    edge = (1 << (width - 1)) - 1
-    rows = [{0: edge}, {0: -edge}, {0: 1}, {0: -1}, {}, {1: -1}, {1: edge},
-            {0: edge, 1: -edge, 2: edge}, {0: -edge, 3: -edge}, {0: 5, 4: -1},
-            {2: edge, 5: -edge}, {j: (-1) ** j * edge for j in range(9)},
-            {0: 0x1234, 2: -(edge >> 3), 6: -2}]
-    for row in rows:
+    for row in _edge_rows(width):
         packed = packing_reference.pack(row, width)
         assert packing_reference.unpack(packed, width) == row
         digits = codec.decode(packed, width)
         assert digits == packing_reference.dense(row), row
         assert len(digits) == packed.bit_length() // width + 1
         assert digits[-1] or not row
+
+
+@pytest.mark.parametrize("width", [32, 64])
+def test_decode_reads_word_rows_field_by_field_off_little_endian_hosts(width, monkeypatch):
+    # a big-endian host reads 32- and 64-bit rows field by field, as it
+    # reads wider ones, since a native word cast would swap each digit's
+    # bytes: the same digits as the per-digit reference, on the edge rows
+    # and on seeded random ones
+    monkeypatch.setattr(arith, "_LITTLE_ENDIAN", False)
+    codec, rng = WordCodec(), random.Random(width)
+    edge = (1 << (width - 1)) - 1
+    rows = _edge_rows(width) + [
+        {j: rng.randint(-edge, edge) for j in range(rng.randint(1, 12))} for _ in range(200)]
+    for row in rows:
+        row = {j: c for j, c in row.items() if c}
+        packed = packing_reference.pack(row, width)
+        assert codec.decode(packed, width) == packing_reference.dense(row), row
 
 
 @settings(max_examples=300, deadline=None)
@@ -438,16 +471,64 @@ def unlimited_str():
     sys.set_int_max_str_digits(old)
 
 
-def test_decimal_is_str_on_both_sides_of_the_limit(unlimited_str):
-    # below _STR_BITS decimal is plain str; above it the split by powers of
-    # ten writes the same digits, zeros at the split and negatives included
+@pytest.fixture
+def str_limit():
+    """The interpreter's limit on int-to-str conversion, in digits, for one
+    test that may set another (``sys.set_int_max_str_digits``), restored
+    after it; the default where none is set, and skipped where the
+    interpreter has none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int-to-str conversion")
+    old = sys.get_int_max_str_digits()
+    limit = old or sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+    yield limit
+    sys.set_int_max_str_digits(old)
+
+
+def _unlimited_str(x):
+    """``str(x)`` with the interpreter's limit on int-to-str conversion
+    lifted for the call: the oracle past the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_is_str_on_both_sides_of_the_limit(str_limit):
+    # below the limit in force (ints of at most limit * 3.3 bits) decimal is
+    # plain str; above it the split by powers of ten writes the digits str
+    # writes with the limit lifted, zeros at the split and negatives included
     rng = random.Random(7)
-    limit = arith._STR_BITS
+    limit = str_limit * 33 // 10
     values = [0, 1, -1, 10 ** 4299, 10 ** 4300, -(10 ** 4300), 10 ** 9000 + 1, 7 * 10 ** 5000]
     for bits in (limit - 1, limit, limit + 1, 2 * limit, 5 * limit + 3):
         values += [rng.getrandbits(bits) | 1 << (bits - 1), -(1 << (bits - 1)), (1 << bits) - 1]
     for x in values:
-        assert decimal(x) == str(x), x.bit_length()
+        assert decimal(x) == _unlimited_str(x), x.bit_length()
+
+
+def test_decimal_and_format_over_under_a_lowered_limit(str_limit):
+    # with the limit lowered to 640 digits, the least the interpreter
+    # allows, decimal and format_over write what str writes with no limit:
+    # ints of 639 to 641 digits, ints far past the limit, negatives, and
+    # zeros at the split, where the low part is padded
+    sys.set_int_max_str_digits(640)
+    rng = random.Random(640)
+    values = [0, 1, -1, 10 ** 638, 10 ** 639, 10 ** 640, -(10 ** 640), 10 ** 641 - 1,
+              10 ** 2000 + 1, -(10 ** 5000 + 7), 7 * 10 ** 3000, 3 ** 20000 + 2,
+              (10 ** 700 + 1) * 10 ** 700, -(1 << 30000)]
+    for digits in (639, 640, 641, 1281, 6000):
+        x = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        values += [x, -x, x - x % 10 ** (digits // 2)]
+    for x in values:
+        assert decimal(x) == _unlimited_str(x), x.bit_length()
+    for den in (1, 4, 10 ** 640 + 3, 3 ** 2000):
+        want = [_unlimited_str(Fraction(x, den)) for x in values]
+        assert format_over(values, den) == want
+        assert [format_rational(Fraction(x, den)) for x in values] == want
 
 
 @given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 6, 8, 9, 72, 5 ** 9, 72 * 5 ** 9]),

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -474,6 +475,25 @@ def test_congruences_write_integers_past_the_int_to_str_limit(capsys):
     assert max(len(x) for row in want for x in row) > 4300
     assert payload["rows"] == want
     assert payload["pivot_valuations"] == [-delta_p(13, n) for n in range(61)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str conversion")
+@pytest.mark.parametrize("argv", [["congruences", "--p", "13", "--n", "20"],
+                                  ["bp-dn", "--p", "7", "--n", "60"]])
+def test_requests_under_a_lowered_int_to_str_limit(argv, capsys):
+    # with the limit lowered to 640 digits, rows of wider integers are still
+    # written, byte for byte as under the default limit, and exit 0
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    done = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "bpadams",
+                           *argv, "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == out
+    assert max(map(len, re.findall(r"\d+", out))) > 640
 
 
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):

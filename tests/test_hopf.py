@@ -277,6 +277,58 @@ def test_diagonal_transform_drops_the_terms_above_the_weight_bound():
     assert diagonal_transform(c, x, mu) == _concrete(c, want, mu)
 
 
+def _l_by_fractions(ctx, low_fields):
+    """l_n(v) as (N, D) on packed keys from the ``Fraction`` polynomials
+    ``ctx.l_in_v(n)``, N = D * l_n(v) with D the lcm of its denominators,
+    above ``low_fields`` empty fields: the route of ``hopf._l_numerators``
+    before it ran its own recursion on integers."""
+    width = ctx.weight_bound.bit_length()
+    out = []
+    for n in range(1, ctx.gen_count + 1):
+        terms = ctx.l_in_v(n).terms
+        nums, den = integer_numerators(list(terms.values()))
+        out.append(({hopf._key(exps, width) << width * low_fields: c
+                     for exps, c in zip(terms, nums)}, den))
+    return out
+
+
+@pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 3), (2, 22), (2, 40), (3, 4), (3, 13),
+                                  (3, 40), (5, 6), (5, 31), (5, 160), (7, 8), (7, 57),
+                                  (13, 14), (13, 183)])
+def test_l_numerators_against_the_fraction_polynomials(p, W):
+    # the integer recursion pi_n * L_n = v_n + sum_{i<n} L_i * v_{n-i}^{p^i}
+    # gives the (N, D) of the Fraction l_n(v), above one empty field (theta's
+    # u) and above gen_count (the t's of the right unit): in Araki's
+    # generators, and in Hazewinkel's, whose reference is a context with
+    # pi_n = p, which the recursion also reads through ctx.pi
+    c, h = BPContext(p, W), theta_reference.HazewinkelContext(p, W)
+    for low in (1, c.gen_count):
+        assert hopf._l_numerators(c, low) == _l_by_fractions(c, low)
+        assert hopf._l_numerators(c, low, True) == _l_by_fractions(h, low)
+        assert hopf._l_numerators(h, low) == _l_by_fractions(h, low)
+    if c.gen_count:
+        assert all(den > 0 for _, den in hopf._l_numerators(c, 1))
+        assert hopf._l_numerators(c, 1) != hopf._l_numerators(c, 1, True)
+
+
+@pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 22), (2, 40), (3, 13), (3, 40),
+                                  (5, 31), (7, 57), (13, 183)])
+def test_right_unit_of_l_against_the_graded_poly_formula(p, W):
+    # eta_R(l_n) = sum_{k=0}^{n} l_k * t_{n-k}^{p^k}, l_0 = t_0 = 1, built on
+    # packed keys, against the same sum in GradedPoly arithmetic, the route
+    # the right-unit tables took before
+    c = BPContext(p, W)
+    want = []
+    for n in range(1, c.gen_count + 1):
+        acc = GradedPoly.gen(c.lt_table, W, f"t{n}") + GradedPoly.gen(c.lt_table, W, f"l{n}")
+        for k in range(1, n):
+            acc = acc + (GradedPoly.gen(c.lt_table, W, f"l{k}")
+                         * GradedPoly.gen(c.lt_table, W, f"t{n - k}", p ** k))
+        want.append(acc)
+    assert hopf._rud(c).etaR_l == want
+    assert [right_unit_log(c, n) for n in range(1, c.gen_count + 1)] == want
+
+
 @pytest.mark.parametrize("p, W", [(2, 0), (2, 1), (2, 22), (2, 38), (3, 14), (3, 40),
                                   (5, 28), (5, 62), (7, 16)])
 def test_theta_images_against_the_fraction_recursion(p, W):

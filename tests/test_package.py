@@ -45,6 +45,12 @@ def test_verify_setup_loads_five_submodules():
                                                "bpadams.kernel", "bpadams.polyring"]
 
 
+def test_the_integer_kernel_loads_no_other_submodule():
+    # kernel imports nothing from the package: its callers raise their own
+    # errors on what it returns
+    assert submodules_loaded("import bpadams.kernel\n") == ["bpadams.kernel"]
+
+
 def test_every_submodule_resolves_after_a_bare_import():
     statements = "".join(f"assert bpadams.{m} is sys.modules['bpadams.{m}']\n"
                          for m in SUBMODULES)
