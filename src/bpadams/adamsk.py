@@ -25,8 +25,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .arith import (_Record, _shape_holds, delta_p, dot, ensure_prime, exact, format_over,
-                    gamma_p, integer_numerators, integral_dot, is_p_local_int, validate_q)
+from .arith import (_nu, _Record, _shape_holds, delta_p, dot, ensure_prime, exact, format_over,
+                    gamma_p, integer_numerators, integral_dot, validate_q)
 from . import lattice as _lattice
 
 FAMILY_KINDS = ("phi_ku", "Phi_KU", "phihat_g", "zeta_ku2")
@@ -127,29 +127,78 @@ def family_action(fam: AdamsFamily, n: int, m: int) -> Fraction:
         raise ValueError("the connective theory has no negative degrees")
     if fam.kind == "zeta_ku2":  # one entry, not the row before it
         return _zeta_action(n, m)
-    return Fraction(_action_row(fam.kind, fam.qhat if fam.kind == "phihat_g" else fam.q,
-                                m, n + 1)[n])
+    nums, den = _action_row(fam.kind, _generator(fam), m, n + 1)
+    return Fraction(nums[n], den)
 
 
-def _action_row(kind: str, q: int | None, m: int, length: int) -> list[Fraction | int]:
+def _generator(fam: AdamsFamily) -> int:
+    """The generator whose powers give the family's roots: qhat on the
+    summand, q otherwise."""
+    return fam.qhat if fam.kind == "phihat_g" else fam.q
+
+
+def _action_row(kind: str, q: int | None, m: int, length: int) -> tuple[list[int], int]:
     """The eigenvalues of :func:`family_action` on coefficient index m of
     family elements 0..length-1, for a family of this kind whose generator
-    is q (qhat on the summand; not read by zeta), with m already checked.
+    is q (qhat on the summand; not read by zeta), with m already checked,
+    as integers (N, d): entry k is N_k / d, d > 0 and not necessarily least.
 
     Element k is prod_{i<k} (q^m - q^i), the roots q^i running through
     the enumeration of :func:`periodic_enum` on the periodic family, so
-    each entry is the one before times one factor; on the connective
-    families q^m is an int and so is every entry."""
+    each entry is the one before times one factor.  On the connective
+    families q^m is an int, every entry is one and d = 1.  On the periodic
+    family m and the roots' exponents may be negative, down to -t with
+    t = max(0, -m, (length - 2) // 2): each factor times q^t is the int
+    q^(m+t) - q^(i+t), so entry k times q^(t k) is an int, and the row is
+    over d = q^(t (length - 1)).  The zeta row is its memoised actions
+    (:func:`_zeta_action`) over one denominator."""
     if kind == "zeta_ku2":
-        return [_zeta_action(k, m) for k in range(length)]
-    if kind == "Phi_KU":  # periodic: m and the roots' exponents may be negative
-        q, roots = Fraction(q), map(periodic_enum, range(length - 1))
+        return integer_numerators([_zeta_action(k, m) for k in range(length)])
+    if kind == "Phi_KU":
+        t = max(0, -m, (length - 2) // 2)
+        roots = map(periodic_enum, range(length - 1))
     else:
-        roots = range(length - 1)
-    base, row = q ** m, [1]
+        t, roots = 0, range(length - 1)
+    base, row = q ** (m + t), [1]
     for i in roots:
-        row.append(row[-1] * (base - q ** i))
-    return row
+        row.append(row[-1] * (base - q ** (i + t)))
+    if not t:
+        return row, 1
+    top = length - 1  # entry k times q^(t k), times q^(t (top - k)), is over q^(t top)
+    return [x * q ** (t * (top - k)) for k, x in enumerate(row)], q ** (t * top)
+
+
+def _forward_solve(rows: Sequence[tuple[Sequence[int], int]], rhs: Sequence[Sequence[int]],
+                   ) -> list[tuple[list[int], int]]:
+    """X with A X = R on integers, for A lower triangular: row m of A is
+    the integer row (M, d) of ``rows``, its entries M_k / d at k = 0..m,
+    and row m of R is the int vector ``rhs[m]``, at least as long as the
+    rows of X below it.  Row m of X comes out as (N, den), den > 0, by
+
+        X_m = (d * R_m - sum_{k<m} M_k * X_k) / M_m,
+
+    summed over the lcm of the lower rows' denominators and reduced by the
+    gcd, so each row of X is integers over the lcm of its entries'
+    denominators.  ``ValueError`` when a diagonal entry M_m is zero."""
+    solved: list[tuple[list[int], int]] = []
+    for m, (nums, d) in enumerate(rows):
+        if not nums[m]:
+            raise ValueError(f"family diagonal vanishes at index {m}")
+        den = math.lcm(*(solved[k][1] for k in range(m) if nums[k]))
+        scale = d * den
+        acc = [scale * x for x in rhs[m]]
+        for k in range(m):
+            if nums[k]:
+                row, row_den = solved[k]
+                scale = nums[k] * (den // row_den)
+                for j, x in enumerate(row):
+                    acc[j] -= scale * x
+        den *= nums[m]
+        if den < 0:
+            acc, den = [-x for x in acc], -den
+        g = math.gcd(den, *acc)
+        solved.append(([x // g for x in acc], den // g))
+    return solved
 
 
 def expand_in_family(fam: AdamsFamily, lam: Sequence[Fraction | int],
@@ -158,23 +207,30 @@ def expand_in_family(fam: AdamsFamily, lam: Sequence[Fraction | int],
 
     Position j of the input corresponds to coefficient index
     ``fam.degree_index(j)``.  Returns the exact coefficients and whether
-    they are all p-locally integral.  A float is refused
-    (:func:`bpadams.arith.exact`).
+    they are all p-locally integral: :func:`_expansion` of the values as
+    integers (:func:`bpadams.arith.integer_numerators`, which refuses a
+    float).
     """
-    values = [exact(x) for x in lam]
-    coeffs: list[Fraction] = []
-    for j, target in enumerate(values):
-        m = fam.degree_index(j)
-        acc = target
-        for k, a in enumerate(coeffs):
-            if a:
-                acc -= a * family_action(fam, k, m)
-        diag = family_action(fam, j, m)
-        if not diag:
-            raise ValueError(f"family diagonal vanishes at index {j}")
-        coeffs.append(acc / diag)
-    verdict = all(is_p_local_int(fam.p, a) for a in coeffs)
-    return tuple(coeffs), verdict
+    coeffs, den, integral = _expansion(fam, *integer_numerators(lam))
+    return tuple(Fraction(a, den) for a in coeffs), integral
+
+
+def _expansion(fam: AdamsFamily, nums: Sequence[int], den: int) -> tuple[list[int], int, bool]:
+    """The coefficients of :func:`expand_in_family` for lam_j = N_j / den,
+    den > 0, as integers (A, E), a_n = A_n / E with E > 0, and whether they
+    are all p-locally integral, that is p^nu_p(E) divides every A_n.
+
+    Row j of the action matrix is the family's action on coefficient
+    index ``fam.degree_index(j)`` (:func:`_action_row`), and a = A^-1 N / den
+    is one :func:`_forward_solve` with the column N as its right side."""
+    kind, q, index = fam.kind, _generator(fam), fam.degree_index
+    rows = [_action_row(kind, q, index(j), j + 1) for j in range(len(nums))]
+    solved = _forward_solve(rows, [[x] for x in nums])
+    common = math.lcm(*(d for _, d in solved))
+    coeffs = [x * (common // d) for (x,), d in solved]
+    den *= common
+    bound = fam.p ** _nu(fam.p, den)
+    return coeffs, den, not any(a % bound for a in coeffs)
 
 
 def family_sequence(fam: AdamsFamily, coeffs: Sequence[Fraction | int],
@@ -320,37 +376,16 @@ def _inverse_rows(p: int, top: int, q: int | None) -> list[tuple[list[int], int]
     """The rows of :func:`basis_integrality_rows` on integers: row m as
     (N, D), its entries N_j / D at j = 0..m.
 
-    The inverse B is taken a row at a time: row m of A is integer
-    numerators M over a denominator d, and
-    B_m = (d * e_m - sum_{k<m} M_k * B_k) / M_m, summed over the lcm of
-    the lower rows' denominators and reduced by the gcd, so each row of B
-    is integers over the lcm of its entries' denominators.
-
-    Row m of A is the connective family's action by :func:`_action_row`,
-    the formula of :func:`family_action` without its memo, whose key
-    hashes the family record per entry; q is not read at p = 2.
+    The inverse B of the connective family's action matrix A is the
+    :func:`_forward_solve` of A B = I, row m of A the family's action by
+    :func:`_action_row`, the formula of :func:`family_action` without its
+    memo, whose key hashes the family record per entry; q is not read at
+    p = 2.
     """
     ensure_prime(p)
     kind, q = ("zeta_ku2", None) if p == 2 else ("phi_ku", validate_q(p, q))
-    inverse: list[tuple[list[int], int]] = []
-    for m in range(top + 1):
-        nums, d = integer_numerators(_action_row(kind, q, m, m + 1))
-        if not nums[m]:
-            raise ValueError(f"family diagonal vanishes at index {m}")
-        den = math.lcm(*(inverse[k][1] for k in range(m) if nums[k]))
-        acc = [0] * m + [d * den]
-        for k in range(m):
-            if nums[k]:
-                row, row_den = inverse[k]
-                scale = nums[k] * (den // row_den)
-                for j, x in enumerate(row):
-                    acc[j] -= scale * x
-        den *= nums[m]
-        if den < 0:
-            acc, den = [-x for x in acc], -den
-        g = math.gcd(den, *acc)
-        inverse.append(([x // g for x in acc], den // g))
-    return inverse
+    rows = [_action_row(kind, q, m, m + 1) for m in range(top + 1)]
+    return _forward_solve(rows, [[0] * m + [1] for m in range(top + 1)])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -417,19 +452,27 @@ def binomial_mu_congruence(p: int, j: int, k: int,
     correction is interleaved with the k-th Gaussian row: index
     i(p-1) + l carries C_{k,i} * (-1)^{j-l} C(j, l), giving a row with
     top index n = k(p-1) + j and pivot valuation -gamma_p(n).  The row
-    is built on integers, over C_k's denominator p^delta_p(k).
+    is built on integers, over C_k's denominator p^delta_p(k)
+    (:func:`_binomial_row`, once q and the indices are checked).
     """
     q = validate_q(p, q)
     if not 0 <= j <= p - 2:
         raise ValueError(f"offset j must satisfy 0 <= j <= p - 2, got {j}")
     if k < 0:
         raise ValueError("negative block index")
+    if k and p == 2:
+        raise ValueError("p = 2 needs no interleaving (the block length is 1)")
+    return _binomial_row(p, j, k, q)
+
+
+def _binomial_row(p: int, j: int, k: int, q: int) -> CongruenceVector:
+    """The row of :func:`binomial_mu_congruence`, for q in use
+    (:func:`bpadams.arith.validate_q`), 0 <= j <= p - 2 and k >= 0, k = 0
+    at p = 2: nothing is checked."""
     binom = [(-1) ** (j - l) * math.comb(j, l) for l in range(j + 1)]
     n = k * (p - 1) + j
     if k == 0:
         return CongruenceVector(p, n, None, gamma_p(p, n), (tuple(binom), 1))
-    if p == 2:
-        raise ValueError("p = 2 needs no interleaving (the block length is 1)")
     g_nums, den = C_vector(p, q, k).integer_row
     nums = [0] * (n + 1)
     for i, c in enumerate(g_nums):

@@ -420,20 +420,55 @@ def find_q(p: int) -> int | tuple[int, int]:
     return q
 
 
-def parse_rational(text: object) -> Fraction:
-    """Parse an exact rational from "a/b" or "a" (ints accepted, floats not)."""
-    if isinstance(text, bool) or not isinstance(text, (int, float, Fraction, str)):
-        raise ValueError(f"not an exact rational: {text!r}")
-    if not isinstance(text, str):
-        return exact(text)
-    s = text.strip()
-    try:
-        if "/" in s:
+def read_rational(text: object) -> tuple[int, int]:
+    """The exact rational "a/b" or "a" as integers (num, den), den > 0 and
+    prime to num; an int, or a ``Fraction``, is read as it is, a float is
+    refused (:func:`exact`), and so is anything else.  Each integer is
+    ``int`` of its text (:func:`_read_int`), so signs, ``_`` and
+    surrounding whitespace read as ``int`` reads them."""
+    if type(text) is int:
+        return text, 1
+    if isinstance(text, str):
+        s = text.strip()
+        try:
+            if "/" not in s:
+                return _read_int(s), 1
             num, den = s.split("/")
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
+            num, den = _read_int(num.strip()), _read_int(den.strip())
+        except ValueError as exc:
+            raise ValueError(f"not an exact rational: {text!r}") from exc
+        if not den:
+            raise ValueError(f"not an exact rational: {text!r}")
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // g, den // g
+    if isinstance(text, bool) or not isinstance(text, (int, float, Fraction)):
+        raise ValueError(f"not an exact rational: {text!r}")
+    x = exact(text)
+    return x.numerator, x.denominator
+
+
+def _read_int(text: str) -> int:
+    """``int(text)``, also past the interpreter's limit on str-to-int
+    conversion (:func:`decimal`'s limit, read the other way): ``int`` is
+    asked first, and only when it refuses a run of ASCII digits, with or
+    without a sign, is the run split as high * 10^h + low, h half its
+    digits, and each part read in turn.  Every other text ``int`` refuses
+    is refused as it is."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text.startswith(("+", "-")) else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    h = len(digits) // 2
+    value = _read_int(digits[:-h]) * 10 ** h + _read_int(digits[-h:])
+    return -value if text.startswith("-") else value
+
+
+def parse_rational(text: object) -> Fraction:
+    """Parse an exact rational from "a/b" or "a" (ints accepted, floats
+    not): :func:`read_rational`, as a ``Fraction``."""
+    return Fraction(*read_rational(text))
 
 
 def decimal(x: int) -> str:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
-from .adamsk import (CongruenceVector, C_vector, _ku_canonical_rows, adams_family,
-                     binomial_mu_congruence, expand_in_family, family_action, family_sequence,
+from .adamsk import (CongruenceVector, C_vector, _binomial_row, _ku_canonical_rows,
+                     adams_family, expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
@@ -378,8 +378,8 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
     ensure_prime(p)
     if p == 2:
         raise ValueError("interleaving is the odd-prime experiment")
-    q = validate_q(p, q)
-    rows = (binomial_mu_congruence(p, j, k, q).integer_row
+    q = validate_q(p, q)  # once: the rows are built unchecked
+    rows = (_binomial_row(p, j, k, q).integer_row
             for k, j in (divmod(idx, p - 1) for idx in range(n + 1)))
     inter = solve(CongruenceSystem(p, n, None, _padded(rows, n + 1)))
     ku = solve(ku_congruence_system(p, n, q))

@@ -7,7 +7,10 @@ traceback: a ``ConstructionError`` its message and details, any other
 exception that is not a ``ValueError`` its message, the subcommand and
 the exception's class.  Sequences and systems are read from JSON files
 whose rationals are exact strings like "3/4"; floating point values are
-rejected.  Output is deterministic for fixed inputs: JSON is written by
+rejected.  Each entry is read once, as integers
+(:func:`bpadams.arith.read_rational`): a sequence is kept as integers
+over one denominator and a system as its integer rows, which the
+commands test, solve and echo as they are.  Output is deterministic for fixed inputs: JSON is written by
 :func:`_emit` and :func:`_json_text` with exactly the bytes of
 ``json.dumps(payload, sort_keys=True, indent=2)``, and timing information
 appears only in the human-readable format.
@@ -29,15 +32,15 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arith import (delta_p, ensure_prime, format_over, format_rational, integer_numerators,
-                    integral_dot, is_p_local_int, parse_rational, validate_q)
-from .adamsk import FAMILY_KINDS, CongruenceVector, adams_family, expand_in_family
+from .arith import (delta_p, ensure_prime, format_over, format_rational, integral_dot,
+                    is_p_local_int, read_rational, validate_q)
+from .adamsk import FAMILY_KINDS, CongruenceVector, _expansion, adams_family
 from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
                      verify_centre_bp)
 from .fgl import BPContext
@@ -59,22 +62,33 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def read_sequence(path: str) -> list[Fraction]:
+def _read_entries(path: str, items: list, where: str = "") -> tuple[list[int], int]:
+    """The entries ``items`` of the JSON file at ``path`` as (N, D), entry
+    k being N_k / D, D the lcm of their denominators: each read once by
+    :func:`bpadams.arith.read_rational`, a refusal named by ``where`` and k."""
+    pairs = []
+    for k, item in enumerate(items):
+        try:
+            pairs.append(read_rational(item))
+        except ValueError as exc:
+            raise InputError(f"{path}: {where}entry {k}: {exc}") from exc
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def read_sequence(path: str) -> tuple[list[int], int]:
+    """The sequence in the JSON file at ``path`` as (N, D) (:func:`_read_entries`)."""
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("sequence")
     if not isinstance(data, list):
         raise InputError(f"{path}: expected a JSON array (or {{\"sequence\": [...]}})")
-    out = []
-    for k, item in enumerate(data):
-        try:
-            out.append(parse_rational(item))
-        except ValueError as exc:
-            raise InputError(f"{path}: entry {k}: {exc}") from exc
-    return out
+    return _read_entries(path, data)
 
 
-def read_system(path: str) -> tuple[int, list[list[Fraction]]]:
+def read_system(path: str) -> tuple[int, list[tuple[list[int], int]]]:
+    """The prime and the rows of the system in the JSON file at ``path``,
+    each row as (N, D) (:func:`_read_entries`)."""
     data = _load_json(path)
     if not isinstance(data, dict) or "p" not in data or "rows" not in data:
         raise InputError(f"{path}: expected {{\"p\": ..., \"rows\": [[...], ...]}}")
@@ -94,13 +108,7 @@ def read_system(path: str) -> tuple[int, list[list[Fraction]]]:
             width = len(row)
         elif len(row) != width:
             raise InputError(f"{path}: row {r}: length {len(row)} != {width}")
-        parsed = []
-        for k, item in enumerate(row):
-            try:
-                parsed.append(parse_rational(item))
-            except ValueError as exc:
-                raise InputError(f"{path}: row {r}, entry {k}: {exc}") from exc
-        rows.append(parsed)
+        rows.append(_read_entries(path, row, f"row {r}, "))
     return p, rows
 
 
@@ -209,11 +217,11 @@ def parse_monomial(text: str, prefix: str) -> dict[str, int]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _congruence_verdicts(p: int, vecs: list[CongruenceVector], mu: list[Fraction]) -> list[bool]:
-    """Whether each row's value on ``mu`` is p-locally integral
-    (:func:`bpadams.arith.integral_dot`)."""
-    values = integer_numerators(mu)
-    return [integral_dot(p, vec.integer_row, values) for vec in vecs]
+def _congruence_verdicts(p: int, vecs: list[CongruenceVector],
+                         mu: tuple[list[int], int]) -> list[bool]:
+    """Whether each row's value on the sequence ``mu``, as (N, D), is
+    p-locally integral (:func:`bpadams.arith.integral_dot`)."""
+    return [integral_dot(p, vec.integer_row, mu) for vec in vecs]
 
 
 def _cmd_congruences(args: argparse.Namespace) -> int:
@@ -230,11 +238,10 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.check is not None:
         mu = read_sequence(args.check)
-        if len(mu) < args.n + 1:
+        if len(mu[0]) < args.n + 1:
             raise InputError(f"{args.check}: need at least {args.n + 1} entries")
         verdicts = _congruence_verdicts(p, vecs, mu)
-        payload["check"] = {"sequence": [format_rational(x) for x in mu],
-                            "verdicts": verdicts}
+        payload["check"] = {"sequence": format_over(*mu), "verdicts": verdicts}
         exit_code = 0 if all(verdicts) else 1
     _emit(args.format, payload, _csv_congruences, _pretty_congruences)
     return exit_code
@@ -261,14 +268,14 @@ def _cmd_basis_expand(args: argparse.Namespace) -> int:
     p = ensure_prime(args.p)
     fam = adams_family(args.family, p, args.q)
     lam = read_sequence(args.infile)
-    coeffs, integral = expand_in_family(fam, lam)
+    coeffs, den, integral = _expansion(fam, *lam)
     payload = {
         "command": "basis-expand",
         "family": fam.kind,
         "p": p,
         "q": fam.q,
-        "input": [format_rational(x) for x in lam],
-        "coefficients": [format_rational(a) for a in coeffs],
+        "input": format_over(*lam),
+        "coefficients": format_over(coeffs, den),
         "integral": integral,
     }
     _emit(args.format, payload, _csv_basis_expand, _pretty_basis_expand)
@@ -403,18 +410,17 @@ def _pretty_verify_centre(report: dict, elapsed: float) -> list[str]:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     p, rows = read_system(args.system)
-    n = len(rows[0]) - 1
-    lat = solve(CongruenceSystem(p, n, tuple(tuple(r) for r in rows)))
+    n = len(rows[0][0]) - 1
+    lat = solve(CongruenceSystem(p, n, None, rows))
     payload = {"command": "lattice", "p": p, "n": n}
     payload.update(lat.to_jsonable())
     exit_code = 0
     if args.member is not None:
         mu = read_sequence(args.member)
-        if len(mu) != n + 1:
+        if len(mu[0]) != n + 1:
             raise InputError(f"{args.member}: need exactly {n + 1} entries")
-        inside = lat.contains(mu)
-        payload["member"] = {"sequence": [format_rational(x) for x in mu],
-                             "contained": inside}
+        inside = lat.contains(None, mu)
+        payload["member"] = {"sequence": format_over(*mu), "contained": inside}
         exit_code = 0 if inside else 1
     _emit(args.format, payload, _csv_lattice, _pretty_lattice)
     return exit_code

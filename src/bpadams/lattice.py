@@ -351,17 +351,20 @@ class SolutionLattice:
                     residual[i] -= x * basis[i][j]
         return tuple(coords)
 
-    def contains(self, mu: Sequence[Fraction | int]) -> bool:
+    def contains(self, mu: Sequence[Fraction | int] | None,
+                 _integer: tuple[Sequence[int], int] | None = None) -> bool:
         """Whether every coordinate of ``mu`` (:meth:`coordinates`) is
         p-locally integral, on integers.  With mu = N / D, D = p^v * D' and
         D' prime to p, the coordinates are x_j = R_j / (p^e_j * D), where R
         starts as N and loses (R_j / p^e_j) * column_j after pivot j.  So
         x_j is p-integral iff p^(e_j + v) divides R_j, and then R_j / p^e_j
-        is an exact integer division."""
-        if len(mu) != self.size:
+        is an exact integer division.  ``_integer``, when given, is mu as
+        (N, D) already, D > 0 and not necessarily least; ``mu`` is then
+        None."""
+        nums, den = integer_numerators(mu) if _integer is None else _integer
+        if len(nums) != self.size:
             raise LatticeError("dimension mismatch")
-        p, basis = self.p, self.basis
-        residual, den = integer_numerators(mu)
+        p, basis, residual = self.p, self.basis, list(nums)
         scale = p ** _nu(p, den)
         for j in range(self.size):
             pivot = basis[j][j]

@@ -1,8 +1,11 @@
 """Check the bytes the CLI writes.
 
-* One json, one csv and one pretty request per subcommand: the SHA-256 of
-  the exit code and stdout (the first 16 hex digits) must equal its pin.
-  The elapsed time in the pretty output of ``verify-centre`` is masked.
+* One json, one csv and one pretty request per subcommand, and one more
+  of ``basis-expand`` on an input file whose integers pass 640 digits, the
+  least limit on int-to-str conversion an interpreter takes: the SHA-256
+  of the exit code and stdout (the first 16 hex digits) must equal its
+  pin, also under ``PYTHONINTMAXSTRDIGITS=640``.  The elapsed time in the
+  pretty output of ``verify-centre`` is masked.
 * Bad inputs: ``main`` must print on stdout and stderr and exit exactly
   as the full parser, ``_parser().parse_args``, does in the same
   interpreter, so the check holds whatever argparse version writes.
@@ -33,9 +36,10 @@ FILES = {
     "seq.json": ["1", "2", "4", "8", "16", "5/7"],
     "sys.json": {"p": 3, "rows": [["-1/3", "1/3", "0"], ["1/9", "-2/9", "4/9"]]},
     "mu.json": ["1", "7", "-26"],
+    "wide.json": ["1" * 700, "-" + "9" * 650 + "/7", "5/" + "3" * 641, "2", "0"],
 }
 
-# one request per subcommand, before ``--format``
+# one request per subcommand, and a second basis-expand, before ``--format``
 REQUESTS = {
     "congruences": ["congruences", "--p", "3", "--n", "4", "--check", "seq.json"],
     "basis-expand": ["basis-expand", "--family", "phihat_g", "--p", "3", "--in", "seq.json"],
@@ -45,6 +49,7 @@ REQUESTS = {
     "lattice": ["lattice", "--system", "sys.json", "--member", "mu.json"],
     "scan-stabilization": ["scan-stabilization", "--p", "3", "--n", "2", "--max-weight", "6"],
     "interleave-scan": ["interleave-scan", "--p", "3", "--n", "6"],
+    "basis-expand wide": ["basis-expand", "--family", "phi_ku", "--p", "5", "--in", "wide.json"],
 }
 
 # sha256 of "exit <code>\n" + stdout, first 16 hex digits
@@ -57,6 +62,7 @@ PINNED = {
     "lattice": {"json": "eb231e3aad1d78fe", "csv": "0b24b04bff8bdd67", "pretty": "213508885ba0c5e5"},
     "scan-stabilization": {"json": "ab1c7e793bb167b8", "csv": "81887c5df54a048d", "pretty": "00c2d30b442faac1"},
     "interleave-scan": {"json": "1d9909907945f06c", "csv": "11808f2c710b636e", "pretty": "6bbc2d9286430b6d"},
+    "basis-expand wide": {"json": "d5f30f8f8a88c8a3", "csv": "6d3b0297e9737903", "pretty": "bd0e4ae44329a738"},
 }
 
 # argument lists the parser refuses or answers with help
@@ -64,7 +70,7 @@ BAD_INPUTS = [
     [],
     ["-h"],
     ["--help"],
-    *([name, "-h"] for name in REQUESTS),
+    *([name, "-h"] for name in dict.fromkeys(request[0] for request in REQUESTS.values())),
     ["nope"],
     ["-x"],
     ["--p", "3", "congruences"],

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import expansion_reference
 from bpadams import adamsk
 from bpadams.arith import (delta_p, find_q, format_over, format_rational, gamma_p, gaussian,
                            gaussian_poly, integer_numerators, is_p_local_int, val_p)
@@ -99,6 +100,10 @@ def test_expansion_and_action_refuse_floats():
     fam = adams_family("phi_ku", 3)
     assert expand_in_family(fam, [Fraction(1, 3)]) == ((Fraction(1, 3),), False)
     for bad in ([1 / 3], [1, 0.5]):
+        for other in (adams_family("Phi_KU", 5), adams_family("phihat_g", 7),
+                      adams_family("zeta_ku2", 2)):
+            with pytest.raises(ValueError, match="floating point input rejected"):
+                expand_in_family(other, bad)
         with pytest.raises(ValueError, match="floating point input rejected"):
             expand_in_family(fam, bad)
         with pytest.raises(ValueError, match="floating point input rejected"):
@@ -110,7 +115,7 @@ def test_expansion_and_action_refuse_floats():
 
 def test_expand_round_trip_random():
     rng = random.Random(17)
-    for kind, p in (("phi_ku", 3), ("phihat_g", 5), ("zeta_ku2", 2)):
+    for kind, p in (("phi_ku", 3), ("phihat_g", 5), ("zeta_ku2", 2), ("Phi_KU", 5)):
         fam = adams_family(kind, p)
         for _ in range(15):
             n = rng.randint(0, 10)
@@ -287,11 +292,43 @@ def test_basis_integrality_rows_shape():
 @pytest.mark.parametrize("p, q, top", [(2, None, 20), (3, None, 12), (3, 5, 9),
                                         (5, None, 10), (7, 3, 6)])
 def test_basis_integrality_rows_against_the_expansions(p, q, top):
-    # the integer inverse against column j = expand_in_family(e_j) in Fractions
+    # the integer inverse against column j = the expansion of e_j by the
+    # Fraction solve of the reference, which shares no code with it
     fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phi_ku", p, q)
-    columns = [expand_in_family(fam, [int(m == j) for m in range(top + 1)])[0]
+    columns = [expansion_reference.expand_in_family(fam, [int(m == j) for m in range(top + 1)])[0]
                for j in range(top + 1)]
     assert basis_integrality_rows(p, top, q) == tuple(zip(*columns))
+    # each row over the lcm of its entries' denominators
+    assert all(math.gcd(den, *nums) == 1 for nums, den in adamsk._inverse_rows(p, top, q))
+
+
+_FAMILIES = [("phi_ku", 3, None), ("phi_ku", 5, None), ("phi_ku", 7, 3), ("phihat_g", 3, None),
+             ("phihat_g", 5, None), ("phihat_g", 7, None), ("Phi_KU", 3, None), ("Phi_KU", 5, None),
+             ("Phi_KU", 7, 5), ("zeta_ku2", 2, None)]
+
+
+@pytest.mark.parametrize("kind, p, q", _FAMILIES)
+def test_expansion_against_the_fraction_solve(kind, p, q):
+    # the integer forward substitution gives the coefficients and the verdict
+    # of the Fraction solve at every length 1..12: on ints, on p-local
+    # rationals, on entries with powers of p in the denominator, on the unit
+    # sequences, and on the periodic family's negative coefficient indices
+    fam = adams_family(kind, p, q)
+    rng = random.Random(f"{kind} {p} {q}")
+    units = [u for u in range(1, 12) if u % p]
+    for length in range(1, 13):
+        cases = [[int(m == j) for m in range(length)] for j in range(length)]
+        for _ in range(8):
+            cases.append([rng.randint(-50, 50) for _ in range(length)])
+            cases.append([Fraction(rng.randint(-50, 50), rng.choice(units)) for _ in range(length)])
+            cases.append([Fraction(rng.randint(-50, 50), rng.choice(units) * p ** rng.randint(0, 3))
+                          for _ in range(length)])
+        for lam in cases:
+            got = expand_in_family(fam, lam)
+            assert got == expansion_reference.expand_in_family(fam, lam), (length, lam)
+            assert all(type(a) is Fraction for a in got[0])
+    if kind == "Phi_KU":
+        assert [fam.degree_index(j) for j in range(12)] == [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6]
 
 
 def test_Phi_in_phi_examples():
@@ -400,19 +437,23 @@ def test_zeta_family_action_reads_one_entry():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_action_rows_against_the_per_entry_product(p):
-    # entry k of row m is prod_{i<k} (q^m - q_i), stepped from entry k - 1;
-    # the connective rows are ints, the periodic ones may have negative m
+    # entry k of row m is prod_{i<k} (q^m - q_i), stepped from entry k - 1,
+    # as integers N_k / d; the connective rows are ints (d = 1), the periodic
+    # ones may have negative m and are scaled by a power of q
     q = find_q(p)
     for kind, base, exponents in (("phi_ku", q, range), ("phihat_g", q ** (p - 1), range),
                                   ("Phi_KU", q, lambda k: map(periodic_enum, range(k)))):
         fam = adams_family(kind, p)
         for m in range(-5 if kind == "Phi_KU" else 0, 20):
-            row = adamsk._action_row(kind, base, m, 22)
-            want = [math.prod((Fraction(base) ** m - Fraction(base) ** i for i in exponents(k)),
-                              start=Fraction(1)) for k in range(22)]
-            assert row == want, (kind, m)
-            if kind != "Phi_KU":
-                assert all(type(x) is int for x in row)
+            for length in (1, 2, 3, 22):
+                nums, den = adamsk._action_row(kind, base, m, length)
+                want = [math.prod((Fraction(base) ** m - Fraction(base) ** i
+                                   for i in exponents(k)), start=Fraction(1))
+                        for k in range(length)]
+                assert [Fraction(x, den) for x in nums] == want, (kind, m, length)
+                assert all(type(x) is int for x in nums) and den > 0
+                if kind != "Phi_KU":
+                    assert den == 1
             assert [family_action(fam, k, m) for k in range(22)] == want
 
 

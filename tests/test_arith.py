@@ -13,8 +13,8 @@ from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, en
                            find_q, format_over, format_rational, gamma_p, gaussian, gaussian_poly,
                            integer_numerators, integral_dot, is_p_local_int, is_p_local_unit,
                            is_prime,
-                           multiplicative_order, nu_p, nu_p_factorial, parse_rational, val_p,
-                           validate_q, word_width)
+                           multiplicative_order, nu_p, nu_p_factorial, parse_rational,
+                           read_rational, val_p, validate_q, word_width)
 
 
 def test_prime_validation():
@@ -325,6 +325,82 @@ def test_parse_and_format_rational():
         parse_rational("abc")
 
 
+def _fraction_parse(text):
+    """The reader before integer pairs: each entry straight to a
+    ``Fraction``, the reference for :func:`read_rational`'s values and
+    refusals."""
+    if isinstance(text, bool) or not isinstance(text, (int, float, Fraction, str)):
+        raise ValueError(f"not an exact rational: {text!r}")
+    if not isinstance(text, str):
+        return exact(text)
+    s = text.strip()
+    try:
+        if "/" in s:
+            num, den = s.split("/")
+            return Fraction(int(num.strip()), int(den.strip()))
+        return Fraction(int(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact rational: {text!r}") from exc
+
+
+def _outcome(read, text):
+    """("value", x) or ("refused", message) of ``read(text)``."""
+    try:
+        return "value", read(text)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+# texts near the grammar: whitespace (Unicode too), signs, "_", one or more
+# "/", ASCII and non-ASCII digits (Arabic-Indic, Devanagari, a superscript,
+# which int refuses), and letters, points and exponents, which it refuses
+_entry_texts = st.text(st.sampled_from("0123456789 \t\u2003+-_//\u0663\u0967\u00b2ax.e"),
+                       max_size=12)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_entry_texts, st.integers(), st.integers(-10 ** 40, 10 ** 40), st.booleans(),
+                 st.floats(), st.none(), st.lists(st.integers(), max_size=2),
+                 st.builds(Fraction, st.integers(), st.integers(1, 99)),
+                 st.sampled_from(["1/0", "1/-2", "-0/-5", " 3 / 4 ", "a/b/c", "1/2/3", "+7",
+                                  "1_000/2_0", "\u0663/\u0664", "\u00b2", "/", "", "--1",
+                                  "0.5", "1e3", "6/-4", "-6/4"])))
+def test_read_rational_against_the_fraction_reader(text):
+    # one reader: the integer pair is the old reader's Fraction in least
+    # terms with a positive denominator, and every refusal has its message;
+    # parse_rational is that pair as a Fraction
+    kind, want = _outcome(_fraction_parse, text)
+    got = _outcome(read_rational, text)
+    assert _outcome(parse_rational, text) == (kind, want)
+    if kind == "refused":
+        assert got == (kind, want)
+    else:
+        assert got == ("value", (want.numerator, want.denominator))
+        assert all(type(x) is int for x in got[1])
+
+
+def test_read_rational_past_a_lowered_str_limit(str_limit):
+    # a run of ASCII digits past the interpreter's limit on str-to-int
+    # conversion is read, as decimal writes it, with or without a sign, over
+    # a denominator or not; every other text int refuses is refused as before
+    sys.set_int_max_str_digits(640)
+    rng = random.Random(641)
+    for digits in (639, 640, 641, 1281, 5000):
+        x = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        text = _unlimited_str(x)
+        assert read_rational(text) == (x, 1)
+        assert read_rational(" -" + text + " ") == (-x, 1)
+        assert read_rational("+" + text) == (x, 1)
+        assert read_rational(text + "/" + text) == (1, 1)
+        assert parse_rational(f"{text} / -3") == Fraction(-x, 3)
+    assert read_rational("1" * 700) == (int("1" * 350) * 10 ** 350 + int("1" * 350), 1)
+    assert read_rational("0" * 699 + "7") == (7, 1)
+    for bad in ("_".join("1" * 700), "\u0663" * 700, "--" + "1" * 700, "1" * 700 + "x",
+                "1" * 700 + "/0"):
+        assert _outcome(read_rational, bad) == ("refused", f"not an exact rational: {bad!r}")
+        assert _outcome(parse_rational, bad) == ("refused", f"not an exact rational: {bad!r}")
+
+
 def test_dot_exact():
     assert dot([1, Fraction(1, 2)], [Fraction(1, 3), 4]) == Fraction(7, 3)
     assert dot([Fraction(2, 3)], [Fraction(3, 2)]) == 1
@@ -460,18 +536,6 @@ def test_format_over_is_format_rational_of_each_ratio(nums, den):
 
 
 @pytest.fixture
-def unlimited_str():
-    """Lift the interpreter's limit on int-to-str conversion for one test,
-    so that ``str`` is the oracle past it; skipped where there is none."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this interpreter has no limit on int-to-str conversion")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
-@pytest.fixture
 def str_limit():
     """The interpreter's limit on int-to-str conversion, in digits, for one
     test that may set another (``sys.set_int_max_str_digits``), restored
@@ -548,12 +612,15 @@ def test_format_rational_refuses_a_float():
         format_rational(1 / 3)
 
 
-def test_format_over_and_format_rational_past_the_limit(unlimited_str):
-    # a row with one integer past the limit is written whole by decimal, and
-    # every other entry of it as plain str would write it
+def test_format_over_and_format_rational_past_the_limit(str_limit):
+    # at the interpreter's default limit, a row with one integer past it is
+    # written whole by decimal's split, and every other entry of it as plain
+    # str writes it; the expected digits are str's with the limit lifted
     wide = 3 ** 20000 + 2
+    assert len(_unlimited_str(wide)) > str_limit
+    big, den_big = _unlimited_str(wide), _unlimited_str(3 ** 20001)
     nums, den = [wide, -6, 4 * wide, 0], 4
-    assert format_over(nums, den) == [f"{wide}/4", "-3/2", str(wide), "0"]
-    assert format_over([wide, 1], 3 ** 20001) == [f"{wide}/{3 ** 20001}", f"1/{3 ** 20001}"]
-    assert format_rational(Fraction(-wide, 7)) == f"-{wide}/7"
-    assert format_rational(wide) == str(wide)
+    assert format_over(nums, den) == [f"{big}/4", "-3/2", big, "0"]
+    assert format_over([wide, 1], 3 ** 20001) == [f"{big}/{den_big}", f"1/{den_big}"]
+    assert format_rational(Fraction(-wide, 7)) == f"-{big}/7"
+    assert format_rational(wide) == big

@@ -311,6 +311,24 @@ def test_interleaved_g_report():
         interleaved_g_report(2, 3)
 
 
+def test_interleaved_g_report_checks_q_once(monkeypatch):
+    # q is checked once per report, and its rows are built unchecked; the
+    # one other check is ku_congruence_system's.  The public row still
+    # checks q, j and k.
+    from bpadams import adamsk, arith, centre
+
+    interleaved_g_report(7, 12)  # the memoised rows, filled
+    checked, check = [], arith.validate_q
+    for module in (arith, adamsk, centre):
+        monkeypatch.setattr(module, "validate_q", lambda p, q: checked.append(q) or check(p, q))
+    assert interleaved_g_report(7, 12)["equal"]
+    assert checked == [None, 3]
+    with pytest.raises(ValueError, match="divisible by p = 7"):
+        binomial_mu_congruence(7, 0, 1, 14)
+    with pytest.raises(ValueError, match="negative block index"):
+        binomial_mu_congruence(7, 0, -1)
+
+
 def test_interleave_scan_matches_the_triangularized_system():
     # the raw rows cut out the lattice of their triangular form; cli-mix's points
     for p in (3, 5, 7):

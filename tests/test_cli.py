@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cli_digests
 from bpadams.adamsk import ku_congruence_system
-from bpadams.arith import delta_p, dot, is_p_local_int, val_p
+from bpadams.arith import delta_p, dot, integer_numerators, is_p_local_int, val_p
 from bpadams import cli
 from bpadams.centre import summand_rows
 from bpadams.cli import main, parse_monomial, read_sequence, read_system, InputError
@@ -248,8 +248,10 @@ def test_bp_etar_needs_no_fraction_substitution(capsys, monkeypatch):
 def test_read_sequence_and_system_errors(tmp_path):
     seq = tmp_path / "seq.json"
     seq.write_text('{"sequence": ["1", "1/2"]}')
-    from fractions import Fraction
-    assert read_sequence(str(seq)) == [Fraction(1), Fraction(1, 2)]
+    assert read_sequence(str(seq)) == ([2, 1], 2)  # 1 and 1/2 over one denominator
+    good = tmp_path / "good.json"
+    good.write_text('{"p": 3, "rows": [["2/4", 1], ["-1/3", "1/-6"]]}')
+    assert read_system(str(good)) == (3, [([1, 2], 2), ([-2, -1], 6)])
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": [[1]]}')
     with pytest.raises(InputError):
@@ -496,6 +498,55 @@ def test_requests_under_a_lowered_int_to_str_limit(argv, capsys):
     assert max(map(len, re.findall(r"\d+", out))) > 640
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str conversion")
+def test_lattice_reads_the_rows_congruences_writes_under_a_lowered_limit(tmp_path, capsys):
+    # the CLI reads back what it writes: row 20 of congruences --p 13 --n 20,
+    # whose integers pass 640 digits, as a lattice system, with a member
+    # sequence as wide, gives under a 640-digit limit the bytes and exit code
+    # of the default limit
+    code, out, _ = run(capsys, "congruences", "--p", "13", "--n", "20", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][20]
+    system, member = tmp_path / "sys.json", tmp_path / "mu.json"
+    system.write_text(json.dumps({"p": 13, "rows": [row]}))
+    member.write_text(json.dumps([str(13 ** 700 + 1)] + ["0"] * 19 + ["13/2"]))
+    assert max(map(len, re.findall(r"\d+", system.read_text()))) > 640
+    argv = ["lattice", "--system", str(system), "--member", str(member), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    done = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "bpadams", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (code, "", out)
+    assert max(map(len, re.findall(r"\d+", out))) > 640
+
+
+def test_requests_on_integers_build_no_fraction(tmp_path, capsys, monkeypatch):
+    # congruences --check, lattice --member and a connective-family
+    # basis-expand read their inputs as integer pairs, and solve, test and
+    # write on integers: no Fraction is built, input or answer
+    seq, system, member = tmp_path / "seq.json", tmp_path / "sys.json", tmp_path / "mu.json"
+    seq.write_text(json.dumps(["1", "-3/2", 4, " 5 / 7 ", "16", "1/-11"]))
+    system.write_text(json.dumps({"p": 3, "rows": [["-1/3", "1/3", 0], ["1/9", "-2/9", "4/9"]]}))
+    member.write_text(json.dumps(["1", 7, "-26"]))
+    requests = [["congruences", "--p", "5", "--n", "4", "--check", str(seq)],
+                ["lattice", "--system", str(system), "--member", str(member)],
+                ["basis-expand", "--family", "phi_ku", "--p", "5", "--in", str(seq)],
+                ["basis-expand", "--family", "phihat_g", "--p", "7", "--in", str(seq)]]
+    want = [run(capsys, *argv, "--format", "json") for argv in requests]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        Fraction(1, 2)
+    assert [run(capsys, *argv, "--format", "json") for argv in requests] == want
+    assert [code for code, _, _ in want] == [1, 0, 1, 1]
+
+
 def test_bp_dn_weight_below_delta_warns_on_stderr(capsys):
     _, plain, err = run(capsys, "bp-dn", "--p", "3", "--n", "2", "--format", "json")
     assert err == ""
@@ -600,7 +651,7 @@ def test_congruence_verdicts_match_the_fraction_dot(case):
     # on sequences longer than n + 1
     p, n, mu = case
     vecs = summand_rows(p, n)
-    assert cli._congruence_verdicts(p, vecs, mu) == [
+    assert cli._congruence_verdicts(p, vecs, integer_numerators(mu)) == [
         is_p_local_int(p, dot(vec.entries, mu)) for vec in vecs]
 
 
@@ -632,7 +683,7 @@ def test_a_request_builds_only_the_form_it_prints(fmt, tmp_path, monkeypatch):
     (``_csv_*``), the pretty lines (``_pretty_*``) and the JSON text
     (``_json_text``)."""
     builders = [name for name in vars(cli) if name.startswith(("_csv_", "_pretty_"))]
-    assert len(builders) == 2 * len(cli_digests.REQUESTS)
+    assert len(builders) == 2 * len({request[0] for request in cli_digests.REQUESTS.values()})
     builders.append("_json_text")
 
     def refuse(*args, **kwargs):
