@@ -17,9 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter, mul
 
-#: Exact rational scalar used throughout the package.
-Rational = Fraction
-
 #: Marker for the valuation of zero (compares correctly with ints).
 INFINITY = math.inf
 
@@ -97,13 +94,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Prime(int):
-    """An int validated to be prime on construction."""
-
-    def __new__(cls, p: int) -> "Prime":
-        return super().__new__(cls, ensure_prime(int(p)))
-
-
 def _nu(p: int, n: int) -> int:
     """Largest e with p**e dividing the non-zero int n (p not checked)."""
     e = 0
@@ -157,11 +147,6 @@ def val_p(p: int, x: Fraction | int) -> int | float:
 def is_p_local_int(p: int, x: Fraction | int) -> bool:
     """True iff x lies in Z_(p), i.e. val_p(x) >= 0."""
     return val_p(p, x) >= 0
-
-
-def is_p_local_unit(p: int, x: Fraction | int) -> bool:
-    """True iff x is a unit of Z_(p), i.e. val_p(x) == 0."""
-    return val_p(p, x) == 0
 
 
 def nu_p_factorial(p: int, n: int) -> int:

@@ -19,13 +19,10 @@ instances of the centre theorem.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
 from .adamsk import (CongruenceVector, C_vector, _binomial_row, _ku_canonical_rows,
-                     adams_family, expand_in_family, family_action, family_sequence,
                      ku_congruence_system)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
@@ -390,60 +387,3 @@ def interleaved_g_report(p: int, n: int, q: int | None = None) -> dict:
         "ku_pivots": list(ku.pivots()),
         "equal": lattice_eq(inter, ku),
     }
-
-
-def _random_p_unit(rng: random.Random, p: int) -> Fraction:
-    while True:
-        num = rng.randint(-50, 50)
-        den = rng.randint(1, 50)
-        if num and num % p and den % p:
-            return Fraction(num, den)
-
-
-def verify_basis_injections(p: int, n_max: int, trials: int = 50,
-                            seed: int = 2026) -> dict:
-    """Spot-check that finite family sums act injectively and stably.
-
-    For random finitely supported coefficient vectors the action at the
-    minimal support index m equals a_m times the family diagonal (and is
-    non-zero), the action vanishes below m, and actions on indices <= M
-    depend only on the coefficients a_0..a_M.
-    """
-    ensure_prime(p)
-    kinds = ["zeta_ku2"] if p == 2 else ["phi_ku", "phihat_g"]
-    rng = random.Random(seed)
-    report: dict = {"p": p, "n_max": n_max, "trials": trials, "families": {}, "verdict": True}
-    for kind in kinds:
-        fam = adams_family(kind, p)
-        failures = 0
-        for _ in range(trials):
-            coeffs = [Fraction(0)] * (n_max + 1)
-            support = rng.sample(range(n_max + 1), rng.randint(1, n_max + 1))
-            for idx in support:
-                coeffs[idx] = _random_p_unit(rng, p)
-            m0 = min(idx for idx, a in enumerate(coeffs) if a)
-            seq = family_sequence(fam, coeffs, n_max + 1)
-            ok = all(seq[m] == 0 for m in range(m0))
-            expected = coeffs[m0] * family_action(fam, m0, fam.degree_index(m0))
-            ok = ok and seq[m0] == expected and expected != 0
-            mid = rng.randint(m0, n_max)
-            truncated = family_sequence(fam, coeffs[: mid + 1], mid + 1)
-            ok = ok and truncated == seq[: mid + 1]
-            if not ok:
-                failures += 1
-        report["families"][kind] = {"failures": failures}
-        if failures:
-            report["verdict"] = False
-    return report
-
-
-def lattice_realizability(p: int, n: int, lat: SolutionLattice,
-                          q: int | None = None) -> bool:
-    """Every basis column lifts to integral expansion coefficients in the
-    relevant connective family (phihat for odd p, zeta for p = 2)."""
-    fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phihat_g", p, q)
-    for col in lat.columns():
-        _, integral = expand_in_family(fam, col)
-        if not integral:
-            return False
-    return True

@@ -38,8 +38,8 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arith import (delta_p, ensure_prime, format_over, format_rational, integral_dot,
-                    is_p_local_int, read_rational, validate_q)
+from .arith import (_read_int, delta_p, ensure_prime, format_over, format_rational,
+                    integral_dot, is_p_local_int, read_rational, validate_q)
 from .adamsk import FAMILY_KINDS, CongruenceVector, _expansion, adams_family
 from .centre import (bp_sample_scan, interleaved_g_report, summand_rows,
                      verify_centre_bp)
@@ -53,9 +53,11 @@ class InputError(ValueError):
 
 
 def _load_json(path: str) -> object:
+    """The JSON file at ``path``, its integers read by
+    :func:`bpadams.arith._read_int`, so past the str-to-int limit too."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_read_int)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -105,6 +107,8 @@ def read_system(path: str) -> tuple[int, list[tuple[list[int], int]]]:
         if not isinstance(row, list):
             raise InputError(f"{path}: row {r}: expected an array")
         if width is None:
+            if not row:
+                raise InputError(f"{path}: row {r}: expected a non-empty array")
             width = len(row)
         elif len(row) != width:
             raise InputError(f"{path}: row {r}: length {len(row)} != {width}")

@@ -48,33 +48,6 @@ class LatticeError(ValueError):
         self.column = column
 
 
-def residue(p: int, x: Fraction, k: int) -> Fraction:
-    """Canonical representative of x modulo p^k Z_(p), for any integer k.
-
-    The unique r in [0, p^k) whose denominator is a power of p and with
-    x - r in p^k Z_(p): zero when x lies in p^k Z_(p), an integer when x
-    is p-locally integral and k >= 0.
-    """
-    x = exact(x)
-    num, den = x.numerator, x.denominator
-    v = _nu(p, den)
-    den //= p ** v
-    if k + v <= 0:
-        return Fraction(0)
-    # x = num / (den * p^v) with gcd(den, p) = 1
-    modulus = p ** (k + v)
-    return Fraction(num * pow(den, -1, modulus) % modulus, p ** v)
-
-
-def p_fractional_part(p: int, x: Fraction) -> Fraction:
-    """Canonical representative of x modulo Z_(p).
-
-    Zero when x is p-locally integral; otherwise N'/p^v with
-    0 < N' < p^v, where v = -val_p(x).
-    """
-    return residue(p, x, 0)
-
-
 class CongruenceSystem(_Record):
     """Rows c_r of length n + 1, each read as "c_r . mu in Z_(p)".
 

@@ -9,6 +9,8 @@
 * Bad inputs: ``main`` must print on stdout and stderr and exit exactly
   as the full parser, ``_parser().parse_args``, does in the same
   interpreter, so the check holds whatever argparse version writes.
+* Bad input files, which the parser takes: ``main`` must exit 2 and
+  print nothing on stdout, and on stderr the file and the place in it.
 
 Input files are written to a temporary directory; no output depends on
 their paths.  pytest does not collect this file.  Run it as
@@ -94,10 +96,26 @@ BAD_INPUTS = [
     ["bp-etaR", "--p", "3", "--weight", "4", "--monomial", "v1", "-h"],
 ]
 
+# input files the reader refuses: (content, request, message after the path)
+BAD_FILES = {
+    "empty_row.json": ({"p": 3, "rows": [[]]}, ["lattice", "--system", "empty_row.json"],
+                       "row 0: expected a non-empty array"),
+}
+
 
 def with_paths(words: list[str], directory: Path) -> list[str]:
     """``words`` with each name of :data:`FILES` as a path under ``directory``."""
     return [str(directory / word) if word in FILES else word for word in words]
+
+
+def refused(name: str, directory: Path) -> tuple[list[str], tuple[int, str, str]]:
+    """The request of ``BAD_FILES[name]`` on its file, written under
+    ``directory``, and the (exit code, stdout, stderr) it must give."""
+    content, request, message = BAD_FILES[name]
+    path = directory / name
+    path.write_text(json.dumps(content), encoding="utf-8")
+    argv = [str(path) if word == name else word for word in request]
+    return argv, (2, "", f"error: {path}: {message}\n")
 
 
 def capture(call, argv: list[str]) -> tuple[object, str, str]:
@@ -143,6 +161,12 @@ def main() -> int:
             ok = got == want
             failed += not ok
             print(f"{argv}: exit {got[0]} {'as the full parser' if ok else f'differs: {got!r} != {want!r}'}")
+        for name in BAD_FILES:
+            argv, want = refused(name, directory)
+            got = capture(cli.main, argv)
+            ok = got == want
+            failed += not ok
+            print(f"{name}: exit {got[0]} {'refused' if ok else f'differs: {got!r} != {want!r}'}")
     return 1 if failed else 0
 
 

@@ -6,7 +6,7 @@ behind :func:`bpadams.lattice.triangularize` and :func:`bpadams.lattice.solve`.
 The rows are reduced with the identity rows in the pool, and each pivot is
 scaled by its unit to a pure power of p; the canonical form then takes
 every entry left of a pivot to its residue modulo that pivot
-(:func:`bpadams.lattice.residue`).  Both the canonical system and the
+(:func:`residue`).  Both the canonical system and the
 solution lattice are unique, so they must match the integer route exactly.
 
 The extension entry by entry on integer columns, with one exact dot
@@ -17,8 +17,25 @@ column at once from packed rows, on residues.
 
 from fractions import Fraction
 
-from bpadams.arith import format_rational, integer_numerators, val_p
-from bpadams.lattice import CongruenceSystem, LatticeError, SolutionLattice, residue
+from bpadams.arith import format_rational, integer_numerators, nu_p, val_p
+from bpadams.lattice import CongruenceSystem, LatticeError, SolutionLattice
+
+
+def residue(p, x, k):
+    """Canonical representative of x modulo p^k Z_(p), for any integer k.
+
+    The unique r in [0, p^k) whose denominator is a power of p and with
+    x - r in p^k Z_(p): zero when x lies in p^k Z_(p), an integer when x
+    is p-locally integral and k >= 0.
+    """
+    num, den = x.numerator, x.denominator
+    v = nu_p(p, den)
+    den //= p ** v
+    if k + v <= 0:
+        return Fraction(0)
+    # x = num / (den * p^v) with gcd(den, p) = 1
+    modulus = p ** (k + v)
+    return Fraction(num * pow(den, -1, modulus) % modulus, p ** v)
 
 
 def extend_lattice(lat, row):

@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 from fractions import Fraction
@@ -9,10 +8,9 @@ from hypothesis import strategies as st
 
 import packing_reference
 from bpadams import arith
-from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, ensure_prime, exact,
+from bpadams.arith import (INFINITY, WordCodec, decimal, delta_p, dot, ensure_prime, exact,
                            find_q, format_over, format_rational, gamma_p, gaussian, gaussian_poly,
-                           integer_numerators, integral_dot, is_p_local_int, is_p_local_unit,
-                           is_prime,
+                           integer_numerators, integral_dot, is_p_local_int, is_prime,
                            multiplicative_order, nu_p, nu_p_factorial, parse_rational,
                            read_rational, val_p, validate_q, word_width)
 
@@ -20,9 +18,6 @@ from bpadams.arith import (INFINITY, Prime, WordCodec, decimal, delta_p, dot, en
 def test_prime_validation():
     assert is_prime(2) and is_prime(97)
     assert not is_prime(1) and not is_prime(91)
-    assert Prime(7) == 7
-    with pytest.raises(ValueError):
-        Prime(9)
     # a bool, a float, 1 or a composite is refused, also right after a
     # prime of equal value passed
     for p, bad in ((2, 2.0), (5, 5.0), (2, True), (3, 1), (3, 9), (7, 91)):
@@ -44,9 +39,9 @@ def test_val_p_examples():
 
 
 def test_p_local_membership_examples():
-    assert is_p_local_int(3, Fraction(5, 2)) and is_p_local_unit(3, Fraction(5, 2))
-    assert not is_p_local_int(3, Fraction(1, 3)) and not is_p_local_unit(3, Fraction(1, 3))
-    assert is_p_local_int(2, 6) and not is_p_local_unit(2, 6)
+    assert is_p_local_int(3, Fraction(5, 2))
+    assert not is_p_local_int(3, Fraction(1, 3))
+    assert is_p_local_int(2, 6)
 
 
 def test_delta_p_examples():
@@ -176,9 +171,12 @@ def test_validate_q():
 
 def test_find_q_is_memoised_and_still_checks_p():
     # one order search per p: a default-q request reads the memo, and a
-    # float or bool equal to a cached p (an int, or a Prime) is not served
-    # from it
-    assert find_q(5) == find_q(Prime(5)) == 2
+    # float or bool equal to a cached p (an int, or an int subclass) is not
+    # served from it
+    class Int(int):
+        pass
+
+    assert find_q(5) == find_q(Int(5)) == 2
     hits = find_q.cache_info().hits
     assert validate_q(5, None) == 2 and find_q.cache_info().hits == hits + 1
     for bad in (5.0, True):
@@ -295,7 +293,6 @@ REFUSED = [
     (val_p, (3, 0.5), "not an exact rational"),
     (val_p, (3, 0.0), "not an exact rational"),
     (is_p_local_int, (3, 1.5), "not an exact rational"),
-    (is_p_local_unit, (3, 1.0), "not an exact rational"),
     (gaussian, (4, 2, 0.1), "floating point input rejected"),
 ]
 

@@ -1,6 +1,8 @@
 import bisect
 import collections
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from operator import itemgetter
@@ -14,11 +16,12 @@ from packing_reference import dense
 import theta_reference
 from bpadams import centre, hopf, lattice, walk
 from bpadams.adamsk import (adams_family, basis_integrality_rows, binomial_mu_congruence,
-                            family_action, ku_congruence_system)
+                            expand_in_family, family_action, family_sequence,
+                            ku_congruence_system)
 from bpadams.arith import delta_p, format_rational, integer_numerators, nu_p
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
-                            lattice_realizability, sampled_integrality_rows, summand_rows,
-                            verify_centre_bp, _lattice_of_rows)
+                            sampled_integrality_rows, summand_rows, verify_centre_bp,
+                            _lattice_of_rows)
 from bpadams.fgl import BPContext
 from bpadams.lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
                              lattice_leq, solve)
@@ -159,21 +162,41 @@ def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
 
 
 def test_lattice_realizability():
+    # every column of the Adams lattice expands integrally in the connective
+    # family: phihat at odd p, zeta at p = 2
     for p, n in ((3, 3), (2, 3), (5, 2)):
-        rows = summand_rows(p, n)
-        lat = _lattice_of_rows(p, n, rows)
-        assert lattice_realizability(p, n, lat)
+        fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phihat_g", p)
+        for col in _lattice_of_rows(p, n, summand_rows(p, n)).columns():
+            assert expand_in_family(fam, col)[1], (p, n, col)
 
 
 def test_basis_injections():
-    from bpadams.centre import verify_basis_injections
+    # a finite sum of members with p-unit coefficients vanishes below its
+    # least index m, acts there by a_m times the member's non-zero diagonal,
+    # and its action on indices <= M depends on a_0..a_M alone
+    rng = random.Random(2026)
 
-    for p in (2, 3):
-        report = verify_basis_injections(p, 6, trials=25)
-        assert report["verdict"], report
+    def unit(p):
+        while True:
+            num, den = rng.randint(-50, 50), rng.randint(1, 50)
+            if num % p and den % p:
+                return Fraction(num, den)
+
+    for kind, p in (("zeta_ku2", 2), ("phi_ku", 3), ("phihat_g", 3)):
+        fam = adams_family(kind, p)
+        for _ in range(25):
+            coeffs = [Fraction(0)] * 7
+            for idx in rng.sample(range(7), rng.randint(1, 7)):
+                coeffs[idx] = unit(p)
+            m = min(idx for idx, a in enumerate(coeffs) if a)
+            seq = family_sequence(fam, coeffs, 7)
+            assert not any(seq[:m]), (kind, coeffs)
+            diagonal = family_action(fam, m, fam.degree_index(m))
+            assert diagonal != 0 and seq[m] == coeffs[m] * diagonal, (kind, coeffs)
+            top = rng.randint(m, 6)
+            assert family_sequence(fam, coeffs[:top + 1], top + 1) == seq[:top + 1]
     # e_0 is the identity operation: all-ones action sequence
     fam = adams_family("phi_ku", 3)
-    from bpadams.adamsk import family_sequence
     assert family_sequence(fam, [Fraction(1)], 5) == (1, 1, 1, 1, 1)
     # e_m kills everything below m and acts by prod (q^m - q^i) at m
     seq = family_sequence(fam, [0, 0, Fraction(1)], 4)
@@ -309,6 +332,18 @@ def test_interleaved_g_report():
     assert report["equal"]
     with pytest.raises(ValueError):
         interleaved_g_report(2, 3)
+
+
+@pytest.mark.parametrize("p, n, qs, digest", [(3, 12, (2, 5, 11), "df613de2236f"),
+                                               (5, 14, (2, 3, 8), "df6cee1ca6df")])
+def test_the_report_without_q_does_not_depend_on_q(p, n, qs, digest):
+    # the Adams lattice does not depend on the choice of q, and neither does
+    # the verdict: the report with q and qhat removed hashes the same
+    for q in qs:
+        report = verify_centre_bp(p, n, q=q)
+        assert (report.pop("q"), report.pop("qhat")) == (q, q ** (p - 1))
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest, q
 
 
 def test_interleaved_g_report_checks_q_once(monkeypatch):

@@ -229,7 +229,8 @@ def test_bp_etar_rejects_a_bad_factor_with_exit_2(capsys, monomial):
 
 def test_bp_etar_needs_no_fraction_substitution(capsys, monkeypatch):
     # the right unit of a v-monomial is built on integers: no right-unit
-    # tables, no v_n over the l's and no polynomial substitution
+    # tables, neither l_n over the v's nor v_n over the l's, and no
+    # polynomial substitution
     from bpadams import hopf
     from bpadams.fgl import BPContext
     from bpadams.polyring import GradedPoly
@@ -238,6 +239,7 @@ def test_bp_etar_needs_no_fraction_substitution(capsys, monkeypatch):
         raise AssertionError("the Fraction route was taken")
 
     monkeypatch.setattr(hopf._RightUnitData, "__init__", refuse)
+    monkeypatch.setattr(BPContext, "_build_l_in_v", refuse)
     monkeypatch.setattr(BPContext, "_build_v_in_l", refuse)
     monkeypatch.setattr(GradedPoly, "substitute", refuse)
     code, out, _ = run(capsys, "bp-etaR", "--p", "3", "--weight", "9",
@@ -523,6 +525,26 @@ def test_lattice_reads_the_rows_congruences_writes_under_a_lowered_limit(tmp_pat
     assert max(map(len, re.findall(r"\d+", out))) > 640
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on int-to-str conversion")
+def test_an_unquoted_integer_past_a_lowered_limit_reads_as_the_quoted_one(tmp_path):
+    # json reads an integer through the interpreter's int(), which a 640-digit
+    # limit bounds; the CLI reads it as it reads the same digits quoted
+    digits = "1" * 700
+    quoted, unquoted = tmp_path / "quoted.json", tmp_path / "unquoted.json"
+    quoted.write_text(f'["{digits}", "2"]')
+    unquoted.write_text(f"[{digits}, 2]")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    runs = [subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "bpadams",
+                            "basis-expand", "--family", "phi_ku", "--p", "3", "--in", str(path),
+                            "--format", "json"],
+                           env=env, capture_output=True, text=True, timeout=120)
+            for path in (quoted, unquoted)]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout and digits in runs[0].stdout
+
+
 def test_requests_on_integers_build_no_fraction(tmp_path, capsys, monkeypatch):
     # congruences --check, lattice --member and a connective-family
     # basis-expand read their inputs as integer pairs, and solve, test and
@@ -674,6 +696,12 @@ def test_dispatch_matches_the_full_parser(argv, monkeypatch):
     assert cli_digests.capture(cli._parse_args, argv) == want
     if not isinstance(want[0], argparse.Namespace):
         assert cli_digests.capture(cli.main, argv) == want
+
+
+@pytest.mark.parametrize("name", cli_digests.BAD_FILES)
+def test_a_refused_input_file_is_named_with_the_place(name, tmp_path):
+    argv, want = cli_digests.refused(name, tmp_path)
+    assert cli_digests.capture(cli.main, argv) == want
 
 
 @pytest.mark.parametrize("fmt", cli_digests.FORMATS)

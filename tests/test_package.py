@@ -8,13 +8,12 @@ import pytest
 import bpadams
 from startup_imports import submodules_loaded
 
-# the 56 names the package exports, by the submodule that defines each
+# the 45 names the package exports, by the submodule that defines each
 EXPORTS = {
-    "arith": ["INFINITY", "Prime", "Rational", "delta_p", "find_q", "gamma_p", "gaussian",
-              "gaussian_poly", "is_p_local_int", "is_p_local_unit", "nu_p", "val_p"],
+    "arith": ["INFINITY", "delta_p", "find_q", "gamma_p", "gaussian",
+              "gaussian_poly", "is_p_local_int", "nu_p", "val_p"],
     "polyring": ["GeneratorTable", "GradedPoly", "PolyError"],
-    "fgl": ["BPContext", "TruncatedSeries", "adams_on_coeff", "adams_log_transform_check",
-            "bp_log", "formal_sum", "generic_log", "log_exp_series"],
+    "fgl": ["BPContext"],
     "hopf": ["ConstructionError", "DiagonalAction", "MuLinear", "SpecialElement",
              "diagonal_transform", "right_unit_log", "right_unit_v_monomial", "special_element",
              "t_recursion_check", "to_right_unit_basis", "v1_functional"],
@@ -23,7 +22,7 @@ EXPORTS = {
                "family_action", "ku_congruence_system", "Phi_in_phi"],
     "lattice": ["CongruenceSystem", "LatticeError", "SolutionLattice", "extend_lattice",
                 "lattice_eq", "lattice_leq", "sandwich_check", "solve", "triangularize"],
-    "centre": ["bp_sample_scan", "verify_basis_injections", "verify_centre_bp"],
+    "centre": ["bp_sample_scan", "verify_centre_bp"],
 }
 SUBMODULES = ["arith", "polyring", "fgl", "kernel", "hopf", "adamsk", "lattice", "walk",
               "centre"]
@@ -59,7 +58,7 @@ def test_every_submodule_resolves_after_a_bare_import():
 
 def test_all_is_the_exported_names():
     assert sorted(bpadams.__all__) == sorted(n for names in EXPORTS.values() for n in names)
-    assert len(bpadams.__all__) == len(set(bpadams.__all__)) == 56
+    assert len(bpadams.__all__) == len(set(bpadams.__all__)) == 45
 
 
 @pytest.mark.parametrize("module", list(EXPORTS))
@@ -84,8 +83,12 @@ def test_star_import_binds_every_name():
 
 
 def test_an_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
-        bpadams.nope
+    # a name never defined, and names the package no longer exports
+    for name in ("nope", "Prime", "Rational", "is_p_local_unit", "TruncatedSeries",
+                 "adams_on_coeff", "adams_log_transform_check", "bp_log", "formal_sum",
+                 "generic_log", "log_exp_series", "verify_basis_injections"):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(bpadams, name)
     assert not hasattr(bpadams, "cli_main")
 
 
