@@ -345,6 +345,53 @@ def C_vector(p: int, q: int, n: int) -> CongruenceVector:
     return CongruenceVector(p, n, None, budget, (tuple(nums), p ** budget))
 
 
+# (p, q) -> (c_0, .., c_N) of _gaussian_residues, N the largest top asked
+# for; replaced by one assignment, never changed in place
+_RESIDUES: dict[tuple[int, int], tuple[CongruenceVector, ...]] = {}
+
+
+def _gaussian_residues(p: int, q: int, top: int) -> tuple[CongruenceVector, ...]:
+    """The Gaussian rows c_0..c_top of :func:`C_vector` for the lattices,
+    odd p and q in use (:func:`bpadams.arith.validate_q`), nothing checked:
+    row n's numerators taken modulo p^(delta_p(n) + 1), in [0, p^(delta_p(n) + 1)),
+    over p^delta_p(n).
+
+    Each residue row is the exact row plus an integral vector, so c . mu
+    lies in Z_(p) for an integral mu exactly when the exact row's value
+    does: the rows cut out the same lattices, and the pivot stays the
+    unit 1 over p^delta_p(n), with the same shape.  Modulo p^delta_p(n)
+    itself the entries would be integral and the pivot at n = 0 would be 0.
+
+    The q-Pascal rows [k, 0..k]_qhat are stepped from row 0 as in
+    :func:`C_vector`, on residues modulo p^(delta_p(top) + 1), which every
+    row's modulus divides.  Memoised per (p, q) in :data:`_RESIDUES`, one
+    tuple of frozen rows grown to the largest top asked for so far and
+    handed out as a slice: a larger top steps the rows again and keeps
+    the rows built."""
+    rows = _RESIDUES.get((p, q), ())
+    if len(rows) > top:
+        return rows[: top + 1]
+    budgets = [delta_p(p, n) for n in range(top + 1)]
+    modulus = p ** (budgets[-1] + 1)
+    qhat, powers, pascal, built = pow(q, p - 1, modulus), [1], [1], []
+    for n in range(top + 1):
+        if n:
+            pascal = [1] + [(a + powers[i] * b) % modulus
+                            for i, (a, b) in enumerate(zip(pascal, pascal[1:]), 1)] + [1]
+            powers.append(powers[-1] * qhat % modulus)
+        if n < len(rows):
+            continue
+        # entry i is (-1)^(n-i) qhat^C(n-i, 2) [n, i], as in C_vector
+        m, nums, scale = p ** (budgets[n] + 1), [0] * (n + 1), 1
+        for i in range(n, -1, -1):
+            if i < n - 1:
+                scale = scale * powers[n - i - 1] % m
+            nums[i] = scale * pascal[i] % m if (n - i) % 2 == 0 else -scale * pascal[i] % m
+        built.append(CongruenceVector(p, n, None, budgets[n], (tuple(nums), p ** budgets[n])))
+    rows = _RESIDUES[p, q] = rows + tuple(built)
+    return rows
+
+
 def check_g_congruences(p: int, q: int, mu: Sequence[Fraction | int],
                         n: int) -> tuple[bool, ...]:
     """Per-index verdicts: does C_r . mu land in Z_(p) for r = 0..n?  Each

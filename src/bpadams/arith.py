@@ -263,10 +263,10 @@ class WordCodec:
     |c_j| < 2^(R - 1).  Adding the offset 2^(R - 1) * sum_{j<m} 2^(R * j),
     m the row's digit count, makes every digit c_j + 2^(R - 1) lie in
     [0, 2^R): the sum is an unsigned int whose little-endian bytes hold
-    digit j in bytes R/8 * j .. R/8 * (j + 1), so the digits come out of
-    one ``to_bytes`` (read as native words by ``memoryview.cast`` on a
-    little-endian host, field by field on a big-endian one) and no digit
-    is split off by a shift.  m is ``r.bit_length() // R + 1``: a top
+    digit j in bytes R/8 * j .. R/8 * (j + 1), so digits of 32 or 64 bits
+    come out of one ``to_bytes`` read as native words by ``memoryview.cast``
+    on a little-endian host, and wider ones, or any on a big-endian host,
+    by a shift and a mask each.  m is ``r.bit_length() // R + 1``: a top
     non-zero digit c_m leaves 2^(R * m - 1) < |r| < 2^(R * (m + 1) - 1).
     Digits of absolute value below 2^B take the width :func:`word_width`
     (B + 1), one bit for the sign.  The offsets depend on the widths and m alone and are kept per
@@ -307,7 +307,7 @@ class WordCodec:
         field j holds c_j in two's complement, and it is one ``to_bytes``
         read as signed native words by ``memoryview.cast`` on a
         little-endian host.  A wider digit, or any digit on a big-endian
-        host, is its field read by one ``int.from_bytes``, less
+        host, is its field split off by a shift and a mask, less
         2^(width - 1).  A row of one digit is that digit."""
         count = packed.bit_length() // width + 1
         if count == 1:
@@ -316,9 +316,8 @@ class WordCodec:
         if width <= 64 and _LITTLE_ENDIAN:
             data = ((packed + offset) ^ offset).to_bytes(count * width // 8, "little")
             return memoryview(data).cast("i" if width == 32 else "q").tolist()
-        size, half, from_bytes = width // 8, 1 << (width - 1), int.from_bytes
-        data = (packed + offset).to_bytes(count * size, "little")
-        return [from_bytes(data[i:i + size], "little") - half for i in range(0, len(data), size)]
+        unsigned, half, mask = packed + offset, 1 << (width - 1), (1 << width) - 1
+        return [(unsigned >> shift & mask) - half for shift in range(0, count * width, width)]
 
     def respread(self, rows: Sequence[int], width: int, wider: int) -> list[int]:
         """The rows at width ``wider`` >= ``width``, in one buffer: word i of

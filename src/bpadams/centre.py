@@ -22,8 +22,8 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .arith import delta_p, ensure_prime, format_over, format_rational, val_p, validate_q
-from .adamsk import (CongruenceVector, C_vector, _binomial_row, _ku_canonical_rows,
-                     ku_congruence_system)
+from .adamsk import (CongruenceVector, C_vector, _binomial_row, _gaussian_residues,
+                     _ku_canonical_rows, ku_congruence_system)
 from .fgl import BPContext
 from .hopf import (ConstructionError, MuLinear, _delta_reader, _hazewinkel_theta_numerators,
                    _theta_numerators, special_element)
@@ -93,19 +93,34 @@ def sampled_integrality_rows(ctx: BPContext,
 
 
 def summand_rows(p: int, n_max: int, q: int | None = None) -> list[CongruenceVector]:
-    """The Adams-side congruence rows c_0..c_{n_max}.
+    """The Adams-side congruence rows c_0..c_{n_max}, exact.
 
     Odd p: the Gaussian rows.  p = 2: the triangularized connective
     2-local K-theory rows (pivot budgets delta_2(r) = gamma_2(r)), those of
     :func:`bpadams.adamsk.ku_congruence_system`.  Either way the rows are
     memoised vectors (:func:`bpadams.adamsk.C_vector`,
     :func:`bpadams.adamsk._ku_canonical_rows`), the same objects on every
-    call, in a fresh list.
+    call, in a fresh list.  These are the rows ``congruences`` prints;
+    the lattice work of :func:`verify_centre_bp` and :func:`bp_sample_scan`
+    reads :func:`_adams_rows`, which cut out the same lattices.
     """
     q = validate_q(p, q)
     if p != 2:
         return [C_vector(p, q, r) for r in range(n_max + 1)]
     return list(_ku_canonical_rows(2, n_max, q))
+
+
+def _adams_rows(p: int, n_max: int, q: int | None) -> list[CongruenceVector]:
+    """The Adams-side rows c_0..c_{n_max} that the lattices are built from,
+    in a fresh list of memoised vectors.  Odd p: the Gaussian rows on
+    residues, numerators modulo p^(delta_p(n) + 1)
+    (:func:`bpadams.adamsk._gaussian_residues`); each differs from the
+    exact row of :func:`summand_rows` by an integral vector, so it holds
+    on the same integral mu, and the lattices, pivots and shape verdicts
+    are the exact rows'.  p = 2: the rows of :func:`summand_rows`."""
+    if p == 2:
+        return summand_rows(2, n_max, q)
+    return list(_gaussian_residues(p, validate_q(p, q), n_max))
 
 
 def _lattice_of_rows(p: int, n: int, rows: list[CongruenceVector]) -> SolutionLattice:
@@ -146,8 +161,8 @@ def _first_sample_failure(p: int, lat: SolutionLattice,
         if not v:
             continue
         modulus = p ** v
-        if not lat._vanishes(enumerate(row), modulus):
-            values = lat._values(enumerate(row), modulus)
+        if not lat._vanishes(row, modulus):
+            values = lat._values(row, modulus)
             return k, next(j for j, x in enumerate(values) if x)
     return None
 
@@ -196,6 +211,10 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     aborts the scan, recording the offending index, monomial and exact
     witness sequence.
 
+    The rows c_n are those of :func:`_adams_rows`: at odd p the Gaussian
+    rows with numerators modulo p^(delta_p(n) + 1), which differ from the
+    exact rows of :func:`summand_rows` by integral vectors and so cut out
+    the same lattices with the same shape, and at p = 2 the exact rows.
     The Adams lattice at n is the one at n - 1 extended by the row c_n
     (:func:`bpadams.lattice.extend_lattice`): the sandwich extends the
     lattice at n - 1 by c_n (its S, kept as the Adams lattice) and tests
@@ -256,7 +275,7 @@ def verify_centre_bp(p: int, n_max: int, weight_bound: int | None = None,
     requested = weight_bound
     weight_bound = needed if weight_bound is None else max(weight_bound, needed)
     ctx = BPContext(p, weight_bound, q)
-    rows_g = summand_rows(p, n_max, q)
+    rows_g = _adams_rows(p, n_max, q)
     sample, total = _sampled_rows(ctx, n_max, _hazewinkel_theta_numerators(ctx))
     by_top: dict[int, list[tuple[list[int], int]]] = {}
     for _, _, row, den in sample:
@@ -344,10 +363,11 @@ def bp_sample_scan(p: int, n: int, max_weight: int, q: int | None = None) -> dic
     one context at ``max_weight`` whose gamma has weight <= W, in order.
     Only rows with top index <= n are decoded, read in Hazewinkel's
     generators, as :func:`bp_sample_lattice` reads them
-    (:func:`_sampled_rows`).
+    (:func:`_sampled_rows`).  The Adams-side lattice is that of the rows
+    of :func:`_adams_rows`, residues at odd p, which is the exact rows'.
     """
     ensure_prime(p)
-    rows_g = summand_rows(p, n, q)
+    rows_g = _adams_rows(p, n, q)
     lat_g = _lattice_of_rows(p, n, rows_g)
     ctx = BPContext(p, max_weight, q)
     weigh = ctx.t_table.monomial_weight

@@ -54,7 +54,8 @@ class InputError(ValueError):
 
 def _load_json(path: str) -> object:
     """The JSON file at ``path``, its integers read by
-    :func:`bpadams.arith._read_int`, so past the str-to-int limit too."""
+    :func:`bpadams.arith._read_int`, so past the str-to-int limit too.  A
+    file nested deeper than the parser recurses is refused as input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_int=_read_int)
@@ -62,6 +63,8 @@ def _load_json(path: str) -> object:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: nested too deeply to read") from exc
 
 
 def _read_entries(path: str, items: list, where: str = "") -> tuple[list[int], int]:

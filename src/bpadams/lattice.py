@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .arith import (WordCodec, _nu, _Record, ensure_prime, exact, format_over, format_rational,
                     integer_numerators, integral_dot, word_width)
@@ -245,18 +246,19 @@ class SolutionLattice:
             self._pack = pack = (wider, tuple(_CODEC.respread(rows, width, wider)))
         return pack
 
-    def _values(self, entries: Iterable[tuple[int, int]], modulus: int) -> list[int]:
+    def _values(self, coeffs: Sequence[int], modulus: int) -> list[int]:
         """The values modulo ``modulus`` of the row sum_i c_i * mu_i, given
-        as pairs (i, c_i) with int c_i and i below ``size``, on every column,
+        as the dense int list c_0..c_k, k below ``size``, on every column,
         each in [0, modulus): the digits of V = sum_i (c_i mod modulus) * P_i,
-        one multiply-add per entry, decoded and reduced.  The rows are packed
-        wide enough (:meth:`_packed`) that no digit of V carries, so digit j
-        is sum_i (c_i mod modulus) * b_ij, congruent to the value on column j."""
+        its multiply-adds in C loops (``sum`` of ``map``), decoded and
+        reduced.  The rows are packed wide enough (:meth:`_packed`) that no
+        digit of V carries, so digit j is sum_i (c_i mod modulus) * b_ij,
+        congruent to the value on column j."""
         width, rows = self._packed(modulus)
-        digits = _CODEC.decode(sum(c % modulus * rows[i] for i, c in entries), width)
+        digits = _CODEC.decode(sum(map(mul, [c % modulus for c in coeffs], rows)), width)
         return [x % modulus for x in digits] + [0] * (len(rows) - len(digits))
 
-    def _vanishes(self, entries: Iterable[tuple[int, int]], modulus: int) -> bool:
+    def _vanishes(self, coeffs: Sequence[int], modulus: int) -> bool:
         """Whether the row sum_i c_i * mu_i, given as in :meth:`_values`,
         vanishes modulo ``modulus`` = m on every column, without reading
         the columns one by one.
@@ -286,7 +288,7 @@ class SolutionLattice:
             test = self._carry_tests[modulus] = (width, (full - full // modulus) * ones,
                                                  ones << width)
         _, add, carries = test
-        quotient, rest = divmod(sum(c % modulus * rows[i] for i, c in entries), modulus)
+        quotient, rest = divmod(sum(map(mul, [c % modulus for c in coeffs], rows)), modulus)
         return not rest and not (quotient + add ^ quotient ^ add) & carries
 
     @cached_property
@@ -439,7 +441,7 @@ def _new_row(lat: SolutionLattice, nums: Sequence[int], den: int) -> tuple[list[
     modulus = p ** e
     if not size:
         return [modulus], e
-    digits = lat._values(enumerate(nums[:size]), p ** (s + e))
+    digits = lat._values(nums[:size], p ** (s + e))
     if s:
         divisor = p ** s
         for j, x in enumerate(digits):
@@ -568,7 +570,7 @@ def _sandwich(p: int, base: SolutionLattice, cn, cn_hat) -> SandwichResult:
     s_lat = _extended(base, *_new_row(base, *cn.integer_row))
     t_nums, t_den = cn_hat.integer_row
     top = t_nums[n]
-    if top and s_lat._vanishes(enumerate(t_nums), p ** (s_lat._pivots[n] + _nu(p, top))):
+    if top and s_lat._vanishes(t_nums, p ** (s_lat._pivots[n] + _nu(p, top))):
         return SandwichResult("equal", True, s_lattice=s_lat)
     _new_row(base, t_nums, t_den)  # raises where T does not extend
     return SandwichResult("inclusion_failed", False, "S is not contained in T", s_lat)

@@ -96,10 +96,18 @@ BAD_INPUTS = [
     ["bp-etaR", "--p", "3", "--weight", "4", "--monomial", "v1", "-h"],
 ]
 
-# input files the reader refuses: (content, request, message after the path)
+# input files the reader refuses: (content, request, message after the path);
+# a str content is the file's text as it is, anything else is written as JSON
+DEEP = "[" * 100_000
 BAD_FILES = {
     "empty_row.json": ({"p": 3, "rows": [[]]}, ["lattice", "--system", "empty_row.json"],
                        "row 0: expected a non-empty array"),
+    "deep_seq.json": (DEEP, ["basis-expand", "--family", "phi_ku", "--p", "3",
+                             "--in", "deep_seq.json"], "nested too deeply to read"),
+    "deep_sys.json": (DEEP, ["lattice", "--system", "deep_sys.json"],
+                      "nested too deeply to read"),
+    "deep_mu.json": (DEEP, ["congruences", "--p", "3", "--n", "2", "--check", "deep_mu.json"],
+                     "nested too deeply to read"),
 }
 
 
@@ -113,7 +121,8 @@ def refused(name: str, directory: Path) -> tuple[list[str], tuple[int, str, str]
     ``directory``, and the (exit code, stdout, stderr) it must give."""
     content, request, message = BAD_FILES[name]
     path = directory / name
-    path.write_text(json.dumps(content), encoding="utf-8")
+    path.write_text(content if isinstance(content, str) else json.dumps(content),
+                    encoding="utf-8")
     argv = [str(path) if word == name else word for word in request]
     return argv, (2, "", f"error: {path}: {message}\n")
 

@@ -2,10 +2,11 @@
 that tier-1 does not pin.
 
 Each digest is the first 16 hex digits of the SHA-256 of
-``json.dumps(report, sort_keys=True)``.  Together the fourteen runs take
-about 20-30 s on two cores; they go through the walk's wide re-spreads at
+``json.dumps(report, sort_keys=True)``.  Together the fifteen runs take
+about 25-35 s on two cores; they go through the walk's wide re-spreads at
 p = 2, (13, 120) through its widest packed rows, of tight widths
-up to 447 bits, and (2, 32), whose bound W = 63 is the first to hold t_6,
+up to 447 bits, (17, 120), about 5 s, through the longest Gaussian rows
+read on residues, and (2, 32), whose bound W = 63 is the first to hold t_6,
 through the generator image of t_6; (2, 36), (2, 40) and (2, 44), whose
 t_1-chains multiply only the rows they keep, take about 0.7 s, 1.6 s and
 3.6 s.  (3, 50) and (11, 100) were computed
@@ -14,8 +15,11 @@ by the walk on Araki's generators, before it moved to Hazewinkel's,
 rows, (5, 80) and (3, 60) while the walk still handed its rows over
 decoded and sorted by delta, (2, 36), (2, 40) and (7, 100) by the
 walk whose parent of gamma dropped gamma's highest generator, where
-(2, 40) took 37 s, and (2, 44) by the walk that multiplied every row
-of a t_1-chain, in 7-10 s.  pytest
+(2, 40) took 37 s, (2, 44) by the walk that multiplied every row
+of a t_1-chain, in 7-10 s, and (17, 120) from the exact Gaussian rows,
+in 9-10 s.  Under ``PYTHONINTMAXSTRDIGITS=640`` the ``c_bp`` strings,
+up to 7,354 characters at (17, 120), are written by the split path of
+:func:`bpadams.arith.decimal`, and the digests hold.  pytest
 does not collect this file.  Run it as ``python tests/frontier_digests.py``;
 it exits 1 if a digest differs.
 """
@@ -45,6 +49,7 @@ FRONTIER = {
     (2, 40): "94428a690044ff1c",
     (7, 100): "bf503f9fb2cf73f1",
     (2, 44): "702eb0cb951c3df1",
+    (17, 120): "5617ce6156cacd20",
 }
 
 

@@ -215,6 +215,57 @@ def test_C_vector_integer_row_against_the_closed_form(p, top):
         assert row.entries == tuple(Fraction(x, p ** delta_p(p, n)) for x in nums)
 
 
+def _residue_row(p, q, n):
+    """C_vector's row n as (N mod p^(delta_p(n) + 1), p^delta_p(n)): the
+    oracle of the residue rows."""
+    nums, den = C_vector(p, q, n).integer_row
+    modulus = p * den
+    return tuple(x % modulus for x in nums), den
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_residue_rows_are_C_vector_modulo_p_to_the_budget_plus_one(p, monkeypatch):
+    # every row c_0..c_60 read for the lattices is the exact Gaussian row's
+    # numerators modulo p^(delta_p(n) + 1) over p^delta_p(n), with the unit
+    # pivot 1 kept at n = 0 (modulo p^delta_p(0) = 1 it would be 0), and the
+    # budget and shape of the exact row
+    monkeypatch.setattr(adamsk, "_RESIDUES", {})
+    q = find_q(p)
+    rows = adamsk._gaussian_residues(p, q, 60)
+    assert len(rows) == 61 and [vec.n for vec in rows] == list(range(61))
+    assert rows[0].integer_row == ((1,), 1)
+    assert rows[1].integer_row == _residue_row(p, q, 1)
+    assert rows[1].integer_row[0][1] == 1 and rows[1].integer_row[1] == p
+    for n, vec in enumerate(rows):
+        assert vec.integer_row == _residue_row(p, q, n), (p, n)
+        assert vec.p == p and vec.budget == delta_p(p, n) and vec.shape_ok()
+    if p == 3:  # c_1 = (-1/3, 1/3): -1 modulo 9
+        assert rows[1].integer_row == ((8, 1), 3)
+
+
+def test_residue_rows_memo_grows_and_hands_out_slices(monkeypatch):
+    # asking for 10, then 60, then 5 rows: the memo grows to 60 and keeps
+    # the rows it built, each answer is a slice of it, and every slice
+    # equals rows built by a fresh memo and the oracle
+    for p in (3, 7):
+        q = find_q(p)
+        memo = {}
+        monkeypatch.setattr(adamsk, "_RESIDUES", memo)
+        first = adamsk._gaussian_residues(p, q, 10)
+        grown = adamsk._gaussian_residues(p, q, 60)
+        again = adamsk._gaussian_residues(p, q, 5)
+        assert (len(first), len(grown), len(again)) == (11, 61, 6)
+        assert memo == {(p, q): grown}
+        assert all(a is b for a, b in zip(first, grown))
+        assert all(a is b for a, b in zip(again, grown))
+        for rows in (first, grown, again):
+            monkeypatch.setattr(adamsk, "_RESIDUES", {})
+            fresh = adamsk._gaussian_residues(p, q, len(rows) - 1)
+            assert [vec.integer_row for vec in rows] == [vec.integer_row for vec in fresh]
+            assert [vec.integer_row for vec in rows] == [
+                _residue_row(p, q, n) for n in range(len(rows))]
+
+
 def test_check_g_congruence_examples():
     # mu = (0, 1, 0, ...) fails at r = 1
     verdicts = check_g_congruences(3, 2, [0, 1, 0, 0], 3)

@@ -482,6 +482,26 @@ def test_decode_reads_word_rows_field_by_field_off_little_endian_hosts(width, mo
         assert codec.decode(packed, width) == packing_reference.dense(row), row
 
 
+@pytest.mark.parametrize("width", [96, 128, 160])
+@pytest.mark.parametrize("little_endian", [True, False])
+def test_wide_digits_are_split_off_by_shift_and_mask(width, little_endian, monkeypatch):
+    # a digit wider than 64 bits is split off by a shift and a mask on
+    # either host: the extreme digits +-(2^(R-1) - 1), zeros inside a row,
+    # a negative top digit and seeded random rows of up to 40 digits come
+    # back from the pack round trip as the per-digit reference reads them
+    monkeypatch.setattr(arith, "_LITTLE_ENDIAN", little_endian)
+    codec, rng = WordCodec(), random.Random(width)
+    edge = (1 << (width - 1)) - 1
+    rows = _edge_rows(width) + [
+        {j: rng.choice((edge, -edge, rng.randint(-edge, edge))) for j in range(rng.randint(1, 40))}
+        for _ in range(100)]
+    for row in rows:
+        row = {j: c for j, c in row.items() if c}
+        packed = codec.pack(packing_reference.dense(row), width)
+        assert packed == packing_reference.pack(row, width)
+        assert codec.decode(packed, width) == packing_reference.dense(row), row
+
+
 @settings(max_examples=300, deadline=None)
 @given(_packed_rows(), st.lists(st.integers(0, 6), min_size=4, max_size=4))
 @example([(32, {})], [1, 0, 0, 0])

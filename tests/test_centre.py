@@ -15,9 +15,9 @@ import lattice_reference
 from packing_reference import dense
 import theta_reference
 from bpadams import centre, hopf, lattice, walk
-from bpadams.adamsk import (adams_family, basis_integrality_rows, binomial_mu_congruence,
-                            expand_in_family, family_action, family_sequence,
-                            ku_congruence_system)
+from bpadams.adamsk import (_ku_canonical_rows, adams_family, basis_integrality_rows,
+                            binomial_mu_congruence, expand_in_family, family_action,
+                            family_sequence, ku_congruence_system)
 from bpadams.arith import delta_p, format_rational, integer_numerators, nu_p
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             sampled_integrality_rows, summand_rows, verify_centre_bp,
@@ -406,7 +406,7 @@ def test_failure_aborts_with_witness(monkeypatch):
     import bpadams.centre as centre
     from bpadams.adamsk import CongruenceVector
 
-    real = centre.summand_rows
+    real = centre._adams_rows
 
     def corrupted(p, n_max, q=None):
         rows = real(p, n_max, q)
@@ -415,7 +415,7 @@ def test_failure_aborts_with_witness(monkeypatch):
                                        rows[1].budget)
         return rows
 
-    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    monkeypatch.setattr(centre, "_adams_rows", corrupted)
     report = centre.verify_centre_bp(3, 2)
     assert not report["verdict"]
     assert report["failure"]["n"] == 1
@@ -669,7 +669,7 @@ def test_hypothesis_violation_report_is_unchanged(monkeypatch):
     import bpadams.centre as centre
     from bpadams.adamsk import CongruenceVector
 
-    real = centre.summand_rows
+    real = centre._adams_rows
 
     def corrupted(p, n_max, q=None):
         rows = real(p, n_max, q)
@@ -677,7 +677,7 @@ def test_hypothesis_violation_report_is_unchanged(monkeypatch):
                                    rows[2].budget)
         return rows
 
-    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    monkeypatch.setattr(centre, "_adams_rows", corrupted)
     report = centre.verify_centre_bp(3, 3)
     assert [row["pivots"] for row in report["rows"]] == [[0], [0, 1], [0, 1, 1]]
     assert [row["sandwich"] for row in report["rows"]] == [
@@ -699,7 +699,7 @@ def test_the_araki_walk_for_a_witness_is_drawn_in_full(monkeypatch):
     import bpadams.centre as centre
     from bpadams.adamsk import CongruenceVector
 
-    real_rows, real_walk = centre.summand_rows, centre.t_monomial_numerators
+    real_rows, real_walk = centre._adams_rows, centre.t_monomial_numerators
 
     def corrupted(p, n_max, q=None):
         rows = real_rows(p, n_max, q)
@@ -715,7 +715,7 @@ def test_the_araki_walk_for_a_witness_is_drawn_in_full(monkeypatch):
                 drawn.append(item[0])
             yield item
 
-    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    monkeypatch.setattr(centre, "_adams_rows", corrupted)
     monkeypatch.setattr(centre, "t_monomial_numerators", recorded)
     report = centre.verify_centre_bp(3, 3)
     assert report["failure"]["witness"]["gamma"] == [2, 0] and drawn[-1] != (2, 0)
@@ -733,7 +733,7 @@ def test_the_witness_is_the_canonical_first_failure_not_the_walks_first(monkeypa
     import bpadams.centre as centre
     from bpadams.adamsk import CongruenceVector
 
-    real = centre.summand_rows
+    real = centre._adams_rows
 
     def corrupted(p, n_max, q=None):
         rows = real(p, n_max, q)
@@ -741,7 +741,7 @@ def test_the_witness_is_the_canonical_first_failure_not_the_walks_first(monkeypa
                                    rows[4].budget)
         return rows
 
-    monkeypatch.setattr(centre, "summand_rows", corrupted)
+    monkeypatch.setattr(centre, "_adams_rows", corrupted)
     report = centre.verify_centre_bp(3, 4)
     ctx = BPContext(3, report["weight_bound"])
     lat = _lattice_of_rows(3, 4, corrupted(3, 4))
@@ -899,9 +899,9 @@ def test_verify_run_evaluates_each_row_shape_once(monkeypatch):
     shape = cached_property(counted)
     shape.__set_name__(CongruenceVector, "_shape")
     monkeypatch.setattr(CongruenceVector, "_shape", shape)
-    real = centre.summand_rows
-    # fresh rows: C_vector's cache may hold rows whose verdict is already kept
-    monkeypatch.setattr(centre, "summand_rows", lambda p, n_max, q=None: [
+    real = centre._adams_rows
+    # fresh rows: the residue rows' memo may hold rows whose verdict is already kept
+    monkeypatch.setattr(centre, "_adams_rows", lambda p, n_max, q=None: [
         CongruenceVector(r.p, r.n, r.entries, r.budget) for r in real(p, n_max, q)])
     assert verify_centre_bp(5, 24)["verdict"]
     assert len(evaluated) == len({id(vec) for vec in evaluated}) == 2 * 25
@@ -979,6 +979,34 @@ def test_adams_lattices_are_the_span_of_single_adams_operations(p, rows):
     assert span.pivots() == adams.pivots()
     assert lattice_leq(span, adams)
     assert lattice_eq(span, adams)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_residue_rows_cut_out_the_exact_rows_lattices(p):
+    # the rows verify reads differ from the exact Gaussian rows by integral
+    # vectors, so every lattice of the chain c_0..c_n is the exact rows'
+    exact, residue = summand_rows(p, 40), centre._adams_rows(p, 40, None)
+    lat_exact = lat_residue = SolutionLattice(p, ())
+    for n in range(41):
+        lat_exact = extend_lattice(lat_exact, None, exact[n].integer_row)
+        lat_residue = extend_lattice(lat_residue, None, residue[n].integer_row)
+        assert lat_residue == lat_exact, (p, n)
+    assert _lattice_of_rows(p, 40, residue) == _lattice_of_rows(p, 40, exact) == lat_exact
+
+
+def test_verify_and_scan_build_no_exact_gaussian_row(monkeypatch):
+    # verify and the scan read the residue rows at odd p: neither C_vector
+    # nor summand_rows runs, so C_vector's memo is left to congruences and
+    # the tests; at p = 2 the lattice rows are summand_rows' own vectors
+    assert all(a is b for a, b in zip(centre._adams_rows(2, 9, None), _ku_canonical_rows(2, 9, 3)))
+    reports = verify_centre_bp(5, 24), verify_centre_bp(3, 6), bp_sample_scan(5, 6, 8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact Gaussian row was built")
+
+    monkeypatch.setattr(centre, "C_vector", refuse)
+    monkeypatch.setattr(centre, "summand_rows", refuse)
+    assert (verify_centre_bp(5, 24), verify_centre_bp(3, 6), bp_sample_scan(5, 6, 8)) == reports
 
 
 def test_p2_summand_rows_are_the_memoised_vectors():
