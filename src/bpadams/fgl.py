@@ -26,7 +26,8 @@ class BPContext:
     reads only for the leads of the v_1-shadows) and the v_n in the l's
     (:meth:`v_in_l`, which only public callers read) are each built on the
     first call, and ``_hopf_cache`` is filled on first use, one entry at
-    a time, with the diagonal transform's generator images as integers
+    a time, with the diagonal transform's generator images as integer
+    rows, the dense numerators of mu_0..mu_m per packed v-monomial
     (``"theta_numerators"``), the same images read in
     Hazewinkel's generators of BP_* for the verification's walk
     (``"hazewinkel_theta_numerators"``), the powers of the first images'

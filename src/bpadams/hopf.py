@@ -15,13 +15,14 @@ graded ring homomorphism theta: Q[l, t] -> Q[v][u].  On the right-unit
 basis, eta_R(l_n) goes to u^{w_n} l_n with w_n the weight of l_n, so
 l_k -> l_k(v) and t_n -> u^{w_n} l_n(v) - l_n(v)
 - sum_{k<n} l_k(v) * theta(t_{n-k})^{p^k}; every image is homogeneous.
-theta has one representation: integer numerators on packed monomial
-keys over one denominator, the lcm of its denominators, and one integer
-kernel, :mod:`bpadams.kernel`, multiplies, sums and powers them.  The generator
-images are built once per context (``_theta_numerators``, by one
-recursion on integers, ``_t_recursion``, run on packed rows of one width
-and decoded once, see ``_theta_of``) from the l_k(v) of another
-(``_l_numerators``); the same recursion over the
+theta's values are integer numerators over one denominator, the lcm of
+its denominators, and one integer kernel, :mod:`bpadams.kernel`,
+multiplies, sums and powers them.  The generator images are built once
+per context (``_theta_numerators``, by one recursion on integers,
+``_t_recursion``, run on packed rows of one width and decoded once, see
+``_theta_of``) from the l_k(v) of another (``_l_numerators``), and kept
+as rows; only ``diagonal_transform`` packs u into its keys, and
+``_read_rows`` reads them back.  The same recursion over the
 {l, e} generators, with denominator 1, gives t_n in the right-unit
 basis, and over the eta_R(l_n) (``_right_unit_l``, also the right-unit
 tables' eta_R(l_n)) it gives eta_R(v_n) on {v, t} keys, the
@@ -36,7 +37,7 @@ in Hazewinkel's generators of BP_* (``_hazewinkel_theta_numerators``,
 denominators powers of p), where everything else here reads Araki's.
 ``v1_functional`` is theta followed by v_1 -> 1, v_{>1} -> 0: a ring map
 into Q[u].  Its images, the v_1-shadows, are (N, D) too, keyed by
-u-degree: the u field of a theta key, with the terms that contain
+u-degree: the index j of a theta row, with the rows that contain
 v_{>1} dropped.  So they share theta's kernel: ``_multiply``,
 ``_combine`` and ``_power`` are their product, sum and power, the
 generators' shadows come from theta's recursion run on shadows, without
@@ -55,6 +56,7 @@ read.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -62,8 +64,8 @@ from functools import cached_property, lru_cache
 from .arith import (WordCodec, _Record, _shape_holds, delta_p, exact, format_over,
                     format_rational, is_p_local_int, val_p, word_width)
 from .fgl import BPContext
-from .kernel import (_check_u_degree, _combine, _evaluate, _exponent_reader, _group_rows,
-                     _key, _l1_sum, _multiply, _power, _reduced, _t_recursion)
+from .kernel import (_combine, _evaluate, _exponent_reader, _key, _l1_sum, _multiply,
+                     _power, _reduced, _t_recursion)
 from .polyring import GeneratorTable, GradedPoly, PolyError
 
 
@@ -339,20 +341,19 @@ def from_right_unit_basis(ctx: BPContext, y: GradedPoly) -> GradedPoly:
     return y.substitute(bindings)
 
 
-def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
-    """theta of each {l, t} generator as (N, D), built once per context:
-    l_k -> L_k = l_k(v) and t_n -> T_n by :func:`_t_recursion`, each as
-    integer numerators on packed keys (see :func:`_key`) over D, the lcm
-    of its denominators; L_k is :func:`_l_numerators` above an empty u
-    field."""
+def _theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, list[int]], int]]:
+    """theta of each {l, t} generator as (rows, D), built once per context
+    by :func:`_theta_of`: l_k -> L_k = l_k(v) (:func:`_l_numerators` with
+    no low field) and t_n -> T_n by :func:`_t_recursion`, each as the dense
+    numerators of its rows by packed v-monomial, over D."""
     cache = ctx._hopf_cache
     if "theta_numerators" not in cache:
-        cache["theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 1))
+        cache["theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 0))
     return cache["theta_numerators"]
 
 
-def _hazewinkel_theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, int], int]]:
-    """theta of each {l, t} generator as (N, D), as :func:`_theta_numerators`
+def _hazewinkel_theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, list[int]], int]]:
+    """theta of each {l, t} generator as (rows, D), as :func:`_theta_numerators`
     gives it, but read in Hazewinkel's generators of BP_* where that
     reads Araki's, built once per context.
 
@@ -370,19 +371,24 @@ def _hazewinkel_theta_numerators(ctx: BPContext) -> dict[str, tuple[dict[int, in
     """
     cache = ctx._hopf_cache
     if "hazewinkel_theta_numerators" not in cache:
-        cache["hazewinkel_theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 1, True))
+        cache["hazewinkel_theta_numerators"] = _theta_of(ctx, _l_numerators(ctx, 0, True))
     return cache["hazewinkel_theta_numerators"]
 
 
 def _theta_of(ctx: BPContext, L: list[tuple[dict[int, int], int]],
-              ) -> dict[str, tuple[dict[int, int], int]]:
+              ) -> dict[str, tuple[dict[int, list[int]], int]]:
     """The images of the {l, t} generators, by name, given the L_k = l_k(v)
-    on theta's packed keys (u-degree 0): l_k -> L_k, and t_n -> T_n by
-    :func:`_t_recursion` with E_n = u^{w_n} * L_n.
+    on packed v-monomial keys: l_k -> L_k, and t_n -> T_n by
+    :func:`_t_recursion` with E_n = u^{w_n} * L_n.  Each image is
+    (rows, D): ``rows[delta]`` the dense numerators [c_0, ..., c_m],
+    c_m not 0, of the row sum_j (c_j / D) * mu_j at the packed v-monomial
+    delta, reduced by the gcd of all entries and D; an L_k has one-entry
+    rows.  Every row of theta(t_n) has top index m <= w_n, the u-degree
+    bound of :func:`_t_recursion`.
 
     The recursion runs on packed rows, as the walk's products do: a
-    polynomial is its rows keyed by the packed v-monomial (a key without
-    its u field), the row sum_j c_j * u^j one int sum_j c_j * 2^(R * j).
+    polynomial is its rows keyed by the packed v-monomial, the row
+    sum_j c_j * u^j one int sum_j c_j * 2^(R * j).
     Keys add and rows multiply as one big-int product, so
     :func:`_multiply`, :func:`_power` and the sums run unchanged; u -> 2^R
     is a ring map, so each row of a T_n is exactly its polynomial at 2^R,
@@ -394,22 +400,23 @@ def _theta_of(ctx: BPContext, L: list[tuple[dict[int, int], int]],
     (:func:`bpadams.arith.word_width`).  The sums are not reduced, since
     the gcd of a packed row is not that of its digits; the norms bound the
     unreduced numerators over the same denominators.  Each T_n is decoded
-    once at the end (``WordCodec.decode``) and reduced (:func:`_reduced`),
-    so it is the (N, D) of the recursion on terms: integer numerators over
-    the lcm of its coefficients' denominators.
+    once at the end (``WordCodec.decode``) and divided by the gcd of its
+    digits and D, so it holds the numerators of the recursion on terms
+    over the lcm of its coefficients' denominators.
     """
-    p, width = ctx.p, ctx.weight_bound.bit_length()
+    p = ctx.p
     norms = [({0: sum(map(abs, num.values()))}, den) for num, den in L]
     bound = max((num[0] for num, _ in _t_recursion(p, norms, norms, _l1_sum)), default=0)
     R = word_width(bound.bit_length() + 1)
-    rows = [({key >> width: c for key, c in num.items()}, den) for num, den in L]
     E = [({delta: c << R * w for delta, c in num.items()}, den)
-         for (num, den), w in zip(rows, ctx.l_table.weights)]
-    codec, T = WordCodec(), []
-    for num, den in _t_recursion(p, rows, E, lambda terms: _combine(terms, reduced=False)):
-        T.append(_reduced({delta << width | j: c for delta, row in num.items()
-                           for j, c in enumerate(codec.decode(row, R)) if c}, den))
-    return dict(zip(ctx.lt_table.names, L + T))
+         for (num, den), w in zip(L, ctx.l_table.weights)]
+    codec, images = WordCodec(), [({delta: [c] for delta, c in num.items()}, den)
+                                  for num, den in L]
+    for num, den in _t_recursion(p, L, E, lambda terms: _combine(terms, reduced=False)):
+        rows = {delta: codec.decode(row, R) for delta, row in num.items()}
+        g = math.gcd(den, *(c for row in rows.values() for c in row))
+        images.append(({delta: [c // g for c in row] for delta, row in rows.items()}, den // g))
+    return dict(zip(ctx.lt_table.names, images))
 
 
 def _l_numerators(ctx: BPContext, low_fields: int, hazewinkel: bool = False,
@@ -451,10 +458,21 @@ def _delta_reader(ctx: BPContext):
     return _exponent_reader(len(ctx.v_table), ctx.weight_bound.bit_length())
 
 
+def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int, int]]:
+    """Integer numerators on the keys of :func:`diagonal_transform`
+    grouped into rows: the term c * v^delta * u^j is the entry c of mu_j in
+    the row keyed by delta's packed fields, the key without its u field."""
+    mask = (1 << width) - 1
+    rows: dict[int, dict[int, int]] = {}
+    for key, c in numerators.items():
+        rows.setdefault(key >> width, {})[key & mask] = c
+    return rows
+
+
 def _read_rows(ctx: BPContext, numerators: Mapping[int, int],
                ) -> dict[tuple[int, ...], dict[int, int]]:
-    """The rows of a theta image given as integer numerators, keys packed
-    as by :func:`_key`.  Each row maps mu indices to non-zero
+    """The rows of a theta image given as integer numerators on the keys of
+    :func:`diagonal_transform`.  Each row maps mu indices to non-zero
     numerators; the rows come in graded-lexicographic order of delta."""
     delta = _delta_reader(ctx)
     by_delta = {delta(key): row
@@ -484,10 +502,12 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
 
     x is evaluated by :func:`_evaluate` on the integer images
     (:func:`_theta_numerators`), each power of a generator's image taken
-    once per call.  A term of
+    once per call, on keys ``delta << W.bit_length() | j`` for the entry
+    c_j of the row at delta, the term c_j * v^delta * u^j.  A term of
     weight above W is dropped, as truncation at W would drop its
     homogeneous image; the others neither truncate nor carry, once each
-    generator image is checked (``PolyError``) to have u-degree <= its weight.
+    image x reads is checked (``PolyError``) to have no row longer than
+    its weight plus one, so that every u-degree is at most W.
     """
     if x.table != ctx.lt_table:
         raise PolyError("expected a polynomial over the {l, t} generators")
@@ -495,14 +515,22 @@ def diagonal_transform(ctx: BPContext, x: GradedPoly,
     width = W.bit_length()
     table = ctx.lt_table
     images = _theta_numerators(ctx)
-    for name, w in zip(table.names, table.weights):
-        degree = _check_u_degree(images[name][0], width, w)
-        if degree is not None:
-            raise PolyError(f"theta({name}) has a term of u-degree {degree} above {w}: "
-                            "its packed keys could carry")
+
+    @lru_cache(maxsize=None)
+    def power(g: int, e: int) -> tuple[dict[int, int], int]:
+        if e > 1:
+            return _power(power(g, 1), e)
+        name, w = table.names[g], table.weights[g]
+        rows, den = images[name]
+        for row in rows.values():
+            if len(row) > w + 1:
+                raise PolyError(f"theta({name}) has a term of u-degree {len(row) - 1} above "
+                                f"{w}: its packed keys could carry")
+        return {delta << width | j: c for delta, row in rows.items()
+                for j, c in enumerate(row) if c}, den
+
     num, den = _evaluate(((exps, c.numerator, c.denominator) for exps, c in x.terms.items()
-                          if table.monomial_weight(exps) <= W),
-                         lru_cache(maxsize=None)(lambda g, e: _power(images[table.names[g]], e)))
+                          if table.monomial_weight(exps) <= W), power)
     out = _forms(_read_rows(ctx, num), den)
     if mu is not None and mu.values is not None:
         return GradedPoly(ctx.v_table, W,

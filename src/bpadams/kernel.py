@@ -144,7 +144,7 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
     as (T_j^{p^(k-1)})^p.  No product truncates and no key carries: T_n
     is homogeneous of weight w_n = w_k + p^k * w_{n-k} <= W, so every
     partial product has weight <= W, and with it every exponent and every
-    u-degree (at most w_n, see :func:`bpadams.walk.t_monomial_numerators`).
+    u-degree (at most w_n, see :func:`bpadams.hopf._theta_of`).
     Each T_n is summed by ``combine``, by default :func:`_combine`, so its
     D is the lcm of the denominators of its coefficients.
     """
@@ -163,25 +163,3 @@ def _t_recursion(p: int, L: list[tuple[dict[int, int], int]],
         T.append(image)
         powers.append([image])
     return T
-
-
-def _check_u_degree(numerators: Mapping[int, int], width: int, u_bound: int) -> int | None:
-    """The u-degree of the first term on packed keys (:func:`_key`: v_1 at
-    the top, u at the bottom) whose u-degree is above ``u_bound``, or None
-    if there is none: the packing relies on that bound."""
-    mask = (1 << width) - 1
-    for key in numerators:
-        if key & mask > u_bound:
-            return key & mask
-    return None
-
-
-def _group_rows(numerators: Mapping[int, int], width: int) -> dict[int, dict[int, int]]:
-    """Integer numerators on packed monomial keys (see :func:`_key`)
-    grouped into rows: the term c * v^delta * u^j is the entry c of mu_j in
-    the row keyed by delta's packed fields, the key without its u field."""
-    mask = (1 << width) - 1
-    rows: dict[int, dict[int, int]] = {}
-    for key, c in numerators.items():
-        rows.setdefault(key >> width, {})[key & mask] = c
-    return rows

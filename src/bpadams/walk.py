@@ -27,10 +27,10 @@ from collections.abc import Iterator, Mapping
 from .arith import WordCodec, word_width
 from .fgl import BPContext
 from .hopf import ConstructionError
-from .kernel import _check_u_degree, _group_rows, _multiply
+from .kernel import _multiply
 
 
-def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, int], int]],
+def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, list[int]], int]],
                           top: int | None = None) -> Iterator[
         tuple[tuple[int, ...], dict[int, list[int]], int, int]]:
     """(gamma, rows, den, count) for every t-monomial gamma of weight <= W,
@@ -67,8 +67,9 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
     a product over gamma's exponents.
 
     The walk runs on integers, on the generator images its caller passes:
-    ``images["t<k>"]`` is theta(t_k) as (N_k, D_k) on packed keys,
-    N_k = D_k * theta(t_k), D_k the lcm of its denominators, read in
+    ``images["t<k>"]`` is theta(t_k) as (N_k, D_k), N_k = D_k * theta(t_k)
+    as its rows, each the dense numerators [c_0, ..., c_m] keyed by the
+    packed v-monomial, D_k the lcm of its denominators, read in
     Araki's generators of BP_* (:func:`bpadams.hopf._theta_numerators`) or
     in Hazewinkel's (:func:`bpadams.hopf._hazewinkel_theta_numerators`).
     Both are
@@ -119,7 +120,11 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       counted from its bit length alone; a kept row is decoded by
       ``WordCodec.decode``, whose digits come out of one ``to_bytes``.
       Every top index is at most the u-degree bound |gamma|, so a node of
-      weight <= ``top`` decodes every row without the test.
+      weight <= ``top`` decodes every row without the test.  That
+      shortcut rests on the images' bound, each row of theta(t_k) of top
+      index at most w_k (see :func:`bpadams.hopf._theta_of`), which the
+      walk does not check: an image past it would only keep a row above
+      ``top``, never misread one.
     - *t_1-chains.*  theta(t_1) = (u - 1) * v_1 / D_1 is one row, of top
       index e = 1 (D_1 is p on Hazewinkel's images, p^p - p on Araki's).  A
       node raised at index 0 raises only index 0, so each node (0, gamma')
@@ -134,39 +139,27 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
       node's image holds those alone.  Once no row is left, the rest of
       the chain is yielded with no rows and no product.  Without ``top``
       every row is multiplied.
-    - *Generator check.*  The rows of each N_k are read from the u field
-      of its packed keys (:func:`bpadams.kernel._group_rows`),
-      ``W.bit_length()`` bits wide (see :func:`bpadams.kernel._key`), so
-      they are exact only if no term's
-      u-degree outgrows that field and carries into delta's.  The
-      recursion gives every term of theta(t_n) a u-degree <= w_n <= W,
-      since p^k * w_{n-k} <= w_n.  That bound on the generator images, and
-      that theta(t_1) is one row, are
-      checked once per walk; a generator image that breaks either is the
+    - *Generator check.*  The rows of each N_k are packed as they come,
+      a row's top index its length less one, and no key of the walk holds
+      u, so no row can carry into delta's fields.  That theta(t_1) is one
+      row is checked once per walk; an image of t_1 with more is the
       program's own failure, raised as :class:`ConstructionError` with
-      details ``{"stage": "walk", "generator": "t<k>"}``.  The inner loop
+      details ``{"stage": "walk", "generator": "t1"}``.  The inner loop
       checks nothing.
     """
     W = ctx.weight_bound
-    width = W.bit_length()
     weights = ctx.t_table.weights
     gens = []  # per t_k: the rows of N_k by delta, D_k and ||N_k||_1
     factors: dict[tuple[int, int], list[tuple[int, int]]] = {}  # N_k's rows packed at R
-    for k, w in enumerate(weights, start=1):
-        num, den = images[f"t{k}"]
-        degree = _check_u_degree(num, width, w)
-        if degree is not None:
-            raise ConstructionError(f"theta(t{k}) has a term of u-degree {degree} above {w}: "
-                                    "its packed keys could carry",
-                                    {"stage": "walk", "generator": f"t{k}"})
-        rows = _group_rows(num, width)
+    for k in range(1, len(weights) + 1):
+        rows, den = images[f"t{k}"]
         if k == 1 and len(rows) != 1:
             raise ConstructionError(f"theta(t1) has {len(rows)} rows, not one: the walk's "
                                     "t_1-chains need one", {"stage": "walk", "generator": "t1"})
-        gens.append((rows, den, sum(map(abs, num.values()))))
+        gens.append((rows, den, sum(abs(c) for row in rows.values() for c in row)))
     if gens:
         (t1_row,) = gens[0][0].values()
-        step = max(t1_row)  # the top index theta(t_1) adds to a row
+        step = len(t1_row) - 1  # the top index theta(t_1) adds to a row
     codec = WordCodec()
 
     # a node: gamma, image, den, l1 bound, R, highest index it may raise,
@@ -214,9 +207,8 @@ def t_monomial_numerators(ctx: BPContext, images: Mapping[str, tuple[dict[int, i
                                               codec.respread(views[R].values(), R, child_R)))
                 rows = views[child_R]
             if (k, child_R) not in factors:
-                factors[k, child_R] = [
-                    (delta, codec.pack([row.get(j, 0) for j in range(max(row) + 1)], child_R))
-                    for delta, row in factor_rows.items()]
+                factors[k, child_R] = [(delta, codec.pack(row, child_R))
+                                       for delta, row in factor_rows.items()]
             image = _multiply(rows, factors[k, child_R])
             node = (gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:], image, den * d,
                     child_bound, child_R, k, room - weights[k],

@@ -18,14 +18,14 @@ from bpadams import centre, hopf, lattice, walk
 from bpadams.adamsk import (_ku_canonical_rows, adams_family, basis_integrality_rows,
                             binomial_mu_congruence, expand_in_family, family_action,
                             family_sequence, ku_congruence_system)
-from bpadams.arith import delta_p, format_rational, integer_numerators, nu_p
+from bpadams.arith import delta_p, format_rational, integer_numerators, integral_dot, nu_p
 from bpadams.centre import (bp_sample_lattice, bp_sample_scan, interleaved_g_report,
                             sampled_integrality_rows, summand_rows, verify_centre_bp,
                             _lattice_of_rows)
 from bpadams.fgl import BPContext
 from bpadams.lattice import (CongruenceSystem, SolutionLattice, extend_lattice, lattice_eq,
                              lattice_leq, solve)
-from bpadams.hopf import ConstructionError, MuLinear
+from bpadams.hopf import MuLinear
 from bpadams.polyring import GradedPoly, PolyError, monomials_up_to_weight
 
 
@@ -126,39 +126,29 @@ def test_sampled_rows_walk_matches_per_monomial_transform(p, W, monkeypatch):
 
 def _with_a_carry(build):
     """The generator images ``build(ctx)`` with a term v_1 * u^2 added to
-    theta(t_1): its u-degree 2 > w_1 = 1 breaks the no-carry bound of the
-    packed keys."""
+    theta(t_1): its row at v_1 then has top index 2 > w_1 = 1, which
+    breaks the no-carry bound of the packed keys of diagonal_transform."""
     def images(ctx):
         out = dict(build(ctx))
-        num, den = out["t1"]
-        exps = (1,) + (0,) * (len(ctx.v_table) - 1) + (2,)
-        key = hopf._key(exps, ctx.weight_bound.bit_length())
-        assert key not in num
-        out["t1"] = ({**num, key: den}, den)
+        rows, den = out["t1"]
+        delta = hopf._key((1,) + (0,) * (len(ctx.v_table) - 1), ctx.weight_bound.bit_length())
+        assert len(rows[delta]) == 2
+        out["t1"] = ({**rows, delta: rows[delta] + [den]}, den)
         return out
     return images
 
 
-def test_sampled_rows_refuse_a_generator_image_that_could_carry(monkeypatch):
-    # the walk checks the images it is given before it starts, and
-    # diagonal_transform once per call.  The walk's images are the
-    # program's own, so there the failure is a ConstructionError: on
-    # Araki's images for sampled_integrality_rows, on Hazewinkel's for the
-    # verification and the sample lattice
+def test_diagonal_transform_refuses_a_generator_image_that_could_carry(monkeypatch):
+    # diagonal_transform packs u into its keys below delta's fields, so it
+    # checks each generator image it reads: a row of theta(t_1) longer than
+    # w_1 + 1 is a PolyError, and an element that reads no t_1 is not refused
     ctx = BPContext(2, 4)
     monkeypatch.setattr(hopf, "_theta_numerators", _with_a_carry(hopf._theta_numerators))
-    monkeypatch.setattr(centre, "_theta_numerators", hopf._theta_numerators)
-    monkeypatch.setattr(centre, "_hazewinkel_theta_numerators",
-                        _with_a_carry(hopf._hazewinkel_theta_numerators))
     message = "theta\\(t1\\) has a term of u-degree 2 above 1: its packed keys could carry"
-    for run in (lambda: sampled_integrality_rows(ctx), lambda: verify_centre_bp(2, 3),
-                lambda: bp_sample_lattice(ctx, 2)):
-        with pytest.raises(ConstructionError, match=message) as err:
-            run()
-        assert err.value.details == {"stage": "walk", "generator": "t1"}
     with pytest.raises(PolyError, match=message):
         hopf.diagonal_transform(ctx, GradedPoly.gen(ctx.lt_table, 4, "l1")
                                 * hopf.t_gen(ctx, 1, 2))
+    assert hopf.diagonal_transform(ctx, hopf.t_gen(ctx, 2))
 
 
 def test_lattice_realizability():
@@ -599,6 +589,30 @@ def test_a_failing_row_above_n_max_is_counted_and_never_tested(monkeypatch):
     assert report == {**clean, "sample_rows_total": clean["sample_rows_total"] + 1}
     assert den not in tested and len(tested) == report["rows"][-1]["sample_rows_used"]
     assert all(form.top_index() <= 4 for _, _, form in seen[0])
+
+
+@pytest.mark.parametrize("p, n", [(2, 10), (3, 12), (5, 14), (7, 16)])
+def test_each_family_element_is_integral_and_its_pth_part_fails_first_at_delta(p, n):
+    # the converse one element at a time, at W = delta_p(n), over every
+    # walk row on both sets of generator images: the family element e_j
+    # (zeta at p = 2, phihat otherwise) passes every row for j = 1..n;
+    # e_j / p fails, first on a row of top index exactly delta_p(j); and
+    # e_0 / p, the constant sequence 1/p, passes every row, since each row
+    # of gamma != 0 vanishes on a constant and the walk drops gamma = 0
+    W = delta_p(p, n)
+    ctx = BPContext(p, W)
+    fam = adams_family("zeta_ku2", 2) if p == 2 else adams_family("phihat_g", p)
+
+    def failing_tops(rows, scale, j):
+        mu = integer_numerators(family_sequence(fam, [0] * j + [Fraction(1, scale)], W + 1))
+        return [len(row) - 1 for _, _, row, den in rows if not integral_dot(p, (row, den), mu)]
+
+    for images in (hopf._theta_numerators, hopf._hazewinkel_theta_numerators):
+        rows, _ = centre._sampled_rows(ctx, None, images(ctx))
+        assert not failing_tops(rows, p, 0), images.__name__
+        for j in range(1, n + 1):
+            assert not failing_tops(rows, 1, j), (images.__name__, j)
+            assert min(failing_tops(rows, p, j)) == delta_p(p, j), (images.__name__, j)
 
 
 @pytest.mark.parametrize("p, n", [(2, 4), (2, 6), (2, 10), (2, 12), (2, 16), (2, 20), (3, 4),

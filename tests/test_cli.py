@@ -319,39 +319,6 @@ def test_extension_failure_in_verify_exits_1_with_json_details(capsys, monkeypat
         "details": {"stage": "extend_lattice", "n": 2, "column": 0}}
 
 
-def test_walk_failure_in_verify_exits_1_with_json_details(capsys, monkeypatch):
-    # the walk's generator images come from the program's own recursion, so
-    # an image whose u-degree could carry is an internal failure: a
-    # ConstructionError naming the stage and the generator, and exit 1.
-    # verify-centre walks the images in Hazewinkel's generators
-    from bpadams import centre, hopf, walk
-    from bpadams.fgl import BPContext
-
-    build = hopf._hazewinkel_theta_numerators
-
-    def with_a_carry(ctx):
-        images = dict(build(ctx))
-        num, den = images["t2"]
-        width = ctx.weight_bound.bit_length()
-        up = ctx.t_table.weights[1] + 1  # one above w_2
-        key = hopf._key((0,) * (len(ctx.v_table) - 1) + (1, up), width)  # v_last * u^up
-        images["t2"] = ({**num, key: den}, den)
-        return images
-
-    monkeypatch.setattr(centre, "_hazewinkel_theta_numerators", with_a_carry)
-    with pytest.raises(hopf.ConstructionError) as err:
-        ctx = BPContext(3, 5)
-        list(walk.t_monomial_numerators(ctx, with_a_carry(ctx)))
-    assert err.value.details == {"stage": "walk", "generator": "t2"}
-    code, out, err = run(capsys, "verify-centre", "--p", "3", "--n", "4", "--format", "json")
-    assert code == 1 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {
-        "error": "theta(t2) has a term of u-degree 5 above 4: its packed keys could carry",
-        "details": {"stage": "walk", "generator": "t2"}}
-
-
 def test_a_second_row_in_t1_exits_1_with_json_details(capsys, monkeypatch):
     # the walk's t_1-chains rest on theta(t_1) being one row, which the
     # walk checks once: an image of t_1 with a second row, here a constant

@@ -336,7 +336,7 @@ def test_theta_images_against_the_fraction_recursion(p, W):
     # generator, D the lcm of its denominators, and t_n over the {l, e}
     # basis
     c = BPContext(p, W)
-    want = theta_reference.theta_numerators(c)
+    want = theta_reference.as_rows(c, theta_reference.theta_numerators(c))
     assert hopf._theta_numerators(c) == want
     assert len(want) == 2 * c.gen_count and (W == 0 or c.gen_count)
     assert hopf._rud(c).t_in_basis == theta_reference.t_in_basis(c)
@@ -353,7 +353,9 @@ def test_hazewinkel_images_against_a_context_with_pi_equal_to_p(p, W):
     got = hopf._hazewinkel_theta_numerators(c)
     assert got == hopf._theta_numerators(theta_reference.HazewinkelContext(p, W))
     if W <= 40:
-        assert got == theta_reference.theta_numerators(theta_reference.HazewinkelContext(p, W))
+        reference = theta_reference.HazewinkelContext(p, W)
+        assert got == theta_reference.as_rows(reference,
+                                              theta_reference.theta_numerators(reference))
     assert all(den == p ** val_p(p, den) for _, den in got.values())
     assert got != hopf._theta_numerators(c) or W == 0
 
@@ -408,12 +410,15 @@ def test_t_recursion_on_integers_against_fractions():
 def _term_form_images(ctx, images):
     """The images of the {l, t} generators as the recursion on terms
     builds them from the L_k of ``images``: :func:`hopf._t_recursion` on
-    packed monomial keys with E_n = u^{w_n} * L_n, each T_n reduced as it
-    is summed."""
-    L = [images[f"l{k}"] for k in range(1, ctx.gen_count + 1)]
+    packed monomial keys, u in the lowest field, with E_n = u^{w_n} * L_n,
+    each T_n reduced as it is summed; handed over as rows."""
+    width = ctx.weight_bound.bit_length()
+    L = [({delta << width: c for delta, (c,) in num.items()}, den)
+         for num, den in (images[f"l{k}"] for k in range(1, ctx.gen_count + 1))]
     E = [({key + w: c for key, c in num.items()}, den)
          for (num, den), w in zip(L, ctx.l_table.weights)]
-    return dict(zip(ctx.lt_table.names, L + hopf._t_recursion(ctx.p, L, E)))
+    return theta_reference.as_rows(
+        ctx, dict(zip(ctx.lt_table.names, L + hopf._t_recursion(ctx.p, L, E))))
 
 
 @pytest.mark.parametrize("p, W", [(2, 0), (2, 7), (2, 15), (2, 22), (2, 31), (2, 46), (3, 8),
@@ -532,7 +537,9 @@ def test_v1_shadows_against_the_theta_images(p, W):
     width = W.bit_length()
     v_high = ((1 << width * max(len(c.v_table) - 1, 0)) - 1) << width
     for g, name in enumerate(c.lt_table.names):
-        num, den = hopf._theta_numerators(c)[name]
+        rows, den = hopf._theta_numerators(c)[name]
+        num = {delta << width | j: x for delta, row in rows.items()
+               for j, x in enumerate(row) if x}
         want = hopf._reduced({key & ((1 << width) - 1): x for key, x in num.items()
                               if not key & v_high}, den)
         assert shadows[g] == want and want[0], name
@@ -826,7 +833,7 @@ def _walks(p, W):
     out = {}
     for basis, (build, _) in BASES.items():
         by_top = {}
-        for top in (None, 0, 1, W // 4, W // 2, W):
+        for top in (None, 0, 1, W // 4, W // 2, W - 1, W):
             walked = [(gamma, (rows, den, count)) for gamma, rows, den, count
                       in walk.t_monomial_numerators(ctx, build(ctx), top)]
             want = {gamma: ({key: dense(row) for key, row in rows.items()
@@ -844,10 +851,14 @@ def _walks(p, W):
 # matches the dict walk on the nodes of that share and on the rest; the
 # limit no longer reaches the walk, so each (p, W) walks once (_walks)
 @pytest.mark.parametrize("limit", [0, 48, None, 10 ** 6])
-@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36), (2, 30)])
+@pytest.mark.parametrize("p, W", [(2, 22), (3, 19), (5, 28), (7, 16), (5, 36), (2, 30),
+                                  (2, 24), (3, 23)])
 def test_walk_matches_the_dict_walk(p, W, limit):
     # on both sets of generator images; at (2, 30) the t_1-chains run up to
-    # 30 nodes long, and at every top below W most of them run out of rows
+    # 30 nodes long, and at every top below W most of them run out of rows.
+    # At top W - 1, (2, 24) and (3, 23) are the least points where a t_1
+    # step that keeps only some of its parent's rows needs a wider width
+    # than its parent's, and re-spreads the rows it keeps
     bits = 384 if limit is None else limit
     for basis, (nodes, by_top) in _walks(p, W).items():
         wide = {gamma for gamma, (_, bound) in nodes.items() if _tight_width(bound) > bits}
@@ -872,8 +883,7 @@ def test_t1_chains_multiply_only_the_rows_they_keep(p, W, monkeypatch):
     # against the reference walk's rows on Hazewinkel's images
     ctx = BPContext(p, W)
     images = hopf._hazewinkel_theta_numerators(ctx)
-    factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
-                   for k in range(1, len(ctx.t_table.weights) + 1)]
+    factor_rows = [len(images[f"t{k}"][0]) for k in range(1, len(ctx.t_table.weights) + 1)]
     assert factor_rows[0] == 1
     nodes = {gamma: rows for gamma, rows, _ in _reference_rows(p, W, "hazewinkel")}
     multiply, calls = walk._multiply, []
@@ -994,8 +1004,7 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, mon
     norms, nodes = _walk_nodes(p, W, basis)
     ctx = BPContext(p, W)
     images = BASES[basis][0](ctx)
-    factor_rows = [len(hopf._group_rows(images[f"t{k}"][0], W.bit_length()))
-                   for k in range(1, len(norms) + 1)]
+    factor_rows = [len(images[f"t{k}"][0]) for k in range(1, len(norms) + 1)]
     widths, repacks, kept, shared = set(), 0, 0, 0
     for gamma, (rows, bound) in nodes.items():
         # a node raises no index above its lowest non-zero one; the root any
@@ -1028,28 +1037,6 @@ def test_the_walk_repacks_a_parents_rows_only_for_a_wider_child(p, W, basis, mon
         pass
     assert len(spreads) == repacks
     assert len(packs) == sum(factor_rows[k] for k, _ in widths)
-
-
-def test_the_walk_groups_each_generator_image_once(monkeypatch):
-    # every node multiplies packed rows, however wide its digits: the walk
-    # groups the terms of each generator image into rows once, and never a
-    # node's terms; on both sets of generator images at (5, 36), where
-    # Araki's walk has nodes whose tight width is above 384 bits
-    p, W = 5, 36
-    _, nodes = _walk_nodes(p, W, "araki")
-    assert max(_tight_width(bound) for _, bound in nodes.values()) > 384
-    group_rows, calls = walk._group_rows, []
-    monkeypatch.setattr(walk, "_group_rows",
-                        lambda num, width: calls.append(num) or group_rows(num, width))
-    ctx = BPContext(p, W)
-    for basis, (build, _) in BASES.items():
-        images = build(ctx)
-        calls.clear()
-        for _ in walk.t_monomial_numerators(ctx, images):
-            pass
-        generators = [images[f"t{k}"][0] for k in range(1, len(ctx.t_table.weights) + 1)]
-        assert len(calls) == len(generators), basis
-        assert all(got is image for got, image in zip(calls, generators)), basis
 
 
 # A float would enter a form as its binary value: 1/3 as a dyadic rational,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import lattice_reference
 from bpadams.arith import (delta_p, dot, format_rational, integer_numerators, val_p,
                            word_width)
-from bpadams.adamsk import CongruenceVector, basis_integrality_rows, check_g_congruences
+from bpadams.adamsk import (C_vector, CongruenceVector, basis_integrality_rows,
+                            check_g_congruences)
 from bpadams.lattice import (_CODEC, CongruenceSystem, LatticeError, SandwichResult,
                              SolutionLattice, extend_lattice, lattice_eq, lattice_leq,
                              sandwich_check, solve, triangularize)
@@ -374,6 +375,23 @@ def test_sandwich_inclusion_failure_and_budget_mismatch():
                          CongruenceVector(3, 0, (Fraction(1, 3),), 1))
     assert res.status == "hypothesis_violation" and not res.equal
     assert "budgets 2 and 1" in res.detail
+
+
+def test_sandwich_refuses_misindexed_rows_and_a_row_of_another_prime():
+    # on Gaussian rows, which meet the shape: rows below n that skip an
+    # index, a top pair of two indices, and a row of another prime, as
+    # base row 1 and as cn_hat (row n + 1 of the list checked)
+    rows = [C_vector(3, 2, n) for n in range(4)]
+    cases = [
+        ((rows[0], rows[2]), rows[2], rows[2], "rows are not indexed 0..n"),
+        (rows[:2], rows[2], rows[3], "rows are not indexed 0..n"),
+        ((rows[0], C_vector(5, 2, 1)), rows[2], rows[2], "row 1 has the wrong prime"),
+        (rows[:2], rows[2], C_vector(5, 2, 2), "row 3 has the wrong prime"),
+    ]
+    for base, cn, cn_hat, detail in cases:
+        res = sandwich_check(3, base, cn, cn_hat)
+        assert (res.status, res.equal, res.detail) == ("hypothesis_violation", False, detail)
+        assert res.s_lattice is None
 
 
 def test_solution_lattice_serialization():

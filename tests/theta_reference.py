@@ -15,6 +15,7 @@ from bpadams.arith import integer_numerators
 from bpadams.fgl import BPContext
 from bpadams.hopf import MuLinear, right_unit_of_l_poly
 from bpadams.polyring import GeneratorTable, GradedPoly
+from packing_reference import dense
 
 
 class HazewinkelContext(BPContext):
@@ -80,6 +81,17 @@ def theta_numerators(ctx):
         nums, den = integer_numerators(list(image.terms.values()))
         out[name] = {hopf._key(exps, width): c for exps, c in zip(image.terms, nums)}, den
     return out
+
+
+def as_rows(ctx, images):
+    """Images on packed keys that hold a u field below delta's fields, as
+    :func:`theta_numerators` gives them, in the form the package hands its
+    generator images over: (rows, D), each row the dense numerators
+    [c_0, ..., c_m] at its packed v-monomial."""
+    width = ctx.weight_bound.bit_length()
+    return {name: ({delta: dense(row) for delta, row in hopf._group_rows(num, width).items()},
+                   den)
+            for name, (num, den) in images.items()}
 
 
 def t_in_basis(ctx):
